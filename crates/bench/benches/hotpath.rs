@@ -2,7 +2,8 @@
 //! on: MSHR probes and allocation, cache probe+fill, and a full
 //! `Core::cycle` against the real memory hierarchy. These are the
 //! operations the flat-table/packed-rank rewrite targets, so regressions
-//! here show up before they are visible in `ext_simspeed`.
+//! here show up before they are visible in the `benchmark/` workloads'
+//! `sim_kips`.
 //!
 //! Plain `harness = false` timing mains (no external bench framework is
 //! available offline); enable with `--features criterion-benches`:
@@ -13,7 +14,6 @@
 
 use bfetch_mem::{
     drain_chip, CacheConfig, ChipGuard, HitLevel, MemorySystem, MshrFile, SetAssocCache,
-    SharedTurn,
 };
 use bfetch_sim::{Core, PrefetcherKind, SeqMem, SimConfig};
 use bfetch_workloads::{kernel_by_name, kernels, Scale};
@@ -95,9 +95,9 @@ fn main() {
 
     // Full Core::cycle on a pointer-chasing kernel with the B-Fetch engine
     // attached: fetch, schedule, commit, prefetch issue — the whole
-    // per-cycle loop that ext_simspeed measures end to end. The no-prefetch
-    // variant isolates the engine's per-cycle cost (tick + decode hooks +
-    // commit training) from the pipeline model itself.
+    // per-cycle loop the `solo_*` benchmark workloads measure end to end.
+    // The no-prefetch variant isolates the engine's per-cycle cost (tick +
+    // decode hooks + commit training) from the pipeline model itself.
     for (name, pf) in [
         ("core_cycle_mcf_bfetch", PrefetcherKind::BFetch),
         ("core_cycle_mcf_nopf", PrefetcherKind::None),
@@ -128,21 +128,9 @@ fn main() {
         n
     });
 
-    // One full shared-turn cycle for 8 cores that make no shared request:
-    // begin_cycle + 8 lock-free finish_core calls (the turn-skip path the
-    // parallel engine pays per cycle per core).
-    let (_, turn_shared) = MemorySystem::new(cfg8.hierarchy(8)).into_parts();
-    let turn = SharedTurn::new(turn_shared, 8);
-    bench("l3_turn_gate_skip8", || {
-        turn.begin_cycle();
-        for core in 0..8 {
-            turn.finish_core(core);
-        }
-    });
-
-    // One full mix8 engine cycle, exactly as the sequential engine runs it:
-    // chip drain, 8 cores stepped through the SeqMem view, end-of-cycle
-    // feedback + guard notes. This is the unit ext_simspeed's mix8 row
+    // One full mix8 cycle, exactly as the cycle loop runs it: chip drain,
+    // 8 cores stepped through the SeqMem view, end-of-cycle feedback +
+    // guard notes. This is the unit the `chip8_bfetch` benchmark workload
     // measures millions of (same mix: the first eight registry kernels).
     let (mut mems, mut shared) = MemorySystem::new(cfg8.hierarchy(8)).into_parts();
     let mut guard = ChipGuard::new();

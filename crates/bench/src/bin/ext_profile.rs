@@ -3,27 +3,23 @@
 //! span timers.
 //!
 //! Runs the ext_mix8 workload (the first eight registry kernels on an
-//! 8-core CMP, B-Fetch config) twice — sequential engine (`j1`) and the
-//! parallel engine at four workers (`j4`, OS threads forced so the host's
-//! core count doesn't silently serialize it) — with profiling enabled, and
-//! prints each phase's count, total, mean, p50/p99 and share of the
-//! end-to-end `sim.run` wall time. A machine-readable copy goes to
-//! `--out` (default `target/PROF_phase_report.json`).
+//! 8-core CMP, B-Fetch config) with profiling enabled, and prints each
+//! phase's count, total, mean, p50/p99 and share of the end-to-end
+//! `sim.run` wall time. A machine-readable copy goes to `--out` (default
+//! `target/PROF_phase_report.json`).
 //!
 //! Coverage is the self-check that the instrumentation accounts for the
-//! run: the top-level phases that tile `sim.run` on the coordinator thread
-//! (`sim.drain_chip` + stepping + `sim.bookkeep`, where stepping is
-//! `sim.step` under j1 and `par.step_phase` under j4) must sum to ~100% of
-//! it. `--min-coverage PCT` turns that into an exit-code gate for CI.
+//! run: the top-level phases that tile `sim.run` (`sim.drain_chip` +
+//! `sim.step` + `sim.bookkeep`) must sum to ~100% of it.
+//! `--min-coverage PCT` turns that into an exit-code gate for CI.
 //!
-//! This is a *timing* binary like ext_simspeed: its stdout reports wall
-//! clock and is exempt from the byte-identity contract (see
-//! `tests/stdout_contract.rs`).
+//! This is a *timing* binary: its stdout reports wall clock and is exempt
+//! from the byte-identity contract (see `tests/stdout_contract.rs`).
 //!
 //! ```text
 //! --quick              reduced instruction budget (CI smoke run)
 //! --out PATH           phase-report JSON (default target/PROF_phase_report.json)
-//! --min-coverage PCT   fail if either run's coverage is below PCT (default 0)
+//! --min-coverage PCT   fail if the run's coverage is below PCT (default 0)
 //! --check-trace FILE   validate a Chrome trace-event JSON file and exit
 //! ```
 
@@ -65,7 +61,7 @@ fn main() {
                     "measured per-phase cost breakdown (replaces the DESIGN.md §13 estimates)\n\
                      \x20 --quick              reduced instruction budget (CI smoke run)\n\
                      \x20 --out PATH           phase-report JSON (target/PROF_phase_report.json)\n\
-                     \x20 --min-coverage PCT   fail if either run covers less than PCT of sim.run\n\
+                     \x20 --min-coverage PCT   fail if the run covers less than PCT of sim.run\n\
                      \x20 --check-trace FILE   validate a Chrome trace-event JSON file and exit"
                 );
                 return;
@@ -92,111 +88,91 @@ fn main() {
         insts,
         if quick { ", --quick" } else { "" }
     );
-    let mut runs_json: Vec<(String, Json)> = Vec::new();
-    let mut worst_coverage = f64::INFINITY;
-    for j in [1usize, 4] {
-        let mut cfg = SimConfig::baseline()
-            .with_prefetcher(PrefetcherKind::BFetch)
-            .with_warmup(warmup)
-            .with_threads(j);
-        // Report what j workers actually cost even when the host has
-        // fewer cores (same rationale as ext_simspeed).
-        cfg.force_os_threads = j > 1;
-        bfetch_prof::enable();
-        SimSession::new(cfg)
-            .instructions(insts)
-            .run(&programs)
-            .unwrap_or_else(|e| die(&e.to_string()));
-        let profile = bfetch_prof::drain().unwrap_or_else(|| die("profiler captured nothing"));
-        let report = profile.report();
+    let cfg = SimConfig::baseline()
+        .with_prefetcher(PrefetcherKind::BFetch)
+        .with_warmup(warmup);
+    bfetch_prof::enable();
+    SimSession::new(cfg)
+        .instructions(insts)
+        .run(&programs)
+        .unwrap_or_else(|e| die(&e.to_string()));
+    let profile = bfetch_prof::drain().unwrap_or_else(|| die("profiler captured nothing"));
+    let report = profile.report();
 
-        let run_ns = report.phase_total_ns("sim.run");
-        if run_ns == 0 {
-            die("no sim.run span recorded");
-        }
-        let stepping = if j == 1 { "sim.step" } else { "par.step_phase" };
-        let covered: u64 = ["sim.drain_chip", stepping, "sim.bookkeep"]
-            .iter()
-            .map(|n| report.phase_total_ns(n))
-            .sum();
-        let coverage = covered as f64 / run_ns as f64 * 100.0;
-        worst_coverage = worst_coverage.min(coverage);
-
-        let mut t = Table::new(vec![
-            "phase".into(),
-            "count".into(),
-            "total".into(),
-            "mean".into(),
-            "p50".into(),
-            "p99".into(),
-            "% of run".into(),
-        ]);
-        for name in PHASE_NAMES {
-            let Some(p) = report.phase(name) else { continue };
-            if p.count == 0 {
-                continue;
-            }
-            t.row(vec![
-                p.name.to_string(),
-                p.count.to_string(),
-                bfetch_prof::fmt_ns(p.total_ns),
-                bfetch_prof::fmt_ns(p.mean_ns()),
-                bfetch_prof::fmt_ns(p.p50_ns),
-                bfetch_prof::fmt_ns(p.p99_ns),
-                format!("{:.1}", p.total_ns as f64 / run_ns as f64 * 100.0),
-            ]);
-        }
-        println!("-- sim-threads {j} --");
-        print!("{t}");
-        println!(
-            "coverage: {coverage:.1}% of sim.run ({} of {}) via drain+{stepping}+bookkeep",
-            bfetch_prof::fmt_ns(covered),
-            bfetch_prof::fmt_ns(run_ns),
-        );
-
-        let phases_json: Vec<(String, Json)> = report
-            .phases
-            .iter()
-            .filter(|p| p.count > 0)
-            .map(|p| {
-                (
-                    p.name.to_string(),
-                    Json::Obj(vec![
-                        ("count".into(), Json::u64_of(p.count)),
-                        ("total_ns".into(), Json::u64_of(p.total_ns)),
-                        ("mean_ns".into(), Json::u64_of(p.mean_ns())),
-                        ("p50_ns".into(), Json::u64_of(p.p50_ns)),
-                        ("p99_ns".into(), Json::u64_of(p.p99_ns)),
-                        (
-                            "pct_of_run".into(),
-                            Json::f64_of(
-                                (p.total_ns as f64 / run_ns as f64 * 1000.0).round() / 10.0,
-                            ),
-                        ),
-                    ]),
-                )
-            })
-            .collect();
-        runs_json.push((
-            format!("j{j}"),
-            Json::Obj(vec![
-                ("sim_threads".into(), Json::u64_of(j as u64)),
-                ("wall_ns".into(), Json::u64_of(run_ns)),
-                (
-                    "coverage_pct".into(),
-                    Json::f64_of((coverage * 10.0).round() / 10.0),
-                ),
-                ("phases".into(), Json::Obj(phases_json)),
-            ]),
-        ));
+    let run_ns = report.phase_total_ns("sim.run");
+    if run_ns == 0 {
+        die("no sim.run span recorded");
     }
+    let covered: u64 = ["sim.drain_chip", "sim.step", "sim.bookkeep"]
+        .iter()
+        .map(|n| report.phase_total_ns(n))
+        .sum();
+    let coverage = covered as f64 / run_ns as f64 * 100.0;
+
+    let mut t = Table::new(vec![
+        "phase".into(),
+        "count".into(),
+        "total".into(),
+        "mean".into(),
+        "p50".into(),
+        "p99".into(),
+        "% of run".into(),
+    ]);
+    for name in PHASE_NAMES {
+        let Some(p) = report.phase(name) else { continue };
+        if p.count == 0 {
+            continue;
+        }
+        t.row(vec![
+            p.name.to_string(),
+            p.count.to_string(),
+            bfetch_prof::fmt_ns(p.total_ns),
+            bfetch_prof::fmt_ns(p.mean_ns()),
+            bfetch_prof::fmt_ns(p.p50_ns),
+            bfetch_prof::fmt_ns(p.p99_ns),
+            format!("{:.1}", p.total_ns as f64 / run_ns as f64 * 100.0),
+        ]);
+    }
+    print!("{t}");
+    println!(
+        "coverage: {coverage:.1}% of sim.run ({} of {}) via drain+sim.step+bookkeep",
+        bfetch_prof::fmt_ns(covered),
+        bfetch_prof::fmt_ns(run_ns),
+    );
+
+    let phases_json: Vec<(String, Json)> = report
+        .phases
+        .iter()
+        .filter(|p| p.count > 0)
+        .map(|p| {
+            (
+                p.name.to_string(),
+                Json::Obj(vec![
+                    ("count".into(), Json::u64_of(p.count)),
+                    ("total_ns".into(), Json::u64_of(p.total_ns)),
+                    ("mean_ns".into(), Json::u64_of(p.mean_ns())),
+                    ("p50_ns".into(), Json::u64_of(p.p50_ns)),
+                    ("p99_ns".into(), Json::u64_of(p.p99_ns)),
+                    (
+                        "pct_of_run".into(),
+                        Json::f64_of((p.total_ns as f64 / run_ns as f64 * 1000.0).round() / 10.0),
+                    ),
+                ]),
+            )
+        })
+        .collect();
 
     let doc = Json::Obj(vec![
-        ("schema".into(), Json::u64_of(1)),
+        ("schema".into(), Json::u64_of(2)),
         ("quick".into(), Json::Bool(quick)),
         ("instructions".into(), Json::u64_of(insts)),
         ("warmup".into(), Json::u64_of(warmup)),
-        ("runs".into(), Json::Obj(runs_json)),
+        ("wall_ns".into(), Json::u64_of(run_ns)),
+        (
+            "coverage_pct".into(),
+            Json::f64_of((coverage * 10.0).round() / 10.0),
+        ),
+        ("phases".into(), Json::Obj(phases_json)),
     ]);
     if let Some(parent) = out_path.parent() {
         let _ = std::fs::create_dir_all(parent);
@@ -207,9 +183,9 @@ fn main() {
     }
     println!("wrote {}", out_path.display());
 
-    if worst_coverage < min_coverage {
+    if coverage < min_coverage {
         eprintln!(
-            "error: coverage gate failed: {worst_coverage:.1}% is below --min-coverage {min_coverage}%"
+            "error: coverage gate failed: {coverage:.1}% is below --min-coverage {min_coverage}%"
         );
         std::process::exit(1);
     }

@@ -4,11 +4,6 @@
 //! aggregate (Section V-B's mix figures, cross-cut with the top-down
 //! accounting of DESIGN.md §10).
 //!
-//! The CMP runs step through the deterministic parallel engine when
-//! `--sim-threads N` is given (results are byte-identical for any N; see
-//! DESIGN.md §12), so this binary doubles as a smoke test for the cycle
-//! barrier on real multiprogrammed workloads.
-//!
 //! Flags beyond the common set:
 //!
 //! ```text
@@ -126,13 +121,12 @@ fn main() {
             .expect("solo grid covers every (member, prefetcher) pair")
     };
 
-    // CMP runs: each mix under each prefetcher, CPI accounting on, through
-    // the parallel engine when --sim-threads asks for it.
+    // CMP runs: each mix under each prefetcher, CPI accounting on.
     let mut runs: Vec<CmpRun> = Vec::new();
     for mix in &mixes {
         let programs: Vec<_> = mix.members.iter().map(|k| k.build(opts.scale)).collect();
         for p in PREFETCHERS {
-            let out = SimSession::new(opts.config(p).with_threads(opts.sim_threads))
+            let out = SimSession::new(opts.config(p))
                 .cpi(true)
                 .instructions(opts.instructions)
                 .run(&programs)
@@ -213,9 +207,6 @@ fn main() {
         return;
     }
 
-    // --sim-threads deliberately never reaches stdout: output is
-    // byte-identical for every thread count, so echoing it would be the
-    // one line breaking the contract the harness smoke cmp(1)s for
     println!(
         "== CMP figure: weighted speedup + per-core CPI stacks (2/4/8 cores{}) ==",
         if quick { ", --quick" } else { "" },

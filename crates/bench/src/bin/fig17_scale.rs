@@ -5,9 +5,7 @@
 //!
 //! The L3 keeps the baseline 2 MB/core capacity but is interleaved across
 //! `cores/4` line-granularity banks (DESIGN.md §12 documents the mapping);
-//! bank count only changes replacement locality, not capacity. The runs
-//! step through the deterministic parallel engine when `--sim-threads N`
-//! is given — results are byte-identical for any N.
+//! bank count only changes replacement locality, not capacity.
 //!
 //! Flags beyond the common set:
 //!
@@ -101,10 +99,7 @@ fn main() {
         let channels = cores / 8;
         let mut per_pf: Vec<(PrefetcherKind, Vec<bfetch_sim::RunResult>)> = Vec::new();
         for p in PREFETCHERS {
-            let mut cfg = opts
-                .config(p)
-                .with_l3_banks(banks)
-                .with_threads(opts.sim_threads);
+            let mut cfg = opts.config(p).with_l3_banks(banks);
             cfg.dram.channels = channels;
             let out = SimSession::new(cfg)
                 .instructions(opts.instructions)
@@ -151,8 +146,6 @@ fn main() {
         println!("{}", rows_to_json(&headers, &rows));
         return;
     }
-    // --sim-threads never reaches stdout: output is byte-identical for
-    // every thread count, and the header must not break that contract
     println!(
         "== Scale-out figure: 16/32/64-core CMP, banked L3{} ==",
         if quick { ", --quick" } else { "" },

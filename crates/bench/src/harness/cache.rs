@@ -36,7 +36,7 @@ use std::time::{Duration, SystemTime};
 
 /// Bumped whenever the key derivation or the stored JSON layout changes;
 /// old entries then simply miss (and are swept by [`ResultCache::gc`]).
-pub const SCHEMA_VERSION: u32 = 2;
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// A lock older than this is assumed to belong to a dead process and is
 /// stolen.

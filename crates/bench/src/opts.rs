@@ -20,11 +20,6 @@ pub struct Opts {
     /// Worker threads for the experiment harness (grid parallelism: how
     /// many independent simulations run at once).
     pub threads: usize,
-    /// Worker threads *inside* each CMP simulation ([`SimConfig::threads`]):
-    /// cores of one chip stepped in parallel under the deterministic cycle
-    /// barrier. Orthogonal to `threads`; results are identical for any
-    /// value (default 1 = sequential engine).
-    pub sim_threads: usize,
     /// Emit machine-readable JSON results on stdout instead of tables.
     pub json: bool,
     /// Bypass the on-disk result cache entirely.
@@ -104,7 +99,6 @@ impl Default for Opts {
             warmup: 150_000,
             scale: Scale::Full,
             threads: default_threads(),
-            sim_threads: 1,
             json: false,
             no_cache: false,
             cache_dir: None,
@@ -146,8 +140,6 @@ pub fn usage() -> String {
          \x20 --warmup N               warmup instructions per core (default 150000)\n\
          \x20 --small                  reduced workload footprints\n\
          \x20 --threads N, -j N        harness worker threads (default: all cores)\n\
-         \x20 --sim-threads N          worker threads inside each CMP simulation\n\
-         \x20                          (deterministic: results identical for any N; default 1)\n\
          \x20 --kernels a,b,c          restrict kernel sweeps to a subset\n\
          \x20 --programs a,b,c         restrict real-program sweeps to a subset\n\
          \x20 --json                   machine-readable JSON results on stdout\n\
@@ -203,14 +195,6 @@ impl Opts {
                         .ok()
                         .filter(|&n: &usize| n > 0)
                         .ok_or(OptsError::BadValue("--threads", v))?;
-                }
-                "--sim-threads" => {
-                    let v = value("--sim-threads")?;
-                    o.sim_threads = v
-                        .parse()
-                        .ok()
-                        .filter(|&n: &usize| n > 0)
-                        .ok_or(OptsError::BadValue("--sim-threads", v))?;
                 }
                 "--kernels" => {
                     let v = value("--kernels")?;
@@ -274,14 +258,12 @@ impl Opts {
         }
     }
 
-    /// A [`SimConfig`] carrying this run's warmup, the given prefetcher,
-    /// and the `--sim-threads` engine choice (results are byte-identical
-    /// for any thread count, so this never changes what a figure prints).
+    /// A [`SimConfig`] carrying this run's warmup and the given
+    /// prefetcher.
     pub fn config(&self, kind: PrefetcherKind) -> SimConfig {
         SimConfig::baseline()
             .with_prefetcher(kind)
             .with_warmup(self.warmup)
-            .with_threads(self.sim_threads)
     }
 
     /// The kernels this run sweeps: the `--kernels` subset if given
@@ -326,7 +308,6 @@ mod tests {
         assert_eq!(o.warmup, 150_000);
         assert_eq!(o.scale, Scale::Full);
         assert!(o.threads >= 1);
-        assert_eq!(o.sim_threads, 1);
         assert!(!o.json && !o.no_cache);
         assert_eq!(o.checkpoint_every, 0);
         assert!(o.kernels.is_none());
@@ -346,8 +327,6 @@ mod tests {
             "--small",
             "--threads",
             "4",
-            "--sim-threads",
-            "2",
             "--kernels",
             "mcf,astar",
             "--json",
@@ -368,7 +347,6 @@ mod tests {
         assert_eq!(o.warmup, 100);
         assert_eq!(o.scale, Scale::Small);
         assert_eq!(o.threads, 4);
-        assert_eq!(o.sim_threads, 2);
         assert_eq!(o.kernels.as_deref(), Some(&["mcf".to_string(), "astar".to_string()][..]));
         assert!(o.json && o.no_cache);
         assert_eq!(o.cache_dir.as_deref(), Some(std::path::Path::new("/tmp/c")));
@@ -396,10 +374,11 @@ mod tests {
             parse(&["--threads", "0"]),
             Err(OptsError::BadValue("--threads", _))
         ));
-        assert!(matches!(
-            parse(&["--sim-threads", "0"]),
-            Err(OptsError::BadValue("--sim-threads", _))
-        ));
+        // the parallel CMP engine and its flag are gone
+        assert_eq!(
+            parse(&["--sim-threads", "4"]),
+            Err(OptsError::UnknownFlag("--sim-threads".into()))
+        );
         assert_eq!(
             parse(&["--kernels", "mcf,nonesuch"]),
             Err(OptsError::UnknownKernel("nonesuch".into()))

@@ -82,7 +82,7 @@ fn enabled_profiler_is_an_observer() {
     );
 }
 
-/// A profiled parallel run exports a parseable Chrome trace: top-level
+/// A profiled CMP run exports a parseable Chrome trace: top-level
 /// trace-event envelope, thread-name metadata, and complete (`X`) events
 /// with microsecond timestamps for the coarse spans.
 #[test]
@@ -91,11 +91,9 @@ fn chrome_trace_is_well_formed() {
     let _g = lock();
     let members: Vec<_> = kernels().iter().take(2).collect();
     let programs: Vec<_> = members.iter().map(|k| k.build(Scale::Small)).collect();
-    let mut cfg = SimConfig::baseline()
+    let cfg = SimConfig::baseline()
         .with_prefetcher(PrefetcherKind::BFetch)
-        .with_warmup(1_000)
-        .with_threads(2);
-    cfg.force_os_threads = true;
+        .with_warmup(1_000);
     bfetch_prof::enable();
     SimSession::new(cfg)
         .instructions(5_000)

@@ -6,7 +6,7 @@
 
 use bfetch_bench::harness::cache;
 use bfetch_bench::{FailureKind, GridPoint, Harness, SweepSpec};
-use bfetch_sim::{PrefetcherKind, SimConfig};
+use bfetch_sim::{PrefetcherKind, SimConfig, SimError, SimSession, SnapshotError};
 use bfetch_workloads::{kernel_by_name, Scale};
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
@@ -127,12 +127,16 @@ fn garbage_sidecar_is_quarantined_and_recomputed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A *real* checkpoint truncated mid-file (a torn write or a partial
-/// copy) is caught by the whole-file checksum, quarantined, and the
-/// point recomputes.
-#[test]
-fn truncated_sidecar_is_quarantined_and_recomputed() {
-    let dir = tmp_cache("truncated");
+/// Damages one *real* checkpoint with `damage` and checks the whole
+/// recovery chain: resuming it is a typed snapshot error (`want`, when the
+/// exact defect is known), the harness quarantines it to `.snap.bad`, and
+/// the point recomputes to the results a fresh run produces.
+fn damaged_sidecar_recovers(
+    tag: &str,
+    damage: impl Fn(&[u8]) -> Vec<u8>,
+    want: Option<SnapshotError>,
+) {
+    let dir = tmp_cache(tag);
     let spec = sweep();
 
     let stop = Arc::new(AtomicBool::new(true));
@@ -144,18 +148,48 @@ fn truncated_sidecar_is_quarantined_and_recomputed() {
     let victim = snap_path(&dir, &spec.points[0]);
     let bytes = std::fs::read(&victim).unwrap();
     assert!(bytes.len() > 64, "checkpoint should be non-trivial");
-    std::fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
+    std::fs::write(&victim, damage(&bytes)).unwrap();
+    match SimSession::resume(&victim) {
+        Err(SimError::Snapshot(e)) => {
+            if let Some(want) = want {
+                assert_eq!(e, want, "{tag}");
+            }
+        }
+        Err(e) => panic!("{tag}: wrong error kind {e}"),
+        Ok(_) => panic!("{tag}: damaged sidecar resumed"),
+    }
 
     let out = Harness::new(1).with_cache_dir(&dir).quiet().run(&spec);
-    assert!(out.failures.is_empty());
+    assert!(out.failures.is_empty(), "{tag}");
     let mut bad = victim.into_os_string();
     bad.push(".bad");
-    assert!(PathBuf::from(bad).exists(), "truncated sidecar quarantined");
+    assert!(PathBuf::from(bad).exists(), "{tag} sidecar quarantined");
 
     let fresh = Harness::new(1).without_cache().quiet().run(&spec);
-    assert_eq!(out.to_json(), fresh.to_json());
+    assert_eq!(out.to_json(), fresh.to_json(), "{tag}");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint truncated mid-file (a torn write or a partial copy) is
+/// caught by the whole-file checksum; one left over from the previous
+/// snapshot schema (a well-formed frame stamped version 1) is caught by
+/// the version check. Neither panics, both are quarantined and recomputed.
+#[test]
+fn truncated_or_old_schema_sidecar_is_quarantined_and_recomputed() {
+    damaged_sidecar_recovers("truncated", |b| b[..b.len() / 2].to_vec(), None);
+    damaged_sidecar_recovers(
+        "schema-v1",
+        |b| {
+            let mut old = b.to_vec();
+            let n = old.len();
+            old[8..12].copy_from_slice(&1u32.to_le_bytes());
+            let crc = bfetch_snapshot::crc32(&old[..n - 4]);
+            old[n - 4..].copy_from_slice(&crc.to_le_bytes());
+            old
+        },
+        Some(SnapshotError::BadVersion { got: 1, want: 2 }),
+    );
 }
 
 /// End-to-end crash recovery: a figure binary running with periodic

@@ -1,14 +1,14 @@
 //! The stdout byte-identity contract, pinned end-to-end: a figure
 //! binary's stdout must be one byte stream regardless of host threading
-//! (`--threads`), simulation threading (`--sim-threads`), cache state, or
-//! profiling (`--profile`), and must never echo any of those knobs.
+//! (`--threads`), cache state, or profiling (`--profile`), and must never
+//! echo any of those knobs.
 //! Run-dependent observability (timings, cache stats, profiler notes)
 //! belongs on stderr or in sidecar files.
 //!
 //! `fig08_single` stands in for the figure binaries here (they all share
-//! `Opts` + `Harness`). The *timing* binaries — ext_simspeed and
-//! ext_profile — are deliberately exempt: wall clock and thread sweeps are
-//! their subject matter, so their stdout is inherently run-dependent.
+//! `Opts` + `Harness`). The *timing* binary ext_profile is deliberately
+//! exempt: wall clock is its subject matter, so its stdout is inherently
+//! run-dependent.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -48,10 +48,6 @@ fn stdout_is_byte_identical_across_threading_profiling_and_cache_state() {
 
     let variants: Vec<(&str, Vec<String>)> = vec![
         ("host threads", vec!["--no-cache".into(), "-j".into(), "2".into()]),
-        (
-            "sim threads",
-            vec!["--no-cache".into(), "-j".into(), "1".into(), "--sim-threads".into(), "2".into()],
-        ),
         (
             "profiled",
             vec![
@@ -101,19 +97,34 @@ fn stdout_never_echoes_threading_or_profiling_knobs() {
         "--no-cache",
         "-j",
         "2",
-        "--sim-threads",
-        "2",
         "--profile",
         &dir.display().to_string(),
     ]);
     // "threads" (plural) catches any echo of a thread *count* while
     // allowing prose like "single-threaded" in figure titles.
     let lowered = stdout.to_lowercase();
-    for forbidden in ["--sim-threads", "--profile", "threads", "profile"] {
+    for forbidden in ["--profile", "threads", "profile"] {
         assert!(
             !lowered.contains(forbidden),
             "stdout echoes {forbidden:?} (run-dependent knobs belong on stderr):\n{stdout}"
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The parallel CMP engine is gone and so is its flag: an `Opts::parse`
+/// binary rejects it like any other unknown flag — usage on stderr,
+/// exit 2, nothing on stdout.
+#[test]
+fn removed_sim_threads_flag_is_rejected_with_usage() {
+    let out = Command::new(env!("CARGO_BIN_EXE_fig08_single"))
+        .args(BASE)
+        .args(["--no-cache", "--sim-threads", "4"])
+        .output()
+        .expect("spawn fig08_single");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "a rejected command line printed to stdout");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --sim-threads"), "{stderr}");
+    assert!(stderr.contains("common flags:"), "usage missing from stderr:\n{stderr}");
 }

@@ -8,23 +8,19 @@
 //!
 //! # Structure
 //!
-//! The chip is split along the private/shared boundary so the parallel
-//! stepping engine in `bfetch-sim` can hand each worker thread exclusive
-//! ownership of its cores' private state while arbitrating the shared L3
-//! and DRAM in canonical core order:
+//! The chip is split along the private/shared boundary, so the stepping
+//! loop in `bfetch-sim` can borrow one core's private state together with
+//! the shared levels for the duration of that core's cycle:
 //!
 //! * [`CoreMem`] — one core's L1I/L1D/L2, demand and prefetch MSHRs,
 //!   statistics, usefulness feedback, and the pending fills that touch only
 //!   private levels (L2/L3 hits).
 //! * [`SharedMem`] — the banked L3, the DRAM channel, and the pending fills
-//!   that install into the L3 (DRAM-serviced misses).
-//! * [`SharedLevel`] — the trait a [`CoreMem`] uses to reach the shared
-//!   levels on an L2 miss. `SharedMem` implements it directly for
-//!   sequential stepping; the parallel engine interposes a turn-ordered
-//!   gate so cross-core arbitration resolves in core order regardless of
-//!   thread scheduling.
-//! * [`MemorySystem`] — the sequential facade gluing the parts back
-//!   together under the original single-object API.
+//!   that install into the L3 (DRAM-serviced misses). A [`CoreMem`]
+//!   reaches it on an L2 miss through the `&mut SharedMem` its caller
+//!   passes in.
+//! * [`MemorySystem`] — the facade gluing the parts back together under
+//!   the original single-object API.
 //!
 //! Fills carry a per-core *issue sequence* stamp. Shared fills install
 //! their L3 portion in global completion order and are then re-queued onto
@@ -257,11 +253,8 @@ impl HierarchyConfig {
 }
 
 /// A scheduled cache fill, installed when its completion cycle arrives.
-///
-/// Constructed only inside this crate; it appears in the [`SharedLevel`]
-/// signature so the turn-ordered parallel gate can forward it.
 #[derive(Debug, Clone, Copy)]
-pub struct PendingFill {
+struct PendingFill {
     complete_at: u64,
     core: usize,
     phys: u64,
@@ -324,36 +317,6 @@ impl FillPool {
             }
         }
     }
-}
-
-/// The shared levels as seen from one core on an L2 miss.
-///
-/// [`SharedMem`] implements this directly (sequential stepping); the
-/// parallel engine's turn gate implements it by resolving each call in
-/// canonical core order, which is what makes parallel runs byte-identical
-/// to sequential ones.
-pub trait SharedLevel {
-    /// Walks L3 → DRAM for a line that missed this core's L2; the L3
-    /// lookup starts at `start`. Returns `(complete_at, level, fill_l3)`;
-    /// `fill_l3` is set when the line came from DRAM and must install into
-    /// the L3.
-    fn lower(
-        &mut self,
-        core: usize,
-        phys: u64,
-        start: u64,
-        demand: bool,
-        stats: &mut MemStats,
-    ) -> (u64, HitLevel, bool);
-
-    /// Queues a fill that installs into the shared L3 before completing in
-    /// the owner's private levels.
-    fn schedule_fill(&mut self, fill: PendingFill);
-
-    /// Marks any in-flight shared fill of `line` owned by `core` as used
-    /// (a demand access merged with it; the eventual install must not
-    /// double-report usefulness).
-    fn mark_fill_used(&mut self, core: usize, line: u64);
 }
 
 /// The chip-shared memory levels: banked L3, DRAM channel, and the queue
@@ -454,12 +417,13 @@ impl SharedMem {
     pub fn l3(&self) -> &[SetAssocCache] {
         &self.l3
     }
-}
 
-impl SharedLevel for SharedMem {
+    /// Walks L3 → DRAM for a line that missed a core's L2; the L3 lookup
+    /// starts at `start`. Returns `(complete_at, level, fill_l3)`;
+    /// `fill_l3` is set when the line came from DRAM and must install into
+    /// the L3.
     fn lower(
         &mut self,
-        _core: usize,
         phys: u64,
         start: u64,
         demand: bool,
@@ -489,12 +453,17 @@ impl SharedLevel for SharedMem {
         (done, HitLevel::Dram, true)
     }
 
+    /// Queues a fill that installs into the shared L3 before completing in
+    /// the owner's private levels.
     fn schedule_fill(&mut self, fill: PendingFill) {
         let seq = self.fill_seq;
         self.fill_seq += 1;
         self.fills.push(seq, fill);
     }
 
+    /// Marks any in-flight shared fill of `line` owned by `core` as used
+    /// (a demand access merged with it; the eventual install must not
+    /// double-report usefulness).
     fn mark_fill_used(&mut self, core: usize, line: u64) {
         self.fills.mark_used(core, line);
     }
@@ -597,7 +566,7 @@ impl CoreMem {
 
     /// Routes a finished fill to the right queue: L3-installing fills
     /// arbitrate through the shared level, private ones stay local.
-    fn dispatch_fill(&mut self, shared: &mut impl SharedLevel, fill: PendingFill) {
+    fn dispatch_fill(&mut self, shared: &mut SharedMem, fill: PendingFill) {
         self.sched_min = self.sched_min.min(fill.complete_at);
         if fill.fill_l3 {
             shared.schedule_fill(fill);
@@ -610,7 +579,7 @@ impl CoreMem {
     /// `(complete_at, level, fill_l2, fill_l3)`.
     fn lower_levels(
         &mut self,
-        shared: &mut impl SharedLevel,
+        shared: &mut SharedMem,
         phys: u64,
         start: u64,
         demand: bool,
@@ -632,7 +601,7 @@ impl CoreMem {
             }
             return (t_l2, HitLevel::L2, false, false);
         }
-        let (done, level, fill_l3) = shared.lower(self.id, phys, t_l2, demand, &mut self.stats);
+        let (done, level, fill_l3) = shared.lower(phys, t_l2, demand, &mut self.stats);
         (done, level, true, fill_l3)
     }
 
@@ -640,7 +609,7 @@ impl CoreMem {
     /// for the cycle's chip-wide drain having already run.
     pub fn access(
         &mut self,
-        shared: &mut impl SharedLevel,
+        shared: &mut SharedMem,
         kind: AccessKind,
         addr: u64,
         now: u64,
@@ -819,7 +788,7 @@ impl CoreMem {
     /// or `None` if the prefetch was dropped as redundant.
     pub fn prefetch(
         &mut self,
-        shared: &mut impl SharedLevel,
+        shared: &mut SharedMem,
         addr: u64,
         pc_hash: u16,
         now: u64,
@@ -896,7 +865,7 @@ impl CoreMem {
     /// prefetches. Returns the fill completion cycle, or `None` if dropped.
     pub fn prefetch_inst(
         &mut self,
-        shared: &mut impl SharedLevel,
+        shared: &mut SharedMem,
         addr: u64,
         now: u64,
     ) -> Option<u64> {
@@ -1034,26 +1003,35 @@ impl CoreMem {
     }
 }
 
-/// Uniform mutable access to a set of [`CoreMem`]s, so the chip-wide drain
-/// can run both over the sequential facade's `Vec` and over the parallel
-/// engine's per-worker slots.
-pub trait CoreSet {
-    /// Number of cores in the set.
-    fn len(&self) -> usize;
-    /// Whether the set is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Mutable access to core `i`'s memory.
-    fn core_mut(&mut self, i: usize) -> &mut CoreMem;
-}
+/// A read-only view over one core's private hierarchy, for diagnostics
+/// (`Core::diag`, `Core::enable_cpi`) that are generic over
+/// [`MemoryInterface`] but never issue accesses.
+#[derive(Debug)]
+pub struct CoreProbe<'a>(pub &'a CoreMem);
 
-impl CoreSet for Vec<CoreMem> {
-    fn len(&self) -> usize {
-        self.as_slice().len()
+impl MemoryInterface for CoreProbe<'_> {
+    fn access(&mut self, _core: usize, _kind: AccessKind, _addr: u64, _now: u64) -> AccessOutcome {
+        unreachable!("CoreProbe is a read-only view")
     }
-    fn core_mut(&mut self, i: usize) -> &mut CoreMem {
-        &mut self[i]
+
+    fn prefetch(&mut self, _core: usize, _addr: u64, _pc_hash: u16, _now: u64) -> Option<u64> {
+        unreachable!("CoreProbe is a read-only view")
+    }
+
+    fn prefetch_inst(&mut self, _core: usize, _addr: u64, _now: u64) -> Option<u64> {
+        unreachable!("CoreProbe is a read-only view")
+    }
+
+    fn stats(&self, _core: usize) -> &MemStats {
+        self.0.stats()
+    }
+
+    fn mshr_live(&self, _core: usize) -> usize {
+        self.0.mshr_live()
+    }
+
+    fn pf_mshr_live(&self, _core: usize) -> usize {
+        self.0.pf_mshr_live()
     }
 }
 
@@ -1095,41 +1073,43 @@ impl Default for ChipGuard {
 /// portions in global completion order, each core's private installs in
 /// that core's issue order — and retires the corresponding MSHR entries.
 ///
-/// This is the one chip-wide synchronization point of the memory model:
-/// the sequential facade runs it before every access, the parallel engine
-/// once per cycle before releasing the worker threads (fills always
-/// complete strictly in the future, so the two schedules are equivalent).
-pub fn drain_chip(cores: &mut impl CoreSet, shared: &mut SharedMem, now: u64, guard: &mut ChipGuard) {
+/// This is the one chip-wide synchronization point of the memory model.
+/// Fills complete strictly in the future (the shortest path is an L2 hit,
+/// `now` + L1 + L2 latency), so nothing scheduled during cycle `now` can
+/// be due at `now`: running the drain once at the start of a cycle (the
+/// stepping loop) and running it before every access of that cycle (the
+/// [`MemorySystem`] facade) install the same fills at the same point.
+pub fn drain_chip(cores: &mut [CoreMem], shared: &mut SharedMem, now: u64, guard: &mut ChipGuard) {
     if guard.earliest_fill <= now {
         while let Some(fill) = shared.fills.pop_due(now) {
             let v3 = shared.l3_insert(fill.phys, LineMeta::default());
-            shared.dirty_l3_victim(&mut cores.core_mut(fill.core).stats, v3, fill.complete_at);
+            let owner = &mut cores[fill.core];
+            shared.dirty_l3_victim(&mut owner.stats, v3, fill.complete_at);
             // hand the private portion back to the owner; its issue stamp
             // slots it into the core's install order
-            cores.core_mut(fill.core).fills.push(fill.issue_seq, fill);
+            owner.fills.push(fill.issue_seq, fill);
         }
         let mut next = shared.fills.next_due(); // always > now here
-        for i in 0..cores.len() {
-            let c = cores.core_mut(i);
+        for c in cores.iter_mut() {
             c.drain_private(shared, now);
             next = next.min(c.fills.next_due());
         }
         guard.earliest_fill = next;
     }
     if guard.earliest_mshr <= now {
-        let mut earliest = u64::MAX;
-        for i in 0..cores.len() {
-            earliest = earliest.min(cores.core_mut(i).expire_mshrs(now));
-        }
-        guard.earliest_mshr = earliest;
+        guard.earliest_mshr = cores
+            .iter_mut()
+            .map(|c| c.expire_mshrs(now))
+            .min()
+            .unwrap_or(u64::MAX);
     }
 }
 
-/// The memory-system surface a timing core drives, independent of the
-/// stepping engine. The sequential [`MemorySystem`] facade implements it
-/// directly; the parallel engine's per-worker view implements it over one
-/// [`CoreMem`] plus the turn-ordered shared gate. Cores are generic over
-/// it (monomorphized), so the indirection costs nothing on the hot path.
+/// The memory-system surface a timing core drives. The [`MemorySystem`]
+/// facade implements it for standalone use; the stepping loop's per-core
+/// view implements it over one [`CoreMem`] plus the [`SharedMem`]. Cores
+/// are generic over it (monomorphized), so the indirection costs nothing
+/// on the hot path.
 pub trait MemoryInterface {
     /// Performs a demand access for `core` at cycle `now`.
     fn access(&mut self, core: usize, kind: AccessKind, addr: u64, now: u64) -> AccessOutcome;
@@ -1149,9 +1129,8 @@ pub trait MemoryInterface {
 /// timestamps the timing cores pass in (which must be non-decreasing per
 /// call site within a run).
 ///
-/// This is the sequential facade over the [`CoreMem`]/[`SharedMem`] split;
-/// [`MemorySystem::into_parts`] hands the pieces to the parallel stepping
-/// engine and [`MemorySystem::from_parts`] reassembles them for reporting.
+/// This is the facade over the [`CoreMem`]/[`SharedMem`] split;
+/// [`MemorySystem::into_parts`] hands the pieces to the stepping loop.
 #[derive(Debug)]
 pub struct MemorySystem {
     cfg: HierarchyConfig,
@@ -1217,25 +1196,9 @@ impl MemorySystem {
     }
 
     /// Splits the system into its per-core and shared halves for the
-    /// parallel stepping engine.
+    /// stepping loop.
     pub fn into_parts(self) -> (Vec<CoreMem>, SharedMem) {
         (self.cores, self.shared)
-    }
-
-    /// Reassembles a system from parts (after a parallel run, for
-    /// reporting through the usual accessors).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parts don't describe the same chip.
-    pub fn from_parts(cores: Vec<CoreMem>, shared: SharedMem) -> Self {
-        assert_eq!(cores.len(), shared.cfg.cores, "core count mismatch");
-        Self {
-            cfg: shared.cfg,
-            cores,
-            shared,
-            guard: ChipGuard::new(), // stale-low: first drain re-sweeps
-        }
     }
 
     /// Drains and returns pending prefetch-usefulness feedback events,

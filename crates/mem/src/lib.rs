@@ -37,17 +37,14 @@ pub mod dram;
 pub mod hierarchy;
 pub mod mshr;
 pub mod probe;
-pub mod sync;
 
 pub use cache::{CacheConfig, CacheStats, LineMeta, SetAssocCache};
 pub use dram::{Dram, DramConfig};
 pub use hierarchy::{
-    drain_chip, AccessKind, AccessOutcome, ChipGuard, CoreMem, CoreSet, HierarchyConfig, HitLevel,
-    MemStats, MemoryInterface, MemorySystem, PendingFill, PrefetchFeedback, SharedLevel,
-    SharedMem,
+    drain_chip, AccessKind, AccessOutcome, ChipGuard, CoreMem, CoreProbe, HierarchyConfig,
+    HitLevel, MemStats, MemoryInterface, MemorySystem, PrefetchFeedback, SharedMem,
 };
 pub use mshr::{MshrFile, MshrOutcome};
-pub use sync::{CoreProbe, SharedTurn, TurnGate};
 
 /// Cache line size in bytes used throughout the system (and by the paper's
 /// delta analyses, which are expressed "at the granularity of a cache block

@@ -6,24 +6,19 @@
 //! feeds it into the LRU promote, so the two paths here must return exactly
 //! what the scalar reference returns, not merely "a" matching lane.
 //!
-//! Three implementations share one contract:
+//! Two implementations share one contract:
 //!
-//! * [`find_way_scalar`] — the reference: a plain first-match scan. Kept
-//!   unconditionally as the semantic definition the property tests compare
-//!   against.
-//! * [`find_way_portable`] — the default: fixed-width 8-lane chunks that
-//!   accumulate a per-chunk match bitmask with no early exit inside the
-//!   chunk, which the compiler auto-vectorizes; `trailing_zeros` recovers
-//!   the first-match index. A scalar remainder loop covers associativities
-//!   that are not a multiple of the lane width.
-//! * the `simd` feature (x86-64 only) — explicit SSE2 wide compares over
-//!   the same 8-lane chunks. Baseline x86-64 has no 64-bit lane compare
-//!   (`_mm_cmpeq_epi64` is SSE4.1), so 64-bit equality is two 32-bit lane
-//!   compares ANDed across the halves; way validity comes from a SWAR
-//!   zero-byte test over the eight rank bytes. On other targets the feature
-//!   silently falls back to the portable path.
+//! * [`find_way_scalar`] / [`find_line_scalar`] — the reference: a plain
+//!   first-match scan. Kept solely as the semantic definition the property
+//!   tests compare against.
+//! * [`find_way`] / [`find_line`] — what the simulator runs: fixed-width
+//!   8-lane chunks that accumulate a per-chunk match bitmask with no early
+//!   exit inside the chunk, which the compiler auto-vectorizes;
+//!   `trailing_zeros` recovers the first-match index. A scalar remainder
+//!   loop covers associativities that are not a multiple of the lane
+//!   width.
 //!
-//! Every path compares `(tag == key) & (rank != INVALID)` per lane, so
+//! Both compare `(tag == key) & (rank != INVALID)` per lane, so
 //! equivalence needs no invariant about stale tags in invalidated ways —
 //! the lane predicate *is* the scalar predicate.
 
@@ -36,19 +31,19 @@ pub const INVALID_RANK: u8 = u8::MAX;
 const LANES: usize = 8;
 
 /// Scalar reference: index of the first way with `ranks[i] != INVALID_RANK`
-/// and `tags[i] == key`. The semantic definition of a probe; the
-/// vectorized paths must agree with it exactly.
+/// and `tags[i] == key`. The semantic definition of a probe; [`find_way`]
+/// must agree with it exactly.
 #[inline]
 pub fn find_way_scalar(tags: &[u64], ranks: &[u8], key: u64) -> Option<usize> {
     debug_assert_eq!(tags.len(), ranks.len());
     (0..tags.len()).find(|&i| ranks[i] != INVALID_RANK && tags[i] == key)
 }
 
-/// Portable chunked compare: 8 lanes per iteration, branch-free inside the
-/// chunk so the loop auto-vectorizes, with a scalar tail for odd
-/// associativities (the test suite uses 3-way sets).
+/// The probe: a chunked compare, 8 lanes per iteration, branch-free inside
+/// the chunk so the loop auto-vectorizes, with a scalar tail for odd
+/// associativities (the test suite uses 3-way sets). Always first-match.
 #[inline]
-pub fn find_way_portable(tags: &[u64], ranks: &[u8], key: u64) -> Option<usize> {
+pub fn find_way(tags: &[u64], ranks: &[u8], key: u64) -> Option<usize> {
     debug_assert_eq!(tags.len(), ranks.len());
     let n = tags.len();
     let mut i = 0;
@@ -72,20 +67,6 @@ pub fn find_way_portable(tags: &[u64], ranks: &[u8], key: u64) -> Option<usize> 
     None
 }
 
-/// The active probe: explicit SSE2 compares under `--features simd` on
-/// x86-64, the portable chunked path otherwise. Always first-match.
-#[inline]
-pub fn find_way(tags: &[u64], ranks: &[u8], key: u64) -> Option<usize> {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        simd::find_way_sse2(tags, ranks, key)
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        find_way_portable(tags, ranks, key)
-    }
-}
-
 /// Scalar reference for a keys-only scan (no validity array): first index
 /// holding `key`. Free slots carry [`NO_LINE`], which the caller guarantees
 /// can never equal a live key.
@@ -94,10 +75,10 @@ pub fn find_line_scalar(lines: &[u64], key: u64) -> Option<usize> {
     lines.iter().position(|&l| l == key)
 }
 
-/// Portable chunked keys-only scan (the MSHR lookup: slot lines with a
+/// The chunked keys-only scan (the MSHR lookup: slot lines with a
 /// never-matching sentinel in free slots, so no validity lane is needed).
 #[inline]
-pub fn find_line_portable(lines: &[u64], key: u64) -> Option<usize> {
+pub fn find_line(lines: &[u64], key: u64) -> Option<usize> {
     let n = lines.len();
     let mut i = 0;
     while i + LANES <= n {
@@ -119,126 +100,18 @@ pub fn find_line_portable(lines: &[u64], key: u64) -> Option<usize> {
     None
 }
 
-/// The active keys-only scan (SSE2 under `--features simd` on x86-64).
-#[inline]
-pub fn find_line(lines: &[u64], key: u64) -> Option<usize> {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        simd::find_line_sse2(lines, key)
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        find_line_portable(lines, key)
-    }
-}
-
 /// The sentinel key stored in free MSHR slots. Line addresses are 64-byte
 /// aligned (low six bits zero), so no live line can ever equal it.
 pub const NO_LINE: u64 = u64::MAX;
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod simd {
-    use super::{find_line_scalar, find_way_scalar, INVALID_RANK, LANES};
-
-    // The SWAR validity test below detects 0xFF bytes specifically; it is
-    // only the INVALID_RANK test as long as the sentinel stays 0xFF.
-    const _: () = assert!(INVALID_RANK == 0xff);
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::{
-        __m128i, _mm_and_si128, _mm_castsi128_pd, _mm_cmpeq_epi32, _mm_loadu_si128,
-        _mm_movemask_pd, _mm_set1_epi64x, _mm_shuffle_epi32,
-    };
-
-    /// 2-bit mask of 64-bit lane equality between `v` and the broadcast
-    /// `key`, built from SSE2 primitives: compare 32-bit lanes, AND each
-    /// lane with its partner half (swapped in via shuffle), then take the
-    /// two 64-bit sign bits.
-    ///
-    /// # Safety
-    ///
-    /// `p` must be valid for an unaligned 16-byte read.
-    #[inline]
-    unsafe fn eq64_mask(p: *const u64, key: __m128i) -> u32 {
-        let v = _mm_loadu_si128(p.cast());
-        let eq32 = _mm_cmpeq_epi32(v, key);
-        // lane i of eq64 is all-ones iff both 32-bit halves matched
-        let eq64 = _mm_and_si128(eq32, _mm_shuffle_epi32(eq32, 0b10_11_00_01));
-        _mm_movemask_pd(_mm_castsi128_pd(eq64)) as u32
-    }
-
-    /// 8-bit validity mask for eight rank bytes: bit j set iff
-    /// `ranks[j] != INVALID_RANK`. SWAR zero-byte detection over the
-    /// complemented word (a rank byte equals 0xFF iff its complement is 0).
-    #[inline]
-    fn valid_mask(ranks: &[u8]) -> u32 {
-        let w = !u64::from_le_bytes(ranks[..8].try_into().expect("8 rank bytes"));
-        let zeros = w.wrapping_sub(0x0101_0101_0101_0101) & !w & 0x8080_8080_8080_8080;
-        // `zeros` holds 0x80 at each byte that was INVALID; gather those
-        // bits, then complement within the low eight
-        let mut invalid = 0u32;
-        let mut z = zeros;
-        while z != 0 {
-            invalid |= 1 << (z.trailing_zeros() / 8);
-            z &= z - 1;
-        }
-        !invalid & 0xff
-    }
-
-    pub(super) fn find_way_sse2(tags: &[u64], ranks: &[u8], key: u64) -> Option<usize> {
-        debug_assert_eq!(tags.len(), ranks.len());
-        let n = tags.len();
-        // SAFETY: SSE2 is baseline on x86-64; every load below stays inside
-        // `tags[i .. i + LANES]`, which the loop bound keeps in range.
-        unsafe {
-            let bkey = _mm_set1_epi64x(key as i64);
-            let mut i = 0;
-            while i + LANES <= n {
-                let p = tags.as_ptr().add(i);
-                let tag_mask = eq64_mask(p, bkey)
-                    | (eq64_mask(p.add(2), bkey) << 2)
-                    | (eq64_mask(p.add(4), bkey) << 4)
-                    | (eq64_mask(p.add(6), bkey) << 6);
-                let mask = tag_mask & valid_mask(&ranks[i..i + LANES]);
-                if mask != 0 {
-                    return Some(i + mask.trailing_zeros() as usize);
-                }
-                i += LANES;
-            }
-            // scalar tail for odd associativities
-            find_way_scalar(&tags[i..], &ranks[i..], key).map(|j| i + j)
-        }
-    }
-
-    pub(super) fn find_line_sse2(lines: &[u64], key: u64) -> Option<usize> {
-        let n = lines.len();
-        // SAFETY: as above — in-range unaligned loads on baseline SSE2.
-        unsafe {
-            let bkey = _mm_set1_epi64x(key as i64);
-            let mut i = 0;
-            while i + LANES <= n {
-                let p = lines.as_ptr().add(i);
-                let mask = eq64_mask(p, bkey)
-                    | (eq64_mask(p.add(2), bkey) << 2)
-                    | (eq64_mask(p.add(4), bkey) << 4)
-                    | (eq64_mask(p.add(6), bkey) << 6);
-                if mask != 0 {
-                    return Some(i + mask.trailing_zeros() as usize);
-                }
-                i += LANES;
-            }
-            find_line_scalar(&lines[i..], key).map(|j| i + j)
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Exhaustive agreement across the three paths on crafted layouts:
+    /// Agreement with the scalar reference on crafted layouts:
     /// duplicates, invalid ways shadowing valid ones, odd lengths.
     #[test]
-    fn all_paths_agree_on_crafted_sets() {
+    fn probe_agrees_with_scalar_on_crafted_sets() {
         let cases: &[(&[u64], &[u8], u64)] = &[
             (&[], &[], 0x40),
             (&[0x40], &[0], 0x40),
@@ -258,7 +131,6 @@ mod tests {
         ];
         for &(tags, ranks, key) in cases {
             let want = find_way_scalar(tags, ranks, key);
-            assert_eq!(find_way_portable(tags, ranks, key), want, "{tags:?}");
             assert_eq!(find_way(tags, ranks, key), want, "{tags:?}");
         }
     }
@@ -268,14 +140,13 @@ mod tests {
         let lines: &[u64] = &[NO_LINE, 0x40, NO_LINE, 0x80, 0x40, NO_LINE, 0xc0, 0x100, 0x40];
         for key in [0x40u64, 0x80, 0xc0, 0x140, NO_LINE] {
             let want = find_line_scalar(lines, key);
-            assert_eq!(find_line_portable(lines, key), want);
             assert_eq!(find_line(lines, key), want);
         }
     }
 
-    /// Randomized sweep over every length 0..=24, all three paths.
+    /// Randomized sweep over every length 0..=24.
     #[test]
-    fn all_paths_agree_randomized() {
+    fn probe_agrees_with_scalar_randomized() {
         let mut x = 0x243f_6a88_85a3_08d3u64;
         let mut next = move || {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -295,7 +166,6 @@ mod tests {
                     .collect();
                 let key = (next() % 8) * 64;
                 let want = find_way_scalar(&tags, &ranks, key);
-                assert_eq!(find_way_portable(&tags, &ranks, key), want);
                 assert_eq!(find_way(&tags, &ranks, key), want);
             }
         }

@@ -3,7 +3,7 @@
 //! `--features proptests` (or set `BFETCH_PROP_CASES`) for more cases.
 
 use bfetch_mem::probe::{
-    find_line, find_line_scalar, find_way, find_way_portable, find_way_scalar, INVALID_RANK,
+    find_line, find_line_scalar, find_way, find_way_scalar, INVALID_RANK,
 };
 use bfetch_mem::{
     AccessKind, CacheConfig, HierarchyConfig, HitLevel, LineMeta, MemorySystem, MshrFile,
@@ -102,8 +102,7 @@ fn monotone_request_stream() {
     }
 }
 
-/// The dispatched probe (`find_way`, portable chunks by default, wide
-/// compares under `--features simd`) agrees with the scalar reference on
+/// The chunked probe (`find_way`) agrees with the scalar reference on
 /// every step of an arbitrary insert / invalidate / promote churn over a
 /// set's tag and rank lanes. First-match order matters — the result feeds
 /// the LRU promote — so the assertion is on the index, not mere presence.
@@ -139,8 +138,7 @@ fn probe_paths_agree_under_churn() {
             }
             let key = r.gen_range(64);
             let want = find_way_scalar(&tags, &ranks, key);
-            assert_eq!(find_way_portable(&tags, &ranks, key), want, "portable probe diverged");
-            assert_eq!(find_way(&tags, &ranks, key), want, "dispatched probe diverged");
+            assert_eq!(find_way(&tags, &ranks, key), want, "chunked probe diverged");
             // the rank-free line probe (MSHR / engine-dedup path) must agree
             // on the same lane data, first match included
             assert_eq!(

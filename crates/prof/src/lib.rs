@@ -1,7 +1,7 @@
 //! Host-side profiling for the B-Fetch simulator.
 //!
 //! This crate measures the *simulator as a host program* — wall-clock time
-//! spent per simulation phase, per worker thread, per core — as opposed to
+//! spent per simulation phase and per harness worker thread — as opposed to
 //! `bfetch-stats`, which observes the *simulated* machine. It is designed
 //! around two hard constraints:
 //!
@@ -16,22 +16,21 @@
 //!
 //! Two kinds of measurement coexist:
 //!
-//! * **Aggregate-only spans** ([`span`], [`core_span`], [`gate_wait`]) add
-//!   a duration into a per-thread, per-phase accumulator (count / total /
-//!   min / max / log2 histogram). These are cheap enough for per-cycle
-//!   phases that fire hundreds of millions of times.
+//! * **Aggregate-only spans** ([`span`]) add a duration into a per-thread,
+//!   per-phase accumulator (count / total / min / max / log2 histogram).
+//!   These are cheap enough for per-cycle phases that fire hundreds of
+//!   millions of times.
 //! * **Traced spans** ([`span_traced`], [`span_labeled`]) additionally
 //!   append a Chrome trace event (begin timestamp + duration) to the
 //!   per-thread event buffer. These are for coarse work items — a whole
 //!   `SimSession::run`, a harness grid point, a cache load/store.
 //!
 //! Per-thread data lives in TLS with no locking on the record path; it is
-//! flushed into a global registry when the thread exits (all simulator and
-//! harness workers are scoped threads that exit before results are read)
-//! or when [`drain`] runs on the owning thread. [`drain`] returns a
+//! flushed into a global registry when the thread exits (harness workers
+//! are scoped threads that exit before results are read) or when [`drain`] runs on the owning thread. [`drain`] returns a
 //! [`Profile`] that renders either a Chrome trace-event JSON string
 //! (loadable in `chrome://tracing` / Perfetto) or an aggregate [`Report`]
-//! with percentiles, per-thread and per-core breakdowns.
+//! with percentiles and per-thread breakdowns.
 
 use std::fmt::{self, Write as _};
 
@@ -42,7 +41,8 @@ pub type PhaseId = usize;
 pub const SIM_RUN: PhaseId = 0;
 /// Shared-memory drain (`drain_chip`): L3/DRAM stepping + fill routing.
 pub const SIM_DRAIN: PhaseId = 1;
-/// One core's `Core::cycle` (plus fused feedback drain), any engine.
+/// One chip cycle's pass over every core: `Core::cycle` plus the fused
+/// feedback drain.
 pub const SIM_STEP: PhaseId = 2;
 /// `process_pending_mem`: completed-access bookkeeping inside the core.
 pub const SIM_PENDING_MEM: PhaseId = 3;
@@ -56,20 +56,12 @@ pub const SIM_ENGINE: PhaseId = 6;
 pub const SIM_ISSUE: PhaseId = 7;
 /// Per-cycle tail: watchdog, budgets, progress accounting.
 pub const SIM_BOOKKEEP: PhaseId = 8;
-/// Coordinator view of one parallel step phase (start barrier → end barrier).
-pub const PAR_STEP_PHASE: PhaseId = 9;
-/// Worker wait on the cycle-start barrier.
-pub const PAR_BARRIER_START: PhaseId = 10;
-/// Worker wait on the cycle-end barrier.
-pub const PAR_BARRIER_END: PhaseId = 11;
-/// Worker wait in the `SharedTurn` gate slow path (out-of-turn block).
-pub const GATE_WAIT: PhaseId = 12;
 /// One harness grid point, label = point label (traced).
-pub const HARNESS_POINT: PhaseId = 13;
+pub const HARNESS_POINT: PhaseId = 9;
 /// Result-cache load attempt (traced).
-pub const HARNESS_CACHE_LOAD: PhaseId = 14;
+pub const HARNESS_CACHE_LOAD: PhaseId = 10;
 /// Result-cache store (traced).
-pub const HARNESS_CACHE_STORE: PhaseId = 15;
+pub const HARNESS_CACHE_STORE: PhaseId = 11;
 
 /// Display names for each [`PhaseId`], indexed by the constants above.
 pub const PHASE_NAMES: &[&str] = &[
@@ -82,10 +74,6 @@ pub const PHASE_NAMES: &[&str] = &[
     "sim.engine",
     "sim.issue",
     "sim.bookkeep",
-    "par.step_phase",
-    "par.barrier_start",
-    "par.barrier_end",
-    "par.gate_wait",
     "harness.point",
     "harness.cache_load",
     "harness.cache_store",
@@ -177,13 +165,6 @@ impl PhaseAcc {
     }
 }
 
-/// Per-core count/total accumulator (core stepping, gate waits).
-#[derive(Clone, Copy, Default)]
-struct CoreAcc {
-    count: u64,
-    total_ns: u64,
-}
-
 /// One Chrome trace event: a completed span on some thread.
 struct Event {
     phase: PhaseId,
@@ -197,8 +178,6 @@ struct ThreadData {
     tid: u32,
     name: Option<String>,
     phases: Vec<PhaseAcc>,
-    core_step: Vec<CoreAcc>,
-    gate: Vec<CoreAcc>,
     events: Vec<Event>,
 }
 
@@ -209,18 +188,8 @@ impl ThreadData {
             tid,
             name: None,
             phases: vec![PhaseAcc::new(); N_PHASES],
-            core_step: Vec::new(),
-            gate: Vec::new(),
             events: Vec::new(),
         }
-    }
-
-    #[cfg(feature = "capture")]
-    fn core_slot(v: &mut Vec<CoreAcc>, core: usize) -> &mut CoreAcc {
-        if core >= v.len() {
-            v.resize(core + 1, CoreAcc::default());
-        }
-        &mut v[core]
     }
 
     fn display_name(&self) -> String {
@@ -305,11 +274,10 @@ impl Profile {
     }
 
     /// Build the aggregate [`Report`]: per-phase stats merged across
-    /// threads, per-thread breakdowns, per-core step/gate attribution.
+    /// threads, plus per-thread breakdowns.
     pub fn report(&self) -> Report {
         let mut merged = vec![PhaseAcc::new(); N_PHASES];
         let mut threads = Vec::new();
-        let mut cores: Vec<CoreStats> = Vec::new();
         for t in &self.threads {
             let mut tphases = Vec::new();
             for (p, acc) in t.phases.iter().enumerate() {
@@ -320,40 +288,14 @@ impl Profile {
                 tphases.push(PhaseStats::from_acc(p, acc));
             }
             threads.push(ThreadStats { tid: t.tid, name: t.display_name(), phases: tphases });
-            for (core, acc) in t.core_step.iter().enumerate() {
-                if acc.count == 0 {
-                    continue;
-                }
-                let slot = Self::core_stats_slot(&mut cores, core as u32);
-                slot.steps += acc.count;
-                slot.step_ns += acc.total_ns;
-            }
-            for (core, acc) in t.gate.iter().enumerate() {
-                if acc.count == 0 {
-                    continue;
-                }
-                let slot = Self::core_stats_slot(&mut cores, core as u32);
-                slot.gate_waits += acc.count;
-                slot.gate_wait_ns += acc.total_ns;
-            }
         }
-        cores.sort_by_key(|c| c.core);
         let phases = merged
             .iter()
             .enumerate()
             .filter(|(_, a)| a.count > 0)
             .map(|(p, a)| PhaseStats::from_acc(p, a))
             .collect();
-        Report { phases, threads, cores }
-    }
-
-    fn core_stats_slot(cores: &mut Vec<CoreStats>, core: u32) -> &mut CoreStats {
-        if let Some(i) = cores.iter().position(|c| c.core == core) {
-            &mut cores[i]
-        } else {
-            cores.push(CoreStats { core, steps: 0, step_ns: 0, gate_waits: 0, gate_wait_ns: 0 });
-            cores.last_mut().unwrap()
-        }
+        Report { phases, threads }
     }
 }
 
@@ -408,7 +350,7 @@ impl PhaseStats {
 pub struct ThreadStats {
     /// Profiler-assigned thread id (also the Chrome trace `tid`).
     pub tid: u32,
-    /// Thread name (`main`, `workerN`, or `thread-N`).
+    /// Thread name (`main`, `harnessN`, or `thread-N`).
     pub name: String,
     /// Phase stats recorded on this thread.
     pub phases: Vec<PhaseStats>,
@@ -421,29 +363,12 @@ impl ThreadStats {
     }
 }
 
-/// Per-simulated-core host-time attribution (straggler analysis).
-#[derive(Clone, Copy)]
-pub struct CoreStats {
-    /// Simulated core id.
-    pub core: u32,
-    /// Number of `Core::cycle` steps timed.
-    pub steps: u64,
-    /// Total host time in this core's stepping, ns.
-    pub step_ns: u64,
-    /// Times a worker blocked in the turn-gate slow path for this core.
-    pub gate_waits: u64,
-    /// Total blocked time in the gate for this core, ns.
-    pub gate_wait_ns: u64,
-}
-
 /// Aggregate view of a drained [`Profile`].
 pub struct Report {
     /// Per-phase stats merged across all threads.
     pub phases: Vec<PhaseStats>,
     /// Per-thread breakdowns, sorted by tid.
     pub threads: Vec<ThreadStats>,
-    /// Per-core step/gate attribution, sorted by core id.
-    pub cores: Vec<CoreStats>,
 }
 
 impl Report {
@@ -480,7 +405,7 @@ impl Report {
             o.push_str("]}");
         }
         let mut o = String::with_capacity(2048);
-        o.push_str("{\"schema\":1,\"phases\":[");
+        o.push_str("{\"schema\":2,\"phases\":[");
         for (i, p) in self.phases.iter().enumerate() {
             if i > 0 {
                 o.push(',');
@@ -502,17 +427,6 @@ impl Report {
                 phase_json(&mut o, p);
             }
             o.push_str("]}");
-        }
-        o.push_str("],\"cores\":[");
-        for (i, c) in self.cores.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            let _ = write!(
-                o,
-                "{{\"core\":{},\"steps\":{},\"step_ns\":{},\"gate_waits\":{},\"gate_wait_ns\":{}}}",
-                c.core, c.steps, c.step_ns, c.gate_waits, c.gate_wait_ns
-            );
         }
         o.push_str("]}\n");
         o
@@ -551,39 +465,6 @@ impl fmt::Display for Report {
                 fmt_ns(p.p99_ns),
                 fmt_ns(p.max_ns)
             )?;
-        }
-        let waity =
-            ["par.barrier_start", "par.barrier_end", "par.gate_wait", "sim.step", "par.step_phase"];
-        let mut wrote_header = false;
-        for t in &self.threads {
-            let shown: Vec<&PhaseStats> =
-                t.phases.iter().filter(|p| waity.contains(&p.name)).collect();
-            if shown.is_empty() {
-                continue;
-            }
-            if !wrote_header {
-                writeln!(f, "\nper-thread wait/step attribution:")?;
-                wrote_header = true;
-            }
-            write!(f, "  {:<10}", t.name)?;
-            for p in shown {
-                write!(f, " {}={} (n={})", p.name, fmt_ns(p.total_ns), p.count)?;
-            }
-            writeln!(f)?;
-        }
-        if !self.cores.is_empty() {
-            writeln!(f, "\nper-core stepping (straggler attribution):")?;
-            for c in &self.cores {
-                writeln!(
-                    f,
-                    "  core {:>2}: steps={:>10} step={:>10} gate_waits={:>8} gate_wait={:>10}",
-                    c.core,
-                    c.steps,
-                    fmt_ns(c.step_ns),
-                    c.gate_waits,
-                    fmt_ns(c.gate_wait_ns)
-                )?;
-            }
         }
         Ok(())
     }
@@ -733,7 +614,7 @@ mod api {
         }
     }
 
-    /// Name the calling thread in traces and reports (e.g. `worker0`).
+    /// Name the calling thread in traces and reports (e.g. `harness0`).
     pub fn set_thread_name(name: &str) {
         if !enabled() {
             return;
@@ -812,56 +693,6 @@ mod api {
         span_inner(phase, true, Some(label.into()))
     }
 
-    /// RAII timer for one core's step: accumulates into both the
-    /// [`SIM_STEP`] phase and the per-core straggler table.
-    #[must_use = "a span measures until it is dropped"]
-    pub struct CoreSpan(Option<(u32, Instant)>);
-
-    impl Drop for CoreSpan {
-        fn drop(&mut self) {
-            let Some((core, start)) = self.0.take() else { return };
-            let ns = start.elapsed().as_nanos() as u64;
-            let _ = imp::with_local(|td| {
-                td.phases[SIM_STEP].add(ns);
-                ThreadData::core_slot(&mut td.core_step, core as usize).count += 1;
-                ThreadData::core_slot(&mut td.core_step, core as usize).total_ns += ns;
-            });
-        }
-    }
-
-    /// Start timing one core's step (see [`CoreSpan`]).
-    #[inline]
-    pub fn core_span(core: usize) -> CoreSpan {
-        if !enabled() {
-            return CoreSpan(None);
-        }
-        CoreSpan(Some((core as u32, Instant::now())))
-    }
-
-    /// Opaque start-of-wait timestamp for [`gate_wait`].
-    #[must_use = "pass the stamp to gate_wait when the wait ends"]
-    pub struct GateStamp(Option<Instant>);
-
-    /// Stamp taken just before blocking in the turn-gate slow path.
-    #[inline]
-    pub fn gate_stamp() -> GateStamp {
-        if !enabled() {
-            return GateStamp(None);
-        }
-        GateStamp(Some(Instant::now()))
-    }
-
-    /// Record a turn-gate block for `core` that began at `stamp`.
-    #[inline]
-    pub fn gate_wait(core: usize, stamp: GateStamp) {
-        let Some(start) = stamp.0 else { return };
-        let ns = start.elapsed().as_nanos() as u64;
-        let _ = imp::with_local(|td| {
-            td.phases[GATE_WAIT].add(ns);
-            ThreadData::core_slot(&mut td.gate, core).count += 1;
-            ThreadData::core_slot(&mut td.gate, core).total_ns += ns;
-        });
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -927,34 +758,11 @@ mod api {
         Span(())
     }
 
-    /// Zero-sized no-op core-step span (capture compiled out).
-    #[must_use = "a span measures until it is dropped"]
-    pub struct CoreSpan(());
-
-    /// No-op: returns a zero-sized guard.
-    #[inline(always)]
-    pub fn core_span(_core: usize) -> CoreSpan {
-        CoreSpan(())
-    }
-
-    /// Zero-sized no-op stamp (capture compiled out).
-    #[must_use = "pass the stamp to gate_wait when the wait ends"]
-    pub struct GateStamp(());
-
-    /// No-op: returns a zero-sized stamp.
-    #[inline(always)]
-    pub fn gate_stamp() -> GateStamp {
-        GateStamp(())
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn gate_wait(_core: usize, _stamp: GateStamp) {}
 }
 
 pub use api::{
-    capture_compiled, core_span, disable, drain, enable, enabled, flush_thread, gate_stamp,
-    gate_wait, set_thread_name, span, span_labeled, span_traced, CoreSpan, GateStamp, Span,
+    capture_compiled, disable, drain, enable, enabled, flush_thread, set_thread_name, span,
+    span_labeled, span_traced, Span,
 };
 
 // ---------------------------------------------------------------------------
@@ -1054,8 +862,6 @@ mod capture_tests {
         let _ = drain();
         {
             let _s = span(SIM_FETCH);
-            let _c = core_span(3);
-            gate_wait(1, gate_stamp());
         }
         assert!(drain().is_none());
     }
@@ -1102,10 +908,7 @@ mod capture_tests {
                 s.spawn(move || {
                     set_thread_name(&format!("worker{w}"));
                     {
-                        let _b = span(PAR_BARRIER_START);
-                        let _c = core_span(w as usize);
-                        let st = gate_stamp();
-                        gate_wait(w as usize, st);
+                        let _p = span_labeled(HARNESS_POINT, "k");
                     }
                     // Must be last: spans record on drop, and scope() can
                     // join before TLS destructors would flush for us.
@@ -1118,14 +921,11 @@ mod capture_tests {
         assert!(rep.thread("worker0").is_some());
         assert!(rep.thread("worker1").is_some());
         let w0 = rep.thread("worker0").unwrap();
-        assert!(w0.phase("par.barrier_start").is_some());
-        assert_eq!(rep.cores.len(), 2);
-        assert_eq!(rep.cores[0].steps + rep.cores[1].steps, 2);
-        assert_eq!(rep.cores[0].gate_waits, 1);
-        // Report JSON includes both threads and parses as non-empty.
+        assert!(w0.phase("harness.point").is_some());
+        assert_eq!(rep.phase("harness.point").map(|p| p.count), Some(2));
+        // Report JSON includes both threads.
         let j = rep.to_json();
-        assert!(j.contains("\"worker0\""));
-        assert!(j.contains("\"cores\":[{\"core\":0"));
+        assert!(j.contains("\"worker0\"") && j.contains("\"worker1\""));
     }
 
     #[test]
@@ -1163,13 +963,9 @@ mod noop_tests {
             let _s = span(SIM_FETCH);
             let _t = span_traced(SIM_RUN);
             let _l = span_labeled(HARNESS_POINT, "x");
-            let _c = core_span(0);
-            gate_wait(0, gate_stamp());
             set_thread_name("main");
         }
         assert!(drain().is_none());
         assert_eq!(std::mem::size_of::<Span>(), 0);
-        assert_eq!(std::mem::size_of::<CoreSpan>(), 0);
-        assert_eq!(std::mem::size_of::<GateStamp>(), 0);
     }
 }

@@ -169,10 +169,9 @@ bfetch_snapshot::impl_snap_struct!(Snapshot {
 });
 
 /// Out-of-band run control: checkpoint cadence/destination, cooperative
-/// stop, and a restored state to continue from. The default
-/// ([`RunCtrl::none`]) arms nothing, and the engines skip the whole
-/// control path in that case, so a plain run pays nothing for the
-/// machinery.
+/// stop, and a restored state to continue from. The default arms nothing,
+/// and the loop skips the whole control path in that case, so a plain run
+/// pays nothing for the machinery.
 pub(crate) struct RunCtrl {
     /// Write a checkpoint every this many cycles (0 = only on stop).
     pub(crate) every: u64,
@@ -182,16 +181,84 @@ pub(crate) struct RunCtrl {
     /// returns [`SimError::Interrupted`] at the next poll point.
     pub(crate) stop: Option<Arc<AtomicBool>>,
     /// Continue from this restored state instead of constructing fresh.
-    pub(crate) resume: Option<Box<crate::snapshot::ResumeState>>,
+    pub(crate) resume: Option<Box<LoopState>>,
 }
 
-/// How often the engines poll the stop flag and checkpoint cadence: every
+/// How often the loop polls the stop flag and checkpoint cadence: every
 /// 1024 cycles, as a single masked compare on the hot path. Checkpoints
-/// and interrupts therefore land on multiples of 1024, which is also what
-/// makes resume deterministic to verify: the poll point is the top of the
-/// cycle loop, *before* the cycle-start drain, where the sequential and
-/// parallel engines hold identical state.
+/// and interrupts therefore land on multiples of 1024. The poll point is
+/// the top of the cycle loop, *before* the cycle-start drain: every fill
+/// still queued there completes at or after `now`, no core is mid-step,
+/// and each core's feedback queue and scheduled-minimum note are empty —
+/// so [`LoopState`] is the whole machine and a resume re-enters the loop
+/// exactly where the interrupted run stood.
 pub(crate) const POLL_MASK: u64 = 1023;
+
+/// Everything the cycle loop carries from one cycle to the next: the
+/// machine and the driver's own bookkeeping. A checkpoint serializes
+/// exactly this (plus the run's identity), and both ways of starting a
+/// run — [`LoopState::fresh`] and `snapshot::read_checkpoint` — produce
+/// one, so the loop below has a single entry.
+pub(crate) struct LoopState {
+    pub(crate) cores: Vec<Core>,
+    pub(crate) mems: Vec<CoreMem>,
+    pub(crate) shared: SharedMem,
+    pub(crate) guard: ChipGuard,
+    /// The cycle about to execute.
+    pub(crate) now: u64,
+    /// Watchdog re-check deadline (`u64::MAX` when the watchdog is off).
+    pub(crate) wd_deadline: u64,
+    /// Committed-instruction total at the last watchdog check.
+    pub(crate) wd_committed: u64,
+    /// Whether injected-fault freezing has triggered.
+    pub(crate) frozen: bool,
+    /// Measurement-window baselines: `None` while warming up, and
+    /// snapshotting them marks the start of the window.
+    pub(crate) snaps: Option<Vec<Snapshot>>,
+    /// Per-core banked results (`None` until that core reaches quota).
+    pub(crate) finished: Vec<Option<RunResult>>,
+    /// The lifecycle tracer, once the measurement window of a traced run
+    /// has started.
+    pub(crate) tracer: Option<Tracer>,
+}
+
+impl LoopState {
+    /// A cold machine at cycle 0.
+    fn fresh(programs: &[Program], cfg: &SimConfig) -> Self {
+        let n = programs.len();
+        let (mems, shared) = MemorySystem::new(cfg.hierarchy(n)).into_parts();
+        let wd = cfg.watchdog_cycles;
+        Self {
+            cores: programs
+                .iter()
+                .enumerate()
+                .map(|(i, p)| Core::new(i, p.clone(), cfg))
+                .collect(),
+            mems,
+            shared,
+            guard: ChipGuard::new(),
+            now: 0,
+            wd_deadline: if wd > 0 { wd } else { u64::MAX },
+            wd_committed: 0,
+            frozen: false,
+            snaps: None,
+            finished: (0..n).map(|_| None).collect(),
+            tracer: None,
+        }
+    }
+
+    /// Hands every core and private hierarchy a clone of `t` and keeps the
+    /// original for the end-of-run sink.
+    pub(crate) fn install_tracer(&mut self, t: Tracer) {
+        for m in self.mems.iter_mut() {
+            m.set_tracer(t.clone());
+        }
+        for c in self.cores.iter_mut() {
+            c.set_tracer(&t);
+        }
+        self.tracer = Some(t);
+    }
+}
 
 pub(crate) fn hist_delta(now: &[u64; 5], then: &[u64; 5]) -> [u64; 5] {
     let mut h = [0u64; 5];
@@ -234,9 +301,9 @@ fn snapshot_cores(cores: &[Core], mems: &[CoreMem], now: u64) -> DiagSnapshot {
     }
 }
 
-/// The memory system as the sequential engine's cores see it: the stepping
-/// core's private hierarchy plus the shared levels, borrowed directly for
-/// the duration of one [`Core::cycle`] call.
+/// The memory system as a stepping core sees it: its private hierarchy
+/// plus the shared levels, borrowed directly for the duration of one
+/// [`Core::cycle`] call.
 ///
 /// This replaces driving cores through the [`MemorySystem`] facade, whose
 /// per-access ceremony (a chip-drain guard check, a core-index bounds
@@ -252,7 +319,7 @@ pub struct SeqMem<'a> {
 impl<'a> SeqMem<'a> {
     /// Borrows one core's private hierarchy plus the shared levels for one
     /// [`Core::cycle`] call. Public so the hot-path microbenches can step
-    /// the exact view the sequential engine uses.
+    /// the exact view the cycle loop uses.
     pub fn new(mem: &'a mut CoreMem, shared: &'a mut SharedMem) -> Self {
         Self { mem, shared }
     }
@@ -304,23 +371,15 @@ pub(crate) fn run_ctrl(
 ) -> Result<RawRunOutput, SimError> {
     assert!(!programs.is_empty(), "need at least one program");
     assert!(insts > 0, "need a nonzero instruction quota");
-    let n = programs.len();
-    // Hand multi-threaded untraced runs to the parallel engine; it is
-    // byte-identical to the sequential path below for any worker count.
-    // Traced runs stay sequential (the trace sink is single-threaded).
-    let workers = crate::parallel::effective_workers(cfg, n);
-    if workers > 1 && !cfg.trace.enabled {
-        return crate::parallel::try_run_multi_parallel(programs, cfg, insts, workers, ctrl);
-    }
-    // Split the hierarchy into its per-core and shared halves up front:
-    // cores step against a borrowed `SeqMem` view, so the per-access
-    // facade ceremony (guard check + bounds check + sched-min note) is
-    // hoisted out of the cycle loop entirely. The equivalence argument is
-    // the parallel engine's (DESIGN.md §12/§13): fills complete strictly
-    // in the future, so one cycle-start `drain_chip` anchors the same
-    // install point the facade's per-access drains would, and noting each
-    // core's scheduled minimum once at end of cycle reaches the guard
-    // before the next cycle's drain — the only point that reads it.
+    // Cores step against a borrowed `SeqMem` view of the split hierarchy,
+    // so the facade's per-access ceremony (guard check + bounds check +
+    // sched-min note) is hoisted out of the cycle loop entirely. This is
+    // equivalent because fills complete strictly in the future: nothing a
+    // core schedules during cycle `now` can be due at `now`, so the one
+    // cycle-start `drain_chip` installs exactly what the facade's
+    // per-access drains would, and noting each core's scheduled minimum
+    // once at end of cycle reaches the guard before the next cycle's
+    // drain — the only point that reads it.
     let hard_cap: u64 = if cfg.max_cycles > 0 {
         cfg.max_cycles
     } else {
@@ -334,134 +393,39 @@ pub(crate) fn run_ctrl(
     // configs, keeping the per-cycle loop on its branchless-per-core path.
     let fault_on = cfg.fault.active();
 
-    // Construct fresh state, or reinstall a checkpoint's. Every variable
-    // below is part of the checkpoint, so a resumed run re-enters the loop
-    // exactly where the interrupted one would have been at the top of
-    // cycle `now` — `snaps` is `None` while warming up, and snapshotting
-    // it marks the measurement window (one unified loop for both phases,
-    // mirroring the parallel engine's coordinator).
-    #[allow(clippy::type_complexity)]
-    let (mut mems, mut shared, mut guard, mut cores, mut now, mut wd_deadline, mut wd_committed, mut frozen, mut tracer, mut snaps, mut finished): (
-        Vec<CoreMem>,
-        SharedMem,
-        ChipGuard,
-        Vec<Core>,
-        u64,
-        u64,
-        u64,
-        bool,
-        Option<Tracer>,
-        Option<Vec<Snapshot>>,
-        Vec<Option<RunResult>>,
-    ) = match ctrl.resume.take() {
-        Some(rs) => {
-            let rs = *rs;
-            let mut mems = rs.mems;
-            let mut cores = rs.cores;
-            // The tracer handle is reconstructed (it holds an `Rc`, not
-            // serializable state) and the saved sink contents are poured
-            // back in, so a resumed traced run continues the same event
-            // ring and lifecycle tallies.
-            let mut tracer = None;
-            if cfg.trace.enabled {
-                if let Some(sink) = rs.trace_sink {
-                    let t = Tracer::enabled(&cfg.trace);
-                    t.restore_sink(sink);
-                    for m in mems.iter_mut() {
-                        m.set_tracer(t.clone());
-                    }
-                    for c in cores.iter_mut() {
-                        c.set_tracer(&t);
-                    }
-                    tracer = Some(t);
-                }
-            }
-            (
-                mems,
-                rs.shared,
-                rs.guard,
-                cores,
-                rs.now,
-                rs.wd_deadline,
-                rs.wd_committed,
-                rs.frozen,
-                tracer,
-                rs.snaps,
-                rs.finished,
-            )
-        }
-        None => {
-            let (mems, shared) = MemorySystem::new(cfg.hierarchy(n)).into_parts();
-            let cores: Vec<Core> = programs
-                .iter()
-                .enumerate()
-                .map(|(i, p)| Core::new(i, p.clone(), cfg))
-                .collect();
-            (
-                mems,
-                shared,
-                ChipGuard::new(),
-                cores,
-                0,
-                if wd > 0 { wd } else { u64::MAX },
-                0,
-                false,
-                None,
-                None,
-                (0..n).map(|_| None).collect(),
-            )
-        }
+    // One unified loop covers warmup and measurement, fresh and resumed.
+    let mut st = match ctrl.resume.take() {
+        Some(resumed) => *resumed,
+        None => LoopState::fresh(programs, cfg),
     };
-    let mut remaining = finished.iter().filter(|f| f.is_none()).count();
+    let mut remaining = st.finished.iter().filter(|f| f.is_none()).count();
 
     // Control-path state: polled with one masked compare per cycle when
     // armed, skipped entirely otherwise (a plain run's loop is unchanged).
     // `start_now` keeps the first iteration from re-firing the poll a
     // resumed or stopped run already handled at this cycle.
     let ctrl_on = ctrl.path.is_some() || ctrl.stop.is_some();
-    let start_now = now;
-    let mut last_ckpt = now;
+    let start_now = st.now;
+    let mut last_ckpt = st.now;
 
     loop {
-        if ctrl_on && now & POLL_MASK == 0 && now != start_now {
+        if ctrl_on && st.now & POLL_MASK == 0 && st.now != start_now {
             let stop_hit = ctrl.stop.as_ref().is_some_and(|s| s.load(Ordering::SeqCst));
-            let due = ctrl.every > 0 && now - last_ckpt >= ctrl.every;
+            let due = ctrl.every > 0 && st.now - last_ckpt >= ctrl.every;
             if let (true, Some(path)) = (stop_hit || due, ctrl.path.as_ref()) {
-                let core_refs: Vec<&Core> = cores.iter().collect();
-                let mem_refs: Vec<&CoreMem> = mems.iter().collect();
-                crate::snapshot::write_checkpoint(
-                    path,
-                    cfg,
-                    programs,
-                    insts,
-                    ctrl.every,
-                    &core_refs,
-                    &mem_refs,
-                    &shared,
-                    &guard,
-                    &crate::snapshot::LoopSnapshot {
-                        now,
-                        wd_deadline,
-                        wd_committed,
-                        frozen,
-                        snaps: &snaps,
-                        finished: &finished,
-                        trace_sink: tracer.as_ref().and_then(Tracer::snapshot_sink),
-                    },
-                )?;
-                last_ckpt = now;
+                crate::snapshot::write_checkpoint(path, cfg, programs, insts, ctrl.every, &st)?;
+                last_ckpt = st.now;
             }
             if stop_hit {
-                return Err(SimError::Interrupted { cycle: now });
+                return Err(SimError::Interrupted { cycle: st.now });
             }
         }
         // Install every fill due by `now` before any core steps (fills are
         // always scheduled strictly in the future, so the install point is
-        // cycle-aligned — the anchor the parallel engine's coordinator
-        // replicates; see DESIGN.md §12).
+        // cycle-aligned).
         {
             let _p = bfetch_prof::span(bfetch_prof::SIM_DRAIN);
-            drain_chip(&mut mems, &mut shared, now, &mut guard);
+            drain_chip(&mut st.mems, &mut st.shared, st.now, &mut st.guard);
         }
         // Feedback and guard notes are fused into the stepping pass: a
         // core's feedback queue is only fed by the cycle-start drain above
@@ -469,32 +433,32 @@ pub(crate) fn run_ctrl(
         // cycle's drain, so draining right after each core steps delivers
         // the identical events in the identical order while touching each
         // core's state once per cycle instead of twice.
-        // One sim.step span covers the whole per-cycle core pass: the
-        // sequential engine has no stragglers to attribute, and a single
+        // One sim.step span covers the whole per-cycle core pass: a single
         // span per cycle (instead of one per core) keeps the profiler's
         // unaccounted inter-span gap under the coverage gate.
         if !fault_on {
             let _p = bfetch_prof::span(bfetch_prof::SIM_STEP);
-            for (c, m) in cores.iter_mut().zip(mems.iter_mut()) {
-                c.cycle(now, &mut SeqMem { mem: m, shared: &mut shared });
+            for (c, m) in st.cores.iter_mut().zip(st.mems.iter_mut()) {
+                c.cycle(st.now, &mut SeqMem { mem: m, shared: &mut st.shared });
                 m.drain_feedback(|fb| c.feedback(fb.pc_hash, fb.useful));
-                guard.note(m.take_sched_min());
+                st.guard.note(m.take_sched_min());
             }
-        } else if !frozen {
+        } else if !st.frozen {
             let _p = bfetch_prof::span(bfetch_prof::SIM_STEP);
-            for (c, m) in cores.iter_mut().zip(mems.iter_mut()) {
-                c.cycle(now, &mut SeqMem { mem: m, shared: &mut shared });
+            for (c, m) in st.cores.iter_mut().zip(st.mems.iter_mut()) {
+                c.cycle(st.now, &mut SeqMem { mem: m, shared: &mut st.shared });
                 m.drain_feedback(|fb| c.feedback(fb.pc_hash, fb.useful));
-                guard.note(m.take_sched_min());
+                st.guard.note(m.take_sched_min());
             }
-            check_faults(cfg, &cores, &mut frozen);
+            check_faults(cfg, &st.cores, &mut st.frozen);
         }
         let _bookkeep = bfetch_prof::span(bfetch_prof::SIM_BOOKKEEP);
-        now += 1;
+        st.now += 1;
 
-        match &snaps {
+        match &st.snaps {
             None => {
-                if cores
+                if st
+                    .cores
                     .iter()
                     .all(|c| c.counters().committed >= cfg.warmup_insts)
                 {
@@ -502,35 +466,28 @@ pub(crate) fn run_ctrl(
                     // boundary so the event stream and lifecycle tallies
                     // cover exactly the measurement window.
                     if cfg.trace.enabled {
-                        let t = Tracer::enabled(&cfg.trace);
-                        for m in mems.iter_mut() {
-                            m.set_tracer(t.clone());
-                        }
-                        for c in cores.iter_mut() {
-                            c.set_tracer(&t);
-                        }
-                        tracer = Some(t);
+                        st.install_tracer(Tracer::enabled(&cfg.trace));
                     }
                     // CPI accounting starts at the same point: the stack's
                     // cycle count then equals the measurement window exactly
                     // (the sum invariant is checked against
                     // `RunResult::cycles`).
                     if cfg.cpi.enabled {
-                        for (c, m) in cores.iter_mut().zip(mems.iter()) {
+                        for (c, m) in st.cores.iter_mut().zip(st.mems.iter()) {
                             c.enable_cpi(&cfg.cpi, &CoreProbe(m));
                         }
                     }
-                    snaps = Some(
-                        cores
+                    st.snaps = Some(
+                        st.cores
                             .iter()
-                            .zip(mems.iter())
+                            .zip(st.mems.iter())
                             .map(|(c, m)| Snapshot {
                                 committed: c.counters().committed,
                                 counters: *c.counters(),
                                 mem: *m.stats(),
                                 engine: c.engine().map(|e| *e.stats()),
                                 pf_metadata: c.pf_metadata_bytes(),
-                                cycle: now,
+                                cycle: st.now,
                             })
                             .collect(),
                     );
@@ -541,19 +498,19 @@ pub(crate) fn run_ctrl(
                 }
             }
             Some(snaps) => {
-                for (i, c) in cores.iter().enumerate() {
-                    if finished[i].is_some() {
+                for (i, c) in st.cores.iter().enumerate() {
+                    if st.finished[i].is_some() {
                         continue;
                     }
                     let snap = &snaps[i];
                     if c.counters().committed - snap.committed >= insts {
                         let counters = c.counters();
-                        finished[i] = Some(RunResult {
+                        st.finished[i] = Some(RunResult {
                             workload: c.program_name().to_string(),
                             prefetcher: cfg.prefetcher.name(),
-                            cycles: now - snap.cycle,
+                            cycles: st.now - snap.cycle,
                             instructions: counters.committed - snap.committed,
-                            mem: mems[i].stats().delta(&snap.mem),
+                            mem: st.mems[i].stats().delta(&snap.mem),
                             cond_branches: counters.cond_branches - snap.counters.cond_branches,
                             mispredicts: counters.mispredicts - snap.counters.mispredicts,
                             branch_fetch_hist: hist_delta(
@@ -579,31 +536,38 @@ pub(crate) fn run_ctrl(
                 }
             }
         }
-        if now >= wd_deadline {
-            let total: u64 = cores.iter().map(|c| c.counters().committed).sum();
-            if total == wd_committed {
+        if st.now >= st.wd_deadline {
+            let total: u64 = st.cores.iter().map(|c| c.counters().committed).sum();
+            if total == st.wd_committed {
                 return Err(SimError::Watchdog {
-                    cycle: now,
+                    cycle: st.now,
                     idle_cycles: wd,
-                    snapshot: snapshot_cores(&cores, &mems, now),
+                    snapshot: snapshot_cores(&st.cores, &st.mems, st.now),
                 });
             }
-            wd_committed = total;
-            wd_deadline = now + wd;
+            st.wd_committed = total;
+            st.wd_deadline = st.now + wd;
         }
-        if now >= hard_cap {
+        if st.now >= hard_cap {
             return Err(SimError::CycleBudget {
-                phase: if snaps.is_none() {
+                phase: if st.snaps.is_none() {
                     "warmup"
                 } else {
                     "measurement"
                 },
-                cycle: now,
+                cycle: st.now,
                 limit: hard_cap,
             });
         }
     }
 
+    let LoopState {
+        mut cores,
+        mems,
+        finished,
+        tracer,
+        ..
+    } = st;
     let results = finished
         .into_iter()
         .map(|r| r.expect("all finished"))

@@ -227,18 +227,6 @@ pub struct SimConfig {
     pub max_cycles: u64,
     /// Deterministic fault injection (testing only; defaults off).
     pub fault: FaultInjection,
-    /// Worker threads for stepping cores (1 = the classic sequential
-    /// engine). More than one selects the deterministic parallel engine,
-    /// whose results are byte-identical to sequential at any thread count;
-    /// the effective count is capped at the core count and, unless
-    /// [`SimConfig::force_os_threads`] is set, at the host's available
-    /// parallelism.
-    pub threads: usize,
-    /// Spawn exactly [`SimConfig::threads`] OS threads even when the host
-    /// reports less parallelism (testing: exercises real cross-thread
-    /// interleavings on small hosts). Hidden knob, defaults off.
-    #[doc(hidden)]
-    pub force_os_threads: bool,
 }
 
 impl SimConfig {
@@ -282,8 +270,6 @@ impl SimConfig {
             watchdog_cycles: 1_000_000,
             max_cycles: 0,
             fault: FaultInjection::default(),
-            threads: 1,
-            force_os_threads: false,
         }
     }
 
@@ -335,13 +321,6 @@ impl SimConfig {
     /// Baseline with an address-interleaved (banked) L3.
     pub fn with_l3_banks(mut self, banks: usize) -> Self {
         self.l3_banks = banks;
-        self
-    }
-
-    /// Baseline with a worker-thread count for core stepping (results are
-    /// byte-identical at any count; see `SimSession::threads`).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -403,7 +382,6 @@ impl SimConfig {
             ("l3_bytes_per_core", self.l3_bytes_per_core),
             ("l1d_mshrs", self.l1d_mshrs as u64),
             ("prefetch_buffers", self.prefetch_buffers as u64),
-            ("threads", self.threads as u64),
             ("dram.channels", self.dram.channels as u64),
             ("dram.line_interval", self.dram.line_interval),
             ("dram.banks_per_channel", self.dram.banks_per_channel as u64),
@@ -551,9 +529,7 @@ bfetch_snapshot::impl_snap_struct!(SimConfig {
     cpi,
     watchdog_cycles,
     max_cycles,
-    fault,
-    threads,
-    force_os_threads
+    fault
 });
 
 #[cfg(test)]
@@ -704,12 +680,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_threads_is_rejected() {
-        let c = SimConfig::baseline().with_threads(0);
-        assert_eq!(c.validate(), Err(ConfigError::Zero { knob: "threads" }));
-    }
-
-    #[test]
     fn zero_mshrs_is_rejected() {
         let mut c = SimConfig::baseline();
         c.l1d_mshrs = 0;
@@ -776,7 +746,6 @@ mod tests {
             .with_predictor(PredictorKind::Perceptron)
             .with_bpred_scale(2.0)
             .with_l3_banks(4)
-            .with_threads(8)
             .with_writebacks(true);
         c.cpi.enabled = true;
         c.trace.enabled = true;

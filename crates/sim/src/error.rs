@@ -131,18 +131,6 @@ pub enum SimError {
         /// The configured (or derived) budget.
         limit: u64,
     },
-    /// A core panicked inside a parallel worker thread. The engine
-    /// catches the unwind, poisons the cycle's shared-turn protocol so the
-    /// other workers drain out, and reports the first panic here instead
-    /// of crashing the process.
-    CorePanic {
-        /// The core whose step panicked.
-        core: usize,
-        /// The cycle it panicked at.
-        cycle: u64,
-        /// The panic payload, when it carried a string.
-        message: String,
-    },
     /// The configuration failed [`SimConfig::validate`](crate::SimConfig::validate)
     /// before any simulation state was built.
     Config(crate::config::ConfigError),
@@ -191,14 +179,6 @@ impl fmt::Display for SimError {
                 f,
                 "cycle budget exhausted during {phase}: {cycle} cycles \
                  elapsed (limit {limit})"
-            ),
-            SimError::CorePanic {
-                core,
-                cycle,
-                message,
-            } => write!(
-                f,
-                "core {core} panicked at cycle {cycle}: {message}"
             ),
             SimError::Config(e) => write!(f, "{e}"),
             SimError::Snapshot(e) => write!(f, "snapshot: {e}"),

@@ -35,7 +35,6 @@ pub mod config;
 pub mod core;
 pub mod energy;
 pub mod error;
-mod parallel;
 pub mod ports;
 pub mod session;
 mod snapshot;

@@ -21,7 +21,6 @@
 //! cfg.warmup_insts = 1_000;
 //! let out = SimSession::new(cfg)
 //!     .cpi(true)
-//!     .threads(1)
 //!     .instructions(2_000)
 //!     .run(std::slice::from_ref(&program))
 //!     .expect("run completes");
@@ -31,10 +30,9 @@
 //!
 //! The toggles mirror the old variants: [`SimSession::trace`] is
 //! `run_multi_traced`, [`SimSession::cpi`] is `run_multi_cpi`, and the
-//! `Result` return is the `try_` prefix. [`SimSession::threads`] selects
-//! the deterministic parallel engine (see `crates/sim/src/parallel.rs`) —
-//! results are byte-identical for every thread count, so it is purely a
-//! wall-clock knob.
+//! `Result` return is the `try_` prefix. Host throughput comes from
+//! running independent sessions side by side (the harness's `-j`), not
+//! from threads inside one.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
@@ -131,9 +129,7 @@ impl SimSession {
     }
 
     /// Enables (or disables) lifecycle tracing for the measurement window.
-    /// Traced runs execute on the sequential engine regardless of
-    /// [`SimSession::threads`] — the trace sink is single-threaded — and
-    /// timing results are identical either way: tracing only observes.
+    /// Timing results are identical either way: tracing only observes.
     pub fn trace(mut self, enabled: bool) -> Self {
         self.cfg.trace.enabled = enabled;
         self
@@ -149,26 +145,15 @@ impl SimSession {
         self
     }
 
-    /// Sets the worker-thread count for the deterministic parallel engine.
-    /// Results are byte-identical for every value (`1` = the sequential
-    /// engine); the request is clamped to the host's parallelism and the
-    /// core count. Zero is rejected by [`SimConfig::validate`] when the
-    /// run starts.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.cfg.threads = threads;
-        self
-    }
-
     /// Arms periodic checkpointing: every `cycles` simulated cycles
-    /// (rounded up to the engine's 1024-cycle poll grid) the full machine
+    /// (rounded up to the loop's 1024-cycle poll grid) the full machine
     /// state is written atomically to a snapshot file in `dir` (created if
     /// missing; file name set by [`SimSession::checkpoint_name`]).
     ///
     /// A run resumed from any of these checkpoints with
     /// [`SimSession::resume`] produces byte-identical results to the
-    /// uninterrupted run, at any thread count. With `cycles` of 0 the
-    /// checkpoint is written only when the [`SimSession::stop_flag`]
-    /// interrupts the run.
+    /// uninterrupted run. With `cycles` of 0 the checkpoint is written
+    /// only when the [`SimSession::stop_flag`] interrupts the run.
     pub fn checkpoint_every(mut self, cycles: u64, dir: impl Into<PathBuf>) -> Self {
         self.ckpt_every = cycles;
         self.ckpt_dir = Some(dir.into());
@@ -204,11 +189,9 @@ impl SimSession {
     /// [`SimError::Config`] when the configuration fails
     /// [`SimConfig::validate`], [`SimError::Watchdog`] when no core
     /// commits for the configured window, [`SimError::CycleBudget`] when
-    /// the cycle cap is exhausted, [`SimError::CorePanic`] when a core
-    /// panics inside a parallel worker thread,
-    /// [`SimError::Interrupted`] when the [`SimSession::stop_flag`] fires,
-    /// and [`SimError::Snapshot`] when an armed checkpoint cannot be
-    /// written.
+    /// the cycle cap is exhausted, [`SimError::Interrupted`] when the
+    /// [`SimSession::stop_flag`] fires, and [`SimError::Snapshot`] when an
+    /// armed checkpoint cannot be written.
     ///
     /// # Panics
     ///
@@ -243,7 +226,7 @@ impl SimSession {
     /// nothing else. Periodic checkpointing stays armed with the stored
     /// cadence, overwriting the same file, so a run can be killed and
     /// resumed any number of times. The completed output is byte-identical
-    /// to the uninterrupted run's, at any thread count.
+    /// to the uninterrupted run's.
     ///
     /// # Errors
     ///
@@ -266,18 +249,15 @@ impl SimSession {
 
     fn resume_inner(path: &Path, stop: Option<Arc<AtomicBool>>) -> Result<RunOutput, SimError> {
         let rs = crate::snapshot::read_checkpoint(path)?;
-        let cfg = rs.cfg.clone();
-        let insts = rs.insts;
-        let programs = rs.programs.clone();
         let ctrl = RunCtrl {
             every: rs.every,
             path: Some(path.to_path_buf()),
             stop,
-            resume: Some(Box::new(rs)),
+            resume: Some(Box::new(rs.state)),
         };
         let _run_span = bfetch_prof::span_traced(bfetch_prof::SIM_RUN);
-        let raw = crate::cmp::run_ctrl(&programs, &cfg, insts, ctrl)?;
-        Ok(wrap_output(programs.len(), raw))
+        let raw = crate::cmp::run_ctrl(&rs.programs, &rs.cfg, rs.insts, ctrl)?;
+        Ok(wrap_output(rs.programs.len(), raw))
     }
 }
 

@@ -8,13 +8,15 @@
 //! results already banked, and the trace sink when tracing is on).
 //!
 //! Checkpoints are taken at the top of the cycle loop — before the
-//! cycle-start [`drain_chip`](bfetch_mem::drain_chip) — which is the one
-//! point where the sequential and parallel engines hold identical state
-//! (the parallel engine's turn-gate protocol is reset between cycles, so
-//! it has no cross-cycle state of its own; see DESIGN.md §15). A run
-//! resumed from a checkpoint therefore produces byte-identical results to
-//! the uninterrupted run, at any `--sim-threads` count, and a checkpoint
-//! written by one engine restores under the other.
+//! cycle-start [`drain_chip`](bfetch_mem::drain_chip) — where the loop's
+//! [`LoopState`] is the whole machine: every queued fill completes at or
+//! after the cycle about to run (fills complete strictly in the future and
+//! the previous cycle's drain installed everything due before it), no core
+//! is mid-step, and the per-core feedback queues and scheduled-minimum
+//! notes were emptied by the previous cycle's stepping pass. A run resumed
+//! from a checkpoint therefore re-enters the loop in exactly the state the
+//! uninterrupted run had at that cycle and produces byte-identical results
+//! (see DESIGN.md §15).
 //!
 //! Corruption never propagates: the frame's magic/version/length/checksum
 //! layers plus per-field validation on load turn any truncated or
@@ -23,16 +25,16 @@
 
 use std::path::Path;
 
-use crate::cmp::{RunResult, Snapshot};
+use crate::cmp::{LoopState, RunResult, Snapshot};
 use crate::config::SimConfig;
 use crate::core::Core;
 use crate::error::SimError;
 use bfetch_isa::Program;
-use bfetch_mem::{ChipGuard, CoreMem, MemorySystem, SharedMem};
+use bfetch_mem::{ChipGuard, MemorySystem};
 use bfetch_snapshot::{
     Decoder, Encoder, FrameReader, FrameWriter, Snap, SnapState, SnapshotError,
 };
-use bfetch_stats::trace::TraceSink;
+use bfetch_stats::trace::{TraceSink, Tracer};
 
 /// Run identity: quota, checkpoint cadence, core count.
 const SEC_META: u32 = 1;
@@ -47,44 +49,14 @@ const SEC_MEM: u32 = 5;
 /// The driver loop's bookkeeping (cycle, watchdog, window, results).
 const SEC_LOOP: u32 = 6;
 
-/// The driver-loop variables a checkpoint captures alongside the machine
-/// state, borrowed from whichever engine is writing.
-pub(crate) struct LoopSnapshot<'a> {
-    /// The cycle about to execute.
-    pub now: u64,
-    /// Watchdog re-check deadline.
-    pub wd_deadline: u64,
-    /// Committed-instruction total at the last watchdog check.
-    pub wd_committed: u64,
-    /// Whether injected-fault freezing has triggered.
-    pub frozen: bool,
-    /// Measurement-window baselines (`None` while warming up).
-    pub snaps: &'a Option<Vec<Snapshot>>,
-    /// Per-core banked results (`None` until that core reaches quota).
-    pub finished: &'a [Option<RunResult>],
-    /// A copy of the trace sink, when tracing is enabled and the
-    /// measurement window has started.
-    pub trace_sink: Option<TraceSink>,
-}
-
-/// A fully reconstructed run, ready to re-enter the cycle loop at
-/// `now`. Produced by [`read_checkpoint`]; consumed by the engines.
+/// A fully reconstructed run: its identity plus the loop state to
+/// re-enter the cycle loop with. Produced by [`read_checkpoint`].
 pub(crate) struct ResumeState {
     pub cfg: SimConfig,
     pub programs: Vec<Program>,
     pub insts: u64,
     pub every: u64,
-    pub cores: Vec<Core>,
-    pub mems: Vec<CoreMem>,
-    pub shared: SharedMem,
-    pub guard: ChipGuard,
-    pub now: u64,
-    pub wd_deadline: u64,
-    pub wd_committed: u64,
-    pub frozen: bool,
-    pub snaps: Option<Vec<Snapshot>>,
-    pub finished: Vec<Option<RunResult>>,
-    pub trace_sink: Option<TraceSink>,
+    pub state: LoopState,
 }
 
 // `RunResult::prefetcher` is a &'static str derived from the config, so it
@@ -121,25 +93,20 @@ fn load_result(r: &mut Decoder<'_>, prefetcher: &'static str) -> Result<RunResul
 /// Serializes the whole run into a frame and writes it to `path`
 /// atomically (pid-tagged tmp sibling + rename), so a reader — including
 /// a resume racing a crash — never observes a half-written checkpoint.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn write_checkpoint(
     path: &Path,
     cfg: &SimConfig,
     programs: &[Program],
     insts: u64,
     every: u64,
-    cores: &[&Core],
-    mems: &[&CoreMem],
-    shared: &SharedMem,
-    guard: &ChipGuard,
-    ls: &LoopSnapshot<'_>,
+    st: &LoopState,
 ) -> Result<(), SnapshotError> {
     let mut frame = FrameWriter::new();
 
     let mut meta = Encoder::new();
     insts.save(&mut meta);
     every.save(&mut meta);
-    cores.len().save(&mut meta);
+    st.cores.len().save(&mut meta);
     frame.add(SEC_META, meta);
 
     let mut config = Encoder::new();
@@ -151,27 +118,27 @@ pub(crate) fn write_checkpoint(
     frame.add(SEC_PROGRAMS, progs);
 
     let mut cs = Encoder::new();
-    for c in cores {
+    for c in &st.cores {
         c.save_state(&mut cs);
     }
     frame.add(SEC_CORES, cs);
 
     let mut mem = Encoder::new();
-    for m in mems {
+    for m in &st.mems {
         m.save_state(&mut mem);
     }
-    shared.save_state(&mut mem);
-    guard.save(&mut mem);
+    st.shared.save_state(&mut mem);
+    st.guard.save(&mut mem);
     frame.add(SEC_MEM, mem);
 
     let mut lp = Encoder::new();
-    ls.now.save(&mut lp);
-    ls.wd_deadline.save(&mut lp);
-    ls.wd_committed.save(&mut lp);
-    ls.frozen.save(&mut lp);
-    ls.snaps.save(&mut lp);
-    ls.finished.len().save(&mut lp);
-    for f in ls.finished {
+    st.now.save(&mut lp);
+    st.wd_deadline.save(&mut lp);
+    st.wd_committed.save(&mut lp);
+    st.frozen.save(&mut lp);
+    st.snaps.save(&mut lp);
+    st.finished.len().save(&mut lp);
+    for f in &st.finished {
         match f {
             Some(r) => {
                 lp.put_u8(1);
@@ -180,7 +147,9 @@ pub(crate) fn write_checkpoint(
             None => lp.put_u8(0),
         }
     }
-    ls.trace_sink.save(&mut lp);
+    // A copy of the trace sink, when tracing is enabled and the
+    // measurement window has started.
+    st.tracer.as_ref().and_then(Tracer::snapshot_sink).save(&mut lp);
     frame.add(SEC_LOOP, lp);
 
     bfetch_snapshot::write_file_atomic(path, &frame.finish())
@@ -265,11 +234,7 @@ pub(crate) fn read_checkpoint(path: &Path) -> Result<ResumeState, SimError> {
     let trace_sink = Option::<TraceSink>::load(&mut lp)?;
     lp.finish()?;
 
-    Ok(ResumeState {
-        cfg,
-        programs,
-        insts,
-        every,
+    let mut state = LoopState {
         cores,
         mems,
         shared,
@@ -280,6 +245,23 @@ pub(crate) fn read_checkpoint(path: &Path) -> Result<ResumeState, SimError> {
         frozen,
         snaps,
         finished,
-        trace_sink,
+        tracer: None,
+    };
+    // The tracer handle is reconstructed (it holds an `Rc`, not
+    // serializable state) and the saved sink contents are poured back in,
+    // so a resumed traced run continues the same event ring and lifecycle
+    // tallies.
+    if let (true, Some(sink)) = (cfg.trace.enabled, trace_sink) {
+        let t = Tracer::enabled(&cfg.trace);
+        t.restore_sink(sink);
+        state.install_tracer(t);
+    }
+
+    Ok(ResumeState {
+        cfg,
+        programs,
+        insts,
+        every,
+        state,
     })
 }

@@ -1,7 +1,7 @@
 //! Checkpoint/restore contract tests: a run that is killed and resumed —
-//! any number of times, at either engine — must produce byte-identical
-//! output to the uninterrupted run, and a corrupted checkpoint must always
-//! surface as a typed error, never a panic or silent misresume.
+//! any number of times — must produce byte-identical output to the
+//! uninterrupted run, and a corrupted checkpoint must always surface as a
+//! typed error, never a panic or silent misresume.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
@@ -86,7 +86,7 @@ fn assert_same_output(a: &RunOutput, b: &RunOutput) {
 }
 
 #[test]
-fn kill_and_resume_at_every_poll_point_is_byte_identical_sequential() {
+fn kill_and_resume_at_every_poll_point_is_byte_identical_single_core() {
     let p = kernel("ckpt-seq", 16 * 1024);
     let uninterrupted = SimSession::new(cfg())
         .instructions(3_000)
@@ -106,75 +106,22 @@ fn kill_and_resume_at_every_poll_point_is_byte_identical_sequential() {
 }
 
 #[test]
-fn kill_and_resume_is_byte_identical_parallel() {
-    let programs = [kernel("ckpt-par-a", 16 * 1024), kernel("ckpt-par-b", 12 * 1024)];
-    let mut c = cfg();
-    c.force_os_threads = true;
-    let uninterrupted = SimSession::new(c.clone())
-        .threads(4)
+fn kill_and_resume_at_every_poll_point_is_byte_identical_multi_core() {
+    let programs = [kernel("ckpt-cmp-a", 16 * 1024), kernel("ckpt-cmp-b", 12 * 1024)];
+    let uninterrupted = SimSession::new(cfg())
         .instructions(3_000)
         .run(&programs)
         .unwrap();
 
-    let dir = tmpdir("par");
+    let dir = tmpdir("cmp");
     let ckpt = dir.join("checkpoint.snap");
-    let session = SimSession::new(c)
-        .threads(4)
+    let session = SimSession::new(cfg())
         .instructions(3_000)
         .checkpoint_every(0, &dir);
     let (resumed, interrupts) = run_with_constant_interrupts(session, &programs, &ckpt);
     assert!(interrupts >= 3, "run too short ({interrupts} interrupts)");
     assert_same_output(&uninterrupted, &resumed);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn checkpoints_cross_engines_both_directions() {
-    // A checkpoint written by the sequential engine resumes under the
-    // parallel engine and vice versa: the format captures state at the
-    // top of the cycle loop, where the engines are indistinguishable.
-    let programs = [kernel("ckpt-x-a", 16 * 1024), kernel("ckpt-x-b", 12 * 1024)];
-    let mut par = cfg();
-    par.force_os_threads = true;
-    let uninterrupted = SimSession::new(par.clone())
-        .threads(4)
-        .instructions(3_000)
-        .run(&programs)
-        .unwrap();
-
-    let dir = tmpdir("cross");
-    let ckpt = dir.join("checkpoint.snap");
-    // Interrupt under threads=1 (sequential)...
-    let err = SimSession::new(cfg())
-        .threads(1)
-        .instructions(3_000)
-        .checkpoint_every(0, &dir)
-        .stop_flag(armed_stop())
-        .run(&programs)
-        .unwrap_err();
-    assert!(matches!(err, SimError::Interrupted { .. }), "got {err}");
-    // ...then resume to completion. The stored config says threads=1, so
-    // this first resume continues sequentially; the next interruption's
-    // checkpoint re-embeds that config. Either way every result must
-    // match the 4-thread uninterrupted run bit for bit.
-    let resumed = SimSession::resume(&ckpt).unwrap();
-    assert_same_output(&uninterrupted, &resumed);
-
-    // And the reverse: interrupt under threads=4, resume (parallel).
-    let dir2 = tmpdir("cross2");
-    let ckpt2 = dir2.join("checkpoint.snap");
-    let err = SimSession::new(par)
-        .threads(4)
-        .instructions(3_000)
-        .checkpoint_every(0, &dir2)
-        .stop_flag(armed_stop())
-        .run(&programs)
-        .unwrap_err();
-    assert!(matches!(err, SimError::Interrupted { .. }), "got {err}");
-    let resumed = SimSession::resume(&ckpt2).unwrap();
-    assert_same_output(&uninterrupted, &resumed);
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&dir2);
 }
 
 #[test]
