@@ -436,6 +436,15 @@ impl BFetchEngine {
         self.queue.len()
     }
 
+    /// Whether [`BFetchEngine::tick`] and both `pop_*` drains would find
+    /// nothing to do: no decoded branch waits for a lookahead walk and both
+    /// prefetch queues are empty. A drained engine changes only through the
+    /// decode- and commit-side hooks (and feedback, which trains the filter
+    /// but queues nothing), so the embedding core need not tick it.
+    pub fn is_drained(&self) -> bool {
+        self.dbr.is_empty() && self.queue.is_empty() && self.iqueue.is_empty()
+    }
+
     // ---- commit side -----------------------------------------------------
 
     /// Observes a committed branch: chains the BrTC, opens the new basic

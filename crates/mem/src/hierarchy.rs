@@ -1061,6 +1061,13 @@ impl ChipGuard {
         self.earliest_fill = self.earliest_fill.min(t);
         self.earliest_mshr = self.earliest_mshr.min(t);
     }
+
+    /// The first cycle at which [`drain_chip`] may have a fill to install or
+    /// an MSHR entry to retire (`u64::MAX` on an idle chip). A lower bound:
+    /// draining at any earlier cycle is a no-op.
+    pub fn next_due(&self) -> u64 {
+        self.earliest_fill.min(self.earliest_mshr)
+    }
 }
 
 impl Default for ChipGuard {

@@ -389,8 +389,7 @@ pub(crate) fn run_ctrl(
     // the (more expensive) committed-total sum is recomputed only when the
     // deadline passes, so a stall is caught within [wd, 2*wd] cycles.
     let wd = cfg.watchdog_cycles;
-    // Fault injection (testing only): `fault_on` is false in production
-    // configs, keeping the per-cycle loop on its branchless-per-core path.
+    // Fault injection (testing only): false in production configs.
     let fault_on = cfg.fault.active();
 
     // One unified loop covers warmup and measurement, fresh and resumed.
@@ -407,6 +406,14 @@ pub(crate) fn run_ctrl(
     let ctrl_on = ctrl.path.is_some() || ctrl.stop.is_some();
     let start_now = st.now;
     let mut last_ckpt = st.now;
+
+    // Quiescent-cycle skipping (DESIGN.md §13.5). `wake[i]` is the first
+    // cycle at which core `i`'s full step would do anything; until then the
+    // core is only charged its idle side effects. Wake times are a pure
+    // function of core state, recomputed after every full step, so they
+    // live here and not in `LoopState`: a resumed run derives the same
+    // values a fresh one holds at that cycle.
+    let mut wake: Vec<u64> = st.cores.iter().map(|c| c.wake_at(st.now)).collect();
 
     loop {
         if ctrl_on && st.now & POLL_MASK == 0 && st.now != start_now {
@@ -432,25 +439,34 @@ pub(crate) fn run_ctrl(
         // and by its own step, and the guard is only read by the *next*
         // cycle's drain, so draining right after each core steps delivers
         // the identical events in the identical order while touching each
-        // core's state once per cycle instead of twice.
+        // core's state once per cycle instead of twice. A sleeping core
+        // still takes its feedback every cycle (the drain above may have
+        // evicted one of its unused prefetches, and the filter must see
+        // that before the walk that next reads it) but schedules nothing,
+        // so it has no guard note.
         // One sim.step span covers the whole per-cycle core pass: a single
         // span per cycle (instead of one per core) keeps the profiler's
         // unaccounted inter-span gap under the coverage gate.
-        if !fault_on {
+        // A frozen (injected livelock) chip does nothing at all, not even
+        // idle accounting, until the watchdog or the cycle budget fires.
+        let mut next_wake = u64::MAX;
+        if !st.frozen {
             let _p = bfetch_prof::span(bfetch_prof::SIM_STEP);
-            for (c, m) in st.cores.iter_mut().zip(st.mems.iter_mut()) {
-                c.cycle(st.now, &mut SeqMem { mem: m, shared: &mut st.shared });
+            let per_core = st.cores.iter_mut().zip(&mut st.mems).zip(&mut wake);
+            for ((c, m), w) in per_core {
+                if *w > st.now {
+                    c.skip_idle(st.now, st.now + 1);
+                } else {
+                    c.cycle(st.now, &mut SeqMem { mem: m, shared: &mut st.shared });
+                    st.guard.note(m.take_sched_min());
+                    *w = c.wake_at(st.now + 1);
+                }
                 m.drain_feedback(|fb| c.feedback(fb.pc_hash, fb.useful));
-                st.guard.note(m.take_sched_min());
+                next_wake = next_wake.min(*w);
             }
-        } else if !st.frozen {
-            let _p = bfetch_prof::span(bfetch_prof::SIM_STEP);
-            for (c, m) in st.cores.iter_mut().zip(st.mems.iter_mut()) {
-                c.cycle(st.now, &mut SeqMem { mem: m, shared: &mut st.shared });
-                m.drain_feedback(|fb| c.feedback(fb.pc_hash, fb.useful));
-                st.guard.note(m.take_sched_min());
+            if fault_on {
+                check_faults(cfg, &st.cores, &mut st.frozen);
             }
-            check_faults(cfg, &st.cores, &mut st.frozen);
         }
         let _bookkeep = bfetch_prof::span(bfetch_prof::SIM_BOOKKEEP);
         st.now += 1;
@@ -534,6 +550,27 @@ pub(crate) fn run_ctrl(
                 if remaining == 0 {
                     break;
                 }
+            }
+        }
+        // Every core asleep: no core and no fill has work before `target`,
+        // so the clock jumps there, each core charged its idle cycles in
+        // one batch. The clamps keep every check firing at the cycle it
+        // would fire at stepping one by one: the fill drain and MSHR
+        // expiry (`next_due`), the poll point and port-ring sweep (the
+        // next 1024-cycle boundary, which `wake_at` never passes either),
+        // and the two checks below, which then see `target` itself.
+        if !st.frozen && next_wake > st.now {
+            let boundary = (st.now + POLL_MASK) & !POLL_MASK;
+            let target = next_wake
+                .min(st.guard.next_due())
+                .min(boundary)
+                .min(st.wd_deadline)
+                .min(hard_cap);
+            if target > st.now {
+                for c in st.cores.iter_mut() {
+                    c.skip_idle(st.now, target);
+                }
+                st.now = target;
             }
         }
         if st.now >= st.wd_deadline {

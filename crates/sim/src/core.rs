@@ -109,7 +109,7 @@ impl CoreParams {
 }
 
 /// Per-core counters sampled by the run harness.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreCounters {
     /// Instructions committed.
     pub committed: u64,
@@ -386,6 +386,11 @@ impl Core {
         self.rob.get_mut((seq - base) as usize)
     }
 
+    #[inline]
+    fn rob_entry(&self, seq: u64) -> Option<&InFlight> {
+        self.rob.get(seq.checked_sub(self.rob_base)? as usize)
+    }
+
     /// Advances this core by one cycle.
     pub fn cycle<M: MemoryInterface>(&mut self, now: u64, mem: &mut M) {
         if now & 1023 == 0 {
@@ -396,7 +401,7 @@ impl Core {
             let _p = bfetch_prof::span(bfetch_prof::SIM_PENDING_MEM);
             self.process_pending_mem(now, mem);
         }
-        self.check_fetch_block(now);
+        self.check_fetch_block();
         // accounting classifies against pre-fetch state: the ROB snapshot
         // right after commit still shows *why* commit fell short
         let rob_was_full = self.cpi.is_some() && self.rob.len() >= self.params.rob_entries;
@@ -412,6 +417,86 @@ impl Core {
             self.fetch(now, mem);
         }
         self.prefetch_tick(now, mem);
+    }
+
+    // ---- quiescence --------------------------------------------------------
+
+    /// The first cycle `>= now` at which [`Core::cycle`] would do anything
+    /// beyond the idle side effects [`Core::skip_idle`] reproduces. Pure,
+    /// and derived only from this core's own state: nothing outside the
+    /// core (a fill, prefetch feedback, another core) can move it earlier,
+    /// so the stepping loop may leave the core unstepped until then
+    /// (DESIGN.md §13.5 lists every waker and why the list is complete).
+    pub fn wake_at(&self, now: u64) -> u64 {
+        // the common busy case first: a core that can fetch is awake
+        let fetch_open =
+            self.fetch_blocked_by.is_none() && self.rob.len() < self.params.rob_entries;
+        if fetch_open && self.fetch_stall_until <= now {
+            return now;
+        }
+        if now & 1023 == 0 {
+            return now; // port-ring sweep
+        }
+        if !self.pf_queue.is_empty() || self.engine.as_ref().is_some_and(|e| !e.is_drained()) {
+            return now; // a lookahead walk or a prefetch issue is due
+        }
+        if self.fetch_block_resolved().is_some() {
+            return now; // this cycle turns the block into a redirect stall
+        }
+        let mut wake = (now | 1023) + 1;
+        if fetch_open {
+            wake = wake.min(self.fetch_stall_until);
+        }
+        if let Some(&Reverse((t, _))) = self.pending_mem.peek() {
+            wake = wake.min(t);
+        }
+        if let Some(head) = self.rob.front() {
+            if head.scheduled {
+                wake = wake.min(head.complete_at);
+            }
+        }
+        wake.max(now)
+    }
+
+    /// Applies what [`Core::cycle`] would have done to this core over the
+    /// cycles `from..to`, none of which reaches [`Core::wake_at`]: a full
+    /// ROB with fetch neither blocked nor stalled still records a
+    /// zero-branch fetch cycle, and the CPI stack (when accounting is on)
+    /// still charges every lost slot. Everything else such a cycle touches
+    /// is either unchanged or lazy: the ARF matures its posted writes on
+    /// the next [`BFetchEngine::tick`], and nothing reads it before then.
+    pub fn skip_idle(&mut self, from: u64, to: u64) {
+        debug_assert!(
+            from < to && to <= self.wake_at(from),
+            "skipping a waking cycle"
+        );
+        let rob_full = self.rob.len() >= self.params.rob_entries;
+        if rob_full && self.fetch_blocked_by.is_none() {
+            self.counters.branch_fetch_hist[0] +=
+                to.saturating_sub(from.max(self.fetch_stall_until));
+        }
+        if self.cpi.is_none() {
+            return;
+        }
+        // no instruction commits, so the interval sampler never fires; the
+        // cause of the lost slots depends on the cycle only through three
+        // thresholds, so each run of cycles between them is one charge
+        let mut t = from;
+        while t < to {
+            let cause = self.classify_stall(t, rob_full);
+            let head = self.rob.front();
+            let until = [
+                self.fetch_stall_until,
+                head.map_or(0, |h| h.mem_queued_until),
+                head.map_or(0, |h| h.complete_at),
+            ]
+            .into_iter()
+            .filter(|&edge| edge > t)
+            .fold(to, u64::min);
+            let acc = self.cpi.as_mut().expect("checked above");
+            acc.stack.account_idle(until - t, cause);
+            t = until;
+        }
     }
 
     // ---- cycle accounting ------------------------------------------------
@@ -516,7 +601,7 @@ impl Core {
 
     // ---- scheduling ------------------------------------------------------
 
-    fn try_schedule(&mut self, seq: u64, _now: u64) {
+    fn try_schedule(&mut self, seq: u64) {
         let cfg_mul = self.params.mul_latency;
         let Some(e) = self.entry(seq) else { return };
         if e.scheduled || e.unresolved > 0 {
@@ -578,7 +663,7 @@ impl Core {
                 now_ready = we.unresolved == 0;
             }
             if now_ready {
-                self.try_schedule(w, complete);
+                self.try_schedule(w);
             }
         }
         if waiters.capacity() > 0 && self.waiter_pool.len() < 256 {
@@ -710,21 +795,24 @@ impl Core {
 
     // ---- fetch -----------------------------------------------------------
 
-    fn check_fetch_block(&mut self, _now: u64) {
-        if let Some(bseq) = self.fetch_blocked_by {
-            let penalty = self.params.mispredict_penalty;
-            let resolved = match self.entry(bseq) {
-                Some(e) if e.scheduled => Some(e.complete_at),
-                None => Some(0), // already retired: resolved long ago
-                _ => None,
-            };
-            if let Some(c) = resolved {
-                if c + penalty > self.fetch_stall_until {
-                    self.fetch_stall_until = c + penalty;
-                    self.fetch_stall_reason = FetchStallReason::Redirect;
-                }
-                self.fetch_blocked_by = None;
+    /// When the mispredicted branch blocking fetch resolved; `None` while
+    /// fetch is not blocked or the branch has no completion time yet.
+    fn fetch_block_resolved(&self) -> Option<u64> {
+        match self.rob_entry(self.fetch_blocked_by?) {
+            Some(e) if e.scheduled => Some(e.complete_at),
+            None => Some(0), // already retired: resolved long ago
+            _ => None,
+        }
+    }
+
+    fn check_fetch_block(&mut self) {
+        if let Some(c) = self.fetch_block_resolved() {
+            let until = c + self.params.mispredict_penalty;
+            if until > self.fetch_stall_until {
+                self.fetch_stall_until = until;
+                self.fetch_stall_reason = FetchStallReason::Redirect;
             }
+            self.fetch_blocked_by = None;
         }
     }
 
@@ -915,7 +1003,7 @@ impl Core {
                 self.store_q.push_back((seq, fi.ea & !7));
             }
             self.rob.push_back(fi);
-            self.try_schedule(seq, now);
+            self.try_schedule(seq);
 
             if mispredicted {
                 self.fetch_blocked_by = Some(seq);

@@ -216,6 +216,14 @@ impl CpiStack {
         }
     }
 
+    /// Accounts `cycles` cycles in which nothing committed, all charged to
+    /// `cause`: the same as that many `account_cycle(0, cause)` calls.
+    #[inline]
+    pub fn account_idle(&mut self, cycles: u64, cause: CpiComponent) {
+        self.cycles += cycles;
+        self.lost[cause as usize] += self.width * cycles;
+    }
+
     /// Total lost slots across all components.
     pub fn lost_total(&self) -> u64 {
         self.lost.iter().sum()

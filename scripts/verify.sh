@@ -77,11 +77,15 @@ echo "==> measured phase breakdown: coverage gate (ext_profile --quick)"
 target/release/ext_profile --quick --min-coverage 90 \
   --out target/PROF_phase_report.json >/dev/null
 
-echo "==> committed results drift: results/*.txt vs the binaries that print them"
-# Full-budget sweeps (~10 s each): the committed figure text must be what
-# this build prints, byte for byte.
-target/release/fig08_single --no-cache 2>/dev/null | cmp - results/fig08_single.txt
-target/release/fig01_perfect --no-cache 2>/dev/null | cmp - results/fig01_perfect.txt
+echo "==> committed results drift: every results/*.txt vs the binary that prints it"
+# Full-budget sweeps (seconds each, the 8-core mixes a minute or two): the
+# committed text must be what this build prints, byte for byte. Each file
+# is named after its binary.
+for f in results/*.txt; do
+  b=$(basename "$f" .txt)
+  target/release/"$b" --no-cache 2>/dev/null | cmp - "$f" || {
+    echo "$f is stale: regenerate with target/release/$b --no-cache > $f"; exit 1; }
+done
 
 echo "==> CMP figures smoke (fig16_cmp, fig17_scale --quick)"
 target/release/fig16_cmp --quick --small --no-cache -j 1 >/dev/null
