@@ -1,9 +1,9 @@
 //! Hot-path microbenchmarks for the structures the per-cycle loop leans
-//! on: MSHR probes and allocation, cache probe+fill, and a full
-//! `Core::cycle` against the real memory hierarchy. These are the
-//! operations the flat-table/packed-rank rewrite targets, so regressions
-//! here show up before they are visible in the `benchmark/` workloads'
-//! `sim_kips`.
+//! on: MSHR probes and allocation, cache probe+fill, the B-Fetch lookahead
+//! walk, and a full `Core::cycle` against the real memory hierarchy. These
+//! are the operations the flat-table/packed-rank rewrite targets, so
+//! regressions here show up before they are visible in the `benchmark/`
+//! workloads' `sim_kips`.
 //!
 //! Plain `harness = false` timing mains (no external bench framework is
 //! available offline); enable with `--features criterion-benches`:
@@ -12,6 +12,8 @@
 //! cargo bench -p bfetch-bench --features criterion-benches --bench hotpath
 //! ```
 
+use bfetch_bpred::{CompositeConfidence, ConfidenceConfig, TournamentConfig, TournamentPredictor};
+use bfetch_core::{BFetchConfig, BFetchEngine, DecodedBranch};
 use bfetch_mem::{
     drain_chip, CacheConfig, ChipGuard, HitLevel, MemorySystem, MshrFile, SetAssocCache,
 };
@@ -22,19 +24,84 @@ use std::time::Instant;
 
 const ITERS: u64 = 200_000;
 
+/// Median of 3 timed batches, each reporting its own ns per unit of work.
+fn median_of_3(batch: impl FnMut() -> f64) -> f64 {
+    let mut per_unit: Vec<f64> = std::iter::repeat_with(batch).take(3).collect();
+    per_unit.sort_by(|a, b| a.total_cmp(b));
+    per_unit[1]
+}
+
 /// Run `f` ITERS times and print ns/op (median of 3 batches).
 fn bench<R>(name: &str, mut f: impl FnMut() -> R) {
-    let mut per_op: Vec<f64> = (0..3)
-        .map(|_| {
-            let t = Instant::now();
-            for _ in 0..ITERS {
-                black_box(f());
-            }
-            t.elapsed().as_nanos() as f64 / ITERS as f64
-        })
-        .collect();
-    per_op.sort_by(|a, b| a.total_cmp(b));
-    println!("{name:<28} {:>10.1} ns/op", per_op[1]);
+    let per_op = median_of_3(|| {
+        let t = Instant::now();
+        for _ in 0..ITERS {
+            black_box(f());
+        }
+        t.elapsed().as_nanos() as f64 / ITERS as f64
+    });
+    println!("{name:<28} {per_op:>10.1} ns/op");
+}
+
+/// The lookahead walk, per walked block: the paper's Listing 1 loop (one
+/// block, one strided load, a backward branch the predictor is sure of), so
+/// every walk runs to the 24-block depth cap and re-derives the window the
+/// previous walk queued, one new iteration aside — the duplicate-heavy
+/// steady state of a streaming kernel. One walk per tick, the queue drained
+/// at the core's 2 prefetches per cycle.
+fn engine_walk() {
+    let (br_pc, loop_top) = (0x40_0400u64, 0x40_03f0u64);
+    let mut bp = TournamentPredictor::new(TournamentConfig::baseline());
+    let mut conf = CompositeConfidence::new(ConfidenceConfig::baseline());
+    let mut engine = BFetchEngine::new(BFetchConfig::baseline());
+    let mut regs = [0u64; 32];
+    regs[2] = 0x1_0000;
+    let mut ghr = 0u64;
+    let mut now = 0u64;
+    // one loop iteration: commit-side training, the register write the ARF
+    // samples, then the decoded branch's walk and the drain
+    let mut iteration = |engine: &mut BFetchEngine| {
+        now += 4;
+        let p = bp.predict(br_pc, ghr);
+        conf.train(br_pc, ghr, p.strength, p.taken);
+        bp.update(br_pc, ghr, true);
+        engine.on_commit_branch(br_pc, true, true, loop_top, br_pc + 4, &regs);
+        engine.on_commit_load(loop_top, 2, regs[2] + 0x18);
+        regs[2] += 0x80;
+        engine.post_regwrite(2, regs[2], now, now);
+        engine.on_branch_decoded(DecodedBranch {
+            pc: br_pc,
+            predicted_taken: true,
+            taken_target: loop_top,
+            fallthrough: br_pc + 4,
+            is_cond: true,
+            ghr_before: ghr,
+            confidence: conf.estimate(br_pc, ghr, p.strength),
+        });
+        ghr = (ghr << 1) | 1;
+        engine.tick(now, &bp, &conf);
+        engine.pop_prefetches(2).count()
+    };
+    for _ in 0..2_000 {
+        iteration(&mut engine);
+    }
+    let per_block = median_of_3(|| {
+        let walked = engine.stats().branches_walked;
+        let t = Instant::now();
+        for _ in 0..ITERS / 8 {
+            black_box(iteration(&mut engine));
+        }
+        let blocks = engine.stats().branches_walked - walked;
+        t.elapsed().as_nanos() as f64 / blocks as f64
+    });
+    let s = engine.stats();
+    println!(
+        "{:<28} {:>10.1} ns/block  (depth {:.1}, {:.2} queued/block)",
+        "engine.walk",
+        per_block,
+        s.mean_depth(),
+        s.candidates as f64 / s.branches_walked as f64
+    );
 }
 
 fn main() {
@@ -92,6 +159,8 @@ fn main() {
         i = i.wrapping_add(1);
         hot.access((i % 8) * 64).is_some()
     });
+
+    engine_walk();
 
     // Full Core::cycle on a pointer-chasing kernel with the B-Fetch engine
     // attached: fetch, schedule, commit, prefetch issue — the whole

@@ -75,6 +75,26 @@ pub struct CompositeConfidence {
     // empirical accuracy per 3-bit vote combination
     meter_correct: [u32; 8],
     meter_total: [u32; 8],
+    // `meter_estimate` of each combination's meters, refreshed wherever the
+    // meters change, so the per-walked-block `estimate` is a table read
+    estimates: [f64; 8],
+}
+
+/// The reported probability for vote combination `votes` given its accuracy
+/// meters: a weak Beta-like prior keyed to the vote count, so cold
+/// combinations start at a sensible place (all-confident ~0.97, none ~0.55).
+fn meter_estimate(votes: usize, correct: u32, total: u32) -> f64 {
+    let prior_p = match votes.count_ones() {
+        3 => 0.97,
+        2 => 0.90,
+        1 => 0.75,
+        _ => 0.55,
+    };
+    let prior_n = 32.0;
+    let c = correct as f64;
+    let t = total as f64;
+    let p = (c + prior_p * prior_n) / (t + prior_n);
+    p.clamp(0.01, 0.999)
 }
 
 impl CompositeConfidence {
@@ -86,12 +106,21 @@ impl CompositeConfidence {
     pub fn new(cfg: ConfidenceConfig) -> Self {
         assert!(cfg.jrs_entries.is_power_of_two(), "jrs size");
         assert!(cfg.updown_entries.is_power_of_two(), "updown size");
-        Self {
+        let mut c = Self {
             cfg,
             jrs: vec![0; cfg.jrs_entries],
             updown: vec![cfg.updown_max / 2; cfg.updown_entries],
             meter_correct: [0; 8],
             meter_total: [0; 8],
+            estimates: [0.0; 8],
+        };
+        c.refresh_estimates();
+        c
+    }
+
+    fn refresh_estimates(&mut self) {
+        for v in 0..8 {
+            self.estimates[v] = meter_estimate(v, self.meter_correct[v], self.meter_total[v]);
         }
     }
 
@@ -122,20 +151,7 @@ impl CompositeConfidence {
     /// (looked up under history `ghr`, with predictor counter strength
     /// `self_strength`) is correct. Always in `(0, 1)`.
     pub fn estimate(&self, pc: u64, ghr: u64, self_strength: u8) -> f64 {
-        let v = self.votes(pc, ghr, self_strength);
-        // Weak Beta-like prior keyed to the vote count so cold combinations
-        // start at a sensible place: all-confident ~0.97, none ~0.55.
-        let prior_p = match v.count_ones() {
-            3 => 0.97,
-            2 => 0.90,
-            1 => 0.75,
-            _ => 0.55,
-        };
-        let prior_n = 32.0;
-        let c = self.meter_correct[v] as f64;
-        let t = self.meter_total[v] as f64;
-        let p = (c + prior_p * prior_n) / (t + prior_n);
-        p.clamp(0.01, 0.999)
+        self.estimates[self.votes(pc, ghr, self_strength)]
     }
 
     /// Trains the estimator with the resolved correctness of a prediction.
@@ -149,6 +165,7 @@ impl CompositeConfidence {
         if correct {
             self.meter_correct[v] += 1;
         }
+        self.estimates[v] = meter_estimate(v, self.meter_correct[v], self.meter_total[v]);
 
         let ji = self.jrs_index(pc, ghr);
         if correct {
@@ -198,6 +215,7 @@ impl bfetch_snapshot::SnapState for CompositeConfidence {
         bfetch_snapshot::load_slice_exact(&mut self.updown, r, "confidence updown table")?;
         self.meter_correct = <[u32; 8]>::load(r)?;
         self.meter_total = <[u32; 8]>::load(r)?;
+        self.refresh_estimates();
         Ok(())
     }
 }
@@ -295,6 +313,71 @@ mod tests {
             c.train(i * 4, i, (i % 4) as u8, i % 3 != 0);
             let e = c.estimate(i * 4, i, (i % 4) as u8);
             assert!(e > 0.0 && e < 1.0);
+        }
+    }
+
+    /// The expression `estimate` evaluated per call before it read a table.
+    fn closed_form(c: &CompositeConfidence, v: usize) -> f64 {
+        let prior_p = [0.55, 0.75, 0.90, 0.97][v.count_ones() as usize];
+        let p = (c.meter_correct[v] as f64 + prior_p * 32.0) / (c.meter_total[v] as f64 + 32.0);
+        p.clamp(0.01, 0.999)
+    }
+
+    #[test]
+    fn estimate_is_the_closed_form_for_every_vote_combination() {
+        for case in 0..bfetch_prng::cases(16) as u64 {
+            let mut r = bfetch_prng::Pcg32::new(0xc0f1_0001 ^ case);
+            let mut c = CompositeConfidence::new(ConfidenceConfig::baseline());
+            if case % 2 == 1 {
+                // park every meter just short of the halving branch, as a
+                // restored snapshot of a very long run would
+                c.meter_total = [u32::MAX / 2 - 3; 8];
+                c.meter_correct = std::array::from_fn(|_| r.gen_range(1 << 31) as u32);
+                c.refresh_estimates();
+            }
+            let (mut seen, mut queried) = ([false; 8], [false; 8]);
+            let mut halved = false;
+            for _ in 0..4000 {
+                // few PCs and histories, so counters cross their thresholds;
+                // every PC is always right under one history (JRS confident)
+                // and odd PCs mostly wrong under the rest (up/down not), so
+                // every combination turns up
+                let k = r.gen_range(16);
+                let pc = 0x40_0000 + k * 4;
+                let ghr = r.gen_range(4) << 4;
+                let strength = r.gen_range(4) as u8;
+                let v = c.votes(pc, ghr, strength);
+                seen[v] = true;
+                let before = c.meter_total[v];
+                let correct = ghr == 0 || r.gen_bool(if k % 2 == 1 { 0.2 } else { 0.9 });
+                c.train(pc, ghr, strength, correct);
+                halved |= c.meter_total[v] < before;
+                for q in 0..4u64 {
+                    let (pc, ghr, s) = (pc + q * 4, ghr ^ q, (strength + q as u8) % 4);
+                    let v = c.votes(pc, ghr, s);
+                    queried[v] = true;
+                    assert_eq!(
+                        c.estimate(pc, ghr, s).to_bits(),
+                        closed_form(&c, v).to_bits()
+                    );
+                }
+            }
+            assert_eq!(seen, [true; 8], "every vote combination trained");
+            assert_eq!(queried, [true; 8], "every vote combination estimated");
+            assert_eq!(halved, case % 2 == 1, "odd cases cross the halving branch");
+
+            // a restore recomputes the table from the meters it loads
+            use bfetch_snapshot::SnapState as _;
+            let mut w = bfetch_snapshot::Encoder::new();
+            c.save_state(&mut w);
+            let bytes = w.into_bytes();
+            let mut back = CompositeConfidence::new(ConfidenceConfig::baseline());
+            back.load_state(&mut bfetch_snapshot::Decoder::new(&bytes))
+                .expect("own snapshot loads");
+            assert_eq!(
+                back.estimates.map(f64::to_bits),
+                c.estimates.map(f64::to_bits)
+            );
         }
     }
 

@@ -40,6 +40,8 @@
 //! assert!(p.taken);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod btb;
 pub mod confidence;
 pub mod ghr;

@@ -100,24 +100,6 @@ impl BranchTraceCache {
         }
     }
 
-    /// Cache-prefetch hint: pulls the slot for `key` toward L1 ahead of a
-    /// `lookup` (see `MemoryHistoryTable::prefetch_hint`). No
-    /// architectural effect.
-    #[inline]
-    pub fn prefetch_hint(&self, key: u64) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the pointer stays inside the slots allocation (idx is
-        // masked to the table size) and _mm_prefetch has no side effects
-        // beyond the cache hint.
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let idx = (key as usize) & self.mask;
-            _mm_prefetch(self.slots.as_ptr().add(idx) as *const i8, _MM_HINT_T0);
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = key;
-    }
-
     /// `(lookups, hits)` counters.
     pub fn stats(&self) -> (u64, u64) {
         (self.lookups, self.hits)

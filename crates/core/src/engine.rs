@@ -7,7 +7,7 @@ use crate::config::{BFetchConfig, StorageReport};
 use crate::filter::PerLoadFilter;
 use crate::mht::MemoryHistoryTable;
 use bfetch_bpred::{CompositeConfidence, DirectionPredictor, PathConfidence, SpeculativeCursor};
-use bfetch_mem::probe::find_line;
+use bfetch_mem::probe::{find_line, NO_LINE};
 use bfetch_mem::{line_of, LINE_BYTES};
 use bfetch_stats::trace::{DropReason, TraceKind, Tracer};
 use std::collections::VecDeque;
@@ -119,24 +119,13 @@ pub struct BFetchEngine {
     arf: AlternateRegisterFile,
     filter: PerLoadFilter,
     dbr: VecDeque<DecodedBranch>,
-    queue: VecDeque<PrefetchCandidate>,
-    // the queued candidates' line addresses, mirrored in push/drain order,
-    // so the per-candidate dedup check is a flat chunked `find_line` scan
-    // instead of an O(queue) `line_of` recomputation per element — the
-    // single hottest comparison loop in a deep lookahead walk
-    queue_lines: VecDeque<u64>,
+    queue: CandidateQueue,
     iqueue: VecDeque<u64>,
     last_branch: Option<(u64, bool, u64)>, // (pc, taken, actual target)
     cur_bb: Option<(u64, u64)>,            // (key, branch pc)
     bb_snapshot: [u64; 32],
-    // small CAM of recently queued lines: consecutive lookahead walks
-    // largely re-derive the same window, and re-issuing those lines would
-    // waste prefetch-port bandwidth on hierarchy-side redundancy drops
-    recent_lines: [u64; 64],
-    recent_pos: usize,
     // per-walk scratch, reused across calls so the per-cycle path never
     // allocates once warm (DESIGN.md "Performance engineering")
-    slot_scratch: Vec<crate::mht::MhtSlot>,
     visit_scratch: Vec<(u64, u32)>, // (bb key, visit count) for loop detection
     stats: EngineStats,
     tracer: Tracer,
@@ -151,15 +140,11 @@ impl BFetchEngine {
             arf: AlternateRegisterFile::new(cfg.arf_sampling_delay),
             filter: PerLoadFilter::new(cfg.filter_entries, cfg.filter_threshold),
             dbr: VecDeque::with_capacity(cfg.dbr_entries),
-            queue: VecDeque::with_capacity(cfg.queue_entries),
-            queue_lines: VecDeque::with_capacity(cfg.queue_entries),
+            queue: CandidateQueue::new(cfg.queue_entries),
             iqueue: VecDeque::with_capacity(cfg.queue_entries),
             last_branch: None,
             cur_bb: None,
             bb_snapshot: [0; 32],
-            recent_lines: [u64::MAX; 64],
-            recent_pos: 0,
-            slot_scratch: Vec::with_capacity(cfg.mht_slots),
             visit_scratch: Vec::with_capacity(8),
             stats: EngineStats::default(),
             tracer: Tracer::disabled(),
@@ -220,51 +205,28 @@ impl BFetchEngine {
         self.lookahead(db, bp, conf, now);
     }
 
-    fn push_candidate(&mut self, addr: u64, pc_hash: u16, now: u64) {
-        debug_assert_eq!(self.queue.len(), self.queue_lines.len());
-        let line = line_of(addr);
-        if find_line(&self.recent_lines, line).is_some() {
-            return; // queued or issued moments ago
-        }
-        if deque_contains_line(&self.queue_lines, line) {
-            return; // already queued
-        }
-        if self.queue.len() >= self.cfg.queue_entries {
-            self.stats.queue_overflow += 1;
-            self.tracer.emit(
-                now,
-                TraceKind::PrefetchDropped {
-                    line,
-                    pc_hash,
-                    reason: DropReason::QueueFull,
-                },
-            );
-            return;
-        }
-        self.stats.candidates += 1;
-        self.recent_lines[self.recent_pos] = line;
-        self.recent_pos = (self.recent_pos + 1) % self.recent_lines.len();
-        self.queue.push_back(PrefetchCandidate { addr, pc_hash });
-        self.queue_lines.push_back(line);
-    }
-
     fn emit_for_block(&mut self, key: u64, branch_pc: u64, loop_cnt: u32, now: u64) {
-        // copy the valid slots into the reusable scratch buffer (disjoint
-        // field borrows: `mht` is read while `slot_scratch` is written)
-        self.slot_scratch.clear();
-        match self.mht.lookup(key, branch_pc) {
-            Some(slots) => self
-                .slot_scratch
-                .extend(slots.iter().filter(|s| s.valid).copied()),
-            None => return,
-        }
-        let effective_loop_cnt = if self.cfg.enable_loops { loop_cnt } else { 0 };
-        for i in 0..self.slot_scratch.len() {
-            let s = self.slot_scratch[i];
-            let base = s.prefetch_address(self.arf.read(s.reg_idx as usize), effective_loop_cnt);
-            if self.cfg.enable_filter && !self.filter.allow(s.load_pc_hash) {
-                self.stats.filtered += 1;
-                self.tracer.emit(
+        // disjoint field borrows: the MHT lane is read in place while the
+        // filter, queue and counters beside it are written
+        let Self {
+            cfg,
+            mht,
+            arf,
+            filter,
+            queue,
+            stats,
+            tracer,
+            ..
+        } = self;
+        let Some(slots) = mht.lookup(key, branch_pc) else {
+            return;
+        };
+        let effective_loop_cnt = if cfg.enable_loops { loop_cnt } else { 0 };
+        for s in slots.iter().filter(|s| s.valid) {
+            let base = s.prefetch_address(arf.read(s.reg_idx as usize), effective_loop_cnt);
+            if cfg.enable_filter && !filter.allow(s.load_pc_hash) {
+                stats.filtered += 1;
+                tracer.emit(
                     now,
                     TraceKind::PrefetchDropped {
                         line: line_of(base),
@@ -274,24 +236,17 @@ impl BFetchEngine {
                 );
                 continue;
             }
-            self.push_candidate(base, s.load_pc_hash, now);
-            if !self.cfg.enable_patt {
+            let mut push = |addr| queue.push(addr, s.load_pc_hash, now, stats, tracer);
+            push(base);
+            if !cfg.enable_patt {
                 continue;
             }
             for b in 0..5u32 {
                 if s.pos_patt & (1 << b) != 0 {
-                    self.push_candidate(
-                        base.wrapping_add((b as u64 + 1) * LINE_BYTES),
-                        s.load_pc_hash,
-                        now,
-                    );
+                    push(base.wrapping_add((b as u64 + 1) * LINE_BYTES));
                 }
                 if s.neg_patt & (1 << b) != 0 {
-                    self.push_candidate(
-                        base.wrapping_sub((b as u64 + 1) * LINE_BYTES),
-                        s.load_pc_hash,
-                        now,
-                    );
+                    push(base.wrapping_sub((b as u64 + 1) * LINE_BYTES));
                 }
             }
         }
@@ -366,20 +321,6 @@ impl BFetchEngine {
                 }
             }
 
-            // Both possible next-block keys are known the moment the BrTC
-            // entry returns, but the walk won't probe either table until
-            // the direction predictor and confidence estimator below have
-            // run — hint both so the entry lines are in flight behind that
-            // work. Pure cache hints, no architectural effect.
-            let key_t = bb_key(next_branch_pc, true, next_taken_target);
-            self.mht.prefetch_hint(key_t);
-            self.brtc.prefetch_hint(key_t);
-            if next_is_cond {
-                let key_n = bb_key(next_branch_pc, false, next_branch_pc + 4);
-                self.mht.prefetch_hint(key_n);
-                self.brtc.prefetch_hint(key_n);
-            }
-
             if next_is_cond {
                 let ghr_before = cursor.ghr();
                 let pred = cursor.predict_and_advance(bp, next_branch_pc);
@@ -407,13 +348,8 @@ impl BFetchEngine {
     /// Drains up to `max` prefetch candidates from the queue, oldest
     /// first, without allocating (the caller consumes the iterator; any
     /// items it leaves unconsumed are still removed from the queue).
-    pub fn pop_prefetches(
-        &mut self,
-        max: usize,
-    ) -> impl Iterator<Item = PrefetchCandidate> + '_ {
-        let n = max.min(self.queue.len());
-        self.queue_lines.drain(..n);
-        self.queue.drain(..n)
+    pub fn pop_prefetches(&mut self, max: usize) -> impl Iterator<Item = PrefetchCandidate> + '_ {
+        self.queue.pop(max)
     }
 
     /// Drains up to `max` *instruction* prefetch addresses (empty unless
@@ -433,7 +369,7 @@ impl BFetchEngine {
 
     /// Candidates currently waiting in the queue.
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.queue.entries.len()
     }
 
     /// Whether [`BFetchEngine::tick`] and both `pop_*` drains would find
@@ -442,7 +378,7 @@ impl BFetchEngine {
     /// decode- and commit-side hooks (and feedback, which trains the filter
     /// but queues nothing), so the embedding core need not tick it.
     pub fn is_drained(&self) -> bool {
-        self.dbr.is_empty() && self.queue.is_empty() && self.iqueue.is_empty()
+        self.dbr.is_empty() && self.queue.entries.is_empty() && self.iqueue.is_empty()
     }
 
     // ---- commit side -----------------------------------------------------
@@ -510,6 +446,192 @@ impl BFetchEngine {
     }
 }
 
+/// Buckets per [`LineSet`] (a power of two): 4.5 KB a set, 9 KB an engine.
+const LINE_SET_BUCKETS: usize = 512;
+
+/// An exact membership accelerator over a small multiset of line addresses
+/// whose truth lives elsewhere (the `recent_lines` ring, `queue_lines`).
+/// Each bucket keeps how many members hash to it and the XOR of their
+/// addresses: count 0 proves absence, count 1 names the only member, and a
+/// shared bucket defers to the caller's scan — so every answer is the
+/// scan's answer (DESIGN.md §13.6). Derived state: never serialized,
+/// rebuilt from the scanned arrays on restore.
+#[derive(Debug)]
+struct LineSet {
+    xor: [u64; LINE_SET_BUCKETS],
+    count: [u8; LINE_SET_BUCKETS],
+}
+
+impl LineSet {
+    /// A count that reached `u8::MAX` is no longer tracked: the bucket stays
+    /// there and answers by scan for good. Only a queue configured past 255
+    /// entries can get a bucket that far.
+    const OVERFLOWED: u8 = u8::MAX;
+
+    fn new() -> Box<Self> {
+        Box::new(Self {
+            xor: [0; LINE_SET_BUCKETS],
+            count: [0; LINE_SET_BUCKETS],
+        })
+    }
+
+    /// Fibonacci hash of the line number: neighbouring and power-of-two
+    /// strided lines, what a lookahead window is made of, spread evenly.
+    #[inline]
+    fn bucket(line: u64) -> usize {
+        const SHIFT: u32 = u64::BITS - LINE_SET_BUCKETS.trailing_zeros();
+        const _: () = assert!(LINE_SET_BUCKETS.is_power_of_two());
+        ((line / LINE_BYTES).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> SHIFT) as usize
+    }
+
+    #[inline]
+    fn insert(&mut self, line: u64) {
+        let b = Self::bucket(line);
+        if self.count[b] != Self::OVERFLOWED {
+            self.count[b] += 1;
+            self.xor[b] ^= line;
+        }
+    }
+
+    #[inline]
+    fn remove(&mut self, line: u64) {
+        let b = Self::bucket(line);
+        if self.count[b] != Self::OVERFLOWED {
+            debug_assert!(self.count[b] > 0, "removing a line that was never inserted");
+            self.count[b] -= 1;
+            self.xor[b] ^= line;
+        }
+    }
+
+    /// Whether `line` is a member; `scan` is the authoritative search the
+    /// set stands in front of, consulted only for a shared bucket.
+    #[inline]
+    fn contains(&self, line: u64, scan: impl Fn() -> bool) -> bool {
+        let b = Self::bucket(line);
+        let hit = match self.count[b] {
+            0 => false,
+            1 => self.xor[b] == line,
+            _ => scan(),
+        };
+        debug_assert_eq!(hit, scan(), "line set disagrees with the scan");
+        hit
+    }
+}
+
+/// The bounded prefetch queue with its two de-duplication windows.
+#[derive(Debug)]
+struct CandidateQueue {
+    capacity: usize,
+    entries: VecDeque<PrefetchCandidate>,
+    // `line_of(entries[i].addr)`, mirrored in push/drain order: what "is
+    // this line already queued?" means, and the flat array the chunked
+    // `find_line` scan answers it from when `queue_set` cannot
+    lines: VecDeque<u64>,
+    // ring of the last 64 lines queued (`NO_LINE` until first written):
+    // consecutive lookahead walks largely re-derive the same window, and
+    // re-issuing those lines would waste prefetch-port bandwidth on
+    // hierarchy-side redundancy drops. Like `lines`, the truth that
+    // `recent_set` is derived from and checked against
+    recent_lines: [u64; 64],
+    recent_pos: usize,
+    recent_set: Box<LineSet>,
+    queue_set: Box<LineSet>,
+}
+
+impl CandidateQueue {
+    fn new(capacity: usize) -> Self {
+        Self {
+            capacity,
+            entries: VecDeque::with_capacity(capacity),
+            lines: VecDeque::with_capacity(capacity),
+            recent_lines: [NO_LINE; 64],
+            recent_pos: 0,
+            recent_set: LineSet::new(),
+            queue_set: LineSet::new(),
+        }
+    }
+
+    /// Queues `addr` unless its line was queued moments ago, is queued
+    /// now, or the queue is full (counted and traced as an overflow).
+    fn push(
+        &mut self,
+        addr: u64,
+        pc_hash: u16,
+        now: u64,
+        stats: &mut EngineStats,
+        tracer: &Tracer,
+    ) {
+        debug_assert_eq!(self.entries.len(), self.lines.len());
+        let line = line_of(addr);
+        if self
+            .recent_set
+            .contains(line, || find_line(&self.recent_lines, line).is_some())
+            || self
+                .queue_set
+                .contains(line, || deque_contains_line(&self.lines, line))
+        {
+            return;
+        }
+        if self.entries.len() >= self.capacity {
+            stats.queue_overflow += 1;
+            tracer.emit(
+                now,
+                TraceKind::PrefetchDropped {
+                    line,
+                    pc_hash,
+                    reason: DropReason::QueueFull,
+                },
+            );
+            return;
+        }
+        stats.candidates += 1;
+        let evicted = std::mem::replace(&mut self.recent_lines[self.recent_pos], line);
+        if evicted != NO_LINE {
+            self.recent_set.remove(evicted);
+        }
+        self.recent_set.insert(line);
+        self.recent_pos = (self.recent_pos + 1) % self.recent_lines.len();
+        self.entries.push_back(PrefetchCandidate { addr, pc_hash });
+        self.lines.push_back(line);
+        self.queue_set.insert(line);
+    }
+
+    fn pop(&mut self, max: usize) -> impl Iterator<Item = PrefetchCandidate> + '_ {
+        let n = max.min(self.entries.len());
+        for line in self.lines.drain(..n) {
+            self.queue_set.remove(line);
+        }
+        self.entries.drain(..n)
+    }
+
+    /// Checks the restored arrays against each other and the configuration,
+    /// then rebuilds both sets from them.
+    fn validate_and_index(&mut self) -> Result<(), bfetch_snapshot::SnapshotError> {
+        let consistent = self.entries.len() <= self.capacity
+            && self.entries.len() == self.lines.len()
+            && self.recent_pos < self.recent_lines.len()
+            && self
+                .entries
+                .iter()
+                .zip(&self.lines)
+                .all(|(c, &line)| line_of(c.addr) == line);
+        if !consistent {
+            return Err(bfetch_snapshot::SnapshotError::Invalid {
+                what: "bfetch engine prefetch queue",
+            });
+        }
+        self.recent_set = LineSet::new();
+        self.queue_set = LineSet::new();
+        for &line in self.recent_lines.iter().filter(|&&l| l != NO_LINE) {
+            self.recent_set.insert(line);
+        }
+        for &line in &self.lines {
+            self.queue_set.insert(line);
+        }
+        Ok(())
+    }
+}
+
 /// Chunked [`find_line`] over a deque's two contiguous halves.
 #[inline]
 fn deque_contains_line(dq: &VecDeque<u64>, line: u64) -> bool {
@@ -549,9 +671,10 @@ bfetch_snapshot::impl_snap_struct!(EngineStats {
 
 // The configuration and tracer are not serialized: restore happens into an
 // engine freshly built from the run's `BFetchConfig`, and the tracer is
-// re-installed by the embedding simulator. The per-walk scratch buffers
-// (`slot_scratch`, `visit_scratch`) are cleared at the start of every use,
-// so an empty pair on resume is indistinguishable from never stopping.
+// re-installed by the embedding simulator. The per-walk `visit_scratch` is
+// cleared at the start of every use, so an empty one on resume is
+// indistinguishable from never stopping. The queue's two `LineSet`s are
+// functions of `lines` and `recent_lines` and are rebuilt from them.
 impl bfetch_snapshot::SnapState for BFetchEngine {
     fn save_state(&self, w: &mut bfetch_snapshot::Encoder) {
         use bfetch_snapshot::Snap as _;
@@ -560,14 +683,14 @@ impl bfetch_snapshot::SnapState for BFetchEngine {
         self.arf.save_state(w);
         self.filter.save_state(w);
         self.dbr.save(w);
-        self.queue.save(w);
-        self.queue_lines.save(w);
+        self.queue.entries.save(w);
+        self.queue.lines.save(w);
         self.iqueue.save(w);
         self.last_branch.save(w);
         self.cur_bb.save(w);
         self.bb_snapshot.save(w);
-        self.recent_lines.save(w);
-        self.recent_pos.save(w);
+        self.queue.recent_lines.save(w);
+        self.queue.recent_pos.save(w);
         self.stats.save(w);
     }
 
@@ -581,24 +704,21 @@ impl bfetch_snapshot::SnapState for BFetchEngine {
         self.arf.load_state(r)?;
         self.filter.load_state(r)?;
         self.dbr = bfetch_snapshot::Snap::load(r)?;
-        self.queue = bfetch_snapshot::Snap::load(r)?;
-        self.queue_lines = bfetch_snapshot::Snap::load(r)?;
+        self.queue.entries = bfetch_snapshot::Snap::load(r)?;
+        self.queue.lines = bfetch_snapshot::Snap::load(r)?;
         self.iqueue = bfetch_snapshot::Snap::load(r)?;
         self.last_branch = bfetch_snapshot::Snap::load(r)?;
         self.cur_bb = bfetch_snapshot::Snap::load(r)?;
         self.bb_snapshot = <[u64; 32]>::load(r)?;
-        self.recent_lines = <[u64; 64]>::load(r)?;
-        self.recent_pos = usize::load(r)?;
+        self.queue.recent_lines = <[u64; 64]>::load(r)?;
+        self.queue.recent_pos = usize::load(r)?;
         self.stats = EngineStats::load(r)?;
-        if self.dbr.len() > self.cfg.dbr_entries.max(1)
-            || self.queue.len() > self.cfg.queue_entries
-            || self.queue.len() != self.queue_lines.len()
-        {
+        if self.dbr.len() > self.cfg.dbr_entries.max(1) {
             return Err(bfetch_snapshot::SnapshotError::Invalid {
-                what: "bfetch engine queue bounds",
+                what: "bfetch engine dbr bounds",
             });
         }
-        Ok(())
+        self.queue.validate_and_index()
     }
 }
 
@@ -770,12 +890,16 @@ mod tests {
         assert!(e.stats().filtered > 0);
     }
 
+    fn push(e: &mut BFetchEngine, addr: u64, pc_hash: u16) {
+        e.queue.push(addr, pc_hash, 0, &mut e.stats, &e.tracer);
+    }
+
     #[test]
     fn queue_dedupes_same_line() {
         let mut e = BFetchEngine::new(BFetchConfig::baseline());
-        e.push_candidate(0x1000, 1, 0);
-        e.push_candidate(0x1008, 2, 0); // same line
-        e.push_candidate(0x1040, 3, 0);
+        push(&mut e, 0x1000, 1);
+        push(&mut e, 0x1008, 2); // same line
+        push(&mut e, 0x1040, 3);
         assert_eq!(e.queue_len(), 2);
     }
 
@@ -786,9 +910,194 @@ mod tests {
             ..BFetchConfig::baseline()
         });
         for i in 0..10u64 {
-            e.push_candidate(i * 64, 0, 0);
+            push(&mut e, i * 64, 0);
         }
         assert_eq!(e.queue_len(), 4);
         assert_eq!(e.stats().queue_overflow, 6);
+    }
+
+    /// The dedupe rule written as the two scans alone: what `CandidateQueue`
+    /// must reproduce whatever its `LineSet`s answer.
+    struct ScanQueue {
+        capacity: usize,
+        entries: VecDeque<PrefetchCandidate>,
+        recent: [u64; 64],
+        pos: usize,
+        candidates: u64,
+        overflow: u64,
+    }
+
+    impl ScanQueue {
+        fn push(&mut self, addr: u64, pc_hash: u16) {
+            let line = line_of(addr);
+            if self.recent.contains(&line) || self.entries.iter().any(|c| line_of(c.addr) == line) {
+                return;
+            }
+            if self.entries.len() >= self.capacity {
+                self.overflow += 1;
+                return;
+            }
+            self.candidates += 1;
+            self.recent[self.pos] = line;
+            self.pos = (self.pos + 1) % 64;
+            self.entries.push_back(PrefetchCandidate { addr, pc_hash });
+        }
+    }
+
+    fn assert_matches(e: &BFetchEngine, r: &ScanQueue, step: usize) {
+        assert_eq!(e.queue.entries, r.entries, "queue at step {step}");
+        assert_eq!(e.queue.recent_lines, r.recent, "ring at step {step}");
+        assert_eq!(e.queue.recent_pos, r.pos, "ring cursor at step {step}");
+        assert_eq!(
+            e.stats.candidates, r.candidates,
+            "candidates at step {step}"
+        );
+        assert_eq!(
+            e.stats.queue_overflow, r.overflow,
+            "overflow at step {step}"
+        );
+    }
+
+    fn save(e: &BFetchEngine) -> Vec<u8> {
+        use bfetch_snapshot::SnapState as _;
+        let mut w = bfetch_snapshot::Encoder::new();
+        e.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    fn load(bytes: &[u8]) -> Result<BFetchEngine, bfetch_snapshot::SnapshotError> {
+        use bfetch_snapshot::SnapState as _;
+        let mut e = BFetchEngine::new(BFetchConfig::baseline());
+        e.load_state(&mut bfetch_snapshot::Decoder::new(bytes))?;
+        Ok(e)
+    }
+
+    /// Lines drawn from a universe a little larger than the bucket count, so
+    /// ring and queue members share buckets all the time, pushed in bursts
+    /// that fill the 100-entry queue and drained in bursts that empty it.
+    #[test]
+    fn line_sets_never_change_what_the_scans_decide() {
+        for case in 0..bfetch_prng::cases(8) as u64 {
+            let mut rng = bfetch_prng::Pcg32::new(0xded0_0001 ^ case);
+            let mut e = BFetchEngine::new(BFetchConfig::baseline());
+            let mut r = ScanQueue {
+                capacity: e.cfg.queue_entries,
+                entries: VecDeque::new(),
+                recent: [NO_LINE; 64],
+                pos: 0,
+                candidates: 0,
+                overflow: 0,
+            };
+            // a resumed twin, swapped in mid-stream
+            let resume_at = 2000 + rng.gen_range(2000) as usize;
+            let (mut shared_buckets, mut full, mut emptied) = (false, false, false);
+            for step in 0..6000 {
+                if step == resume_at {
+                    e = load(&save(&e)).expect("own snapshot loads");
+                }
+                // alternate phases that outrun the drain with ones it outruns
+                let filling = (step / 500) % 2 == 0;
+                for _ in 0..rng.gen_range(if filling { 6 } else { 2 }) {
+                    // two strided regions plus byte offsets inside the line
+                    let k = rng.gen_range(700);
+                    let addr = if k < 400 {
+                        0x10_0000 + k * 64
+                    } else {
+                        0x4000_0000 + (k - 400) * 4096
+                    } + rng.gen_range(64);
+                    let pc_hash = rng.gen_range(1024) as u16;
+                    push(&mut e, addr, pc_hash);
+                    r.push(addr, pc_hash);
+                }
+                let max = rng.gen_range(if filling { 3 } else { 8 }) as usize;
+                let got: Vec<_> = e.pop_prefetches(max).collect();
+                let n = max.min(r.entries.len());
+                let want: Vec<_> = r.entries.drain(..n).collect();
+                assert_eq!(got, want, "drained at step {step}");
+                assert_matches(&e, &r, step);
+                shared_buckets |= e.queue.queue_set.count.iter().any(|&c| c > 1)
+                    && e.queue.recent_set.count.iter().any(|&c| c > 1);
+                full |= r.entries.len() == r.capacity;
+                emptied |= step > 0 && r.entries.is_empty();
+            }
+            assert!(
+                shared_buckets && full && emptied && r.overflow > 0,
+                "the stream must exercise shared buckets, a full queue and an empty one"
+            );
+
+            // empty both windows: nothing may be left behind in either set
+            assert_eq!(e.pop_prefetches(usize::MAX).count(), r.entries.len());
+            assert!(e.queue.queue_set.count.iter().all(|&c| c == 0));
+            assert!(e.queue.queue_set.xor.iter().all(|&x| x == 0));
+            for line in e.queue.recent_lines {
+                e.queue.recent_set.remove(line);
+            }
+            assert!(e.queue.recent_set.count.iter().all(|&c| c == 0));
+            assert!(e.queue.recent_set.xor.iter().all(|&x| x == 0));
+        }
+    }
+
+    /// A bucket pushed to the count's ceiling (a queue configured past 255
+    /// entries could) stops being tracked and answers by scan from then on.
+    #[test]
+    fn overflowed_bucket_defers_to_the_scan_for_good() {
+        let mut set = LineSet::new();
+        let b = LineSet::bucket(0);
+        let same_bucket: Vec<u64> = (0..)
+            .map(|n| n * LINE_BYTES)
+            .filter(|&l| LineSet::bucket(l) == b)
+            .take(300)
+            .collect();
+        for &l in &same_bucket {
+            set.insert(l);
+        }
+        assert_eq!(set.count[b], LineSet::OVERFLOWED);
+        for &l in &same_bucket[..299] {
+            set.remove(l);
+        }
+        assert_eq!(set.count[b], LineSet::OVERFLOWED);
+        for truth in [false, true] {
+            assert_eq!(set.contains(same_bucket[299], || truth), truth);
+            assert_eq!(set.contains(same_bucket[0], || truth), truth);
+        }
+    }
+
+    #[test]
+    fn snapshot_round_trips_and_rejects_inconsistent_queue_state() {
+        let mut e = BFetchEngine::new(BFetchConfig::baseline());
+        for i in 0..70u64 {
+            push(&mut e, 0x8000 + i * 64, i as u16);
+        }
+        assert_eq!(e.pop_prefetches(3).count(), 3);
+        let bytes = save(&e);
+        let back = load(&bytes).expect("valid snapshot");
+        assert_eq!(save(&back), bytes, "re-encoding is canonical");
+        assert_eq!(back.queue.queue_set.count, e.queue.queue_set.count);
+        assert_eq!(back.queue.queue_set.xor, e.queue.queue_set.xor);
+        assert_eq!(back.queue.recent_set.count, e.queue.recent_set.count);
+        assert_eq!(back.queue.recent_set.xor, e.queue.recent_set.xor);
+
+        let invalid = |what: &str, bytes: Vec<u8>| match load(&bytes) {
+            Err(bfetch_snapshot::SnapshotError::Invalid { .. }) => {}
+            other => panic!("{what}: expected Invalid, got {:?}", other.map(|_| ())),
+        };
+
+        // a ring cursor past the ring would index out of bounds on the
+        // next push
+        e.queue.recent_pos = e.queue.recent_lines.len();
+        invalid("recent_pos == 64", save(&e));
+        e.queue.recent_pos = usize::MAX;
+        invalid("recent_pos == usize::MAX", save(&e));
+        e.queue.recent_pos = 0;
+
+        // a mirrored line that is not its candidate's line would change
+        // what dedupes after resume
+        e.queue.lines[5] += 64;
+        invalid("queue_lines[5] != line_of(queue[5].addr)", save(&e));
+        e.queue.lines[5] -= 64;
+
+        e.queue.lines.pop_back();
+        invalid("queue_lines shorter than queue", save(&e));
+        load(&bytes).expect("the untouched snapshot still loads");
     }
 }

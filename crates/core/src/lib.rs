@@ -36,6 +36,8 @@
 //! assert!(report.total_kb() < 16.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod arf;
 pub mod brtc;
 pub mod config;

@@ -222,8 +222,10 @@ impl MemoryHistoryTable {
         e.valid_mask |= 1 << pos;
     }
 
-    /// Looks up the register-history slots for the block entered via
-    /// `key`/`branch_pc`. Returns only valid slots.
+    /// Looks up the block entered via `key`/`branch_pc`. A hit returns the
+    /// entry's whole slot lane — all `slots_per_entry` slots in allocation
+    /// order, at least one of them valid — so callers check
+    /// [`MhtSlot::valid`] per slot.
     pub fn lookup(&mut self, key: u64, branch_pc: u64) -> Option<&[MhtSlot]> {
         self.lookups += 1;
         let idx = (key as usize) & self.mask;
@@ -235,29 +237,6 @@ impl MemoryHistoryTable {
         } else {
             None
         }
-    }
-
-    /// Cache-prefetch hint: pulls the entry header and its slot lane for
-    /// `key` toward L1 ahead of a `lookup`. No architectural effect — the
-    /// lookahead walk calls this for both possible next-block keys while
-    /// the direction predictor is still deciding which one it will probe.
-    #[inline]
-    pub fn prefetch_hint(&self, key: u64) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: both pointers stay inside their Vec's allocation (idx is
-        // masked to the table size) and _mm_prefetch has no side effects
-        // beyond the cache hint.
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let idx = (key as usize) & self.mask;
-            _mm_prefetch(self.entries.as_ptr().add(idx) as *const i8, _MM_HINT_T0);
-            _mm_prefetch(
-                self.slots.as_ptr().add(idx * self.slots_per_entry) as *const i8,
-                _MM_HINT_T0,
-            );
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = key;
     }
 
     /// `(lookups, hits)` counters.

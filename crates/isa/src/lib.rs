@@ -46,6 +46,8 @@
 //! assert_eq!(state.reg(Reg::R3), (0..16).sum::<u64>());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod asm;
 pub mod builder;
 /// The ISA + assembly-language reference manual (`docs/ISA.md`),

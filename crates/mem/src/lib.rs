@@ -32,6 +32,8 @@
 //! assert!(hit.complete_at - miss.complete_at <= 2 + 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod dram;
 pub mod hierarchy;

@@ -34,6 +34,8 @@
 //! assert!(!out.is_empty(), "steady 256B stride detected");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod isb;
 pub mod nextn;
 pub mod sms;

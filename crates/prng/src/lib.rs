@@ -26,6 +26,8 @@
 //! assert_eq!(a.next_u64(), b.next_u64());
 //! ```
 
+#![forbid(unsafe_code)]
+
 /// SplitMix64: a tiny, high-quality 64-bit generator and mixer.
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {

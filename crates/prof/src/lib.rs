@@ -32,6 +32,8 @@
 //! (loadable in `chrome://tracing` / Perfetto) or an aggregate [`Report`]
 //! with percentiles and per-thread breakdowns.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::{self, Write as _};
 
 /// Index into the fixed phase table ([`PHASE_NAMES`]).

@@ -29,6 +29,8 @@
 //! * Fills install when they complete, so prefetch timeliness (including
 //!   late prefetches that merge in the MSHRs) is modelled faithfully.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod cmp;
 pub mod config;

@@ -39,6 +39,8 @@
 //! assert_eq!(back, (7, vec![1, 2, 3]));
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::collections::VecDeque;
 use std::fmt;
 use std::path::Path;

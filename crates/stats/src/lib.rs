@@ -23,6 +23,8 @@
 //! assert!((ws - 3.0).abs() < 1e-9);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cdf;
 pub mod cpi;
 pub mod registry;

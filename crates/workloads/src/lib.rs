@@ -29,6 +29,8 @@
 //! assert!(p.len() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod faults;
 /// The workload-authoring guide (`docs/WORKLOADS.md`), included verbatim
 /// so its examples run as doctests.

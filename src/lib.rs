@@ -41,6 +41,8 @@
 //! # Ok::<(), bfetch::sim::SimError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use bfetch_bpred as bpred;
 pub use bfetch_core as core;
 pub use bfetch_isa as isa;
