@@ -140,11 +140,10 @@ fn main() {
     let conf = CompositeConfidence::new(ConfidenceConfig::baseline());
     let mut engine = BFetchEngine::new(BFetchConfig::baseline());
     // prime BrTC/MHT with a two-block loop
-    let regs = [0u64; 32];
     for _ in 0..64 {
-        engine.on_commit_branch(0x400100, true, true, 0x400080, 0x400104, &regs);
-        engine.on_commit_load(0x400084, 1, 0x1000);
-        engine.on_commit_branch(0x400200, true, true, 0x400100, 0x400204, &regs);
+        engine.on_commit_branch(0x400100, true, true, 0x400080, 0x400104);
+        engine.on_commit_load(0x400084, 1, 0, 0x1000);
+        engine.on_commit_branch(0x400200, true, true, 0x400100, 0x400204);
     }
     let mut now = 0u64;
     bench("bfetch_engine_tick", || {

@@ -1,6 +1,7 @@
 //! Hot-path microbenchmarks for the structures the per-cycle loop leans
 //! on: MSHR probes and allocation, cache probe+fill, the B-Fetch lookahead
-//! walk, and a full `Core::cycle` against the real memory hierarchy. These
+//! walk, a profiler span while the profiler is off, and a full
+//! `Core::cycle` against the real memory hierarchy. These
 //! are the operations the flat-table/packed-rank rewrite targets, so
 //! regressions here show up before they are visible in the `benchmark/`
 //! workloads' `sim_kips`.
@@ -65,8 +66,8 @@ fn engine_walk() {
         let p = bp.predict(br_pc, ghr);
         conf.train(br_pc, ghr, p.strength, p.taken);
         bp.update(br_pc, ghr, true);
-        engine.on_commit_branch(br_pc, true, true, loop_top, br_pc + 4, &regs);
-        engine.on_commit_load(loop_top, 2, regs[2] + 0x18);
+        engine.on_commit_branch(br_pc, true, true, loop_top, br_pc + 4);
+        engine.on_commit_load(loop_top, 2, regs[2], regs[2] + 0x18);
         regs[2] += 0x80;
         engine.post_regwrite(2, regs[2], now, now);
         engine.on_branch_decoded(DecodedBranch {
@@ -162,16 +163,27 @@ fn main() {
 
     engine_walk();
 
-    // Full Core::cycle on a pointer-chasing kernel with the B-Fetch engine
-    // attached: fetch, schedule, commit, prefetch issue — the whole
-    // per-cycle loop the `solo_*` benchmark workloads measure end to end.
-    // The no-prefetch variant isolates the engine's per-cycle cost (tick +
+    // What every stage span in `Core::cycle` costs a run that never enabled
+    // the profiler (capture compiled in — `bfetch-bench`'s default `prof`
+    // feature — and off): a span opened and dropped.
+    assert!(!bfetch_prof::enabled(), "measured with the profiler off");
+    bench("span_disabled", || {
+        bfetch_prof::span(bfetch_prof::SIM_FETCH)
+    });
+
+    // Full Core::cycle with the B-Fetch engine attached: fetch, schedule,
+    // commit, prefetch issue — the whole per-cycle loop the `solo_*`
+    // benchmark workloads measure end to end. mcf chases pointers and
+    // mostly waits on DRAM; gamess is cache-resident, so its cycles are the
+    // dispatch-to-commit path's fixed cost per instruction. The
+    // no-prefetch variant isolates the engine's per-cycle cost (tick +
     // decode hooks + commit training) from the pipeline model itself.
-    for (name, pf) in [
-        ("core_cycle_mcf_bfetch", PrefetcherKind::BFetch),
-        ("core_cycle_mcf_nopf", PrefetcherKind::None),
+    for (name, kernel, pf) in [
+        ("core_cycle_mcf_bfetch", "mcf", PrefetcherKind::BFetch),
+        ("core_cycle_mcf_nopf", "mcf", PrefetcherKind::None),
+        ("core_cycle_gamess_bfetch", "gamess", PrefetcherKind::BFetch),
     ] {
-        let k = kernel_by_name("mcf").expect("kernel registered");
+        let k = kernel_by_name(kernel).expect("kernel registered");
         let cfg = SimConfig::baseline().with_prefetcher(pf);
         let mut core = Core::new(0, k.build(Scale::Small), &cfg);
         let mut mem = MemorySystem::new(cfg.hierarchy(1));

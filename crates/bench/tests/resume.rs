@@ -172,24 +172,30 @@ fn damaged_sidecar_recovers(
 }
 
 /// A checkpoint truncated mid-file (a torn write or a partial copy) is
-/// caught by the whole-file checksum; one left over from the previous
-/// snapshot schema (a well-formed frame stamped version 1) is caught by
-/// the version check. Neither panics, both are quarantined and recomputed.
+/// caught by the whole-file checksum; one left over from an earlier
+/// snapshot schema (a well-formed frame stamped version 1 or 2) is caught
+/// by the version check. None panics, all are quarantined and recomputed —
+/// which is why a snapshot schema bump needs no cache schema bump.
 #[test]
 fn truncated_or_old_schema_sidecar_is_quarantined_and_recomputed() {
     damaged_sidecar_recovers("truncated", |b| b[..b.len() / 2].to_vec(), None);
-    damaged_sidecar_recovers(
-        "schema-v1",
-        |b| {
-            let mut old = b.to_vec();
-            let n = old.len();
-            old[8..12].copy_from_slice(&1u32.to_le_bytes());
-            let crc = bfetch_snapshot::crc32(&old[..n - 4]);
-            old[n - 4..].copy_from_slice(&crc.to_le_bytes());
-            old
-        },
-        Some(SnapshotError::BadVersion { got: 1, want: 2 }),
-    );
+    for (tag, version) in [("schema-v1", 1u32), ("schema-v2", 2)] {
+        damaged_sidecar_recovers(
+            tag,
+            |b| {
+                let mut old = b.to_vec();
+                let n = old.len();
+                old[8..12].copy_from_slice(&version.to_le_bytes());
+                let crc = bfetch_snapshot::crc32(&old[..n - 4]);
+                old[n - 4..].copy_from_slice(&crc.to_le_bytes());
+                old
+            },
+            Some(SnapshotError::BadVersion {
+                got: version,
+                want: 3,
+            }),
+        );
+    }
 }
 
 /// End-to-end crash recovery: a figure binary running with periodic

@@ -102,7 +102,9 @@ impl EngineStats {
 /// * [`BFetchEngine::post_regwrite`] / [`BFetchEngine::tick`] — execute-side
 ///   ARF sampling and the per-cycle lookahead step;
 /// * [`BFetchEngine::on_commit_branch`] / [`BFetchEngine::on_commit_load`]
-///   — commit-side learning;
+///   — commit-side learning, in program order: a branch opens a block, and
+///   each load that follows brings its base register's value as it stood at
+///   that branch (the engine keeps no copy of the register file);
 /// * [`BFetchEngine::on_feedback`] — L1D prefetch-usefulness feedback;
 /// * [`BFetchEngine::pop_prefetches`] / [`BFetchEngine::pop_inst_prefetches`]
 ///   — drain the bounded prefetch queues.
@@ -123,7 +125,6 @@ pub struct BFetchEngine {
     iqueue: VecDeque<u64>,
     last_branch: Option<(u64, bool, u64)>, // (pc, taken, actual target)
     cur_bb: Option<(u64, u64)>,            // (key, branch pc)
-    bb_snapshot: [u64; 32],
     // per-walk scratch, reused across calls so the per-cycle path never
     // allocates once warm (DESIGN.md "Performance engineering")
     visit_scratch: Vec<(u64, u32)>, // (bb key, visit count) for loop detection
@@ -144,7 +145,6 @@ impl BFetchEngine {
             iqueue: VecDeque::with_capacity(cfg.queue_entries),
             last_branch: None,
             cur_bb: None,
-            bb_snapshot: [0; 32],
             visit_scratch: Vec::with_capacity(8),
             stats: EngineStats::default(),
             tracer: Tracer::disabled(),
@@ -356,7 +356,8 @@ impl BFetchEngine {
     /// [`BFetchConfig::inst_prefetch`] is enabled).
     pub fn pop_inst_prefetches(&mut self, max: usize) -> impl Iterator<Item = u64> + '_ {
         let n = max.min(self.iqueue.len());
-        self.iqueue.drain(..n)
+        // most cycles find the queue empty: skip building the drain then
+        (n > 0).then(|| self.iqueue.drain(..n)).into_iter().flatten()
     }
 
     fn push_inst_candidate(&mut self, pc: u64) {
@@ -383,9 +384,11 @@ impl BFetchEngine {
 
     // ---- commit side -----------------------------------------------------
 
-    /// Observes a committed branch: chains the BrTC, opens the new basic
-    /// block for MHT learning, and snapshots the architectural register
-    /// file at block entry.
+    /// Observes a committed branch: chains the BrTC and opens the new
+    /// basic block for MHT learning. The register values that block's loads
+    /// are learned against arrive with the loads themselves (see
+    /// [`BFetchEngine::on_commit_load`]), so no register file changes hands
+    /// here.
     pub fn on_commit_branch(
         &mut self,
         pc: u64,
@@ -393,7 +396,6 @@ impl BFetchEngine {
         taken: bool,
         taken_target: u64,
         fallthrough: u64,
-        arch_regs: &[u64; 32],
     ) {
         let actual_target = if taken { taken_target } else { fallthrough };
         if let Some((ppc, ptaken, ptarget)) = self.last_branch {
@@ -410,23 +412,32 @@ impl BFetchEngine {
         }
         self.last_branch = Some((pc, taken, actual_target));
         self.cur_bb = Some((bb_key(pc, taken, actual_target), pc));
-        self.bb_snapshot = *arch_regs;
     }
 
     /// Observes a committed load: trains the MHT entry of the current
-    /// basic block.
-    pub fn on_commit_load(&mut self, load_pc: u64, base_reg: u8, ea: u64) {
+    /// basic block. `base_at_block_entry` is the value `base_reg` held when
+    /// the block was entered — at the branch most recently passed to
+    /// [`BFetchEngine::on_commit_branch`], before anything in the block
+    /// (the load included) wrote it. The MHT learns the load's offset from
+    /// that value, which is what the ARF will hold when a lookahead walk
+    /// reaches the block.
+    pub fn on_commit_load(
+        &mut self,
+        load_pc: u64,
+        base_reg: u8,
+        base_at_block_entry: u64,
+        ea: u64,
+    ) {
         let Some((key, branch_pc)) = self.cur_bb else {
             return; // no block-entry branch committed yet
         };
-        let reg_val = self.bb_snapshot[base_reg as usize & 31];
         self.mht.learn_load(
             key,
             branch_pc,
             base_reg,
-            reg_val,
+            base_at_block_entry,
             ea,
-            crate::engine::hash_pc10(load_pc),
+            hash_pc10(load_pc),
         );
     }
 
@@ -598,10 +609,16 @@ impl CandidateQueue {
 
     fn pop(&mut self, max: usize) -> impl Iterator<Item = PrefetchCandidate> + '_ {
         let n = max.min(self.entries.len());
-        for line in self.lines.drain(..n) {
-            self.queue_set.remove(line);
-        }
-        self.entries.drain(..n)
+        // most cycles find the queue empty: skip building the drains then
+        (n > 0)
+            .then(|| {
+                for line in self.lines.drain(..n) {
+                    self.queue_set.remove(line);
+                }
+                self.entries.drain(..n)
+            })
+            .into_iter()
+            .flatten()
     }
 
     /// Checks the restored arrays against each other and the configuration,
@@ -688,7 +705,6 @@ impl bfetch_snapshot::SnapState for BFetchEngine {
         self.iqueue.save(w);
         self.last_branch.save(w);
         self.cur_bb.save(w);
-        self.bb_snapshot.save(w);
         self.queue.recent_lines.save(w);
         self.queue.recent_pos.save(w);
         self.stats.save(w);
@@ -709,7 +725,6 @@ impl bfetch_snapshot::SnapState for BFetchEngine {
         self.iqueue = bfetch_snapshot::Snap::load(r)?;
         self.last_branch = bfetch_snapshot::Snap::load(r)?;
         self.cur_bb = bfetch_snapshot::Snap::load(r)?;
-        self.bb_snapshot = <[u64; 32]>::load(r)?;
         self.queue.recent_lines = <[u64; 64]>::load(r)?;
         self.queue.recent_pos = usize::load(r)?;
         self.stats = EngineStats::load(r)?;
@@ -757,8 +772,8 @@ mod tests {
         regs[2] = 0x1_0000;
         let mut seq = 0u64;
         for _ in 0..6 {
-            e.on_commit_branch(br_pc, true, true, loop_top, br_pc + 4, &regs);
-            e.on_commit_load(loop_top, 2, regs[2] + 0x18);
+            e.on_commit_branch(br_pc, true, true, loop_top, br_pc + 4);
+            e.on_commit_load(loop_top, 2, regs[2], regs[2] + 0x18);
             regs[2] += 0x80;
             // the ARF sees the updated register
             seq += 1;
@@ -866,8 +881,8 @@ mod tests {
         let mut e = BFetchEngine::new(BFetchConfig::baseline());
         let mut regs = [0u64; 32];
         regs[2] = 0x1_0000;
-        e.on_commit_branch(br_pc, true, true, loop_top, br_pc + 4, &regs);
-        e.on_commit_load(loop_top, 2, regs[2] + 0x18);
+        e.on_commit_branch(br_pc, true, true, loop_top, br_pc + 4);
+        e.on_commit_load(loop_top, 2, regs[2], regs[2] + 0x18);
 
         let h = hash_pc10(loop_top);
         for _ in 0..8 {

@@ -20,9 +20,10 @@
 //!    it onto the bounded prefetch queue.
 //!
 //! Learning happens at commit: branch commits chain [`BranchTraceCache`]
-//! entries and snapshot the register file at block entry; load commits
-//! train MHT offsets and loop deltas; prefetch-usefulness feedback from the
-//! L1D trains the per-load filter.
+//! entries and open the next basic block; load commits train MHT offsets
+//! and loop deltas against the base register's value at block entry, which
+//! the embedding core supplies with each load; prefetch-usefulness feedback
+//! from the L1D trains the per-load filter.
 //!
 //! # Example
 //!

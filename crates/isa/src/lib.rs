@@ -65,6 +65,6 @@ pub use asm::{assemble, assemble_with, disassemble, AsmError, AsmErrorKind};
 pub use builder::ProgramBuilder;
 pub use inst::{Inst, MemInfo, OpClass};
 pub use mem::SparseMemory;
-pub use program::{Program, CODE_BASE, INST_BYTES};
+pub use program::{Program, StaticInst, CODE_BASE, INST_BYTES};
 pub use reg::Reg;
 pub use state::{ArchState, ExecInfo};

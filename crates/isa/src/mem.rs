@@ -1,11 +1,38 @@
 //! Sparse, word-granularity data memory.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Words per page (4 KiB pages of 8-byte words).
 const PAGE_WORDS: usize = 512;
 const PAGE_SHIFT: u64 = 12;
 const OFFSET_MASK: u64 = (1 << PAGE_SHIFT) - 1;
+
+/// Hashes a page number with one multiply and a fold, where the default
+/// SipHash costs more than the load or store it serves. Page numbers are
+/// the only keys, snapshots write pages sorted, and nothing else iterates
+/// the map, so the hash function is invisible outside this module.
+#[derive(Debug, Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("page numbers hash through write_u64");
+    }
+
+    #[inline]
+    fn write_u64(&mut self, page: u64) {
+        // Fibonacci multiply; the fold brings the well-mixed high half down
+        // to the low bits the table indexes with
+        let h = page.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// A sparse 64-bit address space storing 8-byte words, allocated lazily in
 /// 4 KiB pages.
@@ -26,7 +53,7 @@ const OFFSET_MASK: u64 = (1 << PAGE_SHIFT) - 1;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SparseMemory {
-    pages: HashMap<u64, Box<[u64; PAGE_WORDS]>>,
+    pages: HashMap<u64, Box<[u64; PAGE_WORDS]>, BuildHasherDefault<PageHasher>>,
 }
 
 impl SparseMemory {
@@ -86,7 +113,7 @@ impl bfetch_snapshot::Snap for SparseMemory {
 
     fn load(r: &mut bfetch_snapshot::Decoder<'_>) -> Result<Self, bfetch_snapshot::SnapshotError> {
         let n = r.take_len()?;
-        let mut pages = HashMap::with_capacity(n);
+        let mut pages = HashMap::with_capacity_and_hasher(n, Default::default());
         let mut prev: Option<u64> = None;
         for _ in 0..n {
             let k = r.take_u64()?;

@@ -17,6 +17,13 @@
 //! * **commit** — in order, `commit_width` per cycle, bounded by the
 //!   192-entry ROB; commit trains the branch predictor, the confidence
 //!   estimators, the BrTC and the MHT, exactly as Section IV prescribes.
+//!
+//! The ROB is a fixed power-of-two ring indexed by `seq & mask` whose
+//! entries hold only what differs between dynamic instances; everything
+//! static comes from the program's predecoded table
+//! ([`bfetch_isa::StaticInst`]) through the entry's instruction index, and
+//! wake-up lists are links threaded through the waiting entries
+//! (DESIGN.md §5).
 
 use crate::config::{PredictorKind, PrefetcherKind, SimConfig};
 use crate::ports::PortRing;
@@ -25,9 +32,10 @@ use bfetch_bpred::{
     PerceptronPredictor, TournamentConfig, TournamentPredictor,
 };
 use bfetch_core::{BFetchEngine, DecodedBranch};
-use bfetch_isa::{ArchState, OpClass, Program};
+use bfetch_isa::{ArchState, Program, StaticInst};
 use bfetch_mem::{AccessKind, HitLevel, MemStats, MemoryInterface};
 use bfetch_prefetch::{AccessEvent, Isb, NextN, PrefetchRequest, Prefetcher, Sms, Stride};
+use bfetch_snapshot::SnapshotError;
 use bfetch_stats::cpi::{CpiComponent, CpiConfig, CpiStack, TimelineSample};
 use bfetch_stats::trace::{TraceKind, Tracer};
 use std::cmp::Reverse;
@@ -35,41 +43,149 @@ use std::collections::{BinaryHeap, VecDeque};
 
 const PORT_HORIZON: u64 = 1 << 14;
 
-#[derive(Debug)]
-struct InFlight {
-    seq: u64,
-    pc: u64,
-    dispatch_at: u64,
+/// "No entry" in a wake-up link.
+const NO_LINK: u32 = u32::MAX;
+/// Wake-up links an entry owns: one per source operand, one for the store
+/// a load forwards from.
+const LINKS: usize = 3;
+const FORWARD_LINK: usize = 2;
+
+/// One in-flight instruction: what differs between dynamic instances of
+/// the static instruction `inst` names.
+///
+/// An unscheduled producer's dependents form a FIFO list threaded through
+/// the dependents themselves. A list node is `(ROB slot << 2) | link`: the
+/// dependent and which of its [`LINKS`] the list runs through (a consumer
+/// waits on at most two sources and one forwarding store, and sits in one
+/// producer's list twice when both sources name it). The producer keeps the
+/// first and last node; each node's `next[link]` is the node appended after
+/// it. Dependents are woken first-appended first, because
+/// [`Core::try_schedule`] reserves ports in that order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RobEntry {
+    /// Earliest issue cycle known so far: the cycle after dispatch, raised
+    /// to each source's completion as it becomes known.
     ready_at: u64,
+    complete_at: u64,
+    dest_val: u64,
+    /// Effective address of a load or store.
+    ea: u64,
+    /// A load's base register as it stood at the last branch before it —
+    /// what the MHT learns its offset against.
+    base_at_block_entry: u64,
+    inst: u32,
+    wake_head: u32,
+    wake_tail: u32,
+    next: [u32; LINKS],
     unresolved: u8,
     scheduled: bool,
-    complete_at: u64,
-    waiters: Vec<u64>,
-    dest: Option<u8>,
-    dest_val: u64,
-    // branch fields
-    is_branch: bool,
-    is_cond: bool,
-    taken: bool,
-    pred_taken: bool,
-    pred_strength: u8,
-    ghr_before: u64,
-    taken_target: u64,
-    fallthrough: u64,
-    // memory fields
-    is_load: bool,
-    is_store: bool,
-    ea: u64,
-    base_reg: u8,
-    regs_snapshot: Option<Box<[u64; 32]>>,
-    latency_class: LatClass,
     forwarded: bool,
     // cycle-accounting provenance (written on schedule; read only when the
     // entry stalls commit from the head of the ROB)
     port_delayed: bool,
-    mem_service: HitLevel,
     mem_pf_covered: bool,
+    mem_service: HitLevel,
     mem_queued_until: u64,
+}
+
+// the ring is walked and written per instruction: keep an entry small
+const _: () = assert!(std::mem::size_of::<RobEntry>() <= 80);
+
+impl RobEntry {
+    const EMPTY: Self = Self {
+        ready_at: 0,
+        complete_at: u64::MAX,
+        dest_val: 0,
+        ea: 0,
+        base_at_block_entry: 0,
+        inst: 0,
+        wake_head: NO_LINK,
+        wake_tail: NO_LINK,
+        next: [NO_LINK; LINKS],
+        unresolved: 0,
+        scheduled: false,
+        forwarded: false,
+        port_delayed: false,
+        mem_pf_covered: false,
+        mem_service: HitLevel::L1,
+        mem_queued_until: 0,
+    };
+}
+
+/// What a branch carries from fetch to commit, queued beside the ROB:
+/// branches retire in fetch order, so commit pops the front.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BranchRecord {
+    ghr_before: u64,
+    taken: bool,
+    pred_taken: bool,
+    pred_strength: u8,
+}
+
+/// Register values as they stood at the last fetched branch, captured
+/// lazily: the first write to a register inside a block saves the value it
+/// overwrites, so "register `r` at block entry" is the saved value if `r`
+/// was written since and the live one otherwise (DESIGN.md §13.7). This is
+/// what the B-Fetch engine's commit-side MHT training reads for a load's
+/// base register, without a register-file copy per branch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct BlockEntryRegs {
+    /// Bit `r`: register `r` was written since the last fetched branch.
+    written: u32,
+    /// Block-entry value of every register whose `written` bit is set.
+    old: [u64; 32],
+    /// The whole register file as of the last fetched branch: the eager
+    /// copy the lazy capture replaces, kept in debug builds to check it.
+    #[cfg(debug_assertions)]
+    oracle: [u64; 32],
+}
+
+impl BlockEntryRegs {
+    fn new() -> Self {
+        Self {
+            written: 0,
+            old: [0; 32],
+            #[cfg(debug_assertions)]
+            oracle: [0; 32],
+        }
+    }
+
+    /// A branch was fetched: a new block starts with `regs` as its entry
+    /// state.
+    #[inline]
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    fn open_block(&mut self, regs: &[u64; 32]) {
+        self.written = 0;
+        #[cfg(debug_assertions)]
+        {
+            self.oracle = *regs;
+        }
+    }
+
+    /// Call before an instruction writes `reg`; `regs` is the register file
+    /// it has not yet touched.
+    #[inline]
+    fn before_write(&mut self, reg: u8, regs: &[u64; 32]) {
+        let bit = 1u32 << (reg & 31);
+        if self.written & bit == 0 {
+            self.written |= bit;
+            self.old[reg as usize & 31] = regs[reg as usize & 31];
+        }
+    }
+
+    /// `reg` as it stood at block entry; `regs` is the live register file.
+    #[inline]
+    fn at_entry(&self, reg: u8, regs: &[u64; 32]) -> u64 {
+        let r = reg as usize & 31;
+        let v = if self.written >> r & 1 != 0 {
+            self.old[r]
+        } else {
+            regs[r]
+        };
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(v, self.oracle[r], "lazy block-entry value of r{r}");
+        v
+    }
 }
 
 /// The configuration fields the per-cycle loop consults, copied out of
@@ -173,16 +289,20 @@ pub struct Core {
     pf_queue: VecDeque<PrefetchRequest>,
     pf_scratch: Vec<PrefetchRequest>, // reusable per-access request buffer
     perfect: bool,
-    // pipeline
-    rob: VecDeque<InFlight>,
-    // dense mirror of the in-flight stores, oldest first: `(seq, word)`
-    // per store still in the ROB. The store-forward probe walks this short
-    // 16-byte-stride deque youngest-first instead of `rposition` over the
-    // full ROB of fat `InFlight` entries — same youngest-older-store
-    // answer, a fraction of the cache traffic.
-    store_q: VecDeque<(u64, u64)>,
+    block_entry: BlockEntryRegs,
+    // pipeline: the live ROB is sequence numbers `rob_base..next_seq`,
+    // instruction `seq` in slot `seq & rob_mask`; the other slots hold
+    // retired entries nothing reads
+    rob: Box<[RobEntry]>,
+    rob_mask: u64,
     rob_base: u64,
     next_seq: u64,
+    // one record per branch in the ROB, oldest first
+    branch_q: VecDeque<BranchRecord>,
+    // dense mirror of the in-flight stores, oldest first: `(seq, word)`
+    // per store still in the ROB. The store-forward probe walks this short
+    // 16-byte-stride deque youngest-first instead of the ROB itself.
+    store_q: VecDeque<(u64, u64)>,
     issue_ports: PortRing,
     mem_ports: PortRing,
     pending_mem: BinaryHeap<Reverse<(u64, u64)>>, // (issue cycle, seq)
@@ -194,15 +314,6 @@ pub struct Core {
     counters: CoreCounters,
     tracer: Tracer,
     cpi: Option<Box<CpiAccounting>>,
-    // allocation recycling for the per-instruction hot path: retired
-    // waiter lists and branch register snapshots go back into these pools
-    // instead of the allocator (bounded, so a pathological phase cannot
-    // hoard memory)
-    waiter_pool: Vec<Vec<u64>>,
-    // Vec<Box<..>> is the point: the pool recycles the *boxes*, so a pop
-    // hands back an existing allocation instead of re-boxing 256 bytes
-    #[allow(clippy::vec_box)]
-    snap_pool: Vec<Box<[u64; 32]>>,
 }
 
 impl std::fmt::Debug for Core {
@@ -239,6 +350,11 @@ impl Core {
             PrefetcherKind::Isb => (None, Some(Box::new(Isb::baseline())), false),
             PrefetcherKind::Perfect => (None, None, true),
         };
+        let ring = cfg.rob_entries.next_power_of_two();
+        assert!(
+            ring <= 1 << 30 && program.len() <= u32::MAX as usize,
+            "wake-up links and instruction indices are 32-bit"
+        );
         Self {
             id,
             arch,
@@ -252,13 +368,16 @@ impl Core {
             pf_queue: VecDeque::new(),
             pf_scratch: Vec::new(),
             perfect,
-            rob: VecDeque::with_capacity(cfg.rob_entries),
-            store_q: VecDeque::new(),
+            block_entry: BlockEntryRegs::new(),
+            rob: vec![RobEntry::EMPTY; ring].into_boxed_slice(),
+            rob_mask: ring as u64 - 1,
             rob_base: 0,
             next_seq: 0,
+            branch_q: VecDeque::with_capacity(cfg.rob_entries),
+            store_q: VecDeque::with_capacity(cfg.rob_entries),
             issue_ports: PortRing::new(cfg.issue_width, PORT_HORIZON),
             mem_ports: PortRing::new(cfg.mem_ports, PORT_HORIZON),
-            pending_mem: BinaryHeap::new(),
+            pending_mem: BinaryHeap::with_capacity(cfg.rob_entries),
             fetch_blocked_by: None,
             fetch_stall_until: 0,
             fetch_stall_reason: FetchStallReason::Redirect,
@@ -267,8 +386,6 @@ impl Core {
             counters: CoreCounters::default(),
             tracer: Tracer::disabled(),
             cpi: None,
-            waiter_pool: Vec::new(),
-            snap_pool: Vec::new(),
             params: CoreParams::of(cfg),
         }
     }
@@ -321,10 +438,10 @@ impl Core {
         crate::error::CoreDiag {
             core: self.id,
             committed: self.counters.committed,
-            rob_len: self.rob.len(),
-            rob_head: self.rob.front().map(|h| crate::error::RobHeadDiag {
-                seq: h.seq,
-                pc: h.pc,
+            rob_len: self.rob_len(),
+            rob_head: self.head().map(|h| crate::error::RobHeadDiag {
+                seq: self.rob_base,
+                pc: self.static_of(h).pc,
                 scheduled: h.scheduled,
                 complete_at: h.complete_at,
             }),
@@ -377,18 +494,65 @@ impl Core {
             .unwrap_or_default()
     }
 
+    // ---- the ROB ring ------------------------------------------------------
+
     #[inline]
-    fn entry(&mut self, seq: u64) -> Option<&mut InFlight> {
-        let base = self.rob_base;
-        if seq < base {
-            return None;
-        }
-        self.rob.get_mut((seq - base) as usize)
+    fn rob_len(&self) -> usize {
+        (self.next_seq - self.rob_base) as usize
     }
 
     #[inline]
-    fn rob_entry(&self, seq: u64) -> Option<&InFlight> {
-        self.rob.get(seq.checked_sub(self.rob_base)? as usize)
+    fn slot_of(&self, seq: u64) -> usize {
+        (seq & self.rob_mask) as usize
+    }
+
+    /// The ring slot of `seq` while it is in the ROB.
+    #[inline]
+    fn live_slot(&self, seq: u64) -> Option<usize> {
+        (self.rob_base..self.next_seq)
+            .contains(&seq)
+            .then(|| self.slot_of(seq))
+    }
+
+    /// The oldest in-flight instruction.
+    #[inline]
+    fn head(&self) -> Option<&RobEntry> {
+        self.live_slot(self.rob_base).map(|s| &self.rob[s])
+    }
+
+    #[inline]
+    fn static_of(&self, e: &RobEntry) -> &StaticInst {
+        &self.program.decoded()[e.inst as usize]
+    }
+
+    /// Appends the dependent at `slot`, through its link `link`, to the
+    /// wake-up list of the unscheduled producer at `producer`.
+    #[inline]
+    fn await_producer(&mut self, producer: usize, slot: usize, link: usize) {
+        let node = (slot as u32) << 2 | link as u32;
+        match std::mem::replace(&mut self.rob[producer].wake_tail, node) {
+            NO_LINK => self.rob[producer].wake_head = node,
+            tail => self.rob[(tail >> 2) as usize].next[(tail & 3) as usize] = node,
+        }
+        self.rob[slot].unresolved += 1;
+    }
+
+    /// Makes the just-dispatched instruction at `slot` depend on the older
+    /// instruction `producer_seq`: on its completion time if that is known,
+    /// on its wake-up list otherwise. A producer that already retired
+    /// completed long ago and constrains nothing.
+    #[inline]
+    fn depend_on(&mut self, producer_seq: u64, slot: usize, link: usize) {
+        let Some(p) = self.live_slot(producer_seq) else {
+            return;
+        };
+        if self.rob[p].scheduled {
+            let c = self.rob[p].complete_at;
+            let e = &mut self.rob[slot];
+            e.ready_at = e.ready_at.max(c);
+        } else {
+            self.await_producer(p, slot, link);
+        }
     }
 
     /// Advances this core by one cycle.
@@ -404,7 +568,7 @@ impl Core {
         self.check_fetch_block();
         // accounting classifies against pre-fetch state: the ROB snapshot
         // right after commit still shows *why* commit fell short
-        let rob_was_full = self.cpi.is_some() && self.rob.len() >= self.params.rob_entries;
+        let rob_was_full = self.cpi.is_some() && self.rob_len() >= self.params.rob_entries;
         {
             let _p = bfetch_prof::span(bfetch_prof::SIM_COMMIT);
             let committed = self.commit(now);
@@ -430,7 +594,7 @@ impl Core {
     pub fn wake_at(&self, now: u64) -> u64 {
         // the common busy case first: a core that can fetch is awake
         let fetch_open =
-            self.fetch_blocked_by.is_none() && self.rob.len() < self.params.rob_entries;
+            self.fetch_blocked_by.is_none() && self.rob_len() < self.params.rob_entries;
         if fetch_open && self.fetch_stall_until <= now {
             return now;
         }
@@ -450,7 +614,7 @@ impl Core {
         if let Some(&Reverse((t, _))) = self.pending_mem.peek() {
             wake = wake.min(t);
         }
-        if let Some(head) = self.rob.front() {
+        if let Some(head) = self.head() {
             if head.scheduled {
                 wake = wake.min(head.complete_at);
             }
@@ -470,7 +634,7 @@ impl Core {
             from < to && to <= self.wake_at(from),
             "skipping a waking cycle"
         );
-        let rob_full = self.rob.len() >= self.params.rob_entries;
+        let rob_full = self.rob_len() >= self.params.rob_entries;
         if rob_full && self.fetch_blocked_by.is_none() {
             self.counters.branch_fetch_hist[0] +=
                 to.saturating_sub(from.max(self.fetch_stall_until));
@@ -484,7 +648,7 @@ impl Core {
         let mut t = from;
         while t < to {
             let cause = self.classify_stall(t, rob_full);
-            let head = self.rob.front();
+            let head = self.head();
             let until = [
                 self.fetch_stall_until,
                 head.map_or(0, |h| h.mem_queued_until),
@@ -549,7 +713,7 @@ impl Core {
     /// head is never waiting on a dependence — it is either queued for a
     /// port, executing, or waiting on memory.
     fn classify_stall(&self, now: u64, rob_was_full: bool) -> CpiComponent {
-        let Some(head) = self.rob.front() else {
+        let Some(head) = self.head() else {
             // empty window: the frontend is not supplying instructions
             if self.fetch_blocked_by.is_some() {
                 return CpiComponent::Mispredict;
@@ -563,7 +727,8 @@ impl Core {
             // pipeline refill: fetch runs this cycle, commit sees it later
             return CpiComponent::FetchStall;
         };
-        if head.is_load && !head.forwarded {
+        let si = self.static_of(head);
+        if si.is(StaticInst::IS_LOAD) && !head.forwarded {
             if !head.scheduled {
                 // still queued for a memory port (or, rarely, just
                 // dispatched): structural only if the port ring pushed it
@@ -589,7 +754,7 @@ impl Core {
             }
             // L1-hit latency: plain pipeline depth, falls through to base
         }
-        if head.is_store && head.port_delayed && head.complete_at > now {
+        if si.is(StaticInst::IS_STORE) && head.port_delayed && head.complete_at > now {
             return CpiComponent::LsqFull;
         }
         if rob_was_full {
@@ -601,18 +766,20 @@ impl Core {
 
     // ---- scheduling ------------------------------------------------------
 
-    fn try_schedule(&mut self, seq: u64) {
-        let cfg_mul = self.params.mul_latency;
-        let Some(e) = self.entry(seq) else { return };
+    /// Gives the live entry at `slot` its issue slot once every source's
+    /// completion time is known.
+    fn try_schedule(&mut self, slot: usize) {
+        let e = &self.rob[slot];
         if e.scheduled || e.unresolved > 0 {
             return;
         }
-        if e.is_load || e.is_store {
+        let earliest = e.ready_at;
+        let flags = self.static_of(e).flags;
+        if flags & (StaticInst::IS_LOAD | StaticInst::IS_STORE) != 0 {
             if e.complete_at == u64::MAX {
-                let earliest = e.ready_at.max(e.dispatch_at + 1);
-                let is_store = e.is_store;
+                let is_store = flags & StaticInst::IS_STORE != 0;
                 let t = self.mem_ports.reserve(earliest);
-                let e = self.entry(seq).expect("entry exists");
+                let e = &mut self.rob[slot];
                 e.port_delayed = t > earliest;
                 if is_store {
                     // stores drain through the store buffer: dependents (and
@@ -620,55 +787,64 @@ impl Core {
                     e.scheduled = true;
                     e.complete_at = t + 1;
                 }
+                let seq = self.seq_of(slot);
                 self.pending_mem.push(Reverse((t, seq)));
                 if is_store {
-                    self.on_scheduled(seq);
+                    self.on_scheduled(slot);
                 }
             }
             return;
         }
-        let earliest = e.ready_at.max(e.dispatch_at + 1);
-        let latency = match e.latency_class {
-            LatClass::Mul => cfg_mul,
-            _ => 1,
+        let latency = if flags & StaticInst::IS_MUL != 0 {
+            self.params.mul_latency
+        } else {
+            1
         };
         let t = self.issue_ports.reserve(earliest);
-        let e = self.entry(seq).expect("entry exists");
+        let e = &mut self.rob[slot];
         e.scheduled = true;
         e.complete_at = t + latency;
-        self.on_scheduled(seq);
+        self.on_scheduled(slot);
     }
 
-    /// Propagates a newly known completion time to dependents. Recursion
-    /// happens through [`Core::try_schedule`], whose depth is bounded by
-    /// the dependence chains inside the ROB window; each waiter list is
-    /// taken exactly once, so no work queue (or its allocation) is needed.
-    fn on_scheduled(&mut self, seq: u64) {
-        let (complete, mut waiters, dest, val) = {
-            let Some(e) = self.entry(seq) else { return };
-            debug_assert!(e.scheduled);
-            (e.complete_at, std::mem::take(&mut e.waiters), e.dest, e.dest_val)
-        };
+    /// The sequence number of the live instruction in `slot`.
+    #[inline]
+    fn seq_of(&self, slot: usize) -> u64 {
+        let seq = self.rob_base + ((slot as u64).wrapping_sub(self.rob_base) & self.rob_mask);
+        debug_assert!(seq < self.next_seq, "slot {slot} is not live");
+        seq
+    }
+
+    /// Propagates a newly known completion time to dependents, in the order
+    /// they were appended. Recursion happens through
+    /// [`Core::try_schedule`], whose depth is bounded by the dependence
+    /// chains inside the ROB window; the list is detached before the walk
+    /// and every node is visited exactly once, so no work queue is needed.
+    fn on_scheduled(&mut self, slot: usize) {
+        let e = &mut self.rob[slot];
+        debug_assert!(e.scheduled);
+        let complete = e.complete_at;
+        let mut node = std::mem::replace(&mut e.wake_head, NO_LINK);
+        e.wake_tail = NO_LINK;
         // post the register value toward the B-Fetch ARF
         if !self.params.arf_at_retire {
-            if let (Some(d), Some(engine)) = (dest, self.engine.as_mut()) {
-                engine.post_regwrite(d as usize, val, seq, complete);
+            let seq = self.seq_of(slot);
+            if let Some(engine) = self.engine.as_mut() {
+                let e = &self.rob[slot];
+                if let Some(d) = self.program.decoded()[e.inst as usize].dest() {
+                    engine.post_regwrite(d as usize, e.dest_val, seq, complete);
+                }
             }
         }
-        for &w in &waiters {
-            let mut now_ready = false;
-            if let Some(we) = self.entry(w) {
-                we.ready_at = we.ready_at.max(complete);
-                we.unresolved -= 1;
-                now_ready = we.unresolved == 0;
-            }
-            if now_ready {
+        while node != NO_LINK {
+            let w = (node >> 2) as usize;
+            let we = &mut self.rob[w];
+            node = std::mem::replace(&mut we.next[(node & 3) as usize], NO_LINK);
+            we.ready_at = we.ready_at.max(complete);
+            we.unresolved -= 1;
+            if we.unresolved == 0 {
                 self.try_schedule(w);
             }
-        }
-        if waiters.capacity() > 0 && self.waiter_pool.len() < 256 {
-            waiters.clear();
-            self.waiter_pool.push(waiters);
         }
     }
 
@@ -678,8 +854,13 @@ impl Core {
                 break;
             }
             self.pending_mem.pop();
-            let Some(e) = self.entry(seq) else { continue };
-            let (is_load, ea, pc, forwarded) = (e.is_load, e.ea, e.pc, e.forwarded);
+            let Some(slot) = self.live_slot(seq) else {
+                continue;
+            };
+            let e = &self.rob[slot];
+            let (ea, forwarded) = (e.ea, e.forwarded);
+            let si = self.static_of(e);
+            let (is_load, pc) = (si.is(StaticInst::IS_LOAD), si.pc);
             if is_load {
                 let (complete, service, pf_covered, queued_until) = if forwarded {
                     (now + 1, HitLevel::L1, false, 0)
@@ -690,13 +871,13 @@ impl Core {
                     self.observe_access(pc, ea, out.level == HitLevel::L1, true);
                     (out.complete_at, out.service, out.pf_covered, out.queued_until)
                 };
-                let e = self.entry(seq).expect("entry exists");
+                let e = &mut self.rob[slot];
                 e.scheduled = true;
                 e.complete_at = complete.max(now + 1);
                 e.mem_service = service;
                 e.mem_pf_covered = pf_covered;
                 e.mem_queued_until = queued_until;
-                self.on_scheduled(seq);
+                self.on_scheduled(slot);
             } else if !self.perfect {
                 let out = mem.access(self.id, AccessKind::Store, ea, now);
                 self.observe_access(pc, ea, out.level == HitLevel::L1, false);
@@ -733,60 +914,64 @@ impl Core {
     fn commit(&mut self, now: u64) -> usize {
         let mut committed = 0;
         for _ in 0..self.params.commit_width {
-            let Some(front) = self.rob.front() else { break };
-            if !front.scheduled || front.complete_at > now {
+            let Some(head) = self.head() else { break };
+            if !head.scheduled || head.complete_at > now {
                 break;
             }
             committed += 1;
-            let mut fi = self.rob.pop_front().expect("front exists");
-            if fi.is_store {
-                let popped = self.store_q.pop_front();
-                debug_assert_eq!(popped, Some((fi.seq, fi.ea & !7)));
-            }
+            let (dest_val, ea, base_at_block_entry) =
+                (head.dest_val, head.ea, head.base_at_block_entry);
+            let si = *self.static_of(head);
+            let seq = self.rob_base;
             self.rob_base += 1;
             self.counters.committed += 1;
+            if si.is(StaticInst::IS_STORE) {
+                let popped = self.store_q.pop_front();
+                debug_assert_eq!(popped, Some((seq, ea & !7)));
+            }
             if self.params.arf_at_retire {
-                if let (Some(d), Some(engine)) = (fi.dest, self.engine.as_mut()) {
-                    engine.post_regwrite(d as usize, fi.dest_val, fi.seq, now);
+                if let (Some(d), Some(engine)) = (si.dest(), self.engine.as_mut()) {
+                    engine.post_regwrite(d as usize, dest_val, seq, now);
                 }
             }
-            if fi.is_branch {
-                if fi.is_cond {
-                    self.bp.update(fi.pc, fi.ghr_before, fi.taken);
+            if si.is(StaticInst::IS_BRANCH) {
+                let br = self
+                    .branch_q
+                    .pop_front()
+                    .expect("one record per in-flight branch");
+                let is_cond = si.is(StaticInst::IS_COND);
+                if is_cond {
+                    self.bp.update(si.pc, br.ghr_before, br.taken);
                     self.conf.train(
-                        fi.pc,
-                        fi.ghr_before,
-                        fi.pred_strength,
-                        fi.pred_taken == fi.taken,
+                        si.pc,
+                        br.ghr_before,
+                        br.pred_strength,
+                        br.pred_taken == br.taken,
                     );
                     self.tracer.emit(
                         now,
                         TraceKind::BranchResolved {
-                            pc: fi.pc,
-                            taken: fi.taken,
-                            mispredicted: fi.pred_taken != fi.taken,
+                            pc: si.pc,
+                            taken: br.taken,
+                            mispredicted: br.pred_taken != br.taken,
                         },
                     );
                 }
-                if fi.taken {
-                    self.btb.install(fi.pc, fi.taken_target);
+                if br.taken {
+                    self.btb.install(si.pc, si.taken_target);
                 }
-                if let (Some(engine), Some(snap)) = (self.engine.as_mut(), fi.regs_snapshot.take()) {
-                    engine.on_commit_branch(
-                        fi.pc,
-                        fi.is_cond,
-                        fi.taken,
-                        fi.taken_target,
-                        fi.fallthrough,
-                        &snap,
-                    );
-                    if self.snap_pool.len() < 192 {
-                        self.snap_pool.push(snap);
-                    }
-                }
-            } else if fi.is_load {
                 if let Some(engine) = self.engine.as_mut() {
-                    engine.on_commit_load(fi.pc, fi.base_reg, fi.ea);
+                    engine.on_commit_branch(
+                        si.pc,
+                        is_cond,
+                        br.taken,
+                        si.taken_target,
+                        si.fallthrough,
+                    );
+                }
+            } else if si.is(StaticInst::IS_LOAD) {
+                if let Some(engine) = self.engine.as_mut() {
+                    engine.on_commit_load(si.pc, si.base_reg, base_at_block_entry, ea);
                 }
             }
         }
@@ -798,7 +983,8 @@ impl Core {
     /// When the mispredicted branch blocking fetch resolved; `None` while
     /// fetch is not blocked or the branch has no completion time yet.
     fn fetch_block_resolved(&self) -> Option<u64> {
-        match self.rob_entry(self.fetch_blocked_by?) {
+        let seq = self.fetch_blocked_by?;
+        match self.live_slot(seq).map(|s| &self.rob[s]) {
             Some(e) if e.scheduled => Some(e.complete_at),
             None => Some(0), // already retired: resolved long ago
             _ => None,
@@ -823,7 +1009,7 @@ impl Core {
         let mut branches_this_cycle = 0usize;
         let l1i_lat = self.params.l1i_latency;
         for _ in 0..self.params.fetch_width {
-            if self.rob.len() >= self.params.rob_entries {
+            if self.rob_len() >= self.params.rob_entries {
                 break;
             }
             if self.arch.halted() {
@@ -842,57 +1028,51 @@ impl Core {
                     break;
                 }
             }
+            let Some(&si) = self.program.decoded().get(idx) else {
+                // ran off the end: the step only raises the halt flag
+                let stepped = self.arch.step(&self.program);
+                debug_assert!(stepped.is_none());
+                break;
+            };
+            // block-entry capture reads the registers before the
+            // instruction writes them (a load may overwrite its own base);
+            // without an engine nothing reads it, so skip the bookkeeping
+            let mut base_at_block_entry = 0;
+            if self.engine.is_some() {
+                let regs = self.arch.regs();
+                if si.is(StaticInst::IS_LOAD) {
+                    base_at_block_entry = self.block_entry.at_entry(si.base_reg, regs);
+                }
+                if let Some(d) = si.dest() {
+                    self.block_entry.before_write(d, regs);
+                }
+            }
             let Some(info) = self.arch.step(&self.program) else {
                 break;
             };
-            let inst = info.inst;
+            let ea = info.ea.unwrap_or(0);
             let seq = self.next_seq;
+            let slot = self.slot_of(seq);
             self.next_seq += 1;
-
-            let mut fi = InFlight {
-                seq,
-                pc,
-                dispatch_at: now,
-                ready_at: now,
-                unresolved: 0,
-                scheduled: false,
-                complete_at: u64::MAX,
-                waiters: self.waiter_pool.pop().unwrap_or_default(),
-                dest: inst.dst().map(|r| r.index() as u8),
-                dest_val: inst.dst().map_or(0, |r| self.arch.reg(r)),
-                is_branch: inst.is_branch(),
-                is_cond: inst.is_cond_branch(),
-                taken: info.taken,
-                pred_taken: true,
-                pred_strength: 3,
-                ghr_before: self.ghr.bits(),
-                taken_target: inst.branch_target().map_or(0, |t| self.program.pc_addr(t)),
-                fallthrough: self.program.pc_addr(idx + 1),
-                is_load: matches!(inst.class(), OpClass::Load),
-                is_store: matches!(inst.class(), OpClass::Store),
-                ea: info.ea.unwrap_or(0),
-                base_reg: inst.mem_info().map_or(0, |m| m.base.index() as u8),
-                regs_snapshot: None,
-                forwarded: false,
-                latency_class: match inst.class() {
-                    OpClass::IntMul => LatClass::Mul,
-                    _ => LatClass::Simple,
-                },
-                port_delayed: false,
-                mem_service: HitLevel::L1,
-                mem_pf_covered: false,
-                mem_queued_until: 0,
+            self.rob[slot] = RobEntry {
+                ready_at: now + 1,
+                dest_val: si.dest().map_or(0, |d| self.arch.regs()[d as usize & 31]),
+                ea,
+                base_at_block_entry,
+                inst: idx as u32,
+                ..RobEntry::EMPTY
             };
 
             let mut mispredicted = false;
-            if fi.is_branch {
+            if si.is(StaticInst::IS_BRANCH) {
                 branches_this_cycle += 1;
-                let ghr_before = fi.ghr_before;
-                if fi.is_cond {
+                let is_cond = si.is(StaticInst::IS_COND);
+                let ghr_before = self.ghr.bits();
+                let (mut pred_taken, mut pred_strength) = (true, 3);
+                if is_cond {
                     self.counters.cond_branches += 1;
                     let p = self.bp.predict(pc, ghr_before);
-                    fi.pred_taken = p.taken;
-                    fi.pred_strength = p.strength;
+                    (pred_taken, pred_strength) = (p.taken, p.strength);
                     self.ghr.push(info.taken);
                     mispredicted = p.taken != info.taken;
                     if mispredicted {
@@ -901,41 +1081,38 @@ impl Core {
                 }
                 // taken branches whose target is not in the BTB pay a small
                 // decode-redirect penalty
-                if fi.pred_taken && self.btb.lookup(pc).is_none() {
+                if pred_taken && self.btb.lookup(pc).is_none() {
                     let until = now + self.params.btb_miss_penalty;
                     if until > self.fetch_stall_until {
                         self.fetch_stall_until = until;
                         self.fetch_stall_reason = FetchStallReason::Btb;
                     }
                 }
-                // the snapshot feeds the engine's MHT training at commit;
-                // without an engine nothing reads it, so skip the copy
-                if self.engine.is_some() {
-                    let mut snap = self
-                        .snap_pool
-                        .pop()
-                        .unwrap_or_else(|| Box::new([0u64; 32]));
-                    *snap = *self.arch.regs();
-                    fi.regs_snapshot = Some(snap);
-                }
-                let confidence = self.conf.estimate(pc, ghr_before, fi.pred_strength);
-                if fi.is_cond {
+                self.branch_q.push_back(BranchRecord {
+                    ghr_before,
+                    taken: info.taken,
+                    pred_taken,
+                    pred_strength,
+                });
+                let confidence = self.conf.estimate(pc, ghr_before, pred_strength);
+                if is_cond {
                     self.tracer.emit(
                         now,
                         TraceKind::BranchPredicted {
                             pc,
-                            taken: fi.pred_taken,
+                            taken: pred_taken,
                             confidence,
                         },
                     );
                 }
                 if let Some(engine) = self.engine.as_mut() {
+                    self.block_entry.open_block(self.arch.regs());
                     engine.on_branch_decoded(DecodedBranch {
                         pc,
-                        predicted_taken: fi.pred_taken,
-                        taken_target: fi.taken_target,
-                        fallthrough: fi.fallthrough,
-                        is_cond: fi.is_cond,
+                        predicted_taken: pred_taken,
+                        taken_target: si.taken_target,
+                        fallthrough: si.fallthrough,
+                        is_cond,
                         ghr_before,
                         confidence,
                     });
@@ -946,64 +1123,33 @@ impl Core {
             // older in-flight store takes the data from the store queue
             // (1-cycle forward after the store executes) instead of the
             // cache
-            if self.params.store_forwarding && fi.is_load {
-                let word = fi.ea & !7;
-                if let Some(pseq) = self
-                    .store_q
-                    .iter()
-                    .rev()
-                    .find(|&&(_, w)| w == word)
-                    .map(|&(s, _)| s)
+            if self.params.store_forwarding && si.is(StaticInst::IS_LOAD) {
+                let word = ea & !7;
+                if let Some(&(store_seq, _)) = self.store_q.iter().rev().find(|&&(_, w)| w == word)
                 {
-                    let mut wait = false;
-                    if let Some(pe) = self.entry(pseq) {
-                        if pe.scheduled {
-                            let c = pe.complete_at;
-                            fi.ready_at = fi.ready_at.max(c);
-                        } else {
-                            pe.waiters.push(seq);
-                            wait = true;
-                        }
-                    }
-                    if wait {
-                        fi.unresolved += 1;
-                    }
-                    fi.forwarded = true;
+                    self.depend_on(store_seq, slot, FORWARD_LINK);
+                    self.rob[slot].forwarded = true;
                     self.counters.forwarded_loads += 1;
                 }
             }
 
             // dependency wiring
-            for src in inst.srcs().into_iter().flatten() {
-                if src.is_zero() {
+            for (link, &src) in si.srcs.iter().enumerate() {
+                if src == 0 {
                     continue;
                 }
-                if let Some(pseq) = self.last_writer(src.index()) {
-                    let mut wait = false;
-                    if let Some(pe) = self.entry(pseq) {
-                        if pe.scheduled {
-                            let c = pe.complete_at;
-                            let r = &mut fi.ready_at;
-                            *r = (*r).max(c);
-                        } else {
-                            pe.waiters.push(seq);
-                            wait = true;
-                        }
-                    }
-                    if wait {
-                        fi.unresolved += 1;
-                    }
+                if let Some(producer_seq) = self.writers[src as usize & 31] {
+                    self.depend_on(producer_seq, slot, link);
                 }
             }
-            if let Some(d) = fi.dest {
-                self.writers[d as usize] = Some(seq);
+            if let Some(d) = si.dest() {
+                self.writers[d as usize & 31] = Some(seq);
             }
 
-            if fi.is_store {
-                self.store_q.push_back((seq, fi.ea & !7));
+            if si.is(StaticInst::IS_STORE) {
+                self.store_q.push_back((seq, ea & !7));
             }
-            self.rob.push_back(fi);
-            self.try_schedule(seq);
+            self.try_schedule(slot);
 
             if mispredicted {
                 self.fetch_blocked_by = Some(seq);
@@ -1017,10 +1163,6 @@ impl Core {
             }
         }
         self.counters.branch_fetch_hist[branches_this_cycle.min(4)] += 1;
-    }
-
-    fn last_writer(&self, reg: usize) -> Option<u64> {
-        self.writers[reg]
     }
 
     // ---- prefetch issue ----------------------------------------------------
@@ -1051,17 +1193,6 @@ impl Core {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LatClass {
-    Simple,
-    Mul,
-}
-
-bfetch_snapshot::impl_snap_enum!(LatClass {
-    LatClass::Simple = 0,
-    LatClass::Mul = 1
-});
-
 bfetch_snapshot::impl_snap_enum!(FetchStallReason {
     FetchStallReason::Redirect = 0,
     FetchStallReason::ICache = 1,
@@ -1078,36 +1209,30 @@ bfetch_snapshot::impl_snap_struct!(CoreCounters {
     forwarded_loads
 });
 
-bfetch_snapshot::impl_snap_struct!(InFlight {
-    seq,
-    pc,
-    dispatch_at,
+bfetch_snapshot::impl_snap_struct!(RobEntry {
     ready_at,
+    complete_at,
+    dest_val,
+    ea,
+    base_at_block_entry,
+    inst,
+    wake_head,
+    wake_tail,
+    next,
     unresolved,
     scheduled,
-    complete_at,
-    waiters,
-    dest,
-    dest_val,
-    is_branch,
-    is_cond,
-    taken,
-    pred_taken,
-    pred_strength,
-    ghr_before,
-    taken_target,
-    fallthrough,
-    is_load,
-    is_store,
-    ea,
-    base_reg,
-    regs_snapshot,
-    latency_class,
     forwarded,
     port_delayed,
-    mem_service,
     mem_pf_covered,
+    mem_service,
     mem_queued_until
+});
+
+bfetch_snapshot::impl_snap_struct!(BranchRecord {
+    ghr_before,
+    taken,
+    pred_taken,
+    pred_strength
 });
 
 bfetch_snapshot::impl_snap_struct!(CpiAccounting {
@@ -1120,11 +1245,65 @@ bfetch_snapshot::impl_snap_struct!(CpiAccounting {
     last_mispredicts
 });
 
+impl Core {
+    /// Checks a restored ROB against the program, its side queues and
+    /// itself, so that no later step can index out of range, follow a
+    /// wake-up link forever or underflow a dependence count.
+    fn validate_rob(&self) -> Result<(), SnapshotError> {
+        let invalid = |what| Err(SnapshotError::Invalid { what });
+        let entries = || (self.rob_base..self.next_seq).map(|seq| (seq, &self.rob[self.slot_of(seq)]));
+        if entries().any(|(_, e)| e.inst as usize >= self.program.len()) {
+            return invalid("rob instruction index past the program");
+        }
+        let stores = entries()
+            .filter(|(_, e)| self.static_of(e).is(StaticInst::IS_STORE))
+            .map(|(seq, e)| (seq, e.ea & !7));
+        if !stores.eq(self.store_q.iter().copied()) {
+            return invalid("store queue is not the rob's stores in order");
+        }
+        let branches = entries().filter(|(_, e)| self.static_of(e).is(StaticInst::IS_BRANCH));
+        if branches.count() != self.branch_q.len() {
+            return invalid("branch queue does not match the rob's branches");
+        }
+        // every wake-up list: each node names a link of a live entry, no
+        // node is reached twice (so no cycle and no shared tail), the
+        // recorded tail is the last node, and every dependent waits on
+        // exactly the lists it sits in
+        let is_live = |slot: usize| {
+            ((slot as u64).wrapping_sub(self.rob_base) & self.rob_mask) < self.rob_len() as u64
+        };
+        let mut seen = vec![false; self.rob.len() << 2];
+        let mut waits = vec![0u8; self.rob.len()];
+        for (_, e) in entries() {
+            let (mut node, mut last) = (e.wake_head, NO_LINK);
+            while node != NO_LINK {
+                let (w, link) = ((node >> 2) as usize, (node & 3) as usize);
+                if link >= LINKS || w >= self.rob.len() || !is_live(w) {
+                    return invalid("rob wake-up link out of range");
+                }
+                if std::mem::replace(&mut seen[node as usize], true) {
+                    return invalid("rob wake-up links cross or cycle");
+                }
+                waits[w] += 1;
+                last = node;
+                node = self.rob[w].next[link];
+            }
+            if last != e.wake_tail {
+                return invalid("rob wake-up list tail");
+            }
+        }
+        if entries().any(|(seq, e)| e.unresolved != waits[self.slot_of(seq)]) {
+            return invalid("rob dependence count");
+        }
+        Ok(())
+    }
+}
+
 // Everything constructed from the config (id, program, params, geometry)
 // is rebuilt by `Core::new` before `load_state`; only the mutable
-// simulation state crosses the wire. The allocation-recycling pools and
-// the per-access scratch buffer are working memory, not state — a resumed
-// run starts them empty, which changes nothing observable.
+// simulation state crosses the wire. Of the ROB ring only the live entries
+// do, oldest first; the per-access scratch buffer is working memory, not
+// state.
 impl bfetch_snapshot::SnapState for Core {
     fn save_state(&self, w: &mut bfetch_snapshot::Encoder) {
         use bfetch_snapshot::Snap as _;
@@ -1148,10 +1327,15 @@ impl bfetch_snapshot::SnapState for Core {
             None => w.put_u8(0),
         }
         self.pf_queue.save(w);
-        self.rob.save(w);
-        self.store_q.save(w);
+        self.block_entry.written.save(w);
+        self.block_entry.old.save(w);
         self.rob_base.save(w);
         self.next_seq.save(w);
+        for seq in self.rob_base..self.next_seq {
+            self.rob[self.slot_of(seq)].save(w);
+        }
+        self.branch_q.save(w);
+        self.store_q.save(w);
         self.issue_ports.save_state(w);
         self.mem_ports.save_state(w);
         // canonical heap order: ascending (issue cycle, seq); seq numbers
@@ -1168,10 +1352,7 @@ impl bfetch_snapshot::SnapState for Core {
         self.cpi.save(w);
     }
 
-    fn load_state(
-        &mut self,
-        r: &mut bfetch_snapshot::Decoder<'_>,
-    ) -> Result<(), bfetch_snapshot::SnapshotError> {
+    fn load_state(&mut self, r: &mut bfetch_snapshot::Decoder<'_>) -> Result<(), SnapshotError> {
         use bfetch_snapshot::Snap as _;
         self.arch = ArchState::load(r)?;
         self.bp.load_state(r)?;
@@ -1182,7 +1363,7 @@ impl bfetch_snapshot::SnapState for Core {
             (1, Some(e)) => e.load_state(r)?,
             (0, None) => {}
             _ => {
-                return Err(bfetch_snapshot::SnapshotError::Invalid {
+                return Err(SnapshotError::Invalid {
                     what: "engine presence mismatch",
                 })
             }
@@ -1191,21 +1372,37 @@ impl bfetch_snapshot::SnapState for Core {
             (1, Some(p)) => p.load_state(r)?,
             (0, None) => {}
             _ => {
-                return Err(bfetch_snapshot::SnapshotError::Invalid {
+                return Err(SnapshotError::Invalid {
                     what: "prefetcher presence mismatch",
                 })
             }
         }
         self.pf_queue = VecDeque::load(r)?;
-        self.rob = VecDeque::load(r)?;
-        if self.rob.len() > self.params.rob_entries {
-            return Err(bfetch_snapshot::SnapshotError::Invalid {
+        self.block_entry.written = u32::load(r)?;
+        self.block_entry.old = <[u64; 32]>::load(r)?;
+        #[cfg(debug_assertions)]
+        {
+            let (b, regs) = (&mut self.block_entry, self.arch.regs());
+            b.oracle = std::array::from_fn(|i| if b.written >> i & 1 != 0 { b.old[i] } else { regs[i] });
+        }
+        self.rob_base = u64::load(r)?;
+        self.next_seq = u64::load(r)?;
+        if self
+            .next_seq
+            .checked_sub(self.rob_base)
+            .is_none_or(|live| live > self.params.rob_entries as u64)
+        {
+            return Err(SnapshotError::Invalid {
                 what: "rob larger than configured",
             });
         }
+        self.rob.fill(RobEntry::EMPTY);
+        for seq in self.rob_base..self.next_seq {
+            self.rob[self.slot_of(seq)] = RobEntry::load(r)?;
+        }
+        self.branch_q = VecDeque::load(r)?;
         self.store_q = VecDeque::load(r)?;
-        self.rob_base = u64::load(r)?;
-        self.next_seq = u64::load(r)?;
+        self.validate_rob()?;
         self.issue_ports.load_state(r)?;
         self.mem_ports.load_state(r)?;
         self.pending_mem.clear();
@@ -1219,8 +1416,6 @@ impl bfetch_snapshot::SnapState for Core {
         self.writers = <[Option<u64>; 32]>::load(r)?;
         self.counters = CoreCounters::load(r)?;
         self.cpi = Option::load(r)?;
-        self.waiter_pool.clear();
-        self.snap_pool.clear();
         self.pf_scratch.clear();
         Ok(())
     }
@@ -1418,5 +1613,264 @@ mod tests {
         let r = quick(&cfg, &p, 20_000);
         assert!(r.mem.prefetch_issued > 0);
         assert!(r.ipc() > 0.05);
+    }
+
+    /// One producer, seven entries in its wake-up list, one issue port.
+    /// `P` waits on a load, so everything fetched in its group queues on it:
+    /// a one-source consumer, one whose *both* sources are `P`, a store of
+    /// `P`, a multiply, a load forwarded from that store (queued on the
+    /// store through its third link), a consumer of the forwarded load and
+    /// `P`, and one more. Waking them in any other order reserves the single
+    /// port differently, so every completion time is pinned to what the
+    /// `VecDeque<InFlight>` ROB with `Vec<u64>` waiter lists produced
+    /// (recorded from the parent commit before the ring replaced it).
+    fn wake_order_program() -> Program {
+        let mut b = ProgramBuilder::new("wake-order");
+        b.init_words(0x2000, &[5, 6, 7, 8]);
+        b.li(Reg::R1, 0x2000);
+        b.li(Reg::R9, 7);
+        b.load(Reg::R8, Reg::R1, 0); // L: unscheduled until its memory issue
+        b.add(Reg::R2, Reg::R8, Reg::R8); // P: the producer, waits on L
+        b.add(Reg::R3, Reg::R2, Reg::R9); // one source
+        b.add(Reg::R4, Reg::R2, Reg::R2); // both sources
+        b.store(Reg::R2, Reg::R1, 8); // store data
+        b.mul(Reg::R5, Reg::R2, Reg::R9);
+        b.load(Reg::R6, Reg::R1, 8); // forwarded from the store
+        b.add(Reg::R7, Reg::R6, Reg::R2); // the forwarded load and P
+        b.sub(Reg::R10, Reg::R9, Reg::R2);
+        b.halt();
+        b.finish()
+    }
+
+    fn wake_order_cfg() -> SimConfig {
+        let mut cfg = SimConfig::baseline();
+        cfg.fetch_width = 16;
+        cfg.issue_width = 1;
+        cfg.mem_ports = 1;
+        cfg.store_forwarding = true;
+        cfg
+    }
+
+    /// Length of the wake-up list of the live entry at `slot`.
+    fn waiters(core: &Core, slot: usize) -> usize {
+        let (mut node, mut n) = (core.rob[slot].wake_head, 0);
+        while node != NO_LINK {
+            n += 1;
+            node = core.rob[(node >> 2) as usize].next[(node & 3) as usize];
+        }
+        n
+    }
+
+    #[test]
+    fn dependents_wake_in_the_order_they_were_appended() {
+        let p = wake_order_program();
+        let n = p.len() as u64;
+        let cfg = wake_order_cfg();
+        let mut core = Core::new(0, p, &cfg);
+        let mut mem = bfetch_mem::MemorySystem::new(cfg.hierarchy(1));
+        let mut complete_at = vec![u64::MAX; n as usize];
+        let mut longest_list = 0;
+        for now in 0..2_000 {
+            core.cycle(now, &mut mem);
+            if let Some(producer) = core.live_slot(3) {
+                longest_list = longest_list.max(waiters(&core, producer));
+            }
+            for seq in core.rob_base..core.next_seq.min(n) {
+                let e = &core.rob[core.slot_of(seq)];
+                if e.scheduled {
+                    complete_at[seq as usize] = e.complete_at;
+                }
+            }
+        }
+        assert_eq!(longest_list, 7, "the whole group queued on the producer");
+        assert!(core.counters.forwarded_loads > 0);
+        assert_eq!(
+            complete_at,
+            [234, 235, 466, 467, 468, 469, 468, 472, 469, 547, 471, 236]
+        );
+    }
+
+    fn save(core: &Core) -> Vec<u8> {
+        use bfetch_snapshot::SnapState as _;
+        let mut w = bfetch_snapshot::Encoder::new();
+        core.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    fn load(bytes: &[u8], p: &Program, cfg: &SimConfig) -> Result<Core, SnapshotError> {
+        use bfetch_snapshot::SnapState as _;
+        let mut core = Core::new(0, p.clone(), cfg);
+        let mut r = bfetch_snapshot::Decoder::new(bytes);
+        core.load_state(&mut r)?;
+        r.finish()?;
+        Ok(core)
+    }
+
+    /// A CRC-valid snapshot can still hold a ROB no run ever produced;
+    /// every such state must come back as `Invalid`, not as an index panic,
+    /// an endless wake-up walk or a silently different run.
+    #[test]
+    fn snapshot_round_trips_and_rejects_an_inconsistent_rob() {
+        let p = wake_order_program();
+        let cfg = wake_order_cfg().with_prefetcher(PrefetcherKind::BFetch);
+        let mut core = Core::new(0, p.clone(), &cfg);
+        let mut mem = bfetch_mem::MemorySystem::new(cfg.hierarchy(1));
+        // stop in the cycle the first group dispatched: the producer's list
+        // is at its longest, stores and the forwarded load are in flight
+        let mut now = 0;
+        while core.live_slot(3).is_none_or(|s| waiters(&core, s) < 7) {
+            core.cycle(now, &mut mem);
+            now += 1;
+            assert!(now < 2_000, "the group never queued on its producer");
+        }
+        assert!(!core.store_q.is_empty() && core.block_entry.written != 0);
+        let producer = core.live_slot(3).unwrap();
+
+        let bytes = save(&core);
+        let back = load(&bytes, &p, &cfg).expect("valid snapshot");
+        assert_eq!(save(&back), bytes, "re-encoding is canonical");
+        assert_eq!(back.rob, core.rob);
+
+        let invalid = |what: &str, core: &Core| match load(&save(core), &p, &cfg) {
+            Err(SnapshotError::Invalid { .. }) => {}
+            other => panic!("{what}: expected Invalid, got {:?}", other.map(|_| ())),
+        };
+
+        let head = core.rob[producer].wake_head;
+        let (first, link) = ((head >> 2) as usize, (head & 3) as usize);
+        let second = core.rob[first].next[link];
+
+        // a link naming a slot past the ring, a retired slot, or a fourth
+        // link of an entry
+        for bad in [(core.rob.len() as u32) << 2, (core.rob.len() as u32 - 1) << 2, head | 3] {
+            core.rob[producer].wake_head = bad;
+            invalid("wake-up link out of range", &core);
+        }
+        core.rob[producer].wake_head = head;
+
+        // a cycle: the second node points back at the first
+        core.rob[first].next[link] = head;
+        invalid("wake-up link cycle", &core);
+        core.rob[first].next[link] = second;
+
+        // a tail that is not the last node would append into mid-list
+        let tail = std::mem::replace(&mut core.rob[producer].wake_tail, head);
+        invalid("wake-up list tail", &core);
+        core.rob[producer].wake_tail = tail;
+
+        // a dependence count that disagrees with the lists underflows or
+        // never reaches zero
+        core.rob[first].unresolved += 1;
+        invalid("dependence count", &core);
+        core.rob[first].unresolved -= 1;
+
+        // an instruction index past the program
+        let inst = std::mem::replace(&mut core.rob[first].inst, p.len() as u32);
+        invalid("instruction index", &core);
+        core.rob[first].inst = inst;
+
+        // more live entries than the configured ROB holds, or fewer than
+        // none
+        let (rob_base, next_seq) = (core.rob_base, core.next_seq);
+        core.next_seq = rob_base + cfg.rob_entries as u64 + 1;
+        invalid("rob longer than rob_entries", &core);
+        core.next_seq = next_seq;
+        core.rob_base = next_seq + 1;
+        invalid("rob of negative length", &core);
+        core.rob_base = rob_base;
+
+        // a store queue that is not the ROB's stores, in order
+        let (seq, word) = core.store_q[0];
+        core.store_q[0] = (seq, word + 8);
+        invalid("store_q word", &core);
+        core.store_q[0] = (seq + 1, word);
+        invalid("store_q seq", &core);
+        core.store_q[0] = (seq, word);
+        core.store_q.push_back((seq, word));
+        invalid("store_q longer than the stores", &core);
+        core.store_q.pop_back();
+
+        // one record per in-flight branch, and this ROB holds none
+        core.branch_q.push_back(BranchRecord {
+            ghr_before: 0,
+            taken: true,
+            pred_taken: true,
+            pred_strength: 3,
+        });
+        invalid("branch_q longer than the branches", &core);
+        core.branch_q.pop_back();
+
+        assert_eq!(save(&core), bytes, "every mutation was undone");
+        load(&bytes, &p, &cfg).expect("the untouched snapshot still loads");
+    }
+
+    /// Steps a core and its memory for `cycles` cycles from `now`.
+    fn step(core: &mut Core, mem: &mut bfetch_mem::MemorySystem, now: &mut u64, cycles: u64) {
+        for _ in 0..cycles {
+            core.cycle(*now, mem);
+            mem.drain_feedback(|fb| core.feedback(fb.pc_hash, fb.useful));
+            *now += 1;
+        }
+    }
+
+    /// The sequence numbers cross many multiples of the ring size with the
+    /// ROB full (a streaming kernel on cold caches, under B-Fetch), and a
+    /// checkpoint taken with the ROB full and the block half fetched —
+    /// registers already overwritten since its entry branch — resumes into
+    /// the run the uninterrupted core goes on to have.
+    #[test]
+    fn ring_wrap_with_a_full_rob_survives_a_mid_block_checkpoint() {
+        use bfetch_snapshot::SnapState as _;
+        let mut b = ProgramBuilder::new("wrap");
+        b.li(Reg::R1, 0x100_0000);
+        b.li(Reg::R2, 0x800_0000);
+        let top = b.label();
+        b.bind(top);
+        b.load(Reg::R4, Reg::R1, 0);
+        for _ in 0..10 {
+            b.add(Reg::R5, Reg::R5, Reg::R4);
+            b.xor(Reg::R6, Reg::R6, Reg::R5);
+        }
+        b.addi(Reg::R1, Reg::R1, 64);
+        b.load(Reg::R7, Reg::R1, -56); // base overwritten since block entry
+        b.blt(Reg::R1, Reg::R2, top);
+        b.halt();
+        let p = b.finish();
+        let cfg = SimConfig::baseline().with_prefetcher(PrefetcherKind::BFetch);
+        let ring = cfg.rob_entries.next_power_of_two() as u64;
+
+        let mut core = Core::new(0, p.clone(), &cfg);
+        let mut mem = bfetch_mem::MemorySystem::new(cfg.hierarchy(1));
+        let mut now = 0;
+        step(&mut core, &mut mem, &mut now, 20_000);
+        // on to a cycle that leaves the ROB full in the middle of a block
+        let mid_block_and_full = |c: &Core| {
+            c.rob_len() == cfg.rob_entries && c.block_entry.written.count_ones() >= 3
+        };
+        while !mid_block_and_full(&core) {
+            step(&mut core, &mut mem, &mut now, 1);
+            assert!(now < 40_000, "the ROB never filled mid-block");
+        }
+        assert!(core.next_seq > 8 * ring, "only {} instructions", core.next_seq);
+
+        let mut resumed = load(&save(&core), &p, &cfg).expect("core restores");
+        let mut mw = bfetch_snapshot::Encoder::new();
+        mem.save_state(&mut mw);
+        let mut resumed_mem = bfetch_mem::MemorySystem::new(cfg.hierarchy(1));
+        resumed_mem
+            .load_state(&mut bfetch_snapshot::Decoder::new(&mw.into_bytes()))
+            .expect("memory restores");
+
+        let mut resumed_now = now;
+        step(&mut core, &mut mem, &mut now, 20_000);
+        step(&mut resumed, &mut resumed_mem, &mut resumed_now, 20_000);
+        assert!(core.next_seq > 16 * ring);
+        assert_eq!(save(&resumed), save(&core), "machine state diverged");
+        assert_eq!(resumed.counters, core.counters);
+        assert_eq!(resumed_mem.stats(0), mem.stats(0));
+        assert_eq!(
+            resumed.engine().map(|e| *e.stats()),
+            core.engine().map(|e| *e.stats())
+        );
     }
 }

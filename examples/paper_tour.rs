@@ -55,8 +55,8 @@ fn main() {
     regs[2] = 0x1_0000; // r2: the walking pointer
     let mut seq = 0;
     for iter in 0..6 {
-        engine.on_commit_branch(br1, true, true, start, br1 + 4, &regs);
-        engine.on_commit_load(start, 2, regs[2] + 24); // load r1, 24(r2)
+        engine.on_commit_branch(br1, true, true, start, br1 + 4);
+        engine.on_commit_load(start, 2, regs[2], regs[2] + 24); // load r1, 24(r2)
         println!(
             "   commit iteration {iter}: r2 = {:#x}, load EA = {:#x}",
             regs[2],
