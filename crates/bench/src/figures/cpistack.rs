@@ -11,25 +11,13 @@
 //! exported: a `.csv` path selects CSV (one row per sample, prefixed with
 //! kernel and prefetcher columns), anything else JSONL (one `run_begin`
 //! delimiter object per run followed by its samples).
-//!
-//! Flags beyond the common set:
-//!
-//! ```text
-//! --quick        reduced instruction budget (CI smoke run)
-//! ```
 
-use bfetch_bench::harness::executor::run_indexed;
-use bfetch_bench::{rows_to_json, usage, Opts};
+use super::{group_cpi, table, write_sidecar, CPI_PREFETCHERS, GROUPS};
+use crate::harness::executor::run_indexed;
+use crate::{exit_err, rows_to_json, Ctx};
 use bfetch_sim::{CpiComponent, CpiStack, PrefetcherKind, SimSession, TimelineSample};
-use bfetch_stats::Table;
 use bfetch_workloads::Kernel;
 use std::io::Write;
-
-const PREFETCHERS: [PrefetcherKind; 3] = [
-    PrefetcherKind::None,
-    PrefetcherKind::Stride,
-    PrefetcherKind::BFetch,
-];
 
 /// One finished grid point: its stack plus the interval samples.
 struct Point {
@@ -39,94 +27,28 @@ struct Point {
     timeline: Vec<TimelineSample>,
 }
 
-/// Display groups for the table and the shrink report: the three memory
-/// levels fold their prefetch-covered halves in, and the covered total
-/// gets its own summary column.
-const GROUPS: [(&str, &[CpiComponent]); 9] = [
-    ("base", &[CpiComponent::Base]),
-    ("mispred", &[CpiComponent::Mispredict]),
-    ("fetch", &[CpiComponent::FetchStall]),
-    ("rob", &[CpiComponent::RobFull]),
-    ("lsq", &[CpiComponent::LsqFull]),
-    ("mshr", &[CpiComponent::MshrFull]),
-    ("L2", &[CpiComponent::MemL2, CpiComponent::MemL2Covered]),
-    ("L3", &[CpiComponent::MemL3, CpiComponent::MemL3Covered]),
-    (
-        "dram",
-        &[CpiComponent::MemDram, CpiComponent::MemDramCovered],
-    ),
-];
-
-fn group_cpi(stack: &CpiStack, members: &[CpiComponent]) -> f64 {
-    members.iter().map(|&c| stack.component_cpi(c)).sum()
-}
-
+/// The prefetch-covered total: its own summary column next to the groups.
 fn covered_cpi(stack: &CpiStack) -> f64 {
-    CpiComponent::ALL
-        .iter()
-        .filter(|c| c.is_covered())
-        .map(|&c| stack.component_cpi(c))
-        .sum()
+    CpiComponent::ALL.iter().filter(|c| c.is_covered()).map(|&c| stack.component_cpi(c)).sum()
 }
 
-fn main() {
-    // Split our own flags out before handing the rest to the common parser.
-    let mut quick = false;
-    let mut rest: Vec<String> = Vec::new();
-    for a in std::env::args().skip(1) {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--help" | "-h" => {
-                println!(
-                    "top-down CPI-stack breakdown (none vs. stride vs. bfetch)\n\
-                     \x20 --quick                  reduced instruction budget (CI smoke run)\n\
-                     {}",
-                    usage()
-                );
-                return;
-            }
-            _ => rest.push(a),
-        }
-    }
-    let mut opts = match Opts::parse(rest) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("{}", usage());
-            std::process::exit(2);
-        }
-    };
-    let _prof = bfetch_bench::profiling::start(&opts);
-    // --quick shrinks the budget unless the user pinned one explicitly.
-    let explicit_insts = std::env::args().any(|a| a == "--instructions" || a == "-n");
-    let explicit_warmup = std::env::args().any(|a| a == "--warmup");
-    if quick {
-        if !explicit_insts {
-            opts.instructions = 30_000;
-        }
-        if !explicit_warmup {
-            opts.warmup = 15_000;
-        }
-    }
+/// The `ext_cpistack` registry entry.
+pub fn ext_cpistack(ctx: &Ctx) {
+    let opts = &ctx.opts;
     let kernels = opts.selected_kernels();
 
     // CPI runs carry a timeline, so they never go through the result
     // cache; the work-stealing executor keeps the grid parallel while the
     // output stays in (kernel, prefetcher) order.
-    let grid: Vec<(&'static Kernel, PrefetcherKind)> = kernels
-        .iter()
-        .flat_map(|&k| PREFETCHERS.iter().map(move |&p| (k, p)))
-        .collect();
+    let grid: Vec<(&'static Kernel, PrefetcherKind)> =
+        kernels.iter().flat_map(|&k| CPI_PREFETCHERS.iter().map(move |&p| (k, p))).collect();
     let points: Vec<Point> = run_indexed(&grid, opts.threads, |_, &(k, p)| {
         let program = k.build(opts.scale);
         let run = SimSession::new(opts.config(p))
             .cpi(true)
             .instructions(opts.instructions)
             .run_one(&program)
-            .unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            });
+            .unwrap_or_else(|e| exit_err(e));
         let r = &run.results[0];
         let stack = r.cpi.expect("CPI run must carry a stack");
         // the acceptance invariant, checked on every grid point
@@ -134,40 +56,32 @@ fn main() {
             || stack.cycles != r.cycles
             || stack.committed_slots != r.instructions
         {
-            eprintln!(
-                "error: CPI invariant violated for {}/{}: {stack:?} vs {} cycles, {} insts",
+            exit_err(format_args!(
+                "CPI invariant violated for {}/{}: {stack:?} vs {} cycles, {} insts",
                 k.name,
                 p.name(),
                 r.cycles,
                 r.instructions
-            );
-            std::process::exit(1);
+            ));
         }
-        Point {
-            kernel: k.name,
-            prefetcher: p.name(),
-            stack,
-            timeline: run.timeline,
-        }
+        Point { kernel: k.name, prefetcher: p.name(), stack, timeline: run.timeline }
     });
 
     if let Some(path) = &opts.timeline {
-        if let Err(e) = export_timeline(path, &points) {
-            eprintln!("error: writing {}: {e}", path.display());
-            std::process::exit(1);
-        }
+        let csv = path.extension().is_some_and(|e| e == "csv");
+        write_sidecar(path, |out| export_timeline(out, csv, &points));
     }
 
     if opts.json {
-        let headers: Vec<&str> = std::iter::once("cpi")
-            .chain(std::iter::once("commit"))
+        let headers: Vec<&str> = ["cpi", "commit"]
+            .into_iter()
             .chain(CpiComponent::ALL.iter().map(|c| c.as_str()))
             .collect();
         let rows: Vec<(String, Vec<f64>)> = points
             .iter()
             .map(|pt| {
-                let vals = std::iter::once(pt.stack.cpi())
-                    .chain(std::iter::once(pt.stack.commit_cpi()))
+                let vals = [pt.stack.cpi(), pt.stack.commit_cpi()]
+                    .into_iter()
                     .chain(CpiComponent::ALL.iter().map(|&c| pt.stack.component_cpi(c)))
                     .collect();
                 (format!("{}/{}", pt.kernel, pt.prefetcher), vals)
@@ -178,13 +92,9 @@ fn main() {
     }
 
     // -- stacked breakdown table -------------------------------------------
-    let mut t = Table::new(
-        ["benchmark", "pf", "CPI", "commit"]
-            .into_iter()
-            .map(String::from)
-            .chain(GROUPS.iter().map(|(name, _)| name.to_string()))
-            .chain(std::iter::once("pf-cov".to_string()))
-            .collect(),
+    let group_names = GROUPS.iter().map(|(name, _)| *name);
+    let mut t = table(
+        ["benchmark", "pf", "CPI", "commit"].into_iter().chain(group_names).chain(["pf-cov"]),
     );
     for pt in &points {
         t.row(
@@ -196,9 +106,7 @@ fn main() {
             ]
             .into_iter()
             .chain(
-                GROUPS
-                    .iter()
-                    .map(|(_, members)| format!("{:.3}", group_cpi(&pt.stack, members))),
+                GROUPS.iter().map(|(_, members)| format!("{:.3}", group_cpi(&pt.stack, members))),
             )
             .chain(std::iter::once(format!("{:.3}", covered_cpi(&pt.stack))))
             .collect(),
@@ -207,8 +115,8 @@ fn main() {
     println!(
         "== Extension: top-down CPI stack ({} kernels x {} prefetchers{}) ==",
         kernels.len(),
-        PREFETCHERS.len(),
-        if quick { ", --quick" } else { "" }
+        CPI_PREFETCHERS.len(),
+        if opts.quick { ", --quick" } else { "" }
     );
     print!("{t}");
     println!();
@@ -218,16 +126,16 @@ fn main() {
     // -- which component did each prefetcher shrink? -----------------------
     println!();
     println!("component shrink vs. no prefetching:");
-    for k in &kernels {
-        let base = points
+    let point = |kernel: &str, pf: &str| {
+        points
             .iter()
-            .find(|p| p.kernel == k.name && p.prefetcher == "baseline")
-            .expect("grid covers every (kernel, prefetcher) pair");
+            .find(|p| p.kernel == kernel && p.prefetcher == pf)
+            .expect("grid covers every (kernel, prefetcher) pair")
+    };
+    for k in &kernels {
+        let base = point(k.name, "baseline");
         for pf in ["stride", "bfetch"] {
-            let pt = points
-                .iter()
-                .find(|p| p.kernel == k.name && p.prefetcher == pf)
-                .expect("grid covers every (kernel, prefetcher) pair");
+            let pt = point(k.name, pf);
             let d_cpi = pt.stack.cpi() - base.stack.cpi();
             let (biggest, d_big) = GROUPS
                 .iter()
@@ -253,10 +161,7 @@ fn main() {
 
 /// Exports every run's interval samples; `.csv` selects CSV with
 /// kernel/prefetcher prefix columns, anything else the JSONL stream.
-fn export_timeline(path: &std::path::Path, points: &[Point]) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    let mut out = std::io::BufWriter::new(file);
-    let csv = path.extension().is_some_and(|e| e == "csv");
+fn export_timeline(out: &mut impl Write, csv: bool, points: &[Point]) -> std::io::Result<()> {
     if csv {
         writeln!(out, "kernel,prefetcher,{}", TimelineSample::csv_header())?;
         for pt in points {
@@ -278,5 +183,5 @@ fn export_timeline(path: &std::path::Path, points: &[Point]) -> std::io::Result<
             }
         }
     }
-    out.flush()
+    Ok(())
 }

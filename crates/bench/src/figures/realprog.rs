@@ -16,24 +16,11 @@
 //!
 //! Runs go through the `Harness` result cache, so stdout is byte-identical
 //! across `--threads` counts and cache states (pinned by verify.sh).
-//!
-//! Flags beyond the common set:
-//!
-//! ```text
-//! --quick        reduced instruction budget (CI smoke run)
-//! ```
 
-use bfetch_bench::harness::{GridPoint, SweepSpec};
-use bfetch_bench::{rows_to_json, usage, Harness, Opts};
-use bfetch_sim::{CpiComponent, CpiConfig, CpiStack, PrefetcherKind, RunResult};
-use bfetch_stats::Table;
+use super::{group_cpi, table, CPI_PREFETCHERS};
+use crate::{rows_to_json, Ctx, GridPoint, SweepSpec};
+use bfetch_sim::{CpiComponent, CpiConfig, CpiStack, RunResult};
 use bfetch_workloads::{kernel_by_name, Kernel, ANALOGS};
-
-const PREFETCHERS: [PrefetcherKind; 3] = [
-    PrefetcherKind::None,
-    PrefetcherKind::Stride,
-    PrefetcherKind::BFetch,
-];
 
 const DRAM: &[CpiComponent] = &[CpiComponent::MemDram, CpiComponent::MemDramCovered];
 const MSHR: &[CpiComponent] = &[CpiComponent::MshrFull];
@@ -46,7 +33,7 @@ const FLAT_EPS: f64 = 0.005;
 /// in the ranking strings (0.5%).
 const RANK_TIE: f64 = 0.005;
 
-/// One workload's three runs, in [`PREFETCHERS`] order.
+/// One workload's three runs, in [`CPI_PREFETCHERS`] order.
 struct Row {
     name: &'static str,
     family: &'static str,
@@ -60,8 +47,7 @@ impl Row {
     }
 
     fn delta(&self, members: &[CpiComponent]) -> f64 {
-        let group = |s: &CpiStack| -> f64 { members.iter().map(|&c| s.component_cpi(c)).sum() };
-        group(&self.stacks[2]) - group(&self.stacks[0])
+        group_cpi(&self.stacks[2], members) - group_cpi(&self.stacks[0], members)
     }
 
     /// Prefetchers ordered best-first by cycle count, with near-ties
@@ -80,7 +66,7 @@ impl Row {
                 let tied = bucket(self.cycles[i]) == bucket(self.cycles[order[pos - 1]]);
                 out.push_str(if tied { " = " } else { " > " });
             }
-            out.push_str(PREFETCHERS[i].name());
+            out.push_str(CPI_PREFETCHERS[i].name());
         }
         out
     }
@@ -97,47 +83,12 @@ fn direction(delta: f64) -> &'static str {
     }
 }
 
-fn main() {
-    // Split our own flags out before handing the rest to the common parser.
-    let mut quick = false;
-    let mut rest: Vec<String> = Vec::new();
-    for a in std::env::args().skip(1) {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--help" | "-h" => {
-                println!(
-                    "real-program suite vs. synthetic analogs (none/stride/bfetch)\n\
-                     \x20 --quick                  reduced instruction budget (CI smoke run)\n\
-                     {}",
-                    usage()
-                );
-                return;
-            }
-            _ => rest.push(a),
-        }
-    }
-    let mut opts = match Opts::parse(rest) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("{}", usage());
-            std::process::exit(2);
-        }
-    };
-    let _prof = bfetch_bench::profiling::start(&opts);
-    // Real algorithms spend O(N log N)+ instructions over their O(N)
-    // data, so the common 300k default would measure mostly their init
-    // phases; the bigger default window reaches the load-dominated
-    // steady state (explicit --instructions/--warmup always win).
-    let explicit_insts = std::env::args().any(|a| a == "--instructions" || a == "-n");
-    let explicit_warmup = std::env::args().any(|a| a == "--warmup");
-    if !explicit_insts {
-        opts.instructions = if quick { 30_000 } else { 1_200_000 };
-    }
-    if !explicit_warmup {
-        opts.warmup = if quick { 15_000 } else { 300_000 };
-    }
-
+/// The `fig_realprog` registry entry. Real algorithms spend O(N log N)+
+/// instructions over their O(N) data, so the common 300k window would
+/// measure mostly their init phases; its budget reaches the
+/// load-dominated steady state.
+pub fn fig_realprog(ctx: &Ctx) {
+    let opts = &ctx.opts;
     // The sweep covers each selected program and its synthetic analog,
     // deduplicated in case two programs ever share one analog.
     let pairs: Vec<(&'static Kernel, &'static Kernel)> = opts
@@ -163,7 +114,7 @@ fn main() {
 
     let mut spec = SweepSpec::new();
     for &(w, _) in &workloads {
-        for kind in PREFETCHERS {
+        for kind in CPI_PREFETCHERS {
             spec.push(GridPoint::single(
                 format!("{}/{}", w.name, kind.name()),
                 w,
@@ -173,12 +124,12 @@ fn main() {
             ));
         }
     }
-    let outcome = Harness::from_opts(&opts).run(&spec).or_fail();
+    let outcome = ctx.harness().run(&spec).or_fail();
 
     let rows: Vec<Row> = workloads
         .iter()
         .map(|&(w, family)| {
-            let runs: Vec<&RunResult> = PREFETCHERS
+            let runs: Vec<&RunResult> = CPI_PREFETCHERS
                 .iter()
                 .map(|kind| outcome.require(&format!("{}/{}", w.name, kind.name())))
                 .collect();
@@ -224,17 +175,10 @@ fn main() {
     println!(
         "== Extension: real programs vs. synthetic analogs ({} pairs x {} prefetchers{}) ==",
         pairs.len(),
-        PREFETCHERS.len(),
-        if quick { ", --quick" } else { "" }
+        CPI_PREFETCHERS.len(),
+        if opts.quick { ", --quick" } else { "" }
     );
-    let mut t = Table::new(
-        [
-            "workload", "family", "CPI", "stride", "bfetch", "dram d", "mshr d",
-        ]
-        .into_iter()
-        .map(String::from)
-        .collect(),
-    );
+    let mut t = table(["workload", "family", "CPI", "stride", "bfetch", "dram d", "mshr d"]);
     for r in &rows {
         t.row(vec![
             r.name.to_string(),
@@ -255,14 +199,8 @@ fn main() {
     println!();
     println!("cross-validation (real program vs. the synthetic kernel modeling it):");
     let row_of = |name: &str| rows.iter().find(|r| r.name == name).expect("swept above");
-    let mut t = Table::new(
-        [
-            "program", "analog", "ranking", "analog ranking", "dram", "mshr", "verdict",
-        ]
-        .into_iter()
-        .map(String::from)
-        .collect(),
-    );
+    let mut t =
+        table(["program", "analog", "ranking", "analog ranking", "dram", "mshr", "verdict"]);
     let mut agree = 0usize;
     for &(p, k) in &pairs {
         let (rp, rk) = (row_of(p.name), row_of(k.name));
@@ -282,16 +220,8 @@ fn main() {
             k.name.to_string(),
             rp.ranking(),
             rk.ranking(),
-            format!(
-                "{}/{}",
-                direction(rp.delta(DRAM)),
-                direction(rk.delta(DRAM))
-            ),
-            format!(
-                "{}/{}",
-                direction(rp.delta(MSHR)),
-                direction(rk.delta(MSHR))
-            ),
+            format!("{}/{}", direction(rp.delta(DRAM)), direction(rk.delta(DRAM))),
+            format!("{}/{}", direction(rp.delta(MSHR)), direction(rk.delta(MSHR))),
             verdict.to_string(),
         ]);
     }

@@ -1,0 +1,330 @@
+//! Harness sweeps whose rows aggregate over the kernels instead of
+//! listing them: one row per predictor size, predictor family, DRAM
+//! model or prefetcher (Figure 13 and four extensions), plus the
+//! per-kernel prefetch counts of Figure 11.
+
+use super::{kernel_sweep, storage_kb, table};
+use crate::{rows_to_json, Ctx, Report, Row, SweepOutcome};
+use bfetch_mem::DramConfig;
+use bfetch_sim::energy::{estimate, EnergyParams};
+use bfetch_sim::{PredictorKind, PrefetcherKind, SimConfig};
+use bfetch_stats::{geomean, mean, percent};
+use bfetch_workloads::Kernel;
+
+/// The no-prefetch and B-Fetch configurations of every labelled variant
+/// (`base/{label}`, `bfetch/{label}`), after the unmodified no-prefetch
+/// reference `ref` the rows normalize to.
+fn with_reference<V>(
+    ctx: &Ctx,
+    variants: &[(String, V)],
+    apply: impl Fn(SimConfig, &V) -> SimConfig,
+) -> Vec<(String, SimConfig)> {
+    let mut cfgs = vec![("ref".to_string(), ctx.opts.config(PrefetcherKind::None))];
+    for (label, v) in variants {
+        for (name, kind) in [("base", PrefetcherKind::None), ("bfetch", PrefetcherKind::BFetch)] {
+            cfgs.push((format!("{name}/{label}"), apply(ctx.opts.config(kind), v)));
+        }
+    }
+    cfgs
+}
+
+/// One row per variant of a [`with_reference`] sweep: geomean no-prefetch
+/// and B-Fetch speedup over `ref`, mean misprediction rate, mean B-Fetch
+/// lookahead depth.
+fn reference_rows<V>(
+    kernels: &[&'static Kernel],
+    out: &SweepOutcome,
+    variants: &[(String, V)],
+) -> Vec<Row> {
+    variants
+        .iter()
+        .map(|(label, _)| {
+            let mut base_ratio = Vec::new();
+            let mut bf_ratio = Vec::new();
+            let mut rates = Vec::new();
+            let mut depths = Vec::new();
+            for k in kernels {
+                let ref_ipc = out.require(&format!("{}/ref", k.name)).ipc();
+                let b = out.require(&format!("{}/base/{label}", k.name));
+                let f = out.require(&format!("{}/bfetch/{label}", k.name));
+                base_ratio.push(b.ipc() / ref_ipc);
+                bf_ratio.push(f.ipc() / ref_ipc);
+                rates.push(b.bp_miss_rate());
+                if let Some(e) = f.engine {
+                    depths.push(e.mean_depth());
+                }
+            }
+            let vals = vec![geomean(&base_ratio), geomean(&bf_ratio), mean(&rates), mean(&depths)];
+            (label.clone(), vals)
+        })
+        .collect()
+}
+
+/// Figure 11: useful vs useless prefetches issued by SMS and B-Fetch per
+/// benchmark — the accuracy argument behind B-Fetch's multiprogrammed wins.
+pub fn fig11_accuracy(ctx: &Ctx) {
+    let kinds = [PrefetcherKind::Sms, PrefetcherKind::BFetch];
+    let (kernels, out) = kernel_sweep(ctx, &kinds.map(|k| (k.name(), ctx.opts.config(k))));
+
+    let mut totals = [0u64; 4];
+    let mut rows: Vec<Row> = Vec::new();
+    for k in &kernels {
+        let sms = out.require(&format!("{}/sms", k.name)).mem;
+        let bf = out.require(&format!("{}/bfetch", k.name)).mem;
+        let row =
+            [sms.prefetch_useful, sms.prefetch_useless, bf.prefetch_useful, bf.prefetch_useless];
+        for (tot, v) in totals.iter_mut().zip(row.iter()) {
+            *tot += v;
+        }
+        rows.push((k.name.to_string(), row.iter().map(|&v| v as f64).collect()));
+    }
+    rows.push(("TOTAL".to_string(), totals.iter().map(|&v| v as f64).collect()));
+
+    let sms_acc = totals[0] as f64 / (totals[0] + totals[1]).max(1) as f64;
+    let bf_acc = totals[2] as f64 / (totals[2] + totals[3]).max(1) as f64;
+    let headers = ["sms useful", "sms useless", "bfetch useful", "bfetch useless"];
+    Report::new(
+        "== Figure 11: useful and useless prefetches issued ==",
+        "benchmark",
+        headers,
+        rows,
+    )
+    .cell(|_, v| format!("{v:.0}"))
+    .note(format!(
+        "\naccuracy: sms {:.1}%  bfetch {:.1}%\n\
+             paper reference: B-Fetch issues ~4% more useful and ~50% fewer\n\
+             useless prefetches than SMS.\n",
+        100.0 * sms_acc,
+        100.0 * bf_acc
+    ))
+    .emit(ctx.opts.json);
+}
+
+/// Figure 13: sensitivity to branch predictor size (0.5×/1×/2×/4× the
+/// 6.55 KB tournament baseline), reporting baseline IPC, B-Fetch IPC, the
+/// speedup, and the suite misprediction rate at each size.
+pub fn fig13_bpsize(ctx: &Ctx) {
+    let scales = [0.5, 1.0, 2.0, 4.0].map(|s: f64| (s.to_string(), s));
+    // one sweep: the 1x no-prefetch reference plus (scale × {base,bfetch})
+    let cfgs = with_reference(ctx, &scales, |cfg, &s| cfg.with_bpred_scale(s));
+    let (kernels, out) = kernel_sweep(ctx, &cfgs);
+
+    let rows = reference_rows(&kernels, &out, &scales)
+        .into_iter()
+        .map(|(s, vals)| (format!("{s}x"), vals[..3].to_vec()))
+        .collect();
+
+    let headers = ["baseline speedup", "bfetch speedup", "miss rate"];
+    Report::new(
+        "== Figure 13: branch predictor size sensitivity ==",
+        "predictor size",
+        headers,
+        rows,
+    )
+    .cell(|i, v| if i == 2 { format!("{:.2}%", 100.0 * v) } else { format!("{v:.4}") })
+    .note(
+        "\npaper reference: baseline 0.994/1.000/1.005/1.008, B-Fetch\n\
+             1.225/1.232/1.237/1.241, miss rate 2.95%->2.53% — B-Fetch gains\n\
+             little from a larger predictor because the default is already accurate.\n",
+    )
+    .emit(ctx.opts.json);
+}
+
+/// Extension: B-Fetch under a state-of-the-art branch predictor — the
+/// paper's stated future work ("we plan to evaluate B-Fetch with the
+/// state-of-art branch predictors"). Compares the tournament baseline with
+/// a hashed perceptron, with and without B-Fetch.
+pub fn ext_perceptron(ctx: &Ctx) {
+    let predictors =
+        [PredictorKind::Tournament, PredictorKind::Perceptron].map(|pk| (format!("{pk:?}"), pk));
+    // normalization point: tournament, no prefetch
+    let cfgs = with_reference(ctx, &predictors, |cfg, &pk| cfg.with_predictor(pk));
+    let (kernels, out) = kernel_sweep(ctx, &cfgs);
+
+    let rows = reference_rows(&kernels, &out, &predictors);
+
+    let headers = ["baseline speedup", "bfetch speedup", "miss rate", "mean lookahead depth"];
+    let title = "== Extension: B-Fetch with a hashed perceptron predictor ==";
+    Report::new(title, "predictor", headers, rows)
+        .cell(|i, v| match i {
+            2 => format!("{:.2}%", 100.0 * v),
+            3 => format!("{v:.1}"),
+            _ => format!("{v:.4}"),
+        })
+        .note(
+            "\na better predictor raises path confidence, deepening the lookahead —\n\
+             the mechanism Figure 13 probes by scaling the tournament tables.\n",
+        )
+        .emit(ctx.opts.json);
+}
+
+/// Extension: substrate study — flat-latency DRAM (the Table II model all
+/// recorded experiments use) vs a bank/row-buffer model. Spatially local
+/// streams gain effective bandwidth from open rows, which compresses
+/// prefetcher speedups; scattered patterns are unaffected.
+pub fn ext_dram(ctx: &Ctx) {
+    let models = [
+        ("flat 200-cycle", DramConfig::baseline()),
+        ("8-bank row buffer", DramConfig::with_row_model()),
+    ];
+    let prefetchers = [
+        ("base", PrefetcherKind::None),
+        ("bfetch", PrefetcherKind::BFetch),
+        ("sms", PrefetcherKind::Sms),
+    ];
+    let mut cfgs: Vec<(String, SimConfig)> = Vec::new();
+    for (mi, (_, dram)) in models.iter().enumerate() {
+        for (pname, kind) in prefetchers {
+            cfgs.push((format!("{mi}/{pname}"), ctx.opts.config(kind).with_dram(*dram)));
+        }
+    }
+    let (kernels, out) = kernel_sweep(ctx, &cfgs);
+
+    let mut rows: Vec<Row> = Vec::new();
+    for (mi, (label, _)) in models.iter().enumerate() {
+        let mut base_ipc = Vec::new();
+        let mut bf = Vec::new();
+        let mut sms = Vec::new();
+        for k in &kernels {
+            let b = out.require(&format!("{}/{mi}/base", k.name)).ipc();
+            base_ipc.push(b);
+            bf.push(out.require(&format!("{}/{mi}/bfetch", k.name)).ipc() / b);
+            sms.push(out.require(&format!("{}/{mi}/sms", k.name)).ipc() / b);
+        }
+        rows.push((label.to_string(), vec![geomean(&base_ipc), geomean(&bf), geomean(&sms)]));
+    }
+
+    let headers = ["baseline IPC (geomean)", "bfetch speedup", "sms speedup"];
+    Report::new("== Extension: DRAM model sensitivity ==", "dram model", headers, rows)
+        .emit(ctx.opts.json);
+}
+
+/// Extension: dynamic-energy comparison across prefetchers — the paper's
+/// energy-efficiency motivation made quantitative. Reports energy per
+/// instruction, the speedup, and the energy-delay product relative to the
+/// no-prefetch baseline.
+pub fn ext_energy(ctx: &Ctx) {
+    let params = EnergyParams::baseline();
+    let kinds = [
+        PrefetcherKind::None,
+        PrefetcherKind::Stride,
+        PrefetcherKind::Sms,
+        PrefetcherKind::Isb,
+        PrefetcherKind::BFetch,
+    ];
+    let (kernels, out) = kernel_sweep(ctx, &kinds.map(|k| (k.name(), ctx.opts.config(k))));
+
+    // per kind: (speedup, energy ratio) geomeans over kernels
+    let rows: Vec<Row> = kinds
+        .iter()
+        .map(|&kind| {
+            let (mut speedups, mut energies) = (Vec::new(), Vec::new());
+            for k in &kernels {
+                let base = out.require(&format!("{}/{}", k.name, PrefetcherKind::None.name()));
+                let base_e = estimate(base, 0.0, &params).nj_per_inst(base.instructions);
+                let r = out.require(&format!("{}/{}", k.name, kind.name()));
+                let e = estimate(r, storage_kb(kind), &params).nj_per_inst(r.instructions);
+                speedups.push(r.ipc() / base.ipc());
+                energies.push(e / base_e);
+            }
+            let s = geomean(&speedups);
+            let e = geomean(&energies);
+            (kind.name().to_string(), vec![s, e, e / s])
+        })
+        .collect();
+
+    let headers = ["geomean speedup", "energy/inst vs baseline", "energy-delay vs baseline"];
+    Report::new("== Extension: dynamic energy across prefetchers ==", "prefetcher", headers, rows)
+        .note(
+            "\naccurate prefetching lowers the energy-delay product even though it\n\
+             adds table and traffic energy; inaccurate streams pay DRAM energy\n\
+             for lines nobody uses, and heavy-weight meta-data shuttling adds an\n\
+             off-chip energy term light-weight designs avoid entirely.\n",
+        )
+        .emit(ctx.opts.json);
+}
+
+/// Extension: light-weight vs heavy-weight prefetching (Section III-B).
+///
+/// The paper positions B-Fetch against heavy-weight designs like ISB:
+/// similar accuracy, but ISB needs megabytes of off-chip meta-data and
+/// pays ~8.4% extra memory traffic to shuttle it. Runs ISB alongside SMS
+/// and B-Fetch and reports speedup, accuracy, storage, and the meta-data
+/// traffic overhead.
+pub fn ext_heavyweight(ctx: &Ctx) {
+    let kinds = [PrefetcherKind::Sms, PrefetcherKind::Isb, PrefetcherKind::BFetch];
+    let mut cfgs = vec![("base", ctx.opts.config(PrefetcherKind::None))];
+    cfgs.extend(kinds.iter().map(|&kind| (kind.name(), ctx.opts.config(kind))));
+    let (kernels, out) = kernel_sweep(ctx, &cfgs);
+
+    let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); kinds.len()];
+    let mut useful = [0u64; 3];
+    let mut useless = [0u64; 3];
+    let mut demand_bytes = 0u64;
+    let mut metadata_bytes = 0u64;
+    for k in &kernels {
+        let base = out.require(&format!("{}/base", k.name));
+        demand_bytes += (base.mem.dram_reqs) * 64;
+        for (i, &kind) in kinds.iter().enumerate() {
+            let r = out.require(&format!("{}/{}", k.name, kind.name()));
+            speedups[i].push(r.ipc() / base.ipc());
+            useful[i] += r.mem.prefetch_useful;
+            useless[i] += r.mem.prefetch_useless;
+            if kind == PrefetcherKind::Isb {
+                metadata_bytes += r.pf_metadata_bytes;
+            }
+        }
+    }
+
+    let rows: Vec<Row> = kinds
+        .iter()
+        .enumerate()
+        .map(|(i, &kind)| {
+            let traffic = match kind {
+                PrefetcherKind::Isb => percent(metadata_bytes, demand_bytes),
+                _ => 0.0,
+            };
+            let accuracy = percent(useful[i], useful[i] + useless[i]);
+            (
+                kind.name().to_string(),
+                vec![geomean(&speedups[i]), accuracy, storage_kb(kind), traffic],
+            )
+        })
+        .collect();
+    if ctx.opts.json {
+        let headers = ["geomean speedup", "accuracy", "on-chip KB", "metadata traffic pct"];
+        println!("{}", rows_to_json(&headers, &rows));
+        return;
+    }
+
+    // the text table adds a column that is not a number
+    let mut t = table([
+        "prefetcher",
+        "geomean speedup",
+        "accuracy",
+        "on-chip KB",
+        "off-chip",
+        "metadata traffic",
+    ]);
+    let offchip = ["-", "~MBs (maps)", "-"];
+    for (i, (name, v)) in rows.iter().enumerate() {
+        let traffic = match kinds[i] {
+            PrefetcherKind::Isb => format!("{:.1}% of demand", v[3]),
+            _ => "0%".into(),
+        };
+        t.row(vec![
+            name.clone(),
+            format!("{:.3}", v[0]),
+            format!("{:.1}%", v[1]),
+            format!("{:.2}", v[2]),
+            offchip[i].into(),
+            traffic,
+        ]);
+    }
+    println!("== Extension: light-weight vs heavy-weight prefetchers ==");
+    print!("{t}");
+    println!();
+    println!("paper reference (Section III-B): ISB is accurate but needs 8 MB of");
+    println!("off-chip meta-data and sees 8.4% memory-traffic overhead; B-Fetch");
+    println!("reaches comparable accuracy entirely on-chip in ~13 KB.");
+}

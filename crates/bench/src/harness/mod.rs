@@ -1,7 +1,7 @@
 //! The experiment harness: declarative sweeps, a work-stealing parallel
 //! executor, and a content-addressed result cache.
 //!
-//! A figure binary used to be a nest of serial loops calling
+//! A figure used to be a nest of serial loops calling
 //! `run_single`/`run_multi` directly. With the harness it instead
 //! *declares* its grid — every (workload × config × instruction-budget)
 //! point it needs — and hands the whole sweep to [`Harness::run`], which:
@@ -88,13 +88,7 @@ impl GridPoint {
         instructions: u64,
         scale: Scale,
     ) -> Self {
-        Self {
-            label: label.into(),
-            members: vec![kernel],
-            config,
-            instructions,
-            scale,
-        }
+        Self::mix(label, vec![kernel], config, instructions, scale)
     }
 
     /// A multiprogrammed point (one core per member).
@@ -159,22 +153,6 @@ impl GridPoint {
             self.config,
         )
     }
-
-    /// Runs the simulation for this point (no caching at this level),
-    /// surfacing watchdog/budget aborts as values.
-    pub fn try_execute(&self) -> Result<Vec<RunResult>, SimError> {
-        let programs: Vec<_> = self.members.iter().map(|k| k.build(self.scale)).collect();
-        SimSession::new(self.config.clone())
-            .instructions(self.instructions)
-            .run(&programs)
-            .map(|out| out.results)
-    }
-
-    /// Like [`GridPoint::try_execute`], panicking on simulator aborts
-    /// (kept for callers outside a sweep).
-    pub fn execute(&self) -> Vec<RunResult> {
-        self.try_execute().unwrap_or_else(|e| panic!("{e}"))
-    }
 }
 
 /// An ordered collection of grid points; the declarative description of
@@ -201,14 +179,14 @@ impl SweepSpec {
     pub fn push_grid(
         &mut self,
         kernels: &[&'static Kernel],
-        configs: &[(&str, SimConfig)],
+        configs: &[(impl AsRef<str>, SimConfig)],
         instructions: u64,
         scale: Scale,
     ) {
         for &k in kernels {
             for (name, cfg) in configs {
                 self.push(GridPoint::single(
-                    format!("{}/{}", k.name, name),
+                    format!("{}/{}", k.name, name.as_ref()),
                     k,
                     cfg.clone(),
                     instructions,
@@ -224,26 +202,6 @@ impl SweepSpec {
 
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
-    }
-}
-
-/// A named sweep, for observability: the harness prefixes its stderr
-/// report with the experiment name.
-pub struct Experiment {
-    pub name: String,
-    pub spec: SweepSpec,
-}
-
-impl Experiment {
-    pub fn new(name: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            spec: SweepSpec::new(),
-        }
-    }
-
-    pub fn push(&mut self, point: GridPoint) -> usize {
-        self.spec.push(point)
     }
 }
 
@@ -610,9 +568,7 @@ impl Harness {
 
     /// Run the `--cache-gc` maintenance sweep: report to stderr on
     /// success, exit with an error if GC fails or the cache is disabled.
-    /// Binaries with bespoke flag parsing call this directly;
-    /// [`Harness::from_opts`] calls it when `--cache-gc` is set.
-    pub fn run_cache_gc(&self, cap_bytes: u64) {
+    fn run_cache_gc(&self, cap_bytes: u64) {
         match self.cache.as_ref() {
             Some(c) => match c.gc(cap_bytes) {
                 Ok(report) => {
@@ -662,15 +618,6 @@ impl Harness {
 
     /// Runs every point of `spec` and returns outcomes in spec order.
     pub fn run(&self, spec: &SweepSpec) -> SweepOutcome {
-        self.run_named(None, spec)
-    }
-
-    /// Runs a named experiment (the name prefixes the stderr report).
-    pub fn run_experiment(&self, exp: &Experiment) -> SweepOutcome {
-        self.run_named(Some(&exp.name), &exp.spec)
-    }
-
-    fn run_named(&self, name: Option<&str>, spec: &SweepSpec) -> SweepOutcome {
         let t0 = Instant::now();
         // Snapshot the cache's process-lifetime counters so the stats
         // report per-sweep deltas.
@@ -713,7 +660,7 @@ impl Harness {
             gc_evicted: self.gc_evicted.load(std::sync::atomic::Ordering::Relaxed),
         };
         if !self.quiet {
-            self.report(name, &outcomes, &failures, &stats);
+            self.report(&outcomes, &failures, &stats);
         }
         SweepOutcome {
             outcomes,
@@ -855,17 +802,10 @@ impl Harness {
     /// Observability: per-point wall clock and the sweep totals, on
     /// stderr so stdout stays byte-identical across thread counts and
     /// cache states.
-    fn report(
-        &self,
-        name: Option<&str>,
-        outcomes: &[PointOutcome],
-        failures: &[PointError],
-        stats: &SweepStats,
-    ) {
-        let prefix = name.map_or_else(|| "harness".to_string(), |n| format!("harness:{n}"));
+    fn report(&self, outcomes: &[PointOutcome], failures: &[PointError], stats: &SweepStats) {
         for o in outcomes {
             eprintln!(
-                "[{prefix}] {:<32} {:>9.1} ms  {}",
+                "[harness] {:<32} {:>9.1} ms  {}",
                 o.label,
                 o.millis,
                 if o.from_cache { "cached" } else { "simulated" }
@@ -873,7 +813,7 @@ impl Harness {
         }
         for f in failures {
             eprintln!(
-                "[{prefix}] {:<32} FAILED after {} attempt{}: {}",
+                "[harness] {:<32} FAILED after {} attempt{}: {}",
                 f.label,
                 f.attempts,
                 if f.attempts == 1 { "" } else { "s" },
@@ -881,7 +821,7 @@ impl Harness {
             );
         }
         eprintln!(
-            "[{prefix}] {} points in {:.2}s on {} thread{}: {} cached, {} simulated{}{}",
+            "[harness] {} points in {:.2}s on {} thread{}: {} cached, {} simulated{}{}",
             stats.points,
             stats.wall_millis / 1e3,
             stats.threads,
@@ -901,7 +841,7 @@ impl Harness {
         );
         if self.cache.is_some() {
             eprintln!(
-                "[{prefix}] cache: {} load hits, {} misses, {} recomputed, {} retries, {} GC-evicted",
+                "[harness] cache: {} load hits, {} misses, {} recomputed, {} retries, {} GC-evicted",
                 stats.cache_load_hits,
                 stats.cache_load_misses,
                 stats.cache_recomputes,
@@ -910,7 +850,7 @@ impl Harness {
             );
         }
         if self.json_stats {
-            eprintln!("[{prefix}] stats {}", stats.to_json());
+            eprintln!("[harness] stats {}", stats.to_json());
         }
     }
 }

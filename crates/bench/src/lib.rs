@@ -1,276 +1,82 @@
 //! # bfetch-bench
 //!
 //! The experiment driver that regenerates every table and figure of the
-//! paper's evaluation (see DESIGN.md §3 for the experiment index). Each
-//! figure has a binary (`cargo run --release -p bfetch-bench --bin figNN_*`)
-//! that prints the same rows/series the paper reports.
+//! paper's evaluation (see DESIGN.md §3 for the experiment index). One
+//! executable, `bfetch`, runs them all:
 //!
-//! Binaries declare their experiment as a [`SweepSpec`] of [`GridPoint`]s
-//! and execute it through the [`Harness`], which parallelizes across
-//! `--threads N` workers and serves repeated points from a
-//! content-addressed cache under `results/cache/` (see the [`harness`]
-//! module). Common flags ([`Opts`]): `--instructions N`, `--warmup N`,
-//! `--small`, `--threads N`, `--kernels a,b,c`, `--json`, `--no-cache`,
-//! `--cache-dir PATH`, `--trace PATH` (JSONL lifecycle export on the
-//! binaries that trace, e.g. `ext_lifecycle`).
+//! ```sh
+//! cargo run --release -p bfetch-bench -- list            # name + what it shows
+//! cargo run --release -p bfetch-bench -- fig08_single    # prints results/fig08_single.txt
+//! cargo run --release -p bfetch-bench -- fig08_single --help
+//! ```
+//!
+//! Each entry of the [`registry`] ([`registry::figures`]) names a figure,
+//! its instruction budgets, the optional flags it implements and its
+//! `run` function (the [`figures`] modules). A figure declares its
+//! experiment as a [`SweepSpec`] of [`GridPoint`]s and executes it through
+//! the [`Harness`], which parallelizes across `--threads N` workers and
+//! serves repeated points from a content-addressed cache under
+//! `results/cache/` (see the [`harness`] module); its rows go to stdout
+//! through one [`Report`], as an aligned table or as `--json`. Every
+//! figure takes the common flags ([`Opts`]): `--instructions N`,
+//! `--warmup N`, `--small`, `--threads N`, `--json`, `--no-cache`,
+//! `--cache-dir PATH`, `--profile DIR`; `--kernels`, `--programs`,
+//! `--trace`, `--timeline` and `--quick` only where the entry declares
+//! them (anywhere else they are a usage error, exit 2).
 
+pub mod figures;
 pub mod harness;
 pub mod interrupt;
 pub mod opts;
 pub mod profiling;
+pub mod registry;
+pub mod report;
 
 pub use harness::{
-    Experiment, FailureKind, GridPoint, Harness, MissingPoint, PointError, PointOutcome,
-    SweepOutcome, SweepSpec, SweepStats,
+    FailureKind, GridPoint, Harness, MissingPoint, PointError, PointOutcome, SweepOutcome,
+    SweepSpec, SweepStats,
 };
 pub use opts::{parse_bytes, usage, Opts, OptsError};
 pub use profiling::ProfileGuard;
+pub use registry::{Budget, Ctx, Figure, Flag};
+pub use report::{rows_to_json, Report, Row};
 
-use bfetch_sim::{PrefetcherKind, RunResult, SimConfig, SimSession};
 use bfetch_stats::geomean;
-use bfetch_workloads::{kernels, Kernel};
+use bfetch_workloads::kernels;
 
-/// The binaries' terminal error path: prints `error: <e>` to stderr and
+/// The figures' terminal error path: prints `error: <e>` to stderr and
 /// exits with status 1 (stdout stays clean for the figure tables).
 pub fn exit_err(e: impl std::fmt::Display) -> ! {
     eprintln!("error: {e}");
     std::process::exit(1);
 }
 
-/// Runs `kernel` under `cfg` directly (no cache, current thread) and
-/// returns the result. Prefer building a [`SweepSpec`] and using the
-/// [`Harness`] for anything beyond a one-off.
-pub fn run_kernel(kernel: &Kernel, cfg: &SimConfig, opts: &Opts) -> RunResult {
-    let program = kernel.build(opts.scale);
-    SimSession::new(cfg.clone())
-        .instructions(opts.instructions)
-        .run_one(&program)
-        .unwrap_or_else(|e| exit_err(e))
-        .into_single()
-}
-
-/// Per-kernel speedups of labelled configurations against the
-/// no-prefetch baseline, over `opts.selected_kernels()`, computed through
-/// `harness` (parallel + cached).
-pub fn speedup_grid(
-    harness: &Harness,
-    opts: &Opts,
-    columns: &[(&str, SimConfig)],
-) -> Vec<(&'static str, Vec<f64>)> {
-    let kernels = opts.selected_kernels();
-    let mut spec = SweepSpec::new();
-    let mut cfgs: Vec<(&str, SimConfig)> = vec![("base", opts.config(PrefetcherKind::None))];
-    cfgs.extend(columns.iter().map(|(n, c)| (*n, c.clone())));
-    spec.push_grid(&kernels, &cfgs, opts.instructions, opts.scale);
-    let out = harness.run(&spec).or_fail();
-    kernels
-        .iter()
-        .map(|k| {
-            let base = out.require(&format!("{}/base", k.name)).ipc();
-            let vals = columns
-                .iter()
-                .map(|(n, _)| out.require(&format!("{}/{}", k.name, n)).ipc() / base)
-                .collect();
-            (k.name, vals)
-        })
-        .collect()
-}
-
-/// [`speedup_grid`] for plain prefetcher-kind columns.
-pub fn speedups_vs_baseline(
-    harness: &Harness,
-    opts: &Opts,
-    kinds: &[PrefetcherKind],
-) -> Vec<(&'static str, Vec<f64>)> {
-    let columns: Vec<(&str, SimConfig)> = kinds
-        .iter()
-        .map(|&kind| (kind.name(), opts.config(kind)))
-        .collect();
-    speedup_grid(harness, opts, &columns)
-}
-
-/// Runs `f` for every kernel across worker threads and returns the
-/// results in registry order. Simulations share no state, so this is a
-/// pure fan-out; determinism is unaffected.
-pub fn parallel_over_kernels<F>(f: F) -> Vec<(&'static str, Vec<f64>)>
-where
-    F: Fn(&'static Kernel) -> Vec<f64> + Sync,
-{
-    let ks: Vec<&'static Kernel> = kernels().iter().collect();
-    harness::executor::run_indexed(&ks, ks.len(), |_, k| (k.name, f(k)))
-}
-
-/// Appends the two summary rows the paper's per-benchmark figures carry:
-/// the geometric mean over all kernels and over the prefetch-sensitive
-/// subset.
-pub fn summary_rows(rows: &[(&'static str, Vec<f64>)]) -> Vec<(&'static str, Vec<f64>)> {
-    let ncols = rows.first().map_or(0, |(_, r)| r.len());
-    let sensitive: Vec<&str> = kernels()
-        .iter()
-        .filter(|k| k.prefetch_sensitive)
-        .map(|k| k.name)
-        .collect();
-    let mut out = Vec::new();
-    for (label, filter) in [("Geomean", None), ("Geomean pf. sens.", Some(&sensitive))] {
-        let mut cols = Vec::with_capacity(ncols);
-        for c in 0..ncols {
-            let vals: Vec<f64> = rows
-                .iter()
-                .filter(|(name, _)| filter.is_none_or(|f: &Vec<&str>| f.contains(name)))
-                .map(|(_, r)| r[c])
-                .collect();
-            cols.push(geomean(&vals));
-        }
-        out.push((label, cols));
-    }
-    out
-}
-
-/// Normalized weighted speedups for the paper's multiprogrammed
-/// experiments (Figures 9 and 10).
-///
-/// For each FOA-selected mix of `arity` kernels and each prefetcher in
-/// `kinds`, runs the mix on a CMP with a shared L3 sized per Table II
-/// (2 MB/core), computes the weighted speedup
-/// `Σ IPC_multi / IPC_single`, and normalizes it to the no-prefetch
-/// baseline's weighted speedup for the same mix. The solo IPCs are
-/// measured on the *baseline* (no-prefetch) configuration for every
-/// column — a common set of weights, so the normalized value measures the
-/// prefetcher's weighted throughput gain in the mix (consistent with the
-/// paper's Figure 9/10 bars, which reach 2.6x).
-pub fn mix_weighted_speedups(
-    harness: &Harness,
-    opts: &Opts,
-    arity: usize,
-    kinds: &[PrefetcherKind],
-) -> Vec<(String, Vec<f64>)> {
-    mix_weighted_speedups_n(harness, opts, arity, kinds, bfetch_workloads::NUM_MIXES)
-}
-
-/// [`mix_weighted_speedups`] over only the `count` highest-contention
-/// mixes (the 8-core extension uses a reduced set).
-pub fn mix_weighted_speedups_n(
-    harness: &Harness,
-    opts: &Opts,
-    arity: usize,
-    kinds: &[PrefetcherKind],
-    count: usize,
-) -> Vec<(String, Vec<f64>)> {
-    let mixes = bfetch_workloads::select_mixes(arity, count);
-    let all_kinds: Vec<PrefetcherKind> = std::iter::once(PrefetcherKind::None)
-        .chain(kinds.iter().copied())
-        .collect();
-
-    // one sweep holds everything: the common solo-weight runs (shared
-    // across mixes and columns) plus every (mix × config) CMP run
-    let mut spec = SweepSpec::new();
-    let mut solo_members: Vec<&'static Kernel> = Vec::new();
-    for m in &mixes {
-        for k in &m.members {
-            if !solo_members.iter().any(|s| s.name == k.name) {
-                solo_members.push(k);
-            }
-        }
-    }
-    for k in &solo_members {
-        spec.push(GridPoint::single(
-            format!("solo/{}", k.name),
-            k,
-            opts.config(PrefetcherKind::None),
-            opts.instructions,
-            opts.scale,
-        ));
-    }
-    for m in &mixes {
-        for (i, &kind) in all_kinds.iter().enumerate() {
-            spec.push(GridPoint::mix(
-                format!("mix/{}/{}", m.name, i),
-                m.members.to_vec(),
-                opts.config(kind),
-                opts.instructions,
-                opts.scale,
-            ));
-        }
-    }
-    let out = harness.run(&spec).or_fail();
-
-    mixes
-        .iter()
-        .map(|m| {
-            let ws: Vec<f64> = (0..all_kinds.len())
-                .map(|i| {
-                    let results = out.require_all(&format!("mix/{}/{}", m.name, i));
-                    let pairs: Vec<(f64, f64)> = results
-                        .iter()
-                        .zip(m.members.iter())
-                        .map(|(r, k)| (r.ipc(), out.require(&format!("solo/{}", k.name)).ipc()))
-                        .collect();
-                    bfetch_stats::weighted_speedup(&pairs)
-                })
-                .collect();
-            let base = ws[0];
-            (
-                m.name.clone(),
-                ws[1..].iter().map(|w| w / base).collect::<Vec<f64>>(),
-            )
-        })
-        .collect()
-}
-
-/// Geomean summary row over mix results.
-pub fn mix_summary(rows: &[(String, Vec<f64>)]) -> (String, Vec<f64>) {
-    let ncols = rows.first().map_or(0, |(_, r)| r.len());
+/// The geometric mean of each of the `ncols` columns of `rows`.
+fn geomean_row(label: &str, ncols: usize, rows: &[&Row]) -> Row {
     let cols = (0..ncols)
         .map(|c| geomean(&rows.iter().map(|(_, r)| r[c]).collect::<Vec<_>>()))
         .collect();
-    ("Geomean".to_string(), cols)
+    (label.to_string(), cols)
 }
 
-/// Renders figure rows as machine-readable JSON for `--json` mode:
-/// `{"headers": [...], "rows": [{"name": ..., "values": [...]}, ...]}`.
-pub fn rows_to_json<S: AsRef<str>>(headers: &[&str], rows: &[(S, Vec<f64>)]) -> String {
-    use harness::jsonio::Json;
-    let doc = Json::Obj(vec![
-        (
-            "headers".into(),
-            Json::Arr(headers.iter().map(|h| Json::Str(h.to_string())).collect()),
-        ),
-        (
-            "rows".into(),
-            Json::Arr(
-                rows.iter()
-                    .map(|(name, vals)| {
-                        Json::Obj(vec![
-                            ("name".into(), Json::Str(name.as_ref().to_string())),
-                            (
-                                "values".into(),
-                                Json::Arr(vals.iter().map(|&v| Json::f64_of(v)).collect()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    doc.to_string()
+/// The two summary rows the paper's per-benchmark figures carry: the
+/// geometric mean over all kernels and over the prefetch-sensitive
+/// subset.
+pub fn summary_rows(rows: &[Row]) -> Vec<Row> {
+    let ncols = rows.first().map_or(0, |(_, r)| r.len());
+    let sensitive = |name: &str| kernels().iter().any(|k| k.prefetch_sensitive && k.name == name);
+    let all: Vec<&Row> = rows.iter().collect();
+    let subset: Vec<&Row> = rows.iter().filter(|(name, _)| sensitive(name)).collect();
+    vec![
+        geomean_row("Geomean", ncols, &all),
+        geomean_row("Geomean pf. sens.", ncols, &subset),
+    ]
 }
 
-/// Formats a speedup table with the given column headers.
-pub fn print_speedup_table(title: &str, headers: &[&str], rows: &[(&'static str, Vec<f64>)]) {
-    println!("== {title} ==");
-    let mut t = bfetch_stats::Table::new(
-        std::iter::once("benchmark".to_string())
-            .chain(headers.iter().map(|h| h.to_string()))
-            .collect(),
-    );
-    for (name, vals) in rows {
-        t.row(
-            std::iter::once(name.to_string())
-                .chain(vals.iter().map(|v| format!("{v:.3}")))
-                .collect(),
-        );
-    }
-    print!("{t}");
+/// Geomean summary row over mix results.
+pub fn mix_summary(rows: &[Row]) -> Row {
+    let ncols = rows.first().map_or(0, |(_, r)| r.len());
+    geomean_row("Geomean", ncols, &rows.iter().collect::<Vec<_>>())
 }
 
 #[cfg(test)]
@@ -279,31 +85,14 @@ mod tests {
 
     #[test]
     fn summary_rows_compute_geomeans() {
-        let rows: Vec<(&'static str, Vec<f64>)> = kernels()
+        let rows: Vec<Row> = kernels()
             .iter()
-            .map(|k| (k.name, vec![if k.prefetch_sensitive { 2.0 } else { 1.0 }]))
+            .map(|k| (k.name.to_string(), vec![if k.prefetch_sensitive { 2.0 } else { 1.0 }]))
             .collect();
         let s = summary_rows(&rows);
         assert_eq!(s.len(), 2);
         assert!(s[0].1[0] < 2.0 && s[0].1[0] > 1.0);
         assert!((s[1].1[0] - 2.0).abs() < 1e-12, "sensitive-only geomean");
-    }
-
-    #[test]
-    fn default_opts() {
-        let o = Opts::default();
-        assert!(o.instructions > 0 && o.warmup > 0);
-    }
-
-    #[test]
-    fn parallel_fanout_preserves_registry_order() {
-        let rows = parallel_over_kernels(|k| vec![k.name.len() as f64]);
-        let names: Vec<&str> = rows.iter().map(|(n, _)| *n).collect();
-        let expect: Vec<&str> = kernels().iter().map(|k| k.name).collect();
-        assert_eq!(names, expect);
-        for (name, vals) in rows {
-            assert_eq!(vals[0], name.len() as f64);
-        }
     }
 
     #[test]
@@ -316,21 +105,5 @@ mod tests {
         assert_eq!(label, "Geomean");
         assert!((cols[0] - 4.0).abs() < 1e-12);
         assert!((cols[1] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn speedup_grid_runs_through_the_harness() {
-        let opts = Opts {
-            instructions: 2_000,
-            warmup: 500,
-            scale: bfetch_workloads::Scale::Small,
-            kernels: Some(vec!["libquantum".into()]),
-            ..Opts::default()
-        };
-        let h = Harness::new(2).without_cache().quiet();
-        let rows = speedups_vs_baseline(&h, &opts, &[PrefetcherKind::Perfect]);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].0, "libquantum");
-        assert!(rows[0].1[0] > 0.0);
     }
 }

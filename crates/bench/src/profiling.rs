@@ -1,8 +1,9 @@
-//! `--profile` wiring shared by every experiment binary.
+//! `--profile` wiring, shared by every figure through the one dispatch
+//! path ([`crate::registry::main`]).
 //!
 //! [`start`] turns the flag into an RAII [`ProfileGuard`]: profiling is
 //! enabled for the process lifetime and, when the guard drops (normal exit
-//! path of `main`), the captured session is written as sidecar files into
+//! path of the dispatch), the captured session is written as sidecar files into
 //! the requested directory:
 //!
 //! * `trace.json` — Chrome trace-event JSON (`chrome://tracing`, Perfetto)
@@ -21,18 +22,12 @@ pub struct ProfileGuard {
     dir: Option<PathBuf>,
 }
 
-/// Starts profiling if `--profile DIR` was given. Call once at the top of
-/// `main` and keep the guard alive until the end; a disabled guard (no
+/// Starts profiling if `--profile DIR` was given. Call once before the
+/// figure runs and keep the guard alive until it returns; a disabled guard (no
 /// flag) is inert. If the `prof` feature was compiled out, warns on
 /// stderr and captures nothing.
 pub fn start(opts: &Opts) -> ProfileGuard {
-    start_dir(opts.profile.clone())
-}
-
-/// [`start`] for binaries with bespoke flag parsing (e.g. `simulate`):
-/// pass the `--profile` value directly.
-pub fn start_dir(dir: Option<PathBuf>) -> ProfileGuard {
-    let Some(dir) = dir else {
+    let Some(dir) = opts.profile.clone() else {
         return ProfileGuard { dir: None };
     };
     if !bfetch_prof::capture_compiled() {

@@ -1,5 +1,5 @@
 //! Integration tests for the observability layer's JSONL export: the
-//! `ext_lifecycle` binary's `--trace` output must validate line-by-line
+//! `bfetch ext_lifecycle` figure's `--trace` output must validate line-by-line
 //! against the schema documented in DESIGN.md ("Observability"), and the
 //! in-process event stream must serialise to parseable JSON.
 
@@ -81,8 +81,9 @@ fn ext_lifecycle_trace_export_validates_line_by_line() {
         std::process::id()
     ));
     let _ = std::fs::remove_file(&trace);
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ext_lifecycle"))
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_bfetch"))
         .args([
+            "ext_lifecycle",
             "--small",
             "--instructions",
             "3000",

@@ -207,11 +207,12 @@ fn truncated_or_old_schema_sidecar_is_quarantined_and_recomputed() {
 fn killed_process_resumes_from_periodic_checkpoint() {
     use std::process::{Command, Stdio};
 
-    let bin = env!("CARGO_BIN_EXE_fig08_single");
+    let bin = env!("CARGO_BIN_EXE_bfetch");
     let dir = tmp_cache("kill");
     let fresh_dir = tmp_cache("kill-fresh");
     let args = |cache: &PathBuf| {
         vec![
+            "fig08_single".to_string(),
             "--small".to_string(),
             "--kernels".to_string(),
             "mcf".to_string(),

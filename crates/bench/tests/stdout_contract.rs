@@ -1,14 +1,15 @@
-//! The stdout byte-identity contract, pinned end-to-end: a figure
-//! binary's stdout must be one byte stream regardless of host threading
+//! The stdout byte-identity contract, pinned end-to-end: a figure's
+//! stdout must be one byte stream regardless of host threading
 //! (`--threads`), cache state, or profiling (`--profile`), and must never
 //! echo any of those knobs.
 //! Run-dependent observability (timings, cache stats, profiler notes)
 //! belongs on stderr or in sidecar files.
 //!
-//! `fig08_single` stands in for the figure binaries here (they all share
-//! `Opts` + `Harness`). The *timing* binary ext_profile is deliberately
-//! exempt: wall clock is its subject matter, so its stdout is inherently
-//! run-dependent.
+//! `bfetch fig08_single` stands in for the figures here (they all share
+//! one dispatch path, `Opts` + `Harness`; `tests/registry.rs` holds every
+//! sweeping figure to `-j 1` == `-j 2`). The *timing* figure ext_profile
+//! is deliberately exempt: wall clock is its subject matter, so its
+//! stdout is inherently run-dependent.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -20,11 +21,17 @@ fn unique_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("bfetch-stdout-contract-{tag}-{}", std::process::id()))
 }
 
+/// `bfetch fig08_single` with the base args.
+fn fig08() -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_bfetch"));
+    cmd.arg("fig08_single").args(BASE);
+    cmd
+}
+
 /// Runs fig08_single with `extra` appended to the base args, returning
 /// stdout. Panics (with stderr attached) if the binary fails.
 fn fig08_stdout(extra: &[&str]) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_fig08_single"))
-        .args(BASE)
+    let out = fig08()
         .args(extra)
         .output()
         .expect("spawn fig08_single");
@@ -112,19 +119,29 @@ fn stdout_never_echoes_threading_or_profiling_knobs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The parallel CMP engine is gone and so is its flag: an `Opts::parse`
-/// binary rejects it like any other unknown flag — usage on stderr,
-/// exit 2, nothing on stdout.
+/// The parallel CMP engine is gone and so is its flag: the parser
+/// rejects it like any other unknown flag — usage on stderr, exit 2,
+/// nothing on stdout. A flag that exists but that this figure does not
+/// implement gets the same treatment instead of being a silent no-op:
+/// `--trace` must not exit 0 having written no trace.
 #[test]
 fn removed_sim_threads_flag_is_rejected_with_usage() {
-    let out = Command::new(env!("CARGO_BIN_EXE_fig08_single"))
-        .args(BASE)
-        .args(["--no-cache", "--sim-threads", "4"])
-        .output()
-        .expect("spawn fig08_single");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(out.stdout.is_empty(), "a rejected command line printed to stdout");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown flag --sim-threads"), "{stderr}");
-    assert!(stderr.contains("common flags:"), "usage missing from stderr:\n{stderr}");
+    let trace = unique_dir("rejected-trace");
+    let trace_arg = trace.display().to_string();
+    for (args, complaint) in [
+        (["--sim-threads", "4"], "unknown flag --sim-threads"),
+        (["--trace", trace_arg.as_str()], "fig08_single does not implement --trace"),
+    ] {
+        let out = fig08()
+            .arg("--no-cache")
+            .args(args)
+            .output()
+            .expect("spawn fig08_single");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "a rejected command line printed to stdout");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(complaint), "{stderr}");
+        assert!(stderr.contains("common flags:"), "usage missing from stderr:\n{stderr}");
+    }
+    assert!(!trace.exists(), "a rejected --trace still wrote {trace_arg}");
 }

@@ -64,8 +64,8 @@ impl TournamentConfig {
         } else {
             return None;
         };
-        let extra_bits =
-            (num / den.max(1)).trailing_zeros() as i32 - (den / num.max(1)).trailing_zeros() as i32;
+        // log2(factor); num and den are powers of two
+        let extra_bits = num.trailing_zeros() as i32 - den.trailing_zeros() as i32;
         Some(Self {
             local_history_entries: base.local_history_entries * num / den,
             local_history_bits: base.local_history_bits,
@@ -461,6 +461,20 @@ mod tests {
         // baseline lands in the ballpark of the paper's 6.55 KB
         let kb = TournamentConfig::baseline().storage_kb();
         assert!((4.0..9.0).contains(&kb), "baseline predictor {kb} KB");
+    }
+
+    /// The global history grows one bit per doubling. (It used to come
+    /// out as 13 ± 63 for every factor but 1, which only indexed
+    /// correctly because a release build masks the shift count; a debug
+    /// build panicked on the first prediction.)
+    #[test]
+    fn scaled_global_history_tracks_the_table_size() {
+        for (factor, bits) in [(0.5, 12), (1.0, 13), (2.0, 14), (4.0, 15), (8.0, 16)] {
+            let cfg = TournamentConfig::scaled(factor);
+            assert_eq!(cfg.global_history_bits, bits, "scale {factor}");
+            let bp = TournamentPredictor::new(cfg);
+            bp.predict(0x40, u64::MAX);
+        }
     }
 
     #[test]

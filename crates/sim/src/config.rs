@@ -88,6 +88,15 @@ pub enum ConfigError {
         /// The knob's field path (e.g. `"issue_width"`, `"dram.channels"`).
         knob: &'static str,
     },
+    /// A structural knob above what its container can index or what a
+    /// constructor should allocate on a file's say-so ([`MAX_WIDTH`],
+    /// [`MAX_ROB_ENTRIES`], [`MAX_MSHR_ENTRIES`]).
+    TooLarge {
+        /// The knob's field path.
+        knob: &'static str,
+        /// The largest accepted value.
+        max: usize,
+    },
     /// `bpred_scale` does not map onto a tournament-predictor geometry
     /// (the supported factors are 0.5, 1, 2, 4 and 8).
     BpredScale {
@@ -107,6 +116,9 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::Zero { knob } => write!(f, "config: {knob} must be nonzero"),
+            ConfigError::TooLarge { knob, max } => {
+                write!(f, "config: {knob} exceeds its structural maximum of {max}")
+            }
             ConfigError::BpredScale { scale } => write!(
                 f,
                 "config: bpred_scale {scale} is not a supported tournament \
@@ -120,6 +132,22 @@ impl std::fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
+
+/// Widest pipeline stage and most load/store ports: `PortRing` counts a
+/// cycle's reservations in a `u8`, and the widths move together
+/// ([`SimConfig::with_width`]), so one cap serves all four knobs.
+pub const MAX_WIDTH: usize = u8::MAX as usize;
+
+/// Largest reorder buffer. The ROB ring's 32-bit wake-up links could
+/// address 2³⁰ slots (what `Core::new` asserts); the cap sits where the
+/// ring is still a sane allocation (80 MB), because a checkpoint's
+/// configuration is validated *instead of* trusted before any
+/// constructor allocates from it.
+pub const MAX_ROB_ENTRIES: usize = 1 << 20;
+
+/// Largest L1D MSHR file or prefetch buffer: both are flat arrays sized
+/// at construction and probed by linear scan (real files hold 4–32).
+pub const MAX_MSHR_ENTRIES: usize = 1 << 16;
 
 /// Checks one cache geometry the way `SetAssocCache::new` would, returning
 /// the problem instead of panicking.
@@ -392,6 +420,20 @@ impl SimConfig {
                 return Err(ConfigError::Zero { knob });
             }
         }
+        let bounded = [
+            ("fetch_width", self.fetch_width, MAX_WIDTH),
+            ("issue_width", self.issue_width, MAX_WIDTH),
+            ("commit_width", self.commit_width, MAX_WIDTH),
+            ("rob_entries", self.rob_entries, MAX_ROB_ENTRIES),
+            ("mem_ports", self.mem_ports, MAX_WIDTH),
+            ("l1d_mshrs", self.l1d_mshrs, MAX_MSHR_ENTRIES),
+            ("prefetch_buffers", self.prefetch_buffers, MAX_MSHR_ENTRIES),
+        ];
+        for (knob, v, max) in bounded {
+            if v > max {
+                return Err(ConfigError::TooLarge { knob, max });
+            }
+        }
         if self.predictor == PredictorKind::Tournament
             && bfetch_bpred::TournamentConfig::try_scaled(self.bpred_scale).is_none()
         {
@@ -656,6 +698,39 @@ mod tests {
         );
     }
 
+    /// `knob` is accepted at `max` and rejected one above it.
+    fn assert_bounded(knob: &'static str, max: usize, set: fn(&mut SimConfig, usize)) {
+        let mut c = SimConfig::baseline();
+        set(&mut c, max);
+        assert_eq!(c.validate(), Ok(()), "{knob} at its maximum");
+        set(&mut c, max + 1);
+        assert_eq!(c.validate(), Err(ConfigError::TooLarge { knob, max }));
+    }
+
+    #[test]
+    fn widths_and_ports_beyond_the_port_ring_counter_are_rejected() {
+        assert_bounded("fetch_width", MAX_WIDTH, |c, v| c.fetch_width = v);
+        assert_bounded("issue_width", MAX_WIDTH, |c, v| c.issue_width = v);
+        assert_bounded("commit_width", MAX_WIDTH, |c, v| c.commit_width = v);
+        assert_bounded("mem_ports", MAX_WIDTH, |c, v| c.mem_ports = v);
+        // the counter the bound protects: one more port would wrap it to 0
+        assert_eq!((MAX_WIDTH + 1) as u8, 0);
+    }
+
+    #[test]
+    fn oversized_rob_is_rejected() {
+        assert_bounded("rob_entries", MAX_ROB_ENTRIES, |c, v| c.rob_entries = v);
+        let mut c = SimConfig::baseline();
+        c.rob_entries = 1 << 40;
+        assert!(matches!(c.validate(), Err(ConfigError::TooLarge { knob: "rob_entries", .. })));
+    }
+
+    #[test]
+    fn oversized_mshr_files_are_rejected() {
+        assert_bounded("l1d_mshrs", MAX_MSHR_ENTRIES, |c, v| c.l1d_mshrs = v);
+        assert_bounded("prefetch_buffers", MAX_MSHR_ENTRIES, |c, v| c.prefetch_buffers = v);
+    }
+
     #[test]
     fn unsupported_bpred_scale_is_rejected() {
         let c = SimConfig::baseline().with_bpred_scale(3.0);
@@ -728,6 +803,8 @@ mod tests {
     fn config_errors_render_the_knob() {
         let s = ConfigError::Zero { knob: "mem_ports" }.to_string();
         assert!(s.contains("mem_ports"), "{s}");
+        let s = ConfigError::TooLarge { knob: "rob_entries", max: 7 }.to_string();
+        assert!(s.contains("rob_entries") && s.contains('7'), "{s}");
         let s = ConfigError::BpredScale { scale: 3.0 }.to_string();
         assert!(s.contains("3"), "{s}");
         let s = ConfigError::Cache {

@@ -46,7 +46,10 @@ pub use bfetch_snapshot::SnapshotError;
 pub use bfetch_stats::{CpiComponent, CpiConfig, CpiStack, TimelineSample, TraceConfig};
 pub use cmp::{RunResult, SeqMem};
 pub use session::{RunOutput, SimSession, TraceOutput};
-pub use config::{ConfigError, FaultInjection, PredictorKind, PrefetcherKind, SimConfig};
+pub use config::{
+    ConfigError, FaultInjection, PredictorKind, PrefetcherKind, SimConfig, MAX_MSHR_ENTRIES,
+    MAX_ROB_ENTRIES, MAX_WIDTH,
+};
 pub use error::{CoreDiag, DiagSnapshot, RobHeadDiag, SimError};
 pub use core::{Core, CoreCounters};
 pub use energy::{EnergyParams, EnergyReport};

@@ -19,9 +19,11 @@ impl PortRing {
     ///
     /// # Panics
     ///
-    /// Panics if `width` is zero or `horizon` is not a power of two.
+    /// Panics if `width` is zero or does not fit the per-cycle `u8`
+    /// counters, or if `horizon` is not a power of two.
     pub fn new(width: usize, horizon: u64) -> Self {
         assert!(width > 0, "width must be nonzero");
+        assert!(width <= u8::MAX as usize, "width must fit the u8 slot counters");
         assert!(horizon.is_power_of_two(), "horizon must be a power of two");
         Self {
             counts: vec![0; horizon as usize],

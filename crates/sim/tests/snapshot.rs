@@ -265,6 +265,51 @@ fn every_sampled_bit_flip_is_a_typed_error_or_detected() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Overwrites the `index`-th 8-byte word of the checkpoint's config
+/// section (id 2; `SimConfig` saves its leading `usize` knobs as
+/// little-endian `u64`s in declaration order) and restamps the whole-file
+/// CRC, so nothing but per-field validation stands between the crafted
+/// value and the constructors.
+fn patch_config_word(bytes: &mut [u8], index: usize, expect: u64, value: u64) {
+    let word = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    // frame: magic, u32 version, u32 section count, then (u32 id, u64 len, payload)*
+    let mut at = bfetch_snapshot::MAGIC.len() + 8;
+    while u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) != 2 {
+        at += 12 + word(bytes, at + 4) as usize;
+    }
+    let field = at + 12 + 8 * index;
+    assert_eq!(word(bytes, field), expect, "config layout moved: fix the index");
+    bytes[field..field + 8].copy_from_slice(&value.to_le_bytes());
+    let body = bytes.len() - 4;
+    let crc = bfetch_snapshot::crc32(&bytes[..body]);
+    bytes[body..].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// A well-formed file whose configuration no constructor could honour:
+/// `rob_entries` (the fourth knob) far beyond the ring the wake-up links
+/// can address. `read_checkpoint` must refuse it at `validate()`, before
+/// `Core::new` asserts on it or tries to allocate it.
+#[test]
+fn crafted_oversized_rob_is_a_typed_error_not_a_panic() {
+    let dir = tmpdir("big-rob");
+    let mut bytes = checkpoint_bytes(&dir);
+    patch_config_word(&mut bytes, 3, cfg().rob_entries as u64, 1 << 40);
+    let path = dir.join("crafted.snap");
+    std::fs::write(&path, &bytes).unwrap();
+    match SimSession::resume(&path) {
+        Err(SimError::Config(e)) => assert!(e.to_string().contains("rob_entries"), "{e}"),
+        Err(e) => panic!("wrong error kind {e}"),
+        Ok(_) => panic!("a 2^40-entry ROB resumed successfully"),
+    }
+    // the restamp is what makes this a validation test: the same edit
+    // without it dies at the checksum instead
+    let last = bytes.len() - 1;
+    bytes[last] ^= 1;
+    std::fs::write(&path, &bytes).unwrap();
+    assert!(matches!(SimSession::resume(&path), Err(SimError::Snapshot(_))));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn invalid_config_is_rejected_before_running() {
     let p = kernel("bad-cfg", 1024);

@@ -12,8 +12,10 @@ cd "$(dirname "$0")/.."
 
 echo "==> tier-1: release build (whole workspace: the root package does
 #   not depend on bfetch-bench, so a bare 'cargo build' would leave the
-#   harness binaries used below stale or missing)"
+#   bfetch binary used below stale or missing)"
 cargo build --release --workspace
+# Every figure, extension and utility is `bfetch <name>` (bfetch list).
+BFETCH=target/release/bfetch
 
 echo "==> tier-1: root package tests"
 cargo test -q
@@ -28,7 +30,7 @@ echo "==> rustdoc (deny warnings) + doctests"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 cargo test --workspace --doc -q
 
-echo "==> timing benches compile (criterion-benches feature); hot-path table recorded"
+echo "==> timing bench compiles (criterion-benches feature); hot-path table recorded"
 cargo check -p bfetch-bench --benches --features criterion-benches -q
 # Seconds to run, and the only place the cost of a disabled profiler span
 # (span_disabled) and of one stepped core cycle (core_cycle_*) is a recorded
@@ -48,13 +50,13 @@ echo "==> benchmark driver: unit + smoke tests against the crates' public surfac
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> CPI-stack smoke (ext_cpistack --quick) + timeline export"
-target/release/ext_cpistack --quick --small --kernels mcf,libquantum \
+$BFETCH ext_cpistack --quick --small --kernels mcf,libquantum \
   --timeline target/BENCH_cpistack_timeline.jsonl
 test -s target/BENCH_cpistack_timeline.jsonl
 grep -q '"event":"timeline_sample"' target/BENCH_cpistack_timeline.jsonl
 
 echo "==> harness determinism: serial vs parallel vs cached stdout"
-BIN=target/release/fig08_single
+BIN="$BFETCH fig08_single"
 CACHE=$(mktemp -d)
 trap 'rm -rf "$CACHE"' EXIT
 ARGS="--small --instructions 20000 --warmup 5000 --cache-dir $CACHE"
@@ -71,43 +73,40 @@ echo "==> profiler: compile-out state + profiled run byte-identity + trace well-
 cargo test -q -p bfetch-prof
 cargo check -q -p bfetch-bench --lib --no-default-features
 # A profiled sweep must leave stdout byte-identical and produce a
-# loadable Chrome trace plus the aggregate reports as sidecar files.
-$BIN $ARGS --threads 1 --profile "$CACHE/prof" >"$CACHE/profiled.txt" 2>/dev/null
+# loadable Chrome trace plus the aggregate reports as sidecar files
+# (under target/, where CI picks them up as artifacts).
+rm -rf target/prof
+$BIN $ARGS --threads 1 --profile target/prof >"$CACHE/profiled.txt" 2>/dev/null
 cmp "$CACHE/serial.txt" "$CACHE/profiled.txt"
-test -s "$CACHE/prof/report.json"
-test -s "$CACHE/prof/report.txt"
-target/release/ext_profile --check-trace "$CACHE/prof/trace.json"
+test -s target/prof/report.json
+test -s target/prof/report.txt
+$BFETCH ext_profile --check-trace target/prof/trace.json
 
 echo "==> measured phase breakdown: coverage gate (ext_profile --quick)"
 # The instrumented top-level phases must tile sim.run: falling coverage
 # means a new phase of the cycle loop went uninstrumented. 90% leaves
 # noise headroom over the ~97% the loop measures.
-target/release/ext_profile --quick --min-coverage 90 \
+$BFETCH ext_profile --quick --min-coverage 90 \
   --out target/PROF_phase_report.json >/dev/null
 
-echo "==> committed results drift: every results/*.txt vs the binary that prints it"
-# Full-budget sweeps (seconds each, the 8-core mixes a minute or two): the
-# committed text must be what this build prints, byte for byte. Each file
-# is named after its binary.
+echo "==> committed results drift: every results/*.txt vs the figure that prints it"
+# Full-budget sweeps (seconds each, the 8-core mixes a minute or two, the
+# 64-core scale-out a few minutes): the committed text must be what this
+# build prints, byte for byte. Each file is named after its registry entry.
 for f in results/*.txt; do
   b=$(basename "$f" .txt)
-  target/release/"$b" --no-cache 2>/dev/null | cmp - "$f" || {
-    echo "$f is stale: regenerate with target/release/$b --no-cache > $f"; exit 1; }
+  $BFETCH "$b" --no-cache 2>/dev/null | cmp - "$f" || {
+    echo "$f is stale: regenerate with $BFETCH $b --no-cache > $f"; exit 1; }
 done
 
-echo "==> CMP figures smoke (fig16_cmp, fig17_scale --quick)"
-target/release/fig16_cmp --quick --small --no-cache -j 1 >/dev/null
-target/release/fig17_scale --quick --small --no-cache -j 1 >/dev/null
-
 echo "==> assembler gate: every bundled .s program assembles (asmcheck)"
-target/release/asmcheck crates/workloads/asm/*.s
+$BFETCH asmcheck crates/workloads/asm/*.s
 
 echo "==> real-program cross-validation smoke: thread-count byte-identity"
-RP=target/release/fig_realprog
-$RP --quick --small --no-cache -j 1 >"$CACHE/rp_j1.txt" 2>/dev/null
-$RP --quick --small --no-cache -j 4 >"$CACHE/rp_j4.txt" 2>/dev/null
-cmp "$CACHE/rp_j1.txt" "$CACHE/rp_j4.txt"
-grep -q "pairs fully agree" "$CACHE/rp_j1.txt"
+RP="$BFETCH fig_realprog --quick --small --no-cache"
+$RP -j 1 >target/FIG_realprog_quick.txt 2>/dev/null
+$RP -j 4 2>/dev/null | cmp target/FIG_realprog_quick.txt -
+grep -q "pairs fully agree" target/FIG_realprog_quick.txt
 
 echo "==> fault injection: panic / livelock / runaway isolation end to end"
 cargo test -q -p bfetch-bench --test faults
@@ -130,9 +129,10 @@ echo "==> checkpoint/resume: interrupt exit path + resume byte-identity"
 # mechanism minus signal-delivery races): every point checkpoints at its
 # first poll boundary and the process exits 130 with stdout untouched.
 # The rerun resumes each sidecar to completion; stdout must match a
-# fresh uninterrupted run.
+# fresh uninterrupted run. Sidecars live under target/ckpt so CI can
+# upload them when this fails.
 CKARGS="--small --instructions 20000 --warmup 5000 --kernels mcf,libquantum --checkpoint-every 2000 --threads 1"
-SNAP="$CACHE/snap"; mkdir -p "$SNAP"
+SNAP=target/ckpt/snap; rm -rf "$SNAP"; mkdir -p "$SNAP"
 rc=0
 BFETCH_HARNESS_INTERRUPT=1 $BIN $CKARGS --cache-dir "$SNAP" \
   >"$SNAP/out.txt" 2>"$SNAP/err.txt" || rc=$?
