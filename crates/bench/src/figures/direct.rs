@@ -1,64 +1,13 @@
-//! Figures that fan out over the harness executor directly instead of
+//! The figure that fans out over the harness executor directly instead of
 //! sweeping through the result cache: the cache stores `RunResult`s, and
-//! these need what it does not hold — a synthetic program that is not a
-//! registry kernel, or the traced event stream of every run.
+//! this needs what it does not hold — the traced event stream of every run.
 
 use super::write_sidecar;
 use crate::harness::executor::run_indexed;
 use crate::{exit_err, Ctx, Report, Row};
-use bfetch_sim::{PrefetcherKind, RunResult, SimSession};
+use bfetch_sim::{PrefetcherKind, SimSession};
 use bfetch_stats::trace::{LifecycleCounts, TraceEvent};
-use bfetch_workloads::icache_stressor;
 use std::io::Write;
-
-/// Extension: instruction prefetching from the lookahead path — the
-/// paper's Section III-C future work ("examine how our path confidence
-/// estimation scheme might be used to further improve instruction
-/// prefetching"). The Branch Trace Cache already names the next blocks'
-/// PCs during the walk; this experiment also prefetches their L1I lines.
-pub fn ext_iprefetch(ctx: &Ctx) {
-    let opts = &ctx.opts;
-    let program = icache_stressor(4096);
-    let variants: [(&str, PrefetcherKind, bool, usize); 4] = [
-        ("no prefetch", PrefetcherKind::None, false, 256usize),
-        ("bfetch (data only)", PrefetcherKind::BFetch, false, 256),
-        ("bfetch + inst pf (256-entry BrTC)", PrefetcherKind::BFetch, true, 256),
-        ("bfetch + inst pf (8K-entry BrTC)", PrefetcherKind::BFetch, true, 8192),
-    ];
-    let results: Vec<RunResult> =
-        run_indexed(&variants, opts.threads, |_, &(_, kind, ipf, brtc)| {
-            let mut cfg = opts.config(kind);
-            cfg.bfetch.inst_prefetch = ipf;
-            cfg.bfetch.brtc_entries = brtc;
-            SimSession::new(cfg)
-                .instructions(opts.instructions)
-                .run_one(&program)
-                .unwrap_or_else(|e| exit_err(e))
-                .into_single()
-        });
-
-    let base = results[0].ipc();
-    let rows: Vec<Row> = variants
-        .iter()
-        .zip(results.iter())
-        .map(|(&(label, ..), r)| (label.to_string(), vec![r.ipc(), r.ipc() / base, r.l1i_mpki()]))
-        .collect();
-
-    let title = format!(
-        "== Extension: instruction prefetching from the lookahead path ==\n\
-         workload: icache_stressor (4096 blocks, ~{}KB code)",
-        4096 * 56 / 1024
-    );
-    Report::new(title, "configuration", ["IPC", "speedup", "L1I misses / kilo-inst"], rows)
-        .cell(|i, v| if i == 2 { format!("{v:.1}") } else { format!("{v:.3}") })
-        .note(
-            "\nthe default 256-entry BrTC cannot hold a 4096-block code footprint,\n\
-             so lookahead (and hence I-prefetch) stalls — scaling the BrTC to the\n\
-             footprint unlocks it, the capacity/benefit trade Section III-C's\n\
-             instruction-prefetch literature studies.\n",
-        )
-        .emit(opts.json);
-}
 
 /// One kernel's traced run: the retained event stream and exact
 /// lifecycle tallies (this tool reports quality metrics, not timing).

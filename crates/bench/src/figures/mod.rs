@@ -50,7 +50,7 @@ fn group_cpi(stack: &CpiStack, members: &[CpiComponent]) -> f64 {
     members.iter().map(|&c| stack.component_cpi(c)).sum()
 }
 
-/// On-chip storage of `kind`'s baseline geometry, for the energy model.
+/// On-chip storage of `kind`'s baseline geometry.
 fn storage_kb(kind: PrefetcherKind) -> f64 {
     match kind {
         PrefetcherKind::Stride => Stride::degree8().storage_kb(),

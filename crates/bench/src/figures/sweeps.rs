@@ -1,64 +1,13 @@
 //! Harness sweeps whose rows aggregate over the kernels instead of
-//! listing them: one row per predictor size, predictor family, DRAM
-//! model or prefetcher (Figure 13 and four extensions), plus the
-//! per-kernel prefetch counts of Figure 11.
+//! listing them: one row per predictor size, DRAM model or prefetcher
+//! (Figure 13 and two extensions), plus the per-kernel prefetch counts of
+//! Figure 11.
 
 use super::{kernel_sweep, storage_kb, table};
-use crate::{rows_to_json, Ctx, Report, Row, SweepOutcome};
+use crate::{rows_to_json, Ctx, Report, Row};
 use bfetch_mem::DramConfig;
-use bfetch_sim::energy::{estimate, EnergyParams};
-use bfetch_sim::{PredictorKind, PrefetcherKind, SimConfig};
+use bfetch_sim::{PrefetcherKind, SimConfig};
 use bfetch_stats::{geomean, mean, percent};
-use bfetch_workloads::Kernel;
-
-/// The no-prefetch and B-Fetch configurations of every labelled variant
-/// (`base/{label}`, `bfetch/{label}`), after the unmodified no-prefetch
-/// reference `ref` the rows normalize to.
-fn with_reference<V>(
-    ctx: &Ctx,
-    variants: &[(String, V)],
-    apply: impl Fn(SimConfig, &V) -> SimConfig,
-) -> Vec<(String, SimConfig)> {
-    let mut cfgs = vec![("ref".to_string(), ctx.opts.config(PrefetcherKind::None))];
-    for (label, v) in variants {
-        for (name, kind) in [("base", PrefetcherKind::None), ("bfetch", PrefetcherKind::BFetch)] {
-            cfgs.push((format!("{name}/{label}"), apply(ctx.opts.config(kind), v)));
-        }
-    }
-    cfgs
-}
-
-/// One row per variant of a [`with_reference`] sweep: geomean no-prefetch
-/// and B-Fetch speedup over `ref`, mean misprediction rate, mean B-Fetch
-/// lookahead depth.
-fn reference_rows<V>(
-    kernels: &[&'static Kernel],
-    out: &SweepOutcome,
-    variants: &[(String, V)],
-) -> Vec<Row> {
-    variants
-        .iter()
-        .map(|(label, _)| {
-            let mut base_ratio = Vec::new();
-            let mut bf_ratio = Vec::new();
-            let mut rates = Vec::new();
-            let mut depths = Vec::new();
-            for k in kernels {
-                let ref_ipc = out.require(&format!("{}/ref", k.name)).ipc();
-                let b = out.require(&format!("{}/base/{label}", k.name));
-                let f = out.require(&format!("{}/bfetch/{label}", k.name));
-                base_ratio.push(b.ipc() / ref_ipc);
-                bf_ratio.push(f.ipc() / ref_ipc);
-                rates.push(b.bp_miss_rate());
-                if let Some(e) = f.engine {
-                    depths.push(e.mean_depth());
-                }
-            }
-            let vals = vec![geomean(&base_ratio), geomean(&bf_ratio), mean(&rates), mean(&depths)];
-            (label.clone(), vals)
-        })
-        .collect()
-}
 
 /// Figure 11: useful vs useless prefetches issued by SMS and B-Fetch per
 /// benchmark — the accuracy argument behind B-Fetch's multiprogrammed wins.
@@ -104,14 +53,30 @@ pub fn fig11_accuracy(ctx: &Ctx) {
 /// 6.55 KB tournament baseline), reporting baseline IPC, B-Fetch IPC, the
 /// speedup, and the suite misprediction rate at each size.
 pub fn fig13_bpsize(ctx: &Ctx) {
-    let scales = [0.5, 1.0, 2.0, 4.0].map(|s: f64| (s.to_string(), s));
+    let scales = [0.5, 1.0, 2.0, 4.0f64];
     // one sweep: the 1x no-prefetch reference plus (scale × {base,bfetch})
-    let cfgs = with_reference(ctx, &scales, |cfg, &s| cfg.with_bpred_scale(s));
+    let mut cfgs = vec![("ref".to_string(), ctx.opts.config(PrefetcherKind::None))];
+    for s in scales {
+        for (name, kind) in [("base", PrefetcherKind::None), ("bfetch", PrefetcherKind::BFetch)] {
+            cfgs.push((format!("{name}/{s}"), ctx.opts.config(kind).with_bpred_scale(s)));
+        }
+    }
     let (kernels, out) = kernel_sweep(ctx, &cfgs);
 
-    let rows = reference_rows(&kernels, &out, &scales)
-        .into_iter()
-        .map(|(s, vals)| (format!("{s}x"), vals[..3].to_vec()))
+    let rows: Vec<Row> = scales
+        .iter()
+        .map(|s| {
+            let (mut base_ratio, mut bf_ratio, mut rates) = (Vec::new(), Vec::new(), Vec::new());
+            for k in &kernels {
+                let ref_ipc = out.require(&format!("{}/ref", k.name)).ipc();
+                let b = out.require(&format!("{}/base/{s}", k.name));
+                let f = out.require(&format!("{}/bfetch/{s}", k.name));
+                base_ratio.push(b.ipc() / ref_ipc);
+                bf_ratio.push(f.ipc() / ref_ipc);
+                rates.push(b.bp_miss_rate());
+            }
+            (format!("{s}x"), vec![geomean(&base_ratio), geomean(&bf_ratio), mean(&rates)])
+        })
         .collect();
 
     let headers = ["baseline speedup", "bfetch speedup", "miss rate"];
@@ -128,34 +93,6 @@ pub fn fig13_bpsize(ctx: &Ctx) {
              little from a larger predictor because the default is already accurate.\n",
     )
     .emit(ctx.opts.json);
-}
-
-/// Extension: B-Fetch under a state-of-the-art branch predictor — the
-/// paper's stated future work ("we plan to evaluate B-Fetch with the
-/// state-of-art branch predictors"). Compares the tournament baseline with
-/// a hashed perceptron, with and without B-Fetch.
-pub fn ext_perceptron(ctx: &Ctx) {
-    let predictors =
-        [PredictorKind::Tournament, PredictorKind::Perceptron].map(|pk| (format!("{pk:?}"), pk));
-    // normalization point: tournament, no prefetch
-    let cfgs = with_reference(ctx, &predictors, |cfg, &pk| cfg.with_predictor(pk));
-    let (kernels, out) = kernel_sweep(ctx, &cfgs);
-
-    let rows = reference_rows(&kernels, &out, &predictors);
-
-    let headers = ["baseline speedup", "bfetch speedup", "miss rate", "mean lookahead depth"];
-    let title = "== Extension: B-Fetch with a hashed perceptron predictor ==";
-    Report::new(title, "predictor", headers, rows)
-        .cell(|i, v| match i {
-            2 => format!("{:.2}%", 100.0 * v),
-            3 => format!("{v:.1}"),
-            _ => format!("{v:.4}"),
-        })
-        .note(
-            "\na better predictor raises path confidence, deepening the lookahead —\n\
-             the mechanism Figure 13 probes by scaling the tournament tables.\n",
-        )
-        .emit(ctx.opts.json);
 }
 
 /// Extension: substrate study — flat-latency DRAM (the Table II model all
@@ -196,51 +133,6 @@ pub fn ext_dram(ctx: &Ctx) {
 
     let headers = ["baseline IPC (geomean)", "bfetch speedup", "sms speedup"];
     Report::new("== Extension: DRAM model sensitivity ==", "dram model", headers, rows)
-        .emit(ctx.opts.json);
-}
-
-/// Extension: dynamic-energy comparison across prefetchers — the paper's
-/// energy-efficiency motivation made quantitative. Reports energy per
-/// instruction, the speedup, and the energy-delay product relative to the
-/// no-prefetch baseline.
-pub fn ext_energy(ctx: &Ctx) {
-    let params = EnergyParams::baseline();
-    let kinds = [
-        PrefetcherKind::None,
-        PrefetcherKind::Stride,
-        PrefetcherKind::Sms,
-        PrefetcherKind::Isb,
-        PrefetcherKind::BFetch,
-    ];
-    let (kernels, out) = kernel_sweep(ctx, &kinds.map(|k| (k.name(), ctx.opts.config(k))));
-
-    // per kind: (speedup, energy ratio) geomeans over kernels
-    let rows: Vec<Row> = kinds
-        .iter()
-        .map(|&kind| {
-            let (mut speedups, mut energies) = (Vec::new(), Vec::new());
-            for k in &kernels {
-                let base = out.require(&format!("{}/{}", k.name, PrefetcherKind::None.name()));
-                let base_e = estimate(base, 0.0, &params).nj_per_inst(base.instructions);
-                let r = out.require(&format!("{}/{}", k.name, kind.name()));
-                let e = estimate(r, storage_kb(kind), &params).nj_per_inst(r.instructions);
-                speedups.push(r.ipc() / base.ipc());
-                energies.push(e / base_e);
-            }
-            let s = geomean(&speedups);
-            let e = geomean(&energies);
-            (kind.name().to_string(), vec![s, e, e / s])
-        })
-        .collect();
-
-    let headers = ["geomean speedup", "energy/inst vs baseline", "energy-delay vs baseline"];
-    Report::new("== Extension: dynamic energy across prefetchers ==", "prefetcher", headers, rows)
-        .note(
-            "\naccurate prefetching lowers the energy-delay product even though it\n\
-             adds table and traffic energy; inaccurate streams pay DRAM energy\n\
-             for lines nobody uses, and heavy-weight meta-data shuttling adds an\n\
-             off-chip energy term light-weight designs avoid entirely.\n",
-        )
         .emit(ctx.opts.json);
 }
 

@@ -2,12 +2,11 @@
 //! diagnostic and the `asmcheck` assembler gate. None has a committed
 //! `results/*.txt`.
 
-use super::{storage_kb, table};
+use super::table;
 use crate::registry::{usage_error, Ctx};
 use crate::{GridPoint, OptsError, SweepSpec};
 use bfetch_isa::asm;
-use bfetch_sim::energy::{estimate, EnergyParams};
-use bfetch_sim::{PredictorKind, PrefetcherKind};
+use bfetch_sim::PrefetcherKind;
 use bfetch_workloads::{kernel_by_name, kernels, Kernel, Scale};
 
 fn bad_value(flag: &'static str, v: &str) -> ! {
@@ -16,8 +15,7 @@ fn bad_value(flag: &'static str, v: &str) -> ! {
 
 /// General-purpose simulation driver: run any kernel (or mix of kernels,
 /// one core each, in `--kernels` order; default libquantum) under any
-/// prefetcher/predictor/width configuration and print the full result,
-/// including the energy estimate.
+/// prefetcher/width configuration and print the full result.
 ///
 /// ```sh
 /// cargo run --release -p bfetch-bench -- simulate \
@@ -55,11 +53,6 @@ pub fn simulate(ctx: &Ctx) {
         "bfetch" => PrefetcherKind::BFetch,
         "perfect" => PrefetcherKind::Perfect,
         other => bad_value("--prefetcher", other),
-    });
-    cfg = cfg.with_predictor(match ctx.own("--predictor").unwrap_or("tournament") {
-        "tournament" => PredictorKind::Tournament,
-        "perceptron" => PredictorKind::Perceptron,
-        other => bad_value("--predictor", other),
     });
     if let Some(width) = ctx.parsed("--width") {
         cfg = cfg.with_width(width);
@@ -99,10 +92,8 @@ pub fn simulate(ctx: &Ctx) {
         "L1D MPKI",
         "pf useful",
         "pf useless",
-        "nJ/inst",
     ]);
     for (i, r) in results.iter().enumerate() {
-        let e = estimate(r, storage_kb(cfg.prefetcher), &EnergyParams::baseline());
         t.row(vec![
             i.to_string(),
             r.workload.clone(),
@@ -111,15 +102,9 @@ pub fn simulate(ctx: &Ctx) {
             format!("{:.1}", r.mpki()),
             r.mem.prefetch_useful.to_string(),
             r.mem.prefetch_useless.to_string(),
-            format!("{:.2}", e.nj_per_inst(r.instructions)),
         ]);
     }
-    println!(
-        "prefetcher={} predictor={:?} cores={} insts={insts}",
-        cfg.prefetcher.name(),
-        cfg.predictor,
-        members.len()
-    );
+    println!("prefetcher={} cores={} insts={insts}", cfg.prefetcher.name(), members.len());
     print!("{t}");
     if let Some(e) = &results[0].engine {
         println!(

@@ -7,14 +7,13 @@
 //! *by input index*, so the output order (and therefore everything
 //! printed from it) is identical whatever the thread count.
 //!
-//! [`run_isolated`] adds panic isolation: each closure call runs under
-//! `catch_unwind`, so one panicking item surfaces as an `Err` in its own
-//! slot while every other item completes normally. Because panics never
-//! cross a slot's `Mutex` while it is held, lock poisoning is purely
-//! incidental here and both executors recover the value via
-//! `PoisonError::into_inner` instead of propagating the poison.
+//! A panic in a closure propagates; the harness contains panics itself,
+//! running each point under `catch_unwind` (see [`super`]) and describing
+//! the payload with [`panic_message`]. Panics never cross a slot's `Mutex`
+//! while it is held, so lock poisoning is purely incidental here and the
+//! value is recovered via `PoisonError::into_inner` instead of propagating
+//! the poison.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -32,7 +31,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Applies `f` to every item on up to `threads` workers and returns the
 /// results in input order. A panic in `f` propagates after all workers
-/// stop (use [`run_isolated`] to contain it instead).
+/// stop.
 pub fn run_indexed<I, T, F>(items: &[I], threads: usize, f: F) -> Vec<T>
 where
     I: Sync,
@@ -74,20 +73,6 @@ where
                 .expect("worker claimed an index without storing a result")
         })
         .collect()
-}
-
-/// Like [`run_indexed`], but each call to `f` runs under `catch_unwind`:
-/// a panicking item yields `Err(message)` in its slot and every other
-/// item still completes. Output order is input order.
-pub fn run_isolated<I, T, F>(items: &[I], threads: usize, f: F) -> Vec<Result<T, String>>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I) -> T + Sync,
-{
-    run_indexed(items, threads, |i, item| {
-        catch_unwind(AssertUnwindSafe(|| f(i, item))).map_err(|p| panic_message(p.as_ref()))
-    })
 }
 
 #[cfg(test)]
@@ -137,41 +122,14 @@ mod tests {
     }
 
     #[test]
-    fn isolated_contains_panics_to_their_own_slot() {
-        let items: Vec<u32> = (0..20).collect();
-        for threads in [1, 4] {
-            let out = run_isolated(&items, threads, |_, &x| {
-                if x == 7 {
-                    panic!("boom on {x}");
-                }
-                x * 2
-            });
-            assert_eq!(out.len(), 20);
-            for (i, r) in out.iter().enumerate() {
-                if i == 7 {
-                    assert_eq!(r.as_ref().unwrap_err(), "boom on 7");
-                } else {
-                    assert_eq!(*r.as_ref().unwrap(), i as u32 * 2);
-                }
-            }
+    fn panic_message_describes_str_string_and_opaque_payloads() {
+        let payloads: [(Box<dyn std::any::Any + Send>, &str); 3] = [
+            (Box::new("static str"), "static str"),
+            (Box::new(format!("formatted {}", 1)), "formatted 1"),
+            (Box::new(42u64), "panic with non-string payload"),
+        ];
+        for (payload, want) in payloads {
+            assert_eq!(panic_message(payload.as_ref()), want);
         }
-    }
-
-    #[test]
-    fn isolated_reports_str_and_string_payloads() {
-        let out = run_isolated(&[0u8, 1], 2, |_, &x| {
-            if x == 0 {
-                std::panic::panic_any("static str");
-            }
-            std::panic::panic_any(format!("formatted {x}"));
-        });
-        assert_eq!(out[0].as_ref().unwrap_err(), "static str");
-        assert_eq!(out[1].as_ref().unwrap_err(), "formatted 1");
-    }
-
-    #[test]
-    fn isolated_opaque_payload_is_described() {
-        let out = run_isolated(&[()], 1, |_, _| -> u8 { std::panic::panic_any(42u64) });
-        assert!(out[0].as_ref().unwrap_err().contains("non-string payload"));
     }
 }

@@ -165,7 +165,6 @@ const SIMULATE_FLAGS: &[Flag] = &[
         Some("KIND"),
         "none|nextn|stride|sms|isb|bfetch|perfect (default none)",
     ),
-    Flag::new("--predictor", Some("KIND"), "tournament|perceptron (default tournament)"),
     Flag::new("--width", Some("N"), "pipeline width (default 4)"),
     Flag::new("--writebacks", None, "model dirty-line writebacks"),
     Flag::new("--forwarding", None, "model store-to-load forwarding"),
@@ -183,7 +182,7 @@ macro_rules! entry {
     };
 }
 
-static FIGURES: [Figure; 28] = [
+static FIGURES: [Figure; 25] = [
     entry!(analysis::tab1_storage, "Table I: storage overhead (KB) of B-Fetch vs SMS components")
         .flags(&[]),
     entry!(
@@ -240,13 +239,6 @@ static FIGURES: [Figure; 28] = [
         sweeps::ext_heavyweight,
         "Section III-B: ISB vs SMS vs B-Fetch speedup, accuracy, storage, meta-data traffic"
     ),
-    entry!(sweeps::ext_energy, "event-based dynamic energy + energy-delay product per prefetcher"),
-    entry!(sweeps::ext_perceptron, "future work: hashed perceptron vs tournament under B-Fetch"),
-    entry!(
-        direct::ext_iprefetch,
-        "future work: lookahead-driven L1I prefetch on an I-footprint stressor"
-    )
-    .flags(&[]),
     entry!(sweeps::ext_dram, "substrate study: flat-latency vs bank/row-buffer DRAM"),
     entry!(
         direct::ext_lifecycle,
@@ -267,7 +259,7 @@ static FIGURES: [Figure; 28] = [
     .flags(PROFILE_FLAGS),
     entry!(
         tools::simulate,
-        "run any kernel or mix under any prefetcher/predictor/width and print the full result"
+        "run any kernel or mix under any prefetcher/width and print the full result"
     )
     .budget(Budget::new(200_000, 100_000), None)
     .flags(SIMULATE_FLAGS),

@@ -144,4 +144,16 @@ fn removed_sim_threads_flag_is_rejected_with_usage() {
         assert!(stderr.contains("common flags:"), "usage missing from stderr:\n{stderr}");
     }
     assert!(!trace.exists(), "a rejected --trace still wrote {trace_arg}");
+
+    // `simulate --predictor` went with the perceptron: even the value
+    // that used to be the default is an undeclared flag now
+    let out = Command::new(env!("CARGO_BIN_EXE_bfetch"))
+        .args(["simulate", "--predictor", "tournament"])
+        .output()
+        .expect("spawn simulate");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "a rejected command line printed to stdout");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --predictor"), "{stderr}");
+    assert!(!stderr.contains("predictor KIND"), "usage still offers it:\n{stderr}");
 }

@@ -45,61 +45,19 @@
 pub mod btb;
 pub mod confidence;
 pub mod ghr;
-pub mod perceptron;
 pub mod tournament;
 
 pub use btb::Btb;
 pub use confidence::{CompositeConfidence, ConfidenceConfig, PathConfidence};
 pub use ghr::HistoryRegister;
-pub use perceptron::{PerceptronConfig, PerceptronPredictor};
 pub use tournament::{Prediction, SpeculativeCursor, TournamentConfig, TournamentPredictor};
-
-/// A conditional-branch direction predictor, usable both by the main
-/// pipeline and (read-only) by the B-Fetch lookahead. Implemented by the
-/// baseline [`TournamentPredictor`] and the [`PerceptronPredictor`]
-/// evaluated as the paper's "state-of-the-art predictor" future work.
-pub trait DirectionPredictor: std::fmt::Debug {
-    /// Looks up a prediction for the branch at `pc` under history `ghr`.
-    /// Must be side-effect free (the lookahead shares the tables).
-    fn predict(&self, pc: u64, ghr: u64) -> Prediction;
-
-    /// Trains with the resolved outcome, using the history captured at
-    /// prediction time.
-    fn update(&mut self, pc: u64, ghr: u64, taken: bool);
-
-    /// `(lookups, mispredicts)` counters.
-    fn stats(&self) -> (u64, u64);
-
-    /// Misprediction rate in `[0, 1]`.
-    fn miss_rate(&self) -> f64 {
-        let (l, m) = self.stats();
-        if l == 0 {
-            0.0
-        } else {
-            m as f64 / l as f64
-        }
-    }
-
-    /// Serializes the predictor's mutable state (tables and counters) for
-    /// checkpointing. The geometry itself is not written; restore happens
-    /// into a predictor freshly constructed from the same configuration.
-    fn save_state(&self, w: &mut bfetch_snapshot::Encoder);
-
-    /// Restores state written by [`DirectionPredictor::save_state`] into a
-    /// predictor of identical geometry. A geometry mismatch yields a typed
-    /// [`SnapshotError`](bfetch_snapshot::SnapshotError), never a panic.
-    fn load_state(
-        &mut self,
-        r: &mut bfetch_snapshot::Decoder<'_>,
-    ) -> Result<(), bfetch_snapshot::SnapshotError>;
-}
 
 #[cfg(test)]
 mod snapshot_tests {
     use super::*;
     use bfetch_snapshot::{Decoder, Encoder, SnapState, SnapshotError};
 
-    fn train(bp: &mut dyn DirectionPredictor, seed: u64) {
+    fn train(bp: &mut TournamentPredictor, seed: u64) {
         let mut ghr = HistoryRegister::new();
         for i in 0..500u64 {
             let pc = 0x40_0000 + (i % 17) * 4;
@@ -143,23 +101,6 @@ mod snapshot_tests {
                 what: "tournament local history"
             })
         );
-    }
-
-    #[test]
-    fn perceptron_state_round_trips() {
-        let mut a = PerceptronPredictor::baseline();
-        train(&mut a, 0xc2b2);
-        let mut w = Encoder::new();
-        SnapState::save_state(&a, &mut w);
-        let bytes = w.into_bytes();
-
-        let mut b = PerceptronPredictor::baseline();
-        let mut r = Decoder::new(&bytes);
-        SnapState::load_state(&mut b, &mut r).unwrap();
-        r.finish().unwrap();
-        for pc in (0x40_0000u64..0x40_0100).step_by(4) {
-            assert_eq!(a.predict(pc, 0b1101), b.predict(pc, 0b1101));
-        }
     }
 
     #[test]

@@ -270,31 +270,6 @@ impl TournamentPredictor {
     }
 }
 
-impl crate::DirectionPredictor for TournamentPredictor {
-    fn predict(&self, pc: u64, ghr: u64) -> Prediction {
-        TournamentPredictor::predict(self, pc, ghr)
-    }
-
-    fn update(&mut self, pc: u64, ghr: u64, taken: bool) {
-        TournamentPredictor::update(self, pc, ghr, taken)
-    }
-
-    fn stats(&self) -> (u64, u64) {
-        TournamentPredictor::stats(self)
-    }
-
-    fn save_state(&self, w: &mut bfetch_snapshot::Encoder) {
-        bfetch_snapshot::SnapState::save_state(self, w)
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut bfetch_snapshot::Decoder<'_>,
-    ) -> Result<(), bfetch_snapshot::SnapshotError> {
-        bfetch_snapshot::SnapState::load_state(self, r)
-    }
-}
-
 bfetch_snapshot::impl_snap_struct!(TournamentConfig {
     local_history_entries,
     local_history_bits,
@@ -336,7 +311,7 @@ impl bfetch_snapshot::SnapState for TournamentPredictor {
     }
 }
 
-/// A read-only lookahead cursor over a [`DirectionPredictor`](crate::DirectionPredictor).
+/// A read-only lookahead cursor over a [`TournamentPredictor`].
 ///
 /// The B-Fetch Branch Lookahead stage walks *future* branches: it predicts
 /// each one, pushes the predicted outcome into its private history copy, and
@@ -360,11 +335,7 @@ impl SpeculativeCursor {
     }
 
     /// Predicts the branch at `pc` and advances the speculative history.
-    pub fn predict_and_advance(
-        &mut self,
-        bp: &dyn crate::DirectionPredictor,
-        pc: u64,
-    ) -> Prediction {
+    pub fn predict_and_advance(&mut self, bp: &TournamentPredictor, pc: u64) -> Prediction {
         let p = bp.predict(pc, self.ghr);
         self.ghr = (self.ghr << 1) | p.taken as u64;
         p

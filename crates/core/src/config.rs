@@ -44,9 +44,6 @@ pub struct BFetchConfig {
     /// instead of the sampling-latch execute copy (the paper reports the
     /// execute copy gives "significant improvement in performance").
     pub arf_at_retire: bool,
-    /// Extension (the paper's future work): also emit *instruction*
-    /// prefetches for the basic blocks on the lookahead path.
-    pub inst_prefetch: bool,
 }
 
 impl BFetchConfig {
@@ -68,7 +65,6 @@ impl BFetchConfig {
             enable_loops: true,
             enable_patt: true,
             arf_at_retire: false,
-            inst_prefetch: false,
         }
     }
 
@@ -113,8 +109,7 @@ bfetch_snapshot::impl_snap_struct!(BFetchConfig {
     enable_filter,
     enable_loops,
     enable_patt,
-    arf_at_retire,
-    inst_prefetch
+    arf_at_retire
 });
 
 /// One row of the Table I storage breakdown.

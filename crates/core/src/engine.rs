@@ -6,7 +6,7 @@ use crate::brtc::{BrTcEntry, BranchTraceCache};
 use crate::config::{BFetchConfig, StorageReport};
 use crate::filter::PerLoadFilter;
 use crate::mht::MemoryHistoryTable;
-use bfetch_bpred::{CompositeConfidence, DirectionPredictor, PathConfidence, SpeculativeCursor};
+use bfetch_bpred::{CompositeConfidence, PathConfidence, SpeculativeCursor, TournamentPredictor};
 use bfetch_mem::probe::{find_line, NO_LINE};
 use bfetch_mem::{line_of, LINE_BYTES};
 use bfetch_stats::trace::{DropReason, TraceKind, Tracer};
@@ -106,8 +106,7 @@ impl EngineStats {
 ///   each load that follows brings its base register's value as it stood at
 ///   that branch (the engine keeps no copy of the register file);
 /// * [`BFetchEngine::on_feedback`] — L1D prefetch-usefulness feedback;
-/// * [`BFetchEngine::pop_prefetches`] / [`BFetchEngine::pop_inst_prefetches`]
-///   — drain the bounded prefetch queues.
+/// * [`BFetchEngine::pop_prefetches`] — drain the bounded prefetch queue.
 ///
 /// With a live tracer installed ([`BFetchEngine::set_tracer`]) the engine
 /// reports candidates it discards — per-load-filter rejections and queue
@@ -122,7 +121,6 @@ pub struct BFetchEngine {
     filter: PerLoadFilter,
     dbr: VecDeque<DecodedBranch>,
     queue: CandidateQueue,
-    iqueue: VecDeque<u64>,
     last_branch: Option<(u64, bool, u64)>, // (pc, taken, actual target)
     cur_bb: Option<(u64, u64)>,            // (key, branch pc)
     // per-walk scratch, reused across calls so the per-cycle path never
@@ -142,7 +140,6 @@ impl BFetchEngine {
             filter: PerLoadFilter::new(cfg.filter_entries, cfg.filter_threshold),
             dbr: VecDeque::with_capacity(cfg.dbr_entries),
             queue: CandidateQueue::new(cfg.queue_entries),
-            iqueue: VecDeque::with_capacity(cfg.queue_entries),
             last_branch: None,
             cur_bb: None,
             visit_scratch: Vec::with_capacity(8),
@@ -197,7 +194,7 @@ impl BFetchEngine {
     /// (the three pipeline stages are modelled as a one-walk-per-cycle
     /// throughput, matching the paper's one-branch-per-cycle lookahead
     /// rate across walks).
-    pub fn tick(&mut self, now: u64, bp: &dyn DirectionPredictor, conf: &CompositeConfidence) {
+    pub fn tick(&mut self, now: u64, bp: &TournamentPredictor, conf: &CompositeConfidence) {
         self.arf.apply(now);
         let Some(db) = self.dbr.pop_front() else {
             return;
@@ -255,7 +252,7 @@ impl BFetchEngine {
     fn lookahead(
         &mut self,
         db: DecodedBranch,
-        bp: &dyn DirectionPredictor,
+        bp: &TournamentPredictor,
         conf: &CompositeConfidence,
         now: u64,
     ) {
@@ -308,19 +305,6 @@ impl BFetchEngine {
                 self.stats.brtc_stops += 1;
                 return;
             };
-            if self.cfg.inst_prefetch {
-                // the block spans [entry target, terminating branch]:
-                // prefetch its instruction lines ahead of the front end
-                let mut l = cur_target & !63;
-                let end = next_branch_pc & !63;
-                let mut lines = 0;
-                while l <= end && lines < 8 {
-                    self.push_inst_candidate(l);
-                    l += 64;
-                    lines += 1;
-                }
-            }
-
             if next_is_cond {
                 let ghr_before = cursor.ghr();
                 let pred = cursor.predict_and_advance(bp, next_branch_pc);
@@ -352,34 +336,19 @@ impl BFetchEngine {
         self.queue.pop(max)
     }
 
-    /// Drains up to `max` *instruction* prefetch addresses (empty unless
-    /// [`BFetchConfig::inst_prefetch`] is enabled).
-    pub fn pop_inst_prefetches(&mut self, max: usize) -> impl Iterator<Item = u64> + '_ {
-        let n = max.min(self.iqueue.len());
-        // most cycles find the queue empty: skip building the drain then
-        (n > 0).then(|| self.iqueue.drain(..n)).into_iter().flatten()
-    }
-
-    fn push_inst_candidate(&mut self, pc: u64) {
-        let line = pc & !63;
-        if deque_contains_line(&self.iqueue, line) || self.iqueue.len() >= self.cfg.queue_entries {
-            return;
-        }
-        self.iqueue.push_back(line);
-    }
-
     /// Candidates currently waiting in the queue.
     pub fn queue_len(&self) -> usize {
         self.queue.entries.len()
     }
 
-    /// Whether [`BFetchEngine::tick`] and both `pop_*` drains would find
-    /// nothing to do: no decoded branch waits for a lookahead walk and both
-    /// prefetch queues are empty. A drained engine changes only through the
-    /// decode- and commit-side hooks (and feedback, which trains the filter
-    /// but queues nothing), so the embedding core need not tick it.
+    /// Whether [`BFetchEngine::tick`] and [`BFetchEngine::pop_prefetches`]
+    /// would find nothing to do: no decoded branch waits for a lookahead
+    /// walk and the prefetch queue is empty. A drained engine changes only
+    /// through the decode- and commit-side hooks (and feedback, which trains
+    /// the filter but queues nothing), so the embedding core need not tick
+    /// it.
     pub fn is_drained(&self) -> bool {
-        self.dbr.is_empty() && self.queue.entries.is_empty() && self.iqueue.is_empty()
+        self.dbr.is_empty() && self.queue.entries.is_empty()
     }
 
     // ---- commit side -----------------------------------------------------
@@ -702,7 +671,6 @@ impl bfetch_snapshot::SnapState for BFetchEngine {
         self.dbr.save(w);
         self.queue.entries.save(w);
         self.queue.lines.save(w);
-        self.iqueue.save(w);
         self.last_branch.save(w);
         self.cur_bb.save(w);
         self.queue.recent_lines.save(w);
@@ -722,7 +690,6 @@ impl bfetch_snapshot::SnapState for BFetchEngine {
         self.dbr = bfetch_snapshot::Snap::load(r)?;
         self.queue.entries = bfetch_snapshot::Snap::load(r)?;
         self.queue.lines = bfetch_snapshot::Snap::load(r)?;
-        self.iqueue = bfetch_snapshot::Snap::load(r)?;
         self.last_branch = bfetch_snapshot::Snap::load(r)?;
         self.cur_bb = bfetch_snapshot::Snap::load(r)?;
         self.queue.recent_lines = <[u64; 64]>::load(r)?;

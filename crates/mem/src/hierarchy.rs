@@ -859,48 +859,6 @@ impl CoreMem {
         Some(done)
     }
 
-    /// Issues an *instruction* prefetch of `addr` into this core's L1I (the
-    /// paper's future-work direction: reusing the lookahead path for
-    /// instruction prefetching). Shares the prefetch buffer pool with data
-    /// prefetches. Returns the fill completion cycle, or `None` if dropped.
-    pub fn prefetch_inst(
-        &mut self,
-        shared: &mut SharedMem,
-        addr: u64,
-        now: u64,
-    ) -> Option<u64> {
-        let phys = self.translate(addr);
-        let line = line_of(phys);
-        self.stats.prefetch_issued += 1;
-        if self.l1i.probe(phys) || self.mshr.contains(line) || self.pf_mshr.contains(line) {
-            self.stats.prefetch_redundant += 1;
-            return None;
-        }
-        if self.pf_mshr.free() == 0 {
-            self.stats.prefetch_mshr_drops += 1;
-            return None;
-        }
-        let start_at = match self.pf_mshr.request(line, now) {
-            MshrOutcome::Allocated { start_at } => start_at,
-            MshrOutcome::Merged { .. } => unreachable!("contains() checked above"),
-        };
-        let (done, level, fill_l2, fill_l3) =
-            self.lower_levels(shared, phys, start_at + self.cfg.l1i.latency, false);
-        self.pf_mshr.fill_scheduled(line, done, true, 0, level);
-        let fill = PendingFill {
-            complete_at: done,
-            core: self.id,
-            phys,
-            meta: LineMeta::default(),
-            fill_l2,
-            fill_l3,
-            is_inst: true,
-            issue_seq: self.next_seq(),
-        };
-        self.dispatch_fill(shared, fill);
-        Some(done)
-    }
-
     /// Installs this core's due fills (including shared fills already
     /// re-queued here by the chip drain) in issue order, and retires the
     /// corresponding MSHR entries.
@@ -1018,10 +976,6 @@ impl MemoryInterface for CoreProbe<'_> {
         unreachable!("CoreProbe is a read-only view")
     }
 
-    fn prefetch_inst(&mut self, _core: usize, _addr: u64, _now: u64) -> Option<u64> {
-        unreachable!("CoreProbe is a read-only view")
-    }
-
     fn stats(&self, _core: usize) -> &MemStats {
         self.0.stats()
     }
@@ -1122,8 +1076,6 @@ pub trait MemoryInterface {
     fn access(&mut self, core: usize, kind: AccessKind, addr: u64, now: u64) -> AccessOutcome;
     /// Issues a data prefetch; `None` when dropped.
     fn prefetch(&mut self, core: usize, addr: u64, pc_hash: u16, now: u64) -> Option<u64>;
-    /// Issues an instruction prefetch; `None` when dropped.
-    fn prefetch_inst(&mut self, core: usize, addr: u64, now: u64) -> Option<u64>;
     /// Per-core statistics.
     fn stats(&self, core: usize) -> &MemStats;
     /// Live demand-MSHR entries for `core` (watchdog diagnostics).
@@ -1253,17 +1205,6 @@ impl MemorySystem {
         self.guard.note(self.cores[core].take_sched_min());
         out
     }
-
-    /// Issues an *instruction* prefetch of `addr` into `core`'s L1I (the
-    /// paper's future-work direction: reusing the lookahead path for
-    /// instruction prefetching). Shares the prefetch buffer pool with data
-    /// prefetches. Returns the fill completion cycle, or `None` if dropped.
-    pub fn prefetch_inst(&mut self, core: usize, addr: u64, now: u64) -> Option<u64> {
-        self.drain(now);
-        let out = self.cores[core].prefetch_inst(&mut self.shared, addr, now);
-        self.guard.note(self.cores[core].take_sched_min());
-        out
-    }
 }
 
 impl MemoryInterface for MemorySystem {
@@ -1272,9 +1213,6 @@ impl MemoryInterface for MemorySystem {
     }
     fn prefetch(&mut self, core: usize, addr: u64, pc_hash: u16, now: u64) -> Option<u64> {
         MemorySystem::prefetch(self, core, addr, pc_hash, now)
-    }
-    fn prefetch_inst(&mut self, core: usize, addr: u64, now: u64) -> Option<u64> {
-        MemorySystem::prefetch_inst(self, core, addr, now)
     }
     fn stats(&self, core: usize) -> &MemStats {
         MemorySystem::stats(self, core)

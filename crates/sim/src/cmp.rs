@@ -336,11 +336,6 @@ impl MemoryInterface for SeqMem<'_> {
         self.mem.prefetch(self.shared, addr, pc_hash, now)
     }
 
-    fn prefetch_inst(&mut self, core: usize, addr: u64, now: u64) -> Option<u64> {
-        debug_assert_eq!(core, self.mem.id());
-        self.mem.prefetch_inst(self.shared, addr, now)
-    }
-
     fn stats(&self, core: usize) -> &MemStats {
         debug_assert_eq!(core, self.mem.id());
         self.mem.stats()

@@ -5,16 +5,6 @@ use bfetch_mem::{CacheConfig, DramConfig, HierarchyConfig};
 use bfetch_prefetch::{SmsConfig, StrideConfig};
 use bfetch_stats::{CpiConfig, TraceConfig};
 
-/// Which direction predictor a core uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PredictorKind {
-    /// Alpha-21264-style tournament predictor (Table II baseline).
-    Tournament,
-    /// Hashed perceptron (the paper's "state-of-the-art predictor"
-    /// future-work evaluation).
-    Perceptron,
-}
-
 /// Which prefetcher a core runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrefetcherKind {
@@ -90,7 +80,8 @@ pub enum ConfigError {
     },
     /// A structural knob above what its container can index or what a
     /// constructor should allocate on a file's say-so ([`MAX_WIDTH`],
-    /// [`MAX_ROB_ENTRIES`], [`MAX_MSHR_ENTRIES`]).
+    /// [`MAX_ROB_ENTRIES`], [`MAX_MSHR_ENTRIES`], [`MAX_TABLE_ENTRIES`],
+    /// [`MAX_MHT_SLOTS`]).
     TooLarge {
         /// The knob's field path.
         knob: &'static str,
@@ -107,6 +98,13 @@ pub enum ConfigError {
     Cache {
         /// Which cache (`"l1i"`, `"l1d"`, `"l2"`, `"l3"`).
         cache: &'static str,
+        /// What is wrong with it.
+        problem: &'static str,
+    },
+    /// A prefetcher table's geometry cannot be built.
+    Table {
+        /// The knob's field path (e.g. `"bfetch.brtc_entries"`).
+        knob: &'static str,
         /// What is wrong with it.
         problem: &'static str,
     },
@@ -127,6 +125,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::Cache { cache, problem } => {
                 write!(f, "config: {cache} geometry invalid: {problem}")
             }
+            ConfigError::Table { knob, problem } => write!(f, "config: {knob} {problem}"),
         }
     }
 }
@@ -148,6 +147,16 @@ pub const MAX_ROB_ENTRIES: usize = 1 << 20;
 /// Largest L1D MSHR file or prefetch buffer: both are flat arrays sized
 /// at construction and probed by linear scan (real files hold 4–32).
 pub const MAX_MSHR_ENTRIES: usize = 1 << 16;
+
+/// Largest prefetcher table or queue (BrTC, MHT slot array, per-load
+/// filter, prefetch queue, DBR, SMS AGT/PHT, stride table): each is
+/// allocated whole at construction, and a million entries is tens of
+/// megabytes for the widest of them (the paper's largest is 16 K).
+pub const MAX_TABLE_ENTRIES: usize = 1 << 20;
+
+/// Most register-history slots per MHT entry: the entry's valid mask is
+/// one `u32` bit per slot.
+pub const MAX_MHT_SLOTS: usize = u32::BITS as usize;
 
 /// Checks one cache geometry the way `SetAssocCache::new` would, returning
 /// the problem instead of panicking.
@@ -189,10 +198,8 @@ pub struct SimConfig {
     /// Penalty for a taken branch whose target missed in the BTB.
     pub btb_miss_penalty: u64,
     /// Branch predictor scale relative to the 6.55 KB baseline
-    /// (Figure 13 sweeps 0.5/1/2/4; tournament only).
+    /// (Figure 13 sweeps 0.5/1/2/4).
     pub bpred_scale: f64,
-    /// Direction predictor family.
-    pub predictor: PredictorKind,
     /// The prefetcher to run on every core.
     pub prefetcher: PrefetcherKind,
     /// B-Fetch engine geometry and thresholds.
@@ -274,7 +281,6 @@ impl SimConfig {
             mispredict_penalty: 10,
             btb_miss_penalty: 2,
             bpred_scale: 1.0,
-            predictor: PredictorKind::Tournament,
             prefetcher: PrefetcherKind::None,
             bfetch: BFetchConfig::baseline(),
             sms: SmsConfig::baseline(),
@@ -313,12 +319,6 @@ impl SimConfig {
         self.issue_width = width;
         self.commit_width = width;
         self.mem_ports = (width / 2).max(1);
-        self
-    }
-
-    /// Baseline with a different direction-predictor family.
-    pub fn with_predictor(mut self, kind: PredictorKind) -> Self {
-        self.predictor = kind;
         self
     }
 
@@ -414,11 +414,17 @@ impl SimConfig {
             ("dram.line_interval", self.dram.line_interval),
             ("dram.banks_per_channel", self.dram.banks_per_channel as u64),
             ("dram.row_bytes", self.dram.row_bytes),
+            ("bfetch.mht_slots", self.bfetch.mht_slots as u64),
+            ("sms.agt_entries", self.sms.agt_entries as u64),
+            ("stride.degree", self.stride.degree as u64),
         ];
         for (knob, v) in nonzero {
             if v == 0 {
                 return Err(ConfigError::Zero { knob });
             }
+        }
+        if self.prefetcher == PrefetcherKind::NextN(0) {
+            return Err(ConfigError::Zero { knob: "prefetcher.next_n" });
         }
         let bounded = [
             ("fetch_width", self.fetch_width, MAX_WIDTH),
@@ -428,15 +434,53 @@ impl SimConfig {
             ("mem_ports", self.mem_ports, MAX_WIDTH),
             ("l1d_mshrs", self.l1d_mshrs, MAX_MSHR_ENTRIES),
             ("prefetch_buffers", self.prefetch_buffers, MAX_MSHR_ENTRIES),
+            ("bfetch.brtc_entries", self.bfetch.brtc_entries, MAX_TABLE_ENTRIES),
+            ("bfetch.mht_entries", self.bfetch.mht_entries, MAX_TABLE_ENTRIES),
+            ("bfetch.mht_slots", self.bfetch.mht_slots, MAX_MHT_SLOTS),
+            ("bfetch.filter_entries", self.bfetch.filter_entries, MAX_TABLE_ENTRIES),
+            ("bfetch.queue_entries", self.bfetch.queue_entries, MAX_TABLE_ENTRIES),
+            ("bfetch.dbr_entries", self.bfetch.dbr_entries, MAX_TABLE_ENTRIES),
+            ("sms.agt_entries", self.sms.agt_entries, MAX_TABLE_ENTRIES),
+            ("sms.pht_entries", self.sms.pht_entries, MAX_TABLE_ENTRIES),
+            ("stride.entries", self.stride.entries, MAX_TABLE_ENTRIES),
         ];
         for (knob, v, max) in bounded {
             if v > max {
                 return Err(ConfigError::TooLarge { knob, max });
             }
         }
-        if self.predictor == PredictorKind::Tournament
-            && bfetch_bpred::TournamentConfig::try_scaled(self.bpred_scale).is_none()
-        {
+        // the slot array is `mht_entries × mht_slots` in one allocation
+        if self.bfetch.mht_entries * self.bfetch.mht_slots > MAX_TABLE_ENTRIES {
+            return Err(ConfigError::TooLarge {
+                knob: "bfetch.mht_entries × mht_slots",
+                max: MAX_TABLE_ENTRIES,
+            });
+        }
+        let pow2 = [
+            ("bfetch.brtc_entries", self.bfetch.brtc_entries as u64),
+            ("bfetch.mht_entries", self.bfetch.mht_entries as u64),
+            ("bfetch.filter_entries", self.bfetch.filter_entries as u64),
+            ("sms.pht_entries", self.sms.pht_entries as u64),
+            ("sms.region_bytes", self.sms.region_bytes),
+            ("sms.block_bytes", self.sms.block_bytes),
+            ("stride.entries", self.stride.entries as u64),
+        ];
+        for (knob, v) in pow2 {
+            if !v.is_power_of_two() {
+                return Err(ConfigError::Table { knob, problem: "must be a power of two" });
+            }
+        }
+        let sms = |problem| Err(ConfigError::Table { knob: "sms.block_bytes", problem });
+        if self.sms.block_bytes < bfetch_mem::LINE_BYTES {
+            return sms("must be at least a cache line");
+        }
+        if self.sms.region_bytes <= self.sms.block_bytes {
+            return sms("must be smaller than the region");
+        }
+        if self.sms.blocks_per_region() > 32 {
+            return sms("leaves more than 32 blocks per region");
+        }
+        if bfetch_bpred::TournamentConfig::try_scaled(self.bpred_scale).is_none() {
             return Err(ConfigError::BpredScale {
                 scale: self.bpred_scale,
             });
@@ -491,11 +535,6 @@ impl Default for SimConfig {
     }
 }
 
-bfetch_snapshot::impl_snap_enum!(PredictorKind {
-    PredictorKind::Tournament = 0,
-    PredictorKind::Perceptron = 1
-});
-
 // NextN carries a payload, so the unit-variant macro does not apply.
 impl bfetch_snapshot::Snap for PrefetcherKind {
     fn save(&self, w: &mut bfetch_snapshot::Encoder) {
@@ -548,7 +587,6 @@ bfetch_snapshot::impl_snap_struct!(SimConfig {
     mispredict_penalty,
     btb_miss_penalty,
     bpred_scale,
-    predictor,
     prefetcher,
     bfetch,
     sms,
@@ -615,13 +653,11 @@ mod tests {
     fn builders_compose() {
         let c = SimConfig::baseline()
             .with_prefetcher(PrefetcherKind::BFetch)
-            .with_predictor(PredictorKind::Perceptron)
             .with_warmup(1_234)
             .with_bpred_scale(2.0)
             .with_writebacks(true)
             .with_store_forwarding(true);
         assert_eq!(c.prefetcher, PrefetcherKind::BFetch);
-        assert_eq!(c.predictor, PredictorKind::Perceptron);
         assert_eq!(c.warmup_insts, 1_234);
         assert_eq!(c.bpred_scale, 2.0);
         assert!(c.model_writebacks);
@@ -735,11 +771,6 @@ mod tests {
     fn unsupported_bpred_scale_is_rejected() {
         let c = SimConfig::baseline().with_bpred_scale(3.0);
         assert_eq!(c.validate(), Err(ConfigError::BpredScale { scale: 3.0 }));
-        // the perceptron ignores the tournament scale entirely
-        let p = SimConfig::baseline()
-            .with_predictor(PredictorKind::Perceptron)
-            .with_bpred_scale(3.0);
-        assert_eq!(p.validate(), Ok(()));
     }
 
     #[test]
@@ -799,6 +830,101 @@ mod tests {
         );
     }
 
+    /// Why `validate` refuses the baseline after `set` edits it.
+    fn rejection(set: fn(&mut SimConfig)) -> ConfigError {
+        let mut c = SimConfig::baseline();
+        set(&mut c);
+        c.validate().expect_err("validate must refuse this geometry")
+    }
+
+    /// Each geometry a prefetcher constructor asserts on (`BranchTraceCache`,
+    /// `MemoryHistoryTable`, `PerLoadFilter`, `Sms`, `Stride`, `NextN`) is
+    /// refused here first, whichever prefetcher is selected.
+    #[test]
+    fn prefetcher_geometry_the_constructors_assert_on_is_rejected() {
+        let table = |knob, problem| ConfigError::Table { knob, problem };
+        let zero = |knob| ConfigError::Zero { knob };
+        let block = |problem| table("sms.block_bytes", problem);
+        let pow2 = "must be a power of two";
+        assert_eq!(rejection(|c| c.bfetch.brtc_entries = 3), table("bfetch.brtc_entries", pow2));
+        assert_eq!(rejection(|c| c.bfetch.brtc_entries = 0), table("bfetch.brtc_entries", pow2));
+        assert_eq!(rejection(|c| c.bfetch.mht_entries = 96), table("bfetch.mht_entries", pow2));
+        assert_eq!(rejection(|c| c.bfetch.mht_slots = 0), zero("bfetch.mht_slots"));
+        assert_eq!(rejection(|c| c.bfetch.filter_entries = 2047), table("bfetch.filter_entries", pow2));
+        assert_eq!(rejection(|c| c.sms.pht_entries = 1000), table("sms.pht_entries", pow2));
+        assert_eq!(rejection(|c| c.sms.agt_entries = 0), zero("sms.agt_entries"));
+        assert_eq!(rejection(|c| c.sms.region_bytes = 3000), table("sms.region_bytes", pow2));
+        assert_eq!(rejection(|c| c.sms.block_bytes = 0), block(pow2));
+        assert_eq!(rejection(|c| c.sms.block_bytes = 32), block("must be at least a cache line"));
+        assert_eq!(rejection(|c| c.sms.block_bytes = 2048), block("must be smaller than the region"));
+        assert_eq!(
+            rejection(|c| c.sms.region_bytes = 8192),
+            block("leaves more than 32 blocks per region")
+        );
+        assert_eq!(rejection(|c| c.stride.entries = 100), table("stride.entries", pow2));
+        assert_eq!(rejection(|c| c.stride.degree = 0), zero("stride.degree"));
+        let c = SimConfig::baseline().with_prefetcher(PrefetcherKind::NextN(0));
+        assert_eq!(c.validate(), Err(zero("prefetcher.next_n")));
+    }
+
+    #[test]
+    fn oversized_prefetcher_tables_are_rejected() {
+        assert_bounded("bfetch.brtc_entries", MAX_TABLE_ENTRIES, |c, v| c.bfetch.brtc_entries = v);
+        assert_bounded("bfetch.filter_entries", MAX_TABLE_ENTRIES, |c, v| {
+            c.bfetch.filter_entries = v
+        });
+        assert_bounded("bfetch.queue_entries", MAX_TABLE_ENTRIES, |c, v| c.bfetch.queue_entries = v);
+        assert_bounded("bfetch.dbr_entries", MAX_TABLE_ENTRIES, |c, v| c.bfetch.dbr_entries = v);
+        assert_bounded("bfetch.mht_slots", MAX_MHT_SLOTS, |c, v| c.bfetch.mht_slots = v);
+        assert_bounded("sms.agt_entries", MAX_TABLE_ENTRIES, |c, v| c.sms.agt_entries = v);
+        assert_bounded("sms.pht_entries", MAX_TABLE_ENTRIES, |c, v| c.sms.pht_entries = v);
+        assert_bounded("stride.entries", MAX_TABLE_ENTRIES, |c, v| c.stride.entries = v);
+        // the MHT's slot array is the product of two knobs
+        assert_bounded("bfetch.mht_entries", MAX_TABLE_ENTRIES, |c, v| {
+            c.bfetch.mht_slots = 1;
+            c.bfetch.mht_entries = v;
+        });
+        let mut c = SimConfig::baseline();
+        c.bfetch.mht_entries = MAX_TABLE_ENTRIES;
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::TooLarge {
+                knob: "bfetch.mht_entries × mht_slots",
+                max: MAX_TABLE_ENTRIES
+            })
+        );
+    }
+
+    /// The smallest geometry `validate` accepts builds under every
+    /// prefetcher that reads it.
+    #[test]
+    fn the_smallest_accepted_geometry_constructs() {
+        let mut c = SimConfig::baseline();
+        c.bfetch.brtc_entries = 1;
+        c.bfetch.mht_entries = 1;
+        c.bfetch.mht_slots = MAX_MHT_SLOTS;
+        c.bfetch.filter_entries = 1;
+        c.bfetch.queue_entries = 0;
+        c.bfetch.dbr_entries = 0;
+        c.sms.agt_entries = 1;
+        c.sms.pht_entries = 1;
+        c.sms.region_bytes = 128;
+        c.sms.block_bytes = 64;
+        c.stride.entries = 1;
+        c.stride.degree = 1;
+        let program = bfetch_isa::ProgramBuilder::new("empty").finish();
+        for kind in [
+            PrefetcherKind::BFetch,
+            PrefetcherKind::Sms,
+            PrefetcherKind::Stride,
+            PrefetcherKind::NextN(1),
+        ] {
+            let c = c.clone().with_prefetcher(kind);
+            assert_eq!(c.validate(), Ok(()));
+            crate::core::Core::new(0, program.clone(), &c);
+        }
+    }
+
     #[test]
     fn config_errors_render_the_knob() {
         let s = ConfigError::Zero { knob: "mem_ports" }.to_string();
@@ -813,6 +939,12 @@ mod tests {
         }
         .to_string();
         assert!(s.contains("l1i") && s.contains("too small"), "{s}");
+        let s = ConfigError::Table {
+            knob: "bfetch.brtc_entries",
+            problem: "must be a power of two",
+        }
+        .to_string();
+        assert!(s.contains("bfetch.brtc_entries") && s.contains("power of two"), "{s}");
     }
 
     #[test]
@@ -820,7 +952,6 @@ mod tests {
         use bfetch_snapshot::{Decoder, Encoder, Snap as _};
         let mut c = SimConfig::baseline()
             .with_prefetcher(PrefetcherKind::NextN(3))
-            .with_predictor(PredictorKind::Perceptron)
             .with_bpred_scale(2.0)
             .with_l3_banks(4)
             .with_writebacks(true);

@@ -25,11 +25,11 @@
 //! wake-up lists are links threaded through the waiting entries
 //! (DESIGN.md §5).
 
-use crate::config::{PredictorKind, PrefetcherKind, SimConfig};
+use crate::config::{PrefetcherKind, SimConfig};
 use crate::ports::PortRing;
 use bfetch_bpred::{
-    Btb, CompositeConfidence, ConfidenceConfig, DirectionPredictor, HistoryRegister,
-    PerceptronPredictor, TournamentConfig, TournamentPredictor,
+    Btb, CompositeConfidence, ConfidenceConfig, HistoryRegister, TournamentConfig,
+    TournamentPredictor,
 };
 use bfetch_core::{BFetchEngine, DecodedBranch};
 use bfetch_isa::{ArchState, Program, StaticInst};
@@ -279,7 +279,7 @@ pub struct Core {
     arch: ArchState,
     params: CoreParams,
     // prediction
-    bp: Box<dyn DirectionPredictor>,
+    bp: TournamentPredictor,
     ghr: HistoryRegister,
     btb: Btb,
     conf: CompositeConfidence,
@@ -330,12 +330,7 @@ impl Core {
     /// Builds a core running `program` under `cfg`.
     pub fn new(id: usize, program: Program, cfg: &SimConfig) -> Self {
         let arch = ArchState::new(&program);
-        let bp: Box<dyn DirectionPredictor> = match cfg.predictor {
-            PredictorKind::Tournament => Box::new(TournamentPredictor::new(
-                TournamentConfig::scaled(cfg.bpred_scale),
-            )),
-            PredictorKind::Perceptron => Box::new(PerceptronPredictor::baseline()),
-        };
+        let bp = TournamentPredictor::new(TournamentConfig::scaled(cfg.bpred_scale));
         let conf = CompositeConfidence::new(ConfidenceConfig::baseline());
         let (engine, demand_pf, perfect): (
             Option<BFetchEngine>,
@@ -1172,14 +1167,11 @@ impl Core {
         if let Some(engine) = self.engine.as_mut() {
             {
                 let _p = bfetch_prof::span(bfetch_prof::SIM_ENGINE);
-                engine.tick(now, self.bp.as_ref(), &self.conf);
+                engine.tick(now, &self.bp, &self.conf);
             }
             let _p = bfetch_prof::span(bfetch_prof::SIM_ISSUE);
             for c in engine.pop_prefetches(per_cycle) {
                 mem.prefetch(self.id, c.addr, c.pc_hash, now);
-            }
-            for addr in engine.pop_inst_prefetches(per_cycle) {
-                mem.prefetch_inst(self.id, addr, now);
             }
         } else if self.demand_pf.is_some() {
             let _p = bfetch_prof::span(bfetch_prof::SIM_ISSUE);

@@ -35,7 +35,6 @@ pub mod analysis;
 pub mod cmp;
 pub mod config;
 pub mod core;
-pub mod energy;
 pub mod error;
 pub mod ports;
 pub mod session;
@@ -47,9 +46,8 @@ pub use bfetch_stats::{CpiComponent, CpiConfig, CpiStack, TimelineSample, TraceC
 pub use cmp::{RunResult, SeqMem};
 pub use session::{RunOutput, SimSession, TraceOutput};
 pub use config::{
-    ConfigError, FaultInjection, PredictorKind, PrefetcherKind, SimConfig, MAX_MSHR_ENTRIES,
-    MAX_ROB_ENTRIES, MAX_WIDTH,
+    ConfigError, FaultInjection, PrefetcherKind, SimConfig, MAX_MHT_SLOTS, MAX_MSHR_ENTRIES,
+    MAX_ROB_ENTRIES, MAX_TABLE_ENTRIES, MAX_WIDTH,
 };
 pub use error::{CoreDiag, DiagSnapshot, RobHeadDiag, SimError};
 pub use core::{Core, CoreCounters};
-pub use energy::{EnergyParams, EnergyReport};

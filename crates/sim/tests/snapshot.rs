@@ -265,19 +265,19 @@ fn every_sampled_bit_flip_is_a_typed_error_or_detected() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Overwrites the `index`-th 8-byte word of the checkpoint's config
-/// section (id 2; `SimConfig` saves its leading `usize` knobs as
-/// little-endian `u64`s in declaration order) and restamps the whole-file
-/// CRC, so nothing but per-field validation stands between the crafted
-/// value and the constructors.
-fn patch_config_word(bytes: &mut [u8], index: usize, expect: u64, value: u64) {
+/// Overwrites the 8-byte word `offset` bytes into the checkpoint's config
+/// section (id 2; `SimConfig` saves its fields in declaration order, a
+/// `usize` as a little-endian `u64`, an enum as a one-byte tag) and
+/// restamps the whole-file CRC, so nothing but per-field validation stands
+/// between the crafted value and the constructors.
+fn patch_config_word(bytes: &mut [u8], offset: usize, expect: u64, value: u64) {
     let word = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
     // frame: magic, u32 version, u32 section count, then (u32 id, u64 len, payload)*
     let mut at = bfetch_snapshot::MAGIC.len() + 8;
     while u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) != 2 {
         at += 12 + word(bytes, at + 4) as usize;
     }
-    let field = at + 12 + 8 * index;
+    let field = at + 12 + offset;
     assert_eq!(word(bytes, field), expect, "config layout moved: fix the index");
     bytes[field..field + 8].copy_from_slice(&value.to_le_bytes());
     let body = bytes.len() - 4;
@@ -293,7 +293,7 @@ fn patch_config_word(bytes: &mut [u8], index: usize, expect: u64, value: u64) {
 fn crafted_oversized_rob_is_a_typed_error_not_a_panic() {
     let dir = tmpdir("big-rob");
     let mut bytes = checkpoint_bytes(&dir);
-    patch_config_word(&mut bytes, 3, cfg().rob_entries as u64, 1 << 40);
+    patch_config_word(&mut bytes, 3 * 8, cfg().rob_entries as u64, 1 << 40);
     let path = dir.join("crafted.snap");
     std::fs::write(&path, &bytes).unwrap();
     match SimSession::resume(&path) {
@@ -307,6 +307,32 @@ fn crafted_oversized_rob_is_a_typed_error_not_a_panic() {
     bytes[last] ^= 1;
     std::fs::write(&path, &bytes).unwrap();
     assert!(matches!(SimSession::resume(&path), Err(SimError::Snapshot(_))));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The nested prefetcher configs are validated too: a three-entry BrTC
+/// (`bfetch.brtc_entries` follows the nine leading words and the one-byte
+/// prefetcher tag) used to pass `validate()` and panic in
+/// `BranchTraceCache::new`, whether it came from the caller or a file.
+#[test]
+fn non_power_of_two_brtc_is_a_typed_error_from_run_and_resume() {
+    let mut c = cfg();
+    c.bfetch.brtc_entries = 3;
+    let p = kernel("bad-brtc", 1024);
+    match SimSession::new(c).instructions(100).run_one(&p) {
+        Err(SimError::Config(e)) => assert!(e.to_string().contains("brtc_entries"), "{e}"),
+        other => panic!("expected a config error, got {:?}", other.map(|_| ())),
+    }
+
+    let dir = tmpdir("bad-brtc");
+    let mut bytes = checkpoint_bytes(&dir);
+    patch_config_word(&mut bytes, 9 * 8 + 1, cfg().bfetch.brtc_entries as u64, 3);
+    let path = dir.join("crafted.snap");
+    std::fs::write(&path, &bytes).unwrap();
+    match SimSession::resume(&path) {
+        Err(SimError::Config(e)) => assert!(e.to_string().contains("brtc_entries"), "{e}"),
+        other => panic!("expected a config error, got {:?}", other.map(|_| ())),
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -6,7 +6,7 @@
 
 use bfetch_isa::{Inst, Program, Reg};
 use bfetch_prng::Pcg32;
-use bfetch_sim::{PredictorKind, PrefetcherKind, SimConfig, SimSession};
+use bfetch_sim::{PrefetcherKind, SimConfig, SimSession};
 
 /// The old `run_single` contract through the unified session API.
 fn run_single(p: &bfetch_isa::Program, cfg: &SimConfig, insts: u64) -> bfetch_sim::RunResult {
@@ -130,18 +130,6 @@ fn random_programs_all_prefetchers() {
             PrefetcherKind::NextN(2),
         ][rng.gen_range(4) as usize];
         let r = run_single(&p, &quick(kind), 2_000);
-        assert!(r.instructions >= 2_000);
-    }
-}
-
-/// The perceptron predictor path is as robust as the tournament path.
-#[test]
-fn random_programs_perceptron() {
-    for case in 0..cases(48) as u64 {
-        let mut rng = Pcg32::new(0x5_1e55_0004 ^ case);
-        let p = arb_program(&mut rng);
-        let cfg = quick(PrefetcherKind::BFetch).with_predictor(PredictorKind::Perceptron);
-        let r = run_single(&p, &cfg, 2_000);
         assert!(r.instructions >= 2_000);
     }
 }

@@ -39,13 +39,11 @@ pub mod guide {}
 pub mod kernels;
 pub mod mix;
 pub mod programs;
-pub mod stressors;
 
 pub use faults::{FaultKernel, FaultMode, FAULT_KERNEL};
 pub use kernels::{kernel_by_name, kernels, Kernel, Scale};
 pub use mix::{select_mixes, Mix, NUM_MIXES};
 pub use programs::{program_by_name, programs, workload_by_name, ANALOGS};
-pub use stressors::icache_stressor;
 
 #[cfg(test)]
 mod tests {

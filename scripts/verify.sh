@@ -10,6 +10,9 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+echo "==> docs: every back-ticked repository path in README/DESIGN/EXPERIMENTS exists"
+sh scripts/doc_paths.sh
+
 echo "==> tier-1: release build (whole workspace: the root package does
 #   not depend on bfetch-bench, so a bare 'cargo build' would leave the
 #   bfetch binary used below stale or missing)"
