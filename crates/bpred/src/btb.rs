@@ -106,40 +106,20 @@ impl Btb {
     }
 }
 
-impl bfetch_snapshot::SnapState for Btb {
-    fn save_state(&self, w: &mut bfetch_snapshot::Encoder) {
-        use bfetch_snapshot::Snap as _;
-        w.put_usize(self.entries.len());
-        for set in &self.entries {
-            bfetch_snapshot::save_slice(set, w);
-        }
-        self.hits.save(w);
-        self.misses.save(w);
+bfetch_snapshot::snap_state!(Btb {
+    sets: skip,
+    ways: skip,
+    entries: slice("btb set count"),
+    hits: val,
+    misses: val,
+} check |b| {
+    if b.entries.iter().any(|set| set.len() > b.ways) {
+        return Err(bfetch_snapshot::SnapshotError::Invalid {
+            what: "btb set exceeds associativity",
+        });
     }
-
-    fn load_state(
-        &mut self,
-        r: &mut bfetch_snapshot::Decoder<'_>,
-    ) -> Result<(), bfetch_snapshot::SnapshotError> {
-        use bfetch_snapshot::Snap as _;
-        let sets = r.take_usize()?;
-        if sets != self.sets {
-            return Err(bfetch_snapshot::SnapshotError::Invalid { what: "btb set count" });
-        }
-        for set in self.entries.iter_mut() {
-            let filled: Vec<(u64, u64, u8)> = bfetch_snapshot::Snap::load(r)?;
-            if filled.len() > self.ways {
-                return Err(bfetch_snapshot::SnapshotError::Invalid {
-                    what: "btb set exceeds associativity",
-                });
-            }
-            *set = filled;
-        }
-        self.hits = u64::load(r)?;
-        self.misses = u64::load(r)?;
-        Ok(())
-    }
-}
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {

@@ -197,28 +197,17 @@ bfetch_snapshot::impl_snap_struct!(ConfidenceConfig {
     self_threshold
 });
 
-impl bfetch_snapshot::SnapState for CompositeConfidence {
-    fn save_state(&self, w: &mut bfetch_snapshot::Encoder) {
-        use bfetch_snapshot::Snap as _;
-        bfetch_snapshot::save_slice(&self.jrs, w);
-        bfetch_snapshot::save_slice(&self.updown, w);
-        self.meter_correct.save(w);
-        self.meter_total.save(w);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut bfetch_snapshot::Decoder<'_>,
-    ) -> Result<(), bfetch_snapshot::SnapshotError> {
-        use bfetch_snapshot::Snap as _;
-        bfetch_snapshot::load_slice_exact(&mut self.jrs, r, "confidence jrs table")?;
-        bfetch_snapshot::load_slice_exact(&mut self.updown, r, "confidence updown table")?;
-        self.meter_correct = <[u32; 8]>::load(r)?;
-        self.meter_total = <[u32; 8]>::load(r)?;
-        self.refresh_estimates();
-        Ok(())
-    }
-}
+bfetch_snapshot::snap_state!(CompositeConfidence {
+    cfg: skip,
+    jrs: slice("confidence jrs table"),
+    updown: slice("confidence updown table"),
+    meter_correct: val,
+    meter_total: val,
+    estimates: skip,
+} check |c| {
+    c.refresh_estimates();
+    Ok(())
+});
 
 /// Multiplicative path confidence accumulator (PaCo-style).
 ///

@@ -285,31 +285,15 @@ bfetch_snapshot::impl_snap_struct!(Prediction {
     used_global
 });
 
-impl bfetch_snapshot::SnapState for TournamentPredictor {
-    fn save_state(&self, w: &mut bfetch_snapshot::Encoder) {
-        use bfetch_snapshot::Snap as _;
-        bfetch_snapshot::save_slice(&self.local_history, w);
-        bfetch_snapshot::save_slice(&self.local_pattern, w);
-        bfetch_snapshot::save_slice(&self.global, w);
-        bfetch_snapshot::save_slice(&self.chooser, w);
-        self.lookups.save(w);
-        self.mispredicts.save(w);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut bfetch_snapshot::Decoder<'_>,
-    ) -> Result<(), bfetch_snapshot::SnapshotError> {
-        use bfetch_snapshot::Snap as _;
-        bfetch_snapshot::load_slice_exact(&mut self.local_history, r, "tournament local history")?;
-        bfetch_snapshot::load_slice_exact(&mut self.local_pattern, r, "tournament local pattern")?;
-        bfetch_snapshot::load_slice_exact(&mut self.global, r, "tournament global table")?;
-        bfetch_snapshot::load_slice_exact(&mut self.chooser, r, "tournament chooser table")?;
-        self.lookups = u64::load(r)?;
-        self.mispredicts = u64::load(r)?;
-        Ok(())
-    }
-}
+bfetch_snapshot::snap_state!(TournamentPredictor {
+    cfg: skip,
+    local_history: slice("tournament local history"),
+    local_pattern: slice("tournament local pattern"),
+    global: slice("tournament global table"),
+    chooser: slice("tournament chooser table"),
+    lookups: val,
+    mispredicts: val,
+});
 
 /// A read-only lookahead cursor over a [`TournamentPredictor`].
 ///

@@ -89,27 +89,12 @@ impl AlternateRegisterFile {
     }
 }
 
-// `delay` is configuration, not state: restore happens into an ARF built
-// with the same sampling delay.
-impl bfetch_snapshot::SnapState for AlternateRegisterFile {
-    fn save_state(&self, w: &mut bfetch_snapshot::Encoder) {
-        use bfetch_snapshot::Snap as _;
-        self.values.save(w);
-        self.seqs.save(w);
-        self.pending.save(w);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut bfetch_snapshot::Decoder<'_>,
-    ) -> Result<(), bfetch_snapshot::SnapshotError> {
-        use bfetch_snapshot::Snap as _;
-        self.values = <[u64; 32]>::load(r)?;
-        self.seqs = <[u64; 32]>::load(r)?;
-        self.pending = bfetch_snapshot::Snap::load(r)?;
-        Ok(())
-    }
-}
+bfetch_snapshot::snap_state!(AlternateRegisterFile {
+    values: val,
+    seqs: val,
+    pending: val,
+    delay: skip,
+});
 
 #[cfg(test)]
 mod tests {

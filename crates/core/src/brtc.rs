@@ -114,25 +114,12 @@ bfetch_snapshot::impl_snap_struct!(BrTcEntry {
 
 bfetch_snapshot::impl_snap_struct!(Slot { tag, entry, valid });
 
-impl bfetch_snapshot::SnapState for BranchTraceCache {
-    fn save_state(&self, w: &mut bfetch_snapshot::Encoder) {
-        use bfetch_snapshot::Snap as _;
-        bfetch_snapshot::save_slice(&self.slots, w);
-        self.lookups.save(w);
-        self.hits.save(w);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut bfetch_snapshot::Decoder<'_>,
-    ) -> Result<(), bfetch_snapshot::SnapshotError> {
-        use bfetch_snapshot::Snap as _;
-        bfetch_snapshot::load_slice_exact(&mut self.slots, r, "brtc slots")?;
-        self.lookups = u64::load(r)?;
-        self.hits = u64::load(r)?;
-        Ok(())
-    }
-}
+bfetch_snapshot::snap_state!(BranchTraceCache {
+    slots: slice("brtc slots"),
+    mask: skip,
+    lookups: val,
+    hits: val,
+});
 
 #[cfg(test)]
 mod tests {

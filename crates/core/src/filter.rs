@@ -110,29 +110,18 @@ impl PerLoadFilter {
     }
 }
 
-impl bfetch_snapshot::SnapState for PerLoadFilter {
-    fn save_state(&self, w: &mut bfetch_snapshot::Encoder) {
-        use bfetch_snapshot::Snap as _;
-        for t in &self.tables {
-            bfetch_snapshot::save_slice(t, w);
-        }
-        self.allowed.save(w);
-        self.blocked.save(w);
+bfetch_snapshot::snap_state!(PerLoadFilter {
+    tables: val,
+    mask: skip,
+    threshold: skip,
+    allowed: val,
+    blocked: val,
+} check |f| {
+    if f.tables.iter().any(|t| t.len() != f.mask + 1) {
+        return Err(bfetch_snapshot::SnapshotError::Invalid { what: "filter table" });
     }
-
-    fn load_state(
-        &mut self,
-        r: &mut bfetch_snapshot::Decoder<'_>,
-    ) -> Result<(), bfetch_snapshot::SnapshotError> {
-        use bfetch_snapshot::Snap as _;
-        for t in self.tables.iter_mut() {
-            bfetch_snapshot::load_slice_exact(t, r, "filter table")?;
-        }
-        self.allowed = u64::load(r)?;
-        self.blocked = u64::load(r)?;
-        Ok(())
-    }
-}
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {

@@ -264,27 +264,14 @@ bfetch_snapshot::impl_snap_struct!(Entry {
     valid_mask
 });
 
-impl bfetch_snapshot::SnapState for MemoryHistoryTable {
-    fn save_state(&self, w: &mut bfetch_snapshot::Encoder) {
-        use bfetch_snapshot::Snap as _;
-        bfetch_snapshot::save_slice(&self.entries, w);
-        bfetch_snapshot::save_slice(&self.slots, w);
-        self.lookups.save(w);
-        self.hits.save(w);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut bfetch_snapshot::Decoder<'_>,
-    ) -> Result<(), bfetch_snapshot::SnapshotError> {
-        use bfetch_snapshot::Snap as _;
-        bfetch_snapshot::load_slice_exact(&mut self.entries, r, "mht entries")?;
-        bfetch_snapshot::load_slice_exact(&mut self.slots, r, "mht slots")?;
-        self.lookups = u64::load(r)?;
-        self.hits = u64::load(r)?;
-        Ok(())
-    }
-}
+bfetch_snapshot::snap_state!(MemoryHistoryTable {
+    entries: slice("mht entries"),
+    slots: slice("mht slots"),
+    mask: skip,
+    slots_per_entry: skip,
+    lookups: val,
+    hits: val,
+});
 
 #[cfg(test)]
 mod tests {

@@ -292,40 +292,23 @@ bfetch_snapshot::impl_snap_struct!(CacheStats {
     prefetch_evicted_unused
 });
 
-// Geometry (`cfg`, `sets`) is configuration, not state: restore happens
-// into a cache built with the same [`CacheConfig`].
-impl bfetch_snapshot::SnapState for SetAssocCache {
-    fn save_state(&self, w: &mut bfetch_snapshot::Encoder) {
-        use bfetch_snapshot::Snap as _;
-        bfetch_snapshot::save_slice(&self.tags, w);
-        bfetch_snapshot::save_slice(&self.ranks, w);
-        bfetch_snapshot::save_slice(&self.metas, w);
-        self.stats.save(w);
+bfetch_snapshot::snap_state!(SetAssocCache {
+    cfg: skip,
+    sets: skip,
+    tags: slice("cache tags"),
+    ranks: slice("cache ranks"),
+    metas: slice("cache metas"),
+    stats: val,
+} check |c| {
+    // every valid rank must stay below the associativity, or the LRU
+    // permutation invariant is broken before the first access
+    if c.ranks.iter().any(|&rk| rk != INVALID && rk as usize >= c.cfg.ways) {
+        return Err(bfetch_snapshot::SnapshotError::Invalid {
+            what: "cache rank out of range",
+        });
     }
-
-    fn load_state(
-        &mut self,
-        r: &mut bfetch_snapshot::Decoder<'_>,
-    ) -> Result<(), bfetch_snapshot::SnapshotError> {
-        use bfetch_snapshot::Snap as _;
-        bfetch_snapshot::load_slice_exact(&mut self.tags, r, "cache tags")?;
-        bfetch_snapshot::load_slice_exact(&mut self.ranks, r, "cache ranks")?;
-        bfetch_snapshot::load_slice_exact(&mut self.metas, r, "cache metas")?;
-        // every valid rank must stay below the associativity, or the LRU
-        // permutation invariant is broken before the first access
-        if self
-            .ranks
-            .iter()
-            .any(|&rk| rk != INVALID && rk as usize >= self.cfg.ways)
-        {
-            return Err(bfetch_snapshot::SnapshotError::Invalid {
-                what: "cache rank out of range",
-            });
-        }
-        self.stats = CacheStats::load(r)?;
-        Ok(())
-    }
-}
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {

@@ -192,32 +192,15 @@ bfetch_snapshot::impl_snap_struct!(Bank {
     busy_until
 });
 
-// Channel/bank counts are configuration; only occupancy and counters move.
-impl bfetch_snapshot::SnapState for Dram {
-    fn save_state(&self, w: &mut bfetch_snapshot::Encoder) {
-        use bfetch_snapshot::Snap as _;
-        bfetch_snapshot::save_slice(&self.next_free, w);
-        bfetch_snapshot::save_slice(&self.banks, w);
-        self.requests.save(w);
-        self.row_hits.save(w);
-        self.busy_cycles.save(w);
-        self.queue_cycles.save(w);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut bfetch_snapshot::Decoder<'_>,
-    ) -> Result<(), bfetch_snapshot::SnapshotError> {
-        use bfetch_snapshot::Snap as _;
-        bfetch_snapshot::load_slice_exact(&mut self.next_free, r, "dram channels")?;
-        bfetch_snapshot::load_slice_exact(&mut self.banks, r, "dram banks")?;
-        self.requests = u64::load(r)?;
-        self.row_hits = u64::load(r)?;
-        self.busy_cycles = u64::load(r)?;
-        self.queue_cycles = u64::load(r)?;
-        Ok(())
-    }
-}
+bfetch_snapshot::snap_state!(Dram {
+    cfg: skip,
+    next_free: slice("dram channels"),
+    banks: slice("dram banks"),
+    requests: val,
+    row_hits: val,
+    busy_cycles: val,
+    queue_cycles: val,
+});
 
 #[cfg(test)]
 mod tests {

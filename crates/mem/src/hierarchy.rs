@@ -1339,93 +1339,38 @@ impl bfetch_snapshot::SnapState for FillPool {
     }
 }
 
-// `cfg` and the bank count are geometry; restore happens into a chip built
-// from the same [`HierarchyConfig`].
-impl bfetch_snapshot::SnapState for SharedMem {
-    fn save_state(&self, w: &mut bfetch_snapshot::Encoder) {
-        use bfetch_snapshot::Snap as _;
-        for bank in &self.l3 {
-            bank.save_state(w);
-        }
-        self.dram.save_state(w);
-        self.fills.save_state(w);
-        self.fill_seq.save(w);
-    }
+bfetch_snapshot::snap_state!(SharedMem {
+    cfg: skip,
+    banks: skip,
+    l3: each,
+    dram: state,
+    fills: state,
+    fill_seq: val,
+});
 
-    fn load_state(
-        &mut self,
-        r: &mut bfetch_snapshot::Decoder<'_>,
-    ) -> Result<(), bfetch_snapshot::SnapshotError> {
-        use bfetch_snapshot::Snap as _;
-        for bank in self.l3.iter_mut() {
-            bank.load_state(r)?;
-        }
-        self.dram.load_state(r)?;
-        self.fills.load_state(r)?;
-        self.fill_seq = u64::load(r)?;
-        Ok(())
-    }
-}
+// The tracer is re-installed by whoever owns the run.
+bfetch_snapshot::snap_state!(CoreMem {
+    id: skip,
+    cfg: skip,
+    l1i: state,
+    l1d: state,
+    l2: state,
+    mshr: state,
+    pf_mshr: state,
+    fills: state,
+    issue_seq: val,
+    sched_min: val,
+    feedback: val,
+    stats: val,
+    tracer: skip,
+});
 
-// `id`, `cfg` and the tracer are wiring, not state; the tracer is
-// re-installed by whoever owns the run.
-impl bfetch_snapshot::SnapState for CoreMem {
-    fn save_state(&self, w: &mut bfetch_snapshot::Encoder) {
-        use bfetch_snapshot::Snap as _;
-        self.l1i.save_state(w);
-        self.l1d.save_state(w);
-        self.l2.save_state(w);
-        self.mshr.save_state(w);
-        self.pf_mshr.save_state(w);
-        self.fills.save_state(w);
-        self.issue_seq.save(w);
-        self.sched_min.save(w);
-        self.feedback.save(w);
-        self.stats.save(w);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut bfetch_snapshot::Decoder<'_>,
-    ) -> Result<(), bfetch_snapshot::SnapshotError> {
-        use bfetch_snapshot::Snap as _;
-        self.l1i.load_state(r)?;
-        self.l1d.load_state(r)?;
-        self.l2.load_state(r)?;
-        self.mshr.load_state(r)?;
-        self.pf_mshr.load_state(r)?;
-        self.fills.load_state(r)?;
-        self.issue_seq = u64::load(r)?;
-        self.sched_min = u64::load(r)?;
-        self.feedback = Vec::load(r)?;
-        self.stats = MemStats::load(r)?;
-        Ok(())
-    }
-}
-
-impl bfetch_snapshot::SnapState for MemorySystem {
-    fn save_state(&self, w: &mut bfetch_snapshot::Encoder) {
-        use bfetch_snapshot::Snap as _;
-        for c in &self.cores {
-            c.save_state(w);
-        }
-        self.shared.save_state(w);
-        self.guard.save(w);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut bfetch_snapshot::Decoder<'_>,
-    ) -> Result<(), bfetch_snapshot::SnapshotError> {
-        use bfetch_snapshot::Snap as _;
-        for c in self.cores.iter_mut() {
-            c.load_state(r)?;
-        }
-        self.shared.load_state(r)?;
-        self.guard = ChipGuard::load(r)?;
-        Ok(())
-    }
-}
+bfetch_snapshot::snap_state!(MemorySystem {
+    cfg: skip,
+    cores: each,
+    shared: state,
+    guard: val,
+});
 
 #[cfg(test)]
 mod tests {

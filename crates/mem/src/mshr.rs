@@ -276,43 +276,27 @@ bfetch_snapshot::impl_snap_struct!(Slot {
     level
 });
 
-// Capacity is configuration; the probe-key array and live count are fully
-// determined by the slots, so only the slots and counters are framed.
-impl bfetch_snapshot::SnapState for MshrFile {
-    fn save_state(&self, w: &mut bfetch_snapshot::Encoder) {
-        use bfetch_snapshot::Snap as _;
-        bfetch_snapshot::save_slice(&self.slots, w);
-        self.earliest.save(w);
-        self.merges.save(w);
-        self.full_stalls.save(w);
+// The probe-key array and the live count are functions of the slots and
+// are rebuilt from them.
+bfetch_snapshot::snap_state!(MshrFile {
+    slots: slice("mshr slots"),
+    lines: skip,
+    live: skip,
+    earliest: val,
+    merges: val,
+    full_stalls: val,
+} check |m| {
+    if m.slots.iter().any(|s| s.valid && s.line == NO_LINE) {
+        return Err(bfetch_snapshot::SnapshotError::Invalid {
+            what: "mshr line collides with sentinel",
+        });
     }
-
-    fn load_state(
-        &mut self,
-        r: &mut bfetch_snapshot::Decoder<'_>,
-    ) -> Result<(), bfetch_snapshot::SnapshotError> {
-        use bfetch_snapshot::Snap as _;
-        bfetch_snapshot::load_slice_exact(&mut self.slots, r, "mshr slots")?;
-        self.live = 0;
-        for (i, s) in self.slots.iter().enumerate() {
-            if s.valid {
-                if s.line == NO_LINE {
-                    return Err(bfetch_snapshot::SnapshotError::Invalid {
-                        what: "mshr line collides with sentinel",
-                    });
-                }
-                self.lines[i] = s.line;
-                self.live += 1;
-            } else {
-                self.lines[i] = NO_LINE;
-            }
-        }
-        self.earliest = u64::load(r)?;
-        self.merges = u64::load(r)?;
-        self.full_stalls = u64::load(r)?;
-        Ok(())
+    for (key, s) in m.lines.iter_mut().zip(m.slots.iter()) {
+        *key = if s.valid { s.line } else { NO_LINE };
     }
-}
+    m.live = m.slots.iter().filter(|s| s.valid).count();
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {

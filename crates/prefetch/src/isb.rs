@@ -70,28 +70,6 @@ impl PageLru {
         }
     }
 
-    fn save_state(&self, w: &mut bfetch_snapshot::Encoder) {
-        use bfetch_snapshot::Snap as _;
-        bfetch_snapshot::save_slice(&self.pages, w);
-        self.tick.save(w);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut bfetch_snapshot::Decoder<'_>,
-    ) -> Result<(), bfetch_snapshot::SnapshotError> {
-        use bfetch_snapshot::Snap as _;
-        let pages: Vec<(u64, u64)> = bfetch_snapshot::Snap::load(r)?;
-        if pages.len() > self.capacity {
-            return Err(bfetch_snapshot::SnapshotError::Invalid {
-                what: "isb metadata cache overflow",
-            });
-        }
-        self.pages = pages;
-        self.tick = u64::load(r)?;
-        Ok(())
-    }
-
     /// Touches `page`; returns `true` on hit, `false` on a miss (which the
     /// caller must count as an off-chip transfer).
     fn touch(&mut self, page: u64) -> bool {
@@ -286,33 +264,33 @@ impl Prefetcher for Isb {
     fn metadata_traffic_bytes(&self) -> u64 {
         Isb::metadata_traffic_bytes(self)
     }
-
-    fn save_state(&self, w: &mut bfetch_snapshot::Encoder) {
-        use bfetch_snapshot::Snap as _;
-        bfetch_snapshot::save_sorted_map(&self.ps, w);
-        bfetch_snapshot::save_sorted_map(&self.sp, w);
-        bfetch_snapshot::save_sorted_map(&self.training, w);
-        self.next_structural.save(w);
-        self.ps_cache.save_state(w);
-        self.sp_cache.save_state(w);
-        self.metadata_transfers.save(w);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut bfetch_snapshot::Decoder<'_>,
-    ) -> Result<(), bfetch_snapshot::SnapshotError> {
-        use bfetch_snapshot::Snap as _;
-        self.ps = bfetch_snapshot::load_sorted_map(r, "isb ps map")?;
-        self.sp = bfetch_snapshot::load_sorted_map(r, "isb sp map")?;
-        self.training = bfetch_snapshot::load_sorted_map(r, "isb training map")?;
-        self.next_structural = u64::load(r)?;
-        self.ps_cache.load_state(r)?;
-        self.sp_cache.load_state(r)?;
-        self.metadata_transfers = u64::load(r)?;
-        Ok(())
-    }
 }
+
+bfetch_snapshot::snap_state!(PageLru {
+    pages: val,
+    capacity: skip,
+    tick: val,
+} check |c| {
+    if c.pages.len() > c.capacity {
+        return Err(bfetch_snapshot::SnapshotError::Invalid {
+            what: "isb metadata cache overflow",
+        });
+    }
+    Ok(())
+});
+
+// The three maps are `Snap` values in key order (see `bfetch_snapshot`), so
+// the bytes do not depend on hasher state.
+bfetch_snapshot::snap_state!(Isb {
+    cfg: skip,
+    ps: val,
+    sp: val,
+    training: val,
+    next_structural: val,
+    ps_cache: state,
+    sp_cache: state,
+    metadata_transfers: val,
+});
 
 bfetch_snapshot::impl_snap_struct!(IsbConfig {
     degree,

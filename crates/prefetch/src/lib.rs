@@ -82,7 +82,11 @@ pub fn hash_pc10(pc: u64) -> u16 {
 /// Implementations observe every L1D demand access and append any prefetch
 /// candidates to `out`. They are deterministic state machines; all timing
 /// is applied downstream by the memory system.
-pub trait Prefetcher: std::fmt::Debug {
+///
+/// [`SnapState`](bfetch_snapshot::SnapState) checkpoints the mutable state
+/// only: restore happens into a prefetcher freshly constructed from the
+/// same configuration, and a geometry mismatch is a typed error.
+pub trait Prefetcher: std::fmt::Debug + bfetch_snapshot::SnapState {
     /// Short identifier used in reports ("stride", "sms", ...).
     fn name(&self) -> &'static str;
 
@@ -102,18 +106,6 @@ pub trait Prefetcher: std::fmt::Debug {
     fn metadata_traffic_bytes(&self) -> u64 {
         0
     }
-
-    /// Serializes the prefetcher's mutable state for checkpointing. The
-    /// geometry is not written; restore happens into a prefetcher freshly
-    /// constructed from the same configuration.
-    fn save_state(&self, w: &mut bfetch_snapshot::Encoder);
-
-    /// Restores state written by [`Prefetcher::save_state`] into a
-    /// prefetcher of identical geometry; mismatches are typed errors.
-    fn load_state(
-        &mut self,
-        r: &mut bfetch_snapshot::Decoder<'_>,
-    ) -> Result<(), bfetch_snapshot::SnapshotError>;
 }
 
 bfetch_snapshot::impl_snap_struct!(PrefetchRequest { addr, pc_hash });

@@ -55,21 +55,12 @@ impl Prefetcher for NextN {
     fn storage_bits(&self) -> u64 {
         64 // just the last-line latch
     }
-
-    fn save_state(&self, w: &mut bfetch_snapshot::Encoder) {
-        use bfetch_snapshot::Snap as _;
-        self.last_line.save(w);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut bfetch_snapshot::Decoder<'_>,
-    ) -> Result<(), bfetch_snapshot::SnapshotError> {
-        use bfetch_snapshot::Snap as _;
-        self.last_line = u64::load(r)?;
-        Ok(())
-    }
 }
+
+bfetch_snapshot::snap_state!(NextN {
+    n: skip,
+    last_line: val,
+});
 
 #[cfg(test)]
 mod tests {

@@ -285,27 +285,15 @@ impl Prefetcher for Sms {
         let pht = self.cfg.pht_entries as u64 * (blocks + 2);
         agt + pht
     }
-
-    fn save_state(&self, w: &mut bfetch_snapshot::Encoder) {
-        use bfetch_snapshot::Snap as _;
-        bfetch_snapshot::save_slice(&self.agt, w);
-        bfetch_snapshot::save_slice(&self.pht, w);
-        self.tick.save(w);
-        self.generations_committed.save(w);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut bfetch_snapshot::Decoder<'_>,
-    ) -> Result<(), bfetch_snapshot::SnapshotError> {
-        use bfetch_snapshot::Snap as _;
-        bfetch_snapshot::load_slice_exact(&mut self.agt, r, "sms agt")?;
-        bfetch_snapshot::load_slice_exact(&mut self.pht, r, "sms pht")?;
-        self.tick = u64::load(r)?;
-        self.generations_committed = u64::load(r)?;
-        Ok(())
-    }
 }
+
+bfetch_snapshot::snap_state!(Sms {
+    cfg: skip,
+    agt: slice("sms agt"),
+    pht: slice("sms pht"),
+    tick: val,
+    generations_committed: val,
+});
 
 #[cfg(test)]
 mod tests {

@@ -169,18 +169,12 @@ impl Prefetcher for Stride {
         // tag(32) + last_addr(32) + stride(16) + state(2) + frontier(32)
         self.cfg.entries as u64 * (32 + 32 + 16 + 2 + 32)
     }
-
-    fn save_state(&self, w: &mut bfetch_snapshot::Encoder) {
-        bfetch_snapshot::save_slice(&self.table, w);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut bfetch_snapshot::Decoder<'_>,
-    ) -> Result<(), bfetch_snapshot::SnapshotError> {
-        bfetch_snapshot::load_slice_exact(&mut self.table, r, "stride table")
-    }
 }
+
+bfetch_snapshot::snap_state!(Stride {
+    cfg: skip,
+    table: slice("stride table"),
+});
 
 bfetch_snapshot::impl_snap_struct!(StrideConfig { entries, degree });
 bfetch_snapshot::impl_snap_enum!(State {

@@ -1291,94 +1291,26 @@ impl Core {
     }
 }
 
-// Everything constructed from the config (id, program, params, geometry)
-// is rebuilt by `Core::new` before `load_state`; only the mutable
-// simulation state crosses the wire. Of the ROB ring only the live entries
-// do, oldest first; the per-access scratch buffer is working memory, not
-// state.
-impl bfetch_snapshot::SnapState for Core {
-    fn save_state(&self, w: &mut bfetch_snapshot::Encoder) {
+bfetch_snapshot::snap_state!(BlockEntryRegs {
+    written: val,
+    old: val,
+    #[cfg(debug_assertions)]
+    oracle: skip,
+});
+
+impl Core {
+    // Of the ROB ring only the live window `rob_base..next_seq` crosses the
+    // wire, oldest first, and its length is the difference of the two
+    // counters loaded just before it: not a field's encoding, so by hand.
+    fn save_rob(&self, w: &mut bfetch_snapshot::Encoder) {
         use bfetch_snapshot::Snap as _;
-        self.arch.save(w);
-        self.bp.save_state(w);
-        self.ghr.save(w);
-        self.btb.save_state(w);
-        self.conf.save_state(w);
-        match &self.engine {
-            Some(e) => {
-                w.put_u8(1);
-                e.save_state(w);
-            }
-            None => w.put_u8(0),
-        }
-        match &self.demand_pf {
-            Some(p) => {
-                w.put_u8(1);
-                p.save_state(w);
-            }
-            None => w.put_u8(0),
-        }
-        self.pf_queue.save(w);
-        self.block_entry.written.save(w);
-        self.block_entry.old.save(w);
-        self.rob_base.save(w);
-        self.next_seq.save(w);
         for seq in self.rob_base..self.next_seq {
             self.rob[self.slot_of(seq)].save(w);
         }
-        self.branch_q.save(w);
-        self.store_q.save(w);
-        self.issue_ports.save_state(w);
-        self.mem_ports.save_state(w);
-        // canonical heap order: ascending (issue cycle, seq); seq numbers
-        // are unique, so rebuild-from-sorted pops identically
-        let mut pending: Vec<(u64, u64)> = self.pending_mem.iter().map(|&Reverse(p)| p).collect();
-        pending.sort_unstable();
-        pending.save(w);
-        self.fetch_blocked_by.save(w);
-        self.fetch_stall_until.save(w);
-        self.fetch_stall_reason.save(w);
-        self.cur_iline.save(w);
-        self.writers.save(w);
-        self.counters.save(w);
-        self.cpi.save(w);
     }
 
-    fn load_state(&mut self, r: &mut bfetch_snapshot::Decoder<'_>) -> Result<(), SnapshotError> {
+    fn load_rob(&mut self, r: &mut bfetch_snapshot::Decoder<'_>) -> Result<(), SnapshotError> {
         use bfetch_snapshot::Snap as _;
-        self.arch = ArchState::load(r)?;
-        self.bp.load_state(r)?;
-        self.ghr = HistoryRegister::load(r)?;
-        self.btb.load_state(r)?;
-        self.conf.load_state(r)?;
-        match (r.take_u8()?, self.engine.as_mut()) {
-            (1, Some(e)) => e.load_state(r)?,
-            (0, None) => {}
-            _ => {
-                return Err(SnapshotError::Invalid {
-                    what: "engine presence mismatch",
-                })
-            }
-        }
-        match (r.take_u8()?, self.demand_pf.as_mut()) {
-            (1, Some(p)) => p.load_state(r)?,
-            (0, None) => {}
-            _ => {
-                return Err(SnapshotError::Invalid {
-                    what: "prefetcher presence mismatch",
-                })
-            }
-        }
-        self.pf_queue = VecDeque::load(r)?;
-        self.block_entry.written = u32::load(r)?;
-        self.block_entry.old = <[u64; 32]>::load(r)?;
-        #[cfg(debug_assertions)]
-        {
-            let (b, regs) = (&mut self.block_entry, self.arch.regs());
-            b.oracle = std::array::from_fn(|i| if b.written >> i & 1 != 0 { b.old[i] } else { regs[i] });
-        }
-        self.rob_base = u64::load(r)?;
-        self.next_seq = u64::load(r)?;
         if self
             .next_seq
             .checked_sub(self.rob_base)
@@ -1392,26 +1324,69 @@ impl bfetch_snapshot::SnapState for Core {
         for seq in self.rob_base..self.next_seq {
             self.rob[self.slot_of(seq)] = RobEntry::load(r)?;
         }
-        self.branch_q = VecDeque::load(r)?;
-        self.store_q = VecDeque::load(r)?;
-        self.validate_rob()?;
-        self.issue_ports.load_state(r)?;
-        self.mem_ports.load_state(r)?;
+        Ok(())
+    }
+
+    // A heap's internal order depends on its push history, so it is framed
+    // in canonical order, ascending (issue cycle, seq); seq numbers are
+    // unique, so rebuild-from-sorted pops identically.
+    fn save_pending_mem(&self, w: &mut bfetch_snapshot::Encoder) {
+        use bfetch_snapshot::Snap as _;
+        let mut pending: Vec<(u64, u64)> = self.pending_mem.iter().map(|&Reverse(p)| p).collect();
+        pending.sort_unstable();
+        pending.save(w);
+    }
+
+    fn load_pending_mem(&mut self, r: &mut bfetch_snapshot::Decoder<'_>) -> Result<(), SnapshotError> {
+        use bfetch_snapshot::Snap as _;
         self.pending_mem.clear();
-        for p in Vec::<(u64, u64)>::load(r)? {
-            self.pending_mem.push(Reverse(p));
-        }
-        self.fetch_blocked_by = Option::load(r)?;
-        self.fetch_stall_until = u64::load(r)?;
-        self.fetch_stall_reason = FetchStallReason::load(r)?;
-        self.cur_iline = u64::load(r)?;
-        self.writers = <[Option<u64>; 32]>::load(r)?;
-        self.counters = CoreCounters::load(r)?;
-        self.cpi = Option::load(r)?;
-        self.pf_scratch.clear();
+        self.pending_mem.extend(Vec::<(u64, u64)>::load(r)?.into_iter().map(Reverse));
         Ok(())
     }
 }
+
+// The tracer is re-installed by whoever owns the run.
+bfetch_snapshot::snap_state!(Core {
+    id: skip,
+    program: skip,
+    params: skip,
+    arch: val,
+    bp: state,
+    ghr: val,
+    btb: state,
+    conf: state,
+    engine: state,
+    demand_pf: state,
+    pf_queue: val,
+    pf_scratch: skip,
+    perfect: skip,
+    block_entry: state,
+    rob_base: val,
+    next_seq: val,
+    rob: with(Core::save_rob, Core::load_rob),
+    rob_mask: skip,
+    branch_q: val,
+    store_q: val,
+    issue_ports: state,
+    mem_ports: state,
+    pending_mem: with(Core::save_pending_mem, Core::load_pending_mem),
+    fetch_blocked_by: val,
+    fetch_stall_until: val,
+    fetch_stall_reason: val,
+    cur_iline: val,
+    writers: val,
+    counters: val,
+    tracer: skip,
+    cpi: val,
+} check |c| {
+    c.pf_scratch.clear();
+    #[cfg(debug_assertions)]
+    {
+        let (b, regs) = (&mut c.block_entry, c.arch.regs());
+        b.oracle = std::array::from_fn(|i| if b.written >> i & 1 != 0 { b.old[i] } else { regs[i] });
+    }
+    c.validate_rob()
+});
 
 #[cfg(test)]
 mod tests {

@@ -71,25 +71,18 @@ impl PortRing {
     }
 }
 
-// Width and horizon are configuration; only the occupancy counts move.
-impl bfetch_snapshot::SnapState for PortRing {
-    fn save_state(&self, w: &mut bfetch_snapshot::Encoder) {
-        bfetch_snapshot::save_slice(&self.counts, w);
+bfetch_snapshot::snap_state!(PortRing {
+    counts: slice("port ring counts"),
+    width: skip,
+    horizon: skip,
+} check |p| {
+    if p.counts.iter().any(|&c| c > p.width) {
+        return Err(bfetch_snapshot::SnapshotError::Invalid {
+            what: "port ring count exceeds width",
+        });
     }
-
-    fn load_state(
-        &mut self,
-        r: &mut bfetch_snapshot::Decoder<'_>,
-    ) -> Result<(), bfetch_snapshot::SnapshotError> {
-        bfetch_snapshot::load_slice_exact(&mut self.counts, r, "port ring counts")?;
-        if self.counts.iter().any(|&c| c > self.width) {
-            return Err(bfetch_snapshot::SnapshotError::Invalid {
-                what: "port ring count exceeds width",
-            });
-        }
-        Ok(())
-    }
-}
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {

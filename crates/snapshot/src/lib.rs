@@ -16,16 +16,17 @@
 //!   *geometry* (table sizes, associativity, …) is rebuilt from the
 //!   configuration: `load_state` restores mutable state into a freshly
 //!   constructed value and fails with a typed error when the stored
-//!   geometry disagrees.
+//!   geometry disagrees. Implemented from one field list with
+//!   [`snap_state!`].
 //! * [`FrameWriter`] / [`FrameReader`] — the on-disk container: a magic
 //!   header, a schema version, length-prefixed sections and a trailing
 //!   CRC-32 over the whole file. Any single-byte truncation or bit flip is
 //!   caught by the framing or the checksum.
 //!
 //! Determinism is a design requirement: encoding is canonical (no
-//! iteration-order-dependent output — unordered containers must be sorted
-//! by the caller before encoding), so `encode(decode(bytes)) == bytes` for
-//! any valid snapshot.
+//! iteration-order-dependent output — a `HashMap` is framed in key order,
+//! and a heap must be sorted by its owner before encoding), so
+//! `encode(decode(bytes)) == bytes` for any valid snapshot.
 //!
 //! # Example
 //!
@@ -41,7 +42,7 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::path::Path;
 
@@ -319,6 +320,35 @@ pub trait SnapState {
     fn load_state(&mut self, r: &mut Decoder<'_>) -> Result<(), SnapshotError>;
 }
 
+/// A component the configuration may leave out (an engine, a demand
+/// prefetcher): a presence byte, then the component's state. Presence is
+/// geometry, so a byte that disagrees with the constructed value is a
+/// typed error.
+impl<S: SnapState> SnapState for Option<S> {
+    fn save_state(&self, w: &mut Encoder) {
+        w.put_u8(self.is_some() as u8);
+        if let Some(s) = self {
+            s.save_state(w);
+        }
+    }
+    fn load_state(&mut self, r: &mut Decoder<'_>) -> Result<(), SnapshotError> {
+        match (r.take_u8()?, self) {
+            (1, Some(s)) => s.load_state(r),
+            (0, None) => Ok(()),
+            _ => Err(SnapshotError::Invalid { what: "optional component presence mismatch" }),
+        }
+    }
+}
+
+impl<S: SnapState + ?Sized> SnapState for Box<S> {
+    fn save_state(&self, w: &mut Encoder) {
+        (**self).save_state(w);
+    }
+    fn load_state(&mut self, r: &mut Decoder<'_>) -> Result<(), SnapshotError> {
+        (**self).load_state(r)
+    }
+}
+
 macro_rules! snap_prim {
     ($ty:ty, $put:ident, $take:ident) => {
         impl Snap for $ty {
@@ -515,45 +545,37 @@ pub fn save_slice<T: Snap>(xs: &[T], w: &mut Encoder) {
     }
 }
 
-/// Saves a `HashMap` in canonical (key-sorted) order so the encoding is a
-/// pure function of the map's contents, independent of hasher state.
-pub fn save_sorted_map<K, V>(m: &std::collections::HashMap<K, V>, w: &mut Encoder)
+/// Key-sorted, so the encoding is a pure function of the map's contents,
+/// independent of hasher state; a load enforces strictly increasing keys
+/// (duplicates or disorder mean the snapshot is corrupt).
+impl<K, V> Snap for HashMap<K, V>
 where
-    K: Snap + Ord + std::hash::Hash + Eq,
+    K: Snap + Ord + std::hash::Hash + Copy,
     V: Snap,
 {
-    let mut keys: Vec<&K> = m.keys().collect();
-    keys.sort();
-    w.put_usize(m.len());
-    for k in keys {
-        k.save(w);
-        m[k].save(w);
-    }
-}
-
-/// Loads a map written by [`save_sorted_map`], enforcing strictly-increasing
-/// keys (duplicates or disorder mean the snapshot is corrupt).
-pub fn load_sorted_map<K, V>(
-    r: &mut Decoder<'_>,
-    what: &'static str,
-) -> Result<std::collections::HashMap<K, V>, SnapshotError>
-where
-    K: Snap + Ord + std::hash::Hash + Eq + Copy,
-    V: Snap,
-{
-    let n = r.take_len()?;
-    let mut m = std::collections::HashMap::with_capacity(n);
-    let mut prev: Option<K> = None;
-    for _ in 0..n {
-        let k = K::load(r)?;
-        if prev.is_some_and(|p| k <= p) {
-            return Err(SnapshotError::Invalid { what });
+    fn save(&self, w: &mut Encoder) {
+        let mut keys: Vec<&K> = self.keys().collect();
+        keys.sort();
+        w.put_usize(self.len());
+        for k in keys {
+            k.save(w);
+            self[k].save(w);
         }
-        prev = Some(k);
-        let v = V::load(r)?;
-        m.insert(k, v);
     }
-    Ok(m)
+    fn load(r: &mut Decoder<'_>) -> Result<Self, SnapshotError> {
+        let n = r.take_len()?;
+        let mut m = HashMap::with_capacity(n);
+        let mut prev: Option<K> = None;
+        for _ in 0..n {
+            let k = K::load(r)?;
+            if prev.is_some_and(|p| k <= p) {
+                return Err(SnapshotError::Invalid { what: "map keys not strictly increasing" });
+            }
+            prev = Some(k);
+            m.insert(k, V::load(r)?);
+        }
+        Ok(m)
+    }
 }
 
 /// Implements [`Snap`] for a struct by encoding the listed fields in order.
@@ -601,6 +623,100 @@ macro_rules! impl_snap_enum {
             }
         }
     };
+}
+
+/// Implements [`SnapState`] for a struct from one list that gives every
+/// field a class. List order is wire order; `save_state` and `load_state`
+/// are both generated from it, so they cannot disagree.
+///
+/// | class | on the wire | on load |
+/// |---|---|---|
+/// | `val` | the field as a [`Snap`] value | replaced |
+/// | `slice("what")` | length, then each element | in place; another length is `Invalid { what }` |
+/// | `state` | a nested [`SnapState`] | in place |
+/// | `each` | every element's [`SnapState`], no length | in place |
+/// | `with(save, load)` | whatever `save(&self, w)` writes | `load(&mut self, r)?` |
+/// | `skip` | nothing: configuration, wiring, scratch, derived | untouched |
+///
+/// `with` is for the encodings that are not a field list (a ring's live
+/// window, a heap in canonical order): the two functions see the whole
+/// struct, fields earlier in the list already loaded. An optional
+/// `check |s| { … }` block runs last with `s: &mut Self` and evaluates to
+/// `Result<(), SnapshotError>`: the one place for range checks across
+/// fields and for rebuilding derived state.
+///
+/// ```
+/// use bfetch_snapshot::{snap_state, Decoder, Encoder, SnapState, SnapshotError};
+/// struct Table { ways: usize, tags: Vec<u64>, hits: u64, index: Vec<usize> }
+/// snap_state!(Table { ways: skip, tags: slice("table tags"), hits: val, index: skip }
+/// check |t| {
+///     if t.tags.iter().any(|&tag| tag == u64::MAX) {
+///         return Err(SnapshotError::Invalid { what: "table tag is the sentinel" });
+///     }
+///     t.index = (0..t.tags.len()).filter(|&i| t.tags[i] != 0).collect();
+///     Ok(())
+/// });
+/// let a = Table { ways: 2, tags: vec![7, 0], hits: 3, index: vec![0] };
+/// let mut w = Encoder::new();
+/// a.save_state(&mut w);
+/// let mut b = Table { ways: 2, tags: vec![0; 2], hits: 0, index: vec![] };
+/// b.load_state(&mut Decoder::new(&w.into_bytes())).unwrap();
+/// assert_eq!((b.tags, b.hits, b.index), (vec![7, 0], 3, vec![0]));
+/// ```
+///
+/// The fields are matched as `Self { … }` without `..`, so a field nobody
+/// classified does not compile:
+///
+/// ```compile_fail
+/// struct Table { tags: Vec<u64>, hits: u64 }
+/// bfetch_snapshot::snap_state!(Table { tags: slice("table tags") });
+/// ```
+#[macro_export]
+macro_rules! snap_state {
+    ($ty:ty {
+        $($(#[$attr:meta])* $field:ident : $class:ident $(($($arg:tt)*))?),+ $(,)?
+    } $(check |$s:ident| $check:block)?) => {
+        impl $crate::SnapState for $ty {
+            fn save_state(&self, w: &mut $crate::Encoder) {
+                let Self { $($(#[$attr])* $field: _),+ } = self;
+                $($(#[$attr])* { $crate::snap_state!(@save $class $(($($arg)*))?, self, $field, w); })+
+            }
+            fn load_state(
+                &mut self,
+                r: &mut $crate::Decoder<'_>,
+            ) -> Result<(), $crate::SnapshotError> {
+                $($(#[$attr])* { $crate::snap_state!(@load $class $(($($arg)*))?, self, $field, r); })+
+                $(
+                    let $s = &mut *self;
+                    let checked: Result<(), $crate::SnapshotError> = $check;
+                    checked?;
+                )?
+                Ok(())
+            }
+        }
+    };
+    (@save val, $this:ident, $f:ident, $w:ident) => { $crate::Snap::save(&$this.$f, $w) };
+    (@load val, $this:ident, $f:ident, $r:ident) => { $this.$f = $crate::Snap::load($r)? };
+    (@save slice($what:literal), $this:ident, $f:ident, $w:ident) => { $crate::save_slice(&$this.$f, $w) };
+    (@load slice($what:literal), $this:ident, $f:ident, $r:ident) => {
+        $crate::load_slice_exact(&mut $this.$f, $r, $what)?
+    };
+    (@save state, $this:ident, $f:ident, $w:ident) => { $crate::SnapState::save_state(&$this.$f, $w) };
+    (@load state, $this:ident, $f:ident, $r:ident) => { $crate::SnapState::load_state(&mut $this.$f, $r)? };
+    (@save each, $this:ident, $f:ident, $w:ident) => {
+        for x in $this.$f.iter() {
+            $crate::SnapState::save_state(x, $w);
+        }
+    };
+    (@load each, $this:ident, $f:ident, $r:ident) => {
+        for x in $this.$f.iter_mut() {
+            $crate::SnapState::load_state(x, $r)?;
+        }
+    };
+    (@save with($save:path, $load:path), $this:ident, $f:ident, $w:ident) => { $save($this, $w) };
+    (@load with($save:path, $load:path), $this:ident, $f:ident, $r:ident) => { $load($this, $r)? };
+    (@save skip, $this:ident, $f:ident, $w:ident) => {};
+    (@load skip, $this:ident, $f:ident, $r:ident) => {};
 }
 
 // ---------------------------------------------------------------------------
@@ -788,6 +904,18 @@ mod tests {
         roundtrip(Option::<u8>::None);
         roundtrip([7u64; 32]);
         roundtrip((1u8, 2u16, 3u32, 4u64));
+        roundtrip(HashMap::from([(9u64, 1u8), (2, 3), (5, 0)]));
+    }
+
+    #[test]
+    fn map_keys_out_of_order_are_a_typed_error() {
+        let mut w = Encoder::new();
+        vec![(2u64, 0u8), (1, 0)].save(&mut w);
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            HashMap::<u64, u8>::load(&mut Decoder::new(&bytes)),
+            Err(SnapshotError::Invalid { .. })
+        ));
     }
 
     #[test]
@@ -846,6 +974,109 @@ mod tests {
         assert_eq!(
             load_slice_exact(&mut wrong, &mut Decoder::new(&bytes), "geom"),
             Err(SnapshotError::Invalid { what: "geom" })
+        );
+    }
+
+    /// One struct with a field of every `snap_state!` class.
+    #[derive(Debug, PartialEq)]
+    struct Unit {
+        ways: usize,
+        hits: u64,
+    }
+    snap_state!(Unit { ways: skip, hits: val });
+
+    #[derive(Debug, PartialEq)]
+    struct Chip {
+        limit: u64,
+        tags: Vec<u64>,
+        unit: Unit,
+        banks: Vec<Unit>,
+        spare: Option<Unit>,
+        heap: Vec<u64>,
+        total: u64,
+    }
+    impl Chip {
+        fn save_heap(&self, w: &mut Encoder) {
+            let mut sorted = self.heap.clone();
+            sorted.sort_unstable();
+            sorted.save(w);
+        }
+        fn load_heap(&mut self, r: &mut Decoder<'_>) -> Result<(), SnapshotError> {
+            self.heap = Snap::load(r)?;
+            Ok(())
+        }
+    }
+    snap_state!(Chip {
+        limit: skip,
+        tags: slice("chip tags"),
+        unit: state,
+        banks: each,
+        spare: state,
+        heap: with(Chip::save_heap, Chip::load_heap),
+        total: skip,
+    } check |c| {
+        if c.unit.hits > c.limit {
+            return Err(SnapshotError::Invalid { what: "chip hits over the limit" });
+        }
+        c.total = c.unit.hits + c.banks.iter().map(|b| b.hits).sum::<u64>();
+        Ok(())
+    });
+
+    #[test]
+    fn snap_state_lists_every_class_in_wire_order() {
+        let unit = |hits| Unit { ways: 4, hits };
+        let fresh = |limit, tags, spare| Chip {
+            limit,
+            tags: vec![0; tags],
+            unit: unit(0),
+            banks: vec![unit(0), unit(0)],
+            spare,
+            heap: vec![],
+            total: 0,
+        };
+        let a = Chip {
+            limit: 9,
+            tags: vec![5, 6, 7],
+            unit: unit(1),
+            banks: vec![unit(2), unit(3)],
+            spare: Some(unit(4)),
+            heap: vec![30, 10, 20],
+            total: 6,
+        };
+        let mut w = Encoder::new();
+        a.save_state(&mut w);
+        let bytes = w.into_bytes();
+
+        // the wire is the list, in order, and nothing of a skipped field
+        let mut want = Encoder::new();
+        vec![5u64, 6, 7].save(&mut want);
+        for hits in [1u64, 2, 3] {
+            hits.save(&mut want);
+        }
+        Some(4u64).save(&mut want);
+        vec![10u64, 20, 30].save(&mut want);
+        assert_eq!(bytes, want.into_bytes());
+
+        let load = |mut into: Chip| {
+            let mut r = Decoder::new(&bytes);
+            into.load_state(&mut r).and_then(|()| r.finish()).map(|()| into)
+        };
+        // fields load in place, `with` through its function, derived state
+        // is rebuilt by the check, configuration stays the target's
+        let b = load(fresh(9, 3, Some(unit(0)))).unwrap();
+        assert_eq!(b, Chip { heap: vec![10, 20, 30], ..a });
+
+        // a slice of another length is the listed typed error
+        assert_eq!(
+            load(fresh(9, 4, Some(unit(0)))),
+            Err(SnapshotError::Invalid { what: "chip tags" })
+        );
+        // an optional component must be present on both sides
+        assert!(matches!(load(fresh(9, 3, None)), Err(SnapshotError::Invalid { .. })));
+        // the check's error is load_state's error
+        assert_eq!(
+            load(fresh(0, 3, Some(unit(0)))),
+            Err(SnapshotError::Invalid { what: "chip hits over the limit" })
         );
     }
 
