@@ -57,9 +57,7 @@ pub fn simulate(ctx: &Ctx) {
     if let Some(width) = ctx.parsed("--width") {
         cfg = cfg.with_width(width);
     }
-    cfg = cfg
-        .with_writebacks(ctx.own("--writebacks").is_some())
-        .with_store_forwarding(ctx.own("--forwarding").is_some());
+    cfg = cfg.with_writebacks(ctx.own("--writebacks").is_some());
     if ctx.own("--row-dram").is_some() {
         cfg = cfg.with_dram(bfetch_mem::DramConfig::with_row_model());
     }

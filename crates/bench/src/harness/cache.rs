@@ -36,7 +36,7 @@ use std::time::{Duration, SystemTime};
 
 /// Bumped whenever the key derivation or the stored JSON layout changes;
 /// old entries then simply miss (and are swept by [`ResultCache::gc`]).
-pub const SCHEMA_VERSION: u32 = 4;
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// A lock older than this is assumed to belong to a dead process and is
 /// stolen.
@@ -512,18 +512,18 @@ mod tests {
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
-    /// An entry from before the last bump (schema 3, keyed by a `SimConfig`
-    /// that still had a `predictor` field) is a miss, never a misread; GC
+    /// An entry from before the last bump (schema 4, keyed by a `SimConfig`
+    /// that still had a `store_forwarding` field) is a miss, never a misread; GC
     /// reclaims it as stale and the slot recomputes.
     #[test]
     fn schema_bump_invalidates() {
-        assert_eq!(SCHEMA_VERSION, 4);
+        assert_eq!(SCHEMA_VERSION, 5);
         let cache = ResultCache::new(tmp_dir("schema")).unwrap();
         cache.store("k", &[result("mcf", 1)]).unwrap();
         let path = cache.dir().join(file_name("k"));
         let text = std::fs::read_to_string(&path)
             .unwrap()
-            .replace("\"schema\":4", "\"schema\":3");
+            .replace("\"schema\":5", "\"schema\":4");
         std::fs::write(&path, text).unwrap();
         assert!(cache.load("k").unwrap().is_none());
         // wrong schema is a plain miss, not corruption

@@ -167,7 +167,6 @@ const SIMULATE_FLAGS: &[Flag] = &[
     ),
     Flag::new("--width", Some("N"), "pipeline width (default 4)"),
     Flag::new("--writebacks", None, "model dirty-line writebacks"),
-    Flag::new("--forwarding", None, "model store-to-load forwarding"),
     Flag::new("--row-dram", None, "bank/row-buffer DRAM instead of flat latency"),
     Flag::new("--confidence", Some("T"), "B-Fetch path-confidence threshold"),
     Flag::new("--list", None, "list the kernel registry and exit"),
@@ -341,7 +340,7 @@ mod tests {
         assert_eq!(ctx.all("--width").collect::<Vec<_>>(), ["2", "8"]);
         assert_eq!(ctx.parsed::<usize>("--width"), Some(8));
         assert_eq!(ctx.own("--writebacks"), Some(""));
-        assert_eq!(ctx.own("--forwarding"), None);
+        assert_eq!(ctx.own("--row-dram"), None);
     }
 
     #[test]

@@ -173,13 +173,13 @@ fn damaged_sidecar_recovers(
 
 /// A checkpoint truncated mid-file (a torn write or a partial copy) is
 /// caught by the whole-file checksum; one left over from an earlier
-/// snapshot schema (a well-formed frame stamped version 1, 2 or 3) is
+/// snapshot schema (a well-formed frame stamped version 1 to 4) is
 /// caught by the version check. None panics, all are quarantined and
 /// recomputed.
 #[test]
 fn truncated_or_old_schema_sidecar_is_quarantined_and_recomputed() {
     damaged_sidecar_recovers("truncated", |b| b[..b.len() / 2].to_vec(), None);
-    for (tag, version) in [("schema-v1", 1u32), ("schema-v2", 2), ("schema-v3", 3)] {
+    for (tag, version) in [("schema-v1", 1u32), ("schema-v2", 2), ("schema-v3", 3), ("schema-v4", 4)] {
         damaged_sidecar_recovers(
             tag,
             |b| {
@@ -192,7 +192,7 @@ fn truncated_or_old_schema_sidecar_is_quarantined_and_recomputed() {
             },
             Some(SnapshotError::BadVersion {
                 got: version,
-                want: 4,
+                want: 5,
             }),
         );
     }

@@ -145,15 +145,24 @@ fn removed_sim_threads_flag_is_rejected_with_usage() {
     }
     assert!(!trace.exists(), "a rejected --trace still wrote {trace_arg}");
 
-    // `simulate --predictor` went with the perceptron: even the value
-    // that used to be the default is an undeclared flag now
-    let out = Command::new(env!("CARGO_BIN_EXE_bfetch"))
-        .args(["simulate", "--predictor", "tournament"])
-        .output()
-        .expect("spawn simulate");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(out.stdout.is_empty(), "a rejected command line printed to stdout");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown flag --predictor"), "{stderr}");
-    assert!(!stderr.contains("predictor KIND"), "usage still offers it:\n{stderr}");
+    // `simulate --predictor` went with the perceptron (even the value that
+    // used to be the default is an undeclared flag now) and `--forwarding`
+    // with the store-to-load forwarding model
+    for (args, flag, usage_line) in [
+        (&["--predictor", "tournament"][..], "--predictor", "predictor KIND"),
+        (&["--forwarding"][..], "--forwarding", "--forwarding"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_bfetch"))
+            .arg("simulate")
+            .args(args)
+            .output()
+            .expect("spawn simulate");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        assert!(out.stdout.is_empty(), "a rejected command line printed to stdout");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let complaint = format!("unknown flag {flag}");
+        assert!(stderr.contains(&complaint), "{stderr}");
+        let usage = stderr.replacen(&complaint, "", 1);
+        assert!(!usage.contains(usage_line), "usage still offers it:\n{stderr}");
+    }
 }

@@ -655,54 +655,42 @@ bfetch_snapshot::impl_snap_struct!(EngineStats {
     dbr_dropped
 });
 
-// The configuration and tracer are not serialized: restore happens into an
-// engine freshly built from the run's `BFetchConfig`, and the tracer is
-// re-installed by the embedding simulator. The per-walk `visit_scratch` is
-// cleared at the start of every use, so an empty one on resume is
-// indistinguishable from never stopping. The queue's two `LineSet`s are
-// functions of `lines` and `recent_lines` and are rebuilt from them.
-impl bfetch_snapshot::SnapState for BFetchEngine {
-    fn save_state(&self, w: &mut bfetch_snapshot::Encoder) {
-        use bfetch_snapshot::Snap as _;
-        self.brtc.save_state(w);
-        self.mht.save_state(w);
-        self.arf.save_state(w);
-        self.filter.save_state(w);
-        self.dbr.save(w);
-        self.queue.entries.save(w);
-        self.queue.lines.save(w);
-        self.last_branch.save(w);
-        self.cur_bb.save(w);
-        self.queue.recent_lines.save(w);
-        self.queue.recent_pos.save(w);
-        self.stats.save(w);
-    }
+// The two `LineSet`s are functions of `lines` and `recent_lines`: the check
+// rebuilds them.
+bfetch_snapshot::snap_state!(CandidateQueue {
+    capacity: skip,
+    entries: val,
+    lines: val,
+    recent_lines: val,
+    recent_pos: val,
+    recent_set: skip,
+    queue_set: skip,
+} check |q| { q.validate_and_index() });
 
-    fn load_state(
-        &mut self,
-        r: &mut bfetch_snapshot::Decoder<'_>,
-    ) -> Result<(), bfetch_snapshot::SnapshotError> {
-        use bfetch_snapshot::Snap as _;
-        self.brtc.load_state(r)?;
-        self.mht.load_state(r)?;
-        self.arf.load_state(r)?;
-        self.filter.load_state(r)?;
-        self.dbr = bfetch_snapshot::Snap::load(r)?;
-        self.queue.entries = bfetch_snapshot::Snap::load(r)?;
-        self.queue.lines = bfetch_snapshot::Snap::load(r)?;
-        self.last_branch = bfetch_snapshot::Snap::load(r)?;
-        self.cur_bb = bfetch_snapshot::Snap::load(r)?;
-        self.queue.recent_lines = <[u64; 64]>::load(r)?;
-        self.queue.recent_pos = usize::load(r)?;
-        self.stats = EngineStats::load(r)?;
-        if self.dbr.len() > self.cfg.dbr_entries.max(1) {
-            return Err(bfetch_snapshot::SnapshotError::Invalid {
-                what: "bfetch engine dbr bounds",
-            });
-        }
-        self.queue.validate_and_index()
+// The tracer is re-installed by the embedding simulator. The per-walk
+// `visit_scratch` is cleared at the start of every use, so an empty one on
+// resume is indistinguishable from never stopping.
+bfetch_snapshot::snap_state!(BFetchEngine {
+    cfg: skip,
+    brtc: state,
+    mht: state,
+    arf: state,
+    filter: state,
+    dbr: val,
+    queue: state,
+    last_branch: val,
+    cur_bb: val,
+    visit_scratch: skip,
+    stats: val,
+    tracer: skip,
+} check |e| {
+    if e.dbr.len() > e.cfg.dbr_entries.max(1) {
+        return Err(bfetch_snapshot::SnapshotError::Invalid {
+            what: "bfetch engine dbr bounds",
+        });
     }
-}
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {

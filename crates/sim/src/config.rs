@@ -233,10 +233,6 @@ pub struct SimConfig {
     /// Model dirty-line writebacks down to DRAM (off by default; see
     /// `bfetch-mem`).
     pub model_writebacks: bool,
-    /// Model store-to-load forwarding through the store queue (off by
-    /// default: loads to an in-flight store's word bypass the cache with a
-    /// 1-cycle forward).
-    pub store_forwarding: bool,
     /// Prefetches injected into the hierarchy per core per cycle.
     pub prefetch_issue_per_cycle: usize,
     /// Instructions committed per core before measurement begins.
@@ -296,7 +292,6 @@ impl SimConfig {
             l1d_mshrs: 4,
             prefetch_buffers: 32,
             model_writebacks: false,
-            store_forwarding: false,
             prefetch_issue_per_cycle: 2,
             warmup_insts: 50_000,
             trace: TraceConfig::default(),
@@ -355,12 +350,6 @@ impl SimConfig {
     /// Baseline with dirty-line writeback modelling toggled.
     pub fn with_writebacks(mut self, on: bool) -> Self {
         self.model_writebacks = on;
-        self
-    }
-
-    /// Baseline with store-to-load forwarding toggled.
-    pub fn with_store_forwarding(mut self, on: bool) -> Self {
-        self.store_forwarding = on;
         self
     }
 
@@ -602,7 +591,6 @@ bfetch_snapshot::impl_snap_struct!(SimConfig {
     l1d_mshrs,
     prefetch_buffers,
     model_writebacks,
-    store_forwarding,
     prefetch_issue_per_cycle,
     warmup_insts,
     trace,
@@ -655,13 +643,11 @@ mod tests {
             .with_prefetcher(PrefetcherKind::BFetch)
             .with_warmup(1_234)
             .with_bpred_scale(2.0)
-            .with_writebacks(true)
-            .with_store_forwarding(true);
+            .with_writebacks(true);
         assert_eq!(c.prefetcher, PrefetcherKind::BFetch);
         assert_eq!(c.warmup_insts, 1_234);
         assert_eq!(c.bpred_scale, 2.0);
         assert!(c.model_writebacks);
-        assert!(c.store_forwarding);
         // untouched fields keep baseline values
         assert_eq!(c.rob_entries, 192);
     }

@@ -45,10 +45,8 @@ const PORT_HORIZON: u64 = 1 << 14;
 
 /// "No entry" in a wake-up link.
 const NO_LINK: u32 = u32::MAX;
-/// Wake-up links an entry owns: one per source operand, one for the store
-/// a load forwards from.
-const LINKS: usize = 3;
-const FORWARD_LINK: usize = 2;
+/// Wake-up links an entry owns: one per source operand.
+const LINKS: usize = 2;
 
 /// One in-flight instruction: what differs between dynamic instances of
 /// the static instruction `inst` names.
@@ -56,8 +54,8 @@ const FORWARD_LINK: usize = 2;
 /// An unscheduled producer's dependents form a FIFO list threaded through
 /// the dependents themselves. A list node is `(ROB slot << 2) | link`: the
 /// dependent and which of its [`LINKS`] the list runs through (a consumer
-/// waits on at most two sources and one forwarding store, and sits in one
-/// producer's list twice when both sources name it). The producer keeps the
+/// waits on at most two sources, and sits in one producer's list twice when
+/// both sources name it). The producer keeps the
 /// first and last node; each node's `next[link]` is the node appended after
 /// it. Dependents are woken first-appended first, because
 /// [`Core::try_schedule`] reserves ports in that order.
@@ -79,7 +77,6 @@ struct RobEntry {
     next: [u32; LINKS],
     unresolved: u8,
     scheduled: bool,
-    forwarded: bool,
     // cycle-accounting provenance (written on schedule; read only when the
     // entry stalls commit from the head of the ROB)
     port_delayed: bool,
@@ -104,7 +101,6 @@ impl RobEntry {
         next: [NO_LINK; LINKS],
         unresolved: 0,
         scheduled: false,
-        forwarded: false,
         port_delayed: false,
         mem_pf_covered: false,
         mem_service: HitLevel::L1,
@@ -202,7 +198,6 @@ struct CoreParams {
     l1i_latency: u64,
     l1d_latency: u64,
     btb_miss_penalty: u64,
-    store_forwarding: bool,
     prefetch_issue_per_cycle: usize,
 }
 
@@ -218,7 +213,6 @@ impl CoreParams {
             l1i_latency: cfg.l1i.latency,
             l1d_latency: cfg.l1d.latency,
             btb_miss_penalty: cfg.btb_miss_penalty,
-            store_forwarding: cfg.store_forwarding,
             prefetch_issue_per_cycle: cfg.prefetch_issue_per_cycle,
         }
     }
@@ -239,8 +233,6 @@ pub struct CoreCounters {
     pub restarts: u64,
     /// Demand-prefetcher requests dropped on queue overflow.
     pub pf_queue_overflow: u64,
-    /// Loads satisfied by store-to-load forwarding (forwarding mode only).
-    pub forwarded_loads: u64,
 }
 
 /// Why fetch is currently stalled (`fetch_stall_until` in the future).
@@ -299,10 +291,6 @@ pub struct Core {
     next_seq: u64,
     // one record per branch in the ROB, oldest first
     branch_q: VecDeque<BranchRecord>,
-    // dense mirror of the in-flight stores, oldest first: `(seq, word)`
-    // per store still in the ROB. The store-forward probe walks this short
-    // 16-byte-stride deque youngest-first instead of the ROB itself.
-    store_q: VecDeque<(u64, u64)>,
     issue_ports: PortRing,
     mem_ports: PortRing,
     pending_mem: BinaryHeap<Reverse<(u64, u64)>>, // (issue cycle, seq)
@@ -369,7 +357,6 @@ impl Core {
             rob_base: 0,
             next_seq: 0,
             branch_q: VecDeque::with_capacity(cfg.rob_entries),
-            store_q: VecDeque::with_capacity(cfg.rob_entries),
             issue_ports: PortRing::new(cfg.issue_width, PORT_HORIZON),
             mem_ports: PortRing::new(cfg.mem_ports, PORT_HORIZON),
             pending_mem: BinaryHeap::with_capacity(cfg.rob_entries),
@@ -723,7 +710,7 @@ impl Core {
             return CpiComponent::FetchStall;
         };
         let si = self.static_of(head);
-        if si.is(StaticInst::IS_LOAD) && !head.forwarded {
+        if si.is(StaticInst::IS_LOAD) {
             if !head.scheduled {
                 // still queued for a memory port (or, rarely, just
                 // dispatched): structural only if the port ring pushed it
@@ -853,13 +840,11 @@ impl Core {
                 continue;
             };
             let e = &self.rob[slot];
-            let (ea, forwarded) = (e.ea, e.forwarded);
+            let ea = e.ea;
             let si = self.static_of(e);
             let (is_load, pc) = (si.is(StaticInst::IS_LOAD), si.pc);
             if is_load {
-                let (complete, service, pf_covered, queued_until) = if forwarded {
-                    (now + 1, HitLevel::L1, false, 0)
-                } else if self.perfect {
+                let (complete, service, pf_covered, queued_until) = if self.perfect {
                     (now + self.params.l1d_latency, HitLevel::L1, false, 0)
                 } else {
                     let out = mem.access(self.id, AccessKind::Load, ea, now);
@@ -920,10 +905,6 @@ impl Core {
             let seq = self.rob_base;
             self.rob_base += 1;
             self.counters.committed += 1;
-            if si.is(StaticInst::IS_STORE) {
-                let popped = self.store_q.pop_front();
-                debug_assert_eq!(popped, Some((seq, ea & !7)));
-            }
             if self.params.arf_at_retire {
                 if let (Some(d), Some(engine)) = (si.dest(), self.engine.as_mut()) {
                     engine.post_regwrite(d as usize, dest_val, seq, now);
@@ -1114,20 +1095,6 @@ impl Core {
                 }
             }
 
-            // store-to-load forwarding: a load whose word is written by an
-            // older in-flight store takes the data from the store queue
-            // (1-cycle forward after the store executes) instead of the
-            // cache
-            if self.params.store_forwarding && si.is(StaticInst::IS_LOAD) {
-                let word = ea & !7;
-                if let Some(&(store_seq, _)) = self.store_q.iter().rev().find(|&&(_, w)| w == word)
-                {
-                    self.depend_on(store_seq, slot, FORWARD_LINK);
-                    self.rob[slot].forwarded = true;
-                    self.counters.forwarded_loads += 1;
-                }
-            }
-
             // dependency wiring
             for (link, &src) in si.srcs.iter().enumerate() {
                 if src == 0 {
@@ -1141,9 +1108,6 @@ impl Core {
                 self.writers[d as usize & 31] = Some(seq);
             }
 
-            if si.is(StaticInst::IS_STORE) {
-                self.store_q.push_back((seq, ea & !7));
-            }
             self.try_schedule(slot);
 
             if mispredicted {
@@ -1197,8 +1161,7 @@ bfetch_snapshot::impl_snap_struct!(CoreCounters {
     mispredicts,
     branch_fetch_hist,
     restarts,
-    pf_queue_overflow,
-    forwarded_loads
+    pf_queue_overflow
 });
 
 bfetch_snapshot::impl_snap_struct!(RobEntry {
@@ -1213,7 +1176,6 @@ bfetch_snapshot::impl_snap_struct!(RobEntry {
     next,
     unresolved,
     scheduled,
-    forwarded,
     port_delayed,
     mem_pf_covered,
     mem_service,
@@ -1246,12 +1208,6 @@ impl Core {
         let entries = || (self.rob_base..self.next_seq).map(|seq| (seq, &self.rob[self.slot_of(seq)]));
         if entries().any(|(_, e)| e.inst as usize >= self.program.len()) {
             return invalid("rob instruction index past the program");
-        }
-        let stores = entries()
-            .filter(|(_, e)| self.static_of(e).is(StaticInst::IS_STORE))
-            .map(|(seq, e)| (seq, e.ea & !7));
-        if !stores.eq(self.store_q.iter().copied()) {
-            return invalid("store queue is not the rob's stores in order");
         }
         let branches = entries().filter(|(_, e)| self.static_of(e).is(StaticInst::IS_BRANCH));
         if branches.count() != self.branch_q.len() {
@@ -1366,7 +1322,6 @@ bfetch_snapshot::snap_state!(Core {
     rob: with(Core::save_rob, Core::load_rob),
     rob_mask: skip,
     branch_q: val,
-    store_q: val,
     issue_ports: state,
     mem_ports: state,
     pending_mem: with(Core::save_pending_mem, Core::load_pending_mem),
@@ -1511,30 +1466,6 @@ mod tests {
         );
     }
 
-    /// Store-to-load forwarding turns store/reload pairs into 1-cycle
-    /// forwards and is visible in both the counter and the cycle count.
-    #[test]
-    fn store_forwarding_accelerates_reload_pairs() {
-        let mut b = ProgramBuilder::new("spill");
-        b.li(Reg::R1, 0x100_0000);
-        b.li(Reg::R2, 0);
-        b.li(Reg::R3, 1_000_000);
-        let top = b.label();
-        b.bind(top);
-        // spill/reload to a hot stack slot, dependent chain through memory
-        b.store(Reg::R2, Reg::R1, 0);
-        b.load(Reg::R4, Reg::R1, 0);
-        b.add(Reg::R2, Reg::R4, Reg::R3);
-        b.addi(Reg::R2, Reg::R2, 1);
-        b.blt(Reg::R2, Reg::R3, top);
-        let p = b.finish();
-        let off = quick(&SimConfig::baseline(), &p, 20_000);
-        let mut cfg = SimConfig::baseline();
-        cfg.store_forwarding = true;
-        let on = quick(&cfg, &p, 20_000);
-        assert!(on.ipc() >= off.ipc(), "{} vs {}", on.ipc(), off.ipc());
-    }
-
     /// Writeback modelling surfaces DRAM writeback traffic for a
     /// store-streaming kernel and none without stores.
     #[test]
@@ -1585,12 +1516,11 @@ mod tests {
     /// One producer, seven entries in its wake-up list, one issue port.
     /// `P` waits on a load, so everything fetched in its group queues on it:
     /// a one-source consumer, one whose *both* sources are `P`, a store of
-    /// `P`, a multiply, a load forwarded from that store (queued on the
-    /// store through its third link), a consumer of the forwarded load and
-    /// `P`, and one more. Waking them in any other order reserves the single
-    /// port differently, so every completion time is pinned to what the
-    /// `VecDeque<InFlight>` ROB with `Vec<u64>` waiter lists produced
-    /// (recorded from the parent commit before the ring replaced it).
+    /// `P`, a multiply, a consumer of `P` and of a load that waits on nothing
+    /// in the ROB, and one more. Waking them in any other order reserves the
+    /// single port differently, so every completion time is pinned to what
+    /// the three-link ROB produced with store-to-load forwarding off
+    /// (recorded from the parent commit before the third link went).
     fn wake_order_program() -> Program {
         let mut b = ProgramBuilder::new("wake-order");
         b.init_words(0x2000, &[5, 6, 7, 8]);
@@ -1602,8 +1532,8 @@ mod tests {
         b.add(Reg::R4, Reg::R2, Reg::R2); // both sources
         b.store(Reg::R2, Reg::R1, 8); // store data
         b.mul(Reg::R5, Reg::R2, Reg::R9);
-        b.load(Reg::R6, Reg::R1, 8); // forwarded from the store
-        b.add(Reg::R7, Reg::R6, Reg::R2); // the forwarded load and P
+        b.load(Reg::R6, Reg::R1, 8); // reads the stored word through memory
+        b.add(Reg::R7, Reg::R6, Reg::R2); // that load and P
         b.sub(Reg::R10, Reg::R9, Reg::R2);
         b.halt();
         b.finish()
@@ -1614,7 +1544,6 @@ mod tests {
         cfg.fetch_width = 16;
         cfg.issue_width = 1;
         cfg.mem_ports = 1;
-        cfg.store_forwarding = true;
         cfg
     }
 
@@ -1650,10 +1579,9 @@ mod tests {
             }
         }
         assert_eq!(longest_list, 7, "the whole group queued on the producer");
-        assert!(core.counters.forwarded_loads > 0);
         assert_eq!(
             complete_at,
-            [234, 235, 466, 467, 468, 469, 468, 472, 469, 547, 471, 236]
+            [234, 235, 466, 467, 468, 469, 468, 472, 466, 472, 471, 236]
         );
     }
 
@@ -1683,14 +1611,14 @@ mod tests {
         let mut core = Core::new(0, p.clone(), &cfg);
         let mut mem = bfetch_mem::MemorySystem::new(cfg.hierarchy(1));
         // stop in the cycle the first group dispatched: the producer's list
-        // is at its longest, stores and the forwarded load are in flight
+        // is at its longest and the block's registers are half written
         let mut now = 0;
         while core.live_slot(3).is_none_or(|s| waiters(&core, s) < 7) {
             core.cycle(now, &mut mem);
             now += 1;
             assert!(now < 2_000, "the group never queued on its producer");
         }
-        assert!(!core.store_q.is_empty() && core.block_entry.written != 0);
+        assert!(core.block_entry.written != 0);
         let producer = core.live_slot(3).unwrap();
 
         let bytes = save(&core);
@@ -1707,9 +1635,9 @@ mod tests {
         let (first, link) = ((head >> 2) as usize, (head & 3) as usize);
         let second = core.rob[first].next[link];
 
-        // a link naming a slot past the ring, a retired slot, or a fourth
+        // a link naming a slot past the ring, a retired slot, or a third
         // link of an entry
-        for bad in [(core.rob.len() as u32) << 2, (core.rob.len() as u32 - 1) << 2, head | 3] {
+        for bad in [(core.rob.len() as u32) << 2, (core.rob.len() as u32 - 1) << 2, head | 2] {
             core.rob[producer].wake_head = bad;
             invalid("wake-up link out of range", &core);
         }
@@ -1745,17 +1673,6 @@ mod tests {
         core.rob_base = next_seq + 1;
         invalid("rob of negative length", &core);
         core.rob_base = rob_base;
-
-        // a store queue that is not the ROB's stores, in order
-        let (seq, word) = core.store_q[0];
-        core.store_q[0] = (seq, word + 8);
-        invalid("store_q word", &core);
-        core.store_q[0] = (seq + 1, word);
-        invalid("store_q seq", &core);
-        core.store_q[0] = (seq, word);
-        core.store_q.push_back((seq, word));
-        invalid("store_q longer than the stores", &core);
-        core.store_q.pop_back();
 
         // one record per in-flight branch, and this ROB holds none
         core.branch_q.push_back(BranchRecord {
