@@ -164,8 +164,7 @@ fn main() {
     engine_walk();
 
     // What every stage span in `Core::cycle` costs a run that never enabled
-    // the profiler (capture compiled in — `bfetch-bench`'s default `prof`
-    // feature — and off): a span opened and dropped.
+    // the profiler: a span opened and dropped.
     assert!(!bfetch_prof::enabled(), "measured with the profiler off");
     bench("span_disabled", || {
         bfetch_prof::span(bfetch_prof::SIM_FETCH)

@@ -35,9 +35,6 @@ pub fn ext_profile(ctx: &Ctx) {
         validate_trace(Path::new(path));
         return;
     }
-    if !bfetch_prof::capture_compiled() {
-        exit_err("built without the `prof` feature; rebuild bfetch-bench with default features");
-    }
 
     let scale = if opts.quick { Scale::Small } else { opts.scale };
     let programs: Vec<_> = kernels().iter().take(8).map(|k| k.build(scale)).collect();

@@ -262,18 +262,14 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Option<String> {
 // --- RunResult (de)serialization -----------------------------------------
 
 /// Maps a prefetcher name from a cache file back to the `&'static str`
-/// the simulator uses.
-fn intern_prefetcher(name: &str) -> &'static str {
+/// the simulator uses. The cache key contains the `PrefetcherKind`, so an
+/// honest entry never carries another name: `None` fails the parse and the
+/// entry is quarantined.
+fn intern_prefetcher(name: &str) -> Option<&'static str> {
     const KNOWN: [&str; 7] = [
         "baseline", "next-n", "stride", "sms", "isb", "bfetch", "perfect",
     ];
-    KNOWN
-        .iter()
-        .find(|&&k| k == name)
-        .copied()
-        // future prefetcher names in newer cache files than this binary:
-        // leak the handful of short strings rather than failing the load
-        .unwrap_or_else(|| Box::leak(name.to_string().into_boxed_str()))
+    KNOWN.iter().find(|&&k| k == name).copied()
 }
 
 fn mem_to_json(m: &MemStats) -> Json {
@@ -431,15 +427,13 @@ pub fn result_from_json(j: &Json) -> Option<RunResult> {
         Json::Null => None,
         e => Some(engine_from_json(e)?),
     };
-    // Missing key tolerated for cache files written before CPI accounting
-    // existed (the schema bump makes those unreachable, but stay lenient).
-    let cpi = match j.get("cpi") {
-        None | Some(Json::Null) => None,
-        Some(c) => Some(cpi_from_json(c)?),
+    let cpi = match j.get("cpi")? {
+        Json::Null => None,
+        c => Some(cpi_from_json(c)?),
     };
     Some(RunResult {
         workload: j.get("workload")?.as_str()?.to_string(),
-        prefetcher: intern_prefetcher(j.get("prefetcher")?.as_str()?),
+        prefetcher: intern_prefetcher(j.get("prefetcher")?.as_str()?)?,
         cycles: j.get("cycles")?.as_u64()?,
         instructions: j.get("instructions")?.as_u64()?,
         mem: mem_from_json(j.get("mem")?)?,
@@ -542,14 +536,12 @@ mod tests {
     }
 
     #[test]
-    fn missing_cpi_key_parses_as_none() {
-        // cache files written before CPI accounting existed lack the key
+    fn missing_cpi_key_is_rejected() {
         let mut j = result_to_json(&sample_result());
         if let Json::Obj(fields) = &mut j {
             fields.retain(|(k, _)| k != "cpi");
         }
-        let back = result_from_json(&j).unwrap();
-        assert_eq!(back.cpi, None);
+        assert_eq!(result_from_json(&j), None);
     }
 
     #[test]
@@ -584,9 +576,16 @@ mod tests {
     }
 
     #[test]
-    fn unknown_prefetcher_names_survive_interning() {
-        assert_eq!(intern_prefetcher("bfetch"), "bfetch");
-        let s = intern_prefetcher("experimental-9");
-        assert_eq!(s, "experimental-9");
+    fn unknown_prefetcher_name_is_rejected() {
+        assert_eq!(intern_prefetcher("bfetch"), Some("bfetch"));
+        let mut j = result_to_json(&sample_result());
+        if let Json::Obj(fields) = &mut j {
+            for (k, v) in fields.iter_mut() {
+                if k == "prefetcher" {
+                    *v = Json::Str("experimental-9".into());
+                }
+            }
+        }
+        assert_eq!(result_from_json(&j), None);
     }
 }

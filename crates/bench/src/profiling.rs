@@ -24,18 +24,11 @@ pub struct ProfileGuard {
 
 /// Starts profiling if `--profile DIR` was given. Call once before the
 /// figure runs and keep the guard alive until it returns; a disabled guard (no
-/// flag) is inert. If the `prof` feature was compiled out, warns on
-/// stderr and captures nothing.
+/// flag) is inert.
 pub fn start(opts: &Opts) -> ProfileGuard {
     let Some(dir) = opts.profile.clone() else {
         return ProfileGuard { dir: None };
     };
-    if !bfetch_prof::capture_compiled() {
-        eprintln!(
-            "[profile] warning: built without the `prof` feature; no data will be captured \
-             (rebuild bfetch-bench with default features)"
-        );
-    }
     bfetch_prof::enable();
     ProfileGuard { dir: Some(dir) }
 }
@@ -44,8 +37,7 @@ impl Drop for ProfileGuard {
     fn drop(&mut self) {
         let Some(dir) = self.dir.take() else { return };
         let Some(profile) = bfetch_prof::drain() else {
-            // Feature compiled out (warned at start) or nothing recorded.
-            return;
+            return; // nothing recorded
         };
         if let Err(e) = std::fs::create_dir_all(&dir) {
             eprintln!("[profile] cannot create {}: {e}", dir.display());
@@ -81,7 +73,7 @@ mod tests {
     fn no_flag_is_inert() {
         let opts = Opts::default();
         let g = start(&opts);
-        assert!(!bfetch_prof::enabled() || cfg!(not(feature = "prof")));
+        assert!(!bfetch_prof::enabled());
         drop(g);
     }
 }

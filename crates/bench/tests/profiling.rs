@@ -1,6 +1,5 @@
 //! Profiler observability tests: capture must be a pure observer (golden
-//! registry counters identical with the profiler compiled in, whether it
-//! is enabled or not), and the exported artifacts must be well-formed —
+//! registry counters identical whether the profiler is enabled or not), and the exported artifacts must be well-formed —
 //! the Chrome trace parses as trace-event JSON and the report JSON
 //! round-trips through the self-contained parser.
 //!
@@ -47,9 +46,8 @@ fn fixture(stem: &str) -> String {
         .unwrap_or_else(|e| panic!("missing fixture {} ({e})", path.display()))
 }
 
-/// The compiled-in-but-disabled state — the default for every figure
-/// binary run without `--profile` — must reproduce the committed golden
-/// counters exactly.
+/// The disabled state — every figure run without `--profile` — must
+/// reproduce the committed golden counters exactly.
 #[test]
 fn disabled_profiler_matches_golden_fixture() {
     let _g = lock();
@@ -57,14 +55,13 @@ fn disabled_profiler_matches_golden_fixture() {
     assert_eq!(
         registry_render(PrefetcherKind::BFetch),
         fixture("mcf_bfetch"),
-        "profiler compiled in (disabled) changed simulation outcomes"
+        "a disabled profiler changed simulation outcomes"
     );
 }
 
 /// Capture *enabled* must be an observer too: the registry counters stay
 /// byte-identical to the fixture while spans are being recorded.
 #[test]
-#[cfg_attr(not(feature = "prof"), ignore = "capture compiled out")]
 fn enabled_profiler_is_an_observer() {
     let _g = lock();
     bfetch_prof::enable();
@@ -86,7 +83,6 @@ fn enabled_profiler_is_an_observer() {
 /// trace-event envelope, thread-name metadata, and complete (`X`) events
 /// with microsecond timestamps for the coarse spans.
 #[test]
-#[cfg_attr(not(feature = "prof"), ignore = "capture compiled out")]
 fn chrome_trace_is_well_formed() {
     let _g = lock();
     let members: Vec<_> = kernels().iter().take(2).collect();
@@ -138,7 +134,6 @@ fn chrome_trace_is_well_formed() {
 /// The aggregate report round-trips through the JSON parser and stays
 /// internally consistent (sub-phases nest inside the stepping phase).
 #[test]
-#[cfg_attr(not(feature = "prof"), ignore = "capture compiled out")]
 fn report_json_round_trips() {
     let _g = lock();
     bfetch_prof::enable();
@@ -185,8 +180,7 @@ fn report_json_round_trips() {
 }
 
 /// Without `enable()`, `drain()` yields nothing — the runtime-off state
-/// records zero data (the compile-out state is exercised by
-/// `cargo test -p bfetch-prof`).
+/// records zero data.
 #[test]
 fn drain_without_enable_is_empty() {
     let _g = lock();

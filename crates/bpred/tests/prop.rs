@@ -1,20 +1,12 @@
 //! Randomized property tests for the prediction substrate, driven by the
-//! in-tree deterministic PRNG (`bfetch-prng`). Build with
-//! `--features proptests` (or set `BFETCH_PROP_CASES`) for more cases.
+//! in-tree deterministic PRNG (`bfetch-prng`). Set `BFETCH_PROP_CASES` for
+//! more cases.
 
 use bfetch_bpred::{
     Btb, CompositeConfidence, ConfidenceConfig, HistoryRegister, PathConfidence, TournamentConfig,
     TournamentPredictor,
 };
-use bfetch_prng::Pcg32;
-
-fn cases(default: usize) -> usize {
-    bfetch_prng::cases(if cfg!(feature = "proptests") {
-        default * 8
-    } else {
-        default
-    })
-}
+use bfetch_prng::{cases, Pcg32};
 
 /// The predictor converges on any single-branch periodic pattern with
 /// period <= 8 (well within the local history length).

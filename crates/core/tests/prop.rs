@@ -1,19 +1,11 @@
 //! Randomized property tests for the B-Fetch engine structures, driven by
-//! the in-tree deterministic PRNG (`bfetch-prng`). Build with
-//! `--features proptests` (or set `BFETCH_PROP_CASES`) for more cases.
+//! the in-tree deterministic PRNG (`bfetch-prng`). Set `BFETCH_PROP_CASES`
+//! for more cases.
 
 use bfetch_core::{
     bb_key, BFetchConfig, BrTcEntry, BranchTraceCache, MemoryHistoryTable, PerLoadFilter,
 };
-use bfetch_prng::Pcg32;
-
-fn cases(default: usize) -> usize {
-    bfetch_prng::cases(if cfg!(feature = "proptests") {
-        default * 8
-    } else {
-        default
-    })
-}
+use bfetch_prng::{cases, Pcg32};
 
 /// MHT offset learning reconstructs the training EA exactly when the
 /// register value is unchanged (Equation 1/2 identity).

@@ -1,18 +1,9 @@
 //! Randomized property tests for the ISA substrate, driven by the in-tree
 //! deterministic PRNG (see `bfetch-prng`; the external `proptest` stack is
-//! unavailable offline). Build with `--features proptests` (or set
-//! `BFETCH_PROP_CASES`) to run more cases.
+//! unavailable offline). Set `BFETCH_PROP_CASES` to run more cases.
 
 use bfetch_isa::{ArchState, Inst, Program, ProgramBuilder, Reg, SparseMemory};
-use bfetch_prng::Pcg32;
-
-fn cases(default: usize) -> usize {
-    bfetch_prng::cases(if cfg!(feature = "proptests") {
-        default * 8
-    } else {
-        default
-    })
-}
+use bfetch_prng::{cases, Pcg32};
 
 /// Memory: last write to a word wins, all other words unaffected.
 #[test]

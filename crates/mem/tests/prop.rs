@@ -1,6 +1,6 @@
 //! Randomized property tests for the memory substrate, driven by the
-//! in-tree deterministic PRNG (`bfetch-prng`). Build with
-//! `--features proptests` (or set `BFETCH_PROP_CASES`) for more cases.
+//! in-tree deterministic PRNG (`bfetch-prng`). Set `BFETCH_PROP_CASES` for
+//! more cases.
 
 use bfetch_mem::probe::{
     find_line, find_line_scalar, find_way, find_way_scalar, INVALID_RANK,
@@ -9,15 +9,7 @@ use bfetch_mem::{
     AccessKind, CacheConfig, HierarchyConfig, HitLevel, LineMeta, MemorySystem, MshrFile,
     SetAssocCache,
 };
-use bfetch_prng::Pcg32;
-
-fn cases(default: usize) -> usize {
-    bfetch_prng::cases(if cfg!(feature = "proptests") {
-        default * 8
-    } else {
-        default
-    })
-}
+use bfetch_prng::{cases, Pcg32};
 
 /// An inserted line is resident until at least `ways` other lines of
 /// the same set displace it (LRU guarantee).

@@ -1,17 +1,9 @@
 //! Randomized property tests for the demand-driven prefetchers, driven by
-//! the in-tree deterministic PRNG (`bfetch-prng`). Build with
-//! `--features proptests` (or set `BFETCH_PROP_CASES`) for more cases.
+//! the in-tree deterministic PRNG (`bfetch-prng`). Set `BFETCH_PROP_CASES`
+//! for more cases.
 
 use bfetch_prefetch::{AccessEvent, Isb, NextN, Prefetcher, Sms, Stride};
-use bfetch_prng::Pcg32;
-
-fn cases(default: usize) -> usize {
-    bfetch_prng::cases(if cfg!(feature = "proptests") {
-        default * 8
-    } else {
-        default
-    })
-}
+use bfetch_prng::{cases, Pcg32};
 
 fn ev(pc: u64, addr: u64) -> AccessEvent {
     AccessEvent {

@@ -5,10 +5,11 @@
 //! `bfetch-stats`, which observes the *simulated* machine. It is designed
 //! around two hard constraints:
 //!
-//! 1. **Zero overhead when compiled out.** Without the `capture` feature,
-//!    every entry point is an empty `#[inline(always)]` function and every
-//!    RAII guard is a zero-sized type with no `Drop`. Call sites stay in
-//!    place unconditionally; the optimizer erases them.
+//! 1. **Next to nothing while off.** Recording is always compiled in and
+//!    off until [`enable`]: a span that is never enabled is a relaxed load
+//!    and a branch where it is created and where it is dropped, inlined at
+//!    the call site (`benches/hotpath.rs` `span_disabled` records the
+//!    cost).
 //! 2. **Zero effect on simulation results.** Profiling reads the host
 //!    clock and thread-local accumulators only; it never feeds anything
 //!    back into simulator state, so enabling it cannot perturb the
@@ -102,8 +103,7 @@ fn bucket_rep(b: usize) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Data model (compiled in both feature states; only populated under
-// `capture`)
+// Data model
 // ---------------------------------------------------------------------------
 
 /// Count/total/min/max plus a log2 histogram of durations in nanoseconds.
@@ -122,7 +122,6 @@ impl PhaseAcc {
     }
 
     #[inline]
-    #[cfg_attr(not(feature = "capture"), allow(dead_code))]
     fn add(&mut self, ns: u64) {
         self.count += 1;
         self.total_ns += ns;
@@ -184,7 +183,6 @@ struct ThreadData {
 }
 
 impl ThreadData {
-    #[cfg(feature = "capture")]
     fn new(tid: u32) -> Self {
         ThreadData {
             tid,
@@ -473,10 +471,9 @@ impl fmt::Display for Report {
 }
 
 // ---------------------------------------------------------------------------
-// Recording implementation (capture)
+// Recording implementation
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "capture")]
 mod imp {
     use super::*;
     use std::cell::RefCell;
@@ -562,17 +559,11 @@ mod imp {
     }
 }
 
-#[cfg(feature = "capture")]
 mod api {
     use super::*;
     use std::time::Instant;
 
-    /// True when the `capture` feature is compiled in.
-    pub const fn capture_compiled() -> bool {
-        true
-    }
-
-    /// True when profiling is both compiled in and runtime-enabled.
+    /// True while a profiling session is recording.
     #[inline]
     pub fn enabled() -> bool {
         imp::is_enabled()
@@ -597,8 +588,7 @@ mod api {
     }
 
     /// Stop recording and collect everything recorded since [`enable`].
-    /// Returns `None` if nothing was recorded (or capture is compiled
-    /// out). Worker threads flush on exit; the calling thread is flushed
+    /// Returns `None` if nothing was recorded. Worker threads flush on exit; the calling thread is flushed
     /// here, so call `drain` from the thread that called [`enable`].
     pub fn drain() -> Option<Profile> {
         imp::set_enabled(false);
@@ -711,77 +701,9 @@ mod api {
     }
 }
 
-// ---------------------------------------------------------------------------
-// No-op implementation (capture compiled out)
-// ---------------------------------------------------------------------------
-
-#[cfg(not(feature = "capture"))]
-mod api {
-    use super::*;
-
-    /// True when the `capture` feature is compiled in.
-    pub const fn capture_compiled() -> bool {
-        false
-    }
-
-    /// Always false: capture is compiled out.
-    #[inline(always)]
-    pub fn enabled() -> bool {
-        false
-    }
-
-    /// No-op: capture is compiled out.
-    #[inline(always)]
-    pub fn enable() {}
-
-    /// No-op: capture is compiled out.
-    #[inline(always)]
-    pub fn disable() {}
-
-    /// Always `None`: capture is compiled out.
-    #[inline(always)]
-    pub fn drain() -> Option<Profile> {
-        None
-    }
-
-    /// No-op: capture is compiled out.
-    #[inline(always)]
-    pub fn set_thread_name(_name: &str) {}
-
-    /// No-op: capture is compiled out.
-    #[inline(always)]
-    pub fn flush_thread() {}
-
-    /// Zero-sized no-op span (capture compiled out).
-    #[must_use = "a span measures until it is dropped"]
-    pub struct Span(());
-
-    /// Zero-sized no-op traced span (capture compiled out).
-    #[must_use = "a span measures until it is dropped"]
-    pub struct TracedSpan(());
-
-    /// No-op: returns a zero-sized guard.
-    #[inline(always)]
-    pub fn span(_phase: PhaseId) -> Span {
-        Span(())
-    }
-
-    /// No-op: returns a zero-sized guard.
-    #[inline(always)]
-    pub fn span_traced(_phase: PhaseId) -> TracedSpan {
-        TracedSpan(())
-    }
-
-    /// No-op: returns a zero-sized guard.
-    #[inline(always)]
-    pub fn span_labeled(_phase: PhaseId, _label: &str) -> TracedSpan {
-        TracedSpan(())
-    }
-}
-
 pub use api::{
-    capture_compiled, disable, drain, enable, enabled, flush_thread, set_thread_name, span,
-    span_labeled, span_traced, Span, TracedSpan,
+    disable, drain, enable, enabled, flush_thread, set_thread_name, span, span_labeled,
+    span_traced, Span, TracedSpan,
 };
 
 // ---------------------------------------------------------------------------
@@ -861,7 +783,7 @@ mod hist_tests {
     }
 }
 
-#[cfg(all(test, feature = "capture"))]
+#[cfg(test)]
 mod capture_tests {
     use super::*;
     use std::sync::Mutex;
@@ -879,7 +801,7 @@ mod capture_tests {
         let _g = locked();
         disable();
         let _ = drain();
-        // the per-cycle case: compiled in, never enabled, millions of spans
+        // the per-cycle case: never enabled, millions of spans
         for i in 0..10_000_000usize {
             let _s = std::hint::black_box(span(SIM_PENDING_MEM + i % 6));
         }
@@ -966,30 +888,5 @@ mod capture_tests {
         let rep = drain().expect("profile").report();
         assert!(rep.phase("sim.commit").is_none());
         assert!(rep.phase("sim.issue").is_some());
-    }
-
-    #[test]
-    fn capture_is_compiled() {
-        assert!(capture_compiled());
-    }
-}
-
-#[cfg(all(test, not(feature = "capture")))]
-mod noop_tests {
-    use super::*;
-
-    #[test]
-    fn everything_is_a_noop() {
-        assert!(!capture_compiled());
-        enable();
-        assert!(!enabled());
-        {
-            let _s = span(SIM_FETCH);
-            let _t = span_traced(SIM_RUN);
-            let _l = span_labeled(HARNESS_POINT, "x");
-            set_thread_name("main");
-        }
-        assert!(drain().is_none());
-        assert_eq!(std::mem::size_of::<Span>(), 0);
     }
 }

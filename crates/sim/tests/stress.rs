@@ -1,11 +1,11 @@
 //! Random-program stress tests: arbitrary (valid) instruction sequences
 //! must run through the full timing pipeline without panics, deadlocks or
 //! IPC anomalies, under every prefetcher. Driven by the in-tree
-//! deterministic PRNG (`bfetch-prng`); build with `--features proptests`
-//! (or set `BFETCH_PROP_CASES`) for more cases.
+//! deterministic PRNG (`bfetch-prng`); set `BFETCH_PROP_CASES` for more
+//! cases.
 
 use bfetch_isa::{Inst, Program, Reg};
-use bfetch_prng::Pcg32;
+use bfetch_prng::{cases, Pcg32};
 use bfetch_sim::{PrefetcherKind, SimConfig, SimSession};
 
 /// The old `run_single` contract through the unified session API.
@@ -15,14 +15,6 @@ fn run_single(p: &bfetch_isa::Program, cfg: &SimConfig, insts: u64) -> bfetch_si
         .run_one(p)
         .unwrap_or_else(|e| panic!("{e}"))
         .into_single()
-}
-
-fn cases(default: usize) -> usize {
-    bfetch_prng::cases(if cfg!(feature = "proptests") {
-        default * 8
-    } else {
-        default
-    })
 }
 
 /// A random but structurally valid instruction.
