@@ -513,8 +513,8 @@ mod tests {
     }
 
     /// An entry from before the last bump (schema 4, keyed by a `SimConfig`
-    /// that still had a `store_forwarding` field) is a miss, never a misread; GC
-    /// reclaims it as stale and the slot recomputes.
+    /// that still had a `store_forwarding` field) is a miss, never a misread;
+    /// GC reclaims it as stale and the slot recomputes.
     #[test]
     fn schema_bump_invalidates() {
         assert_eq!(SCHEMA_VERSION, 5);

@@ -150,7 +150,7 @@ fn removed_sim_threads_flag_is_rejected_with_usage() {
     // with the store-to-load forwarding model
     for (args, flag, usage_line) in [
         (&["--predictor", "tournament"][..], "--predictor", "predictor KIND"),
-        (&["--forwarding"][..], "--forwarding", "--forwarding"),
+        (&["--forwarding"][..], "--forwarding", "  --forwarding"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_bfetch"))
             .arg("simulate")
@@ -160,9 +160,7 @@ fn removed_sim_threads_flag_is_rejected_with_usage() {
         assert_eq!(out.status.code(), Some(2), "{flag}");
         assert!(out.stdout.is_empty(), "a rejected command line printed to stdout");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        let complaint = format!("unknown flag {flag}");
-        assert!(stderr.contains(&complaint), "{stderr}");
-        let usage = stderr.replacen(&complaint, "", 1);
-        assert!(!usage.contains(usage_line), "usage still offers it:\n{stderr}");
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
+        assert!(!stderr.contains(usage_line), "usage still offers it:\n{stderr}");
     }
 }

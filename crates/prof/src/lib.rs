@@ -588,8 +588,9 @@ mod api {
     }
 
     /// Stop recording and collect everything recorded since [`enable`].
-    /// Returns `None` if nothing was recorded. Worker threads flush on exit; the calling thread is flushed
-    /// here, so call `drain` from the thread that called [`enable`].
+    /// Returns `None` if nothing was recorded. Worker threads flush on
+    /// exit; the calling thread is flushed here, so call `drain` from the
+    /// thread that called [`enable`].
     pub fn drain() -> Option<Profile> {
         imp::set_enabled(false);
         imp::flush_local();

@@ -55,10 +55,10 @@ const LINKS: usize = 2;
 /// the dependents themselves. A list node is `(ROB slot << 2) | link`: the
 /// dependent and which of its [`LINKS`] the list runs through (a consumer
 /// waits on at most two sources, and sits in one producer's list twice when
-/// both sources name it). The producer keeps the
-/// first and last node; each node's `next[link]` is the node appended after
-/// it. Dependents are woken first-appended first, because
-/// [`Core::try_schedule`] reserves ports in that order.
+/// both sources name it). The producer keeps the first and last node; each
+/// node's `next[link]` is the node appended after it. Dependents are woken
+/// first-appended first, because [`Core::try_schedule`] reserves ports in
+/// that order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct RobEntry {
     /// Earliest issue cycle known so far: the cycle after dispatch, raised
@@ -1301,7 +1301,8 @@ impl Core {
     }
 }
 
-// The tracer is re-installed by whoever owns the run.
+// The tracer is re-installed by whoever owns the run; `pf_scratch` is
+// cleared before every use.
 bfetch_snapshot::snap_state!(Core {
     id: skip,
     program: skip,
@@ -1334,7 +1335,6 @@ bfetch_snapshot::snap_state!(Core {
     tracer: skip,
     cpi: val,
 } check |c| {
-    c.pf_scratch.clear();
     #[cfg(debug_assertions)]
     {
         let (b, regs) = (&mut c.block_entry, c.arch.regs());
