@@ -1,13 +1,14 @@
 //! Content-addressed on-disk result cache.
 //!
 //! Every grid point is identified by a canonical key string covering the
-//! cache schema version, the workload members, the scale, the instruction
+//! schema version, the workload members, the scale, the instruction
 //! budget, and the *entire* `SimConfig` (via its `Debug` rendering, which
 //! recursively includes every nested config struct — any field added to
 //! any config automatically changes the key). The key is hashed to a
-//! 128-bit filename; the full key string is stored in the file header and
-//! compared on load, so a hash collision degrades to a miss, never to a
-//! wrong result.
+//! 128-bit filename. Each entry is one checksummed snapshot frame
+//! ([`bfetch_sim::encode_results`]) holding the full key string and the
+//! results; the key is compared on load, so a hash collision degrades to
+//! a miss, never to a wrong result.
 //!
 //! ## Crash safety and concurrency
 //!
@@ -19,24 +20,20 @@
 //!   (created with `create_new`, stolen after
 //!   [`LOCK_STALE_SECS`] if the holder died), so two concurrent harness
 //!   invocations never interleave a rename with an eviction scan.
-//! * **Quarantine**: an entry that exists but does not parse is renamed
-//!   to `<name>.bad` on load and reported as a miss — recomputed, never
-//!   served, and kept for post-mortem until the next GC sweeps it.
+//! * **Quarantine**: an entry that exists but does not decode (torn,
+//!   bit-flipped, truncated: the frame's CRC-32 catches all of these) is
+//!   renamed to `<name>.bad` on load and reported as a miss — recomputed,
+//!   never served, and kept for post-mortem until the next GC sweeps it.
 //! * **Bounded growth**: [`ResultCache::gc`] removes stranded temp files,
-//!   quarantined entries and stale-schema entries, then LRU-evicts
+//!   quarantined entries and undecodable or stale-schema entries, then LRU-evicts
 //!   (oldest recency first) until the cache fits a byte cap. A load hit
 //!   refreshes its entry's mtime, so recency tracking survives
 //!   `noatime`/`relatime` mounts.
 
-use super::jsonio::{result_from_json, result_to_json, Json};
-use bfetch_sim::RunResult;
+use bfetch_sim::{decode_results, encode_results, RunResult, SnapshotError};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, SystemTime};
-
-/// Bumped whenever the key derivation or the stored JSON layout changes;
-/// old entries then simply miss (and are swept by [`ResultCache::gc`]).
-pub const SCHEMA_VERSION: u32 = 5;
 
 /// A lock older than this is assumed to belong to a dead process and is
 /// stolen.
@@ -69,7 +66,7 @@ fn stem(key: &str) -> String {
 
 /// The cache filename (without directory) for a canonical key.
 pub fn file_name(key: &str) -> String {
-    format!("{}.json", stem(key))
+    format!("{}.res", stem(key))
 }
 
 /// The snapshot-sidecar filename for a canonical key: the same
@@ -139,8 +136,8 @@ pub struct GcReport {
     /// Snapshot sidecars (`*.snap`) removed — resume state no sweep came
     /// back for.
     pub removed_snap: u64,
-    /// Unparseable or stale-schema entries removed (e.g. stranded
-    /// schema-v1 files from before a bump).
+    /// Undecodable or stale-schema entries removed (e.g. stranded files
+    /// from before a schema bump, or pre-frame `*.json` entries).
     pub removed_stale: u64,
     /// Valid entries LRU-evicted to fit the byte cap.
     pub evicted: u64,
@@ -169,14 +166,6 @@ impl std::fmt::Display for GcReport {
             self.bytes_before - self.bytes_after
         )
     }
-}
-
-enum Decoded {
-    Hit(Vec<RunResult>),
-    /// Readable but wrong schema or a hash-collision key: a plain miss.
-    Miss,
-    /// Unparseable: quarantine it.
-    Corrupt,
 }
 
 /// On-disk store mapping canonical keys to `Vec<RunResult>`.
@@ -228,9 +217,10 @@ impl ResultCache {
         self.quarantined.load(Ordering::Relaxed)
     }
 
-    /// Loads the results stored under `key`, verifying the schema version
-    /// and the full key string (so hash collisions and stale schemas read
-    /// as misses). Counts a hit or miss.
+    /// Loads the results stored under `key`, verifying the frame (magic,
+    /// schema version, CRC-32, every field) and the full key string (so
+    /// hash collisions and stale schemas read as misses). Counts a hit or
+    /// miss.
     ///
     /// * `Ok(None)` — a miss: absent, stale schema, collision, or a
     ///   corrupt entry (quarantined to `<name>.bad` so it is recomputed,
@@ -241,33 +231,32 @@ impl ResultCache {
     /// A hit refreshes the entry's mtime so LRU eviction sees the use.
     pub fn load(&self, key: &str) -> std::io::Result<Option<Vec<RunResult>>> {
         let path = self.dir.join(file_name(key));
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
+        let bytes = match std::fs::read(&path) {
+            Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 return Ok(None);
             }
             Err(e) => return Err(e),
         };
-        match decode(&text, key) {
-            Decoded::Hit(results) => {
+        match decode_results(&bytes) {
+            Ok((stored, results)) if stored == key => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 touch(&path);
-                Ok(Some(results))
+                return Ok(Some(results));
             }
-            Decoded::Miss => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                Ok(None)
-            }
-            Decoded::Corrupt => {
+            // a 128-bit hash collision, or a stale schema (GC's job, not
+            // quarantine's): a plain miss
+            Ok(_) | Err(SnapshotError::BadVersion { .. }) => {}
+            Err(_) => {
                 let mut bad = path.clone().into_os_string();
                 bad.push(".bad");
                 let _ = std::fs::rename(&path, &bad);
-                self.misses.fetch_add(1, Ordering::Relaxed);
                 self.quarantined.fetch_add(1, Ordering::Relaxed);
-                Ok(None)
             }
         }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        Ok(None)
     }
 
     /// Absolute path of the snapshot sidecar for `key` — where an
@@ -300,14 +289,7 @@ impl ResultCache {
     /// lock, so concurrent invocations serialize and a crash strands at
     /// worst a temp file (swept by [`ResultCache::gc`]).
     pub fn store(&self, key: &str, results: &[RunResult]) -> std::io::Result<()> {
-        let doc = Json::Obj(vec![
-            ("schema".into(), Json::u64_of(SCHEMA_VERSION as u64)),
-            ("key".into(), Json::Str(key.to_string())),
-            (
-                "results".into(),
-                Json::Arr(results.iter().map(result_to_json).collect()),
-            ),
-        ]);
+        let bytes = encode_results(key, results);
         let final_path = self.dir.join(file_name(key));
         let tmp_path = self.dir.join(format!(
             "{}.tmp.{}",
@@ -315,15 +297,16 @@ impl ResultCache {
             std::process::id()
         ));
         let _lock = DirLock::acquire(&self.dir)?;
-        std::fs::write(&tmp_path, doc.to_string())?;
+        std::fs::write(&tmp_path, bytes)?;
         std::fs::rename(&tmp_path, &final_path)
     }
 
     /// Maintenance sweep under the directory lock: removes stranded
-    /// `*.tmp.*` files, quarantined `*.bad` entries, and entries that do
-    /// not parse under the current [`SCHEMA_VERSION`] (stranded schema-v1
-    /// files); then LRU-evicts valid entries, oldest recency first, until
-    /// the cache fits `max_bytes`.
+    /// `*.tmp.*` files, quarantined `*.bad` entries, snapshot sidecars, and
+    /// stale entries — any that does not decode under the current
+    /// [`bfetch_sim::SCHEMA_VERSION`], and every pre-frame `*.json` entry;
+    /// then LRU-evicts valid entries, oldest recency first, until the
+    /// cache fits `max_bytes`.
     ///
     /// Recency is the entry's mtime, which [`ResultCache::load`]
     /// refreshes on every hit — a deliberate stand-in for atime, which is
@@ -356,15 +339,10 @@ impl ResultCache {
                 // the explicit maintenance pass, so reclaim it
                 std::fs::remove_file(&path)?;
                 report.removed_snap += 1;
-            } else if name.ends_with(".json") {
+            } else if name.ends_with(".res") || name.ends_with(".json") {
                 let meta = entry.metadata()?;
-                let valid = std::fs::read_to_string(&path)
-                    .ok()
-                    .and_then(|text| {
-                        let doc = Json::parse(&text)?;
-                        (doc.get("schema")?.as_u64()? == SCHEMA_VERSION as u64).then_some(())
-                    })
-                    .is_some();
+                let valid = name.ends_with(".res")
+                    && std::fs::read(&path).is_ok_and(|b| decode_results(&b).is_ok());
                 if !valid {
                     std::fs::remove_file(&path)?;
                     report.removed_stale += 1;
@@ -401,35 +379,12 @@ fn touch(path: &Path) {
     }
 }
 
-fn decode(text: &str, key: &str) -> Decoded {
-    let Some(doc) = Json::parse(text) else {
-        return Decoded::Corrupt;
-    };
-    let (Some(schema), Some(stored_key)) = (
-        doc.get("schema").and_then(Json::as_u64),
-        doc.get("key").and_then(Json::as_str),
-    ) else {
-        return Decoded::Corrupt;
-    };
-    if schema != SCHEMA_VERSION as u64 {
-        return Decoded::Miss; // stale schema: GC's job, not quarantine's
-    }
-    if stored_key != key {
-        return Decoded::Miss; // 128-bit hash collision: treat as a miss
-    }
-    match doc.get("results") {
-        Some(Json::Arr(items)) => match items.iter().map(result_from_json).collect() {
-            Some(results) => Decoded::Hit(results),
-            None => Decoded::Corrupt,
-        },
-        _ => Decoded::Corrupt,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bfetch_core::EngineStats;
     use bfetch_mem::MemStats;
+    use bfetch_sim::CpiStack;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -498,8 +453,10 @@ mod tests {
     #[test]
     fn corrupt_file_is_quarantined_and_recomputable() {
         let cache = ResultCache::new(tmp_dir("corrupt")).unwrap();
+        cache.store("k", &[result("mcf", 1)]).unwrap();
         let path = cache.dir().join(file_name("k"));
-        std::fs::write(&path, "{ not json").unwrap();
+        let frame = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &frame[..frame.len() / 2]).unwrap();
         assert!(cache.load("k").unwrap().is_none());
         // quarantined, never served again under the live name …
         assert!(!path.exists());
@@ -512,22 +469,26 @@ mod tests {
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
-    /// An entry from before the last bump (schema 4, keyed by a `SimConfig`
-    /// that still had a `store_forwarding` field) is a miss, never a misread;
-    /// GC reclaims it as stale and the slot recomputes.
+    /// An entry from before the last bump (a version-4 frame with a valid
+    /// CRC) is a miss, never a misread; GC reclaims it as stale and the
+    /// slot recomputes.
     #[test]
     fn schema_bump_invalidates() {
-        assert_eq!(SCHEMA_VERSION, 5);
+        assert_eq!(bfetch_sim::SCHEMA_VERSION, 5);
         let cache = ResultCache::new(tmp_dir("schema")).unwrap();
         cache.store("k", &[result("mcf", 1)]).unwrap();
         let path = cache.dir().join(file_name("k"));
-        let text = std::fs::read_to_string(&path)
-            .unwrap()
-            .replace("\"schema\":5", "\"schema\":4");
-        std::fs::write(&path, text).unwrap();
+        // frame: 8-byte magic, u32 version, …, u32 CRC-32 of the rest
+        let mut frame = std::fs::read(&path).unwrap();
+        frame[8..12].copy_from_slice(&4u32.to_le_bytes());
+        let body = frame.len() - 4;
+        let crc = bfetch_snapshot::crc32(&frame[..body]);
+        frame[body..].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, frame).unwrap();
         assert!(cache.load("k").unwrap().is_none());
         // wrong schema is a plain miss, not corruption
         assert!(path.exists());
+        assert_eq!(cache.quarantined(), 0);
         assert_eq!(cache.gc(u64::MAX).unwrap().removed_stale, 1);
         assert!(!path.exists());
         cache.store("k", &[result("mcf", 7)]).unwrap();
@@ -538,7 +499,7 @@ mod tests {
     #[test]
     fn unreadable_entry_is_an_error_not_a_miss() {
         let cache = ResultCache::new(tmp_dir("unreadable")).unwrap();
-        // a directory at the entry path: read_to_string fails with a
+        // a directory at the entry path: the read fails with a
         // non-NotFound error, which must surface as Err (retriable class)
         std::fs::create_dir(cache.dir().join(file_name("k"))).unwrap();
         assert!(cache.load("k").is_err());
@@ -550,8 +511,8 @@ mod tests {
         let a = file_name("key-a");
         assert_eq!(a, file_name("key-a"));
         assert_ne!(a, file_name("key-b"));
-        assert_eq!(a.len(), 32 + 5);
-        assert!(a.ends_with(".json"));
+        assert_eq!(a.len(), 32 + 4);
+        assert!(a.ends_with(".res"));
     }
 
     #[test]
@@ -574,9 +535,9 @@ mod tests {
     fn gc_sweeps_stale_schema_and_quarantined_entries() {
         let cache = ResultCache::new(tmp_dir("gc-stale")).unwrap();
         cache.store("good", &[result("mcf", 1)]).unwrap();
-        // a stranded schema-v1 entry
-        let v1 = cache.dir().join(file_name("old"));
-        std::fs::write(&v1, "{\"schema\":1,\"key\":\"old\",\"results\":[]}").unwrap();
+        // a leftover JSON entry from before entries were frames
+        let legacy = cache.dir().join(format!("{}.json", stem("old")));
+        std::fs::write(&legacy, "{\"schema\":5,\"key\":\"old\",\"results\":[]}").unwrap();
         // a quarantined entry from an earlier torn write
         let bad = cache.dir().join(format!("{}.bad", file_name("x")));
         std::fs::write(&bad, "garbage").unwrap();
@@ -584,7 +545,7 @@ mod tests {
         assert_eq!(report.removed_stale, 1);
         assert_eq!(report.removed_bad, 1);
         assert_eq!(report.kept, 1);
-        assert!(!v1.exists() && !bad.exists());
+        assert!(!legacy.exists() && !bad.exists());
         assert!(cache.load("good").unwrap().is_some());
         let _ = std::fs::remove_dir_all(cache.dir());
     }
@@ -595,7 +556,7 @@ mod tests {
         // the sidecar shares the entry's content-addressed stem
         assert_eq!(
             snap_name("k").strip_suffix(".snap"),
-            file_name("k").strip_suffix(".json"),
+            file_name("k").strip_suffix(".res"),
         );
         let snap = cache.snap_path("k");
         std::fs::write(&snap, "torn checkpoint bytes").unwrap();
@@ -694,6 +655,81 @@ mod tests {
         cache.store("k", &[result("mcf", 1)]).unwrap();
         assert!(cache.load("k").unwrap().is_some());
         let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// Writes `bytes` over `key`'s entry and loads it: it must be a miss
+    /// that quarantines the entry, never a hit.
+    fn assert_quarantined_miss(cache: &ResultCache, key: &str, bytes: &[u8], what: &str) {
+        let path = cache.dir().join(file_name(key));
+        std::fs::write(&path, bytes).unwrap();
+        let before = cache.quarantined();
+        let got = cache.load(key).unwrap();
+        assert!(got.is_none(), "{what} was served: {got:?}");
+        assert_eq!(cache.quarantined(), before + 1, "{what} was not quarantined");
+        assert!(!path.exists(), "{what} left under the live name");
+    }
+
+    /// No damaged entry is ever served: every byte changed in its lowest
+    /// bit (a `"cycles":123456` → `123457` digit edit is one such) or in
+    /// all eight, and every truncation, is a quarantined miss.
+    #[test]
+    fn every_flipped_or_truncated_entry_is_a_quarantined_miss() {
+        let cache = ResultCache::new(tmp_dir("mangle")).unwrap();
+        cache.store("k", &[result("mcf", 123_456)]).unwrap();
+        let entry = std::fs::read(cache.dir().join(file_name("k"))).unwrap();
+        for at in 0..entry.len() {
+            for mask in [0x01, 0xff] {
+                let mut bad = entry.clone();
+                bad[at] ^= mask;
+                assert_quarantined_miss(&cache, "k", &bad, &format!("byte {at} ^ {mask:#x}"));
+            }
+        }
+        for n in 0..entry.len() {
+            assert_quarantined_miss(&cache, "k", &entry[..n], &format!("truncation to {n}"));
+        }
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// A well-formed frame naming a prefetcher no `PrefetcherKind` has
+    /// (the key already fixes the kind, so only a crafted entry can) is
+    /// quarantined, not interned.
+    #[test]
+    fn unknown_prefetcher_name_is_quarantined() {
+        let cache = ResultCache::new(tmp_dir("unknown-pf")).unwrap();
+        let crafted = RunResult {
+            prefetcher: "experimental-9",
+            ..result("mcf", 1)
+        };
+        let entry = encode_results("k", &[crafted]);
+        assert_eq!(
+            decode_results(&entry),
+            Err(SnapshotError::Invalid { what: "unknown prefetcher name" })
+        );
+        assert_quarantined_miss(&cache, "k", &entry, "unknown name");
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// The frame codec round-trips what a lossy encoding would not: a
+    /// `u64::MAX` counter, and a result with no engine or no CPI stack.
+    #[test]
+    fn frame_codec_round_trips_extremes_and_absent_parts() {
+        let full = RunResult {
+            prefetcher: "bfetch",
+            engine: Some(EngineStats { lookaheads: 7, ..EngineStats::default() }),
+            pf_metadata_bytes: u64::MAX,
+            cpi: Some(CpiStack { cycles: 100, ..CpiStack::new(4) }),
+            ..result("mcf", 123_456)
+        };
+        let inputs = [
+            full.clone(),
+            RunResult { engine: None, ..full.clone() },
+            RunResult { cpi: None, ..full },
+        ];
+        for r in inputs {
+            let (key, back) =
+                decode_results(&encode_results("k", std::slice::from_ref(&r))).unwrap();
+            assert_eq!((key.as_str(), back), ("k", vec![r]));
+        }
     }
 
     #[test]

@@ -1,12 +1,14 @@
-//! Minimal hand-rolled JSON support for the result cache (no external
-//! serialization crates are available offline).
+//! Minimal hand-rolled JSON for `--json` output, reports and the
+//! benchmark driver (no external serialization crates are available
+//! offline). Only [`result_to_json`] renders a `RunResult`; nothing reads
+//! one back (the result cache stores snapshot frames).
 //!
 //! Numbers are kept as their source text so `u64` counters round-trip
 //! without passing through `f64`.
 
 use bfetch_core::EngineStats;
 use bfetch_mem::MemStats;
-use bfetch_sim::{CpiComponent, CpiStack, RunResult};
+use bfetch_sim::{CpiStack, RunResult};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -259,18 +261,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Option<String> {
     }
 }
 
-// --- RunResult (de)serialization -----------------------------------------
-
-/// Maps a prefetcher name from a cache file back to the `&'static str`
-/// the simulator uses. The cache key contains the `PrefetcherKind`, so an
-/// honest entry never carries another name: `None` fails the parse and the
-/// entry is quarantined.
-fn intern_prefetcher(name: &str) -> Option<&'static str> {
-    const KNOWN: [&str; 7] = [
-        "baseline", "next-n", "stride", "sms", "isb", "bfetch", "perfect",
-    ];
-    KNOWN.iter().find(|&&k| k == name).copied()
-}
+// --- RunResult rendering (`--json`) -------------------------------------
 
 fn mem_to_json(m: &MemStats) -> Json {
     Json::Obj(vec![
@@ -300,29 +291,6 @@ fn mem_to_json(m: &MemStats) -> Json {
     ])
 }
 
-fn mem_from_json(j: &Json) -> Option<MemStats> {
-    let f = |k: &str| j.get(k)?.as_u64();
-    Some(MemStats {
-        loads: f("loads")?,
-        stores: f("stores")?,
-        inst_fetches: f("inst_fetches")?,
-        l1i_misses: f("l1i_misses")?,
-        l1d_hits: f("l1d_hits")?,
-        l1d_misses: f("l1d_misses")?,
-        mshr_merges: f("mshr_merges")?,
-        l2_hits: f("l2_hits")?,
-        l3_hits: f("l3_hits")?,
-        dram_reqs: f("dram_reqs")?,
-        prefetch_issued: f("prefetch_issued")?,
-        prefetch_redundant: f("prefetch_redundant")?,
-        prefetch_useful: f("prefetch_useful")?,
-        prefetch_useless: f("prefetch_useless")?,
-        prefetch_late: f("prefetch_late")?,
-        prefetch_mshr_drops: f("prefetch_mshr_drops")?,
-        writebacks: f("writebacks")?,
-    })
-}
-
 fn engine_to_json(e: &EngineStats) -> Json {
     Json::Obj(vec![
         ("lookaheads".into(), Json::u64_of(e.lookaheads)),
@@ -337,21 +305,6 @@ fn engine_to_json(e: &EngineStats) -> Json {
     ])
 }
 
-fn engine_from_json(j: &Json) -> Option<EngineStats> {
-    let f = |k: &str| j.get(k)?.as_u64();
-    Some(EngineStats {
-        lookaheads: f("lookaheads")?,
-        branches_walked: f("branches_walked")?,
-        confidence_stops: f("confidence_stops")?,
-        brtc_stops: f("brtc_stops")?,
-        depth_stops: f("depth_stops")?,
-        candidates: f("candidates")?,
-        filtered: f("filtered")?,
-        queue_overflow: f("queue_overflow")?,
-        dbr_dropped: f("dbr_dropped")?,
-    })
-}
-
 fn cpi_to_json(s: &CpiStack) -> Json {
     Json::Obj(vec![
         ("width".into(), Json::u64_of(s.width)),
@@ -362,23 +315,6 @@ fn cpi_to_json(s: &CpiStack) -> Json {
             Json::Arr(s.lost.iter().map(|&v| Json::u64_of(v)).collect()),
         ),
     ])
-}
-
-fn cpi_from_json(j: &Json) -> Option<CpiStack> {
-    let lost_json = match j.get("lost")? {
-        Json::Arr(items) if items.len() == CpiComponent::COUNT => items,
-        _ => return None,
-    };
-    let mut lost = [0u64; CpiComponent::COUNT];
-    for (slot, v) in lost.iter_mut().zip(lost_json.iter()) {
-        *slot = v.as_u64()?;
-    }
-    Some(CpiStack {
-        width: j.get("width")?.as_u64()?,
-        cycles: j.get("cycles")?.as_u64()?,
-        committed_slots: j.get("committed_slots")?.as_u64()?,
-        lost,
-    })
 }
 
 /// Serializes one [`RunResult`].
@@ -413,136 +349,9 @@ pub fn result_to_json(r: &RunResult) -> Json {
     ])
 }
 
-/// Reconstructs a [`RunResult`]; `None` on any structural mismatch.
-pub fn result_from_json(j: &Json) -> Option<RunResult> {
-    let hist_json = match j.get("branch_fetch_hist")? {
-        Json::Arr(items) if items.len() == 5 => items,
-        _ => return None,
-    };
-    let mut branch_fetch_hist = [0u64; 5];
-    for (slot, v) in branch_fetch_hist.iter_mut().zip(hist_json.iter()) {
-        *slot = v.as_u64()?;
-    }
-    let engine = match j.get("engine")? {
-        Json::Null => None,
-        e => Some(engine_from_json(e)?),
-    };
-    let cpi = match j.get("cpi")? {
-        Json::Null => None,
-        c => Some(cpi_from_json(c)?),
-    };
-    Some(RunResult {
-        workload: j.get("workload")?.as_str()?.to_string(),
-        prefetcher: intern_prefetcher(j.get("prefetcher")?.as_str()?)?,
-        cycles: j.get("cycles")?.as_u64()?,
-        instructions: j.get("instructions")?.as_u64()?,
-        mem: mem_from_json(j.get("mem")?)?,
-        cond_branches: j.get("cond_branches")?.as_u64()?,
-        mispredicts: j.get("mispredicts")?.as_u64()?,
-        branch_fetch_hist,
-        engine,
-        pf_metadata_bytes: j.get("pf_metadata_bytes")?.as_u64()?,
-        cpi,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample_result() -> RunResult {
-        RunResult {
-            workload: "mcf".into(),
-            prefetcher: "bfetch",
-            cycles: 123_456,
-            instructions: 300_000,
-            mem: MemStats {
-                loads: 1,
-                stores: 2,
-                inst_fetches: 3,
-                l1i_misses: 4,
-                l1d_hits: 5,
-                l1d_misses: 6,
-                mshr_merges: 7,
-                l2_hits: 8,
-                l3_hits: 9,
-                dram_reqs: 10,
-                prefetch_issued: 11,
-                prefetch_redundant: 12,
-                prefetch_useful: 13,
-                prefetch_useless: 14,
-                prefetch_late: 15,
-                prefetch_mshr_drops: 16,
-                writebacks: 17,
-            },
-            cond_branches: 42,
-            mispredicts: 7,
-            branch_fetch_hist: [100, 40, 8, 1, 0],
-            engine: Some(EngineStats {
-                lookaheads: 1,
-                branches_walked: 2,
-                confidence_stops: 3,
-                brtc_stops: 4,
-                depth_stops: 5,
-                candidates: 6,
-                filtered: 7,
-                queue_overflow: 8,
-                dbr_dropped: 9,
-            }),
-            pf_metadata_bytes: u64::MAX,
-            cpi: Some(CpiStack {
-                width: 4,
-                cycles: 100,
-                committed_slots: 250,
-                lost: [10, 20, 15, 5, 5, 5, 30, 10, 20, 10, 15, 5],
-            }),
-        }
-    }
-
-    #[test]
-    fn result_round_trips_exactly() {
-        let r = sample_result();
-        let text = result_to_json(&r).to_string();
-        let back = result_from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn u64_values_do_not_lose_precision() {
-        // u64::MAX is not representable in f64; the Num-as-text scheme
-        // must still round-trip it
-        let r = sample_result();
-        let back =
-            result_from_json(&Json::parse(&result_to_json(&r).to_string()).unwrap()).unwrap();
-        assert_eq!(back.pf_metadata_bytes, u64::MAX);
-    }
-
-    #[test]
-    fn engine_none_round_trips() {
-        let mut r = sample_result();
-        r.engine = None;
-        let back =
-            result_from_json(&Json::parse(&result_to_json(&r).to_string()).unwrap()).unwrap();
-        assert_eq!(back.engine, None);
-    }
-
-    #[test]
-    fn cpi_none_round_trips() {
-        let mut r = sample_result();
-        r.cpi = None;
-        let back =
-            result_from_json(&Json::parse(&result_to_json(&r).to_string()).unwrap()).unwrap();
-        assert_eq!(back.cpi, None);
-    }
-
-    #[test]
-    fn missing_cpi_key_is_rejected() {
-        let mut j = result_to_json(&sample_result());
-        if let Json::Obj(fields) = &mut j {
-            fields.retain(|(k, _)| k != "cpi");
-        }
-        assert_eq!(result_from_json(&j), None);
-    }
 
     #[test]
     fn parser_handles_whitespace_and_escapes() {
@@ -573,19 +382,5 @@ mod tests {
         let s = Json::Str("a\"b\\c\nd".into()).to_string();
         assert_eq!(s, "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(Json::parse(&s).unwrap().as_str(), Some("a\"b\\c\nd"));
-    }
-
-    #[test]
-    fn unknown_prefetcher_name_is_rejected() {
-        assert_eq!(intern_prefetcher("bfetch"), Some("bfetch"));
-        let mut j = result_to_json(&sample_result());
-        if let Json::Obj(fields) = &mut j {
-            for (k, v) in fields.iter_mut() {
-                if k == "prefetcher" {
-                    *v = Json::Str("experimental-9".into());
-                }
-            }
-        }
-        assert_eq!(result_from_json(&j), None);
     }
 }

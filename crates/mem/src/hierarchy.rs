@@ -961,34 +961,6 @@ impl CoreMem {
     }
 }
 
-/// A read-only view over one core's private hierarchy, for diagnostics
-/// (`Core::diag`, `Core::enable_cpi`) that are generic over
-/// [`MemoryInterface`] but never issue accesses.
-#[derive(Debug)]
-pub struct CoreProbe<'a>(pub &'a CoreMem);
-
-impl MemoryInterface for CoreProbe<'_> {
-    fn access(&mut self, _core: usize, _kind: AccessKind, _addr: u64, _now: u64) -> AccessOutcome {
-        unreachable!("CoreProbe is a read-only view")
-    }
-
-    fn prefetch(&mut self, _core: usize, _addr: u64, _pc_hash: u16, _now: u64) -> Option<u64> {
-        unreachable!("CoreProbe is a read-only view")
-    }
-
-    fn stats(&self, _core: usize) -> &MemStats {
-        self.0.stats()
-    }
-
-    fn mshr_live(&self, _core: usize) -> usize {
-        self.0.mshr_live()
-    }
-
-    fn pf_mshr_live(&self, _core: usize) -> usize {
-        self.0.pf_mshr_live()
-    }
-}
-
 /// Chip-wide skip guards: lower bounds on the earliest outstanding fill
 /// completion and MSHR retirement anywhere on the chip. Stale-low is
 /// harmless (one wasted sweep); stale-high would skip retirements, so the

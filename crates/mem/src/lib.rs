@@ -43,7 +43,7 @@ pub mod probe;
 pub use cache::{CacheConfig, CacheStats, LineMeta, SetAssocCache};
 pub use dram::{Dram, DramConfig};
 pub use hierarchy::{
-    drain_chip, AccessKind, AccessOutcome, ChipGuard, CoreMem, CoreProbe, HierarchyConfig,
+    drain_chip, AccessKind, AccessOutcome, ChipGuard, CoreMem, HierarchyConfig,
     HitLevel, MemStats, MemoryInterface, MemorySystem, PrefetchFeedback, SharedMem,
 };
 pub use mshr::{MshrFile, MshrOutcome};

@@ -10,7 +10,7 @@ use crate::error::{DiagSnapshot, SimError};
 use bfetch_core::EngineStats;
 use bfetch_isa::Program;
 use bfetch_mem::{
-    drain_chip, AccessKind, AccessOutcome, ChipGuard, CoreMem, CoreProbe, MemStats,
+    drain_chip, AccessKind, AccessOutcome, ChipGuard, CoreMem, MemStats,
     MemoryInterface, MemorySystem, SharedMem,
 };
 use bfetch_stats::cpi::{CpiStack, TimelineSample};
@@ -296,7 +296,7 @@ fn snapshot_cores(cores: &[Core], mems: &[CoreMem], now: u64) -> DiagSnapshot {
         cores: cores
             .iter()
             .zip(mems)
-            .map(|(c, m)| c.diag(&CoreProbe(m)))
+            .map(|(c, m)| c.diag(m))
             .collect(),
     }
 }
@@ -485,7 +485,7 @@ pub(crate) fn run_ctrl(
                     // `RunResult::cycles`).
                     if cfg.cpi.enabled {
                         for (c, m) in st.cores.iter_mut().zip(st.mems.iter()) {
-                            c.enable_cpi(&cfg.cpi, &CoreProbe(m));
+                            c.enable_cpi(&cfg.cpi, m);
                         }
                     }
                     st.snaps = Some(

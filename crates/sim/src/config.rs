@@ -38,6 +38,24 @@ impl PrefetcherKind {
             PrefetcherKind::Perfect => "perfect",
         }
     }
+
+    /// The `&'static str` [`name`](Self::name) returns for `name`, or
+    /// `None` when no kind is called that (`NextN`'s degree is not part of
+    /// its name, so one representative per variant covers every name).
+    pub(crate) fn static_name(name: &str) -> Option<&'static str> {
+        [
+            Self::None,
+            Self::NextN(1),
+            Self::Stride,
+            Self::Sms,
+            Self::Isb,
+            Self::BFetch,
+            Self::Perfect,
+        ]
+        .iter()
+        .map(Self::name)
+        .find(|&n| n == name)
+    }
 }
 
 /// Deterministic fault injection for robustness testing: make the
@@ -78,10 +96,11 @@ pub enum ConfigError {
         /// The knob's field path (e.g. `"issue_width"`, `"dram.channels"`).
         knob: &'static str,
     },
-    /// A structural knob above what its container can index or what a
-    /// constructor should allocate on a file's say-so ([`MAX_WIDTH`],
-    /// [`MAX_ROB_ENTRIES`], [`MAX_MSHR_ENTRIES`], [`MAX_TABLE_ENTRIES`],
-    /// [`MAX_MHT_SLOTS`]).
+    /// A knob above what its container can index, what a constructor
+    /// should allocate on a file's say-so, or what a cycle stamp can
+    /// absorb ([`MAX_WIDTH`], [`MAX_ROB_ENTRIES`], [`MAX_MSHR_ENTRIES`],
+    /// [`MAX_TABLE_ENTRIES`], [`MAX_MHT_SLOTS`], [`MAX_DEGREE`],
+    /// [`MAX_LATENCY`]).
     TooLarge {
         /// The knob's field path.
         knob: &'static str,
@@ -157,6 +176,16 @@ pub const MAX_TABLE_ENTRIES: usize = 1 << 20;
 /// Most register-history slots per MHT entry: the entry's valid mask is
 /// one `u32` bit per slot.
 pub const MAX_MHT_SLOTS: usize = u32::BITS as usize;
+
+/// Largest prefetch degree (`stride.degree`, next-N's N): one triggering
+/// access pushes up to this many requests (the paper runs stride at 8).
+pub const MAX_DEGREE: usize = 64;
+
+/// Largest cycle count the model adds to a cycle stamp (cache and DRAM
+/// latencies, the DRAM line interval, pipeline penalties, the ARF sampling
+/// delay): 5 000× Table II's DRAM latency, and small enough that no stamp
+/// a run can reach overflows when a few of them are added to it.
+pub const MAX_LATENCY: u64 = 1 << 20;
 
 /// Checks one cache geometry the way `SetAssocCache::new` would, returning
 /// the problem instead of panicking.
@@ -388,6 +417,10 @@ impl SimConfig {
     /// simulation state is built; a failure comes back as a typed
     /// [`ConfigError`] naming the offending knob.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        let next_n = match self.prefetcher {
+            PrefetcherKind::NextN(n) => n,
+            _ => 1,
+        };
         let nonzero = [
             ("fetch_width", self.fetch_width as u64),
             ("issue_width", self.issue_width as u64),
@@ -406,14 +439,12 @@ impl SimConfig {
             ("bfetch.mht_slots", self.bfetch.mht_slots as u64),
             ("sms.agt_entries", self.sms.agt_entries as u64),
             ("stride.degree", self.stride.degree as u64),
+            ("prefetcher.next_n", next_n as u64),
         ];
         for (knob, v) in nonzero {
             if v == 0 {
                 return Err(ConfigError::Zero { knob });
             }
-        }
-        if self.prefetcher == PrefetcherKind::NextN(0) {
-            return Err(ConfigError::Zero { knob: "prefetcher.next_n" });
         }
         let bounded = [
             ("fetch_width", self.fetch_width, MAX_WIDTH),
@@ -432,10 +463,30 @@ impl SimConfig {
             ("sms.agt_entries", self.sms.agt_entries, MAX_TABLE_ENTRIES),
             ("sms.pht_entries", self.sms.pht_entries, MAX_TABLE_ENTRIES),
             ("stride.entries", self.stride.entries, MAX_TABLE_ENTRIES),
+            ("stride.degree", self.stride.degree, MAX_DEGREE),
+            ("prefetcher.next_n", next_n, MAX_DEGREE),
         ];
         for (knob, v, max) in bounded {
             if v > max {
                 return Err(ConfigError::TooLarge { knob, max });
+            }
+        }
+        let latencies = [
+            ("mul_latency", self.mul_latency),
+            ("mispredict_penalty", self.mispredict_penalty),
+            ("btb_miss_penalty", self.btb_miss_penalty),
+            ("l1i.latency", self.l1i.latency),
+            ("l1d.latency", self.l1d.latency),
+            ("l2.latency", self.l2.latency),
+            ("l3_latency", self.l3_latency),
+            ("dram.latency", self.dram.latency),
+            ("dram.line_interval", self.dram.line_interval),
+            ("dram.row_hit_latency", self.dram.row_hit_latency),
+            ("bfetch.arf_sampling_delay", self.bfetch.arf_sampling_delay),
+        ];
+        for (knob, v) in latencies {
+            if v > MAX_LATENCY {
+                return Err(ConfigError::TooLarge { knob, max: MAX_LATENCY as usize });
             }
         }
         // the slot array is `mht_entries × mht_slots` in one allocation
@@ -690,6 +741,9 @@ mod tests {
     fn prefetcher_names() {
         assert_eq!(PrefetcherKind::BFetch.name(), "bfetch");
         assert_eq!(PrefetcherKind::None.name(), "baseline");
+        assert_eq!(PrefetcherKind::static_name("next-n"), Some("next-n"));
+        assert_eq!(PrefetcherKind::static_name("perfect"), Some("perfect"));
+        assert_eq!(PrefetcherKind::static_name("experimental-9"), None);
     }
 
     #[test]
@@ -879,6 +933,33 @@ mod tests {
                 max: MAX_TABLE_ENTRIES
             })
         );
+    }
+
+    #[test]
+    fn prefetch_degrees_are_bounded() {
+        assert_bounded("stride.degree", MAX_DEGREE, |c, v| c.stride.degree = v);
+        assert_bounded("prefetcher.next_n", MAX_DEGREE, |c, v| {
+            c.prefetcher = PrefetcherKind::NextN(v)
+        });
+    }
+
+    /// Every knob the model adds to a cycle stamp, one line each.
+    #[test]
+    fn cycle_count_knobs_are_bounded() {
+        let max = MAX_LATENCY as usize;
+        assert_bounded("mul_latency", max, |c, v| c.mul_latency = v as u64);
+        assert_bounded("mispredict_penalty", max, |c, v| c.mispredict_penalty = v as u64);
+        assert_bounded("btb_miss_penalty", max, |c, v| c.btb_miss_penalty = v as u64);
+        assert_bounded("l1i.latency", max, |c, v| c.l1i.latency = v as u64);
+        assert_bounded("l1d.latency", max, |c, v| c.l1d.latency = v as u64);
+        assert_bounded("l2.latency", max, |c, v| c.l2.latency = v as u64);
+        assert_bounded("l3_latency", max, |c, v| c.l3_latency = v as u64);
+        assert_bounded("dram.latency", max, |c, v| c.dram.latency = v as u64);
+        assert_bounded("dram.line_interval", max, |c, v| c.dram.line_interval = v as u64);
+        assert_bounded("dram.row_hit_latency", max, |c, v| c.dram.row_hit_latency = v as u64);
+        assert_bounded("bfetch.arf_sampling_delay", max, |c, v| {
+            c.bfetch.arf_sampling_delay = v as u64
+        });
     }
 
     /// The smallest geometry `validate` accepts builds under every

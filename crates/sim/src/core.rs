@@ -33,7 +33,7 @@ use bfetch_bpred::{
 };
 use bfetch_core::{BFetchEngine, DecodedBranch};
 use bfetch_isa::{ArchState, Program, StaticInst};
-use bfetch_mem::{AccessKind, HitLevel, MemStats, MemoryInterface};
+use bfetch_mem::{AccessKind, CoreMem, HitLevel, MemStats, MemoryInterface};
 use bfetch_prefetch::{AccessEvent, Isb, NextN, PrefetchRequest, Prefetcher, Sms, Stride};
 use bfetch_snapshot::SnapshotError;
 use bfetch_stats::cpi::{CpiComponent, CpiConfig, CpiStack, TimelineSample};
@@ -416,7 +416,7 @@ impl Core {
     /// Captures this core's machine state for a watchdog abort report:
     /// where the pipeline is wedged (ROB head, prefetch queues, MSHRs,
     /// frontend stall), cheap enough to take once per abort.
-    pub fn diag<M: MemoryInterface>(&self, mem: &M) -> crate::error::CoreDiag {
+    pub fn diag(&self, mem: &CoreMem) -> crate::error::CoreDiag {
         crate::error::CoreDiag {
             core: self.id,
             committed: self.counters.committed,
@@ -429,8 +429,8 @@ impl Core {
             }),
             pf_queue_len: self.pf_queue.len(),
             engine_queue_len: self.engine.as_ref().map(|e| e.queue_len()),
-            mshr_live: mem.mshr_live(self.id),
-            pf_mshr_live: mem.pf_mshr_live(self.id),
+            mshr_live: mem.mshr_live(),
+            pf_mshr_live: mem.pf_mshr_live(),
             fetch_stall_until: self.fetch_stall_until,
         }
     }
@@ -447,7 +447,7 @@ impl Core {
     /// Called by the run harness right after warmup so the stack covers
     /// exactly the measurement window. `mem` seeds the sampler's
     /// interval-delta baselines.
-    pub fn enable_cpi<M: MemoryInterface>(&mut self, cfg: &CpiConfig, mem: &M) {
+    pub fn enable_cpi(&mut self, cfg: &CpiConfig, mem: &CoreMem) {
         if !cfg.enabled {
             return;
         }
@@ -458,7 +458,7 @@ impl Core {
             next_sample_at: cfg.timeline_interval.max(1),
             samples: Vec::new(),
             last_stack: CpiStack::new(width),
-            last_mem: *mem.stats(self.id),
+            last_mem: *mem.stats(),
             last_mispredicts: self.counters.mispredicts,
         }));
     }

@@ -16,7 +16,8 @@
 //! timeline, again without perturbing timing.
 //! [`SimSession::checkpoint_every`] / [`SimSession::resume`] snapshot the
 //! whole machine to disk and continue a killed run with byte-identical
-//! results (see DESIGN.md §15).
+//! results (see DESIGN.md §15); [`encode_results`] / [`decode_results`]
+//! put finished results in the same checksummed frame for the result cache.
 //!
 //! ## Fidelity notes (also in DESIGN.md)
 //!
@@ -41,13 +42,14 @@ pub mod session;
 mod snapshot;
 
 pub use analysis::{delta_cdfs, DeltaCdfs};
-pub use bfetch_snapshot::SnapshotError;
+pub use bfetch_snapshot::{SnapshotError, SCHEMA_VERSION};
 pub use bfetch_stats::{CpiComponent, CpiConfig, CpiStack, TimelineSample, TraceConfig};
 pub use cmp::{RunResult, SeqMem};
 pub use session::{RunOutput, SimSession, TraceOutput};
 pub use config::{
-    ConfigError, FaultInjection, PrefetcherKind, SimConfig, MAX_MHT_SLOTS, MAX_MSHR_ENTRIES,
-    MAX_ROB_ENTRIES, MAX_TABLE_ENTRIES, MAX_WIDTH,
+    ConfigError, FaultInjection, PrefetcherKind, SimConfig, MAX_DEGREE, MAX_LATENCY,
+    MAX_MHT_SLOTS, MAX_MSHR_ENTRIES, MAX_ROB_ENTRIES, MAX_TABLE_ENTRIES, MAX_WIDTH,
 };
 pub use error::{CoreDiag, DiagSnapshot, RobHeadDiag, SimError};
 pub use core::{Core, CoreCounters};
+pub use snapshot::{decode_results, encode_results};

@@ -22,11 +22,15 @@
 //! layers plus per-field validation on load turn any truncated or
 //! bit-flipped file into a typed
 //! [`SnapshotError`](bfetch_snapshot::SnapshotError).
+//!
+//! A result-cache entry is the same kind of frame with one section: the
+//! cache key and the finished results ([`encode_results`] /
+//! [`decode_results`]; the cache owns the file handling).
 
 use std::path::Path;
 
 use crate::cmp::{LoopState, RunResult, Snapshot};
-use crate::config::SimConfig;
+use crate::config::{PrefetcherKind, SimConfig};
 use crate::core::Core;
 use crate::error::SimError;
 use bfetch_isa::Program;
@@ -48,6 +52,9 @@ const SEC_CORES: u32 = 4;
 const SEC_MEM: u32 = 5;
 /// The driver loop's bookkeeping (cycle, watchdog, window, results).
 const SEC_LOOP: u32 = 6;
+/// A result-cache entry: its key, then each result's prefetcher name and
+/// [`save_result`] encoding.
+const SEC_RESULTS: u32 = 7;
 
 /// A fully reconstructed run: its identity plus the loop state to
 /// re-enter the cycle loop with. Produced by [`read_checkpoint`].
@@ -59,8 +66,8 @@ pub(crate) struct ResumeState {
     pub state: LoopState,
 }
 
-// `RunResult::prefetcher` is a &'static str derived from the config, so it
-// is reconstructed on load rather than serialized.
+// `RunResult::prefetcher` is a &'static str the loader supplies: the
+// config's in a checkpoint, the interned stored name in a cache entry.
 fn save_result(r: &RunResult, w: &mut Encoder) {
     r.workload.save(w);
     r.cycles.save(w);
@@ -88,6 +95,39 @@ fn load_result(r: &mut Decoder<'_>, prefetcher: &'static str) -> Result<RunResul
         pf_metadata_bytes: u64::load(r)?,
         cpi: Snap::load(r)?,
     })
+}
+
+/// Encodes a result-cache entry: `key` and `results` in one frame.
+pub fn encode_results(key: &str, results: &[RunResult]) -> Vec<u8> {
+    let mut w = Encoder::new();
+    w.put_len_bytes(key.as_bytes());
+    results.len().save(&mut w);
+    for r in results {
+        w.put_len_bytes(r.prefetcher.as_bytes());
+        save_result(r, &mut w);
+    }
+    let mut frame = FrameWriter::new();
+    frame.add(SEC_RESULTS, w);
+    frame.finish()
+}
+
+/// Decodes an [`encode_results`] frame into its key and results. A frame
+/// of another schema is [`SnapshotError::BadVersion`]; a prefetcher name
+/// no [`PrefetcherKind`] has is [`SnapshotError::Invalid`].
+pub fn decode_results(bytes: &[u8]) -> Result<(String, Vec<RunResult>), SnapshotError> {
+    let frame = FrameReader::parse(bytes)?;
+    let mut r = frame.section(SEC_RESULTS)?;
+    let key = String::load(&mut r)?;
+    let n = r.take_len()?;
+    let mut results = Vec::new();
+    for _ in 0..n {
+        let name = String::load(&mut r)?;
+        let prefetcher = PrefetcherKind::static_name(&name)
+            .ok_or(SnapshotError::Invalid { what: "unknown prefetcher name" })?;
+        results.push(load_result(&mut r, prefetcher)?);
+    }
+    r.finish()?;
+    Ok((key, results))
 }
 
 /// Serializes the whole run into a frame and writes it to `path`

@@ -336,6 +336,27 @@ fn non_power_of_two_brtc_is_a_typed_error_from_run_and_resume() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Cycle-count knobs are bounded too: an ARF sampling delay of `u64::MAX`
+/// (`bfetch.arf_sampling_delay`: after the nine leading words, the tag,
+/// four `usize` knobs, the `u8` threshold and four more words) used to
+/// overflow `now + delay` at the first register write.
+#[test]
+fn crafted_arf_sampling_delay_is_a_typed_error_from_resume() {
+    let dir = tmpdir("big-arf-delay");
+    let mut bytes = checkpoint_bytes(&dir);
+    let offset = 9 * 8 + 1 + 4 * 8 + 1 + 4 * 8;
+    patch_config_word(&mut bytes, offset, cfg().bfetch.arf_sampling_delay, u64::MAX);
+    let path = dir.join("crafted.snap");
+    std::fs::write(&path, &bytes).unwrap();
+    match SimSession::resume(&path) {
+        Err(SimError::Config(e)) => {
+            assert!(e.to_string().contains("arf_sampling_delay"), "{e}")
+        }
+        other => panic!("expected a config error, got {:?}", other.map(|_| ())),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn invalid_config_is_rejected_before_running() {
     let p = kernel("bad-cfg", 1024);

@@ -49,11 +49,13 @@ use std::path::Path;
 /// Magic bytes opening every snapshot file ("BFSNAP" + container rev).
 pub const MAGIC: [u8; 8] = *b"BFSNAP01";
 
-/// Schema version of the *contents* (section layout and struct fields).
+/// Schema version of the *contents* (section layout and struct fields),
+/// for checkpoints and result-cache entries alike; the result cache also
+/// prefixes every key with it.
 ///
-/// Bump this whenever any `Snap`/`SnapState` impl changes its byte layout;
-/// readers reject every version other than their own — see DESIGN.md §15
-/// for the compatibility policy.
+/// Bump this whenever any `Snap`/`SnapState` impl changes its byte layout
+/// or the cache key's derivation changes; readers reject every version
+/// other than their own — see DESIGN.md §15 for the compatibility policy.
 pub const SCHEMA_VERSION: u32 = 5;
 
 /// Typed error for every way a snapshot can fail to load.
@@ -816,13 +818,6 @@ impl<'a> FrameReader<'a> {
     }
 }
 
-/// Cheap structural validation: is `bytes` a complete, checksum-valid
-/// snapshot frame? (Used by cache GC to distinguish live sidecars from
-/// half-written junk without decoding the contents.)
-pub fn validate_frame(bytes: &[u8]) -> Result<(), SnapshotError> {
-    FrameReader::parse(bytes).map(|_| ())
-}
-
 /// Writes `bytes` to `path` atomically: a pid-tagged `*.tmp.{pid}` sibling
 /// is written, flushed, then renamed over the destination, so readers never
 /// observe a half-written snapshot.
@@ -1162,7 +1157,7 @@ mod tests {
         let bytes = sample_frame();
         write_file_atomic(&path, &bytes).unwrap();
         assert_eq!(read_file(&path).unwrap(), bytes);
-        validate_frame(&read_file(&path).unwrap()).unwrap();
+        FrameReader::parse(&read_file(&path).unwrap()).unwrap();
         // no tmp file left behind
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()

@@ -52,6 +52,9 @@ echo "==> benchmark driver: unit + smoke tests against the crates' public surfac
 # run. Host-speed regressions themselves are judged by `benchmark compare`
 # on sim_kips / peak_rss_mb, not by this script.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
+# cargo silently rewrites the frozen benchmark/Cargo.lock when a crate
+# gains a dependency edge; that is a change to the benchmark, not a refactor
+git diff --exit-code -- benchmark
 
 echo "==> CPI-stack smoke (ext_cpistack --quick) + timeline export"
 $BFETCH ext_cpistack --quick --small --kernels mcf,libquantum \
@@ -111,7 +114,7 @@ grep -q "pairs fully agree" target/FIG_realprog_quick.txt
 echo "==> fault injection: panic / livelock / runaway isolation end to end"
 cargo test -q -p bfetch-bench --test faults
 
-echo "==> cache GC: stranded tmp + stale schema swept, byte cap enforced"
+echo "==> cache GC: stranded tmp + stale schema swept, byte cap enforced, torn frame quarantined"
 printf 'half-written entry' >"$CACHE/deadbeefdeadbeef.json.tmp.99999"
 printf '{"schema":1,"key":"v1|old","results":[]}' >"$CACHE/0123456789abcdef.json"
 $BIN $ARGS --threads 4 --cache-gc --cache-cap 16K >/dev/null 2>"$CACHE/gc.err"
@@ -123,6 +126,17 @@ test ! -e "$CACHE/0123456789abcdef.json"
 KEPT=$(sed -n 's/.*cache-gc: kept [0-9]* entries (\([0-9]*\) bytes).*/\1/p' "$CACHE/gc.err")
 [ -n "$KEPT" ] && [ "$KEPT" -le 16384 ] || {
   echo "GC left $KEPT bytes, cap is 16384"; exit 1; }
+# a torn frame under a live entry's name: the next run quarantines it and
+# recomputes (stdout unchanged), and the next GC sweeps the .bad
+TORN=$(ls "$CACHE"/*.res | head -n 1)
+head -c 64 "$TORN" >"$CACHE/torn" && mv "$CACHE/torn" "$TORN"
+$BIN $ARGS --threads 4 >"$CACHE/torn.txt" 2>"$CACHE/torn.err"
+cmp "$CACHE/serial.txt" "$CACHE/torn.txt"
+grep -q " 1 recomputed" "$CACHE/torn.err"
+test -e "$TORN.bad"
+$BIN $ARGS --threads 4 --cache-gc >/dev/null 2>"$CACHE/gc.err"
+grep -q "1 quarantined + 0 stale" "$CACHE/gc.err"
+test ! -e "$TORN.bad"
 
 echo "==> checkpoint/resume: interrupt exit path + resume byte-identity"
 # BFETCH_HARNESS_INTERRUPT pre-arms the harness stop flag (the SIGINT

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use bfetch::core::EngineStats;
 use bfetch::isa::Program;
-use bfetch::mem::{drain_chip, ChipGuard, CoreMem, CoreProbe, MemStats, MemorySystem, SharedMem};
+use bfetch::mem::{drain_chip, ChipGuard, CoreMem, MemStats, MemorySystem, SharedMem};
 use bfetch::sim::{
     Core, CoreCounters, CoreDiag, CpiConfig, CpiStack, PrefetcherKind, RunOutput, SeqMem,
     SimConfig, SimError, SimSession,
@@ -47,7 +47,7 @@ impl View {
     fn of(core: &Core, mem: &CoreMem) -> Self {
         Self {
             counters: *core.counters(),
-            diag: core.diag(&CoreProbe(mem)),
+            diag: core.diag(mem),
             mem: *mem.stats(),
             engine: core.engine().map(|e| *e.stats()),
             cpi: core.cpi_stack().copied(),
@@ -92,7 +92,7 @@ impl Machine {
                 timeline_interval: 64,
             };
             for (c, m) in self.cores.iter_mut().zip(&self.mems) {
-                c.enable_cpi(&cpi, &CoreProbe(m));
+                c.enable_cpi(&cpi, m);
             }
         }
         drain_chip(&mut self.mems, &mut self.shared, now, &mut self.guard);
