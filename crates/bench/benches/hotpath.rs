@@ -1,6 +1,7 @@
 //! Hot-path microbenchmarks for the structures the per-cycle loop leans
 //! on: MSHR probes and allocation, cache probe+fill, the B-Fetch lookahead
-//! walk, a profiler span while the profiler is off, and a full
+//! walk, building mcf and the functional state a core starts from, a
+//! profiler span while the profiler is off, and a full
 //! `Core::cycle` against the real memory hierarchy. These
 //! are the operations the flat-table/packed-rank rewrite targets, so
 //! regressions here show up before they are visible in the `benchmark/`
@@ -15,6 +16,7 @@
 
 use bfetch_bpred::{CompositeConfidence, ConfidenceConfig, TournamentConfig, TournamentPredictor};
 use bfetch_core::{BFetchConfig, BFetchEngine, DecodedBranch};
+use bfetch_isa::ArchState;
 use bfetch_mem::{
     drain_chip, CacheConfig, ChipGuard, HitLevel, MemorySystem, MshrFile, SetAssocCache,
 };
@@ -33,13 +35,18 @@ fn median_of_3(batch: impl FnMut() -> f64) -> f64 {
 }
 
 /// Run `f` ITERS times and print ns/op (median of 3 batches).
-fn bench<R>(name: &str, mut f: impl FnMut() -> R) {
+fn bench<R>(name: &str, f: impl FnMut() -> R) {
+    bench_n(name, ITERS, f);
+}
+
+/// [`bench`] for operations too slow to repeat `ITERS` times.
+fn bench_n<R>(name: &str, iters: u64, mut f: impl FnMut() -> R) {
     let per_op = median_of_3(|| {
         let t = Instant::now();
-        for _ in 0..ITERS {
+        for _ in 0..iters {
             black_box(f());
         }
-        t.elapsed().as_nanos() as f64 / ITERS as f64
+        t.elapsed().as_nanos() as f64 / iters as f64
     });
     println!("{name:<28} {per_op:>10.1} ns/op");
 }
@@ -162,6 +169,14 @@ fn main() {
     });
 
     engine_walk();
+
+    // Building a program and the functional state every core starts from:
+    // mcf's 12 MB image is generated straight into its pages once, and a
+    // new state shares those pages instead of copying them.
+    let mcf = kernel_by_name("mcf").expect("kernel registered");
+    bench_n("kernel_build_mcf", 10, || mcf.build(Scale::Full).len());
+    let image = mcf.build(Scale::Full);
+    bench_n("arch_state_new_mcf", 1_000, || ArchState::new(&image).pc());
 
     // What every stage span in `Core::cycle` costs a run that never enabled
     // the profiler: a span opened and dropped.

@@ -53,6 +53,7 @@
 
 use crate::builder::{Label, ProgramBuilder};
 use crate::inst::Inst;
+use crate::mem::first_conflict;
 use crate::program::Program;
 use crate::reg::Reg;
 use std::collections::HashMap;
@@ -201,7 +202,8 @@ struct Assembler {
     /// offending site deterministically.
     label_order: Vec<String>,
     syms: HashMap<String, i64>,
-    segments: Vec<(u64, Vec<u64>)>,
+    /// Each `.data` segment: base, words, and the base operand's position.
+    segments: Vec<(u64, Vec<u64>, (u32, u32))>,
 }
 
 impl Assembler {
@@ -358,7 +360,8 @@ impl Assembler {
                         AsmErrorKind::BadOperand(format!(".data base {base} is negative")),
                     ));
                 }
-                self.segments.push((base as u64, Vec::new()));
+                let at = (self.line, Self::col_of(raw, args));
+                self.segments.push((base as u64, Vec::new(), at));
             }
             ".word" => {
                 if args.is_empty() {
@@ -410,7 +413,7 @@ impl Assembler {
 
     fn append_words(&mut self, col: u32, words: &[u64]) -> Result<(), AsmError> {
         match self.segments.last_mut() {
-            Some((_, seg)) => {
+            Some((_, seg, _)) => {
                 seg.extend_from_slice(words);
                 Ok(())
             }
@@ -792,16 +795,34 @@ impl Assembler {
                 _ => {}
             }
         }
-        for (base, words) in &self.segments {
+        let extents: Vec<(u64, usize)> = self
+            .segments
+            .iter()
+            .map(|(b, w, _)| (*b, w.len()))
+            .collect();
+        if let Some((i, j)) = first_conflict(&extents) {
+            let ((a, _, _), (b, _, (line, col))) = (&self.segments[i], &self.segments[j]);
+            let what = if i == j {
+                format!(".data {b:#x} runs past the end of the address space")
+            } else {
+                format!(".data {b:#x} overlaps the segment at {a:#x}")
+            };
+            return Err(AsmError {
+                line: *line,
+                col: *col,
+                kind: AsmErrorKind::BadOperand(what),
+            });
+        }
+        for (base, words, _) in self.segments {
             if !words.is_empty() {
-                self.b.init_words(*base, words);
+                self.b.init_words_iter(base, words);
             }
         }
-        let mut p = self.b.finish();
-        if let Some(name) = self.name {
-            p = Program::new(name, p.insts().to_vec(), p.data().to_vec());
-        }
-        Ok(p)
+        let p = self.b.finish();
+        Ok(match self.name {
+            Some(name) => p.renamed(name),
+            None => p,
+        })
     }
 }
 
@@ -1099,6 +1120,23 @@ mod tests {
     fn error_fill_overflow_guard() {
         let (_, _, k) = kind(".data 0x1000\n.zero 1<<40\nhalt\n");
         assert!(matches!(k, AsmErrorKind::ImmOverflow(_)), "{k:?}");
+    }
+
+    #[test]
+    fn error_overlapping_data_segments() {
+        let src = ".data 0x1000\n.word 1, 2\n.data 0x1008\n.word 3\nhalt\n";
+        assert_eq!(
+            kind(src),
+            (
+                3,
+                7,
+                AsmErrorKind::BadOperand(".data 0x1008 overlaps the segment at 0x1000".into())
+            )
+        );
+        // touching is not overlapping, and an empty segment covers nothing
+        assert!(
+            assemble(".data 0x1000\n.word 1\n.data 0x1008\n.word 3\n.data 0x1000\nhalt\n").is_ok()
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Label-based program assembler.
 
 use crate::inst::Inst;
+use crate::mem::Image;
 use crate::program::Program;
 use crate::reg::Reg;
 
@@ -30,7 +31,7 @@ pub struct Label(usize);
 pub struct ProgramBuilder {
     name: String,
     insts: Vec<Inst>,
-    data: Vec<(u64, Vec<u64>)>,
+    image: Image,
     labels: Vec<Option<usize>>,
     // (instruction index, label) pairs awaiting backpatch
     fixups: Vec<(usize, Label)>,
@@ -75,7 +76,14 @@ impl ProgramBuilder {
 
     /// Registers an initial data segment of 8-byte `words` at `base`.
     pub fn init_words(&mut self, base: u64, words: &[u64]) {
-        self.data.push((base, words.to_vec()));
+        self.init_words_iter(base, words.iter().copied());
+    }
+
+    /// [`ProgramBuilder::init_words`] from an iterator: the words go
+    /// straight into the program's data image, a page at a time, so a
+    /// generated image needs no buffer of its own.
+    pub fn init_words_iter(&mut self, base: u64, words: impl IntoIterator<Item = u64>) {
+        self.image.push(base, words);
     }
 
     // ---- convenience emitters -------------------------------------------
@@ -168,7 +176,8 @@ impl ProgramBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if any referenced label was never bound.
+    /// Panics if any referenced label was never bound, or if two data
+    /// segments share a word.
     pub fn finish(mut self) -> Program {
         for (idx, label) in self.fixups.drain(..) {
             let target = self.labels[label.0]
@@ -183,7 +192,7 @@ impl ProgramBuilder {
                 other => panic!("fixup on non-branch {other}"),
             };
         }
-        Program::new(self.name, self.insts, self.data)
+        Program::from_image(self.name, self.insts, self.image)
     }
 }
 
@@ -247,8 +256,18 @@ mod tests {
         b.init_words(0x9000, &[1, 2, 3]);
         b.halt();
         let p = b.finish();
-        assert_eq!(p.data().len(), 1);
-        assert_eq!(p.data()[0].1, vec![1, 2, 3]);
+        assert_eq!(p.data(), vec![(0x9000, vec![1, 2, 3])]);
+    }
+
+    #[test]
+    fn streamed_and_sliced_segments_agree() {
+        let mut b = ProgramBuilder::new("s");
+        b.init_words_iter(0x9000, (0..1000).map(|i| i * 3));
+        b.init_words(0x1_0000, &[7]);
+        b.halt();
+        let p = b.finish();
+        let streamed: Vec<u64> = (0..1000).map(|i| i * 3).collect();
+        assert_eq!(p.data(), vec![(0x9000, streamed), (0x1_0000, vec![7])]);
     }
 
     #[test]

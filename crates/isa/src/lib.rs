@@ -26,7 +26,7 @@
 //! // Sum a 16-element array.
 //! let mut b = ProgramBuilder::new("sum16");
 //! let base = 0x1_0000u64;
-//! b.init_words(base, &(0..16).map(|i| i as u64).collect::<Vec<_>>());
+//! b.init_words_iter(base, 0..16);
 //! b.li(Reg::R1, base as i64);      // cursor
 //! b.li(Reg::R2, (base + 16 * 8) as i64); // end
 //! b.li(Reg::R3, 0);                // accumulator

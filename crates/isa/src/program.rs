@@ -1,7 +1,7 @@
 //! Programs: instruction sequences plus initial data images.
 
 use crate::inst::{Inst, OpClass};
-use crate::mem::SparseMemory;
+use crate::mem::{Image, SparseMemory};
 use std::sync::Arc;
 
 /// Base byte address at which code is laid out (for I-cache modelling and
@@ -104,14 +104,32 @@ impl StaticInst {
 /// The instruction stream and data image are immutable once built and are
 /// shared behind `Arc`, so `Clone` is O(1) and the many per-core copies a
 /// CMP run makes (one per [`Core`](../bfetch_sim) plus the caller's) all
-/// alias one allocation. Data images run to megabytes (mcf's is ~12 MB), so
-/// this sharing is what keeps multi-program peak RSS flat.
+/// alias one allocation. The data image is kept once, as pages: every
+/// [`ArchState`](crate::ArchState) built from the program shares them and
+/// copies only a page it stores to (see [`SparseMemory`]).
 #[derive(Debug, Clone, Default)]
 pub struct Program {
     name: Arc<str>,
     insts: Arc<[Inst]>,
     decoded: Arc<[StaticInst]>,
-    data: Arc<[(u64, Vec<u64>)]>,
+    image: Arc<Image>,
+}
+
+/// What keeps `insts` and `image` from being a program, if anything: the
+/// reason a snapshot load reports, and the detail a constructor panics
+/// with.
+fn defect(insts: &[Inst], image: &Image) -> Option<(&'static str, String)> {
+    for (i, inst) in insts.iter().enumerate() {
+        if let Some(t) = inst.branch_target().filter(|&t| t >= insts.len()) {
+            return Some((
+                "branch target out of program range",
+                format!("instruction {i} ({inst}) targets out-of-range index {t}"),
+            ));
+        }
+    }
+    image
+        .conflict()
+        .map(|detail| ("data segments overlap or wrap", detail))
 }
 
 impl Program {
@@ -119,26 +137,37 @@ impl Program {
     ///
     /// # Panics
     ///
-    /// Panics if any branch target is out of range.
+    /// Panics if any branch target is out of range, or if two data
+    /// segments share a word.
     pub fn new(name: impl Into<String>, insts: Vec<Inst>, data: Vec<(u64, Vec<u64>)>) -> Self {
-        for (i, inst) in insts.iter().enumerate() {
-            if let Some(t) = inst.branch_target() {
-                assert!(
-                    t < insts.len(),
-                    "instruction {i} ({inst}) targets out-of-range index {t}"
-                );
-            }
+        let mut image = Image::default();
+        for (base, words) in data {
+            image.push(base, words);
+        }
+        Self::from_image(name.into(), insts, image)
+    }
+
+    /// [`Program::new`] over an image already laid out in pages.
+    pub(crate) fn from_image(name: String, insts: Vec<Inst>, image: Image) -> Self {
+        if let Some((_, detail)) = defect(&insts, &image) {
+            panic!("{detail}");
         }
         Self {
-            name: name.into().into(),
+            name: name.into(),
             decoded: insts
                 .iter()
                 .enumerate()
                 .map(|(i, &inst)| StaticInst::decode(i, inst))
                 .collect(),
             insts: insts.into(),
-            data: data.into(),
+            image: Arc::new(image),
         }
+    }
+
+    /// The same program under another name.
+    pub(crate) fn renamed(mut self, name: String) -> Self {
+        self.name = name.into();
+        self
     }
 
     /// The program's name (workload identifier).
@@ -195,16 +224,20 @@ impl Program {
         ((pc - CODE_BASE) / INST_BYTES) as usize
     }
 
-    /// Initial data segments `(base address, words)`.
-    pub fn data(&self) -> &[(u64, Vec<u64>)] {
-        &self.data
+    /// Initial data segments `(base address, words)`, in the order they
+    /// were given, each rebuilt from the image: a copy, for inspection and
+    /// round-trip checks.
+    pub fn data(&self) -> Vec<(u64, Vec<u64>)> {
+        self.image
+            .segments()
+            .iter()
+            .map(|&(base, n)| (base, self.image.words(base, n).collect()))
+            .collect()
     }
 
-    /// Materializes the initial data image into `mem`.
-    pub fn load_data(&self, mem: &mut SparseMemory) {
-        for (base, words) in self.data.iter() {
-            mem.store_words(*base, words);
-        }
+    /// A data memory holding the initial image, sharing its pages.
+    pub(crate) fn initial_memory(&self) -> SparseMemory {
+        self.image.state()
     }
 
     /// Count of static conditional branches (useful for predictor sizing
@@ -214,27 +247,25 @@ impl Program {
     }
 }
 
+/// The bytes of `(String, Vec<Inst>, Vec<(u64, Vec<u64>)>)` for the name,
+/// instructions and [`Program::data`], encoded in place.
 impl bfetch_snapshot::Snap for Program {
     fn save(&self, w: &mut bfetch_snapshot::Encoder) {
-        self.name.to_string().save(w);
-        self.insts.to_vec().save(w);
-        self.data.to_vec().save(w);
+        w.put_len_bytes(self.name.as_bytes());
+        bfetch_snapshot::save_slice(&self.insts, w);
+        self.image.save(w);
     }
 
     fn load(r: &mut bfetch_snapshot::Decoder<'_>) -> Result<Self, bfetch_snapshot::SnapshotError> {
         let name = String::load(r)?;
         let insts: Vec<Inst> = bfetch_snapshot::Snap::load(r)?;
-        let data: Vec<(u64, Vec<u64>)> = bfetch_snapshot::Snap::load(r)?;
-        // Validate branch targets here so a corrupt snapshot is a typed
-        // error rather than the constructor's panic.
-        for inst in &insts {
-            if inst.branch_target().is_some_and(|t| t >= insts.len()) {
-                return Err(bfetch_snapshot::SnapshotError::Invalid {
-                    what: "branch target out of program range",
-                });
-            }
+        let image = Image::load(r)?;
+        // checked here so a corrupt snapshot is a typed error rather than
+        // the constructor's panic
+        if let Some((what, _)) = defect(&insts, &image) {
+            return Err(bfetch_snapshot::SnapshotError::Invalid { what });
         }
-        Ok(Program::new(name, insts, data))
+        Ok(Program::from_image(name, insts, image))
     }
 }
 
@@ -242,6 +273,7 @@ impl bfetch_snapshot::Snap for Program {
 mod tests {
     use super::*;
     use crate::reg::Reg;
+    use bfetch_snapshot::Snap;
 
     fn tiny() -> Program {
         Program::new(
@@ -280,11 +312,54 @@ mod tests {
 
     #[test]
     fn data_image_loads() {
-        let p = tiny();
-        let mut m = SparseMemory::new();
-        p.load_data(&mut m);
+        let m = tiny().initial_memory();
         assert_eq!(m.load(0x1000), 9);
         assert_eq!(m.load(0x1008), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "data segments at 0x1010 and 0x1000 overlap")]
+    fn rejects_overlapping_segments() {
+        Program::new(
+            "bad",
+            vec![Inst::Halt],
+            vec![(0x1010, vec![1]), (0x1000, vec![2, 3, 4])],
+        );
+    }
+
+    #[test]
+    fn overlapping_segments_in_a_snapshot_are_invalid() {
+        let mut w = bfetch_snapshot::Encoder::new();
+        "bad".to_string().save(&mut w);
+        vec![Inst::Halt].save(&mut w);
+        vec![(0x1000u64, vec![1u64, 2]), (0x1008, vec![3])].save(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(
+            Program::load(&mut bfetch_snapshot::Decoder::new(&bytes)).unwrap_err(),
+            bfetch_snapshot::SnapshotError::Invalid {
+                what: "data segments overlap or wrap"
+            }
+        );
+    }
+
+    #[test]
+    fn snapshot_bytes_are_the_segment_list_encoding() {
+        let p = Program::new(
+            "segs",
+            vec![Inst::Halt],
+            vec![(0x2ff0, (0..700).collect()), (0x9, vec![]), (0x11, vec![5])],
+        );
+        let mut want = bfetch_snapshot::Encoder::new();
+        (p.name().to_string(), p.insts().to_vec(), p.data()).save(&mut want);
+        let mut got = bfetch_snapshot::Encoder::new();
+        p.save(&mut got);
+        let bytes = got.into_bytes();
+        assert_eq!(bytes, want.into_bytes());
+        let back = Program::load(&mut bfetch_snapshot::Decoder::new(&bytes)).unwrap();
+        assert_eq!(
+            (back.name(), back.insts(), back.data()),
+            (p.name(), p.insts(), p.data())
+        );
     }
 
     #[test]

@@ -39,16 +39,15 @@ pub struct ArchState {
 }
 
 impl ArchState {
-    /// Creates a fresh state for `program`, with its data image loaded and
-    /// the PC at the entry point.
+    /// Creates a fresh state for `program`, with the PC at the entry point
+    /// and a memory that shares the program's data image: no word is
+    /// copied until a store lands on its page.
     pub fn new(program: &Program) -> Self {
-        let mut mem = SparseMemory::new();
-        program.load_data(&mut mem);
         Self {
             regs: [0; NUM_REGS],
             pc: 0,
             halted: false,
-            mem,
+            mem: program.initial_memory(),
             retired: 0,
         }
     }
@@ -217,9 +216,16 @@ impl ArchState {
     }
 }
 
-// The full architectural state is plain data (the program itself is
-// snapshotted separately), so the struct macro captures it exactly.
-bfetch_snapshot::impl_snap_struct!(ArchState { regs, pc, halted, mem, retired });
+// Loaded into a state fresh from the same program, which supplies the
+// image the memory delta goes on top of (the program itself is
+// snapshotted separately).
+bfetch_snapshot::snap_state!(ArchState {
+    regs: val,
+    pc: val,
+    halted: val,
+    mem: state,
+    retired: val,
+});
 
 #[cfg(test)]
 mod tests {
@@ -331,6 +337,61 @@ mod tests {
         assert!(s.step(&p).is_some());
         assert!(s.step(&p).is_none());
         assert!(s.halted());
+    }
+
+    /// Overwrites the first word of each of `pages` image pages at `base`.
+    fn rewriter(base: u64, pages: u64) -> Program {
+        let mut b = ProgramBuilder::new("rewrite");
+        b.init_words_iter(base, (0..pages * 512).map(|i| i + 1));
+        for p in 0..pages {
+            b.li(Reg::R1, (base + p * 4096) as i64);
+            b.li(Reg::R2, 1000 + p as i64);
+            b.store(Reg::R2, Reg::R1, 0);
+        }
+        b.halt();
+        b.finish()
+    }
+
+    #[test]
+    fn a_store_is_private_to_the_state_that_made_it() {
+        let p = rewriter(0x10_0000, 2);
+        let (mut a, b) = (ArchState::new(&p), ArchState::new(&p));
+        a.run(&p, 100);
+        assert_eq!(
+            (a.mem().load(0x10_0000), a.mem().load(0x10_1000)),
+            (1000, 1001)
+        );
+        assert_eq!((a.mem().load(0x10_0008), a.mem().load(0x10_1008)), (2, 514));
+        assert_eq!((b.mem().load(0x10_0000), b.mem().load(0x10_1000)), (1, 513));
+        assert_eq!(ArchState::new(&p).mem().load(0x10_0000), 1);
+        assert_eq!(p.data(), vec![(0x10_0000, (1..=1024).collect())]);
+        assert_eq!(a.mem().owned_pages(), vec![0x100, 0x101]);
+        assert!(b.mem().owned_pages().is_empty());
+    }
+
+    #[test]
+    fn a_checkpoint_restores_onto_a_fresh_state() {
+        use bfetch_snapshot::{Decoder, Encoder, SnapState};
+        let p = rewriter(0x10_0000, 3);
+        let mut a = ArchState::new(&p);
+        a.run(&p, 7); // two of the three pages rewritten, mid-run
+        let mut w = Encoder::new();
+        a.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut b = ArchState::new(&p);
+        let mut r = Decoder::new(&bytes);
+        b.load_state(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(
+            (b.pc(), b.retired(), b.regs()),
+            (a.pc(), a.retired(), a.regs())
+        );
+        assert_eq!(b.mem().owned_pages(), vec![0x100, 0x101]);
+        a.run(&p, 100);
+        b.run(&p, 100);
+        for addr in (0x10_0000..0x10_3000).step_by(8) {
+            assert_eq!(a.mem().load(addr), b.mem().load(addr), "{addr:#x}");
+        }
     }
 
     #[test]

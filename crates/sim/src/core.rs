@@ -1307,7 +1307,7 @@ bfetch_snapshot::snap_state!(Core {
     id: skip,
     program: skip,
     params: skip,
-    arch: val,
+    arch: state,
     bp: state,
     ghr: val,
     btb: state,

@@ -7,8 +7,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use bfetch_isa::{Program, ProgramBuilder, Reg};
-use bfetch_sim::{PrefetcherKind, RunOutput, SimConfig, SimError, SimSession};
+use bfetch_isa::{ArchState, Program, ProgramBuilder, Reg};
+use bfetch_sim::{PrefetcherKind, RunOutput, SimConfig, SimError, SimSession, SnapshotError};
 
 fn kernel(name: &str, words: u64) -> Program {
     let mut b = ProgramBuilder::new(name);
@@ -195,6 +195,152 @@ fn resuming_the_same_checkpoint_twice_is_deterministic() {
     std::fs::write(&ckpt, &bytes).unwrap();
     let b = SimSession::resume(&ckpt).unwrap();
     assert_same_output(&a, &b);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+const IMAGE: u64 = 0x100_0000;
+const FRESH: u64 = 0x200_0000;
+const PAGE: u64 = 4096;
+
+/// No bundled workload stores into its own data image, so this one does:
+/// an 8-page image whose first half it rewrites, a line at a time, while
+/// it also fills four pages the image never had. Each pass bumps every
+/// rewritten word and branches on its parity, so a resume that lost a
+/// written page would take other branches than the fresh run.
+fn rewriter() -> Program {
+    let mut b = ProgramBuilder::new("ckpt-rewrite");
+    b.init_words_iter(IMAGE, 0..8 * PAGE / 8);
+    b.li(Reg::R1, IMAGE as i64);
+    b.li(Reg::R2, (IMAGE + 4 * PAGE) as i64);
+    b.li(Reg::R3, FRESH as i64);
+    b.li(Reg::R7, 1);
+    let top = b.label();
+    let even = b.label();
+    b.bind(top);
+    b.load(Reg::R4, Reg::R1, 0);
+    b.addi(Reg::R4, Reg::R4, 1);
+    b.store(Reg::R4, Reg::R1, 0);
+    b.and(Reg::R5, Reg::R4, Reg::R7);
+    b.beq(Reg::R5, Reg::R0, even);
+    b.store(Reg::R4, Reg::R3, 0);
+    b.bind(even);
+    b.addi(Reg::R1, Reg::R1, 64);
+    b.addi(Reg::R3, Reg::R3, 64);
+    b.blt(Reg::R1, Reg::R2, top);
+    b.halt();
+    b.finish()
+}
+
+/// Page numbers `[first, first + n)` of the pages from `base`.
+fn pages(base: u64, n: u64) -> impl Iterator<Item = u64> {
+    (0..n).map(move |i| base / PAGE + i)
+}
+
+#[test]
+fn a_run_that_rewrites_its_image_resumes_at_every_poll_point() {
+    let p = rewriter();
+    // one pass owns exactly the rewritten half and the created pages
+    let mut arch = ArchState::new(&p);
+    arch.run(&p, u64::MAX);
+    assert!(arch.halted());
+    let want: Vec<u64> = pages(IMAGE, 4).chain(pages(FRESH, 4)).collect();
+    assert_eq!(arch.mem().owned_pages(), want);
+
+    let uninterrupted = SimSession::new(cfg())
+        .instructions(3_000)
+        .run_one(&p)
+        .unwrap();
+    let dir = tmpdir("rewrite");
+    let ckpt = dir.join("checkpoint.snap");
+    let session = SimSession::new(cfg())
+        .instructions(3_000)
+        .checkpoint_every(0, &dir);
+    let (resumed, interrupts) =
+        run_with_constant_interrupts(session, std::slice::from_ref(&p), &ckpt);
+    assert!(interrupts >= 3, "run too short ({interrupts} interrupts)");
+    assert_same_output(&uninterrupted, &resumed);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Where [`rewriter`]'s memory delta starts in a single-core checkpoint:
+/// the cores section (id 4) opens with the core's `ArchState` — 32
+/// registers, the pc and the halted byte — and then its delta: a page
+/// count, then each page number and its 4096 bytes.
+fn delta_at(bytes: &[u8]) -> usize {
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let mut at = bfetch_snapshot::MAGIC.len() + 8;
+    while u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) != 4 {
+        at += 12 + word(at + 4) as usize;
+    }
+    at + 12 + 32 * 8 + 8 + 1
+}
+
+#[test]
+fn a_checkpoint_carries_only_the_pages_the_run_owns() {
+    let p = rewriter();
+    let dir = tmpdir("delta");
+    let ckpt = dir.join("checkpoint.snap");
+    let err = SimSession::new(cfg())
+        .instructions(3_000)
+        .checkpoint_every(0, &dir)
+        .stop_flag(armed_stop())
+        .run_one(&p)
+        .unwrap_err();
+    assert!(matches!(err, SimError::Interrupted { .. }));
+    let bytes = std::fs::read(&ckpt).unwrap();
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+
+    // the saved pages are exactly those a functional replay to the saved
+    // instruction count owns (the core restarts a halted program)
+    let at = delta_at(&bytes);
+    let n = word(at) as usize;
+    let keys: Vec<u64> = (0..n).map(|i| word(at + 8 + i * (8 + 4096))).collect();
+    let retired = word(at + 8 + n * (8 + 4096));
+    let mut arch = ArchState::new(&p);
+    while arch.retired() < retired {
+        if arch.halted() {
+            arch.restart();
+        }
+        arch.step(&p);
+    }
+    assert!(n >= 2, "the first poll comes after both first stores");
+    assert_eq!(keys, arch.mem().owned_pages());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_unsorted_or_duplicate_delta_page_is_a_typed_error() {
+    let p = rewriter();
+    let dir = tmpdir("bad-delta");
+    let ckpt = dir.join("checkpoint.snap");
+    let err = SimSession::new(cfg())
+        .instructions(3_000)
+        .checkpoint_every(0, &dir)
+        .stop_flag(armed_stop())
+        .run_one(&p)
+        .unwrap_err();
+    assert!(matches!(err, SimError::Interrupted { .. }));
+    let bytes = std::fs::read(&ckpt).unwrap();
+    let (first, second) = (delta_at(&bytes) + 8, delta_at(&bytes) + 8 + 8 + 4096);
+    let key = |at: usize| bytes[at..at + 8].to_vec();
+    let (a, b) = (key(first), key(second));
+    for (tag, keys) in [("unsorted", [&b, &a]), ("duplicate", [&a, &a])] {
+        let mut bad = bytes.clone();
+        bad[first..first + 8].copy_from_slice(keys[0]);
+        bad[second..second + 8].copy_from_slice(keys[1]);
+        let body = bad.len() - 4;
+        let crc = bfetch_snapshot::crc32(&bad[..body]);
+        bad[body..].copy_from_slice(&crc.to_le_bytes());
+        let path = dir.join(format!("{tag}.snap"));
+        std::fs::write(&path, &bad).unwrap();
+        match SimSession::resume(&path) {
+            Err(SimError::Snapshot(SnapshotError::Invalid { what })) => {
+                assert_eq!(what, "memory pages not strictly sorted", "{tag}")
+            }
+            Err(e) => panic!("{tag}: wrong error kind {e}"),
+            Ok(_) => panic!("{tag} delta resumed successfully"),
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

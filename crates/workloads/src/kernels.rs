@@ -337,16 +337,16 @@ fn mcf(scale: Scale) -> Program {
 
     // arc records: word 0 = node offset (random), word 1 = weight
     let mut r = rng(0x6d6366);
-    let mut words = vec![0u64; (arcs_bytes / 8) as usize];
-    for a in 0..n_arcs {
-        let w = (a * arc_stride / 8) as usize;
-        let node = nodes + (r.next_u64() % (nodes_bytes / 64)) * 64;
-        words[w] = node;
-        words[w + 1] = r.next_u64();
-    }
-
+    let arc_words = arc_stride / 8;
     let mut b = ProgramBuilder::new("mcf");
-    b.init_words(arcs, &words);
+    b.init_words_iter(
+        arcs,
+        (0..arcs_bytes / 8).map(|w| match (w / arc_words < n_arcs, w % arc_words) {
+            (true, 0) => nodes + (r.next_u64() % (nodes_bytes / 64)) * 64,
+            (true, 1) => r.next_u64(),
+            _ => 0,
+        }),
+    );
     b.li(Reg::R1, arcs as i64);
     b.li(Reg::R2, (arcs + arcs_bytes) as i64);
     let top = b.label();
@@ -373,12 +373,8 @@ fn astar(scale: Scale) -> Program {
     let bytes = sz(scale, 8 * 1024 * 1024);
     let cells = 0x100_0000u64;
     let mut r = rng(0x617374);
-    let mut words = vec![0u64; (bytes / 8) as usize];
-    for w in words.iter_mut() {
-        *w = r.next_u64();
-    }
     let mut b = ProgramBuilder::new("astar");
-    b.init_words(cells, &words);
+    b.init_words_iter(cells, (0..bytes / 8).map(|_| r.next_u64()));
     b.li(Reg::R1, cells as i64);
     b.li(Reg::R2, (cells + bytes) as i64);
     b.li(Reg::R5, 31);
@@ -416,13 +412,11 @@ fn soplex(scale: Scale) -> Program {
     let val = idx + nnz_bytes;
     let dense = val + nnz_bytes;
     let mut r = rng(0x73706c78);
-    let n = (nnz_bytes / 8) as usize;
-    let mut idx_words = vec![0u64; n];
-    for w in idx_words.iter_mut() {
-        *w = dense + (r.next_u64() % (vec_bytes / 8)) * 8;
-    }
     let mut b = ProgramBuilder::new("soplex");
-    b.init_words(idx, &idx_words);
+    b.init_words_iter(
+        idx,
+        (0..nnz_bytes / 8).map(|_| dense + (r.next_u64() % (vec_bytes / 8)) * 8),
+    );
     b.li(Reg::R1, idx as i64);
     b.li(Reg::R2, val as i64);
     b.li(Reg::R3, (idx + nnz_bytes) as i64);
@@ -448,14 +442,12 @@ fn sphinx(scale: Scale) -> Program {
     let list = 0x100_0000u64;
     let table = list + list_bytes;
     let mut r = rng(0x737068);
-    let n = (list_bytes / 8) as usize;
     let entries = table_bytes / 512;
-    let mut list_words = vec![0u64; n];
-    for w in list_words.iter_mut() {
-        *w = table + (r.next_u64() % entries) * 512;
-    }
     let mut b = ProgramBuilder::new("sphinx");
-    b.init_words(list, &list_words);
+    b.init_words_iter(
+        list,
+        (0..list_bytes / 8).map(|_| table + (r.next_u64() % entries) * 512),
+    );
     b.li(Reg::R1, list as i64);
     b.li(Reg::R2, (list + list_bytes) as i64);
     let top = b.label();
@@ -485,12 +477,8 @@ fn bzip2(_scale: Scale) -> Program {
     let bytes = 48 * 1024u64;
     let buf = 0x100_0000u64;
     let mut r = rng(0x627a);
-    let mut words = vec![0u64; (bytes / 8) as usize];
-    for w in words.iter_mut() {
-        *w = r.next_u64();
-    }
     let mut b = ProgramBuilder::new("bzip2");
-    b.init_words(buf, &words);
+    b.init_words_iter(buf, (0..bytes / 8).map(|_| r.next_u64()));
     b.li(Reg::R1, buf as i64);
     b.li(Reg::R2, (buf + bytes) as i64);
     b.li(Reg::R5, 1);

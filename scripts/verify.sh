@@ -37,13 +37,16 @@ cargo test --workspace --doc -q
 echo "==> timing bench compiles (criterion-benches feature); hot-path table recorded"
 cargo check -p bfetch-bench --benches --features criterion-benches -q
 # Seconds to run, and the only place the cost of a disabled profiler span
-# (span_disabled) and of one stepped core cycle (core_cycle_*) is a recorded
-# number; CI uploads the table. Informational: host-speed regressions are
+# (span_disabled), of one stepped core cycle (core_cycle_*) and of building
+# mcf and a fresh state from it (kernel_build_mcf, arch_state_new_mcf) is a
+# recorded number; CI uploads the table. Informational: host-speed regressions are
 # judged by `benchmark compare`, not here.
 cargo bench -q -p bfetch-bench --features criterion-benches --bench hotpath \
   | tee target/BENCH_hotpath.txt
 grep -q '^span_disabled ' target/BENCH_hotpath.txt
 grep -q '^core_cycle_gamess_bfetch ' target/BENCH_hotpath.txt
+grep -q '^arch_state_new_mcf ' target/BENCH_hotpath.txt
+grep -q '^kernel_build_mcf ' target/BENCH_hotpath.txt
 
 echo "==> benchmark driver: unit + smoke tests against the crates' public surface"
 # benchmark/ is its own package (own workspace table and lock file), so
