@@ -64,6 +64,9 @@ pub fn simulate(ctx: &Ctx) {
     if let Some(t) = ctx.parsed("--confidence") {
         cfg.bfetch = cfg.bfetch.with_confidence_threshold(t);
     }
+    if let Err(e) = cfg.validate() {
+        usage_error(e);
+    }
 
     // a mix runs its members in the order given (Opts::parse validated them)
     let names = opts.kernels.clone().unwrap_or_else(|| vec!["libquantum".to_string()]);

@@ -921,6 +921,81 @@ mod tests {
         assert_ne!(a.cache_key(), full.cache_key());
     }
 
+    /// Every leaf of the configuration tree moved off its baseline value
+    /// (nested structs as literals, so a new field must be listed here).
+    fn every_knob_moved() -> SimConfig {
+        use bfetch_core::BFetchConfig;
+        use bfetch_mem::{CacheConfig, DramConfig};
+        use bfetch_prefetch::{SmsConfig, StrideConfig};
+        use bfetch_sim::{CpiConfig, TraceConfig};
+        let mut c = SimConfig::baseline();
+        (c.fetch_width, c.issue_width, c.commit_width, c.rob_entries, c.mem_ports) = (8, 6, 5, 256, 3);
+        (c.mul_latency, c.mispredict_penalty, c.btb_miss_penalty) = (4, 12, 3);
+        c.bpred_scale = 2.0;
+        c.prefetcher = PrefetcherKind::NextN(3);
+        c.bfetch = BFetchConfig {
+            brtc_entries: 512,
+            mht_entries: 64,
+            mht_slots: 4,
+            filter_entries: 1024,
+            filter_threshold: 2,
+            confidence_threshold: 0.9,
+            max_lookahead: 16,
+            queue_entries: 50,
+            dbr_entries: 4,
+            arf_sampling_delay: 5,
+            loop_cnt_max: 15,
+            enable_filter: false,
+            enable_loops: false,
+            enable_patt: false,
+            arf_at_retire: true,
+        };
+        c.sms = SmsConfig { region_bytes: 4096, block_bytes: 256, agt_entries: 32, pht_entries: 8192 };
+        c.stride = StrideConfig { entries: 128, degree: 4 };
+        c.l1i = CacheConfig::new(32 * 1024, 4, 1);
+        c.l1d = CacheConfig::new(32 * 1024, 4, 3);
+        c.l2 = CacheConfig::new(512 * 1024, 16, 12);
+        (c.l3_bytes_per_core, c.l3_ways, c.l3_latency, c.l3_banks) = (4 << 20, 8, 30, 2);
+        c.dram = DramConfig {
+            latency: 250,
+            line_interval: 8,
+            channels: 2,
+            row_model: true,
+            banks_per_channel: 4,
+            row_bytes: 4096,
+            row_hit_latency: 100,
+        };
+        (c.l1d_mshrs, c.prefetch_buffers, c.model_writebacks) = (8, 16, true);
+        (c.prefetch_issue_per_cycle, c.warmup_insts) = (3, 7_000);
+        c.trace = TraceConfig { enabled: true, capacity: 1000 };
+        c.cpi = CpiConfig { enabled: true, timeline_interval: 5000 };
+        (c.watchdog_cycles, c.max_cycles) = (123_456, 9_999_999);
+        c.fault = FaultInjection { panic_at_insts: 11, freeze_at_insts: 22 };
+        c
+    }
+
+    /// The configuration's wire bytes (the checkpoint's config section)
+    /// and one cache key, as CRC-32s: a reordered or retyped leaf would
+    /// otherwise invalidate every cache entry and checkpoint silently.
+    #[test]
+    fn config_wire_bytes_and_cache_key_are_pinned() {
+        use bfetch_snapshot::{crc32, Encoder, Snap as _};
+        let pins = [
+            (SimConfig::baseline(), 438, 0xdc1f_fb3c, 0xb1eb_d776),
+            (every_knob_moved(), 446, 0xf5dc_0631, 0x93b9_1105),
+        ];
+        for (c, len, wire, key) in pins {
+            assert_eq!(c.validate(), Ok(()));
+            let mut w = Encoder::new();
+            c.save(&mut w);
+            let bytes = w.into_bytes();
+            assert_eq!((bytes.len(), crc32(&bytes)), (len, wire), "wire bytes moved");
+            let k = kernel_by_name("mcf").unwrap();
+            let point = GridPoint::single("pin", k, c, 10_000, Scale::Small);
+            assert_eq!(crc32(point.cache_key().as_bytes()), key, "cache key moved");
+        }
+    }
+
     #[test]
     fn push_grid_enumerates_kernels_times_configs() {
         let mut spec = SweepSpec::new();

@@ -145,9 +145,10 @@ impl Ctx {
     }
 }
 
-/// A usage error found after parsing (the value of a figure's own flag):
-/// the message on stderr, exit 2.
-pub fn usage_error(e: OptsError) -> ! {
+/// A usage error found after parsing (the value of a figure's own flag,
+/// or the configuration the flags add up to): the message on stderr,
+/// exit 2.
+pub fn usage_error(e: impl std::fmt::Display) -> ! {
     eprintln!("error: {e}");
     std::process::exit(2)
 }

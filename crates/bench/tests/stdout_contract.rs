@@ -164,3 +164,25 @@ fn removed_sim_threads_flag_is_rejected_with_usage() {
         assert!(!stderr.contains(usage_line), "usage still offers it:\n{stderr}");
     }
 }
+
+/// `simulate` validates the configuration its own flags build: a value
+/// `SimConfig::validate` refuses is a usage error naming the knob (exit 2,
+/// nothing on stdout), not a `FAILED` point or a run with a NaN threshold.
+#[test]
+fn simulate_rejects_a_configuration_its_flags_make_invalid() {
+    for (args, knob) in [
+        (["--width", "0"], "fetch_width"),
+        (["--width", "256"], "fetch_width"),
+        (["--confidence", "nan"], "bfetch.confidence_threshold"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_bfetch"))
+            .args(["simulate", "--no-cache", "--prefetcher", "bfetch"])
+            .args(args)
+            .output()
+            .expect("spawn simulate");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("config: {knob}")), "{args:?}: {stderr}");
+    }
+}

@@ -187,16 +187,6 @@ impl CompositeConfidence {
     }
 }
 
-bfetch_snapshot::impl_snap_struct!(ConfidenceConfig {
-    jrs_entries,
-    jrs_max,
-    jrs_threshold,
-    updown_entries,
-    updown_max,
-    updown_threshold,
-    self_threshold
-});
-
 bfetch_snapshot::snap_state!(CompositeConfidence {
     cfg: skip,
     jrs: slice("confidence jrs table"),

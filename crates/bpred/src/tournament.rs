@@ -270,15 +270,6 @@ impl TournamentPredictor {
     }
 }
 
-bfetch_snapshot::impl_snap_struct!(TournamentConfig {
-    local_history_entries,
-    local_history_bits,
-    local_pattern_entries,
-    global_entries,
-    chooser_entries,
-    global_history_bits
-});
-
 bfetch_snapshot::impl_snap_struct!(Prediction {
     taken,
     strength,

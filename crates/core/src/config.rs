@@ -94,24 +94,6 @@ impl Default for BFetchConfig {
     }
 }
 
-bfetch_snapshot::impl_snap_struct!(BFetchConfig {
-    brtc_entries,
-    mht_entries,
-    mht_slots,
-    filter_entries,
-    filter_threshold,
-    confidence_threshold,
-    max_lookahead,
-    queue_entries,
-    dbr_entries,
-    arf_sampling_delay,
-    loop_cnt_max,
-    enable_filter,
-    enable_loops,
-    enable_patt,
-    arf_at_retire
-});
-
 /// One row of the Table I storage breakdown.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StorageRow {

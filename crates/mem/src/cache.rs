@@ -271,12 +271,6 @@ impl SetAssocCache {
     }
 }
 
-bfetch_snapshot::impl_snap_struct!(CacheConfig {
-    size_bytes,
-    ways,
-    latency
-});
-
 bfetch_snapshot::impl_snap_struct!(LineMeta {
     prefetched,
     used,

@@ -177,16 +177,6 @@ impl Dram {
     }
 }
 
-bfetch_snapshot::impl_snap_struct!(DramConfig {
-    latency,
-    line_interval,
-    channels,
-    row_model,
-    banks_per_channel,
-    row_bytes,
-    row_hit_latency
-});
-
 bfetch_snapshot::impl_snap_struct!(Bank {
     open_row,
     busy_until

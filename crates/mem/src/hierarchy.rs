@@ -1247,19 +1247,6 @@ bfetch_snapshot::impl_snap_struct!(ChipGuard {
     earliest_mshr
 });
 
-bfetch_snapshot::impl_snap_struct!(HierarchyConfig {
-    cores,
-    l1i,
-    l1d,
-    l2,
-    l3,
-    l3_banks,
-    dram,
-    l1d_mshrs,
-    prefetch_buffers,
-    model_writebacks
-});
-
 // The pool is framed in canonical `(complete_at, seq, slot)` heap order and
 // rebuilt with compacted slots and an empty free list. Slot indices are a
 // storage detail: `(complete_at, seq)` pairs are unique (every producer

@@ -292,13 +292,6 @@ bfetch_snapshot::snap_state!(Isb {
     metadata_transfers: val,
 });
 
-bfetch_snapshot::impl_snap_struct!(IsbConfig {
-    degree,
-    stream_lines,
-    metadata_cache_pages,
-    metadata_page_bytes
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

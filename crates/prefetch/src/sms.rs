@@ -184,13 +184,6 @@ impl Sms {
     }
 }
 
-bfetch_snapshot::impl_snap_struct!(SmsConfig {
-    region_bytes,
-    block_bytes,
-    agt_entries,
-    pht_entries
-});
-
 bfetch_snapshot::impl_snap_struct!(AgtEntry {
     region,
     trigger_pc,

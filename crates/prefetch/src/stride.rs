@@ -176,7 +176,6 @@ bfetch_snapshot::snap_state!(Stride {
     table: slice("stride table"),
 });
 
-bfetch_snapshot::impl_snap_struct!(StrideConfig { entries, degree });
 bfetch_snapshot::impl_snap_enum!(State {
     State::Initial = 0,
     State::Transient = 1,

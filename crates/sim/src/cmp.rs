@@ -378,7 +378,8 @@ pub(crate) fn run_ctrl(
     let hard_cap: u64 = if cfg.max_cycles > 0 {
         cfg.max_cycles
     } else {
-        (cfg.warmup_insts + insts) * 600 + 4_000_000
+        // `insts` is the caller's, not a validated knob: saturate
+        cfg.warmup_insts.saturating_add(insts).saturating_mul(600).saturating_add(4_000_000)
     };
     // Forward-progress watchdog: one compare per cycle against a deadline;
     // the (more expensive) committed-total sum is recomputed only when the
@@ -1013,6 +1014,19 @@ mod tests {
             ),
             "expected budget error, got {err}"
         );
+    }
+
+    /// The derived budget saturates: the largest warmup `validate` accepts
+    /// plus a `u64::MAX` quota used to overflow computing it.
+    #[test]
+    fn the_derived_cycle_budget_saturates_at_the_warmup_bound() {
+        let p = stream_kernel(16 * 1024);
+        let mut cfg = quick_cfg(PrefetcherKind::None).with_warmup(crate::config::MAX_RUN_LENGTH);
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.watchdog_cycles = 2_000;
+        cfg.fault.freeze_at_insts = 4_000;
+        let err = try_run_single(&p, &cfg, u64::MAX).expect_err("frozen run must abort");
+        assert!(matches!(err, crate::SimError::Watchdog { .. }), "got {err}");
     }
 
     #[test]

@@ -39,22 +39,22 @@ impl PrefetcherKind {
         }
     }
 
+    /// One representative per variant, in snapshot tag order (`NextN`'s
+    /// degree is neither part of its name nor of its tag).
+    const ALL: [Self; 7] = [
+        Self::None,
+        Self::NextN(1),
+        Self::Stride,
+        Self::Sms,
+        Self::Isb,
+        Self::BFetch,
+        Self::Perfect,
+    ];
+
     /// The `&'static str` [`name`](Self::name) returns for `name`, or
-    /// `None` when no kind is called that (`NextN`'s degree is not part of
-    /// its name, so one representative per variant covers every name).
+    /// `None` when no kind is called that.
     pub(crate) fn static_name(name: &str) -> Option<&'static str> {
-        [
-            Self::None,
-            Self::NextN(1),
-            Self::Stride,
-            Self::Sms,
-            Self::Isb,
-            Self::BFetch,
-            Self::Perfect,
-        ]
-        .iter()
-        .map(Self::name)
-        .find(|&n| n == name)
+        Self::ALL.iter().map(Self::name).find(|&n| n == name)
     }
 }
 
@@ -98,9 +98,7 @@ pub enum ConfigError {
     },
     /// A knob above what its container can index, what a constructor
     /// should allocate on a file's say-so, or what a cycle stamp can
-    /// absorb ([`MAX_WIDTH`], [`MAX_ROB_ENTRIES`], [`MAX_MSHR_ENTRIES`],
-    /// [`MAX_TABLE_ENTRIES`], [`MAX_MHT_SLOTS`], [`MAX_DEGREE`],
-    /// [`MAX_LATENCY`]).
+    /// absorb (the `MAX_*` constants of this module).
     TooLarge {
         /// The knob's field path.
         knob: &'static str,
@@ -127,6 +125,15 @@ pub enum ConfigError {
         /// What is wrong with it.
         problem: &'static str,
     },
+    /// A real-valued knob outside its range, or NaN.
+    Range {
+        /// The knob's field path (e.g. `"bfetch.confidence_threshold"`).
+        knob: &'static str,
+        /// The smallest accepted value.
+        lo: f64,
+        /// The largest accepted value.
+        hi: f64,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -145,6 +152,9 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "config: {cache} geometry invalid: {problem}")
             }
             ConfigError::Table { knob, problem } => write!(f, "config: {knob} {problem}"),
+            ConfigError::Range { knob, lo, hi } => {
+                write!(f, "config: {knob} must be a number in [{lo}, {hi}]")
+            }
         }
     }
 }
@@ -177,8 +187,10 @@ pub const MAX_TABLE_ENTRIES: usize = 1 << 20;
 /// one `u32` bit per slot.
 pub const MAX_MHT_SLOTS: usize = u32::BITS as usize;
 
-/// Largest prefetch degree (`stride.degree`, next-N's N): one triggering
-/// access pushes up to this many requests (the paper runs stride at 8).
+/// Largest prefetch degree (`stride.degree`, next-N's N) and B-Fetch
+/// lookahead depth (`bfetch.max_lookahead`): one trigger pushes up to this
+/// many requests or walks this many branches (the paper runs stride at 8
+/// and reports an average lookahead of 8 blocks).
 pub const MAX_DEGREE: usize = 64;
 
 /// Largest cycle count the model adds to a cycle stamp (cache and DRAM
@@ -186,6 +198,20 @@ pub const MAX_DEGREE: usize = 64;
 /// delay): 5 000× Table II's DRAM latency, and small enough that no stamp
 /// a run can reach overflows when a few of them are added to it.
 pub const MAX_LATENCY: u64 = 1 << 20;
+
+/// Largest cache, per-core L3 share, SMS region or DRAM row in bytes: a
+/// cache allocates its tag, rank and metadata arrays whole (2²² lines here,
+/// about 100 MB), so a file must not be able to ask for more.
+pub const MAX_CACHE_BYTES: u64 = 1 << 28;
+
+/// Most L3 banks, DRAM channels or DRAM banks per channel: each is an
+/// array built whole at construction (`fig17_scale` uses 16 and 8).
+pub const MAX_BANKS: usize = 1 << 10;
+
+/// Largest instruction or cycle count a knob names (warmup, the timeline
+/// interval, the watchdog, the cycle budget, fault triggers): far beyond
+/// any run, and small enough that a cycle stamp plus one cannot overflow.
+pub const MAX_RUN_LENGTH: u64 = 1 << 40;
 
 /// Checks one cache geometry the way `SetAssocCache::new` would, returning
 /// the problem instead of panicking.
@@ -412,142 +438,6 @@ impl SimConfig {
         self
     }
 
-    /// Validates every knob a run would otherwise assert on deep inside a
-    /// component constructor. Called by the run entry points before any
-    /// simulation state is built; a failure comes back as a typed
-    /// [`ConfigError`] naming the offending knob.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        let next_n = match self.prefetcher {
-            PrefetcherKind::NextN(n) => n,
-            _ => 1,
-        };
-        let nonzero = [
-            ("fetch_width", self.fetch_width as u64),
-            ("issue_width", self.issue_width as u64),
-            ("commit_width", self.commit_width as u64),
-            ("rob_entries", self.rob_entries as u64),
-            ("mem_ports", self.mem_ports as u64),
-            ("l3_ways", self.l3_ways as u64),
-            ("l3_banks", self.l3_banks as u64),
-            ("l3_bytes_per_core", self.l3_bytes_per_core),
-            ("l1d_mshrs", self.l1d_mshrs as u64),
-            ("prefetch_buffers", self.prefetch_buffers as u64),
-            ("dram.channels", self.dram.channels as u64),
-            ("dram.line_interval", self.dram.line_interval),
-            ("dram.banks_per_channel", self.dram.banks_per_channel as u64),
-            ("dram.row_bytes", self.dram.row_bytes),
-            ("bfetch.mht_slots", self.bfetch.mht_slots as u64),
-            ("sms.agt_entries", self.sms.agt_entries as u64),
-            ("stride.degree", self.stride.degree as u64),
-            ("prefetcher.next_n", next_n as u64),
-        ];
-        for (knob, v) in nonzero {
-            if v == 0 {
-                return Err(ConfigError::Zero { knob });
-            }
-        }
-        let bounded = [
-            ("fetch_width", self.fetch_width, MAX_WIDTH),
-            ("issue_width", self.issue_width, MAX_WIDTH),
-            ("commit_width", self.commit_width, MAX_WIDTH),
-            ("rob_entries", self.rob_entries, MAX_ROB_ENTRIES),
-            ("mem_ports", self.mem_ports, MAX_WIDTH),
-            ("l1d_mshrs", self.l1d_mshrs, MAX_MSHR_ENTRIES),
-            ("prefetch_buffers", self.prefetch_buffers, MAX_MSHR_ENTRIES),
-            ("bfetch.brtc_entries", self.bfetch.brtc_entries, MAX_TABLE_ENTRIES),
-            ("bfetch.mht_entries", self.bfetch.mht_entries, MAX_TABLE_ENTRIES),
-            ("bfetch.mht_slots", self.bfetch.mht_slots, MAX_MHT_SLOTS),
-            ("bfetch.filter_entries", self.bfetch.filter_entries, MAX_TABLE_ENTRIES),
-            ("bfetch.queue_entries", self.bfetch.queue_entries, MAX_TABLE_ENTRIES),
-            ("bfetch.dbr_entries", self.bfetch.dbr_entries, MAX_TABLE_ENTRIES),
-            ("sms.agt_entries", self.sms.agt_entries, MAX_TABLE_ENTRIES),
-            ("sms.pht_entries", self.sms.pht_entries, MAX_TABLE_ENTRIES),
-            ("stride.entries", self.stride.entries, MAX_TABLE_ENTRIES),
-            ("stride.degree", self.stride.degree, MAX_DEGREE),
-            ("prefetcher.next_n", next_n, MAX_DEGREE),
-        ];
-        for (knob, v, max) in bounded {
-            if v > max {
-                return Err(ConfigError::TooLarge { knob, max });
-            }
-        }
-        let latencies = [
-            ("mul_latency", self.mul_latency),
-            ("mispredict_penalty", self.mispredict_penalty),
-            ("btb_miss_penalty", self.btb_miss_penalty),
-            ("l1i.latency", self.l1i.latency),
-            ("l1d.latency", self.l1d.latency),
-            ("l2.latency", self.l2.latency),
-            ("l3_latency", self.l3_latency),
-            ("dram.latency", self.dram.latency),
-            ("dram.line_interval", self.dram.line_interval),
-            ("dram.row_hit_latency", self.dram.row_hit_latency),
-            ("bfetch.arf_sampling_delay", self.bfetch.arf_sampling_delay),
-        ];
-        for (knob, v) in latencies {
-            if v > MAX_LATENCY {
-                return Err(ConfigError::TooLarge { knob, max: MAX_LATENCY as usize });
-            }
-        }
-        // the slot array is `mht_entries × mht_slots` in one allocation
-        if self.bfetch.mht_entries * self.bfetch.mht_slots > MAX_TABLE_ENTRIES {
-            return Err(ConfigError::TooLarge {
-                knob: "bfetch.mht_entries × mht_slots",
-                max: MAX_TABLE_ENTRIES,
-            });
-        }
-        let pow2 = [
-            ("bfetch.brtc_entries", self.bfetch.brtc_entries as u64),
-            ("bfetch.mht_entries", self.bfetch.mht_entries as u64),
-            ("bfetch.filter_entries", self.bfetch.filter_entries as u64),
-            ("sms.pht_entries", self.sms.pht_entries as u64),
-            ("sms.region_bytes", self.sms.region_bytes),
-            ("sms.block_bytes", self.sms.block_bytes),
-            ("stride.entries", self.stride.entries as u64),
-        ];
-        for (knob, v) in pow2 {
-            if !v.is_power_of_two() {
-                return Err(ConfigError::Table { knob, problem: "must be a power of two" });
-            }
-        }
-        let sms = |problem| Err(ConfigError::Table { knob: "sms.block_bytes", problem });
-        if self.sms.block_bytes < bfetch_mem::LINE_BYTES {
-            return sms("must be at least a cache line");
-        }
-        if self.sms.region_bytes <= self.sms.block_bytes {
-            return sms("must be smaller than the region");
-        }
-        if self.sms.blocks_per_region() > 32 {
-            return sms("leaves more than 32 blocks per region");
-        }
-        if bfetch_bpred::TournamentConfig::try_scaled(self.bpred_scale).is_none() {
-            return Err(ConfigError::BpredScale {
-                scale: self.bpred_scale,
-            });
-        }
-        check_cache("l1i", &self.l1i)?;
-        check_cache("l1d", &self.l1d)?;
-        check_cache("l2", &self.l2)?;
-        // The shared L3 is sized per core and split across banks; one core
-        // and one bank is the weakest geometry every run must satisfy (the
-        // banked split itself is re-checked per run in `hierarchy`, whose
-        // caller knows the core count).
-        check_cache(
-            "l3",
-            &CacheConfig::new(self.l3_bytes_per_core, self.l3_ways, self.l3_latency),
-        )?;
-        if !self
-            .l3_bytes_per_core
-            .is_multiple_of(self.l3_banks as u64)
-        {
-            return Err(ConfigError::Cache {
-                cache: "l3",
-                problem: "capacity must divide evenly across banks",
-            });
-        }
-        Ok(())
-    }
-
     /// The memory hierarchy configuration for `cores` cores.
     pub fn hierarchy(&self, cores: usize) -> HierarchyConfig {
         HierarchyConfig {
@@ -556,7 +446,9 @@ impl SimConfig {
             l1d: self.l1d,
             l2: self.l2,
             l3: CacheConfig::new(
-                self.l3_bytes_per_core * cores as u64,
+                self.l3_bytes_per_core
+                    .checked_mul(cores as u64)
+                    .expect("validate bounds l3_bytes_per_core far below overflow"),
                 self.l3_ways,
                 self.l3_latency,
             ),
@@ -575,81 +467,263 @@ impl Default for SimConfig {
     }
 }
 
+/// `config_fields!`'s `count(max)` (`min` 1) and `upto(max)` (`min` 0).
+#[doc(hidden)]
+pub fn check_bounded(knob: &'static str, v: u64, min: u64, max: u64) -> Result<(), ConfigError> {
+    if v < min {
+        return Err(ConfigError::Zero { knob });
+    }
+    if v > max {
+        return Err(ConfigError::TooLarge { knob, max: max as usize });
+    }
+    Ok(())
+}
+
+/// Declares a configuration tree once: every leaf with its domain, nested
+/// structs by path, in field order. From that one list it emits
+/// `validate` (each leaf checked against its domain, then the `check`
+/// block's cross-field rules) and the tree's [`Snap`](bfetch_snapshot::Snap)
+/// pair, which encodes the leaves inline in list order.
+///
+/// | domain | accepts | otherwise |
+/// |---|---|---|
+/// | `count(max)` | `1..=max` | `Zero`, `TooLarge` |
+/// | `upto(max)` | `0..=max` | `TooLarge` |
+/// | `pow2(max)` | powers of two up to `max` | `TooLarge`, `Table` |
+/// | `ratio(lo, hi)` | `f64` in `[lo, hi]` | `Range` (NaN included) |
+/// | `kind` | a [`PrefetcherKind`] whose Next-N degree is a `count(MAX_DEGREE)` | `Zero`, `TooLarge` |
+/// | `any` | every value of the type | — |
+/// | `geometry` | whatever the `check` block accepts with the leaf's siblings | — |
+///
+/// A knob is named by its path, `"dram.channels"` for a nested leaf.
+///
+/// ```
+/// #[derive(Clone)]
+/// struct Knobs { ways: usize, depth: u64 }
+/// bfetch_sim::config_fields!(Knobs { ways: count(8), depth: upto(4) } check |_k| { Ok(()) });
+/// assert!(Knobs { ways: 0, depth: 1 }.validate().is_err());
+/// assert!(Knobs { ways: 2, depth: 4 }.validate().is_ok());
+/// ```
+///
+/// The tree is rebuilt as a struct literal, so a field nobody classified
+/// does not compile:
+///
+/// ```compile_fail,E0063
+/// #[derive(Clone)]
+/// struct Knobs { ways: usize, depth: u64 }
+/// bfetch_sim::config_fields!(Knobs { ways: count(8) } check |_k| { Ok(()) });
+/// ```
+#[doc(hidden)]
+#[macro_export]
+macro_rules! config_fields {
+    ($ty:ident {
+        $($field:ident : $dom:ident $(($($arg:tt)*))? $({ $($body:tt)* })?),+ $(,)?
+    } check |$c:ident| $check:block) => {
+        impl $ty {
+            /// Checks each leaf against its `config_fields!` domain, then the
+            /// cross-field rules. Every run entry point calls it before
+            /// building state, so a bad knob is a typed [`ConfigError`]($crate::config::ConfigError), not a panic.
+            pub fn validate(&self) -> Result<(), $crate::config::ConfigError> {
+                $($crate::config_fields!(@each check(self) $field: $dom $(($($arg)*))? $({ $($body)* })?);)+
+                let $c = self;
+                $check
+            }
+        }
+
+        impl ::bfetch_snapshot::Snap for $ty {
+            fn save(&self, w: &mut ::bfetch_snapshot::Encoder) {
+                $($crate::config_fields!(@each save(self, w) $field: $dom $(($($arg)*))? $({ $($body)* })?);)+
+            }
+
+            fn load(
+                r: &mut ::bfetch_snapshot::Decoder<'_>,
+            ) -> Result<Self, ::bfetch_snapshot::SnapshotError> {
+                Ok(Self { $($field: $crate::config_fields!(@load r, $dom $({ $($body)* })?)),+ })
+            }
+        }
+
+        #[cfg(test)]
+        impl $ty {
+            /// `base` once per probe value of every leaf, with the knob's
+            /// name (see `config::tests::Probe`).
+            fn leaf_probes(base: &Self) -> Vec<(&'static str, Self)> {
+                let mut out = Vec::new();
+                $($crate::config_fields!(@each probe(base, out) $field: $dom $(($($arg)*))? $({ $($body)* })?);)+
+                out
+            }
+        }
+    };
+
+    // one `@$mode` call per leaf: its path from the root, name and domain
+    (@each $mode:ident $ctx:tt $f:ident: $ty:ident { $($sub:ident : $d:ident $(($($a:tt)*))?),+ $(,)? }) => {
+        $($crate::config_fields!(@$mode $ctx [$f.$sub] concat!(stringify!($f), ".", stringify!($sub)), $d $(($($a)*))?);)+
+    };
+    (@each $mode:ident $ctx:tt $f:ident: $($leaf:tt)+) => {
+        $crate::config_fields!(@$mode $ctx [$f] stringify!($f), $($leaf)+);
+    };
+    (@check ($s:ident) [$($p:ident).+] $k:expr, count($max:expr)) => {
+        $crate::config::check_bounded($k, $s.$($p).+ as u64, 1, $max as u64)?
+    };
+    (@check ($s:ident) [$($p:ident).+] $k:expr, upto($max:expr)) => {
+        $crate::config::check_bounded($k, $s.$($p).+ as u64, 0, $max as u64)?
+    };
+    (@check ($s:ident) [$($p:ident).+] $k:expr, pow2($max:expr)) => {
+        $crate::config::check_bounded($k, $s.$($p).+ as u64, 0, $max as u64)?;
+        if !($s.$($p).+ as u64).is_power_of_two() {
+            let problem = "must be a power of two";
+            return Err($crate::config::ConfigError::Table { knob: $k, problem });
+        }
+    };
+    (@check ($s:ident) [$($p:ident).+] $k:expr, ratio($lo:expr, $hi:expr)) => {
+        if !($lo..=$hi).contains(&$s.$($p).+) {
+            return Err($crate::config::ConfigError::Range { knob: $k, lo: $lo, hi: $hi });
+        }
+    };
+    (@check ($s:ident) [$($p:ident).+] $k:expr, kind) => {
+        if let $crate::config::PrefetcherKind::NextN(n) = $s.$($p).+ {
+            let max = $crate::config::MAX_DEGREE as u64;
+            $crate::config::check_bounded(concat!($k, ".next_n"), n as u64, 1, max)?
+        }
+    };
+    (@check $s:tt $p:tt $k:expr, any) => {};
+    (@check $s:tt $p:tt $k:expr, geometry) => {};
+    (@save ($s:ident, $w:ident) [$($p:ident).+] $k:expr, $($d:tt)+) => {
+        ::bfetch_snapshot::Snap::save(&$s.$($p).+, $w)
+    };
+    (@probe ($base:ident, $out:ident) [$($p:ident).+] $k:expr, $d:ident $(($max:expr $(, $hi:expr)?))?) => {
+        for v in $crate::config::tests::Probe::probes(u64::MAX $(.min($max as u64))?) {
+            let mut c = $base.clone();
+            c.$($p).+ = v;
+            $out.push(($k, c));
+        }
+    };
+    (@load $r:ident, $ty:ident { $($sub:ident : $d:ident $(($($a:tt)*))?),+ $(,)? }) => {
+        $ty { $($sub: ::bfetch_snapshot::Snap::load($r)?),+ }
+    };
+    (@load $r:ident, $d:ident) => { ::bfetch_snapshot::Snap::load($r)? };
+}
+
+config_fields!(SimConfig {
+    fetch_width: count(MAX_WIDTH),
+    issue_width: count(MAX_WIDTH),
+    commit_width: count(MAX_WIDTH),
+    rob_entries: count(MAX_ROB_ENTRIES),
+    mem_ports: count(MAX_WIDTH),
+    mul_latency: upto(MAX_LATENCY),
+    mispredict_penalty: upto(MAX_LATENCY),
+    btb_miss_penalty: upto(MAX_LATENCY),
+    bpred_scale: geometry,
+    prefetcher: kind,
+    bfetch: BFetchConfig {
+        brtc_entries: pow2(MAX_TABLE_ENTRIES),
+        mht_entries: pow2(MAX_TABLE_ENTRIES),
+        mht_slots: count(MAX_MHT_SLOTS),
+        filter_entries: pow2(MAX_TABLE_ENTRIES),
+        filter_threshold: any,
+        // above 1 stops every walk (a legitimate setting); 2 catches a
+        // percentage typed as a fraction
+        confidence_threshold: ratio(0.0, 2.0),
+        max_lookahead: upto(MAX_DEGREE),
+        queue_entries: upto(MAX_TABLE_ENTRIES),
+        dbr_entries: upto(MAX_TABLE_ENTRIES),
+        arf_sampling_delay: upto(MAX_LATENCY),
+        loop_cnt_max: any,
+        enable_filter: any,
+        enable_loops: any,
+        enable_patt: any,
+        arf_at_retire: any,
+    },
+    sms: SmsConfig {
+        region_bytes: pow2(MAX_CACHE_BYTES),
+        block_bytes: pow2(MAX_CACHE_BYTES),
+        agt_entries: count(MAX_TABLE_ENTRIES),
+        pht_entries: pow2(MAX_TABLE_ENTRIES),
+    },
+    stride: StrideConfig { entries: pow2(MAX_TABLE_ENTRIES), degree: count(MAX_DEGREE) },
+    l1i: CacheConfig { size_bytes: upto(MAX_CACHE_BYTES), ways: geometry, latency: upto(MAX_LATENCY) },
+    l1d: CacheConfig { size_bytes: upto(MAX_CACHE_BYTES), ways: geometry, latency: upto(MAX_LATENCY) },
+    l2: CacheConfig { size_bytes: upto(MAX_CACHE_BYTES), ways: geometry, latency: upto(MAX_LATENCY) },
+    l3_bytes_per_core: count(MAX_CACHE_BYTES),
+    l3_ways: count(usize::MAX), // bounded with the set count by check_cache
+    l3_latency: upto(MAX_LATENCY),
+    l3_banks: count(MAX_BANKS),
+    dram: DramConfig {
+        latency: upto(MAX_LATENCY),
+        line_interval: count(MAX_LATENCY),
+        channels: count(MAX_BANKS),
+        row_model: any,
+        banks_per_channel: count(MAX_BANKS),
+        row_bytes: count(MAX_CACHE_BYTES),
+        row_hit_latency: upto(MAX_LATENCY),
+    },
+    l1d_mshrs: count(MAX_MSHR_ENTRIES),
+    prefetch_buffers: count(MAX_MSHR_ENTRIES),
+    model_writebacks: any,
+    prefetch_issue_per_cycle: upto(MAX_WIDTH),
+    warmup_insts: upto(MAX_RUN_LENGTH),
+    trace: TraceConfig { enabled: any, capacity: count(MAX_TABLE_ENTRIES) },
+    cpi: CpiConfig { enabled: any, timeline_interval: upto(MAX_RUN_LENGTH) },
+    watchdog_cycles: upto(MAX_RUN_LENGTH),
+    max_cycles: upto(MAX_RUN_LENGTH),
+    fault: FaultInjection { panic_at_insts: upto(MAX_RUN_LENGTH), freeze_at_insts: upto(MAX_RUN_LENGTH) },
+} check |c| {
+    // the slot array is `mht_entries × mht_slots` in one allocation
+    if c.bfetch.mht_entries * c.bfetch.mht_slots > MAX_TABLE_ENTRIES {
+        return Err(ConfigError::TooLarge {
+            knob: "bfetch.mht_entries × mht_slots",
+            max: MAX_TABLE_ENTRIES,
+        });
+    }
+    let sms = |problem| Err(ConfigError::Table { knob: "sms.block_bytes", problem });
+    if c.sms.block_bytes < bfetch_mem::LINE_BYTES {
+        return sms("must be at least a cache line");
+    }
+    if c.sms.region_bytes <= c.sms.block_bytes {
+        return sms("must be smaller than the region");
+    }
+    if c.sms.blocks_per_region() > 32 {
+        return sms("leaves more than 32 blocks per region");
+    }
+    if bfetch_bpred::TournamentConfig::try_scaled(c.bpred_scale).is_none() {
+        return Err(ConfigError::BpredScale { scale: c.bpred_scale });
+    }
+    check_cache("l1i", &c.l1i)?;
+    check_cache("l1d", &c.l1d)?;
+    check_cache("l2", &c.l2)?;
+    // The shared L3 is sized per core and split across banks; one core
+    // and one bank is the weakest geometry every run must satisfy (the
+    // core count is the caller's).
+    check_cache("l3", &CacheConfig::new(c.l3_bytes_per_core, c.l3_ways, c.l3_latency))?;
+    if !c.l3_bytes_per_core.is_multiple_of(c.l3_banks as u64) {
+        return Err(ConfigError::Cache {
+            cache: "l3",
+            problem: "capacity must divide evenly across banks",
+        });
+    }
+    Ok(())
+});
+
 // NextN carries a payload, so the unit-variant macro does not apply.
 impl bfetch_snapshot::Snap for PrefetcherKind {
     fn save(&self, w: &mut bfetch_snapshot::Encoder) {
-        match self {
-            PrefetcherKind::None => w.put_u8(0),
-            PrefetcherKind::NextN(n) => {
-                w.put_u8(1);
-                n.save(w);
-            }
-            PrefetcherKind::Stride => w.put_u8(2),
-            PrefetcherKind::Sms => w.put_u8(3),
-            PrefetcherKind::Isb => w.put_u8(4),
-            PrefetcherKind::BFetch => w.put_u8(5),
-            PrefetcherKind::Perfect => w.put_u8(6),
+        let same = |k: &Self| std::mem::discriminant(k) == std::mem::discriminant(self);
+        w.put_u8(Self::ALL.iter().position(same).expect("every variant is listed") as u8);
+        if let PrefetcherKind::NextN(n) = self {
+            n.save(w);
         }
     }
 
     fn load(
         r: &mut bfetch_snapshot::Decoder<'_>,
     ) -> Result<Self, bfetch_snapshot::SnapshotError> {
-        Ok(match r.take_u8()? {
-            0 => PrefetcherKind::None,
-            1 => PrefetcherKind::NextN(usize::load(r)?),
-            2 => PrefetcherKind::Stride,
-            3 => PrefetcherKind::Sms,
-            4 => PrefetcherKind::Isb,
-            5 => PrefetcherKind::BFetch,
-            6 => PrefetcherKind::Perfect,
-            _ => {
-                return Err(bfetch_snapshot::SnapshotError::Invalid {
-                    what: "PrefetcherKind tag",
-                })
-            }
+        let tag = r.take_u8()? as usize;
+        let invalid = bfetch_snapshot::SnapshotError::Invalid { what: "PrefetcherKind tag" };
+        Ok(match *Self::ALL.get(tag).ok_or(invalid)? {
+            PrefetcherKind::NextN(_) => PrefetcherKind::NextN(usize::load(r)?),
+            kind => kind,
         })
     }
 }
-
-bfetch_snapshot::impl_snap_struct!(FaultInjection {
-    panic_at_insts,
-    freeze_at_insts
-});
-
-bfetch_snapshot::impl_snap_struct!(SimConfig {
-    fetch_width,
-    issue_width,
-    commit_width,
-    rob_entries,
-    mem_ports,
-    mul_latency,
-    mispredict_penalty,
-    btb_miss_penalty,
-    bpred_scale,
-    prefetcher,
-    bfetch,
-    sms,
-    stride,
-    l1i,
-    l1d,
-    l2,
-    l3_bytes_per_core,
-    l3_ways,
-    l3_latency,
-    l3_banks,
-    dram,
-    l1d_mshrs,
-    prefetch_buffers,
-    model_writebacks,
-    prefetch_issue_per_cycle,
-    warmup_insts,
-    trace,
-    cpi,
-    watchdog_cycles,
-    max_cycles,
-    fault
-});
 
 #[cfg(test)]
 mod tests {
@@ -1031,5 +1105,139 @@ mod tests {
         let back = SimConfig::load(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back, c);
+    }
+
+    #[test]
+    fn unset_and_oversized_run_knobs_are_rejected() {
+        let max = MAX_RUN_LENGTH as usize;
+        assert_bounded("warmup_insts", max, |c, v| c.warmup_insts = v as u64);
+        assert_bounded("watchdog_cycles", max, |c, v| c.watchdog_cycles = v as u64);
+        assert_bounded("max_cycles", max, |c, v| c.max_cycles = v as u64);
+        assert_bounded("cpi.timeline_interval", max, |c, v| c.cpi.timeline_interval = v as u64);
+        assert_bounded("fault.panic_at_insts", max, |c, v| c.fault.panic_at_insts = v as u64);
+        assert_bounded("fault.freeze_at_insts", max, |c, v| c.fault.freeze_at_insts = v as u64);
+        // `TraceSink::new` reserves the whole ring up front
+        assert_bounded("trace.capacity", MAX_TABLE_ENTRIES, |c, v| c.trace.capacity = v);
+        assert_eq!(rejection(|c| c.trace.capacity = 0), ConfigError::Zero { knob: "trace.capacity" });
+        assert_bounded("prefetch_issue_per_cycle", MAX_WIDTH, |c, v| c.prefetch_issue_per_cycle = v);
+        assert_bounded("bfetch.max_lookahead", MAX_DEGREE, |c, v| c.bfetch.max_lookahead = v);
+    }
+
+    #[test]
+    fn cache_capacities_are_bounded_before_any_allocation() {
+        let max = MAX_CACHE_BYTES as usize;
+        assert_bounded("l1i.size_bytes", max, |c, v| c.l1i.size_bytes = v as u64);
+        assert_bounded("l1d.size_bytes", max, |c, v| c.l1d.size_bytes = v as u64);
+        assert_bounded("l2.size_bytes", max, |c, v| c.l2.size_bytes = v as u64);
+        assert_bounded("l3_bytes_per_core", max, |c, v| c.l3_bytes_per_core = v as u64);
+        // 2⁴⁴ lines with a power-of-two set count: the geometry rules alone
+        // used to accept it
+        let c = rejection(|c| c.l1d.size_bytes = 1 << 50);
+        assert_eq!(c, ConfigError::TooLarge { knob: "l1d.size_bytes", max });
+        assert_bounded("l3_banks", MAX_BANKS, |c, v| {
+            c.l3_bytes_per_core = MAX_CACHE_BYTES;
+            c.l3_banks = v;
+        });
+        assert_bounded("dram.channels", MAX_BANKS, |c, v| c.dram.channels = v);
+        assert_bounded("dram.banks_per_channel", MAX_BANKS, |c, v| c.dram.banks_per_channel = v);
+    }
+
+    #[test]
+    fn a_nan_or_out_of_range_confidence_threshold_is_rejected() {
+        let range = ConfigError::Range { knob: "bfetch.confidence_threshold", lo: 0.0, hi: 2.0 };
+        for t in [f64::NAN, -0.5, 2.5, f64::INFINITY] {
+            let mut c = SimConfig::baseline();
+            c.bfetch.confidence_threshold = t;
+            assert_eq!(c.validate(), Err(range.clone()), "{t}");
+        }
+        let s = range.to_string();
+        assert!(s.contains("bfetch.confidence_threshold") && s.contains("[0, 2]"), "{s}");
+    }
+
+    /// The values the leaf walk sets a knob to: 0, one past its domain's
+    /// maximum and the type's largest (NaN and ±∞ for a real).
+    pub(super) trait Probe: Sized {
+        fn probes(max: u64) -> Vec<Self>;
+    }
+
+    macro_rules! probe_ints {
+        ($($t:ty),+) => {$(
+            impl Probe for $t {
+                fn probes(max: u64) -> Vec<Self> {
+                    [0, max.saturating_add(1), u64::MAX]
+                        .map(|v| <$t>::try_from(v).unwrap_or(<$t>::MAX))
+                        .to_vec()
+                }
+            }
+        )+};
+    }
+    probe_ints!(u8, u32, u64, usize);
+
+    impl Probe for bool {
+        fn probes(_: u64) -> Vec<Self> {
+            vec![false, true]
+        }
+    }
+
+    impl Probe for f64 {
+        fn probes(_: u64) -> Vec<Self> {
+            vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+        }
+    }
+
+    impl Probe for PrefetcherKind {
+        fn probes(_: u64) -> Vec<Self> {
+            usize::probes(MAX_DEGREE as u64).into_iter().map(PrefetcherKind::NextN).collect()
+        }
+    }
+
+    /// Every leaf the list knows, at each probe value, is a typed
+    /// `ConfigError` or a 1 000-cycle run that does not panic, under the
+    /// prefetcher that reads it (and with tracing and CPI accounting on,
+    /// so their knobs are read too).
+    #[test]
+    fn every_leaf_at_its_extremes_is_rejected_or_runs() {
+        use bfetch_isa::{ProgramBuilder, Reg};
+        let mut b = ProgramBuilder::new("walk");
+        b.li(Reg::R1, 0x100_0000);
+        b.li(Reg::R2, 0x100_0000 + 64 * 4096);
+        let top = b.label();
+        b.bind(top);
+        b.load(Reg::R4, Reg::R1, 0);
+        b.add(Reg::R5, Reg::R5, Reg::R4);
+        b.addi(Reg::R1, Reg::R1, 64);
+        b.blt(Reg::R1, Reg::R2, top);
+        b.halt();
+        let program = b.finish();
+
+        let mut base = SimConfig::baseline();
+        base.warmup_insts = 0;
+        base.max_cycles = 1_000;
+        base.trace.enabled = true;
+        base.cpi.enabled = true;
+        let probes = SimConfig::leaf_probes(&base);
+        let mut knobs: Vec<&str> = probes.iter().map(|(k, _)| *k).collect();
+        knobs.dedup();
+        assert_eq!(knobs.len(), 64, "one entry per leaf: {knobs:?}");
+        for (knob, mut c) in probes {
+            if knob != "prefetcher" {
+                c.prefetcher = match knob.split('.').next() {
+                    Some("sms") => PrefetcherKind::Sms,
+                    Some("stride") => PrefetcherKind::Stride,
+                    _ => PrefetcherKind::BFetch,
+                };
+            }
+            if c.validate().is_err() {
+                continue;
+            }
+            let run = std::panic::catch_unwind(|| {
+                crate::SimSession::new(c.clone()).instructions(2_000).run_one(&program)
+            });
+            match run {
+                Err(_) => panic!("{knob}: an accepted value panicked\n{c:?}"),
+                Ok(Err(crate::SimError::Config(e))) => panic!("{knob}: validate passed, run said {e}"),
+                Ok(_) => {}
+            }
+        }
     }
 }

@@ -503,6 +503,26 @@ fn crafted_arf_sampling_delay_is_a_typed_error_from_resume() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Cache capacities are bounded too: a 2⁵⁰-byte L1D (`l1d.size_bytes`:
+/// after the nine leading words, the tag, B-Fetch's 81 bytes, SMS's four
+/// words, stride's two and L1I's three) has a power-of-two set count, so
+/// the geometry rules alone let `SetAssocCache::new` try to allocate 2⁴⁴
+/// lines.
+#[test]
+fn crafted_oversized_cache_is_a_typed_error_from_resume() {
+    let dir = tmpdir("big-l1d");
+    let mut bytes = checkpoint_bytes(&dir);
+    let offset = 9 * 8 + 1 + 81 + (4 + 2 + 3) * 8;
+    patch_config_word(&mut bytes, offset, cfg().l1d.size_bytes, 1 << 50);
+    let path = dir.join("crafted.snap");
+    std::fs::write(&path, &bytes).unwrap();
+    match SimSession::resume(&path) {
+        Err(SimError::Config(e)) => assert!(e.to_string().contains("l1d.size_bytes"), "{e}"),
+        other => panic!("expected a config error, got {:?}", other.map(|_| ())),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn invalid_config_is_rejected_before_running() {
     let p = kernel("bad-cfg", 1024);

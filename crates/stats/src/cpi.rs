@@ -358,7 +358,6 @@ pub struct TimelineSample {
     pub lost: [u64; CpiComponent::COUNT],
 }
 
-bfetch_snapshot::impl_snap_struct!(CpiConfig { enabled, timeline_interval });
 bfetch_snapshot::impl_snap_struct!(CpiStack { width, cycles, committed_slots, lost });
 bfetch_snapshot::impl_snap_struct!(TimelineSample {
     core,

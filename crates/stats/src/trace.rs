@@ -614,7 +614,6 @@ impl bfetch_snapshot::Snap for TraceKind {
 }
 
 bfetch_snapshot::impl_snap_struct!(TraceEvent { cycle, core, kind });
-bfetch_snapshot::impl_snap_struct!(TraceConfig { enabled, capacity });
 bfetch_snapshot::impl_snap_struct!(LifecycleCounts {
     issued,
     dropped,
