@@ -74,6 +74,10 @@ pub fn simulate(ctx: &Ctx) {
         .iter()
         .map(|n| kernel_by_name(n).expect("--kernels names are validated when parsed"))
         .collect();
+    // one core per kernel: the shared L3 is sized by the count
+    if let Err(e) = cfg.check_cores(members.len()) {
+        usage_error(e);
+    }
 
     let insts = opts.instructions;
     let mut spec = SweepSpec::new();

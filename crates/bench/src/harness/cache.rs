@@ -6,7 +6,7 @@
 //! recursively includes every nested config struct — any field added to
 //! any config automatically changes the key). The key is hashed to a
 //! 128-bit filename. Each entry is one checksummed snapshot frame
-//! ([`bfetch_sim::encode_results`]) holding the full key string and the
+//! ([`bfetch_sim::write_results`]) holding the full key string and the
 //! results; the key is compared on load, so a hash collision degrades to
 //! a miss, never to a wrong result.
 //!
@@ -30,7 +30,8 @@
 //!   refreshes its entry's mtime, so recency tracking survives
 //!   `noatime`/`relatime` mounts.
 
-use bfetch_sim::{decode_results, encode_results, RunResult, SnapshotError};
+use bfetch_sim::{decode_results, write_results, RunResult, SnapshotError};
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, SystemTime};
@@ -70,10 +71,12 @@ pub fn file_name(key: &str) -> String {
 }
 
 /// The snapshot-sidecar filename for a canonical key: the same
-/// content-addressed stem with a `.snap` extension. The sidecar holds
-/// the checkpoint an interrupted or killed simulation of this exact grid
-/// point resumes from; it lives in the cache directory and joins the
-/// same tmp/quarantine/GC discipline as the result entries.
+/// content-addressed stem with a `.snap` extension. The sidecar is the
+/// state file of the checkpoint an interrupted or killed simulation of
+/// this exact grid point resumes from; the checkpoint's program file sits
+/// beside it as `<stem>.prog` ([`bfetch_sim::program_path`]). The pair
+/// lives in the cache directory and joins the same tmp/quarantine/GC
+/// discipline as the result entries.
 pub fn snap_name(key: &str) -> String {
     format!("{}.snap", stem(key))
 }
@@ -133,11 +136,12 @@ pub struct GcReport {
     pub removed_tmp: u64,
     /// Quarantined `*.bad` entries removed.
     pub removed_bad: u64,
-    /// Snapshot sidecars (`*.snap`) removed — resume state no sweep came
-    /// back for.
+    /// Snapshot sidecars (`*.snap`, each with its `*.prog`) removed —
+    /// resume state no sweep came back for.
     pub removed_snap: u64,
     /// Undecodable or stale-schema entries removed (e.g. stranded files
-    /// from before a schema bump, or pre-frame `*.json` entries).
+    /// from before a schema bump, or pre-frame `*.json` entries), and
+    /// program files (`*.prog`) with no `*.snap` to name them.
     pub removed_stale: u64,
     /// Valid entries LRU-evicted to fit the byte cap.
     pub evicted: u64,
@@ -154,8 +158,8 @@ impl std::fmt::Display for GcReport {
         write!(
             f,
             "cache-gc: kept {} entries ({} bytes), evicted {} (LRU), \
-             removed {} tmp + {} quarantined + {} stale + {} snapshots \
-             ({} bytes freed)",
+             removed {} tmp + {} quarantined + {} stale (entries, orphan .prog) \
+             + {} snapshots (.snap + .prog) ({} bytes freed)",
             self.kept,
             self.bytes_after,
             self.evicted,
@@ -259,54 +263,60 @@ impl ResultCache {
         Ok(None)
     }
 
-    /// Absolute path of the snapshot sidecar for `key` — where an
-    /// interrupted or killed simulation of this grid point left (or will
-    /// leave) its resumable checkpoint.
+    /// Absolute path of the snapshot sidecar for `key` — the state file
+    /// an interrupted or killed simulation of this grid point left (or
+    /// will leave) to resume from.
     pub fn snap_path(&self, key: &str) -> PathBuf {
         self.dir.join(snap_name(key))
     }
 
-    /// Quarantines a corrupt snapshot sidecar to `<name>.snap.bad` —
-    /// the same discipline as torn cache entries: never resumed again,
-    /// kept for post-mortem until the next GC sweep. Counted in
-    /// [`ResultCache::quarantined`].
+    /// The sidecar's pair: its state file, then its program file — the
+    /// order to delete them in, so a crash between the two leaves an
+    /// orphan program file (GC's to sweep), never a state file naming a
+    /// missing one.
+    fn sidecar(&self, key: &str) -> [PathBuf; 2] {
+        let snap = self.snap_path(key);
+        [snap.clone(), bfetch_sim::program_path(&snap)]
+    }
+
+    /// Quarantines a corrupt snapshot sidecar to `<stem>.snap.bad`, and its
+    /// program file to `<stem>.prog.bad` — the same discipline as torn
+    /// cache entries: never resumed again, kept for post-mortem until the
+    /// next GC sweep. Counted once in [`ResultCache::quarantined`].
     pub fn quarantine_snap(&self, key: &str) {
-        let path = self.snap_path(key);
-        let mut bad = path.clone().into_os_string();
-        bad.push(".bad");
-        let _ = std::fs::rename(&path, &bad);
+        for path in self.sidecar(key) {
+            let mut bad = path.clone().into_os_string();
+            bad.push(".bad");
+            let _ = std::fs::rename(&path, &bad);
+        }
         self.quarantined.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Removes the snapshot sidecar for `key` (best effort) — called
-    /// once the point completes and the resume state is obsolete.
+    /// Removes the snapshot sidecar for `key` and its program file (best
+    /// effort) — called once the point completes and the resume state is
+    /// obsolete.
     pub fn remove_snap(&self, key: &str) {
-        let _ = std::fs::remove_file(self.snap_path(key));
+        for path in self.sidecar(key) {
+            let _ = std::fs::remove_file(path);
+        }
     }
 
-    /// Stores `results` under `key` atomically: the entry is written to a
+    /// Stores `results` under `key` atomically: the entry is streamed to a
     /// pid-tagged temp name and renamed into place under the directory
     /// lock, so concurrent invocations serialize and a crash strands at
     /// worst a temp file (swept by [`ResultCache::gc`]).
     pub fn store(&self, key: &str, results: &[RunResult]) -> std::io::Result<()> {
-        let bytes = encode_results(key, results);
-        let final_path = self.dir.join(file_name(key));
-        let tmp_path = self.dir.join(format!(
-            "{}.tmp.{}",
-            file_name(key),
-            std::process::id()
-        ));
         let _lock = DirLock::acquire(&self.dir)?;
-        std::fs::write(&tmp_path, bytes)?;
-        std::fs::rename(&tmp_path, &final_path)
+        write_results(&self.dir.join(file_name(key)), key, results).map_err(std::io::Error::other)
     }
 
     /// Maintenance sweep under the directory lock: removes stranded
-    /// `*.tmp.*` files, quarantined `*.bad` entries, snapshot sidecars, and
-    /// stale entries — any that does not decode under the current
-    /// [`bfetch_sim::SCHEMA_VERSION`], and every pre-frame `*.json` entry;
-    /// then LRU-evicts valid entries, oldest recency first, until the
-    /// cache fits `max_bytes`.
+    /// `*.tmp.*` files, quarantined `*.bad` entries, snapshot sidecars
+    /// with their program files, and stale files — any entry that does not
+    /// decode under the current [`bfetch_sim::SCHEMA_VERSION`], every
+    /// pre-frame `*.json` entry, and every `*.prog` no `*.snap` names; then
+    /// LRU-evicts valid entries, oldest recency first, until the cache fits
+    /// `max_bytes`.
     ///
     /// Recency is the entry's mtime, which [`ResultCache::load`]
     /// refreshes on every hit — a deliberate stand-in for atime, which is
@@ -318,8 +328,10 @@ impl ResultCache {
         let mut report = GcReport::default();
         // (recency, name-tiebreak, path, size) of valid entries
         let mut live: Vec<(SystemTime, String, PathBuf, u64)> = Vec::new();
-        for entry in std::fs::read_dir(&self.dir)? {
-            let entry = entry?;
+        let entries = std::fs::read_dir(&self.dir)?.collect::<Result<Vec<_>, _>>()?;
+        let names: HashSet<String> =
+            entries.iter().map(|e| e.file_name().to_string_lossy().into_owned()).collect();
+        for entry in entries {
             let path = entry.path();
             if !entry.file_type()?.is_file() {
                 continue;
@@ -336,9 +348,18 @@ impl ResultCache {
                 report.removed_bad += 1;
             } else if name.ends_with(".snap") {
                 // resume state whose sweep never came back for it; GC is
-                // the explicit maintenance pass, so reclaim it
+                // the explicit maintenance pass, so reclaim it with the
+                // program file it names
                 std::fs::remove_file(&path)?;
+                let _ = std::fs::remove_file(bfetch_sim::program_path(&path));
                 report.removed_snap += 1;
+            } else if let Some(stem) = name.strip_suffix(".prog") {
+                // a program file goes with its sidecar (above); one with no
+                // sidecar is what a crash between the two renames leaves
+                if !names.contains(&format!("{stem}.snap")) {
+                    std::fs::remove_file(&path)?;
+                    report.removed_stale += 1;
+                }
             } else if name.ends_with(".res") || name.ends_with(".json") {
                 let meta = entry.metadata()?;
                 let valid = name.ends_with(".res")
@@ -411,6 +432,17 @@ mod tests {
         }
     }
 
+    /// The bytes of an entry storing `results` under the key `"k"`,
+    /// written by [`write_results`] into a fresh directory named by `tag`.
+    fn entry_bytes(tag: &str, results: &[RunResult]) -> Vec<u8> {
+        let dir = tmp_dir(tag);
+        let path = dir.join("entry.res");
+        write_results(&path, "k", results).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        bytes
+    }
+
     /// Backdates a file's mtime by `secs`, for LRU-order tests.
     fn backdate(path: &Path, secs: u64) {
         let f = std::fs::OpenOptions::new().write(true).open(path).unwrap();
@@ -469,18 +501,18 @@ mod tests {
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
-    /// An entry from before the last bump (a version-5 frame with a valid
+    /// An entry from before the last bump (a version-6 frame with a valid
     /// CRC) is a miss, never a misread; GC reclaims it as stale and the
     /// slot recomputes.
     #[test]
     fn schema_bump_invalidates() {
-        assert_eq!(bfetch_sim::SCHEMA_VERSION, 6);
+        assert_eq!(bfetch_sim::SCHEMA_VERSION, 7);
         let cache = ResultCache::new(tmp_dir("schema")).unwrap();
         cache.store("k", &[result("mcf", 1)]).unwrap();
         let path = cache.dir().join(file_name("k"));
         // frame: 8-byte magic, u32 version, …, u32 CRC-32 of the rest
         let mut frame = std::fs::read(&path).unwrap();
-        frame[8..12].copy_from_slice(&5u32.to_le_bytes());
+        frame[8..12].copy_from_slice(&6u32.to_le_bytes());
         let body = frame.len() - 4;
         let crc = bfetch_snapshot::crc32(&frame[..body]);
         frame[body..].copy_from_slice(&crc.to_le_bytes());
@@ -553,31 +585,61 @@ mod tests {
     #[test]
     fn snap_sidecars_follow_the_quarantine_and_gc_discipline() {
         let cache = ResultCache::new(tmp_dir("snap")).unwrap();
-        // the sidecar shares the entry's content-addressed stem
+        // the sidecar and its program file share the entry's
+        // content-addressed stem
         assert_eq!(
             snap_name("k").strip_suffix(".snap"),
             file_name("k").strip_suffix(".res"),
         );
         let snap = cache.snap_path("k");
+        let prog = cache.dir().join(format!("{}.prog", stem("k")));
+        assert_eq!(bfetch_sim::program_path(&snap), prog);
         std::fs::write(&snap, "torn checkpoint bytes").unwrap();
-        // quarantine renames to .snap.bad and counts it
+        std::fs::write(&prog, "its programs").unwrap();
+        // quarantine renames the pair to .snap.bad and .prog.bad and
+        // counts one quarantine
         cache.quarantine_snap("k");
-        assert!(!snap.exists());
+        assert!(!snap.exists() && !prog.exists());
         let bad = cache.dir().join(format!("{}.bad", snap_name("k")));
-        assert!(bad.exists());
+        let prog_bad = cache.dir().join(format!("{}.prog.bad", stem("k")));
+        assert!(bad.exists() && prog_bad.exists());
         assert_eq!(cache.quarantined(), 1);
-        // a fresh sidecar, a stranded atomic-write temp, and the
-        // quarantined one: GC sweeps all three under distinct counters
+        // a fresh pair, a stranded atomic-write temp, and the quarantined
+        // pair: GC sweeps them all under distinct counters
         std::fs::write(&snap, "resumable state").unwrap();
+        std::fs::write(&prog, "its programs").unwrap();
         let tmp = cache.dir().join(format!("{}.tmp.4242", snap_name("k")));
         std::fs::write(&tmp, "half a checkpoint").unwrap();
         let report = cache.gc(u64::MAX).unwrap();
         assert_eq!(report.removed_snap, 1);
-        assert_eq!(report.removed_bad, 1);
+        assert_eq!(report.removed_bad, 2);
         assert_eq!(report.removed_tmp, 1);
-        assert!(!snap.exists() && !bad.exists() && !tmp.exists());
-        // remove_snap is a no-op on an already-clean slot
+        assert_eq!(report.removed_stale, 0, "a program file its sidecar names is not stale");
+        for f in [&snap, &prog, &bad, &prog_bad, &tmp] {
+            assert!(!f.exists(), "{} survived GC", f.display());
+        }
+        // completion removes the pair; a no-op on an already-clean slot
+        std::fs::write(&snap, "resumable state").unwrap();
+        std::fs::write(&prog, "its programs").unwrap();
         cache.remove_snap("k");
+        assert!(!snap.exists() && !prog.exists());
+        cache.remove_snap("k");
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// A program file whose sidecar is gone (a crash between the two
+    /// renames, or a sidecar deleted by hand) is stale: GC sweeps and
+    /// counts it, and leaves a paired one to the sidecar's fate.
+    #[test]
+    fn gc_sweeps_an_orphan_program_file_as_stale() {
+        let cache = ResultCache::new(tmp_dir("orphan-prog")).unwrap();
+        cache.store("done", &[result("mcf", 1)]).unwrap();
+        let orphan = cache.dir().join(format!("{}.prog", stem("crashed")));
+        std::fs::write(&orphan, "programs nobody names").unwrap();
+        let report = cache.gc(u64::MAX).unwrap();
+        assert_eq!((report.removed_stale, report.removed_snap, report.kept), (1, 0, 1));
+        assert!(!orphan.exists());
+        assert!(report.to_string().contains("1 stale (entries, orphan .prog)"), "{report}");
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -700,7 +762,7 @@ mod tests {
             prefetcher: "experimental-9",
             ..result("mcf", 1)
         };
-        let entry = encode_results("k", &[crafted]);
+        let entry = entry_bytes("unknown-pf-entry", &[crafted]);
         assert_eq!(
             decode_results(&entry),
             Err(SnapshotError::Invalid { what: "unknown prefetcher name" })
@@ -726,8 +788,8 @@ mod tests {
             RunResult { cpi: None, ..full },
         ];
         for r in inputs {
-            let (key, back) =
-                decode_results(&encode_results("k", std::slice::from_ref(&r))).unwrap();
+            let entry = entry_bytes("extremes", std::slice::from_ref(&r));
+            let (key, back) = decode_results(&entry).unwrap();
             assert_eq!((key.as_str(), back), ("k", vec![r]));
         }
     }
@@ -748,8 +810,8 @@ mod tests {
         for needle in [
             "1 tmp",
             "2 quarantined",
-            "3 stale",
-            "6 snapshots",
+            "3 stale (entries, orphan .prog)",
+            "6 snapshots (.snap + .prog)",
             "evicted 4",
             "5 entries",
             "400 bytes freed",

@@ -34,13 +34,15 @@
 //!
 //! SIGINT (installed by [`Harness::from_opts`], see [`crate::interrupt`])
 //! stops the sweep gracefully: in-flight points checkpoint their machine
-//! state to snapshot sidecars (`<hash>.snap` next to the cache entries),
+//! state to snapshot sidecars (`<hash>.snap` next to the cache entries,
+//! with the point's programs written once beside it as `<hash>.prog`),
 //! pending points are skipped, the stderr report still runs, and the
 //! process exits with `[harness] interrupted` and status 130. Re-running
 //! the same command resumes every sidecar from its checkpoint —
 //! `--checkpoint-every N` additionally writes sidecars periodically so
-//! even a SIGKILL or a panic loses at most N cycles of work. Corrupt
-//! sidecars are quarantined to `.snap.bad` and the point recomputes;
+//! even a SIGKILL or a panic loses at most N cycles of work. A corrupt
+//! sidecar is quarantined with its program file (`.snap.bad`,
+//! `.prog.bad`) and the point recomputes; a completed point deletes both.
 //! DESIGN.md §15 documents the snapshot format and the determinism
 //! argument.
 
@@ -732,8 +734,9 @@ impl Harness {
         }
         // A cache miss with a snapshot sidecar on disk means an earlier
         // invocation was interrupted or killed mid-point: resume it. A
-        // sidecar that fails to parse is quarantined (`.snap.bad`) and
-        // the point recomputes from scratch.
+        // sidecar that fails to parse, or whose program file is missing or
+        // not the one it names, is quarantined with that file (`.snap.bad`,
+        // `.prog.bad`) and the point recomputes from scratch.
         if let Some(c) = &self.cache {
             if c.snap_path(key).exists() {
                 match self.resume_point(&c.snap_path(key)) {
@@ -781,10 +784,10 @@ impl Harness {
         session.run(&programs).map(|out| out.results)
     }
 
-    /// Resumes a point from its snapshot sidecar (the full machine state,
-    /// configuration and programs are inside the file). Re-interruption
-    /// rewrites the sidecar at the new cycle, so progress is monotone
-    /// across invocations.
+    /// Resumes a point from its snapshot sidecar (the full machine state
+    /// and configuration are inside the file, the programs in the program
+    /// file it names). Re-interruption rewrites the sidecar at the new
+    /// cycle, so progress is monotone across invocations.
     fn resume_point(&self, snap: &std::path::Path) -> Result<Vec<RunResult>, FailureKind> {
         let run = || match &self.stop {
             Some(stop) => SimSession::resume_with_stop(snap, stop.clone()),
@@ -981,8 +984,8 @@ mod tests {
     fn config_wire_bytes_and_cache_key_are_pinned() {
         use bfetch_snapshot::{crc32, Encoder, Snap as _};
         let pins = [
-            (SimConfig::baseline(), 438, 0xdc1f_fb3c, 0xb1eb_d776),
-            (every_knob_moved(), 446, 0xf5dc_0631, 0x93b9_1105),
+            (SimConfig::baseline(), 438, 0xdc1f_fb3c, 0x1cbb_a931),
+            (every_knob_moved(), 446, 0xf5dc_0631, 0x7bac_9548),
         ];
         for (c, len, wire, key) in pins {
             assert_eq!(c.validate(), Ok(()));

@@ -44,6 +44,18 @@ fn snap_path(dir: &std::path::Path, p: &GridPoint) -> PathBuf {
     dir.join(cache::snap_name(&p.cache_key()))
 }
 
+fn prog_path(dir: &std::path::Path, p: &GridPoint) -> PathBuf {
+    bfetch_sim::program_path(&snap_path(dir, p))
+}
+
+fn count_ext(dir: &std::path::Path, ext: &str) -> usize {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .flatten()
+        .filter(|e| e.path().extension().is_some_and(|x| x == ext))
+        .count()
+}
+
 /// A sweep stopped through a pre-armed flag (the same mechanism SIGINT
 /// uses) fails every point as `Interrupted`, leaves one sidecar per
 /// point, and a plain re-run resumes them all to results byte-identical
@@ -69,22 +81,23 @@ fn interrupted_sweep_leaves_sidecars_and_resumes_identically() {
     }
     for p in &spec.points {
         assert!(
-            snap_path(&dir, p).exists(),
-            "missing sidecar for {}",
+            snap_path(&dir, p).exists() && prog_path(&dir, p).exists(),
+            "missing sidecar or program file for {}",
             p.label
         );
     }
+    assert_eq!((count_ext(&dir, "snap"), count_ext(&dir, "prog")), (spec.len(), spec.len()));
 
     // Re-run without the stop flag: every point resumes from its
     // sidecar (counted as a simulation, not a cache hit) and the
-    // sidecar is consumed.
+    // sidecar is consumed with its program file.
     let resumed = Harness::new(2).with_cache_dir(&dir).quiet().run(&spec);
     assert!(resumed.failures.is_empty());
     assert_eq!(resumed.stats.sims_run, spec.len());
     assert_eq!(resumed.stats.cache_hits, 0);
     for p in &spec.points {
         assert!(
-            !snap_path(&dir, p).exists(),
+            !snap_path(&dir, p).exists() && !prog_path(&dir, p).exists(),
             "sidecar for {} must be removed after completion",
             p.label
         );
@@ -161,9 +174,13 @@ fn damaged_sidecar_recovers(
 
     let out = Harness::new(1).with_cache_dir(&dir).quiet().run(&spec);
     assert!(out.failures.is_empty(), "{tag}");
-    let mut bad = victim.into_os_string();
-    bad.push(".bad");
-    assert!(PathBuf::from(bad).exists(), "{tag} sidecar quarantined");
+    let prog = prog_path(&dir, &spec.points[0]);
+    for file in [victim, prog] {
+        let mut bad = file.clone().into_os_string();
+        bad.push(".bad");
+        assert!(PathBuf::from(bad).exists(), "{tag}: {} quarantined", file.display());
+        assert!(!file.exists(), "{tag}: {} left under its live name", file.display());
+    }
 
     let fresh = Harness::new(1).without_cache().quiet().run(&spec);
     assert_eq!(out.to_json(), fresh.to_json(), "{tag}");
@@ -173,9 +190,9 @@ fn damaged_sidecar_recovers(
 
 /// A checkpoint truncated mid-file (a torn write or a partial copy) is
 /// caught by the whole-file checksum; one left over from an earlier
-/// snapshot schema (a well-formed frame stamped version 1 to 5) is
-/// caught by the version check. None panics, all are quarantined and
-/// recomputed.
+/// snapshot schema (a well-formed frame stamped version 1 to 6) is
+/// caught by the version check. None panics, all are quarantined with
+/// their program file and recomputed.
 #[test]
 fn truncated_or_old_schema_sidecar_is_quarantined_and_recomputed() {
     damaged_sidecar_recovers("truncated", |b| b[..b.len() / 2].to_vec(), None);
@@ -185,6 +202,7 @@ fn truncated_or_old_schema_sidecar_is_quarantined_and_recomputed() {
         ("schema-v3", 3),
         ("schema-v4", 4),
         ("schema-v5", 5),
+        ("schema-v6", 6),
     ] {
         damaged_sidecar_recovers(
             tag,
@@ -198,10 +216,68 @@ fn truncated_or_old_schema_sidecar_is_quarantined_and_recomputed() {
             },
             Some(SnapshotError::BadVersion {
                 got: version,
-                want: 6,
+                want: bfetch_sim::SCHEMA_VERSION,
             }),
         );
     }
+}
+
+/// A resumable point whose program file went missing is quarantined and
+/// recomputed like any other damaged sidecar.
+#[test]
+fn sidecar_without_its_program_file_is_quarantined_and_recomputed() {
+    let dir = tmp_cache("no-prog");
+    let spec = sweep();
+    Harness::new(1)
+        .with_cache_dir(&dir)
+        .quiet()
+        .with_stop_flag(Arc::new(AtomicBool::new(true)))
+        .run(&spec);
+    let victim = &spec.points[0];
+    std::fs::remove_file(prog_path(&dir, victim)).unwrap();
+    let out = Harness::new(1).with_cache_dir(&dir).quiet().run(&spec);
+    assert!(out.failures.is_empty());
+    assert_eq!(out.stats.cache_recomputes, 1);
+    let fresh = Harness::new(1).without_cache().quiet().run(&spec);
+    assert_eq!(out.to_json(), fresh.to_json());
+    assert_eq!((count_ext(&dir, "snap"), count_ext(&dir, "prog")), (0, 0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A periodic checkpoint of mcf at its full footprint carries the
+/// machine state and no program: the 12 MB image is in the program file
+/// beside it, once, and the state file names it instead.
+#[test]
+fn a_periodic_mcf_state_file_is_small_and_holds_no_program() {
+    let dir = tmp_cache("mcf-size");
+    let mcf = kernel_by_name("mcf").unwrap().build(Scale::Full);
+    let cfg = SimConfig::baseline().with_prefetcher(PrefetcherKind::BFetch).with_warmup(20_000);
+    SimSession::new(cfg)
+        .instructions(10_000)
+        .checkpoint_every(65_536, &dir)
+        .run_one(&mcf)
+        .unwrap();
+    let state = std::fs::read(dir.join("checkpoint.snap")).expect("a periodic checkpoint");
+    assert!(state.len() <= 1_100_000, "state file is {} bytes", state.len());
+    let ids = bfetch_snapshot::FrameReader::parse(&state).unwrap().section_ids();
+    assert!(!ids.contains(&3), "state file has a programs section: {ids:?}");
+
+    // the program file holds mcf's encoding, whose head (name,
+    // instructions, the first page of the image) the state file lacks
+    let prog = std::fs::read(dir.join("checkpoint.prog")).unwrap();
+    assert!(prog.len() > 12_000_000, "program file is {} bytes", prog.len());
+    let mut head = Vec::new();
+    mcf.save_to(|b| {
+        if head.is_empty() {
+            head.extend_from_slice(b);
+        }
+        Ok::<_, std::convert::Infallible>(())
+    })
+    .unwrap();
+    assert!(head.len() > 4096);
+    assert!(prog.windows(head.len()).any(|w| w == head), "the program file holds the program");
+    assert!(!state.windows(head.len()).any(|w| w == head), "the state file holds program bytes");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// End-to-end crash recovery: a figure binary running with periodic

@@ -186,3 +186,24 @@ fn simulate_rejects_a_configuration_its_flags_make_invalid() {
         assert!(stderr.contains(&format!("config: {knob}")), "{args:?}: {stderr}");
     }
 }
+
+/// `--kernels` sets the core count, and the shared L3 is sized by it: a
+/// count the L3 cannot be built for (three cores make a 6 MB L3 of 6 144
+/// sets) is a usage error naming that geometry, not a panic in a worker.
+#[test]
+fn simulate_rejects_a_core_count_the_l3_cannot_be_built_for() {
+    for (kernels, cores) in [("mcf,gamess,lbm", 3), ("mcf,gamess,lbm,astar,milc", 5)] {
+        let out = Command::new(env!("CARGO_BIN_EXE_bfetch"))
+            .args(["simulate", "--no-cache", "--kernels", kernels])
+            .output()
+            .expect("spawn simulate");
+        assert_eq!(out.status.code(), Some(2), "{kernels}");
+        assert!(out.stdout.is_empty(), "{kernels} printed to stdout");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("config: l3 geometry invalid for {cores} cores")),
+            "{kernels}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}

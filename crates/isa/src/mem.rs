@@ -1,7 +1,7 @@
 //! Sparse, word-granularity data memory, copy-on-write against a program's
 //! initial image.
 
-use bfetch_snapshot::{Decoder, Encoder, Snap, SnapState, SnapshotError};
+use bfetch_snapshot::{Decoder, Encoder, Snap, SnapState, SnapshotError, Source};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -208,10 +208,18 @@ impl Image {
     /// Appends a segment: `words` land consecutively from `base` (aligned
     /// down), written straight into the pages, one page at a time.
     pub(crate) fn push(&mut self, base: u64, words: impl IntoIterator<Item = u64>) {
+        let mut addr = base & !7;
+        let n = self.fill(&mut addr, words);
+        self.segments.push((base, n));
+    }
+
+    /// Writes `words` consecutively from `*addr` and moves `*addr` past
+    /// them; returns how many there were.
+    fn fill(&mut self, addr: &mut u64, words: impl IntoIterator<Item = u64>) -> usize {
         let mut words = words.into_iter().peekable();
-        let (mut addr, mut n) = (base & !7, 0);
+        let mut n = 0;
         while words.peek().is_some() {
-            let (page, lo) = split(addr);
+            let (page, lo) = split(*addr);
             let page = self
                 .pages
                 .entry(page)
@@ -222,9 +230,9 @@ impl Image {
                 *slot = w;
                 n += 1;
             }
-            addr = addr.wrapping_add(8 * (n - before) as u64);
+            *addr = addr.wrapping_add(8 * (n - before) as u64);
         }
-        self.segments.push((base, n));
+        n
     }
 
     /// `(base address, word count)` of every segment, in the order pushed.
@@ -263,31 +271,51 @@ impl Image {
 }
 
 /// The segment encoding of `Vec<(u64, Vec<u64>)>` — count, then each
-/// segment's base, word count and words — written from the pages in place.
-impl Snap for Image {
-    fn save(&self, w: &mut Encoder) {
+/// segment's base, word count and words — written from the pages and read
+/// back into them, a page of words at a time either way.
+impl Image {
+    /// Appends the encoding to `w` and hands `w`'s bytes to `sink` (then
+    /// clears it) after every run of words within one page.
+    pub(crate) fn save_to<E>(
+        &self,
+        w: &mut Encoder,
+        sink: &mut impl FnMut(&[u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
         w.put_usize(self.segments.len());
         for &(base, n) in &self.segments {
             w.put_u64(base);
             w.put_usize(n);
-            for x in self.words(base, n) {
-                w.put_u64(x);
+            for (page, lo, hi) in page_runs(base, n) {
+                for &x in &self.pages[&page][lo..hi] {
+                    w.put_u64(x);
+                }
+                sink(w.as_bytes())?;
+                w.clear();
             }
         }
+        sink(w.as_bytes())?;
+        w.clear();
+        Ok(())
     }
 
-    fn load(r: &mut Decoder<'_>) -> Result<Self, SnapshotError> {
+    /// Reads what [`Image::save_to`] wrote.
+    pub(crate) fn read(s: &mut impl Source) -> Result<Self, SnapshotError> {
         let mut image = Image::default();
-        for _ in 0..r.take_len()? {
-            let base = r.take_u64()?;
-            let n = r.take_len()?;
-            let bytes = r.take_bytes(n.saturating_mul(8))?;
-            image.push(
-                base,
-                bytes
-                    .chunks_exact(8)
-                    .map(|c| u64::from_le_bytes(c.try_into().unwrap())),
-            );
+        for _ in 0..s.take_count(16)? {
+            let base = s.decode(8, |r| r.take_u64())?;
+            let n = s.take_count(8)?;
+            let (mut addr, mut left) = (base & !7, n);
+            while left > 0 {
+                let k = left.min(PAGE_WORDS);
+                s.decode(8 * k, |r| {
+                    let words = r.take_bytes(8 * k)?.chunks_exact(8);
+                    let word = |c: &[u8]| u64::from_le_bytes(c.try_into().expect("eight bytes"));
+                    image.fill(&mut addr, words.map(word));
+                    Ok(())
+                })?;
+                left -= k;
+            }
+            image.segments.push((base, n));
         }
         Ok(image)
     }

@@ -2,6 +2,8 @@
 
 use crate::inst::{Inst, OpClass};
 use crate::mem::{Image, SparseMemory};
+use bfetch_snapshot::{Decoder, Encoder, Snap, SnapshotError, Source};
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// Base byte address at which code is laid out (for I-cache modelling and
@@ -247,25 +249,51 @@ impl Program {
     }
 }
 
-/// The bytes of `(String, Vec<Inst>, Vec<(u64, Vec<u64>)>)` for the name,
-/// instructions and [`Program::data`], encoded in place.
-impl bfetch_snapshot::Snap for Program {
-    fn save(&self, w: &mut bfetch_snapshot::Encoder) {
+/// A program's encoding is the bytes of `(String, Vec<Inst>, Vec<(u64,
+/// Vec<u64>)>)` for the name, instructions and [`Program::data`], written
+/// from the pages in place. It is produced and consumed a page of the data
+/// image at a time, so a checkpoint streams a program of any size to and
+/// from its file without a whole copy.
+impl Program {
+    /// Hands the encoding to `sink` in pieces of at most a page of data
+    /// words (the first also carries the name and instructions).
+    pub fn save_to<E>(&self, mut sink: impl FnMut(&[u8]) -> Result<(), E>) -> Result<(), E> {
+        let mut w = Encoder::new();
         w.put_len_bytes(self.name.as_bytes());
-        bfetch_snapshot::save_slice(&self.insts, w);
-        self.image.save(w);
+        bfetch_snapshot::save_slice(&self.insts, &mut w);
+        self.image.save_to(&mut w, &mut sink)
     }
 
-    fn load(r: &mut bfetch_snapshot::Decoder<'_>) -> Result<Self, bfetch_snapshot::SnapshotError> {
-        let name = String::load(r)?;
-        let insts: Vec<Inst> = bfetch_snapshot::Snap::load(r)?;
-        let image = Image::load(r)?;
-        // checked here so a corrupt snapshot is a typed error rather than
-        // the constructor's panic
+    /// Decodes a program from `s`, a buffer or a frame section streamed
+    /// from a file. A corrupt encoding is a typed error, never the
+    /// constructor's panic.
+    pub fn read_from(s: &mut impl Source) -> Result<Self, SnapshotError> {
+        let n = s.take_count(1)?;
+        let name = s.decode(n, |r| {
+            String::from_utf8(r.take_bytes(n)?.to_vec())
+                .map_err(|_| SnapshotError::Invalid { what: "string is not UTF-8" })
+        })?;
+        let insts = (0..s.take_count(1)?)
+            .map(|_| s.decode(0, Inst::load))
+            .collect::<Result<Vec<_>, _>>()?;
+        let image = Image::read(s)?;
         if let Some((what, _)) = defect(&insts, &image) {
-            return Err(bfetch_snapshot::SnapshotError::Invalid { what });
+            return Err(SnapshotError::Invalid { what });
         }
         Ok(Program::from_image(name, insts, image))
+    }
+}
+
+impl Snap for Program {
+    fn save(&self, w: &mut Encoder) {
+        let Ok(()) = self.save_to(|bytes| {
+            w.put_bytes(bytes);
+            Ok::<_, Infallible>(())
+        });
+    }
+
+    fn load(r: &mut Decoder<'_>) -> Result<Self, SnapshotError> {
+        Program::read_from(r)
     }
 }
 

@@ -7,6 +7,7 @@ use std::sync::Arc;
 use crate::config::SimConfig;
 use crate::core::{Core, CoreCounters};
 use crate::error::{DiagSnapshot, SimError};
+use crate::snapshot::{self, ProgramFile};
 use bfetch_core::EngineStats;
 use bfetch_isa::Program;
 use bfetch_mem::{
@@ -177,6 +178,9 @@ pub(crate) struct RunCtrl {
     pub(crate) every: u64,
     /// Where checkpoints go; `None` disables writing entirely.
     pub(crate) path: Option<PathBuf>,
+    /// The program file this run's state files name: written at the first
+    /// checkpoint of a fresh run, the resumed state file's for a resume.
+    pub(crate) program_file: Option<ProgramFile>,
     /// Cooperative stop: when set, the run checkpoints (if armed) and
     /// returns [`SimError::Interrupted`] at the next poll point.
     pub(crate) stop: Option<Arc<AtomicBool>>,
@@ -416,7 +420,11 @@ pub(crate) fn run_ctrl(
             let stop_hit = ctrl.stop.as_ref().is_some_and(|s| s.load(Ordering::SeqCst));
             let due = ctrl.every > 0 && st.now - last_ckpt >= ctrl.every;
             if let (true, Some(path)) = (stop_hit || due, ctrl.path.as_ref()) {
-                crate::snapshot::write_checkpoint(path, cfg, programs, insts, ctrl.every, &st)?;
+                let file = match ctrl.program_file {
+                    Some(ref file) => file,
+                    None => ctrl.program_file.insert(snapshot::write_programs(path, programs)?),
+                };
+                snapshot::write_checkpoint(path, cfg, file, insts, ctrl.every, &st)?;
                 last_ckpt = st.now;
             }
             if stop_hit {

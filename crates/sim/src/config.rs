@@ -134,6 +134,22 @@ pub enum ConfigError {
         /// The largest accepted value.
         hi: f64,
     },
+    /// A run was given no programs: it has one core per program.
+    NoCores,
+    /// The shared L3 this many cores get cannot be built: `bytes` is
+    /// `l3_bytes_per_core × cores`, split evenly across `banks` banks.
+    L3 {
+        /// The run's core count.
+        cores: usize,
+        /// The L3's total capacity.
+        bytes: u64,
+        /// Its associativity.
+        ways: usize,
+        /// Its bank count.
+        banks: usize,
+        /// What is wrong with each bank's geometry.
+        problem: &'static str,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -155,6 +171,12 @@ impl std::fmt::Display for ConfigError {
             ConfigError::Range { knob, lo, hi } => {
                 write!(f, "config: {knob} must be a number in [{lo}, {hi}]")
             }
+            ConfigError::NoCores => write!(f, "config: a run needs a program per core, and has none"),
+            ConfigError::L3 { cores, bytes, ways, banks, problem } => write!(
+                f,
+                "config: l3 geometry invalid for {cores} cores \
+                 ({bytes} bytes, {ways} ways, l3_banks = {banks}): {problem}"
+            ),
         }
     }
 }
@@ -436,6 +458,33 @@ impl SimConfig {
     pub fn with_fault(mut self, fault: FaultInjection) -> Self {
         self.fault = fault;
         self
+    }
+
+    /// Checks what [`SimConfig::validate`] cannot, because the core count
+    /// is the run's: that there is a core ([`ConfigError::NoCores`]), and
+    /// that each bank of the L3 this many cores share can be built
+    /// ([`ConfigError::L3`]; three baseline cores make a 6 MB L3 of 6 144
+    /// sets, not a power of two). Every run and resume checks it before
+    /// building the hierarchy.
+    pub fn check_cores(&self, cores: usize) -> Result<(), ConfigError> {
+        if cores == 0 {
+            return Err(ConfigError::NoCores);
+        }
+        let bytes = self.l3_bytes_per_core.saturating_mul(cores as u64);
+        let Some(per_bank) = bytes.checked_div(self.l3_banks as u64) else {
+            return Err(ConfigError::Zero { knob: "l3_banks" });
+        };
+        let bank = CacheConfig::new(per_bank, self.l3_ways, self.l3_latency);
+        check_cache("l3", &bank).map_err(|e| match e {
+            ConfigError::Cache { problem, .. } => ConfigError::L3 {
+                cores,
+                bytes,
+                ways: self.l3_ways,
+                banks: self.l3_banks,
+                problem,
+            },
+            e => e,
+        })
     }
 
     /// The memory hierarchy configuration for `cores` cores.
@@ -760,6 +809,35 @@ mod tests {
         let c = SimConfig::baseline();
         assert_eq!(c.hierarchy(1).l3.size_bytes, 2 * 1024 * 1024);
         assert_eq!(c.hierarchy(4).l3.size_bytes, 8 * 1024 * 1024);
+    }
+
+    /// A power-of-two core count keeps the baseline L3's set count a power
+    /// of two; any other count is the L3 geometry error, and so is a bank
+    /// split that leaves a bank's set count odd.
+    #[test]
+    fn core_counts_the_l3_cannot_be_built_for_are_typed_errors() {
+        let c = SimConfig::baseline();
+        for cores in [1, 2, 4, 8, 64] {
+            assert_eq!(c.check_cores(cores), Ok(()), "{cores} cores");
+        }
+        for cores in [3, 5, 6, 7] {
+            let err = c.check_cores(cores).unwrap_err();
+            assert_eq!(
+                err,
+                ConfigError::L3 {
+                    cores,
+                    bytes: cores as u64 * c.l3_bytes_per_core,
+                    ways: c.l3_ways,
+                    banks: 1,
+                    problem: "set count must be a power of two",
+                }
+            );
+            assert!(err.to_string().contains(&format!("l3 geometry invalid for {cores} cores")), "{err}");
+        }
+        assert_eq!(c.check_cores(0), Err(ConfigError::NoCores));
+        let banked = SimConfig { l3_bytes_per_core: 3 << 20, l3_ways: 12, l3_banks: 3, ..c.clone() };
+        assert_eq!(banked.validate(), Ok(()));
+        assert!(matches!(banked.check_cores(2), Err(ConfigError::L3 { banks: 3, .. })));
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //! every lost commit slot to a root cause and samples an interval
 //! timeline, again without perturbing timing.
 //! [`SimSession::checkpoint_every`] / [`SimSession::resume`] snapshot the
-//! whole machine to disk and continue a killed run with byte-identical
-//! results (see DESIGN.md §15); [`encode_results`] / [`decode_results`]
-//! put finished results in the same checksummed frame for the result cache.
+//! whole machine to disk — a state file per checkpoint, the programs once
+//! per run beside it ([`program_path`]) — and continue a killed run with
+//! byte-identical results (see DESIGN.md §15); [`write_results`] /
+//! [`decode_results`] put finished results in the same checksummed frame
+//! for the result cache.
 //!
 //! ## Fidelity notes (also in DESIGN.md)
 //!
@@ -53,4 +55,4 @@ pub use config::{
 };
 pub use error::{CoreDiag, DiagSnapshot, RobHeadDiag, SimError};
 pub use core::{Core, CoreCounters};
-pub use snapshot::{decode_results, encode_results};
+pub use snapshot::{decode_results, program_path, write_results};

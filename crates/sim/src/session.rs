@@ -147,8 +147,10 @@ impl SimSession {
 
     /// Arms periodic checkpointing: every `cycles` simulated cycles
     /// (rounded up to the loop's 1024-cycle poll grid) the full machine
-    /// state is written atomically to a snapshot file in `dir` (created if
-    /// missing; file name set by [`SimSession::checkpoint_name`]).
+    /// state is written atomically to a state file in `dir` (created if
+    /// missing; file name set by [`SimSession::checkpoint_name`]). The
+    /// first checkpoint also writes the programs, once, to the program
+    /// file beside it ([`program_path`](crate::program_path)).
     ///
     /// A run resumed from any of these checkpoints with
     /// [`SimSession::resume`] produces byte-identical results to the
@@ -160,9 +162,10 @@ impl SimSession {
         self
     }
 
-    /// Overrides the checkpoint file name inside the
+    /// Overrides the state file's name inside the
     /// [`SimSession::checkpoint_every`] directory (default
-    /// `checkpoint.snap`), so concurrent runs can share a directory.
+    /// `checkpoint.snap`; the program file takes the same name with the
+    /// extension `prog`), so concurrent runs can share a directory.
     pub fn checkpoint_name(mut self, name: impl Into<String>) -> Self {
         self.ckpt_name = name.into();
         self
@@ -187,25 +190,27 @@ impl SimSession {
     /// # Errors
     ///
     /// [`SimError::Config`] when the configuration fails
-    /// [`SimConfig::validate`], [`SimError::Watchdog`] when no core
-    /// commits for the configured window, [`SimError::CycleBudget`] when
-    /// the cycle cap is exhausted, [`SimError::Interrupted`] when the
+    /// [`SimConfig::validate`] or [`SimConfig::check_cores`] (no programs,
+    /// or an L3 this many cores cannot have), [`SimError::Watchdog`] when
+    /// no core commits for the configured window, [`SimError::CycleBudget`]
+    /// when the cycle cap is exhausted, [`SimError::Interrupted`] when the
     /// [`SimSession::stop_flag`] fires, and [`SimError::Snapshot`] when an
     /// armed checkpoint cannot be written.
     ///
     /// # Panics
     ///
-    /// Panics if `programs` is empty or the instruction quota was never
-    /// set.
+    /// Panics if the instruction quota was never set.
     pub fn run(&self, programs: &[Program]) -> Result<RunOutput, SimError> {
         assert!(
             self.insts > 0,
             "set SimSession::instructions before running"
         );
         self.cfg.validate()?;
+        self.cfg.check_cores(programs.len())?;
         let ctrl = RunCtrl {
             every: self.ckpt_every,
             path: self.ckpt_dir.as_ref().map(|d| d.join(&self.ckpt_name)),
+            program_file: None,
             stop: self.stop.clone(),
             resume: None,
         };
@@ -219,20 +224,28 @@ impl SimSession {
         self.run(std::slice::from_ref(program))
     }
 
-    /// Resumes a run from a checkpoint file and carries it to completion.
+    /// Resumes a run from a checkpoint's state file and carries it to
+    /// completion.
     ///
-    /// Everything the run needs — configuration, programs, quota, machine
-    /// state, partial results — lives in the checkpoint, so this takes
-    /// nothing else. Periodic checkpointing stays armed with the stored
-    /// cadence, overwriting the same file, so a run can be killed and
-    /// resumed any number of times. The completed output is byte-identical
-    /// to the uninterrupted run's.
+    /// A checkpoint is two files. The state file at `path` holds the
+    /// configuration, quota, machine state and partial results; the
+    /// programs are in the program file a run writes once, beside its first
+    /// state file ([`program_path`](crate::program_path):
+    /// `checkpoint.snap` → `checkpoint.prog`), which the state file names
+    /// with its length and CRC-32. So this takes nothing but `path`, and
+    /// reads the program file, a window at a time, only after the state
+    /// file's configuration validates. Periodic checkpointing stays armed
+    /// with the stored cadence, overwriting the same state file and naming
+    /// the same program file, which is never rewritten, so a run can be
+    /// killed and resumed any number of times. The completed output is
+    /// byte-identical to the uninterrupted run's.
     ///
     /// # Errors
     ///
-    /// [`SimError::Snapshot`] when the file is missing, truncated,
-    /// bit-flipped, or version-skewed (the payload names the defect), plus
-    /// everything [`SimSession::run`] can return.
+    /// [`SimError::Snapshot`] when either file is missing, truncated,
+    /// bit-flipped or version-skewed, or the program file is not the one
+    /// the state file names (another length or CRC-32); the payload names
+    /// the defect. Plus everything [`SimSession::run`] can return.
     pub fn resume(path: impl AsRef<Path>) -> Result<RunOutput, SimError> {
         Self::resume_inner(path.as_ref(), None)
     }
@@ -252,6 +265,7 @@ impl SimSession {
         let ctrl = RunCtrl {
             every: rs.every,
             path: Some(path.to_path_buf()),
+            program_file: Some(rs.program_file),
             stop,
             resume: Some(Box::new(rs.state)),
         };
@@ -342,6 +356,27 @@ mod tests {
             .unwrap();
         let r = out.into_single();
         assert!(r.cycles > 0);
+    }
+
+    /// Three baseline cores share a 6 MB L3 that `SetAssocCache::new`
+    /// would refuse, and no programs means no cores: both are typed
+    /// configuration errors, not panics.
+    #[test]
+    fn an_unbuildable_core_count_or_no_programs_is_a_config_error() {
+        use crate::config::ConfigError;
+        let s = SimSession::new(cfg()).instructions(2_000);
+        let three = [kernel(), kernel(), kernel()];
+        match s.run(&three) {
+            Err(SimError::Config(ConfigError::L3 { cores: 3, bytes, .. })) => {
+                assert_eq!(bytes, 3 * cfg().l3_bytes_per_core)
+            }
+            other => panic!("expected the L3 error, got {:?}", other.map(|_| ())),
+        }
+        match s.run(&[]) {
+            Err(SimError::Config(ConfigError::NoCores)) => {}
+            other => panic!("expected NoCores, got {:?}", other.map(|_| ())),
+        }
+        assert!(s.run(&three[..2]).is_ok());
     }
 
     #[test]

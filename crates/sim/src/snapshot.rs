@@ -1,11 +1,18 @@
 //! Checkpoint/restore for whole CMP runs.
 //!
-//! A checkpoint is one `bfetch-snapshot` frame holding everything a run
-//! needs to continue: the configuration and programs (so a resume needs
-//! nothing but the file), every core's pipeline and predictor state, the
-//! full memory hierarchy, and the driver loop's own bookkeeping (cycle
-//! count, watchdog deadline, measurement-window baselines, per-core
-//! results already banked, and the trace sink when tracing is on).
+//! A checkpoint is two `bfetch-snapshot` frames. The *state file* holds
+//! what changes as the run goes: the configuration, every core's pipeline
+//! and predictor state, the full memory hierarchy, and the driver loop's
+//! own bookkeeping (cycle count, watchdog deadline, measurement-window
+//! baselines, per-core results already banked, and the trace sink when
+//! tracing is on). The programs never change, so a run writes them once,
+//! into a *program file* beside the first state file
+//! ([`program_path`]: `checkpoint.snap` → `checkpoint.prog`), and every
+//! state file names it together with its length and CRC-32. A resume needs
+//! nothing but the state file's path: it finds the program file from the
+//! name, and refuses one whose length or CRC is not the recorded one.
+//! Both frames stream to and from disk, the program file a page of data at
+//! a time, so neither is ever held whole in memory.
 //!
 //! Checkpoints are taken at the top of the cycle loop — before the
 //! cycle-start [`drain_chip`](bfetch_mem::drain_chip) — where the loop's
@@ -24,10 +31,13 @@
 //! [`SnapshotError`](bfetch_snapshot::SnapshotError).
 //!
 //! A result-cache entry is the same kind of frame with one section: the
-//! cache key and the finished results ([`encode_results`] /
-//! [`decode_results`]; the cache owns the file handling).
+//! cache key and the finished results ([`write_results`] /
+//! [`decode_results`]; the cache owns naming, locking and quarantine).
 
-use std::path::Path;
+use std::convert::Infallible;
+use std::ffi::OsStr;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 
 use crate::cmp::{LoopState, RunResult, Snapshot};
 use crate::config::{PrefetcherKind, SimConfig};
@@ -36,7 +46,8 @@ use crate::error::SimError;
 use bfetch_isa::Program;
 use bfetch_mem::{ChipGuard, MemorySystem};
 use bfetch_snapshot::{
-    Decoder, Encoder, FrameReader, FrameWriter, Snap, SnapState, SnapshotError,
+    Decoder, Encoder, FrameReader, FrameStamp, FrameStream, FrameWriter, Snap, SnapState,
+    SnapshotError, Source,
 };
 use bfetch_stats::trace::{TraceSink, Tracer};
 
@@ -44,7 +55,7 @@ use bfetch_stats::trace::{TraceSink, Tracer};
 const SEC_META: u32 = 1;
 /// The full [`SimConfig`].
 const SEC_CONFIG: u32 = 2;
-/// The per-core programs.
+/// The per-core programs: the program file's one section.
 const SEC_PROGRAMS: u32 = 3;
 /// Every core's pipeline/predictor/engine state, in core order.
 const SEC_CORES: u32 = 4;
@@ -55,12 +66,32 @@ const SEC_LOOP: u32 = 6;
 /// A result-cache entry: its key, then each result's prefetcher name and
 /// [`save_result`] encoding.
 const SEC_RESULTS: u32 = 7;
+/// The [`ProgramFile`] a state file names.
+const SEC_PROGRAM_FILE: u32 = 8;
+
+/// The program file a state file names: its file name in the state file's
+/// directory, and its [`FrameStamp`], which a resume checks before it uses
+/// a program from the file.
+pub(crate) struct ProgramFile {
+    name: String,
+    stamp: FrameStamp,
+}
+
+bfetch_snapshot::impl_snap_struct!(ProgramFile { name, stamp });
+
+/// Where a checkpoint at `state` writes its program file: beside it, with
+/// the extension `prog` (`checkpoint.snap` → `checkpoint.prog`,
+/// `<hash>.snap` → `<hash>.prog`).
+pub fn program_path(state: &Path) -> PathBuf {
+    state.with_extension("prog")
+}
 
 /// A fully reconstructed run: its identity plus the loop state to
 /// re-enter the cycle loop with. Produced by [`read_checkpoint`].
 pub(crate) struct ResumeState {
     pub cfg: SimConfig,
     pub programs: Vec<Program>,
+    pub program_file: ProgramFile,
     pub insts: u64,
     pub every: u64,
     pub state: LoopState,
@@ -97,8 +128,9 @@ fn load_result(r: &mut Decoder<'_>, prefetcher: &'static str) -> Result<RunResul
     })
 }
 
-/// Encodes a result-cache entry: `key` and `results` in one frame.
-pub fn encode_results(key: &str, results: &[RunResult]) -> Vec<u8> {
+/// Writes a result-cache entry, `key` and `results` in one frame, to
+/// `path` atomically (see [`bfetch_snapshot::write_frame`]).
+pub fn write_results(path: &Path, key: &str, results: &[RunResult]) -> Result<(), SnapshotError> {
     let mut w = Encoder::new();
     w.put_len_bytes(key.as_bytes());
     results.len().save(&mut w);
@@ -106,12 +138,11 @@ pub fn encode_results(key: &str, results: &[RunResult]) -> Vec<u8> {
         w.put_len_bytes(r.prefetcher.as_bytes());
         save_result(r, &mut w);
     }
-    let mut frame = FrameWriter::new();
-    frame.add(SEC_RESULTS, w);
-    frame.finish()
+    bfetch_snapshot::write_frame(path, 1, |f| f.section(SEC_RESULTS, w.as_bytes()))?;
+    Ok(())
 }
 
-/// Decodes an [`encode_results`] frame into its key and results. A frame
+/// Decodes a [`write_results`] frame into its key and results. A frame
 /// of another schema is [`SnapshotError::BadVersion`]; a prefetcher name
 /// no [`PrefetcherKind`] has is [`SnapshotError::Invalid`].
 pub fn decode_results(bytes: &[u8]) -> Result<(String, Vec<RunResult>), SnapshotError> {
@@ -130,76 +161,140 @@ pub fn decode_results(bytes: &[u8]) -> Result<(String, Vec<RunResult>), Snapshot
     Ok((key, results))
 }
 
-/// Serializes the whole run into a frame and writes it to `path`
-/// atomically (pid-tagged tmp sibling + rename), so a reader — including
-/// a resume racing a crash — never observes a half-written checkpoint.
+/// Writes `programs` as the program file beside the state file `state`,
+/// streamed a page of data at a time: one section, id 3, holding the bytes
+/// the programs section of a single-file checkpoint held. A run writes it
+/// once, before its first state file — the crash-ordering rule: a program
+/// file is renamed into place before any state file that names it, so a
+/// crash in between strands an unnamed program file, never a state file
+/// naming a missing one.
+pub(crate) fn write_programs(state: &Path, programs: &[Program]) -> Result<ProgramFile, SnapshotError> {
+    let path = program_path(state);
+    let name = match path.file_name().and_then(OsStr::to_str) {
+        Some(name) if path != state => name.to_string(),
+        _ => {
+            return Err(SnapshotError::Invalid {
+                what: "checkpoint name leaves no room for its program file",
+            })
+        }
+    };
+    let mut count = Encoder::new();
+    programs.len().save(&mut count);
+    let mut len = count.len() as u64;
+    for p in programs {
+        let Ok(()) = p.save_to(|bytes| {
+            len += bytes.len() as u64;
+            Ok::<_, Infallible>(())
+        });
+    }
+    let stamp = bfetch_snapshot::write_frame(&path, 1, |f| {
+        f.begin(SEC_PROGRAMS, len)?;
+        f.write(count.as_bytes())?;
+        programs.iter().try_for_each(|p| p.save_to(|bytes| f.write(bytes)))
+    })?;
+    Ok(ProgramFile { name, stamp })
+}
+
+/// Reads the program file `file` names beside the state file `state`,
+/// through a window, and checks it is the file the state file recorded:
+/// its length before reading, its own CRC and the recorded one before any
+/// program from it is returned.
+fn read_programs(state: &Path, file: &ProgramFile) -> Result<Vec<Program>, SnapshotError> {
+    if Path::new(&file.name).file_name() != Some(OsStr::new(&file.name)) {
+        return Err(SnapshotError::Invalid { what: "program file name is not a bare file name" });
+    }
+    let io = |op| move |e: std::io::Error| SnapshotError::Io { op, detail: e.to_string() };
+    let other = SnapshotError::Invalid { what: "program file is not the one the checkpoint names" };
+    let f = std::fs::File::open(state.with_file_name(&file.name)).map_err(io("open program file"))?;
+    if f.metadata().map_err(io("stat program file"))?.len() != file.stamp.len {
+        return Err(other);
+    }
+    let mut s = FrameStream::open(f)?;
+    s.section(SEC_PROGRAMS)?;
+    let programs = (0..s.take_count(1)?)
+        .map(|_| Program::read_from(&mut s))
+        .collect::<Result<Vec<_>, _>>()?;
+    if s.finish()? != file.stamp {
+        return Err(other);
+    }
+    Ok(programs)
+}
+
+/// Encodes one state-file section in `w` and writes it.
+fn put_section<W: Write>(
+    f: &mut FrameWriter<W>,
+    w: &mut Encoder,
+    id: u32,
+    encode: impl FnOnce(&mut Encoder),
+) -> Result<(), SnapshotError> {
+    w.clear();
+    encode(w);
+    f.section(id, w.as_bytes())
+}
+
+/// Streams the run's state into a state file at `path`, atomically
+/// (pid-tagged tmp sibling + rename), so a reader — including a resume
+/// racing a crash — never observes a half-written checkpoint. The state
+/// file names `programs`, which must already be in place.
 pub(crate) fn write_checkpoint(
     path: &Path,
     cfg: &SimConfig,
-    programs: &[Program],
+    programs: &ProgramFile,
     insts: u64,
     every: u64,
     st: &LoopState,
 ) -> Result<(), SnapshotError> {
-    let mut frame = FrameWriter::new();
-
-    let mut meta = Encoder::new();
-    insts.save(&mut meta);
-    every.save(&mut meta);
-    st.cores.len().save(&mut meta);
-    frame.add(SEC_META, meta);
-
-    let mut config = Encoder::new();
-    cfg.save(&mut config);
-    frame.add(SEC_CONFIG, config);
-
-    let mut progs = Encoder::new();
-    bfetch_snapshot::save_slice(programs, &mut progs);
-    frame.add(SEC_PROGRAMS, progs);
-
-    let mut cs = Encoder::new();
-    for c in &st.cores {
-        c.save_state(&mut cs);
-    }
-    frame.add(SEC_CORES, cs);
-
-    let mut mem = Encoder::new();
-    for m in &st.mems {
-        m.save_state(&mut mem);
-    }
-    st.shared.save_state(&mut mem);
-    st.guard.save(&mut mem);
-    frame.add(SEC_MEM, mem);
-
-    let mut lp = Encoder::new();
-    st.now.save(&mut lp);
-    st.wd_deadline.save(&mut lp);
-    st.wd_committed.save(&mut lp);
-    st.frozen.save(&mut lp);
-    st.snaps.save(&mut lp);
-    st.finished.len().save(&mut lp);
-    for f in &st.finished {
-        match f {
-            Some(r) => {
-                lp.put_u8(1);
-                save_result(r, &mut lp);
+    let mut w = Encoder::new();
+    bfetch_snapshot::write_frame(path, 6, |f| {
+        put_section(f, &mut w, SEC_META, |w| {
+            insts.save(w);
+            every.save(w);
+            st.cores.len().save(w);
+        })?;
+        put_section(f, &mut w, SEC_CONFIG, |w| cfg.save(w))?;
+        put_section(f, &mut w, SEC_PROGRAM_FILE, |w| programs.save(w))?;
+        put_section(f, &mut w, SEC_CORES, |w| {
+            for c in &st.cores {
+                c.save_state(w);
             }
-            None => lp.put_u8(0),
-        }
-    }
-    // A copy of the trace sink, when tracing is enabled and the
-    // measurement window has started.
-    st.tracer.as_ref().and_then(Tracer::snapshot_sink).save(&mut lp);
-    frame.add(SEC_LOOP, lp);
-
-    bfetch_snapshot::write_file_atomic(path, &frame.finish())
+        })?;
+        put_section(f, &mut w, SEC_MEM, |w| {
+            for m in &st.mems {
+                m.save_state(w);
+            }
+            st.shared.save_state(w);
+            st.guard.save(w);
+        })?;
+        put_section(f, &mut w, SEC_LOOP, |w| {
+            st.now.save(w);
+            st.wd_deadline.save(w);
+            st.wd_committed.save(w);
+            st.frozen.save(w);
+            st.snaps.save(w);
+            st.finished.len().save(w);
+            for slot in &st.finished {
+                match slot {
+                    Some(r) => {
+                        w.put_u8(1);
+                        save_result(r, w);
+                    }
+                    None => w.put_u8(0),
+                }
+            }
+            // A copy of the trace sink, when tracing is enabled and the
+            // measurement window has started.
+            st.tracer.as_ref().and_then(Tracer::snapshot_sink).save(w);
+        })
+    })?;
+    Ok(())
 }
 
 /// Reads and fully validates a checkpoint, reconstructing every simulation
 /// component. The embedded configuration is re-validated *before* any
-/// constructor runs, so a corrupted config surfaces as a typed error, not
-/// a constructor panic; every decoder finishes exactly, so trailing or
-/// missing bytes in any section are typed errors too.
+/// constructor runs — and before the program file is opened — so a
+/// corrupted config surfaces as a typed error, not a constructor panic;
+/// every decoder finishes exactly, so trailing or missing bytes in any
+/// section are typed errors too.
 pub(crate) fn read_checkpoint(path: &Path) -> Result<ResumeState, SimError> {
     let bytes = bfetch_snapshot::read_file(path)?;
     let frame = FrameReader::parse(&bytes)?;
@@ -217,10 +312,12 @@ pub(crate) fn read_checkpoint(path: &Path) -> Result<ResumeState, SimError> {
     let cfg = SimConfig::load(&mut config)?;
     config.finish()?;
     cfg.validate()?;
+    cfg.check_cores(n)?;
 
-    let mut progs = frame.section(SEC_PROGRAMS)?;
-    let programs = Vec::<Program>::load(&mut progs)?;
-    progs.finish()?;
+    let mut record = frame.section(SEC_PROGRAM_FILE)?;
+    let program_file = ProgramFile::load(&mut record)?;
+    record.finish()?;
+    let programs = read_programs(path, &program_file)?;
     if programs.len() != n {
         return Err(SnapshotError::Invalid { what: "program count mismatch" }.into());
     }
@@ -300,6 +397,7 @@ pub(crate) fn read_checkpoint(path: &Path) -> Result<ResumeState, SimError> {
     Ok(ResumeState {
         cfg,
         programs,
+        program_file,
         insts,
         every,
         state,

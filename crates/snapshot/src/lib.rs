@@ -21,7 +21,10 @@
 //! * [`FrameWriter`] / [`FrameReader`] — the on-disk container: a magic
 //!   header, a schema version, length-prefixed sections and a trailing
 //!   CRC-32 over the whole file. Any single-byte truncation or bit flip is
-//!   caught by the framing or the checksum.
+//!   caught by the framing or the checksum. The writer streams a frame
+//!   into its file ([`write_frame`]) with a running [`Crc32`];
+//!   [`FrameStream`] reads one back the same way, a window at a time,
+//!   for a decoder written against [`Source`].
 //!
 //! Determinism is a design requirement: encoding is canonical (no
 //! iteration-order-dependent output — a `HashMap` is framed in key order,
@@ -44,6 +47,8 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::fs::File;
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 /// Magic bytes opening every snapshot file ("BFSNAP" + container rev).
@@ -56,7 +61,7 @@ pub const MAGIC: [u8; 8] = *b"BFSNAP01";
 /// Bump this whenever any `Snap`/`SnapState` impl changes its byte layout
 /// or the cache key's derivation changes; readers reject every version
 /// other than their own — see DESIGN.md §15 for the compatibility policy.
-pub const SCHEMA_VERSION: u32 = 6;
+pub const SCHEMA_VERSION: u32 = 7;
 
 /// Typed error for every way a snapshot can fail to load.
 ///
@@ -115,11 +120,13 @@ impl SnapshotError {
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected), table-driven.
+// CRC-32 (IEEE 802.3, reflected), slice-by-8.
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `T[0]` is the bytewise table; `T[k][i]` is the CRC of byte `i` followed
+/// by `k` zero bytes, so eight table lookups advance the CRC by eight bytes.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -128,21 +135,82 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-const CRC32_TABLE: [u32; 256] = crc32_table();
+const CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+/// A CRC-32 (IEEE) kept running over bytes fed in any number of pieces:
+/// the streaming frame writer and reader checksum a file as it passes.
+///
+/// ```
+/// use bfetch_snapshot::{crc32, Crc32};
+/// let mut c = Crc32::new();
+/// c.update(b"bfetch ");
+/// c.update(b"snapshot");
+/// assert_eq!(c.value(), crc32(b"bfetch snapshot"));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Crc32(u32);
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Crc32 {
+    /// The CRC of no bytes.
+    pub fn new() -> Self {
+        Self(!0)
+    }
+
+    /// Extends the CRC over `bytes`.
+    pub fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC32_TABLES;
+        let mut c = self.0;
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][w[4] as usize]
+                ^ t[2][w[5] as usize]
+                ^ t[1][w[6] as usize]
+                ^ t[0][w[7] as usize];
+        }
+        for &b in words.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        self.0 = c;
+    }
+
+    /// The CRC of every byte fed so far.
+    pub fn value(self) -> u32 {
+        !self.0
+    }
+}
 
 /// CRC-32 (IEEE) of `bytes`, as used for the whole-file checksum.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
+    let mut c = Crc32::new();
+    c.update(bytes);
+    c.value()
 }
 
 // ---------------------------------------------------------------------------
@@ -164,6 +232,16 @@ impl Encoder {
     /// The bytes written so far.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// The bytes written so far, borrowed.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Forgets the bytes written so far, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.buf.clear();
     }
 
     /// Number of bytes written so far.
@@ -291,6 +369,60 @@ impl<'a> Decoder<'a> {
     pub fn take_len_bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
         let n = self.take_len()?;
         self.take_bytes(n)
+    }
+}
+
+/// The least a [`Source::decode`] window holds, unless the input ends
+/// first: an item up to this long decodes without naming its size.
+pub const MIN_WINDOW: usize = 4096;
+
+/// Input a decode pulls a piece at a time: a whole buffer ([`Decoder`]) or
+/// the open section of a frame read from a file ([`FrameStream`]). One
+/// decoder written against it reads both, and from a file it holds no more
+/// than a window of the input.
+pub trait Source {
+    /// Bytes of input not yet consumed.
+    fn left(&self) -> u64;
+
+    /// Runs `f` on a decoder over the input's next bytes, and consumes what
+    /// `f` read. The decoder holds at least `need` bytes (or
+    /// [`MIN_WINDOW`], if that is more), or everything left if that is
+    /// less; `need` beyond what is left is [`SnapshotError::Truncated`].
+    fn decode<T>(
+        &mut self,
+        need: usize,
+        f: impl FnOnce(&mut Decoder<'_>) -> Result<T, SnapshotError>,
+    ) -> Result<T, SnapshotError>;
+
+    /// Takes a count stored as `u64` of items at least `item_bytes` long:
+    /// a count the rest of the input cannot hold is provably corrupt, so
+    /// it is rejected before anything is allocated for it (the streaming
+    /// form of [`Decoder::take_len`]).
+    fn take_count(&mut self, item_bytes: u64) -> Result<usize, SnapshotError> {
+        let n = self.decode(8, |r| r.take_usize())?;
+        match (n as u64).checked_mul(item_bytes) {
+            Some(bytes) if bytes <= self.left() => Ok(n),
+            _ => Err(SnapshotError::Invalid { what: "container length exceeds remaining input" }),
+        }
+    }
+}
+
+/// The whole input is already in memory: `decode` hands over the decoder
+/// itself.
+impl Source for Decoder<'_> {
+    fn left(&self) -> u64 {
+        self.remaining() as u64
+    }
+
+    fn decode<T>(
+        &mut self,
+        need: usize,
+        f: impl FnOnce(&mut Decoder<'_>) -> Result<T, SnapshotError>,
+    ) -> Result<T, SnapshotError> {
+        if need > self.remaining() {
+            return Err(SnapshotError::Truncated { at: self.pos, need });
+        }
+        f(self)
     }
 }
 
@@ -725,40 +857,270 @@ macro_rules! snap_state {
 // Frame: magic + version + sections + CRC
 // ---------------------------------------------------------------------------
 
-/// Builds the on-disk frame: magic, schema version, `(id, len, payload)`
-/// sections in the order added, and a trailing CRC-32.
-#[derive(Debug, Default)]
-pub struct FrameWriter {
-    sections: Vec<(u32, Vec<u8>)>,
+/// A whole frame's identity: its length in bytes, trailing CRC included,
+/// and that CRC.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameStamp {
+    /// Bytes in the frame.
+    pub len: u64,
+    /// The trailing CRC-32.
+    pub crc: u32,
 }
 
-impl FrameWriter {
-    /// An empty frame.
-    pub fn new() -> Self {
-        Self::default()
+impl_snap_struct!(FrameStamp { len, crc });
+
+/// Streams the on-disk frame into `out` as it is produced: magic, schema
+/// version, section count, each section's `(id, len, payload)`, then the
+/// CRC-32 of all of it. The CRC runs alongside, so no copy of the frame is
+/// ever assembled. A section declares its length up front, and its payload
+/// may then arrive in any number of pieces.
+#[derive(Debug)]
+pub struct FrameWriter<W: Write> {
+    out: W,
+    crc: Crc32,
+    len: u64,
+    /// Declared sections not yet begun.
+    sections: u32,
+    /// Payload bytes the open section still expects.
+    open: u64,
+}
+
+impl<W: Write> FrameWriter<W> {
+    /// Starts a frame of `sections` sections.
+    pub fn new(out: W, sections: u32) -> Result<Self, SnapshotError> {
+        let mut f = Self { out, crc: Crc32::new(), len: 0, sections, open: 0 };
+        f.put(&MAGIC)?;
+        f.put(&SCHEMA_VERSION.to_le_bytes())?;
+        f.put(&sections.to_le_bytes())?;
+        Ok(f)
     }
 
-    /// Appends a section; `id`s should be unique (readers take the first).
-    pub fn add(&mut self, id: u32, payload: Encoder) {
-        self.sections.push((id, payload.into_bytes()));
+    fn put(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+        self.crc.update(bytes);
+        self.len += bytes.len() as u64;
+        self.out.write_all(bytes).map_err(|e| SnapshotError::io("write", e))
     }
 
-    /// Serializes the complete frame, checksum included.
-    pub fn finish(self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            MAGIC.len() + 8 + self.sections.iter().map(|(_, p)| 12 + p.len()).sum::<usize>() + 4,
-        );
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        for (id, payload) in &self.sections {
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(payload);
+    /// Opens the next section; its `len` payload bytes follow through
+    /// [`FrameWriter::write`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the open section is short or every declared section has
+    /// begun.
+    pub fn begin(&mut self, id: u32, len: u64) -> Result<(), SnapshotError> {
+        assert!(self.open == 0 && self.sections > 0, "section {id} begun out of turn");
+        self.sections -= 1;
+        self.open = len;
+        self.put(&id.to_le_bytes())?;
+        self.put(&len.to_le_bytes())
+    }
+
+    /// Writes the next payload bytes of the open section.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` runs past the section's declared length.
+    pub fn write(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+        assert!(bytes.len() as u64 <= self.open, "section overruns its declared length");
+        self.open -= bytes.len() as u64;
+        self.put(bytes)
+    }
+
+    /// Writes a whole section.
+    pub fn section(&mut self, id: u32, payload: &[u8]) -> Result<(), SnapshotError> {
+        self.begin(id, payload.len() as u64)?;
+        self.write(payload)
+    }
+
+    /// Ends the frame with its CRC and hands back the sink.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a declared section is missing or short.
+    pub fn finish(mut self) -> Result<(W, FrameStamp), SnapshotError> {
+        assert!(self.open == 0 && self.sections == 0, "frame ended before its sections");
+        let crc = self.crc.value();
+        self.out.write_all(&crc.to_le_bytes()).map_err(|e| SnapshotError::io("write", e))?;
+        Ok((self.out, FrameStamp { len: self.len + 4, crc }))
+    }
+}
+
+/// Writes one frame of `sections` sections to `path` atomically: `body`
+/// streams them into a [`FrameWriter`] over a pid-tagged `*.tmp.{pid}`
+/// sibling, which is flushed and renamed over `path` once the frame is
+/// whole, so a reader never observes a half-written file. On any failure
+/// the tmp file is removed.
+pub fn write_frame(
+    path: &Path,
+    sections: u32,
+    body: impl FnOnce(&mut FrameWriter<BufWriter<File>>) -> Result<(), SnapshotError>,
+) -> Result<FrameStamp, SnapshotError> {
+    let (Some(dir), Some(name)) = (path.parent(), path.file_name()) else {
+        return Err(SnapshotError::Io { op: "write", detail: "path has no parent/file name".into() });
+    };
+    let mut tmp = name.to_os_string();
+    tmp.push(format!(".tmp.{}", std::process::id()));
+    let tmp = dir.join(tmp);
+    if !dir.as_os_str().is_empty() {
+        std::fs::create_dir_all(dir).map_err(|e| SnapshotError::io("create dir", e))?;
+    }
+    let written = File::create(&tmp)
+        .map_err(|e| SnapshotError::io("create tmp", e))
+        .and_then(|file| {
+            let mut f = FrameWriter::new(BufWriter::new(file), sections)?;
+            body(&mut f)?;
+            let (out, stamp) = f.finish()?;
+            out.into_inner().map_err(|e| SnapshotError::io("write tmp", e.into_error()))?;
+            Ok(stamp)
+        })
+        .and_then(|stamp| {
+            std::fs::rename(&tmp, path).map_err(|e| SnapshotError::io("rename tmp", e))?;
+            Ok(stamp)
+        });
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
+}
+
+/// Bytes a [`FrameStream`] reads ahead of the decoder.
+const STREAM_WINDOW: usize = 64 * 1024;
+
+/// Reads one frame front to back through a window of about 64 KiB with
+/// the CRC running alongside, so a frame of any size is checked without
+/// being held whole.
+/// [`FrameStream::open`] checks magic and version,
+/// [`FrameStream::section`] opens each section in file order, the
+/// [`Source`] impl decodes the open section, and [`FrameStream::finish`]
+/// checks the trailing CRC. Until `finish` succeeds nothing decoded is
+/// known to be what was written.
+#[derive(Debug)]
+pub struct FrameStream<R: Read> {
+    src: R,
+    crc: Crc32,
+    /// Bytes read from `src` so far.
+    at: u64,
+    /// Declared sections not yet opened.
+    sections: u32,
+    /// The open section's window: `buf[pos..]` is read but not consumed.
+    buf: Vec<u8>,
+    pos: usize,
+    /// Bytes of the open section not yet read from `src`.
+    unread: u64,
+}
+
+impl<R: Read> FrameStream<R> {
+    /// Reads and checks the frame's magic and schema version.
+    pub fn open(src: R) -> Result<Self, SnapshotError> {
+        let mut s = Self { src, crc: Crc32::new(), at: 0, sections: 0, buf: Vec::new(), pos: 0, unread: 0 };
+        let mut head = [0u8; MAGIC.len() + 8];
+        s.read_crc(&mut head)?;
+        if head[..MAGIC.len()] != MAGIC {
+            return Err(SnapshotError::BadMagic);
         }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        let word = |at: usize| u32::from_le_bytes([head[at], head[at + 1], head[at + 2], head[at + 3]]);
+        let version = word(MAGIC.len());
+        if version != SCHEMA_VERSION {
+            return Err(SnapshotError::BadVersion { got: version, want: SCHEMA_VERSION });
+        }
+        s.sections = word(MAGIC.len() + 4);
+        Ok(s)
+    }
+
+    fn read_raw(&mut self, out: &mut [u8]) -> Result<(), SnapshotError> {
+        self.src.read_exact(out).map_err(|e| match e.kind() {
+            std::io::ErrorKind::UnexpectedEof => SnapshotError::Truncated { at: self.at as usize, need: out.len() },
+            _ => SnapshotError::io("read", e),
+        })?;
+        self.at += out.len() as u64;
+        Ok(())
+    }
+
+    fn read_crc(&mut self, out: &mut [u8]) -> Result<(), SnapshotError> {
+        self.read_raw(out)?;
+        self.crc.update(out);
+        Ok(())
+    }
+
+    /// Fails with [`SnapshotError::TrailingBytes`] unless the open section
+    /// is wholly consumed.
+    fn section_done(&self) -> Result<(), SnapshotError> {
+        match self.left() {
+            0 => Ok(()),
+            left => Err(SnapshotError::TrailingBytes { left: left as usize }),
+        }
+    }
+
+    /// Opens the next section, which must be `id`
+    /// ([`SnapshotError::MissingSection`] otherwise), once the open one is
+    /// wholly consumed ([`SnapshotError::TrailingBytes`] otherwise).
+    pub fn section(&mut self, id: u32) -> Result<(), SnapshotError> {
+        self.section_done()?;
+        if self.sections == 0 {
+            return Err(SnapshotError::MissingSection { id });
+        }
+        let mut head = [0u8; 12];
+        self.read_crc(&mut head)?;
+        self.sections -= 1;
+        if head[..4] != id.to_le_bytes() {
+            return Err(SnapshotError::MissingSection { id });
+        }
+        self.unread = u64::from_le_bytes(head[4..].try_into().expect("eight bytes"));
+        self.buf.clear();
+        self.pos = 0;
+        Ok(())
+    }
+
+    /// Checks that the frame ends here — the open section wholly consumed
+    /// and no section left unopened — and that the trailing CRC is the one
+    /// computed over everything read. Returns the frame's [`FrameStamp`].
+    pub fn finish(mut self) -> Result<FrameStamp, SnapshotError> {
+        self.section_done()?;
+        if self.sections > 0 {
+            return Err(SnapshotError::Invalid { what: "frame has sections nobody read" });
+        }
+        let want = self.crc.value();
+        let mut tail = [0u8; 4];
+        self.read_raw(&mut tail)?;
+        let got = u32::from_le_bytes(tail);
+        if got != want {
+            return Err(SnapshotError::BadChecksum { got, want });
+        }
+        Ok(FrameStamp { len: self.at, crc: got })
+    }
+}
+
+/// The open section, read ahead a window at a time and never past its end.
+impl<R: Read> Source for FrameStream<R> {
+    fn left(&self) -> u64 {
+        (self.buf.len() - self.pos) as u64 + self.unread
+    }
+
+    fn decode<T>(
+        &mut self,
+        need: usize,
+        f: impl FnOnce(&mut Decoder<'_>) -> Result<T, SnapshotError>,
+    ) -> Result<T, SnapshotError> {
+        let have = self.buf.len() - self.pos;
+        let want = need.max(MIN_WINDOW);
+        if have < want && self.unread > 0 {
+            let fill = (want.max(STREAM_WINDOW) - have).min(self.unread.try_into().unwrap_or(usize::MAX));
+            let mut buf = std::mem::take(&mut self.buf);
+            buf.drain(..self.pos);
+            buf.resize(have + fill, 0);
+            let read = self.read_crc(&mut buf[have..]);
+            (self.buf, self.pos) = (buf, 0);
+            read?;
+            self.unread -= fill as u64;
+        }
+        if need > self.buf.len() - self.pos {
+            return Err(SnapshotError::Truncated { at: self.at as usize, need });
+        }
+        let mut d = Decoder::new(&self.buf[self.pos..]);
+        let out = f(&mut d)?;
+        self.pos = self.buf.len() - d.remaining();
+        Ok(out)
     }
 }
 
@@ -816,31 +1178,6 @@ impl<'a> FrameReader<'a> {
     pub fn section_ids(&self) -> Vec<u32> {
         self.sections.iter().map(|(id, _)| *id).collect()
     }
-}
-
-/// Writes `bytes` to `path` atomically: a pid-tagged `*.tmp.{pid}` sibling
-/// is written, flushed, then renamed over the destination, so readers never
-/// observe a half-written snapshot.
-pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
-    let pid = std::process::id();
-    let tmp = match (path.parent(), path.file_name()) {
-        (Some(dir), Some(name)) => {
-            let mut n = name.to_os_string();
-            n.push(format!(".tmp.{pid}"));
-            dir.join(n)
-        }
-        _ => return Err(SnapshotError::Io { op: "write", detail: "path has no parent/file name".into() }),
-    };
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(|e| SnapshotError::io("create dir", e))?;
-        }
-    }
-    std::fs::write(&tmp, bytes).map_err(|e| SnapshotError::io("write tmp", e))?;
-    std::fs::rename(&tmp, path).map_err(|e| {
-        let _ = std::fs::remove_file(&tmp);
-        SnapshotError::io("rename tmp", e)
-    })
 }
 
 /// Reads a whole snapshot file.
@@ -1075,15 +1412,80 @@ mod tests {
         );
     }
 
+    /// The bytewise loop `Crc32::update` replaced: the reference it must
+    /// equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    #[test]
+    fn crc32_matches_the_standard_check_value() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    /// Slice-by-8 is bit-identical to the bytewise loop at every length,
+    /// every start alignment and every split into two running updates.
+    #[test]
+    fn slice_by_8_equals_the_bytewise_crc_over_lengths_alignments_and_splits() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let bytes: Vec<u8> = (0..4096)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        for start in 0..16 {
+            for len in (0..200).chain([1000, 1031, 4096 - 16]) {
+                let s = &bytes[start..start + len];
+                let want = crc32_bytewise(s);
+                assert_eq!(crc32(s), want, "start {start} len {len}");
+                for split in [0, 1, 3, 7, 8, 9, len / 2, len] {
+                    let split = split.min(len);
+                    let mut c = Crc32::new();
+                    c.update(&s[..split]);
+                    c.update(&s[split..]);
+                    assert_eq!(c.value(), want, "start {start} len {len} split {split}");
+                }
+            }
+        }
+    }
+
     fn sample_frame() -> Vec<u8> {
         let mut a = Encoder::new();
         (42u64, String::from("hello")).save(&mut a);
         let mut b = Encoder::new();
         vec![1u32, 2, 3].save(&mut b);
-        let mut f = FrameWriter::new();
-        f.add(1, a);
-        f.add(2, b);
-        f.finish()
+        let mut f = FrameWriter::new(Vec::new(), 2).unwrap();
+        f.section(1, a.as_bytes()).unwrap();
+        // a section's payload may arrive in pieces
+        f.begin(2, b.len() as u64).unwrap();
+        for piece in b.as_bytes().chunks(5) {
+            f.write(piece).unwrap();
+        }
+        let (bytes, stamp) = f.finish().unwrap();
+        assert_eq!((stamp.len, stamp.crc), (bytes.len() as u64, crc32(&bytes[..bytes.len() - 4])));
+        bytes
+    }
+
+    /// What [`sample_frame`] holds, and its stamp.
+    type Sample = ((u64, String), Vec<u32>, FrameStamp);
+
+    /// [`sample_frame`] read back through a [`FrameStream`].
+    fn stream_sample(bytes: &[u8]) -> Result<Sample, SnapshotError> {
+        let mut s = FrameStream::open(bytes)?;
+        s.section(1)?;
+        let a = s.decode(0, <(u64, String)>::load)?;
+        s.section(2)?;
+        let n = s.take_count(4)?;
+        let b = (0..n).map(|_| s.decode(4, |r| r.take_u32())).collect::<Result<_, _>>()?;
+        Ok((a, b, s.finish()?))
     }
 
     #[test]
@@ -1097,6 +1499,55 @@ mod tests {
         let mut s2 = f.section(2).unwrap();
         assert_eq!(Vec::<u32>::load(&mut s2).unwrap(), vec![1, 2, 3]);
         assert!(matches!(f.section(9), Err(SnapshotError::MissingSection { id: 9 })));
+
+        let (a, b, stamp) = stream_sample(&bytes).unwrap();
+        assert_eq!((a, b), ((42, "hello".into()), vec![1, 2, 3]));
+        assert_eq!(stamp, FrameStamp { len: bytes.len() as u64, crc: crc32(&bytes[..bytes.len() - 4]) });
+    }
+
+    #[test]
+    fn a_stream_reads_sections_in_order_and_wholly() {
+        let bytes = sample_frame();
+        let mut s = FrameStream::open(&bytes[..]).unwrap();
+        assert_eq!(s.section(2), Err(SnapshotError::MissingSection { id: 2 }));
+        let mut s = FrameStream::open(&bytes[..]).unwrap();
+        s.section(1).unwrap();
+        s.decode(8, |r| r.take_u64()).unwrap();
+        assert!(matches!(s.section(2), Err(SnapshotError::TrailingBytes { .. })));
+        // a need past the section's end is a truncation, whatever follows
+        let mut s = FrameStream::open(&bytes[..]).unwrap();
+        s.section(1).unwrap();
+        assert!(matches!(s.decode(1 << 20, |_| Ok(())), Err(SnapshotError::Truncated { .. })));
+    }
+
+    /// A section several windows long streams through a window that
+    /// refills, never holding the section whole.
+    #[test]
+    fn a_long_section_streams_through_the_window() {
+        let words: Vec<u64> = (0..100_000).collect();
+        let mut w = Encoder::new();
+        words.save(&mut w);
+        let mut f = FrameWriter::new(Vec::new(), 1).unwrap();
+        f.section(3, w.as_bytes()).unwrap();
+        let (bytes, _) = f.finish().unwrap();
+
+        let mut s = FrameStream::open(&bytes[..]).unwrap();
+        s.section(3).unwrap();
+        let n = s.take_count(8).unwrap();
+        let mut back = Vec::with_capacity(n);
+        while back.len() < n {
+            let k = (n - back.len()).min(1000);
+            s.decode(8 * k, |r| {
+                for _ in 0..k {
+                    back.push(r.take_u64()?);
+                }
+                Ok(())
+            })
+            .unwrap();
+            assert!(s.buf.len() <= STREAM_WINDOW, "window grew to {}", s.buf.len());
+        }
+        s.finish().unwrap();
+        assert_eq!(back, words);
     }
 
     #[test]
@@ -1111,6 +1562,7 @@ mod tests {
                 ),
                 "truncation to {n} bytes gave {err:?}"
             );
+            assert!(stream_sample(&bytes[..n]).is_err(), "stream read a {n}-byte truncation");
         }
     }
 
@@ -1124,6 +1576,10 @@ mod tests {
                 assert!(
                     FrameReader::parse(&bad).is_err(),
                     "flip of byte {byte} bit {bit} was not detected"
+                );
+                assert!(
+                    stream_sample(&bad).is_err(),
+                    "stream missed the flip of byte {byte} bit {bit}"
                 );
             }
         }
@@ -1141,6 +1597,10 @@ mod tests {
             FrameReader::parse(&bytes).unwrap_err(),
             SnapshotError::BadVersion { got: 99, want: SCHEMA_VERSION }
         );
+        assert_eq!(
+            FrameStream::open(&bytes[..]).unwrap_err(),
+            SnapshotError::BadVersion { got: 99, want: SCHEMA_VERSION }
+        );
     }
 
     #[test]
@@ -1148,6 +1608,15 @@ mod tests {
         let mut bytes = sample_frame();
         bytes[0] = b'X';
         assert_eq!(FrameReader::parse(&bytes).unwrap_err(), SnapshotError::BadMagic);
+        assert_eq!(FrameStream::open(&bytes[..]).unwrap_err(), SnapshotError::BadMagic);
+    }
+
+    fn leftover_tmps(dir: &Path) -> usize {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
+            .count()
     }
 
     #[test]
@@ -1155,16 +1624,24 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("bfsnap-test-{}", std::process::id()));
         let path = dir.join("x.snap");
         let bytes = sample_frame();
-        write_file_atomic(&path, &bytes).unwrap();
+        let f = FrameReader::parse(&bytes).unwrap();
+        let stamp = write_frame(&path, 2, |w| {
+            for id in [1, 2] {
+                let mut r = f.section(id)?;
+                w.section(id, r.take_bytes(r.remaining())?)?;
+            }
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(read_file(&path).unwrap(), bytes);
-        FrameReader::parse(&read_file(&path).unwrap()).unwrap();
-        // no tmp file left behind
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
-            .collect();
-        assert!(leftovers.is_empty());
+        assert_eq!(stamp.len, bytes.len() as u64);
+        assert_eq!(leftover_tmps(&dir), 0);
+
+        // a failing body leaves the old file in place and no tmp file
+        let err = write_frame(&path, 1, |_| Err(SnapshotError::Invalid { what: "give up" }));
+        assert_eq!(err, Err(SnapshotError::Invalid { what: "give up" }));
+        assert_eq!(read_file(&path).unwrap(), bytes);
+        assert_eq!(leftover_tmps(&dir), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1173,14 +1650,11 @@ mod tests {
         // decode → re-encode reproduces the identical bytes
         let bytes = sample_frame();
         let f = FrameReader::parse(&bytes).unwrap();
-        let mut w = FrameWriter::new();
+        let mut w = FrameWriter::new(Vec::new(), f.section_ids().len() as u32).unwrap();
         for id in f.section_ids() {
             let mut r = f.section(id).unwrap();
-            let raw = r.take_bytes(r.remaining()).unwrap();
-            let mut e = Encoder::new();
-            e.put_bytes(raw);
-            w.add(id, e);
+            w.section(id, r.take_bytes(r.remaining()).unwrap()).unwrap();
         }
-        assert_eq!(w.finish(), bytes);
+        assert_eq!(w.finish().unwrap().0, bytes);
     }
 }

@@ -141,13 +141,17 @@ $BIN $ARGS --threads 4 --cache-gc >/dev/null 2>"$CACHE/gc.err"
 grep -q "1 quarantined + 0 stale" "$CACHE/gc.err"
 test ! -e "$TORN.bad"
 
-echo "==> checkpoint/resume: interrupt exit path + resume byte-identity"
+echo "==> checkpoint/resume: interrupt exit path, program files, resume byte-identity, orphan GC"
 # BFETCH_HARNESS_INTERRUPT pre-arms the harness stop flag (the SIGINT
-# mechanism minus signal-delivery races): every point checkpoints at its
-# first poll boundary and the process exits 130 with stdout untouched.
-# The rerun resumes each sidecar to completion; stdout must match a
-# fresh uninterrupted run. Sidecars live under target/ckpt so CI can
-# upload them when this fails.
+# mechanism minus signal-delivery races): every point of the
+# --checkpoint-every sweep checkpoints at its first poll boundary and the
+# process exits 130 with stdout untouched, leaving each in-flight point's
+# state file (.snap) and, beside it, the program file it names (.prog).
+# The rerun resumes each sidecar to completion and deletes both files;
+# stdout must match a fresh uninterrupted run. A planted program file with
+# no sidecar (what a crash between the two renames leaves) is swept by GC
+# as stale. Sidecars live under target/ckpt so CI can upload them when
+# this fails.
 CKARGS="--small --instructions 20000 --warmup 5000 --kernels mcf,libquantum --checkpoint-every 2000 --threads 1"
 SNAP=target/ckpt/snap; rm -rf "$SNAP"; mkdir -p "$SNAP"
 rc=0
@@ -157,10 +161,20 @@ BFETCH_HARNESS_INTERRUPT=1 $BIN $CKARGS --cache-dir "$SNAP" \
 grep -q "harness. interrupted" "$SNAP/err.txt"
 test ! -s "$SNAP/out.txt"
 ls "$SNAP"/*.snap >/dev/null
+for s in "$SNAP"/*.snap; do
+  test -s "${s%.snap}.prog" || { echo "$s has no program file"; exit 1; }
+done
+[ "$(ls "$SNAP"/*.prog | wc -l)" -eq "$(ls "$SNAP"/*.snap | wc -l)" ] || {
+  echo "program files do not pair one to one with sidecars"; exit 1; }
+cp "$(ls "$SNAP"/*.prog | head -n 1)" "$SNAP/0000000000000000orphan0000000000.prog"
 $BIN $CKARGS --cache-dir "$SNAP" >"$SNAP/resumed.txt" 2>/dev/null
 if ls "$SNAP"/*.snap >/dev/null 2>&1; then
   echo "sidecars not consumed after successful resume"; exit 1; fi
 $BIN $CKARGS --no-cache >"$SNAP/fresh.txt" 2>/dev/null
 cmp "$SNAP/resumed.txt" "$SNAP/fresh.txt"
+$BIN $CKARGS --cache-dir "$SNAP" --cache-gc >/dev/null 2>"$SNAP/gc.err"
+grep -q "1 stale" "$SNAP/gc.err"
+if ls "$SNAP"/*.prog >/dev/null 2>&1; then
+  echo "cache GC left an orphan program file"; exit 1; fi
 
 echo "verify: OK"
