@@ -1,7 +1,7 @@
 //! Hot-path microbenchmarks for the structures the per-cycle loop leans
 //! on: MSHR probes and allocation, cache probe+fill, the B-Fetch lookahead
-//! walk, building mcf and the functional state a core starts from, a
-//! profiler span while the profiler is off, and a full
+//! walk, building mcf and the functional state a core starts from, a warm
+//! result-cache hit, a profiler span while the profiler is off, and a full
 //! `Core::cycle` against the real memory hierarchy. These
 //! are the operations the flat-table/packed-rank rewrite targets, so
 //! regressions here show up before they are visible in the `benchmark/`
@@ -14,13 +14,14 @@
 //! cargo bench -p bfetch-bench --features criterion-benches --bench hotpath
 //! ```
 
+use bfetch_bench::harness::{cache::ResultCache, GridPoint};
 use bfetch_bpred::{CompositeConfidence, ConfidenceConfig, TournamentConfig, TournamentPredictor};
 use bfetch_core::{BFetchConfig, BFetchEngine, DecodedBranch};
 use bfetch_isa::ArchState;
 use bfetch_mem::{
     drain_chip, CacheConfig, ChipGuard, HitLevel, MemorySystem, MshrFile, SetAssocCache,
 };
-use bfetch_sim::{Core, PrefetcherKind, SeqMem, SimConfig};
+use bfetch_sim::{Core, PrefetcherKind, SeqMem, SimConfig, SimSession};
 use bfetch_workloads::{kernel_by_name, kernels, Scale};
 use std::hint::black_box;
 use std::time::Instant;
@@ -177,6 +178,25 @@ fn main() {
     bench_n("kernel_build_mcf", 10, || mcf.build(Scale::Full).len());
     let image = mcf.build(Scale::Full);
     bench_n("arch_state_new_mcf", 1_000, || ArchState::new(&image).pc());
+
+    // A warm harness hit, what each point of a cached figure pays: name the
+    // entry, open, read, decode, refresh its mtime. The key is a real Fig 8
+    // point's (mcf under B-Fetch at the figure's budget); the stored results
+    // come from a short run of the same point, so the entry has its shape.
+    let fig08 = SimConfig::baseline().with_prefetcher(PrefetcherKind::BFetch).with_warmup(150_000);
+    let key = GridPoint::single("mcf/bfetch", mcf, fig08.clone(), 300_000, Scale::Full).cache_key();
+    let results = SimSession::new(fig08.with_warmup(5_000))
+        .instructions(20_000)
+        .run_one(&mcf.build(Scale::Small))
+        .expect("mcf runs")
+        .results;
+    let dir = std::env::temp_dir().join(format!("bfetch-hotpath-cache-{}", std::process::id()));
+    let cache = ResultCache::new(&dir).expect("temporary cache directory");
+    cache.store(&key, &results).expect("entry stored");
+    bench_n("cache_load_hit", 10_000, || {
+        cache.load(&key).expect("entry readable").expect("a hit").len()
+    });
+    let _ = std::fs::remove_dir_all(&dir);
 
     // What every stage span in `Core::cycle` costs a run that never enabled
     // the profiler: a span opened and dropped.

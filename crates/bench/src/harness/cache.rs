@@ -5,10 +5,11 @@
 //! budget, and the *entire* `SimConfig` (via its `Debug` rendering, which
 //! recursively includes every nested config struct — any field added to
 //! any config automatically changes the key). The key is hashed to a
-//! 128-bit filename. Each entry is one checksummed snapshot frame
+//! 128-bit filename stem. Each entry is one checksummed snapshot frame
 //! ([`bfetch_sim::write_results`]) holding the full key string and the
 //! results; the key is compared on load, so a hash collision degrades to
-//! a miss, never to a wrong result.
+//! a miss, never to a wrong result. A warm hit is one `open`, one read,
+//! one decode, and an mtime refresh through the same descriptor.
 //!
 //! ## Crash safety and concurrency
 //!
@@ -25,13 +26,16 @@
 //!   renamed to `<name>.bad` on load and reported as a miss — recomputed,
 //!   never served, and kept for post-mortem until the next GC sweeps it.
 //! * **Bounded growth**: [`ResultCache::gc`] removes stranded temp files,
-//!   quarantined entries and undecodable or stale-schema entries, then LRU-evicts
+//!   quarantined entries and stale entries (undecodable, another schema, or
+//!   holding a key that does not hash to the entry's name), then LRU-evicts
 //!   (oldest recency first) until the cache fits a byte cap. A load hit
 //!   refreshes its entry's mtime, so recency tracking survives
 //!   `noatime`/`relatime` mounts.
 
+use bfetch_prng::mix64;
 use bfetch_sim::{decode_results, write_results, RunResult, SnapshotError};
 use std::collections::HashSet;
+use std::io::{ErrorKind, Read as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, SystemTime};
@@ -40,29 +44,34 @@ use std::time::{Duration, SystemTime};
 /// stolen.
 pub const LOCK_STALE_SECS: u64 = 10;
 
-/// FNV-1a, the filename hash's first half.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// A second, independent 64-bit hash (SplitMix64 finalizer folded over
-/// the bytes) for the filename's second half.
-fn alt64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0x9e37_79b9_7f4a_7c15;
-    for &b in bytes {
-        h = bfetch_prng::mix64(h ^ b as u64);
-    }
-    h
-}
-
-/// The content-addressed filename stem for a canonical key.
+/// The content-addressed filename stem for a canonical key: 128 bits as 32
+/// hex digits. Two lanes absorb the key eight bytes per step (the last word
+/// zero-padded) through the SplitMix64 finalizer, from different seeds and
+/// with the second lane's word rotated, so the halves are two independent
+/// 64-bit hashes of the whole key whose dependency chains overlap. The
+/// length is folded into a final avalanche, so keys that differ only in
+/// trailing zero bytes (`k`, `k\0`) still differ. Changing this renames
+/// every entry: the old ones become misses that [`ResultCache::gc`]
+/// sweeps as stale.
 fn stem(key: &str) -> String {
-    format!("{:016x}{:016x}", fnv1a64(key.as_bytes()), alt64(key.as_bytes()))
+    let bytes = key.as_bytes();
+    let (mut a, mut b) = (0x9e37_79b9_7f4a_7c15_u64, 0xcbf2_9ce4_8422_2325_u64);
+    let mut absorb = |w: u64| {
+        a = mix64(a ^ w);
+        b = mix64(b ^ w.rotate_left(32));
+    };
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        absorb(u64::from_le_bytes(w.try_into().expect("chunks of eight")));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        absorb(u64::from_le_bytes(last));
+    }
+    let len = bytes.len() as u64;
+    format!("{:016x}{:016x}", mix64(a ^ len), mix64(b ^ len.rotate_left(32)))
 }
 
 /// The cache filename (without directory) for a canonical key.
@@ -81,10 +90,22 @@ pub fn snap_name(key: &str) -> String {
     format!("{}.snap", stem(key))
 }
 
+/// Removes `path`: `Ok(false)` when it was already gone — a concurrent
+/// load quarantined it, or a concurrent sweep removed it.
+fn remove_present(path: &Path) -> std::io::Result<bool> {
+    match std::fs::remove_file(path) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == ErrorKind::NotFound => Ok(false),
+        Err(e) => Err(e),
+    }
+}
+
 /// Held while mutating the cache directory (stores, GC). Created with
 /// `create_new` so only one process wins; removed on drop. A lock whose
 /// file is older than [`LOCK_STALE_SECS`] is stolen — the holder died
-/// between create and drop.
+/// between create and drop. A stale lock that cannot be removed (a
+/// directory named `.lock`, or no write permission on the cache
+/// directory) is an error naming it, not a retry loop.
 struct DirLock {
     path: PathBuf,
 }
@@ -103,18 +124,21 @@ impl DirLock {
                     let _ = write!(f, "{}", std::process::id());
                     return Ok(Self { path });
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
+                Err(e) if e.kind() == ErrorKind::AlreadyExists => {
                     let stale = std::fs::metadata(&path)
                         .and_then(|m| m.modified())
                         .ok()
                         .and_then(|t| SystemTime::now().duration_since(t).ok())
                         .is_some_and(|age| age.as_secs() >= LOCK_STALE_SECS);
-                    if stale {
-                        // best-effort steal; the create_new retry below
-                        // decides the winner if several processes race here
-                        let _ = std::fs::remove_file(&path);
-                    } else {
+                    if !stale {
                         std::thread::sleep(Duration::from_millis(5));
+                    } else if let Err(e) = remove_present(&path) {
+                        // gone already means another process stole it: the
+                        // create_new retry decides the winner
+                        return Err(std::io::Error::new(
+                            e.kind(),
+                            format!("cannot remove stale cache lock {}: {e}", path.display()),
+                        ));
                     }
                 }
                 Err(e) => return Err(e),
@@ -140,8 +164,9 @@ pub struct GcReport {
     /// resume state no sweep came back for.
     pub removed_snap: u64,
     /// Undecodable or stale-schema entries removed (e.g. stranded files
-    /// from before a schema bump, or pre-frame `*.json` entries), and
-    /// program files (`*.prog`) with no `*.snap` to name them.
+    /// from before a schema bump, or pre-frame `*.json` entries), entries
+    /// whose key does not hash to their name (named by an earlier name
+    /// hash), and program files (`*.prog`) with no `*.snap` to name them.
     pub removed_stale: u64,
     /// Valid entries LRU-evicted to fit the byte cap.
     pub evicted: u64,
@@ -234,71 +259,7 @@ impl ResultCache {
     ///
     /// A hit refreshes the entry's mtime so LRU eviction sees the use.
     pub fn load(&self, key: &str) -> std::io::Result<Option<Vec<RunResult>>> {
-        let path = self.dir.join(file_name(key));
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return Ok(None);
-            }
-            Err(e) => return Err(e),
-        };
-        match decode_results(&bytes) {
-            Ok((stored, results)) if stored == key => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                touch(&path);
-                return Ok(Some(results));
-            }
-            // a 128-bit hash collision, or a stale schema (GC's job, not
-            // quarantine's): a plain miss
-            Ok(_) | Err(SnapshotError::BadVersion { .. }) => {}
-            Err(_) => {
-                let mut bad = path.clone().into_os_string();
-                bad.push(".bad");
-                let _ = std::fs::rename(&path, &bad);
-                self.quarantined.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        Ok(None)
-    }
-
-    /// Absolute path of the snapshot sidecar for `key` — the state file
-    /// an interrupted or killed simulation of this grid point left (or
-    /// will leave) to resume from.
-    pub fn snap_path(&self, key: &str) -> PathBuf {
-        self.dir.join(snap_name(key))
-    }
-
-    /// The sidecar's pair: its state file, then its program file — the
-    /// order to delete them in, so a crash between the two leaves an
-    /// orphan program file (GC's to sweep), never a state file naming a
-    /// missing one.
-    fn sidecar(&self, key: &str) -> [PathBuf; 2] {
-        let snap = self.snap_path(key);
-        [snap.clone(), bfetch_sim::program_path(&snap)]
-    }
-
-    /// Quarantines a corrupt snapshot sidecar to `<stem>.snap.bad`, and its
-    /// program file to `<stem>.prog.bad` — the same discipline as torn
-    /// cache entries: never resumed again, kept for post-mortem until the
-    /// next GC sweep. Counted once in [`ResultCache::quarantined`].
-    pub fn quarantine_snap(&self, key: &str) {
-        for path in self.sidecar(key) {
-            let mut bad = path.clone().into_os_string();
-            bad.push(".bad");
-            let _ = std::fs::rename(&path, &bad);
-        }
-        self.quarantined.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Removes the snapshot sidecar for `key` and its program file (best
-    /// effort) — called once the point completes and the resume state is
-    /// obsolete.
-    pub fn remove_snap(&self, key: &str) {
-        for path in self.sidecar(key) {
-            let _ = std::fs::remove_file(path);
-        }
+        self.entry(key).load()
     }
 
     /// Stores `results` under `key` atomically: the entry is streamed to a
@@ -306,15 +267,21 @@ impl ResultCache {
     /// lock, so concurrent invocations serialize and a crash strands at
     /// worst a temp file (swept by [`ResultCache::gc`]).
     pub fn store(&self, key: &str, results: &[RunResult]) -> std::io::Result<()> {
-        let _lock = DirLock::acquire(&self.dir)?;
-        write_results(&self.dir.join(file_name(key)), key, results).map_err(std::io::Error::other)
+        self.entry(key).store(results)
+    }
+
+    /// `key`'s place in this cache, its name hashed once.
+    pub(crate) fn entry<'a>(&'a self, key: &'a str) -> Entry<'a> {
+        Entry { cache: self, key, stem: stem(key) }
     }
 
     /// Maintenance sweep under the directory lock: removes stranded
     /// `*.tmp.*` files, quarantined `*.bad` entries, snapshot sidecars
     /// with their program files, and stale files — any entry that does not
-    /// decode under the current [`bfetch_sim::SCHEMA_VERSION`], every
-    /// pre-frame `*.json` entry, and every `*.prog` no `*.snap` names; then
+    /// decode under the current [`bfetch_sim::SCHEMA_VERSION`] or whose
+    /// stored key does not hash to its file name (an entry named by an
+    /// earlier name hash, or copied under another name), every pre-frame
+    /// `*.json` entry, and every `*.prog` no `*.snap` names; then
     /// LRU-evicts valid entries, oldest recency first, until the cache fits
     /// `max_bytes`.
     ///
@@ -325,48 +292,55 @@ impl ResultCache {
     /// most recently written or read is evicted last.
     pub fn gc(&self, max_bytes: u64) -> std::io::Result<GcReport> {
         let _lock = DirLock::acquire(&self.dir)?;
+        let mut listing = Vec::new();
+        for entry in std::fs::read_dir(&self.dir)? {
+            listing.push(entry?.file_name().to_string_lossy().into_owned());
+        }
+        self.sweep(&listing, max_bytes)
+    }
+
+    /// [`ResultCache::gc`] over a directory listing. Loads and sidecar
+    /// removals take no lock, so a listed file may be gone by the time the
+    /// sweep reaches it (and without `d_type`, the `.snap` branch removes a
+    /// listed `.prog`): such a file is skipped and counted nowhere.
+    fn sweep(&self, listing: &[String], max_bytes: u64) -> std::io::Result<GcReport> {
         let mut report = GcReport::default();
         // (recency, name-tiebreak, path, size) of valid entries
-        let mut live: Vec<(SystemTime, String, PathBuf, u64)> = Vec::new();
-        let entries = std::fs::read_dir(&self.dir)?.collect::<Result<Vec<_>, _>>()?;
-        let names: HashSet<String> =
-            entries.iter().map(|e| e.file_name().to_string_lossy().into_owned()).collect();
-        for entry in entries {
-            let path = entry.path();
-            if !entry.file_type()?.is_file() {
-                continue;
-            }
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name == ".lock" {
+        let mut live: Vec<(SystemTime, &str, PathBuf, u64)> = Vec::new();
+        let names: HashSet<&str> = listing.iter().map(String::as_str).collect();
+        for name in listing {
+            let path = self.dir.join(name);
+            let meta = match std::fs::symlink_metadata(&path) {
+                Ok(meta) => meta,
+                Err(e) if e.kind() == ErrorKind::NotFound => continue,
+                Err(e) => return Err(e),
+            };
+            if !meta.is_file() || name == ".lock" {
                 continue;
             }
             if name.contains(".tmp.") {
-                std::fs::remove_file(&path)?;
-                report.removed_tmp += 1;
+                report.removed_tmp += u64::from(remove_present(&path)?);
             } else if name.ends_with(".bad") {
-                std::fs::remove_file(&path)?;
-                report.removed_bad += 1;
+                report.removed_bad += u64::from(remove_present(&path)?);
             } else if name.ends_with(".snap") {
                 // resume state whose sweep never came back for it; GC is
                 // the explicit maintenance pass, so reclaim it with the
                 // program file it names
-                std::fs::remove_file(&path)?;
+                report.removed_snap += u64::from(remove_present(&path)?);
                 let _ = std::fs::remove_file(bfetch_sim::program_path(&path));
-                report.removed_snap += 1;
             } else if let Some(stem) = name.strip_suffix(".prog") {
                 // a program file goes with its sidecar (above); one with no
                 // sidecar is what a crash between the two renames leaves
-                if !names.contains(&format!("{stem}.snap")) {
-                    std::fs::remove_file(&path)?;
-                    report.removed_stale += 1;
+                if !names.contains(format!("{stem}.snap").as_str()) {
+                    report.removed_stale += u64::from(remove_present(&path)?);
                 }
             } else if name.ends_with(".res") || name.ends_with(".json") {
-                let meta = entry.metadata()?;
-                let valid = name.ends_with(".res")
-                    && std::fs::read(&path).is_ok_and(|b| decode_results(&b).is_ok());
+                let valid = name.strip_suffix(".res").is_some_and(|named| {
+                    std::fs::read(&path)
+                        .is_ok_and(|b| decode_results(&b).is_ok_and(|(key, _)| stem(&key) == named))
+                });
                 if !valid {
-                    std::fs::remove_file(&path)?;
-                    report.removed_stale += 1;
+                    report.removed_stale += u64::from(remove_present(&path)?);
                     continue;
                 }
                 let recency = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
@@ -378,13 +352,13 @@ impl ResultCache {
         report.bytes_after = report.bytes_before;
         // newest first; evict from the back (oldest recency, name breaks
         // ties deterministically)
-        live.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+        live.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(b.1)));
         while report.bytes_after > max_bytes {
             let Some((_, _, path, size)) = live.pop() else {
                 break;
             };
-            std::fs::remove_file(&path)?;
-            report.evicted += 1;
+            // the bytes are gone whoever removed them
+            report.evicted += u64::from(remove_present(&path)?);
             report.bytes_after -= size;
         }
         report.kept = live.len() as u64;
@@ -392,11 +366,111 @@ impl ResultCache {
     }
 }
 
-/// Refreshes `path`'s mtime to now (best effort — a read-only cache
-/// directory only loses LRU precision, not correctness).
-fn touch(path: &Path) {
-    if let Ok(f) = std::fs::OpenOptions::new().write(true).open(path) {
-        let _ = f.set_modified(SystemTime::now());
+/// One key's place in a [`ResultCache`]: the key, and the stem its files
+/// are named by — the result entry `<stem>.res` and the snapshot sidecar
+/// `<stem>.snap` with its program file `<stem>.prog`. The harness derives
+/// one per grid point, so a point hashes its key once however many rungs
+/// of the recovery ladder it climbs.
+pub(crate) struct Entry<'a> {
+    cache: &'a ResultCache,
+    key: &'a str,
+    stem: String,
+}
+
+impl Entry<'_> {
+    /// The cache directory the entry's files live in.
+    pub(crate) fn dir(&self) -> &Path {
+        &self.cache.dir
+    }
+
+    /// The entry's file with extension `ext`.
+    fn path(&self, ext: &str) -> PathBuf {
+        self.cache.dir.join(format!("{}.{ext}", self.stem))
+    }
+
+    /// [`ResultCache::load`]: one `open`, one read, one decode, and on a
+    /// hit the mtime refresh through the same descriptor.
+    pub(crate) fn load(&self) -> std::io::Result<Option<Vec<RunResult>>> {
+        let c = self.cache;
+        let path = self.path("res");
+        let mut file = match std::fs::File::open(&path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == ErrorKind::NotFound => {
+                c.misses.fetch_add(1, Ordering::Relaxed);
+                return Ok(None);
+            }
+            Err(e) => return Err(e),
+        };
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        match decode_results(&bytes) {
+            Ok((stored, results)) if stored == self.key => {
+                c.hits.fetch_add(1, Ordering::Relaxed);
+                // best effort: a read-only cache directory only loses LRU
+                // precision, not correctness
+                let _ = file.set_modified(SystemTime::now());
+                return Ok(Some(results));
+            }
+            // a 128-bit hash collision, or a stale schema (GC's job, not
+            // quarantine's): a plain miss
+            Ok(_) | Err(SnapshotError::BadVersion { .. }) => {}
+            Err(_) => {
+                let mut bad = path.clone().into_os_string();
+                bad.push(".bad");
+                let _ = std::fs::rename(&path, &bad);
+                c.quarantined.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        c.misses.fetch_add(1, Ordering::Relaxed);
+        Ok(None)
+    }
+
+    /// [`ResultCache::store`].
+    pub(crate) fn store(&self, results: &[RunResult]) -> std::io::Result<()> {
+        let _lock = DirLock::acquire(&self.cache.dir)?;
+        write_results(&self.path("res"), self.key, results).map_err(std::io::Error::other)
+    }
+
+    /// The snapshot sidecar's file name ([`snap_name`]).
+    pub(crate) fn snap_name(&self) -> String {
+        format!("{}.snap", self.stem)
+    }
+
+    /// Absolute path of the snapshot sidecar — the state file an
+    /// interrupted or killed simulation of this grid point left (or will
+    /// leave) to resume from.
+    pub(crate) fn snap_path(&self) -> PathBuf {
+        self.path("snap")
+    }
+
+    /// The sidecar's pair: its state file, then its program file — the
+    /// order to delete them in, so a crash between the two leaves an
+    /// orphan program file (GC's to sweep), never a state file naming a
+    /// missing one.
+    fn sidecar(&self) -> [PathBuf; 2] {
+        let snap = self.snap_path();
+        [snap.clone(), bfetch_sim::program_path(&snap)]
+    }
+
+    /// Quarantines a corrupt snapshot sidecar to `<stem>.snap.bad`, and its
+    /// program file to `<stem>.prog.bad` — the same discipline as torn
+    /// cache entries: never resumed again, kept for post-mortem until the
+    /// next GC sweep. Counted once in [`ResultCache::quarantined`].
+    pub(crate) fn quarantine_snap(&self) {
+        for path in self.sidecar() {
+            let mut bad = path.clone().into_os_string();
+            bad.push(".bad");
+            let _ = std::fs::rename(&path, &bad);
+        }
+        self.cache.quarantined.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Removes the snapshot sidecar and its program file (best effort) —
+    /// called once the point completes and the resume state is obsolete.
+    pub(crate) fn remove_snap(&self) {
+        for path in self.sidecar() {
+            let _ = std::fs::remove_file(path);
+        }
     }
 }
 
@@ -479,6 +553,12 @@ mod tests {
         assert!(cache.load("other-key").unwrap().is_none());
         // a collision is not corruption: the file must not be quarantined
         assert!(colliding.exists());
+        // but its key does not hash to its name, so GC sweeps it as stale
+        // (as it does every entry named by an earlier name hash)
+        let report = cache.gc(u64::MAX).unwrap();
+        assert_eq!((report.removed_stale, report.kept), (1, 1));
+        assert!(!colliding.exists());
+        assert!(cache.load("real-key").unwrap().is_some());
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -547,6 +627,39 @@ mod tests {
         assert!(a.ends_with(".res"));
     }
 
+    /// The name hash is part of the on-disk format: a change renames every
+    /// entry. Pinned on the empty key, a partial word, one word either side
+    /// of a whole word, and a real Fig 8 key (mcf under B-Fetch at the
+    /// figure's budget).
+    #[test]
+    fn stem_golden_vectors() {
+        use crate::harness::GridPoint;
+        use bfetch_sim::{PrefetcherKind, SimConfig};
+        use bfetch_workloads::{kernel_by_name, Scale};
+        let cfg = SimConfig::baseline().with_prefetcher(PrefetcherKind::BFetch).with_warmup(150_000);
+        let mcf = kernel_by_name("mcf").unwrap();
+        let fig08 = GridPoint::single("mcf/bfetch", mcf, cfg, 300_000, Scale::Full).cache_key();
+        assert_eq!(fig08.len(), 1439);
+        for (key, want) in [
+            ("", "6e789e6aa1b965f4c3817c016ba4ff30"),
+            ("k", "60d053b6b69ec25c7cf6415c110c9722"),
+            ("abcdefg", "1ae34bc70b71c3ebc6df437d0eed9b19"),
+            ("abcdefgh", "96c0f7c1e8a6a2db26a2849f1b28e726"),
+            ("abcdefghi", "0ed9d766031fcff3ea467927b8c309ec"),
+            (fig08.as_str(), "547b2b9bda8159caa2d1b9fad09d5a5d"),
+        ] {
+            assert_eq!(stem(key), want, "{} bytes", key.len());
+        }
+    }
+
+    /// The length is folded in: keys that differ only in trailing zero
+    /// bytes, which pad the last word the same way, get distinct stems.
+    #[test]
+    fn stem_tells_zero_padded_tails_apart() {
+        let stems: HashSet<String> = (0..=17).map(|n| stem(&format!("k{}", "\0".repeat(n)))).collect();
+        assert_eq!(stems.len(), 18);
+    }
+
     #[test]
     fn stranded_tmp_file_never_shadows_and_gc_sweeps_it() {
         // simulate a crash between write and rename: the tmp file exists,
@@ -591,14 +704,15 @@ mod tests {
             snap_name("k").strip_suffix(".snap"),
             file_name("k").strip_suffix(".res"),
         );
-        let snap = cache.snap_path("k");
+        let entry = cache.entry("k");
+        let snap = entry.snap_path();
         let prog = cache.dir().join(format!("{}.prog", stem("k")));
         assert_eq!(bfetch_sim::program_path(&snap), prog);
         std::fs::write(&snap, "torn checkpoint bytes").unwrap();
         std::fs::write(&prog, "its programs").unwrap();
         // quarantine renames the pair to .snap.bad and .prog.bad and
         // counts one quarantine
-        cache.quarantine_snap("k");
+        entry.quarantine_snap();
         assert!(!snap.exists() && !prog.exists());
         let bad = cache.dir().join(format!("{}.bad", snap_name("k")));
         let prog_bad = cache.dir().join(format!("{}.prog.bad", stem("k")));
@@ -621,9 +735,9 @@ mod tests {
         // completion removes the pair; a no-op on an already-clean slot
         std::fs::write(&snap, "resumable state").unwrap();
         std::fs::write(&prog, "its programs").unwrap();
-        cache.remove_snap("k");
+        entry.remove_snap();
         assert!(!snap.exists() && !prog.exists());
-        cache.remove_snap("k");
+        entry.remove_snap();
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -716,6 +830,69 @@ mod tests {
         // must not hang: the dead process's lock is stolen
         cache.store("k", &[result("mcf", 1)]).unwrap();
         assert!(cache.load("k").unwrap().is_some());
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// A stale lock that cannot be removed — here a directory named `.lock`
+    /// — makes `store` and `gc` fail at once with an error naming it,
+    /// instead of retrying the steal forever.
+    #[test]
+    fn unstealable_stale_lock_is_an_error() {
+        let cache = ResultCache::new(tmp_dir("stuck-lock")).unwrap();
+        let lock = cache.dir().join(".lock");
+        std::fs::create_dir(&lock).unwrap();
+        std::fs::File::open(&lock)
+            .unwrap()
+            .set_modified(SystemTime::now() - Duration::from_secs(LOCK_STALE_SECS + 5))
+            .unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let dir = cache.dir().to_path_buf();
+        // on a thread, so a regression fails this test instead of hanging it
+        std::thread::spawn(move || {
+            let cache = ResultCache::new(dir).unwrap();
+            let stored = cache.store("k", &[result("mcf", 1)]).map_err(|e| e.to_string());
+            let swept = cache.gc(u64::MAX).map_err(|e| e.to_string());
+            let _ = tx.send((stored, swept));
+        });
+        let (stored, swept) = rx.recv_timeout(Duration::from_secs(30)).expect("lock steal spins");
+        for err in [stored.unwrap_err(), swept.unwrap_err()] {
+            assert!(err.contains(&lock.display().to_string()), "{err}");
+        }
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// Files listed but gone before the sweep reaches them (a concurrent
+    /// load's quarantine, a concurrent sweep, or the `.prog` this sweep's
+    /// own `.snap` branch removed) are skipped, counted nowhere, and fail
+    /// nothing; the files that are there are counted exactly.
+    #[test]
+    fn gc_counts_nothing_for_files_gone_after_the_listing() {
+        let cache = ResultCache::new(tmp_dir("gc-vanished")).unwrap();
+        cache.store("live", &[result("mcf", 1)]).unwrap();
+        let size = std::fs::metadata(cache.dir().join(file_name("live"))).unwrap().len();
+        let s = stem("pair");
+        std::fs::write(cache.dir().join(format!("{s}.snap")), "resumable state").unwrap();
+        std::fs::write(cache.dir().join(format!("{s}.prog")), "its programs").unwrap();
+        let ghost = stem("ghost");
+        let listing: Vec<String> = [
+            file_name("live"),
+            format!("{s}.snap"),
+            format!("{s}.prog"),
+            format!("{ghost}.res.tmp.7"),
+            format!("{ghost}.res.bad"),
+            format!("{ghost}.snap"),
+            format!("{ghost}.prog"),
+            format!("{ghost}.res"),
+        ]
+        .into();
+        let report = cache.sweep(&listing, 0).unwrap();
+        let want = GcReport {
+            removed_snap: 1,
+            evicted: 1,
+            bytes_before: size,
+            ..GcReport::default()
+        };
+        assert_eq!(report, want);
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 

@@ -30,8 +30,9 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Applies `f` to every item on up to `threads` workers and returns the
-/// results in input order. A panic in `f` propagates after all workers
-/// stop.
+/// results in input order. Worker 0 is the calling thread, so one worker
+/// spawns nothing and `threads` workers spawn `threads - 1`. A panic in `f`
+/// propagates after all workers stop.
 pub fn run_indexed<I, T, F>(items: &[I], threads: usize, f: F) -> Vec<T>
 where
     I: Sync,
@@ -45,25 +46,29 @@ where
     let workers = threads.clamp(1, n);
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let claim_until_done = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
+        }
+        let out = f(i, &items[i]);
+        *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
+    };
     std::thread::scope(|scope| {
-        let (next, slots, f) = (&next, &slots, &f);
-        for w in 0..workers {
+        let claim_until_done = &claim_until_done;
+        for w in 1..workers {
             scope.spawn(move || {
                 bfetch_prof::set_thread_name(&format!("harness{w}"));
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let out = f(i, &items[i]);
-                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-                }
+                claim_until_done();
                 // Scoped threads are joined when this closure returns —
                 // possibly before TLS destructors run — so the profiler's
                 // thread-local buffer must be flushed explicitly here.
                 bfetch_prof::flush_thread();
             });
         }
+        // The caller keeps its profiler name and buffer: renaming or
+        // flushing it here would split it into two profiler threads.
+        claim_until_done();
     });
     slots
         .into_iter()
@@ -119,6 +124,29 @@ mod tests {
             i
         });
         assert_eq!(out, vec![0, 1, 2, 3]);
+    }
+
+    /// One worker is the caller itself; two are the caller and exactly one
+    /// spawned thread (a two-party barrier on the first two items forces
+    /// both to take part).
+    #[test]
+    fn worker_zero_is_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let items = [0u8; 8];
+        let ran_on = |threads| {
+            let barrier = std::sync::Barrier::new(2);
+            let ids = run_indexed(&items, threads, |i, _| {
+                if threads == 2 && i < 2 {
+                    barrier.wait();
+                }
+                std::thread::current().id()
+            });
+            ids.into_iter().collect::<HashSet<_>>()
+        };
+        assert_eq!(ran_on(1), HashSet::from([caller]));
+        let two = ran_on(2);
+        assert_eq!(two.len(), 2, "{two:?}");
+        assert!(two.contains(&caller));
     }
 
     #[test]

@@ -54,7 +54,7 @@ use crate::opts::Opts;
 use bfetch_sim::{FaultInjection, RunResult, SimConfig, SimError, SimSession};
 use bfetch_workloads::faults::{FaultKernel, FaultMode};
 use bfetch_workloads::{Kernel, Scale};
-use cache::ResultCache;
+use cache::{Entry, ResultCache};
 use jsonio::Json;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -690,10 +690,11 @@ impl Harness {
         let _point_span = bfetch_prof::span_labeled(bfetch_prof::HARNESS_POINT, &point.label);
         let pt0 = Instant::now();
         let key = point.cache_key();
+        let entry = self.cache.as_ref().map(|c| c.entry(&key));
         let mut attempts = 0;
         loop {
             attempts += 1;
-            match self.attempt_point(point, &key) {
+            match self.attempt_point(point, entry.as_ref()) {
                 Ok((results, from_cache)) => {
                     return Ok(PointOutcome {
                         label: point.label.clone(),
@@ -718,14 +719,16 @@ impl Harness {
         }
     }
 
+    /// One attempt at a point: the recovery ladder through its cache
+    /// `entry` (`None` with the cache disabled).
     fn attempt_point(
         &self,
         point: &GridPoint,
-        key: &str,
+        entry: Option<&Entry>,
     ) -> Result<(Vec<RunResult>, bool), FailureKind> {
-        let loaded = self.cache.as_ref().map(|c| {
+        let loaded = entry.map(|e| {
             let _load_span = bfetch_prof::span_traced(bfetch_prof::HARNESS_CACHE_LOAD);
-            c.load(key)
+            e.load()
         });
         match loaded {
             Some(Err(e)) => return Err(FailureKind::CacheIo(e.to_string())),
@@ -737,31 +740,32 @@ impl Harness {
         // sidecar that fails to parse, or whose program file is missing or
         // not the one it names, is quarantined with that file (`.snap.bad`,
         // `.prog.bad`) and the point recomputes from scratch.
-        if let Some(c) = &self.cache {
-            if c.snap_path(key).exists() {
-                match self.resume_point(&c.snap_path(key)) {
+        if let Some(e) = entry {
+            let snap = e.snap_path();
+            if snap.exists() {
+                match self.resume_point(&snap) {
                     Ok(results) => {
-                        let _ = c.store(key, &results);
-                        c.remove_snap(key);
+                        let _ = e.store(&results);
+                        e.remove_snap();
                         return Ok((results, false));
                     }
-                    Err(FailureKind::Sim(SimError::Snapshot(_))) => c.quarantine_snap(key),
+                    Err(FailureKind::Sim(SimError::Snapshot(_))) => e.quarantine_snap(),
                     Err(other) => return Err(other),
                 }
             }
         }
-        let results = catch_unwind(AssertUnwindSafe(|| self.simulate(point, key)))
+        let results = catch_unwind(AssertUnwindSafe(|| self.simulate(point, entry)))
             .map_err(|p| FailureKind::Panic(executor::panic_message(p.as_ref())))?
             .map_err(|e| match e {
                 SimError::Interrupted { .. } => FailureKind::Interrupted,
                 e => FailureKind::Sim(e),
             })?;
-        if let Some(c) = &self.cache {
+        if let Some(e) = entry {
             // a failed store only costs a future re-simulation
             let _store_span = bfetch_prof::span_traced(bfetch_prof::HARNESS_CACHE_STORE);
-            let _ = c.store(key, &results);
+            let _ = e.store(&results);
             // a periodic sidecar may linger even on success
-            c.remove_snap(key);
+            e.remove_snap();
         }
         Ok((results, false))
     }
@@ -770,13 +774,13 @@ impl Harness {
     /// armed: the sidecar lands in the cache directory under the point's
     /// content-addressed stem, written every `ckpt_every` cycles and on
     /// interrupt.
-    fn simulate(&self, point: &GridPoint, key: &str) -> Result<Vec<RunResult>, SimError> {
+    fn simulate(&self, point: &GridPoint, entry: Option<&Entry>) -> Result<Vec<RunResult>, SimError> {
         let programs: Vec<_> = point.members.iter().map(|k| k.build(point.scale)).collect();
         let mut session = SimSession::new(point.config.clone()).instructions(point.instructions);
-        if let Some(c) = &self.cache {
+        if let Some(e) = entry {
             session = session
-                .checkpoint_every(self.ckpt_every, c.dir())
-                .checkpoint_name(cache::snap_name(key));
+                .checkpoint_every(self.ckpt_every, e.dir())
+                .checkpoint_name(e.snap_name());
         }
         if let Some(stop) = &self.stop {
             session = session.stop_flag(stop.clone());

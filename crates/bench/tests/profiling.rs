@@ -7,6 +7,7 @@
 //! on a mutex.
 
 use bfetch_bench::harness::jsonio::Json;
+use bfetch_bench::harness::{Harness, SweepSpec};
 use bfetch_sim::{PrefetcherKind, SimConfig, SimSession};
 use bfetch_workloads::{kernel_by_name, kernels, Scale};
 use std::path::PathBuf;
@@ -177,6 +178,25 @@ fn report_json_round_trips() {
             .any(|t| t.get("name").and_then(Json::as_str) == Some("main")),
         "main thread missing from report"
     );
+}
+
+/// A `-j 1` sweep runs on the calling thread: its point spans land on
+/// `main`, in one profiler thread, and no `harnessN` worker appears.
+#[test]
+fn serial_sweep_spans_stay_on_main() {
+    let _g = lock();
+    let mut spec = SweepSpec::new();
+    let cfg = SimConfig::baseline().with_warmup(500);
+    let members: Vec<_> = kernels().iter().take(2).collect();
+    spec.push_grid(&members, &[("base", cfg)], 2_000, Scale::Small);
+    bfetch_prof::enable();
+    let out = Harness::new(1).without_cache().quiet().run(&spec);
+    let report = bfetch_prof::drain().expect("capture enabled").report();
+    assert_eq!(out.stats.sims_run, 2);
+    let names: Vec<&str> = report.threads.iter().map(|t| t.name.as_str()).collect();
+    assert_eq!(names, ["main"], "one profiler thread expected");
+    let points = report.threads[0].phase("harness.point").map(|p| p.count);
+    assert_eq!(points, Some(2));
 }
 
 /// Without `enable()`, `drain()` yields nothing — the runtime-off state

@@ -607,7 +607,7 @@ mod api {
         }
     }
 
-    /// Name the calling thread in traces and reports (e.g. `harness0`).
+    /// Name the calling thread in traces and reports (e.g. `harness1`).
     pub fn set_thread_name(name: &str) {
         if !enabled() {
             return;

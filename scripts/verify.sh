@@ -38,7 +38,8 @@ echo "==> timing bench compiles (criterion-benches feature); hot-path table reco
 cargo check -p bfetch-bench --benches --features criterion-benches -q
 # Seconds to run, and the only place the cost of a disabled profiler span
 # (span_disabled), of one stepped core cycle (core_cycle_*) and of building
-# mcf and a fresh state from it (kernel_build_mcf, arch_state_new_mcf) is a
+# mcf and a fresh state from it (kernel_build_mcf, arch_state_new_mcf) and of
+# one warm result-cache hit on a Fig 8 entry (cache_load_hit) is a
 # recorded number; CI uploads the table. Informational: host-speed regressions are
 # judged by `benchmark compare`, not here.
 cargo bench -q -p bfetch-bench --features criterion-benches --bench hotpath \
@@ -47,6 +48,7 @@ grep -q '^span_disabled ' target/BENCH_hotpath.txt
 grep -q '^core_cycle_gamess_bfetch ' target/BENCH_hotpath.txt
 grep -q '^arch_state_new_mcf ' target/BENCH_hotpath.txt
 grep -q '^kernel_build_mcf ' target/BENCH_hotpath.txt
+grep -q '^cache_load_hit ' target/BENCH_hotpath.txt
 
 echo "==> benchmark driver: unit + smoke tests against the crates' public surface"
 # benchmark/ is its own package (own workspace table and lock file), so
@@ -117,7 +119,7 @@ grep -q "pairs fully agree" target/FIG_realprog_quick.txt
 echo "==> fault injection: panic / livelock / runaway isolation end to end"
 cargo test -q -p bfetch-bench --test faults
 
-echo "==> cache GC: stranded tmp + stale schema swept, byte cap enforced, torn frame quarantined"
+echo "==> cache GC: stranded tmp + stale schema swept, byte cap enforced, torn frame quarantined, misnamed entry swept"
 printf 'half-written entry' >"$CACHE/deadbeefdeadbeef.json.tmp.99999"
 printf '{"schema":1,"key":"v1|old","results":[]}' >"$CACHE/0123456789abcdef.json"
 $BIN $ARGS --threads 4 --cache-gc --cache-cap 16K >/dev/null 2>"$CACHE/gc.err"
@@ -140,6 +142,13 @@ test -e "$TORN.bad"
 $BIN $ARGS --threads 4 --cache-gc >/dev/null 2>"$CACHE/gc.err"
 grep -q "1 quarantined + 0 stale" "$CACHE/gc.err"
 test ! -e "$TORN.bad"
+# a valid entry under a name its key does not hash to (what every entry
+# named by an earlier name hash looks like): a miss, and GC sweeps it
+cp "$TORN" "$CACHE/0123456789abcdef0123456789abcdef.res"
+$BIN $ARGS --threads 4 --cache-gc >/dev/null 2>"$CACHE/gc.err"
+grep -q "0 quarantined + 1 stale" "$CACHE/gc.err"
+test ! -e "$CACHE/0123456789abcdef0123456789abcdef.res"
+test -e "$TORN"
 
 echo "==> checkpoint/resume: interrupt exit path, program files, resume byte-identity, orphan GC"
 # BFETCH_HARNESS_INTERRUPT pre-arms the harness stop flag (the SIGINT
