@@ -22,8 +22,6 @@ pub mod tools;
 
 use crate::report::table;
 use crate::{exit_err, Ctx, SweepOutcome, SweepSpec};
-use bfetch_core::BFetchConfig;
-use bfetch_prefetch::{Isb, Prefetcher, Sms, Stride};
 use bfetch_sim::{CpiComponent, CpiStack, PrefetcherKind, SimConfig};
 use bfetch_workloads::Kernel;
 use std::io::{BufWriter, Write};
@@ -48,17 +46,6 @@ const GROUPS: [(&str, &[CpiComponent]); 9] = [
 
 fn group_cpi(stack: &CpiStack, members: &[CpiComponent]) -> f64 {
     members.iter().map(|&c| stack.component_cpi(c)).sum()
-}
-
-/// On-chip storage of `kind`'s baseline geometry.
-fn storage_kb(kind: PrefetcherKind) -> f64 {
-    match kind {
-        PrefetcherKind::Stride => Stride::degree8().storage_kb(),
-        PrefetcherKind::Sms => Sms::baseline().storage_kb(),
-        PrefetcherKind::Isb => Isb::baseline().storage_kb(),
-        PrefetcherKind::BFetch => BFetchConfig::baseline().storage_report().total_kb(),
-        _ => 0.0,
-    }
 }
 
 /// Runs the selected kernels under every labelled configuration through

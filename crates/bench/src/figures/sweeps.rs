@@ -1,13 +1,12 @@
 //! Harness sweeps whose rows aggregate over the kernels instead of
-//! listing them: one row per predictor size, DRAM model or prefetcher
-//! (Figure 13 and two extensions), plus the per-kernel prefetch counts of
-//! Figure 11.
+//! listing them: one row per predictor size or DRAM model (Figure 13 and
+//! one extension), plus the per-kernel prefetch counts of Figure 11.
 
-use super::{kernel_sweep, storage_kb, table};
-use crate::{rows_to_json, Ctx, Report, Row};
+use super::kernel_sweep;
+use crate::{Ctx, Report, Row};
 use bfetch_mem::DramConfig;
 use bfetch_sim::{PrefetcherKind, SimConfig};
-use bfetch_stats::{geomean, mean, percent};
+use bfetch_stats::{geomean, mean};
 
 /// Figure 11: useful vs useless prefetches issued by SMS and B-Fetch per
 /// benchmark — the accuracy argument behind B-Fetch's multiprogrammed wins.
@@ -73,7 +72,7 @@ pub fn fig13_bpsize(ctx: &Ctx) {
                 let f = out.require(&format!("{}/bfetch/{s}", k.name));
                 base_ratio.push(b.ipc() / ref_ipc);
                 bf_ratio.push(f.ipc() / ref_ipc);
-                rates.push(b.bp_miss_rate());
+                rates.push(b.branch_mispredict_rate());
             }
             (format!("{s}x"), vec![geomean(&base_ratio), geomean(&bf_ratio), mean(&rates)])
         })
@@ -134,89 +133,4 @@ pub fn ext_dram(ctx: &Ctx) {
     let headers = ["baseline IPC (geomean)", "bfetch speedup", "sms speedup"];
     Report::new("== Extension: DRAM model sensitivity ==", "dram model", headers, rows)
         .emit(ctx.opts.json);
-}
-
-/// Extension: light-weight vs heavy-weight prefetching (Section III-B).
-///
-/// The paper positions B-Fetch against heavy-weight designs like ISB:
-/// similar accuracy, but ISB needs megabytes of off-chip meta-data and
-/// pays ~8.4% extra memory traffic to shuttle it. Runs ISB alongside SMS
-/// and B-Fetch and reports speedup, accuracy, storage, and the meta-data
-/// traffic overhead.
-pub fn ext_heavyweight(ctx: &Ctx) {
-    let kinds = [PrefetcherKind::Sms, PrefetcherKind::Isb, PrefetcherKind::BFetch];
-    let mut cfgs = vec![("base", ctx.opts.config(PrefetcherKind::None))];
-    cfgs.extend(kinds.iter().map(|&kind| (kind.name(), ctx.opts.config(kind))));
-    let (kernels, out) = kernel_sweep(ctx, &cfgs);
-
-    let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); kinds.len()];
-    let mut useful = [0u64; 3];
-    let mut useless = [0u64; 3];
-    let mut demand_bytes = 0u64;
-    let mut metadata_bytes = 0u64;
-    for k in &kernels {
-        let base = out.require(&format!("{}/base", k.name));
-        demand_bytes += (base.mem.dram_reqs) * 64;
-        for (i, &kind) in kinds.iter().enumerate() {
-            let r = out.require(&format!("{}/{}", k.name, kind.name()));
-            speedups[i].push(r.ipc() / base.ipc());
-            useful[i] += r.mem.prefetch_useful;
-            useless[i] += r.mem.prefetch_useless;
-            if kind == PrefetcherKind::Isb {
-                metadata_bytes += r.pf_metadata_bytes;
-            }
-        }
-    }
-
-    let rows: Vec<Row> = kinds
-        .iter()
-        .enumerate()
-        .map(|(i, &kind)| {
-            let traffic = match kind {
-                PrefetcherKind::Isb => percent(metadata_bytes, demand_bytes),
-                _ => 0.0,
-            };
-            let accuracy = percent(useful[i], useful[i] + useless[i]);
-            (
-                kind.name().to_string(),
-                vec![geomean(&speedups[i]), accuracy, storage_kb(kind), traffic],
-            )
-        })
-        .collect();
-    if ctx.opts.json {
-        let headers = ["geomean speedup", "accuracy", "on-chip KB", "metadata traffic pct"];
-        println!("{}", rows_to_json(&headers, &rows));
-        return;
-    }
-
-    // the text table adds a column that is not a number
-    let mut t = table([
-        "prefetcher",
-        "geomean speedup",
-        "accuracy",
-        "on-chip KB",
-        "off-chip",
-        "metadata traffic",
-    ]);
-    let offchip = ["-", "~MBs (maps)", "-"];
-    for (i, (name, v)) in rows.iter().enumerate() {
-        let traffic = match kinds[i] {
-            PrefetcherKind::Isb => format!("{:.1}% of demand", v[3]),
-            _ => "0%".into(),
-        };
-        t.row(vec![
-            name.clone(),
-            format!("{:.3}", v[0]),
-            format!("{:.1}%", v[1]),
-            format!("{:.2}", v[2]),
-            offchip[i].into(),
-            traffic,
-        ]);
-    }
-    println!("== Extension: light-weight vs heavy-weight prefetchers ==");
-    print!("{t}");
-    println!();
-    println!("paper reference (Section III-B): ISB is accurate but needs 8 MB of");
-    println!("off-chip meta-data and sees 8.4% memory-traffic overhead; B-Fetch");
-    println!("reaches comparable accuracy entirely on-chip in ~13 KB.");
 }

@@ -46,10 +46,8 @@ pub fn simulate(ctx: &Ctx) {
 
     let mut cfg = opts.config(match ctx.own("--prefetcher").unwrap_or("none") {
         "none" => PrefetcherKind::None,
-        "nextn" => PrefetcherKind::NextN(4),
         "stride" => PrefetcherKind::Stride,
         "sms" => PrefetcherKind::Sms,
-        "isb" => PrefetcherKind::Isb,
         "bfetch" => PrefetcherKind::BFetch,
         "perfect" => PrefetcherKind::Perfect,
         other => bad_value("--prefetcher", other),
@@ -103,7 +101,7 @@ pub fn simulate(ctx: &Ctx) {
             i.to_string(),
             r.workload.clone(),
             format!("{:.3}", r.ipc()),
-            format!("{:.2}%", 100.0 * r.bp_miss_rate()),
+            format!("{:.2}%", 100.0 * r.branch_mispredict_rate()),
             format!("{:.1}", r.mpki()),
             r.mem.prefetch_useful.to_string(),
             r.mem.prefetch_useless.to_string(),

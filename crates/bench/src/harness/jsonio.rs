@@ -338,7 +338,6 @@ pub fn result_to_json(r: &RunResult) -> Json {
                 None => Json::Null,
             },
         ),
-        ("pf_metadata_bytes".into(), Json::u64_of(r.pf_metadata_bytes)),
         (
             "cpi".into(),
             match &r.cpi {

@@ -140,20 +140,27 @@ impl GridPoint {
     }
 
     /// The canonical cache key: schema version, members, scale,
-    /// instruction budget, and the complete configuration (`Debug`
-    /// rendering, which recursively covers every nested config field).
-    /// The label is deliberately excluded — two binaries labelling the
-    /// same simulation differently share one cache entry.
+    /// instruction budget, and the complete configuration as the hex of its
+    /// wire bytes ([`SimConfig::wire_bytes`], which `config_fields!` makes
+    /// cover every leaf). The label is deliberately excluded — two binaries
+    /// labelling the same simulation differently share one cache entry.
     pub fn cache_key(&self) -> String {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
         let members: Vec<&str> = self.members.iter().map(|k| k.name).collect();
-        format!(
-            "v{}|members={}|scale={:?}|insts={}|cfg={:?}",
+        let mut key = format!(
+            "v{}|members={}|scale={:?}|insts={}|cfg=",
             bfetch_sim::SCHEMA_VERSION,
             members.join("+"),
             self.scale,
             self.instructions,
-            self.config,
-        )
+        );
+        let wire = self.config.wire_bytes();
+        key.reserve(2 * wire.len());
+        for b in wire {
+            key.push(HEX[usize::from(b >> 4)] as char);
+            key.push(HEX[usize::from(b & 15)] as char);
+        }
+        key
     }
 }
 
@@ -939,7 +946,7 @@ mod tests {
         (c.fetch_width, c.issue_width, c.commit_width, c.rob_entries, c.mem_ports) = (8, 6, 5, 256, 3);
         (c.mul_latency, c.mispredict_penalty, c.btb_miss_penalty) = (4, 12, 3);
         c.bpred_scale = 2.0;
-        c.prefetcher = PrefetcherKind::NextN(3);
+        c.prefetcher = PrefetcherKind::Sms;
         c.bfetch = BFetchConfig {
             brtc_entries: 512,
             mht_entries: 64,
@@ -986,16 +993,14 @@ mod tests {
     /// otherwise invalidate every cache entry and checkpoint silently.
     #[test]
     fn config_wire_bytes_and_cache_key_are_pinned() {
-        use bfetch_snapshot::{crc32, Encoder, Snap as _};
+        use bfetch_snapshot::crc32;
         let pins = [
-            (SimConfig::baseline(), 438, 0xdc1f_fb3c, 0x1cbb_a931),
-            (every_knob_moved(), 446, 0xf5dc_0631, 0x7bac_9548),
+            (SimConfig::baseline(), 438, 0xdc1f_fb3c, 0xe477_67e0),
+            (every_knob_moved(), 438, 0x0366_194c, 0xd635_1801),
         ];
         for (c, len, wire, key) in pins {
             assert_eq!(c.validate(), Ok(()));
-            let mut w = Encoder::new();
-            c.save(&mut w);
-            let bytes = w.into_bytes();
+            let bytes = c.wire_bytes();
             assert_eq!((bytes.len(), crc32(&bytes)), (len, wire), "wire bytes moved");
             let k = kernel_by_name("mcf").unwrap();
             let point = GridPoint::single("pin", k, c, 10_000, Scale::Small);

@@ -161,11 +161,7 @@ const PROFILE_FLAGS: &[Flag] = &[
 
 const SIMULATE_FLAGS: &[Flag] = &[
     KERNELS,
-    Flag::new(
-        "--prefetcher",
-        Some("KIND"),
-        "none|nextn|stride|sms|isb|bfetch|perfect (default none)",
-    ),
+    Flag::new("--prefetcher", Some("KIND"), "none|stride|sms|bfetch|perfect (default none)"),
     Flag::new("--width", Some("N"), "pipeline width (default 4)"),
     Flag::new("--writebacks", None, "model dirty-line writebacks"),
     Flag::new("--row-dram", None, "bank/row-buffer DRAM instead of flat latency"),
@@ -182,7 +178,7 @@ macro_rules! entry {
     };
 }
 
-static FIGURES: [Figure; 25] = [
+static FIGURES: [Figure; 24] = [
     entry!(analysis::tab1_storage, "Table I: storage overhead (KB) of B-Fetch vs SMS components")
         .flags(&[]),
     entry!(
@@ -235,10 +231,6 @@ static FIGURES: [Figure; 25] = [
     entry!(cmp::ext_mix8, "Section V-B2: 8-core CMP, top-10 FOA mixes")
         .budget(Budget::CMP8, None)
         .flags(&[]),
-    entry!(
-        sweeps::ext_heavyweight,
-        "Section III-B: ISB vs SMS vs B-Fetch speedup, accuracy, storage, meta-data traffic"
-    ),
     entry!(sweeps::ext_dram, "substrate study: flat-latency vs bank/row-buffer DRAM"),
     entry!(
         direct::ext_lifecycle,

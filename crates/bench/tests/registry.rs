@@ -32,7 +32,7 @@ fn bfetch(args: &[&str]) -> Output {
 fn registry_names_are_the_committed_results_plus_the_utilities() {
     let names: BTreeSet<String> = figures().iter().map(|f| f.name.to_string()).collect();
     assert_eq!(names.len(), figures().len(), "duplicate registry name");
-    assert_eq!(names.len(), 25, "the 19 committed results and the 6 utilities");
+    assert_eq!(names.len(), 24, "the 18 committed results and the 6 utilities");
 
     let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     let mut expected: BTreeSet<String> = UTILITIES.iter().map(|u| u.to_string()).collect();
@@ -63,8 +63,8 @@ fn list_prints_one_name_and_about_line_per_entry() {
 
 #[test]
 fn no_name_or_an_unknown_name_prints_the_registry_and_exits_2() {
-    // the last three were entries until the extension audit removed them
-    let gone = ["ext_perceptron", "ext_iprefetch", "ext_energy"];
+    // the last four were entries until the extension audit removed them
+    let gone = ["ext_perceptron", "ext_iprefetch", "ext_energy", "ext_heavyweight"];
     assert!(figures().iter().all(|f| !gone.contains(&f.name)));
     let unknown = gone.iter().map(std::slice::from_ref);
     for args in [&[][..], &["nosuch"], &["nosuch", "--help"]].into_iter().chain(unknown) {

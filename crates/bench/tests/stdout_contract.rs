@@ -187,6 +187,36 @@ fn simulate_rejects_a_configuration_its_flags_make_invalid() {
     }
 }
 
+/// `simulate --prefetcher` accepts exactly the kinds its help text lists:
+/// each runs (exit 0), and the removed ISB and Next-N prefetchers are
+/// usage errors (exit 2, nothing on stdout), so the help and the parser
+/// cannot drift apart.
+#[test]
+fn simulate_runs_every_listed_prefetcher_and_rejects_removed_ones() {
+    let fig = bfetch_bench::registry::figures().iter().find(|f| f.name == "simulate");
+    let help = fig.and_then(|f| f.flag("--prefetcher")).expect("simulate --prefetcher").help;
+    let listed: Vec<&str> = help.split(' ').next().unwrap().split('|').collect();
+    assert_eq!(listed, ["none", "stride", "sms", "bfetch", "perfect"]);
+    let simulate = |kind: &str| {
+        Command::new(env!("CARGO_BIN_EXE_bfetch"))
+            .args(["simulate", "-n", "60", "--warmup", "20", "--small", "--no-cache"])
+            .args(["--prefetcher", kind])
+            .output()
+            .expect("spawn simulate")
+    };
+    for kind in listed {
+        let out = simulate(kind);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{kind}: {stderr}");
+        assert!(!out.stdout.is_empty(), "{kind} printed nothing");
+    }
+    for kind in ["isb", "nextn"] {
+        let out = simulate(kind);
+        assert_eq!(out.status.code(), Some(2), "{kind}");
+        assert!(out.stdout.is_empty(), "{kind} printed to stdout");
+    }
+}
+
 /// `--kernels` sets the core count, and the shared L3 is sized by it: a
 /// count the L3 cannot be built for (three cores make a 6 MB L3 of 6 144
 /// sets) is a usage error naming that geometry, not a panic in a worker.

@@ -1,18 +1,14 @@
 //! # bfetch-prefetch
 //!
-//! The demand-side prefetcher framework and the paper's light-weight
-//! comparison points:
+//! The demand-side prefetcher framework and the two comparison points the
+//! paper evaluates (Figs 8–15):
 //!
-//! * [`NextN`] — sequential next-N-lines prefetcher (Smith, 1978).
 //! * [`Stride`] — reference-prediction-table stride prefetcher (Chen &
 //!   Baer, 1995), run at degree 8 as Section V-A found best.
 //! * [`Sms`] — Spatial Memory Streaming (Somogyi et al., ISCA 2006), at the
 //!   paper's practical configuration: 2 KB spatial regions, a 64-entry
 //!   active generation table and a 16 K-entry pattern history table
 //!   (Section IV-C / Table I).
-//! * [`Isb`] — the Irregular Stream Buffer (Jain & Lin, MICRO 2013), the
-//!   paper's representative *heavy-weight* comparison point, including its
-//!   off-chip meta-data traffic accounting.
 //!
 //! All of these observe the demand L1D access stream ([`AccessEvent`]) and
 //! emit [`PrefetchRequest`]s; the simulator feeds those into the
@@ -36,13 +32,9 @@
 
 #![forbid(unsafe_code)]
 
-pub mod isb;
-pub mod nextn;
 pub mod sms;
 pub mod stride;
 
-pub use isb::{Isb, IsbConfig};
-pub use nextn::NextN;
 pub use sms::{Sms, SmsConfig};
 pub use stride::{Stride, StrideConfig};
 
@@ -100,12 +92,6 @@ pub trait Prefetcher: std::fmt::Debug + bfetch_snapshot::SnapState {
     fn storage_kb(&self) -> f64 {
         self.storage_bits() as f64 / 8.0 / 1024.0
     }
-
-    /// Off-chip meta-data traffic generated so far, in bytes (zero for
-    /// prefetchers whose state is entirely on-chip).
-    fn metadata_traffic_bytes(&self) -> u64 {
-        0
-    }
 }
 
 bfetch_snapshot::impl_snap_struct!(PrefetchRequest { addr, pc_hash });
@@ -137,10 +123,8 @@ mod tests {
     #[test]
     fn restored_prefetchers_continue_identically() {
         let mut kinds: Vec<(Box<dyn Prefetcher>, Box<dyn Prefetcher>)> = vec![
-            (Box::new(NextN::new(4)), Box::new(NextN::new(4))),
             (Box::new(Stride::degree8()), Box::new(Stride::degree8())),
             (Box::new(Sms::baseline()), Box::new(Sms::baseline())),
-            (Box::new(Isb::baseline()), Box::new(Isb::baseline())),
         ];
         let ev = |i: u64| AccessEvent {
             pc: 0x40_0000 + (i % 13) * 4,
@@ -172,7 +156,6 @@ mod tests {
                 b.on_access(&ev(i), &mut ob);
                 assert_eq!(oa, ob, "{} diverged after restore", a.name());
             }
-            assert_eq!(a.metadata_traffic_bytes(), b.metadata_traffic_bytes());
         }
     }
 }

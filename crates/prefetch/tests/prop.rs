@@ -2,7 +2,7 @@
 //! the in-tree deterministic PRNG (`bfetch-prng`). Set `BFETCH_PROP_CASES`
 //! for more cases.
 
-use bfetch_prefetch::{AccessEvent, Isb, NextN, Prefetcher, Sms, Stride};
+use bfetch_prefetch::{AccessEvent, Prefetcher, Sms, Stride};
 use bfetch_prng::{cases, Pcg32};
 
 fn ev(pc: u64, addr: u64) -> AccessEvent {
@@ -24,12 +24,11 @@ fn never_prefetch_the_demand_line() {
         let mut out = Vec::new();
         let mut stride = Stride::degree8();
         let mut sms = Sms::baseline();
-        let mut nextn = NextN::new(4);
         for _ in 0..n {
             let pcid = r.gen_range(64);
             let addr = r.gen_range(0x100_0000);
             let e = ev(0x40_0000 + pcid * 4, addr);
-            for pf in [&mut stride as &mut dyn Prefetcher, &mut sms, &mut nextn] {
+            for pf in [&mut stride as &mut dyn Prefetcher, &mut sms] {
                 out.clear();
                 pf.on_access(&e, &mut out);
                 for req in &out {
@@ -102,50 +101,6 @@ fn sms_stays_in_region() {
                 new_base
             );
         }
-    }
-}
-
-/// ISB replays an arbitrary repeated sequence: on the second traversal,
-/// each access predicts at least its immediate successor.
-#[test]
-fn isb_replays_any_repeated_sequence() {
-    let mut ran = 0usize;
-    let mut case = 0u64;
-    while ran < cases(24) {
-        let mut r = Pcg32::new(0x9f_0004 ^ case);
-        case += 1;
-        let n = r.range(3, 20) as usize;
-        // distinct lines only
-        let mut seq: Vec<u64> = Vec::new();
-        for _ in 0..n {
-            let a = r.gen_range(0x4000) * 64;
-            if !seq.contains(&a) {
-                seq.push(a);
-            }
-        }
-        if seq.len() < 3 {
-            continue;
-        }
-        ran += 1;
-        let mut isb = Isb::baseline();
-        let mut out = Vec::new();
-        for &a in &seq {
-            isb.on_access(&ev(0x400300, a), &mut out);
-        }
-        // second pass: check successor coverage
-        let mut covered = 0;
-        for (i, &a) in seq.iter().enumerate().take(seq.len() - 1) {
-            out.clear();
-            isb.on_access(&ev(0x400300, a), &mut out);
-            if out.iter().any(|req| req.addr == seq[i + 1]) {
-                covered += 1;
-            }
-        }
-        assert!(
-            covered * 10 >= (seq.len() - 1) * 8,
-            "ISB covered only {covered}/{} successors",
-            seq.len() - 1
-        );
     }
 }
 

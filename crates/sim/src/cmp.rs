@@ -40,9 +40,6 @@ pub struct RunResult {
     pub branch_fetch_hist: [u64; 5],
     /// B-Fetch engine statistics (when configured) over the window.
     pub engine: Option<EngineStats>,
-    /// Off-chip prefetcher meta-data traffic over the window, in bytes
-    /// (nonzero only for heavy-weight prefetchers like ISB).
-    pub pf_metadata_bytes: u64,
     /// CPI-stack over the window, when `SimConfig::cpi` accounting was
     /// enabled (`None` otherwise — plain runs carry no accounting state).
     pub cpi: Option<CpiStack>,
@@ -65,11 +62,6 @@ impl RunResult {
         } else {
             self.mispredicts as f64 / self.cond_branches as f64
         }
-    }
-
-    /// Alias for [`RunResult::branch_mispredict_rate`] (historical name).
-    pub fn bp_miss_rate(&self) -> f64 {
-        self.branch_mispredict_rate()
     }
 
     /// L1D demand misses per kilo-instruction.
@@ -129,7 +121,6 @@ impl RunResult {
         r.set("prefetch.useless", m.prefetch_useless);
         r.set("prefetch.late", m.prefetch_late);
         r.set("prefetch.mshr_drops", m.prefetch_mshr_drops);
-        r.set("prefetch.metadata_bytes", self.pf_metadata_bytes);
         if let Some(e) = &self.engine {
             r.set("bfetch.lookaheads", e.lookaheads);
             r.set("bfetch.branches_walked", e.branches_walked);
@@ -156,7 +147,6 @@ pub(crate) struct Snapshot {
     pub(crate) counters: CoreCounters,
     pub(crate) mem: MemStats,
     pub(crate) engine: Option<EngineStats>,
-    pub(crate) pf_metadata: u64,
     pub(crate) cycle: u64,
 }
 
@@ -165,7 +155,6 @@ bfetch_snapshot::impl_snap_struct!(Snapshot {
     counters,
     mem,
     engine,
-    pf_metadata,
     cycle
 });
 
@@ -506,7 +495,6 @@ pub(crate) fn run_ctrl(
                                 counters: *c.counters(),
                                 mem: *m.stats(),
                                 engine: c.engine().map(|e| *e.stats()),
-                                pf_metadata: c.pf_metadata_bytes(),
                                 cycle: st.now,
                             })
                             .collect(),
@@ -540,7 +528,6 @@ pub(crate) fn run_ctrl(
                             engine: c
                                 .engine()
                                 .map(|e| e.stats().delta(&snap.engine.expect("snapshot taken"))),
-                            pf_metadata_bytes: c.pf_metadata_bytes() - snap.pf_metadata,
                             // snapshot at quota time: committed_slots == the
                             // window's instruction count and cycles == the
                             // window's cycles, even though fast cores keep
@@ -798,9 +785,9 @@ mod tests {
         let p = stream_kernel(64 * 1024);
         let r = run_single(&p, &quick_cfg(PrefetcherKind::None), 20_000);
         assert!(
-            r.bp_miss_rate() < 0.05,
+            r.branch_mispredict_rate() < 0.05,
             "loop branch should be predictable, rate {}",
-            r.bp_miss_rate()
+            r.branch_mispredict_rate()
         );
     }
 

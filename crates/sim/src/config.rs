@@ -10,14 +10,10 @@ use bfetch_stats::{CpiConfig, TraceConfig};
 pub enum PrefetcherKind {
     /// No prefetching (the paper's speedup baseline).
     None,
-    /// Sequential next-N-lines.
-    NextN(usize),
     /// Reference-prediction-table stride prefetcher (degree 8).
     Stride,
     /// Spatial Memory Streaming.
     Sms,
-    /// Irregular Stream Buffer (heavy-weight comparison point).
-    Isb,
     /// B-Fetch (the paper's contribution).
     BFetch,
     /// Oracle: every data access completes with L1 latency (Figure 1's
@@ -30,26 +26,15 @@ impl PrefetcherKind {
     pub fn name(&self) -> &'static str {
         match self {
             PrefetcherKind::None => "baseline",
-            PrefetcherKind::NextN(_) => "next-n",
             PrefetcherKind::Stride => "stride",
             PrefetcherKind::Sms => "sms",
-            PrefetcherKind::Isb => "isb",
             PrefetcherKind::BFetch => "bfetch",
             PrefetcherKind::Perfect => "perfect",
         }
     }
 
-    /// One representative per variant, in snapshot tag order (`NextN`'s
-    /// degree is neither part of its name nor of its tag).
-    const ALL: [Self; 7] = [
-        Self::None,
-        Self::NextN(1),
-        Self::Stride,
-        Self::Sms,
-        Self::Isb,
-        Self::BFetch,
-        Self::Perfect,
-    ];
+    /// Every variant, in snapshot tag order.
+    const ALL: [Self; 5] = [Self::None, Self::Stride, Self::Sms, Self::BFetch, Self::Perfect];
 
     /// The `&'static str` [`name`](Self::name) returns for `name`, or
     /// `None` when no kind is called that.
@@ -209,7 +194,7 @@ pub const MAX_TABLE_ENTRIES: usize = 1 << 20;
 /// one `u32` bit per slot.
 pub const MAX_MHT_SLOTS: usize = u32::BITS as usize;
 
-/// Largest prefetch degree (`stride.degree`, next-N's N) and B-Fetch
+/// Largest prefetch degree (`stride.degree`) and B-Fetch
 /// lookahead depth (`bfetch.max_lookahead`): one trigger pushes up to this
 /// many requests or walks this many branches (the paper runs stride at 8
 /// and reports an average lookahead of 8 blocks).
@@ -487,6 +472,14 @@ impl SimConfig {
         })
     }
 
+    /// The configuration's wire bytes: its [`Snap`](bfetch_snapshot::Snap)
+    /// encoding, as a checkpoint's config section carries it.
+    pub fn wire_bytes(&self) -> Vec<u8> {
+        let mut w = bfetch_snapshot::Encoder::new();
+        bfetch_snapshot::Snap::save(self, &mut w);
+        w.into_bytes()
+    }
+
     /// The memory hierarchy configuration for `cores` cores.
     pub fn hierarchy(&self, cores: usize) -> HierarchyConfig {
         HierarchyConfig {
@@ -540,7 +533,6 @@ pub fn check_bounded(knob: &'static str, v: u64, min: u64, max: u64) -> Result<(
 /// | `upto(max)` | `0..=max` | `TooLarge` |
 /// | `pow2(max)` | powers of two up to `max` | `TooLarge`, `Table` |
 /// | `ratio(lo, hi)` | `f64` in `[lo, hi]` | `Range` (NaN included) |
-/// | `kind` | a [`PrefetcherKind`] whose Next-N degree is a `count(MAX_DEGREE)` | `Zero`, `TooLarge` |
 /// | `any` | every value of the type | — |
 /// | `geometry` | whatever the `check` block accepts with the leaf's siblings | — |
 ///
@@ -628,12 +620,6 @@ macro_rules! config_fields {
             return Err($crate::config::ConfigError::Range { knob: $k, lo: $lo, hi: $hi });
         }
     };
-    (@check ($s:ident) [$($p:ident).+] $k:expr, kind) => {
-        if let $crate::config::PrefetcherKind::NextN(n) = $s.$($p).+ {
-            let max = $crate::config::MAX_DEGREE as u64;
-            $crate::config::check_bounded(concat!($k, ".next_n"), n as u64, 1, max)?
-        }
-    };
     (@check $s:tt $p:tt $k:expr, any) => {};
     (@check $s:tt $p:tt $k:expr, geometry) => {};
     (@save ($s:ident, $w:ident) [$($p:ident).+] $k:expr, $($d:tt)+) => {
@@ -662,7 +648,7 @@ config_fields!(SimConfig {
     mispredict_penalty: upto(MAX_LATENCY),
     btb_miss_penalty: upto(MAX_LATENCY),
     bpred_scale: geometry,
-    prefetcher: kind,
+    prefetcher: any,
     bfetch: BFetchConfig {
         brtc_entries: pow2(MAX_TABLE_ENTRIES),
         mht_entries: pow2(MAX_TABLE_ENTRIES),
@@ -752,27 +738,13 @@ config_fields!(SimConfig {
     Ok(())
 });
 
-// NextN carries a payload, so the unit-variant macro does not apply.
-impl bfetch_snapshot::Snap for PrefetcherKind {
-    fn save(&self, w: &mut bfetch_snapshot::Encoder) {
-        let same = |k: &Self| std::mem::discriminant(k) == std::mem::discriminant(self);
-        w.put_u8(Self::ALL.iter().position(same).expect("every variant is listed") as u8);
-        if let PrefetcherKind::NextN(n) = self {
-            n.save(w);
-        }
-    }
-
-    fn load(
-        r: &mut bfetch_snapshot::Decoder<'_>,
-    ) -> Result<Self, bfetch_snapshot::SnapshotError> {
-        let tag = r.take_u8()? as usize;
-        let invalid = bfetch_snapshot::SnapshotError::Invalid { what: "PrefetcherKind tag" };
-        Ok(match *Self::ALL.get(tag).ok_or(invalid)? {
-            PrefetcherKind::NextN(_) => PrefetcherKind::NextN(usize::load(r)?),
-            kind => kind,
-        })
-    }
-}
+bfetch_snapshot::impl_snap_enum!(PrefetcherKind {
+    PrefetcherKind::None = 0,
+    PrefetcherKind::Stride = 1,
+    PrefetcherKind::Sms = 2,
+    PrefetcherKind::BFetch = 3,
+    PrefetcherKind::Perfect = 4,
+});
 
 #[cfg(test)]
 mod tests {
@@ -893,7 +865,7 @@ mod tests {
     fn prefetcher_names() {
         assert_eq!(PrefetcherKind::BFetch.name(), "bfetch");
         assert_eq!(PrefetcherKind::None.name(), "baseline");
-        assert_eq!(PrefetcherKind::static_name("next-n"), Some("next-n"));
+        assert_eq!(PrefetcherKind::static_name("stride"), Some("stride"));
         assert_eq!(PrefetcherKind::static_name("perfect"), Some("perfect"));
         assert_eq!(PrefetcherKind::static_name("experimental-9"), None);
     }
@@ -1030,7 +1002,7 @@ mod tests {
     }
 
     /// Each geometry a prefetcher constructor asserts on (`BranchTraceCache`,
-    /// `MemoryHistoryTable`, `PerLoadFilter`, `Sms`, `Stride`, `NextN`) is
+    /// `MemoryHistoryTable`, `PerLoadFilter`, `Sms`, `Stride`) is
     /// refused here first, whichever prefetcher is selected.
     #[test]
     fn prefetcher_geometry_the_constructors_assert_on_is_rejected() {
@@ -1055,8 +1027,6 @@ mod tests {
         );
         assert_eq!(rejection(|c| c.stride.entries = 100), table("stride.entries", pow2));
         assert_eq!(rejection(|c| c.stride.degree = 0), zero("stride.degree"));
-        let c = SimConfig::baseline().with_prefetcher(PrefetcherKind::NextN(0));
-        assert_eq!(c.validate(), Err(zero("prefetcher.next_n")));
     }
 
     #[test]
@@ -1090,9 +1060,6 @@ mod tests {
     #[test]
     fn prefetch_degrees_are_bounded() {
         assert_bounded("stride.degree", MAX_DEGREE, |c, v| c.stride.degree = v);
-        assert_bounded("prefetcher.next_n", MAX_DEGREE, |c, v| {
-            c.prefetcher = PrefetcherKind::NextN(v)
-        });
     }
 
     /// Every knob the model adds to a cycle stamp, one line each.
@@ -1132,12 +1099,7 @@ mod tests {
         c.stride.entries = 1;
         c.stride.degree = 1;
         let program = bfetch_isa::ProgramBuilder::new("empty").finish();
-        for kind in [
-            PrefetcherKind::BFetch,
-            PrefetcherKind::Sms,
-            PrefetcherKind::Stride,
-            PrefetcherKind::NextN(1),
-        ] {
+        for kind in [PrefetcherKind::BFetch, PrefetcherKind::Sms, PrefetcherKind::Stride] {
             let c = c.clone().with_prefetcher(kind);
             assert_eq!(c.validate(), Ok(()));
             crate::core::Core::new(0, program.clone(), &c);
@@ -1170,7 +1132,7 @@ mod tests {
     fn config_snapshot_round_trips() {
         use bfetch_snapshot::{Decoder, Encoder, Snap as _};
         let mut c = SimConfig::baseline()
-            .with_prefetcher(PrefetcherKind::NextN(3))
+            .with_prefetcher(PrefetcherKind::Sms)
             .with_bpred_scale(2.0)
             .with_l3_banks(4)
             .with_writebacks(true);
@@ -1183,6 +1145,20 @@ mod tests {
         let back = SimConfig::load(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back, c);
+    }
+
+    /// A frame whose prefetcher tag names no variant is a typed `Invalid`.
+    #[test]
+    fn an_unknown_prefetcher_tag_loads_as_invalid() {
+        use bfetch_snapshot::{Decoder, Snap as _, SnapshotError};
+        let encode = |kind| SimConfig::baseline().with_prefetcher(kind).wire_bytes();
+        let (first, last) = (encode(PrefetcherKind::ALL[0]), encode(PrefetcherKind::ALL[4]));
+        let at = first.iter().zip(&last).position(|(a, b)| a != b).expect("the tag differs");
+        assert_eq!(last[at], 4, "the last variant's tag");
+        let mut bad = last;
+        bad[at] = PrefetcherKind::ALL.len() as u8;
+        let err = SimConfig::load(&mut Decoder::new(&bad)).unwrap_err();
+        assert!(matches!(err, SnapshotError::Invalid { .. }), "{err:?}");
     }
 
     #[test]
@@ -1265,7 +1241,7 @@ mod tests {
 
     impl Probe for PrefetcherKind {
         fn probes(_: u64) -> Vec<Self> {
-            usize::probes(MAX_DEGREE as u64).into_iter().map(PrefetcherKind::NextN).collect()
+            PrefetcherKind::ALL.to_vec()
         }
     }
 

@@ -34,7 +34,7 @@ use bfetch_bpred::{
 use bfetch_core::{BFetchEngine, DecodedBranch};
 use bfetch_isa::{ArchState, Program, StaticInst};
 use bfetch_mem::{AccessKind, CoreMem, HitLevel, MemStats, MemoryInterface};
-use bfetch_prefetch::{AccessEvent, Isb, NextN, PrefetchRequest, Prefetcher, Sms, Stride};
+use bfetch_prefetch::{AccessEvent, PrefetchRequest, Prefetcher, Sms, Stride};
 use bfetch_snapshot::SnapshotError;
 use bfetch_stats::cpi::{CpiComponent, CpiConfig, CpiStack, TimelineSample};
 use bfetch_stats::trace::{TraceKind, Tracer};
@@ -327,10 +327,8 @@ impl Core {
         ) = match cfg.prefetcher {
             PrefetcherKind::None => (None, None, false),
             PrefetcherKind::BFetch => (Some(BFetchEngine::new(cfg.bfetch)), None, false),
-            PrefetcherKind::NextN(n) => (None, Some(Box::new(NextN::new(n))), false),
             PrefetcherKind::Stride => (None, Some(Box::new(Stride::new(cfg.stride))), false),
             PrefetcherKind::Sms => (None, Some(Box::new(Sms::new(cfg.sms))), false),
-            PrefetcherKind::Isb => (None, Some(Box::new(Isb::baseline())), false),
             PrefetcherKind::Perfect => (None, None, true),
         };
         let ring = cfg.rob_entries.next_power_of_two();
@@ -404,13 +402,6 @@ impl Core {
     /// The B-Fetch engine, when configured.
     pub fn engine(&self) -> Option<&BFetchEngine> {
         self.engine.as_ref()
-    }
-
-    /// Off-chip prefetcher meta-data traffic generated so far, in bytes.
-    pub fn pf_metadata_bytes(&self) -> u64 {
-        self.demand_pf
-            .as_ref()
-            .map_or(0, |p| p.metadata_traffic_bytes())
     }
 
     /// Captures this core's machine state for a watchdog abort report:
@@ -1410,8 +1401,8 @@ mod tests {
         };
         let predictable = quick(&SimConfig::baseline(), &build("pred", 0), 20_000);
         let random = quick(&SimConfig::baseline(), &build("rand", 1), 20_000);
-        assert!(random.bp_miss_rate() > 0.2, "mask 1 is a coin flip");
-        assert!(predictable.bp_miss_rate() < 0.02);
+        assert!(random.branch_mispredict_rate() > 0.2, "mask 1 is a coin flip");
+        assert!(predictable.branch_mispredict_rate() < 0.02);
         assert!(
             random.ipc() < predictable.ipc() * 0.9,
             "mispredicts must cost: {} vs {}",

@@ -4,8 +4,8 @@
 //! reproduction is evaluated on — standing in for the paper's gem5 setup
 //! (Table II): 4-wide out-of-order cores with 192-entry ROBs, per-core
 //! L1I/L1D/L2, a shared L3 (2 MB/core), a bandwidth-limited DRAM channel,
-//! a tournament branch predictor, and pluggable prefetchers (none, Next-N,
-//! Stride, SMS, B-Fetch, or a Perfect oracle).
+//! a tournament branch predictor, and pluggable prefetchers (none, Stride,
+//! SMS, B-Fetch, or a Perfect oracle).
 //!
 //! See [`SimSession`] for the measurement entry point and [`analysis`]
 //! for the instrumentation used by Figures 3 and 7.

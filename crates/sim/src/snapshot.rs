@@ -108,7 +108,6 @@ fn save_result(r: &RunResult, w: &mut Encoder) {
     r.mispredicts.save(w);
     r.branch_fetch_hist.save(w);
     r.engine.save(w);
-    r.pf_metadata_bytes.save(w);
     r.cpi.save(w);
 }
 
@@ -123,7 +122,6 @@ fn load_result(r: &mut Decoder<'_>, prefetcher: &'static str) -> Result<RunResul
         mispredicts: u64::load(r)?,
         branch_fetch_hist: Snap::load(r)?,
         engine: Snap::load(r)?,
-        pf_metadata_bytes: u64::load(r)?,
         cpi: Snap::load(r)?,
     })
 }

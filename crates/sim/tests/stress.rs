@@ -118,8 +118,8 @@ fn random_programs_all_prefetchers() {
         let kind = [
             PrefetcherKind::Stride,
             PrefetcherKind::Sms,
-            PrefetcherKind::Isb,
-            PrefetcherKind::NextN(2),
+            PrefetcherKind::BFetch,
+            PrefetcherKind::Perfect,
         ][rng.gen_range(4) as usize];
         let r = run_single(&p, &quick(kind), 2_000);
         assert!(r.instructions >= 2_000);

@@ -27,8 +27,8 @@
 //!   for a decoder written against [`Source`].
 //!
 //! Determinism is a design requirement: encoding is canonical (no
-//! iteration-order-dependent output — a `HashMap` is framed in key order,
-//! and a heap must be sorted by its owner before encoding), so
+//! iteration-order-dependent output — a hash map or a heap must be put in
+//! a canonical order by its owner before encoding), so
 //! `encode(decode(bytes)) == bytes` for any valid snapshot.
 //!
 //! # Example
@@ -45,7 +45,7 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
@@ -61,7 +61,7 @@ pub const MAGIC: [u8; 8] = *b"BFSNAP01";
 /// Bump this whenever any `Snap`/`SnapState` impl changes its byte layout
 /// or the cache key's derivation changes; readers reject every version
 /// other than their own — see DESIGN.md §15 for the compatibility policy.
-pub const SCHEMA_VERSION: u32 = 7;
+pub const SCHEMA_VERSION: u32 = 8;
 
 /// Typed error for every way a snapshot can fail to load.
 ///
@@ -679,38 +679,6 @@ pub fn save_slice<T: Snap>(xs: &[T], w: &mut Encoder) {
     }
 }
 
-/// Key-sorted, so the encoding is a pure function of the map's contents,
-/// independent of hasher state; a load enforces strictly increasing keys
-/// (duplicates or disorder mean the snapshot is corrupt).
-impl<K, V> Snap for HashMap<K, V>
-where
-    K: Snap + Ord + std::hash::Hash + Copy,
-    V: Snap,
-{
-    fn save(&self, w: &mut Encoder) {
-        let mut keys: Vec<&K> = self.keys().collect();
-        keys.sort();
-        w.put_usize(self.len());
-        for k in keys {
-            k.save(w);
-            self[k].save(w);
-        }
-    }
-    fn load(r: &mut Decoder<'_>) -> Result<Self, SnapshotError> {
-        let n = r.take_len()?;
-        let mut m = HashMap::with_capacity(n);
-        let mut prev: Option<K> = None;
-        for _ in 0..n {
-            let k = K::load(r)?;
-            if prev.is_some_and(|p| k <= p) {
-                return Err(SnapshotError::Invalid { what: "map keys not strictly increasing" });
-            }
-            prev = Some(k);
-            m.insert(k, V::load(r)?);
-        }
-        Ok(m)
-    }
-}
 
 /// Implements [`Snap`] for a struct by encoding the listed fields in order.
 ///
@@ -1236,18 +1204,6 @@ mod tests {
         roundtrip(Option::<u8>::None);
         roundtrip([7u64; 32]);
         roundtrip((1u8, 2u16, 3u32, 4u64));
-        roundtrip(HashMap::from([(9u64, 1u8), (2, 3), (5, 0)]));
-    }
-
-    #[test]
-    fn map_keys_out_of_order_are_a_typed_error() {
-        let mut w = Encoder::new();
-        vec![(2u64, 0u8), (1, 0)].save(&mut w);
-        let bytes = w.into_bytes();
-        assert!(matches!(
-            HashMap::<u64, u8>::load(&mut Decoder::new(&bytes)),
-            Err(SnapshotError::Invalid { .. })
-        ));
     }
 
     #[test]

@@ -38,7 +38,6 @@ fn main() {
     ]);
     for kind in [
         PrefetcherKind::None,
-        PrefetcherKind::NextN(4),
         PrefetcherKind::Stride,
         PrefetcherKind::Sms,
         PrefetcherKind::BFetch,

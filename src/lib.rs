@@ -12,7 +12,7 @@
 //!   confidence, path confidence.
 //! * [`mem`] — cache hierarchy, MSHRs, DRAM, prefetch-aware statistics.
 //! * [`prefetch`] — the prefetcher framework and the paper's comparison
-//!   points: Stride, SMS, Next-N.
+//!   points: Stride and SMS.
 //! * [`core`] — the B-Fetch engine itself (DBR, Branch Trace Cache, Memory
 //!   History Table, Alternate Register File, per-load filter).
 //! * [`sim`] — the cycle-stepped out-of-order core and CMP driver.
