@@ -14,6 +14,7 @@
 
 use super::{group_cpi, table, write_sidecar, CPI_PREFETCHERS, GROUPS};
 use crate::harness::executor::run_indexed;
+use crate::harness::jsonio;
 use crate::{exit_err, rows_to_json, Ctx};
 use bfetch_sim::{CpiComponent, CpiStack, PrefetcherKind, SimSession, TimelineSample};
 use bfetch_workloads::Kernel;
@@ -171,15 +172,10 @@ fn export_timeline(out: &mut impl Write, csv: bool, points: &[Point]) -> std::io
         }
     } else {
         for pt in points {
-            writeln!(
-                out,
-                "{{\"event\":\"run_begin\",\"kernel\":\"{}\",\"prefetcher\":\"{}\",\"samples\":{}}}",
-                pt.kernel,
-                pt.prefetcher,
-                pt.timeline.len()
-            )?;
+            let begin = jsonio::run_begin(pt.kernel, pt.prefetcher, "samples", pt.timeline.len());
+            writeln!(out, "{begin}")?;
             for s in &pt.timeline {
-                writeln!(out, "{}", s.to_json_line())?;
+                writeln!(out, "{}", jsonio::timeline_sample_to_json(s))?;
             }
         }
     }

@@ -4,6 +4,7 @@
 
 use super::write_sidecar;
 use crate::harness::executor::run_indexed;
+use crate::harness::jsonio;
 use crate::{exit_err, Ctx, Report, Row};
 use bfetch_sim::{PrefetcherKind, SimSession};
 use bfetch_stats::trace::{LifecycleCounts, TraceEvent};
@@ -109,14 +110,9 @@ fn export_jsonl(
     runs: &[TracedRun],
 ) -> std::io::Result<()> {
     for (k, run) in kernels.iter().zip(runs) {
-        writeln!(
-            out,
-            "{{\"event\":\"run_begin\",\"kernel\":\"{}\",\"prefetcher\":\"bfetch\",\"events\":{}}}",
-            k.name,
-            run.events.len()
-        )?;
+        writeln!(out, "{}", jsonio::run_begin(k.name, "bfetch", "events", run.events.len()))?;
         for e in &run.events {
-            writeln!(out, "{}", e.to_json_line())?;
+            writeln!(out, "{}", jsonio::trace_event_to_json(e))?;
         }
     }
     Ok(())

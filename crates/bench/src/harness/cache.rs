@@ -580,18 +580,18 @@ mod tests {
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
-    /// An entry from before the last bump (a version-7 frame with a valid
+    /// An entry from before the last bump (a version-8 frame with a valid
     /// CRC) is a miss, never a misread; GC reclaims it as stale and the
     /// slot recomputes.
     #[test]
     fn schema_bump_invalidates() {
-        assert_eq!(bfetch_sim::SCHEMA_VERSION, 8);
+        assert_eq!(bfetch_sim::SCHEMA_VERSION, 9);
         let cache = ResultCache::new(tmp_dir("schema")).unwrap();
         cache.store("k", &[result("mcf", 1)]).unwrap();
         let path = cache.dir().join(file_name("k"));
         // frame: 8-byte magic, u32 version, …, u32 CRC-32 of the rest
         let mut frame = std::fs::read(&path).unwrap();
-        frame[8..12].copy_from_slice(&7u32.to_le_bytes());
+        frame[8..12].copy_from_slice(&8u32.to_le_bytes());
         let body = frame.len() - 4;
         let crc = bfetch_snapshot::crc32(&frame[..body]);
         frame[body..].copy_from_slice(&crc.to_le_bytes());
@@ -638,14 +638,14 @@ mod tests {
         let cfg = SimConfig::baseline().with_prefetcher(PrefetcherKind::BFetch).with_warmup(150_000);
         let mcf = kernel_by_name("mcf").unwrap();
         let fig08 = GridPoint::single("mcf/bfetch", mcf, cfg, 300_000, Scale::Full).cache_key();
-        assert_eq!(fig08.len(), 919);
+        assert_eq!(fig08.len(), 415);
         for (key, want) in [
             ("", "6e789e6aa1b965f4c3817c016ba4ff30"),
             ("k", "60d053b6b69ec25c7cf6415c110c9722"),
             ("abcdefg", "1ae34bc70b71c3ebc6df437d0eed9b19"),
             ("abcdefgh", "96c0f7c1e8a6a2db26a2849f1b28e726"),
             ("abcdefghi", "0ed9d766031fcff3ea467927b8c309ec"),
-            (fig08.as_str(), "5d90de9ae00471485ee4e5fc3ba3f3e7"),
+            (fig08.as_str(), "01ab71239c78c22293da4ce9dd08443d"),
         ] {
             assert_eq!(stem(key), want, "{} bytes", key.len());
         }

@@ -1,14 +1,16 @@
-//! Minimal hand-rolled JSON for `--json` output, reports and the
-//! benchmark driver (no external serialization crates are available
-//! offline). Only [`result_to_json`] renders a `RunResult`; nothing reads
-//! one back (the result cache stores snapshot frames).
+//! Minimal hand-rolled JSON for `--json` output, the lifecycle and
+//! timeline JSONL exports, reports and the benchmark driver (no external
+//! serialization crates are available offline). Only [`result_to_json`]
+//! renders a `RunResult`; nothing reads one back (the result cache stores
+//! snapshot frames).
 //!
 //! Numbers are kept as their source text so `u64` counters round-trip
 //! without passing through `f64`.
 
 use bfetch_core::EngineStats;
 use bfetch_mem::MemStats;
-use bfetch_sim::{CpiStack, RunResult};
+use bfetch_sim::{CpiComponent, CpiStack, RunResult, TimelineSample};
+use bfetch_stats::trace::{TraceEvent, TraceKind};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,6 +31,16 @@ impl Json {
 
     pub fn f64_of(v: f64) -> Json {
         Json::Num(format!("{v}"))
+    }
+
+    /// `v` with `digits` digits after the point, as `{:.digits$}` prints it.
+    pub fn fixed(v: f64, digits: usize) -> Json {
+        Json::Num(format!("{v:.digits$}"))
+    }
+
+    /// An object with `fields` in order.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
     pub fn as_u64(&self) -> Option<u64> {
@@ -348,6 +360,87 @@ pub fn result_to_json(r: &RunResult) -> Json {
     ])
 }
 
+/// The JSONL delimiter that opens one run's records: its kernel and
+/// prefetcher, and how many `records` (named by `count_key`) follow.
+pub fn run_begin(kernel: &str, prefetcher: &str, count_key: &str, records: usize) -> Json {
+    Json::obj([
+        ("event", Json::Str("run_begin".into())),
+        ("kernel", Json::Str(kernel.into())),
+        ("prefetcher", Json::Str(prefetcher.into())),
+        (count_key, Json::u64_of(records as u64)),
+    ])
+}
+
+/// One lifecycle trace event, keys in the fixed order of the schema in
+/// DESIGN.md ("Observability"): `event`, `cycle`, `core`, then the payload.
+pub fn trace_event_to_json(e: &TraceEvent) -> Json {
+    let u = Json::u64_of;
+    let mut fields = vec![
+        ("event", Json::Str(e.kind.name().into())),
+        ("cycle", u(e.cycle)),
+        ("core", u(e.core.into())),
+    ];
+    match e.kind {
+        TraceKind::BranchPredicted { pc, taken, confidence } => fields.extend([
+            ("pc", u(pc)),
+            ("taken", Json::Bool(taken)),
+            ("confidence", Json::fixed(confidence, 4)),
+        ]),
+        TraceKind::BranchResolved { pc, taken, mispredicted } => fields.extend([
+            ("pc", u(pc)),
+            ("taken", Json::Bool(taken)),
+            ("mispredicted", Json::Bool(mispredicted)),
+        ]),
+        TraceKind::PrefetchIssued { line, pc_hash }
+        | TraceKind::PrefetchFilled { line, pc_hash }
+        | TraceKind::PrefetchEvictedUnused { line, pc_hash } => {
+            fields.extend([("line", u(line)), ("pc_hash", u(pc_hash.into()))])
+        }
+        TraceKind::PrefetchDropped { line, pc_hash, reason } => fields.extend([
+            ("line", u(line)),
+            ("pc_hash", u(pc_hash.into())),
+            ("reason", Json::Str(reason.as_str().into())),
+        ]),
+        TraceKind::PrefetchMshrMerged { line, pc_hash, remaining_cycles } => fields.extend([
+            ("line", u(line)),
+            ("pc_hash", u(pc_hash.into())),
+            ("remaining_cycles", u(remaining_cycles)),
+        ]),
+        TraceKind::PrefetchFirstUse { line, pc_hash, lead_cycles } => fields.extend([
+            ("line", u(line)),
+            ("pc_hash", u(pc_hash.into())),
+            ("lead_cycles", u(lead_cycles)),
+        ]),
+        TraceKind::DemandMiss { line, level } => {
+            fields.extend([("line", u(line)), ("level", Json::Str(level.as_str().into()))])
+        }
+    }
+    Json::obj(fields)
+}
+
+/// One CPI timeline sample, keys in the fixed order of the schema in
+/// DESIGN.md ("Cycle accounting & timeline").
+pub fn timeline_sample_to_json(s: &TimelineSample) -> Json {
+    let u = Json::u64_of;
+    let lost = CpiComponent::ALL.into_iter().map(|c| (c.as_str(), u(s.lost[c as usize])));
+    Json::obj([
+        ("event", Json::Str("timeline_sample".into())),
+        ("core", u(s.core.into())),
+        ("index", u(s.index.into())),
+        ("cycle", u(s.cycle)),
+        ("instructions", u(s.instructions)),
+        ("interval_cycles", u(s.interval_cycles)),
+        ("interval_instructions", u(s.interval_instructions)),
+        ("ipc", Json::fixed(s.ipc(), 4)),
+        ("mpki", Json::fixed(s.mpki(), 3)),
+        ("mispredicts", u(s.interval_mispredicts)),
+        ("l1d_misses", u(s.interval_l1d_misses)),
+        ("pf_accuracy", Json::fixed(s.pf_accuracy(), 4)),
+        ("pf_coverage", Json::fixed(s.pf_coverage(), 4)),
+        ("lost", Json::obj(lost)),
+    ])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,6 +467,57 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1 2", "\"unterminated"] {
             assert_eq!(Json::parse(bad), None, "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn trace_events_have_stable_shape() {
+        use bfetch_stats::trace::ServiceLevel;
+        let line =
+            |cycle, core, kind| trace_event_to_json(&TraceEvent { cycle, core, kind }).to_string();
+        let first_use = TraceKind::PrefetchFirstUse { line: 0x1040, pc_hash: 513, lead_cycles: 18 };
+        assert_eq!(
+            line(120, 2, first_use),
+            "{\"event\":\"prefetch_first_use\",\"cycle\":120,\"core\":2,\
+             \"line\":4160,\"pc_hash\":513,\"lead_cycles\":18}"
+        );
+        assert_eq!(
+            line(7, 0, TraceKind::BranchPredicted { pc: 64, taken: true, confidence: 0.875 }),
+            "{\"event\":\"branch_predicted\",\"cycle\":7,\"core\":0,\
+             \"pc\":64,\"taken\":true,\"confidence\":0.8750}"
+        );
+        assert_eq!(
+            line(9, 1, TraceKind::DemandMiss { line: 128, level: ServiceLevel::Dram }),
+            "{\"event\":\"demand_miss\",\"cycle\":9,\"core\":1,\"line\":128,\"level\":\"dram\"}"
+        );
+    }
+
+    #[test]
+    fn timeline_samples_have_stable_shape() {
+        let mut lost = [0u64; CpiComponent::COUNT];
+        lost[CpiComponent::MemDram as usize] = 300;
+        let s = TimelineSample {
+            core: 0,
+            index: 2,
+            cycle: 3_000,
+            instructions: 6_000,
+            interval_cycles: 1_000,
+            interval_instructions: 2_000,
+            interval_mispredicts: 10,
+            interval_l1d_misses: 40,
+            interval_pf_useful: 30,
+            interval_pf_useless: 10,
+            interval_pf_late: 20,
+            lost,
+        };
+        let line = timeline_sample_to_json(&s).to_string();
+        assert!(line.starts_with("{\"event\":\"timeline_sample\",\"core\":0,\"index\":2,"));
+        assert!(line.contains("\"ipc\":2.0000,\"mpki\":20.000,"));
+        assert!(line.contains("\"lost\":{\"base\":0,"));
+        assert!(line.ends_with("\"mem_dram\":300,\"mem_dram_covered\":0}}"));
+        assert_eq!(
+            run_begin("mcf", "bfetch", "samples", 3).to_string(),
+            "{\"event\":\"run_begin\",\"kernel\":\"mcf\",\"prefetcher\":\"bfetch\",\"samples\":3}"
+        );
     }
 
     #[test]

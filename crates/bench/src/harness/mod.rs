@@ -939,12 +939,10 @@ mod tests {
     /// (nested structs as literals, so a new field must be listed here).
     fn every_knob_moved() -> SimConfig {
         use bfetch_core::BFetchConfig;
-        use bfetch_mem::{CacheConfig, DramConfig};
-        use bfetch_prefetch::{SmsConfig, StrideConfig};
+        use bfetch_mem::DramConfig;
         use bfetch_sim::{CpiConfig, TraceConfig};
         let mut c = SimConfig::baseline();
-        (c.fetch_width, c.issue_width, c.commit_width, c.rob_entries, c.mem_ports) = (8, 6, 5, 256, 3);
-        (c.mul_latency, c.mispredict_penalty, c.btb_miss_penalty) = (4, 12, 3);
+        c.width = 8;
         c.bpred_scale = 2.0;
         c.prefetcher = PrefetcherKind::Sms;
         c.bfetch = BFetchConfig {
@@ -954,22 +952,12 @@ mod tests {
             filter_entries: 1024,
             filter_threshold: 2,
             confidence_threshold: 0.9,
-            max_lookahead: 16,
-            queue_entries: 50,
-            dbr_entries: 4,
-            arf_sampling_delay: 5,
-            loop_cnt_max: 15,
             enable_filter: false,
             enable_loops: false,
             enable_patt: false,
             arf_at_retire: true,
         };
-        c.sms = SmsConfig { region_bytes: 4096, block_bytes: 256, agt_entries: 32, pht_entries: 8192 };
-        c.stride = StrideConfig { entries: 128, degree: 4 };
-        c.l1i = CacheConfig::new(32 * 1024, 4, 1);
-        c.l1d = CacheConfig::new(32 * 1024, 4, 3);
-        c.l2 = CacheConfig::new(512 * 1024, 16, 12);
-        (c.l3_bytes_per_core, c.l3_ways, c.l3_latency, c.l3_banks) = (4 << 20, 8, 30, 2);
+        c.l3_banks = 2;
         c.dram = DramConfig {
             latency: 250,
             line_interval: 8,
@@ -979,8 +967,7 @@ mod tests {
             row_bytes: 4096,
             row_hit_latency: 100,
         };
-        (c.l1d_mshrs, c.prefetch_buffers, c.model_writebacks) = (8, 16, true);
-        (c.prefetch_issue_per_cycle, c.warmup_insts) = (3, 7_000);
+        (c.l1d_mshrs, c.model_writebacks, c.warmup_insts) = (8, true, 7_000);
         c.trace = TraceConfig { enabled: true, capacity: 1000 };
         c.cpi = CpiConfig { enabled: true, timeline_interval: 5000 };
         (c.watchdog_cycles, c.max_cycles) = (123_456, 9_999_999);
@@ -995,16 +982,16 @@ mod tests {
     fn config_wire_bytes_and_cache_key_are_pinned() {
         use bfetch_snapshot::crc32;
         let pins = [
-            (SimConfig::baseline(), 438, 0xdc1f_fb3c, 0xe477_67e0),
-            (every_knob_moved(), 438, 0x0366_194c, 0xd635_1801),
+            (SimConfig::baseline(), 186, 0x2267_6b4b, 0x3b69_d978),
+            (every_knob_moved(), 186, 0x7040_671f, 0x4002_081c),
         ];
         for (c, len, wire, key) in pins {
             assert_eq!(c.validate(), Ok(()));
             let bytes = c.wire_bytes();
-            assert_eq!((bytes.len(), crc32(&bytes)), (len, wire), "wire bytes moved");
             let k = kernel_by_name("mcf").unwrap();
             let point = GridPoint::single("pin", k, c, 10_000, Scale::Small);
-            assert_eq!(crc32(point.cache_key().as_bytes()), key, "cache key moved");
+            let got = (bytes.len(), crc32(&bytes), crc32(point.cache_key().as_bytes()));
+            assert_eq!(got, (len, wire, key), "wire bytes or cache key moved");
         }
     }
 

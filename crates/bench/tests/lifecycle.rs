@@ -3,7 +3,7 @@
 //! against the schema documented in DESIGN.md ("Observability"), and the
 //! in-process event stream must serialise to parseable JSON.
 
-use bfetch_bench::harness::jsonio::Json;
+use bfetch_bench::harness::jsonio::{trace_event_to_json, Json};
 use bfetch_sim::{PrefetcherKind, SimConfig, SimSession};
 use bfetch_workloads::{kernel_by_name, Scale};
 
@@ -65,7 +65,7 @@ fn in_process_event_stream_serialises_to_schema_valid_json() {
     assert!(!traced.events.is_empty(), "traced run recorded no events");
     let mut names = std::collections::BTreeSet::new();
     for e in &traced.events {
-        assert_line_matches_schema(&e.to_json_line());
+        assert_line_matches_schema(&trace_event_to_json(e).to_string());
         names.insert(e.kind.name());
     }
     // A real run exercises the core of the schema, not just one variant.

@@ -171,8 +171,8 @@ fn removed_sim_threads_flag_is_rejected_with_usage() {
 #[test]
 fn simulate_rejects_a_configuration_its_flags_make_invalid() {
     for (args, knob) in [
-        (["--width", "0"], "fetch_width"),
-        (["--width", "256"], "fetch_width"),
+        (["--width", "0"], "width"),
+        (["--width", "256"], "width"),
         (["--confidence", "nan"], "bfetch.confidence_threshold"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_bfetch"))

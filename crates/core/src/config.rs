@@ -1,7 +1,10 @@
 //! Engine configuration and Table I storage accounting.
 
-/// Configuration of the B-Fetch engine. Defaults reproduce the paper's
-/// evaluated design point (Table I geometry, Table II thresholds).
+use crate::engine::QUEUE_ENTRIES;
+
+/// Configuration of the B-Fetch engine: the knobs a figure varies. Defaults
+/// reproduce the paper's evaluated design point (Table I geometry, Table II
+/// thresholds); the fixed Table I sizes are `engine`'s constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BFetchConfig {
     /// Branch Trace Cache entries (Table I: 256).
@@ -11,27 +14,14 @@ pub struct BFetchConfig {
     /// Register-history slots per MHT entry (Section IV-B2: three slots
     /// "generally sufficient").
     pub mht_slots: usize,
-    /// Entries in *each* of the three per-load filter tables
-    /// (Table I: 2048 total counters ⇒ 2.25 KB at 3 tables × 3 bits... the
-    /// paper counts 2048 counters per table).
+    /// Entries in *each* of the three per-load filter tables (Table I:
+    /// 2048 3-bit counters per table, 2.25 KB for the three).
     pub filter_entries: usize,
     /// Per-load filter issue threshold on the 3-counter sum (Table II: 3).
     pub filter_threshold: u8,
     /// Path-confidence stop threshold (Table II: 0.75; Figure 12 sweeps
     /// 0.45/0.75/0.90).
     pub confidence_threshold: f64,
-    /// Hard cap on lookahead depth in branches (the paper reports an
-    /// average depth of 8 BBs at threshold 0.75).
-    pub max_lookahead: usize,
-    /// Prefetch queue capacity (Table I: 100).
-    pub queue_entries: usize,
-    /// Decoded Branch Register capacity.
-    pub dbr_entries: usize,
-    /// Cycles between a register writeback and its visibility in the ARF
-    /// (the "sampling latches" of Figure 4).
-    pub arf_sampling_delay: u64,
-    /// Saturation for the loop iteration counter (Fig 6: 5-bit LoopCnt).
-    pub loop_cnt_max: u32,
     /// Ablation: enable the per-load filter (Section IV-B3). Disabling it
     /// issues every computed candidate.
     pub enable_filter: bool,
@@ -56,11 +46,6 @@ impl BFetchConfig {
             filter_entries: 2048,
             filter_threshold: 3,
             confidence_threshold: 0.75,
-            max_lookahead: 24,
-            queue_entries: 100,
-            dbr_entries: 8,
-            arf_sampling_delay: 3,
-            loop_cnt_max: 31,
             enable_filter: true,
             enable_loops: true,
             enable_patt: true,
@@ -139,7 +124,7 @@ impl BFetchConfig {
         let filter_bits = 3 * self.filter_entries as u64 * 3;
         let l1d_lines = 64 * 1024 / 64;
         let cache_bits = l1d_lines * 11;
-        let queue_bits = self.queue_entries as u64 * 42;
+        let queue_bits = QUEUE_ENTRIES as u64 * 42;
         let conf_bits = 2048 * 4 * 2;
         StorageReport {
             rows: vec![
@@ -170,7 +155,7 @@ impl BFetchConfig {
                 },
                 StorageRow {
                     component: "Prefetch Queue",
-                    entries: self.queue_entries,
+                    entries: QUEUE_ENTRIES,
                     kb: kb(queue_bits),
                 },
                 StorageRow {

@@ -12,6 +12,19 @@ use bfetch_mem::{line_of, LINE_BYTES};
 use bfetch_stats::trace::{DropReason, TraceKind, Tracer};
 use std::collections::VecDeque;
 
+/// Hard cap on lookahead depth in branches (the paper reports an average
+/// depth of 8 BBs at threshold 0.75).
+pub const MAX_LOOKAHEAD: usize = 24;
+/// Prefetch queue capacity (Table I: 100).
+pub const QUEUE_ENTRIES: usize = 100;
+/// Decoded Branch Register capacity.
+pub const DBR_ENTRIES: usize = 8;
+/// Cycles between a register writeback and its visibility in the ARF (the
+/// "sampling latches" of Figure 4).
+pub const ARF_SAMPLING_DELAY: u64 = 3;
+/// Saturation of the loop iteration counter (Figure 6: a 5-bit LoopCnt).
+pub const LOOP_CNT_MAX: u32 = 31;
+
 /// A branch handed from the main pipeline's decode stage to the Decoded
 /// Branch Register (Figure 4).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,10 +149,10 @@ impl BFetchEngine {
         Self {
             brtc: BranchTraceCache::new(cfg.brtc_entries),
             mht: MemoryHistoryTable::new(cfg.mht_entries, cfg.mht_slots),
-            arf: AlternateRegisterFile::new(cfg.arf_sampling_delay),
+            arf: AlternateRegisterFile::new(ARF_SAMPLING_DELAY),
             filter: PerLoadFilter::new(cfg.filter_entries, cfg.filter_threshold),
-            dbr: VecDeque::with_capacity(cfg.dbr_entries),
-            queue: CandidateQueue::new(cfg.queue_entries),
+            dbr: VecDeque::with_capacity(DBR_ENTRIES),
+            queue: CandidateQueue::new(QUEUE_ENTRIES),
             last_branch: None,
             cur_bb: None,
             visit_scratch: Vec::with_capacity(8),
@@ -174,7 +187,7 @@ impl BFetchEngine {
     /// Delivers a decoded branch into the DBR, dropping the oldest entry if
     /// the register is full.
     pub fn on_branch_decoded(&mut self, db: DecodedBranch) {
-        if self.dbr.len() >= self.cfg.dbr_entries {
+        if self.dbr.len() >= DBR_ENTRIES {
             self.dbr.pop_front();
             self.stats.dbr_dropped += 1;
         }
@@ -281,11 +294,11 @@ impl BFetchEngine {
         // reusable per-walk scratch buffer
         self.visit_scratch.clear();
 
-        for depth in 0..self.cfg.max_lookahead {
+        for depth in 0..MAX_LOOKAHEAD {
             let key = bb_key(cur_pc, cur_taken, cur_target);
             let loop_cnt = match self.visit_scratch.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, n)) => {
-                    *n = (*n + 1).min(self.cfg.loop_cnt_max);
+                    *n = (*n + 1).min(LOOP_CNT_MAX);
                     *n
                 }
                 None => {
@@ -323,7 +336,7 @@ impl BFetchEngine {
                 next_branch_pc + 4
             };
             cur_pc = next_branch_pc;
-            if depth + 1 == self.cfg.max_lookahead {
+            if depth + 1 == MAX_LOOKAHEAD {
                 self.stats.depth_stops += 1;
             }
         }
@@ -684,7 +697,7 @@ bfetch_snapshot::snap_state!(BFetchEngine {
     stats: val,
     tracer: skip,
 } check |e| {
-    if e.dbr.len() > e.cfg.dbr_entries.max(1) {
+    if e.dbr.len() > DBR_ENTRIES {
         return Err(bfetch_snapshot::SnapshotError::Invalid {
             what: "bfetch engine dbr bounds",
         });
@@ -810,11 +823,8 @@ mod tests {
 
     #[test]
     fn dbr_overflow_drops_oldest() {
-        let mut e = BFetchEngine::new(BFetchConfig {
-            dbr_entries: 2,
-            ..BFetchConfig::baseline()
-        });
-        for i in 0..3u64 {
+        let mut e = BFetchEngine::new(BFetchConfig::baseline());
+        for i in 0..DBR_ENTRIES as u64 + 1 {
             e.on_branch_decoded(DecodedBranch {
                 pc: 0x40_0000 + i * 4,
                 predicted_taken: false,
@@ -875,10 +885,8 @@ mod tests {
 
     #[test]
     fn queue_capacity_enforced() {
-        let mut e = BFetchEngine::new(BFetchConfig {
-            queue_entries: 4,
-            ..BFetchConfig::baseline()
-        });
+        let mut e = BFetchEngine::new(BFetchConfig::baseline());
+        e.queue = CandidateQueue::new(4);
         for i in 0..10u64 {
             push(&mut e, i * 64, 0);
         }
@@ -951,7 +959,7 @@ mod tests {
             let mut rng = bfetch_prng::Pcg32::new(0xded0_0001 ^ case);
             let mut e = BFetchEngine::new(BFetchConfig::baseline());
             let mut r = ScanQueue {
-                capacity: e.cfg.queue_entries,
+                capacity: QUEUE_ENTRIES,
                 entries: VecDeque::new(),
                 recent: [NO_LINE; 64],
                 pos: 0,

@@ -15,7 +15,7 @@ pub struct CacheConfig {
 
 impl CacheConfig {
     /// Creates a config; geometry is validated by [`SetAssocCache::new`].
-    pub fn new(size_bytes: u64, ways: usize, latency: u64) -> Self {
+    pub const fn new(size_bytes: u64, ways: usize, latency: u64) -> Self {
         Self {
             size_bytes,
             ways,

@@ -947,7 +947,7 @@ mod tests {
             assert_eq!(s.cycle, cycles);
             // the sampler fires within one commit-group of the boundary
             assert!(s.instructions >= (i as u64 + 1) * 2_000);
-            assert!(s.instructions < (i as u64 + 1) * 2_000 + cfg.commit_width as u64);
+            assert!(s.instructions < (i as u64 + 1) * 2_000 + cfg.width as u64);
         }
     }
 

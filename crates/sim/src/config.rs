@@ -1,9 +1,24 @@
-//! Simulator configuration (Table II).
+//! Simulator configuration (Table II): the knobs a figure varies, and the
+//! Table II values no figure varies as constants.
 
 use bfetch_core::BFetchConfig;
 use bfetch_mem::{CacheConfig, DramConfig, HierarchyConfig};
-use bfetch_prefetch::{SmsConfig, StrideConfig};
 use bfetch_stats::{CpiConfig, TraceConfig};
+
+/// Table II's per-core L1 instruction cache: 64 KB, 8-way, 2 cycles.
+pub const L1I: CacheConfig = CacheConfig::new(64 * 1024, 8, 2);
+/// Table II's per-core L1 data cache: 64 KB, 8-way, 2 cycles.
+pub const L1D: CacheConfig = CacheConfig::new(64 * 1024, 8, 2);
+/// Table II's unified per-core L2: 256 KB, 8-way, 10 cycles.
+pub const L2: CacheConfig = CacheConfig::new(256 * 1024, 8, 10);
+/// Table II's shared L3 capacity per core: 2 MB.
+pub const L3_BYTES_PER_CORE: u64 = 2 * 1024 * 1024;
+/// Table II's shared L3 associativity.
+pub const L3_WAYS: usize = 16;
+/// Table II's shared L3 latency in cycles.
+pub const L3_LATENCY: u64 = 20;
+/// Outstanding-prefetch buffer entries per core.
+pub const PREFETCH_BUFFERS: usize = 32;
 
 /// Which prefetcher a core runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,7 +93,7 @@ impl FaultInjection {
 pub enum ConfigError {
     /// A structural knob that must be at least one was zero.
     Zero {
-        /// The knob's field path (e.g. `"issue_width"`, `"dram.channels"`).
+        /// The knob's field path (e.g. `"width"`, `"dram.channels"`).
         knob: &'static str,
     },
     /// A knob above what its container can index, what a constructor
@@ -96,9 +111,9 @@ pub enum ConfigError {
         /// The rejected scale factor.
         scale: f64,
     },
-    /// A cache's geometry cannot be built.
+    /// The shared L3 cannot be split into equal banks.
     Cache {
-        /// Which cache (`"l1i"`, `"l1d"`, `"l2"`, `"l3"`).
+        /// Which cache (`"l3"`).
         cache: &'static str,
         /// What is wrong with it.
         problem: &'static str,
@@ -122,7 +137,7 @@ pub enum ConfigError {
     /// A run was given no programs: it has one core per program.
     NoCores,
     /// The shared L3 this many cores get cannot be built: `bytes` is
-    /// `l3_bytes_per_core × cores`, split evenly across `banks` banks.
+    /// [`L3_BYTES_PER_CORE`] `× cores`, split evenly across `banks` banks.
     L3 {
         /// The run's core count.
         cores: usize,
@@ -168,48 +183,32 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Widest pipeline stage and most load/store ports: `PortRing` counts a
-/// cycle's reservations in a `u8`, and the widths move together
-/// ([`SimConfig::with_width`]), so one cap serves all four knobs.
+/// Widest pipeline: `PortRing` counts a cycle's reservations in a `u8`,
+/// and fetch, issue, commit and the load/store ports all follow
+/// [`SimConfig::width`].
 pub const MAX_WIDTH: usize = u8::MAX as usize;
 
-/// Largest reorder buffer. The ROB ring's 32-bit wake-up links could
-/// address 2³⁰ slots (what `Core::new` asserts); the cap sits where the
-/// ring is still a sane allocation (80 MB), because a checkpoint's
-/// configuration is validated *instead of* trusted before any
-/// constructor allocates from it.
-pub const MAX_ROB_ENTRIES: usize = 1 << 20;
-
-/// Largest L1D MSHR file or prefetch buffer: both are flat arrays sized
-/// at construction and probed by linear scan (real files hold 4–32).
+/// Largest L1D MSHR file: a flat array sized at construction and probed by
+/// linear scan (real files hold 4–32).
 pub const MAX_MSHR_ENTRIES: usize = 1 << 16;
 
-/// Largest prefetcher table or queue (BrTC, MHT slot array, per-load
-/// filter, prefetch queue, DBR, SMS AGT/PHT, stride table): each is
-/// allocated whole at construction, and a million entries is tens of
-/// megabytes for the widest of them (the paper's largest is 16 K).
+/// Largest B-Fetch table (BrTC, MHT slot array, per-load filter) or trace
+/// ring: each is allocated whole at construction, and a million entries is
+/// tens of megabytes for the widest of them (the paper's largest is 16 K).
 pub const MAX_TABLE_ENTRIES: usize = 1 << 20;
 
 /// Most register-history slots per MHT entry: the entry's valid mask is
 /// one `u32` bit per slot.
 pub const MAX_MHT_SLOTS: usize = u32::BITS as usize;
 
-/// Largest prefetch degree (`stride.degree`) and B-Fetch
-/// lookahead depth (`bfetch.max_lookahead`): one trigger pushes up to this
-/// many requests or walks this many branches (the paper runs stride at 8
-/// and reports an average lookahead of 8 blocks).
-pub const MAX_DEGREE: usize = 64;
-
-/// Largest cycle count the model adds to a cycle stamp (cache and DRAM
-/// latencies, the DRAM line interval, pipeline penalties, the ARF sampling
-/// delay): 5 000× Table II's DRAM latency, and small enough that no stamp
-/// a run can reach overflows when a few of them are added to it.
+/// Largest cycle count a DRAM knob adds to a cycle stamp (the two
+/// latencies and the line interval): 5 000× Table II's DRAM latency, and
+/// small enough that no stamp a run can reach overflows when a few of them
+/// are added to it.
 pub const MAX_LATENCY: u64 = 1 << 20;
 
-/// Largest cache, per-core L3 share, SMS region or DRAM row in bytes: a
-/// cache allocates its tag, rank and metadata arrays whole (2²² lines here,
-/// about 100 MB), so a file must not be able to ask for more.
-pub const MAX_CACHE_BYTES: u64 = 1 << 28;
+/// Largest DRAM row in bytes.
+pub const MAX_ROW_BYTES: u64 = 1 << 28;
 
 /// Most L3 banks, DRAM channels or DRAM banks per channel: each is an
 /// array built whole at construction (`fig17_scale` uses 16 and 8).
@@ -220,45 +219,29 @@ pub const MAX_BANKS: usize = 1 << 10;
 /// any run, and small enough that a cycle stamp plus one cannot overflow.
 pub const MAX_RUN_LENGTH: u64 = 1 << 40;
 
-/// Checks one cache geometry the way `SetAssocCache::new` would, returning
-/// the problem instead of panicking.
-fn check_cache(cache: &'static str, cfg: &CacheConfig) -> Result<(), ConfigError> {
-    let fail = |problem| Err(ConfigError::Cache { cache, problem });
-    if cfg.ways == 0 {
-        return fail("associativity must be nonzero");
-    }
-    if cfg.ways >= u8::MAX as usize {
-        return fail("associativity too large");
-    }
-    let sets = (cfg.size_bytes / bfetch_mem::LINE_BYTES) as usize / cfg.ways;
+/// Why one L3 bank of `bytes` cannot be built the way `SetAssocCache::new`
+/// would build it, instead of its panic.
+fn l3_bank_problem(bytes: u64) -> Option<&'static str> {
+    let sets = (bytes / bfetch_mem::LINE_BYTES) as usize / L3_WAYS;
     if sets == 0 {
-        return fail("too small for one set");
+        Some("too small for one set")
+    } else if !sets.is_power_of_two() {
+        Some("set count must be a power of two")
+    } else {
+        None
     }
-    if !sets.is_power_of_two() {
-        return fail("set count must be a power of two");
-    }
-    Ok(())
 }
 
-/// Full system configuration. [`SimConfig::baseline`] reproduces Table II.
+/// Full system configuration: every knob a figure or flag varies, plus the
+/// observer and failure-model seams. [`SimConfig::baseline`] reproduces
+/// Table II; the Table II values nothing varies are this module's constants
+/// (caches), `core`'s (pipeline) and the prefetchers' own `baseline()`s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
-    /// Instructions fetched/decoded per cycle (Table II: 4-wide).
-    pub fetch_width: usize,
-    /// Instructions issued per cycle.
-    pub issue_width: usize,
-    /// Instructions committed per cycle.
-    pub commit_width: usize,
-    /// Reorder buffer entries (Table II: 192).
-    pub rob_entries: usize,
-    /// Load/store ports.
-    pub mem_ports: usize,
-    /// Integer multiply latency.
-    pub mul_latency: u64,
-    /// Frontend refill penalty after a mispredicted branch resolves.
-    pub mispredict_penalty: u64,
-    /// Penalty for a taken branch whose target missed in the BTB.
-    pub btb_miss_penalty: u64,
+    /// Instructions fetched, issued and committed per cycle (Table II:
+    /// 4-wide; Figure 14 sweeps 2/4/8). The core gets `max(width / 2, 1)`
+    /// load/store ports.
+    pub width: usize,
     /// Branch predictor scale relative to the 6.55 KB baseline
     /// (Figure 13 sweeps 0.5/1/2/4).
     pub bpred_scale: f64,
@@ -266,22 +249,6 @@ pub struct SimConfig {
     pub prefetcher: PrefetcherKind,
     /// B-Fetch engine geometry and thresholds.
     pub bfetch: BFetchConfig,
-    /// SMS geometry.
-    pub sms: SmsConfig,
-    /// Stride geometry.
-    pub stride: StrideConfig,
-    /// L1 instruction cache.
-    pub l1i: CacheConfig,
-    /// L1 data cache.
-    pub l1d: CacheConfig,
-    /// Unified per-core L2.
-    pub l2: CacheConfig,
-    /// Shared L3 capacity *per core* in bytes (Table II: 2 MB/core).
-    pub l3_bytes_per_core: u64,
-    /// Shared L3 associativity.
-    pub l3_ways: usize,
-    /// Shared L3 latency.
-    pub l3_latency: u64,
     /// Address-interleaved L3 banks (NUCA-style; 1 = monolithic LLC,
     /// bit-identical to the unbanked model). Large-core-count scale-out
     /// configs raise this so LLC capacity pressure stays realistic.
@@ -290,13 +257,9 @@ pub struct SimConfig {
     pub dram: DramConfig,
     /// L1D demand MSHR entries.
     pub l1d_mshrs: usize,
-    /// Outstanding-prefetch buffer entries per core.
-    pub prefetch_buffers: usize,
     /// Model dirty-line writebacks down to DRAM (off by default; see
     /// `bfetch-mem`).
     pub model_writebacks: bool,
-    /// Prefetches injected into the hierarchy per core per cycle.
-    pub prefetch_issue_per_cycle: usize,
     /// Instructions committed per core before measurement begins.
     pub warmup_insts: u64,
     /// Prefetch-lifecycle event tracing (off by default; the tracer is
@@ -330,31 +293,14 @@ impl SimConfig {
     /// **no prefetching** (the speedup baseline).
     pub fn baseline() -> Self {
         Self {
-            fetch_width: 4,
-            issue_width: 4,
-            commit_width: 4,
-            rob_entries: 192,
-            mem_ports: 2,
-            mul_latency: 3,
-            mispredict_penalty: 10,
-            btb_miss_penalty: 2,
+            width: 4,
             bpred_scale: 1.0,
             prefetcher: PrefetcherKind::None,
             bfetch: BFetchConfig::baseline(),
-            sms: SmsConfig::baseline(),
-            stride: StrideConfig::baseline(),
-            l1i: CacheConfig::new(64 * 1024, 8, 2),
-            l1d: CacheConfig::new(64 * 1024, 8, 2),
-            l2: CacheConfig::new(256 * 1024, 8, 10),
-            l3_bytes_per_core: 2 * 1024 * 1024,
-            l3_ways: 16,
-            l3_latency: 20,
             l3_banks: 1,
             dram: DramConfig::baseline(),
             l1d_mshrs: 4,
-            prefetch_buffers: 32,
             model_writebacks: false,
-            prefetch_issue_per_cycle: 2,
             warmup_insts: 50_000,
             trace: TraceConfig::default(),
             cpi: CpiConfig::default(),
@@ -372,10 +318,7 @@ impl SimConfig {
 
     /// Baseline with a different pipeline width (Figure 14: 2/4/8-wide).
     pub fn with_width(mut self, width: usize) -> Self {
-        self.fetch_width = width;
-        self.issue_width = width;
-        self.commit_width = width;
-        self.mem_ports = (width / 2).max(1);
+        self.width = width;
         self
     }
 
@@ -455,21 +398,16 @@ impl SimConfig {
         if cores == 0 {
             return Err(ConfigError::NoCores);
         }
-        let bytes = self.l3_bytes_per_core.saturating_mul(cores as u64);
+        let bytes = L3_BYTES_PER_CORE.saturating_mul(cores as u64);
         let Some(per_bank) = bytes.checked_div(self.l3_banks as u64) else {
             return Err(ConfigError::Zero { knob: "l3_banks" });
         };
-        let bank = CacheConfig::new(per_bank, self.l3_ways, self.l3_latency);
-        check_cache("l3", &bank).map_err(|e| match e {
-            ConfigError::Cache { problem, .. } => ConfigError::L3 {
-                cores,
-                bytes,
-                ways: self.l3_ways,
-                banks: self.l3_banks,
-                problem,
-            },
-            e => e,
-        })
+        match l3_bank_problem(per_bank) {
+            Some(problem) => {
+                Err(ConfigError::L3 { cores, bytes, ways: L3_WAYS, banks: self.l3_banks, problem })
+            }
+            None => Ok(()),
+        }
     }
 
     /// The configuration's wire bytes: its [`Snap`](bfetch_snapshot::Snap)
@@ -484,20 +422,14 @@ impl SimConfig {
     pub fn hierarchy(&self, cores: usize) -> HierarchyConfig {
         HierarchyConfig {
             cores,
-            l1i: self.l1i,
-            l1d: self.l1d,
-            l2: self.l2,
-            l3: CacheConfig::new(
-                self.l3_bytes_per_core
-                    .checked_mul(cores as u64)
-                    .expect("validate bounds l3_bytes_per_core far below overflow"),
-                self.l3_ways,
-                self.l3_latency,
-            ),
+            l1i: L1I,
+            l1d: L1D,
+            l2: L2,
+            l3: CacheConfig::new(L3_BYTES_PER_CORE * cores as u64, L3_WAYS, L3_LATENCY),
             l3_banks: self.l3_banks,
             dram: self.dram,
             l1d_mshrs: self.l1d_mshrs,
-            prefetch_buffers: self.prefetch_buffers,
+            prefetch_buffers: PREFETCH_BUFFERS,
             model_writebacks: self.model_writebacks,
         }
     }
@@ -639,14 +571,7 @@ macro_rules! config_fields {
 }
 
 config_fields!(SimConfig {
-    fetch_width: count(MAX_WIDTH),
-    issue_width: count(MAX_WIDTH),
-    commit_width: count(MAX_WIDTH),
-    rob_entries: count(MAX_ROB_ENTRIES),
-    mem_ports: count(MAX_WIDTH),
-    mul_latency: upto(MAX_LATENCY),
-    mispredict_penalty: upto(MAX_LATENCY),
-    btb_miss_penalty: upto(MAX_LATENCY),
+    width: count(MAX_WIDTH),
     bpred_scale: geometry,
     prefetcher: any,
     bfetch: BFetchConfig {
@@ -658,29 +583,11 @@ config_fields!(SimConfig {
         // above 1 stops every walk (a legitimate setting); 2 catches a
         // percentage typed as a fraction
         confidence_threshold: ratio(0.0, 2.0),
-        max_lookahead: upto(MAX_DEGREE),
-        queue_entries: upto(MAX_TABLE_ENTRIES),
-        dbr_entries: upto(MAX_TABLE_ENTRIES),
-        arf_sampling_delay: upto(MAX_LATENCY),
-        loop_cnt_max: any,
         enable_filter: any,
         enable_loops: any,
         enable_patt: any,
         arf_at_retire: any,
     },
-    sms: SmsConfig {
-        region_bytes: pow2(MAX_CACHE_BYTES),
-        block_bytes: pow2(MAX_CACHE_BYTES),
-        agt_entries: count(MAX_TABLE_ENTRIES),
-        pht_entries: pow2(MAX_TABLE_ENTRIES),
-    },
-    stride: StrideConfig { entries: pow2(MAX_TABLE_ENTRIES), degree: count(MAX_DEGREE) },
-    l1i: CacheConfig { size_bytes: upto(MAX_CACHE_BYTES), ways: geometry, latency: upto(MAX_LATENCY) },
-    l1d: CacheConfig { size_bytes: upto(MAX_CACHE_BYTES), ways: geometry, latency: upto(MAX_LATENCY) },
-    l2: CacheConfig { size_bytes: upto(MAX_CACHE_BYTES), ways: geometry, latency: upto(MAX_LATENCY) },
-    l3_bytes_per_core: count(MAX_CACHE_BYTES),
-    l3_ways: count(usize::MAX), // bounded with the set count by check_cache
-    l3_latency: upto(MAX_LATENCY),
     l3_banks: count(MAX_BANKS),
     dram: DramConfig {
         latency: upto(MAX_LATENCY),
@@ -688,13 +595,11 @@ config_fields!(SimConfig {
         channels: count(MAX_BANKS),
         row_model: any,
         banks_per_channel: count(MAX_BANKS),
-        row_bytes: count(MAX_CACHE_BYTES),
+        row_bytes: count(MAX_ROW_BYTES),
         row_hit_latency: upto(MAX_LATENCY),
     },
     l1d_mshrs: count(MAX_MSHR_ENTRIES),
-    prefetch_buffers: count(MAX_MSHR_ENTRIES),
     model_writebacks: any,
-    prefetch_issue_per_cycle: upto(MAX_WIDTH),
     warmup_insts: upto(MAX_RUN_LENGTH),
     trace: TraceConfig { enabled: any, capacity: count(MAX_TABLE_ENTRIES) },
     cpi: CpiConfig { enabled: any, timeline_interval: upto(MAX_RUN_LENGTH) },
@@ -709,27 +614,12 @@ config_fields!(SimConfig {
             max: MAX_TABLE_ENTRIES,
         });
     }
-    let sms = |problem| Err(ConfigError::Table { knob: "sms.block_bytes", problem });
-    if c.sms.block_bytes < bfetch_mem::LINE_BYTES {
-        return sms("must be at least a cache line");
-    }
-    if c.sms.region_bytes <= c.sms.block_bytes {
-        return sms("must be smaller than the region");
-    }
-    if c.sms.blocks_per_region() > 32 {
-        return sms("leaves more than 32 blocks per region");
-    }
     if bfetch_bpred::TournamentConfig::try_scaled(c.bpred_scale).is_none() {
         return Err(ConfigError::BpredScale { scale: c.bpred_scale });
     }
-    check_cache("l1i", &c.l1i)?;
-    check_cache("l1d", &c.l1d)?;
-    check_cache("l2", &c.l2)?;
-    // The shared L3 is sized per core and split across banks; one core
-    // and one bank is the weakest geometry every run must satisfy (the
-    // core count is the caller's).
-    check_cache("l3", &CacheConfig::new(c.l3_bytes_per_core, c.l3_ways, c.l3_latency))?;
-    if !c.l3_bytes_per_core.is_multiple_of(c.l3_banks as u64) {
+    // The shared L3 is sized per core and split across banks; the core
+    // count is the caller's (`check_cores`).
+    if !L3_BYTES_PER_CORE.is_multiple_of(c.l3_banks as u64) {
         return Err(ConfigError::Cache {
             cache: "l3",
             problem: "capacity must divide evenly across banks",
@@ -753,27 +643,16 @@ mod tests {
     #[test]
     fn baseline_matches_table_ii() {
         let c = SimConfig::baseline();
-        assert_eq!(c.fetch_width, 4);
-        assert_eq!(c.rob_entries, 192);
-        assert_eq!(c.l1d.size_bytes, 64 * 1024);
-        assert_eq!(c.l1d.latency, 2);
-        assert_eq!(c.l2.size_bytes, 256 * 1024);
-        assert_eq!(c.l2.latency, 10);
-        assert_eq!(c.l3_bytes_per_core, 2 * 1024 * 1024);
-        assert_eq!(c.l3_latency, 20);
+        assert_eq!(c.width, 4);
+        let h = c.hierarchy(1);
+        assert_eq!((h.l1d.size_bytes, h.l1d.latency), (64 * 1024, 2));
+        assert_eq!((h.l2.size_bytes, h.l2.latency), (256 * 1024, 10));
+        assert_eq!((h.l3.size_bytes, h.l3.latency), (2 * 1024 * 1024, 20));
+        assert_eq!(h.prefetch_buffers, PREFETCH_BUFFERS);
         assert_eq!(c.dram.latency, 200);
         assert_eq!(c.bfetch.confidence_threshold, 0.75);
         assert_eq!(c.bfetch.filter_threshold, 3);
         assert_eq!(c.prefetcher, PrefetcherKind::None);
-    }
-
-    #[test]
-    fn width_builder_scales_ports() {
-        let c = SimConfig::baseline().with_width(8);
-        assert_eq!(c.issue_width, 8);
-        assert_eq!(c.mem_ports, 4);
-        let c2 = SimConfig::baseline().with_width(2);
-        assert_eq!(c2.mem_ports, 1);
     }
 
     #[test]
@@ -798,8 +677,8 @@ mod tests {
                 err,
                 ConfigError::L3 {
                     cores,
-                    bytes: cores as u64 * c.l3_bytes_per_core,
-                    ways: c.l3_ways,
+                    bytes: cores as u64 * L3_BYTES_PER_CORE,
+                    ways: L3_WAYS,
                     banks: 1,
                     problem: "set count must be a power of two",
                 }
@@ -807,9 +686,12 @@ mod tests {
             assert!(err.to_string().contains(&format!("l3 geometry invalid for {cores} cores")), "{err}");
         }
         assert_eq!(c.check_cores(0), Err(ConfigError::NoCores));
-        let banked = SimConfig { l3_bytes_per_core: 3 << 20, l3_ways: 12, l3_banks: 3, ..c.clone() };
+        let banked = c.clone().with_l3_banks(4);
         assert_eq!(banked.validate(), Ok(()));
-        assert!(matches!(banked.check_cores(2), Err(ConfigError::L3 { banks: 3, .. })));
+        assert!(matches!(banked.check_cores(3), Err(ConfigError::L3 { banks: 4, .. })));
+        let uneven = c.clone().with_l3_banks(3);
+        let problem = "capacity must divide evenly across banks";
+        assert_eq!(uneven.validate(), Err(ConfigError::Cache { cache: "l3", problem }));
     }
 
     #[test]
@@ -824,7 +706,7 @@ mod tests {
         assert_eq!(c.bpred_scale, 2.0);
         assert!(c.model_writebacks);
         // untouched fields keep baseline values
-        assert_eq!(c.rob_entries, 192);
+        assert_eq!(c.width, 4);
     }
 
     #[test]
@@ -878,24 +760,7 @@ mod tests {
     #[test]
     fn zero_width_is_rejected() {
         let c = SimConfig::baseline().with_width(0);
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::Zero {
-                knob: "fetch_width"
-            })
-        );
-    }
-
-    #[test]
-    fn zero_rob_is_rejected() {
-        let mut c = SimConfig::baseline();
-        c.rob_entries = 0;
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::Zero {
-                knob: "rob_entries"
-            })
-        );
+        assert_eq!(c.validate(), Err(ConfigError::Zero { knob: "width" }));
     }
 
     /// `knob` is accepted at `max` and rejected one above it.
@@ -908,27 +773,15 @@ mod tests {
     }
 
     #[test]
-    fn widths_and_ports_beyond_the_port_ring_counter_are_rejected() {
-        assert_bounded("fetch_width", MAX_WIDTH, |c, v| c.fetch_width = v);
-        assert_bounded("issue_width", MAX_WIDTH, |c, v| c.issue_width = v);
-        assert_bounded("commit_width", MAX_WIDTH, |c, v| c.commit_width = v);
-        assert_bounded("mem_ports", MAX_WIDTH, |c, v| c.mem_ports = v);
+    fn widths_beyond_the_port_ring_counter_are_rejected() {
+        assert_bounded("width", MAX_WIDTH, |c, v| c.width = v);
         // the counter the bound protects: one more port would wrap it to 0
         assert_eq!((MAX_WIDTH + 1) as u8, 0);
     }
 
     #[test]
-    fn oversized_rob_is_rejected() {
-        assert_bounded("rob_entries", MAX_ROB_ENTRIES, |c, v| c.rob_entries = v);
-        let mut c = SimConfig::baseline();
-        c.rob_entries = 1 << 40;
-        assert!(matches!(c.validate(), Err(ConfigError::TooLarge { knob: "rob_entries", .. })));
-    }
-
-    #[test]
     fn oversized_mshr_files_are_rejected() {
         assert_bounded("l1d_mshrs", MAX_MSHR_ENTRIES, |c, v| c.l1d_mshrs = v);
-        assert_bounded("prefetch_buffers", MAX_MSHR_ENTRIES, |c, v| c.prefetch_buffers = v);
     }
 
     #[test]
@@ -968,32 +821,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn non_power_of_two_cache_is_rejected() {
-        let mut c = SimConfig::baseline();
-        c.l1d = CacheConfig::new(48 * 1024, 8, 2); // 96 sets: not a power of two
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::Cache {
-                cache: "l1d",
-                problem: "set count must be a power of two"
-            })
-        );
-    }
-
-    #[test]
-    fn zero_way_cache_is_rejected() {
-        let mut c = SimConfig::baseline();
-        c.l2 = CacheConfig::new(256 * 1024, 0, 10);
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::Cache {
-                cache: "l2",
-                problem: "associativity must be nonzero"
-            })
-        );
-    }
-
     /// Why `validate` refuses the baseline after `set` edits it.
     fn rejection(set: fn(&mut SimConfig)) -> ConfigError {
         let mut c = SimConfig::baseline();
@@ -1001,32 +828,19 @@ mod tests {
         c.validate().expect_err("validate must refuse this geometry")
     }
 
-    /// Each geometry a prefetcher constructor asserts on (`BranchTraceCache`,
-    /// `MemoryHistoryTable`, `PerLoadFilter`, `Sms`, `Stride`) is
+    /// Each geometry a B-Fetch table constructor asserts on
+    /// (`BranchTraceCache`, `MemoryHistoryTable`, `PerLoadFilter`) is
     /// refused here first, whichever prefetcher is selected.
     #[test]
     fn prefetcher_geometry_the_constructors_assert_on_is_rejected() {
         let table = |knob, problem| ConfigError::Table { knob, problem };
         let zero = |knob| ConfigError::Zero { knob };
-        let block = |problem| table("sms.block_bytes", problem);
         let pow2 = "must be a power of two";
         assert_eq!(rejection(|c| c.bfetch.brtc_entries = 3), table("bfetch.brtc_entries", pow2));
         assert_eq!(rejection(|c| c.bfetch.brtc_entries = 0), table("bfetch.brtc_entries", pow2));
         assert_eq!(rejection(|c| c.bfetch.mht_entries = 96), table("bfetch.mht_entries", pow2));
         assert_eq!(rejection(|c| c.bfetch.mht_slots = 0), zero("bfetch.mht_slots"));
         assert_eq!(rejection(|c| c.bfetch.filter_entries = 2047), table("bfetch.filter_entries", pow2));
-        assert_eq!(rejection(|c| c.sms.pht_entries = 1000), table("sms.pht_entries", pow2));
-        assert_eq!(rejection(|c| c.sms.agt_entries = 0), zero("sms.agt_entries"));
-        assert_eq!(rejection(|c| c.sms.region_bytes = 3000), table("sms.region_bytes", pow2));
-        assert_eq!(rejection(|c| c.sms.block_bytes = 0), block(pow2));
-        assert_eq!(rejection(|c| c.sms.block_bytes = 32), block("must be at least a cache line"));
-        assert_eq!(rejection(|c| c.sms.block_bytes = 2048), block("must be smaller than the region"));
-        assert_eq!(
-            rejection(|c| c.sms.region_bytes = 8192),
-            block("leaves more than 32 blocks per region")
-        );
-        assert_eq!(rejection(|c| c.stride.entries = 100), table("stride.entries", pow2));
-        assert_eq!(rejection(|c| c.stride.degree = 0), zero("stride.degree"));
     }
 
     #[test]
@@ -1035,12 +849,7 @@ mod tests {
         assert_bounded("bfetch.filter_entries", MAX_TABLE_ENTRIES, |c, v| {
             c.bfetch.filter_entries = v
         });
-        assert_bounded("bfetch.queue_entries", MAX_TABLE_ENTRIES, |c, v| c.bfetch.queue_entries = v);
-        assert_bounded("bfetch.dbr_entries", MAX_TABLE_ENTRIES, |c, v| c.bfetch.dbr_entries = v);
         assert_bounded("bfetch.mht_slots", MAX_MHT_SLOTS, |c, v| c.bfetch.mht_slots = v);
-        assert_bounded("sms.agt_entries", MAX_TABLE_ENTRIES, |c, v| c.sms.agt_entries = v);
-        assert_bounded("sms.pht_entries", MAX_TABLE_ENTRIES, |c, v| c.sms.pht_entries = v);
-        assert_bounded("stride.entries", MAX_TABLE_ENTRIES, |c, v| c.stride.entries = v);
         // the MHT's slot array is the product of two knobs
         assert_bounded("bfetch.mht_entries", MAX_TABLE_ENTRIES, |c, v| {
             c.bfetch.mht_slots = 1;
@@ -1057,69 +866,41 @@ mod tests {
         );
     }
 
-    #[test]
-    fn prefetch_degrees_are_bounded() {
-        assert_bounded("stride.degree", MAX_DEGREE, |c, v| c.stride.degree = v);
-    }
-
     /// Every knob the model adds to a cycle stamp, one line each.
     #[test]
     fn cycle_count_knobs_are_bounded() {
         let max = MAX_LATENCY as usize;
-        assert_bounded("mul_latency", max, |c, v| c.mul_latency = v as u64);
-        assert_bounded("mispredict_penalty", max, |c, v| c.mispredict_penalty = v as u64);
-        assert_bounded("btb_miss_penalty", max, |c, v| c.btb_miss_penalty = v as u64);
-        assert_bounded("l1i.latency", max, |c, v| c.l1i.latency = v as u64);
-        assert_bounded("l1d.latency", max, |c, v| c.l1d.latency = v as u64);
-        assert_bounded("l2.latency", max, |c, v| c.l2.latency = v as u64);
-        assert_bounded("l3_latency", max, |c, v| c.l3_latency = v as u64);
         assert_bounded("dram.latency", max, |c, v| c.dram.latency = v as u64);
         assert_bounded("dram.line_interval", max, |c, v| c.dram.line_interval = v as u64);
         assert_bounded("dram.row_hit_latency", max, |c, v| c.dram.row_hit_latency = v as u64);
-        assert_bounded("bfetch.arf_sampling_delay", max, |c, v| {
-            c.bfetch.arf_sampling_delay = v as u64
-        });
     }
 
-    /// The smallest geometry `validate` accepts builds under every
-    /// prefetcher that reads it.
+    /// The smallest B-Fetch geometry `validate` accepts builds.
     #[test]
     fn the_smallest_accepted_geometry_constructs() {
-        let mut c = SimConfig::baseline();
+        let mut c = SimConfig::baseline().with_prefetcher(PrefetcherKind::BFetch);
         c.bfetch.brtc_entries = 1;
         c.bfetch.mht_entries = 1;
         c.bfetch.mht_slots = MAX_MHT_SLOTS;
         c.bfetch.filter_entries = 1;
-        c.bfetch.queue_entries = 0;
-        c.bfetch.dbr_entries = 0;
-        c.sms.agt_entries = 1;
-        c.sms.pht_entries = 1;
-        c.sms.region_bytes = 128;
-        c.sms.block_bytes = 64;
-        c.stride.entries = 1;
-        c.stride.degree = 1;
-        let program = bfetch_isa::ProgramBuilder::new("empty").finish();
-        for kind in [PrefetcherKind::BFetch, PrefetcherKind::Sms, PrefetcherKind::Stride] {
-            let c = c.clone().with_prefetcher(kind);
-            assert_eq!(c.validate(), Ok(()));
-            crate::core::Core::new(0, program.clone(), &c);
-        }
+        assert_eq!(c.validate(), Ok(()));
+        crate::core::Core::new(0, bfetch_isa::ProgramBuilder::new("empty").finish(), &c);
     }
 
     #[test]
     fn config_errors_render_the_knob() {
-        let s = ConfigError::Zero { knob: "mem_ports" }.to_string();
-        assert!(s.contains("mem_ports"), "{s}");
-        let s = ConfigError::TooLarge { knob: "rob_entries", max: 7 }.to_string();
-        assert!(s.contains("rob_entries") && s.contains('7'), "{s}");
+        let s = ConfigError::Zero { knob: "width" }.to_string();
+        assert!(s.contains("width"), "{s}");
+        let s = ConfigError::TooLarge { knob: "l1d_mshrs", max: 7 }.to_string();
+        assert!(s.contains("l1d_mshrs") && s.contains('7'), "{s}");
         let s = ConfigError::BpredScale { scale: 3.0 }.to_string();
         assert!(s.contains("3"), "{s}");
         let s = ConfigError::Cache {
-            cache: "l1i",
-            problem: "too small for one set",
+            cache: "l3",
+            problem: "capacity must divide evenly across banks",
         }
         .to_string();
-        assert!(s.contains("l1i") && s.contains("too small"), "{s}");
+        assert!(s.contains("l3") && s.contains("evenly"), "{s}");
         let s = ConfigError::Table {
             knob: "bfetch.brtc_entries",
             problem: "must be a power of two",
@@ -1173,25 +954,13 @@ mod tests {
         // `TraceSink::new` reserves the whole ring up front
         assert_bounded("trace.capacity", MAX_TABLE_ENTRIES, |c, v| c.trace.capacity = v);
         assert_eq!(rejection(|c| c.trace.capacity = 0), ConfigError::Zero { knob: "trace.capacity" });
-        assert_bounded("prefetch_issue_per_cycle", MAX_WIDTH, |c, v| c.prefetch_issue_per_cycle = v);
-        assert_bounded("bfetch.max_lookahead", MAX_DEGREE, |c, v| c.bfetch.max_lookahead = v);
     }
 
     #[test]
-    fn cache_capacities_are_bounded_before_any_allocation() {
-        let max = MAX_CACHE_BYTES as usize;
-        assert_bounded("l1i.size_bytes", max, |c, v| c.l1i.size_bytes = v as u64);
-        assert_bounded("l1d.size_bytes", max, |c, v| c.l1d.size_bytes = v as u64);
-        assert_bounded("l2.size_bytes", max, |c, v| c.l2.size_bytes = v as u64);
-        assert_bounded("l3_bytes_per_core", max, |c, v| c.l3_bytes_per_core = v as u64);
-        // 2⁴⁴ lines with a power-of-two set count: the geometry rules alone
-        // used to accept it
-        let c = rejection(|c| c.l1d.size_bytes = 1 << 50);
-        assert_eq!(c, ConfigError::TooLarge { knob: "l1d.size_bytes", max });
-        assert_bounded("l3_banks", MAX_BANKS, |c, v| {
-            c.l3_bytes_per_core = MAX_CACHE_BYTES;
-            c.l3_banks = v;
-        });
+    fn banks_and_rows_are_bounded_before_any_allocation() {
+        assert_bounded("l3_banks", MAX_BANKS, |c, v| c.l3_banks = v);
+        let max = MAX_ROW_BYTES as usize;
+        assert_bounded("dram.row_bytes", max, |c, v| c.dram.row_bytes = v as u64);
         assert_bounded("dram.channels", MAX_BANKS, |c, v| c.dram.channels = v);
         assert_bounded("dram.banks_per_channel", MAX_BANKS, |c, v| c.dram.banks_per_channel = v);
     }
@@ -1272,14 +1041,10 @@ mod tests {
         let probes = SimConfig::leaf_probes(&base);
         let mut knobs: Vec<&str> = probes.iter().map(|(k, _)| *k).collect();
         knobs.dedup();
-        assert_eq!(knobs.len(), 64, "one entry per leaf: {knobs:?}");
+        assert_eq!(knobs.len(), 32, "one entry per leaf: {knobs:?}");
         for (knob, mut c) in probes {
             if knob != "prefetcher" {
-                c.prefetcher = match knob.split('.').next() {
-                    Some("sms") => PrefetcherKind::Sms,
-                    Some("stride") => PrefetcherKind::Stride,
-                    _ => PrefetcherKind::BFetch,
-                };
+                c.prefetcher = PrefetcherKind::BFetch;
             }
             if c.validate().is_err() {
                 continue;

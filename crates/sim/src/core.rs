@@ -4,7 +4,7 @@
 //! ("execute-at-fetch"); timing is modelled with an analytically scheduled
 //! dataflow pipeline:
 //!
-//! * **fetch/dispatch** — up to `fetch_width` instructions per cycle follow
+//! * **fetch/dispatch** — up to `width` instructions per cycle follow
 //!   the actual path, consulting the branch predictor at every branch; a
 //!   misprediction stalls fetch until the branch's writeback plus a
 //!   redirect penalty (wrong-path instructions are not simulated — their
@@ -14,7 +14,7 @@
 //!   non-memory latencies are fixed per class, loads ask the memory
 //!   hierarchy *at their issue cycle* so in-flight prefetches are seen with
 //!   correct timing;
-//! * **commit** — in order, `commit_width` per cycle, bounded by the
+//! * **commit** — in order, `width` per cycle, bounded by the
 //!   192-entry ROB; commit trains the branch predictor, the confidence
 //!   estimators, the BrTC and the MHT, exactly as Section IV prescribes.
 //!
@@ -25,7 +25,7 @@
 //! wake-up lists are links threaded through the waiting entries
 //! (DESIGN.md §5).
 
-use crate::config::{PrefetcherKind, SimConfig};
+use crate::config::{PrefetcherKind, SimConfig, L1D, L1I};
 use crate::ports::PortRing;
 use bfetch_bpred::{
     Btb, CompositeConfidence, ConfidenceConfig, HistoryRegister, TournamentConfig,
@@ -34,7 +34,9 @@ use bfetch_bpred::{
 use bfetch_core::{BFetchEngine, DecodedBranch};
 use bfetch_isa::{ArchState, Program, StaticInst};
 use bfetch_mem::{AccessKind, CoreMem, HitLevel, MemStats, MemoryInterface};
-use bfetch_prefetch::{AccessEvent, PrefetchRequest, Prefetcher, Sms, Stride};
+use bfetch_prefetch::{
+    AccessEvent, PrefetchRequest, Prefetcher, Sms, SmsConfig, Stride, StrideConfig,
+};
 use bfetch_snapshot::SnapshotError;
 use bfetch_stats::cpi::{CpiComponent, CpiConfig, CpiStack, TimelineSample};
 use bfetch_stats::trace::{TraceKind, Tracer};
@@ -42,6 +44,21 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 const PORT_HORIZON: u64 = 1 << 14;
+
+/// Reorder buffer entries (Table II: 192).
+pub const ROB_ENTRIES: usize = 192;
+/// Integer multiply latency in cycles.
+pub const MUL_LATENCY: u64 = 3;
+/// Frontend refill penalty after a mispredicted branch resolves.
+pub const MISPREDICT_PENALTY: u64 = 10;
+/// Decode redirect penalty for a taken branch whose target missed in the BTB.
+pub const BTB_MISS_PENALTY: u64 = 2;
+/// Prefetches injected into the hierarchy per core per cycle.
+pub const PREFETCH_ISSUE_PER_CYCLE: usize = 2;
+
+/// The ROB ring: instruction `seq` lives in slot `seq & ROB_MASK`.
+const ROB_RING: usize = ROB_ENTRIES.next_power_of_two();
+const ROB_MASK: u64 = ROB_RING as u64 - 1;
 
 /// "No entry" in a wake-up link.
 const NO_LINK: u32 = u32::MAX;
@@ -186,35 +203,17 @@ impl BlockEntryRegs {
 
 /// The configuration fields the per-cycle loop consults, copied out of
 /// [`SimConfig`] at construction: the core carries this small `Copy`
-/// block instead of cloning the whole config for a handful of scalars.
+/// block instead of cloning the whole config for two scalars.
 #[derive(Debug, Clone, Copy)]
 struct CoreParams {
-    mul_latency: u64,
-    commit_width: usize,
+    /// Instructions fetched and committed per cycle.
+    width: usize,
     arf_at_retire: bool,
-    mispredict_penalty: u64,
-    fetch_width: usize,
-    rob_entries: usize,
-    l1i_latency: u64,
-    l1d_latency: u64,
-    btb_miss_penalty: u64,
-    prefetch_issue_per_cycle: usize,
 }
 
 impl CoreParams {
     fn of(cfg: &SimConfig) -> Self {
-        Self {
-            mul_latency: cfg.mul_latency,
-            commit_width: cfg.commit_width,
-            arf_at_retire: cfg.bfetch.arf_at_retire,
-            mispredict_penalty: cfg.mispredict_penalty,
-            fetch_width: cfg.fetch_width,
-            rob_entries: cfg.rob_entries,
-            l1i_latency: cfg.l1i.latency,
-            l1d_latency: cfg.l1d.latency,
-            btb_miss_penalty: cfg.btb_miss_penalty,
-            prefetch_issue_per_cycle: cfg.prefetch_issue_per_cycle,
-        }
+        Self { width: cfg.width, arf_at_retire: cfg.bfetch.arf_at_retire }
     }
 }
 
@@ -283,10 +282,9 @@ pub struct Core {
     perfect: bool,
     block_entry: BlockEntryRegs,
     // pipeline: the live ROB is sequence numbers `rob_base..next_seq`,
-    // instruction `seq` in slot `seq & rob_mask`; the other slots hold
+    // instruction `seq` in slot `seq & ROB_MASK`; the other slots hold
     // retired entries nothing reads
     rob: Box<[RobEntry]>,
-    rob_mask: u64,
     rob_base: u64,
     next_seq: u64,
     // one record per branch in the ROB, oldest first
@@ -327,15 +325,13 @@ impl Core {
         ) = match cfg.prefetcher {
             PrefetcherKind::None => (None, None, false),
             PrefetcherKind::BFetch => (Some(BFetchEngine::new(cfg.bfetch)), None, false),
-            PrefetcherKind::Stride => (None, Some(Box::new(Stride::new(cfg.stride))), false),
-            PrefetcherKind::Sms => (None, Some(Box::new(Sms::new(cfg.sms))), false),
+            PrefetcherKind::Stride => {
+                (None, Some(Box::new(Stride::new(StrideConfig::baseline()))), false)
+            }
+            PrefetcherKind::Sms => (None, Some(Box::new(Sms::new(SmsConfig::baseline()))), false),
             PrefetcherKind::Perfect => (None, None, true),
         };
-        let ring = cfg.rob_entries.next_power_of_two();
-        assert!(
-            ring <= 1 << 30 && program.len() <= u32::MAX as usize,
-            "wake-up links and instruction indices are 32-bit"
-        );
+        assert!(program.len() <= u32::MAX as usize, "instruction indices are 32-bit");
         Self {
             id,
             arch,
@@ -350,14 +346,13 @@ impl Core {
             pf_scratch: Vec::new(),
             perfect,
             block_entry: BlockEntryRegs::new(),
-            rob: vec![RobEntry::EMPTY; ring].into_boxed_slice(),
-            rob_mask: ring as u64 - 1,
+            rob: vec![RobEntry::EMPTY; ROB_RING].into_boxed_slice(),
             rob_base: 0,
             next_seq: 0,
-            branch_q: VecDeque::with_capacity(cfg.rob_entries),
-            issue_ports: PortRing::new(cfg.issue_width, PORT_HORIZON),
-            mem_ports: PortRing::new(cfg.mem_ports, PORT_HORIZON),
-            pending_mem: BinaryHeap::with_capacity(cfg.rob_entries),
+            branch_q: VecDeque::with_capacity(ROB_ENTRIES),
+            issue_ports: PortRing::new(cfg.width, PORT_HORIZON),
+            mem_ports: PortRing::new((cfg.width / 2).max(1), PORT_HORIZON),
+            pending_mem: BinaryHeap::with_capacity(ROB_ENTRIES),
             fetch_blocked_by: None,
             fetch_stall_until: 0,
             fetch_stall_reason: FetchStallReason::Redirect,
@@ -442,7 +437,7 @@ impl Core {
         if !cfg.enabled {
             return;
         }
-        let width = self.params.commit_width as u64;
+        let width = self.params.width as u64;
         self.cpi = Some(Box::new(CpiAccounting {
             stack: CpiStack::new(width),
             interval: cfg.timeline_interval,
@@ -476,7 +471,7 @@ impl Core {
 
     #[inline]
     fn slot_of(&self, seq: u64) -> usize {
-        (seq & self.rob_mask) as usize
+        (seq & ROB_MASK) as usize
     }
 
     /// The ring slot of `seq` while it is in the ROB.
@@ -541,7 +536,7 @@ impl Core {
         self.check_fetch_block();
         // accounting classifies against pre-fetch state: the ROB snapshot
         // right after commit still shows *why* commit fell short
-        let rob_was_full = self.cpi.is_some() && self.rob_len() >= self.params.rob_entries;
+        let rob_was_full = self.cpi.is_some() && self.rob_len() >= ROB_ENTRIES;
         {
             let _p = bfetch_prof::span(bfetch_prof::SIM_COMMIT);
             let committed = self.commit(now);
@@ -566,8 +561,7 @@ impl Core {
     /// (DESIGN.md §13.5 lists every waker and why the list is complete).
     pub fn wake_at(&self, now: u64) -> u64 {
         // the common busy case first: a core that can fetch is awake
-        let fetch_open =
-            self.fetch_blocked_by.is_none() && self.rob_len() < self.params.rob_entries;
+        let fetch_open = self.fetch_blocked_by.is_none() && self.rob_len() < ROB_ENTRIES;
         if fetch_open && self.fetch_stall_until <= now {
             return now;
         }
@@ -607,7 +601,7 @@ impl Core {
             from < to && to <= self.wake_at(from),
             "skipping a waking cycle"
         );
-        let rob_full = self.rob_len() >= self.params.rob_entries;
+        let rob_full = self.rob_len() >= ROB_ENTRIES;
         if rob_full && self.fetch_blocked_by.is_none() {
             self.counters.branch_fetch_hist[0] +=
                 to.saturating_sub(from.max(self.fetch_stall_until));
@@ -643,7 +637,7 @@ impl Core {
     /// `cpi == None` the cycle loop pays a single branch, keeping disabled
     /// runs on the pre-accounting hot path.
     fn account_cycle<M: MemoryInterface>(&mut self, now: u64, committed: usize, rob_was_full: bool, mem: &M) {
-        let cause = if committed < self.params.commit_width {
+        let cause = if committed < self.params.width {
             self.classify_stall(now, rob_was_full)
         } else {
             CpiComponent::Base // no lost slots: the cause is never recorded
@@ -769,7 +763,7 @@ impl Core {
             return;
         }
         let latency = if flags & StaticInst::IS_MUL != 0 {
-            self.params.mul_latency
+            MUL_LATENCY
         } else {
             1
         };
@@ -783,7 +777,7 @@ impl Core {
     /// The sequence number of the live instruction in `slot`.
     #[inline]
     fn seq_of(&self, slot: usize) -> u64 {
-        let seq = self.rob_base + ((slot as u64).wrapping_sub(self.rob_base) & self.rob_mask);
+        let seq = self.rob_base + ((slot as u64).wrapping_sub(self.rob_base) & ROB_MASK);
         debug_assert!(seq < self.next_seq, "slot {slot} is not live");
         seq
     }
@@ -836,7 +830,7 @@ impl Core {
             let (is_load, pc) = (si.is(StaticInst::IS_LOAD), si.pc);
             if is_load {
                 let (complete, service, pf_covered, queued_until) = if self.perfect {
-                    (now + self.params.l1d_latency, HitLevel::L1, false, 0)
+                    (now + L1D.latency, HitLevel::L1, false, 0)
                 } else {
                     let out = mem.access(self.id, AccessKind::Load, ea, now);
                     self.observe_access(pc, ea, out.level == HitLevel::L1, true);
@@ -879,12 +873,12 @@ impl Core {
 
     // ---- commit ----------------------------------------------------------
 
-    /// Retires up to `commit_width` finished instructions in order and
+    /// Retires up to `width` finished instructions in order and
     /// returns how many committed (the cycle accounting charges the
     /// remaining slots).
     fn commit(&mut self, now: u64) -> usize {
         let mut committed = 0;
-        for _ in 0..self.params.commit_width {
+        for _ in 0..self.params.width {
             let Some(head) = self.head() else { break };
             if !head.scheduled || head.complete_at > now {
                 break;
@@ -960,7 +954,7 @@ impl Core {
 
     fn check_fetch_block(&mut self) {
         if let Some(c) = self.fetch_block_resolved() {
-            let until = c + self.params.mispredict_penalty;
+            let until = c + MISPREDICT_PENALTY;
             if until > self.fetch_stall_until {
                 self.fetch_stall_until = until;
                 self.fetch_stall_reason = FetchStallReason::Redirect;
@@ -974,9 +968,9 @@ impl Core {
             return;
         }
         let mut branches_this_cycle = 0usize;
-        let l1i_lat = self.params.l1i_latency;
-        for _ in 0..self.params.fetch_width {
-            if self.rob_len() >= self.params.rob_entries {
+        let l1i_lat = L1I.latency;
+        for _ in 0..self.params.width {
+            if self.rob_len() >= ROB_ENTRIES {
                 break;
             }
             if self.arch.halted() {
@@ -1049,7 +1043,7 @@ impl Core {
                 // taken branches whose target is not in the BTB pay a small
                 // decode-redirect penalty
                 if pred_taken && self.btb.lookup(pc).is_none() {
-                    let until = now + self.params.btb_miss_penalty;
+                    let until = now + BTB_MISS_PENALTY;
                     if until > self.fetch_stall_until {
                         self.fetch_stall_until = until;
                         self.fetch_stall_reason = FetchStallReason::Btb;
@@ -1118,7 +1112,7 @@ impl Core {
     // ---- prefetch issue ----------------------------------------------------
 
     fn prefetch_tick<M: MemoryInterface>(&mut self, now: u64, mem: &mut M) {
-        let per_cycle = self.params.prefetch_issue_per_cycle;
+        let per_cycle = PREFETCH_ISSUE_PER_CYCLE;
         if let Some(engine) = self.engine.as_mut() {
             {
                 let _p = bfetch_prof::span(bfetch_prof::SIM_ENGINE);
@@ -1209,7 +1203,7 @@ impl Core {
         // recorded tail is the last node, and every dependent waits on
         // exactly the lists it sits in
         let is_live = |slot: usize| {
-            ((slot as u64).wrapping_sub(self.rob_base) & self.rob_mask) < self.rob_len() as u64
+            ((slot as u64).wrapping_sub(self.rob_base) & ROB_MASK) < self.rob_len() as u64
         };
         let mut seen = vec![false; self.rob.len() << 2];
         let mut waits = vec![0u8; self.rob.len()];
@@ -1261,7 +1255,7 @@ impl Core {
         if self
             .next_seq
             .checked_sub(self.rob_base)
-            .is_none_or(|live| live > self.params.rob_entries as u64)
+            .is_none_or(|live| live > ROB_ENTRIES as u64)
         {
             return Err(SnapshotError::Invalid {
                 what: "rob larger than configured",
@@ -1312,7 +1306,6 @@ bfetch_snapshot::snap_state!(Core {
     rob_base: val,
     next_seq: val,
     rob: with(Core::save_rob, Core::load_rob),
-    rob_mask: skip,
     branch_q: val,
     issue_ports: state,
     mem_ports: state,
@@ -1457,6 +1450,20 @@ mod tests {
         );
     }
 
+    /// Issue follows `width`; the core gets half as many load/store ports,
+    /// and at least one.
+    #[test]
+    fn width_sets_issue_and_memory_ports() {
+        let p = ProgramBuilder::new("empty").finish();
+        for (width, ports) in [(1, 1), (2, 1), (4, 2), (8, 4)] {
+            let mut core = Core::new(0, p.clone(), &SimConfig::baseline().with_width(width));
+            let in_cycle_0 =
+                |ring: &mut PortRing| (0..=width).take_while(|_| ring.reserve(0) == 0).count();
+            assert_eq!(in_cycle_0(&mut core.issue_ports), width);
+            assert_eq!(in_cycle_0(&mut core.mem_ports), ports);
+        }
+    }
+
     /// Writeback modelling surfaces DRAM writeback traffic for a
     /// store-streaming kernel and none without stores.
     #[test]
@@ -1470,19 +1477,23 @@ mod tests {
         b.addi(Reg::R1, Reg::R1, 64);
         b.blt(Reg::R1, Reg::R2, top);
         let p = b.finish();
-        let mut cfg = SimConfig::baseline();
-        cfg.model_writebacks = true;
-        // tiny caches: the bandwidth-throttled fill stream must overflow
-        // all three levels within the measurement window
-        cfg.l1d = bfetch_mem::CacheConfig::new(2 * 1024, 2, 2);
-        cfg.l2 = bfetch_mem::CacheConfig::new(4 * 1024, 2, 10);
-        cfg.l3_bytes_per_core = 4 * 1024;
-        let r = quick(&cfg, &p, 60_000);
-        assert!(r.mem.writebacks > 0, "{:?}", r.mem);
-        let mut off = cfg.clone();
-        off.model_writebacks = false;
-        let r2 = quick(&off, &p, 20_000);
-        assert_eq!(r2.mem.writebacks, 0);
+        let cfg = SimConfig::baseline();
+        let writebacks = |model_writebacks| {
+            // tiny caches: the bandwidth-throttled fill stream must
+            // overflow all three levels within the window
+            let mut mem = bfetch_mem::MemorySystem::new(bfetch_mem::HierarchyConfig {
+                l1d: bfetch_mem::CacheConfig::new(2 * 1024, 2, 2),
+                l2: bfetch_mem::CacheConfig::new(4 * 1024, 2, 10),
+                l3: bfetch_mem::CacheConfig::new(4 * 1024, 16, 20),
+                model_writebacks,
+                ..cfg.hierarchy(1)
+            });
+            let mut core = Core::new(0, p.clone(), &cfg);
+            step(&mut core, &mut mem, &mut 0, 50_000);
+            mem.stats(0).writebacks
+        };
+        assert!(writebacks(true) > 0);
+        assert_eq!(writebacks(false), 0);
     }
 
     /// Retire-time ARF updates still produce a functional engine.
@@ -1530,12 +1541,13 @@ mod tests {
         b.finish()
     }
 
-    fn wake_order_cfg() -> SimConfig {
-        let mut cfg = SimConfig::baseline();
-        cfg.fetch_width = 16;
-        cfg.issue_width = 1;
-        cfg.mem_ports = 1;
-        cfg
+    /// A 16-wide core whose issue and memory port rings hold one
+    /// reservation a cycle.
+    fn wake_order_core(p: Program, cfg: &SimConfig) -> Core {
+        let mut core = Core::new(0, p, &cfg.clone().with_width(16));
+        core.issue_ports = PortRing::new(1, PORT_HORIZON);
+        core.mem_ports = PortRing::new(1, PORT_HORIZON);
+        core
     }
 
     /// Length of the wake-up list of the live entry at `slot`.
@@ -1552,8 +1564,8 @@ mod tests {
     fn dependents_wake_in_the_order_they_were_appended() {
         let p = wake_order_program();
         let n = p.len() as u64;
-        let cfg = wake_order_cfg();
-        let mut core = Core::new(0, p, &cfg);
+        let cfg = SimConfig::baseline();
+        let mut core = wake_order_core(p, &cfg);
         let mut mem = bfetch_mem::MemorySystem::new(cfg.hierarchy(1));
         let mut complete_at = vec![u64::MAX; n as usize];
         let mut longest_list = 0;
@@ -1583,9 +1595,9 @@ mod tests {
         w.into_bytes()
     }
 
-    fn load(bytes: &[u8], p: &Program, cfg: &SimConfig) -> Result<Core, SnapshotError> {
+    /// `core` with the state `bytes` holds loaded over it.
+    fn load(bytes: &[u8], mut core: Core) -> Result<Core, SnapshotError> {
         use bfetch_snapshot::SnapState as _;
-        let mut core = Core::new(0, p.clone(), cfg);
         let mut r = bfetch_snapshot::Decoder::new(bytes);
         core.load_state(&mut r)?;
         r.finish()?;
@@ -1598,8 +1610,8 @@ mod tests {
     #[test]
     fn snapshot_round_trips_and_rejects_an_inconsistent_rob() {
         let p = wake_order_program();
-        let cfg = wake_order_cfg().with_prefetcher(PrefetcherKind::BFetch);
-        let mut core = Core::new(0, p.clone(), &cfg);
+        let cfg = SimConfig::baseline().with_prefetcher(PrefetcherKind::BFetch);
+        let mut core = wake_order_core(p.clone(), &cfg);
         let mut mem = bfetch_mem::MemorySystem::new(cfg.hierarchy(1));
         // stop in the cycle the first group dispatched: the producer's list
         // is at its longest and the block's registers are half written
@@ -1613,13 +1625,15 @@ mod tests {
         let producer = core.live_slot(3).unwrap();
 
         let bytes = save(&core);
-        let back = load(&bytes, &p, &cfg).expect("valid snapshot");
+        let back = load(&bytes, wake_order_core(p.clone(), &cfg)).expect("valid snapshot");
         assert_eq!(save(&back), bytes, "re-encoding is canonical");
         assert_eq!(back.rob, core.rob);
 
-        let invalid = |what: &str, core: &Core| match load(&save(core), &p, &cfg) {
-            Err(SnapshotError::Invalid { .. }) => {}
-            other => panic!("{what}: expected Invalid, got {:?}", other.map(|_| ())),
+        let invalid = |what: &str, core: &Core| {
+            match load(&save(core), wake_order_core(p.clone(), &cfg)) {
+                Err(SnapshotError::Invalid { .. }) => {}
+                other => panic!("{what}: expected Invalid, got {:?}", other.map(|_| ())),
+            }
         };
 
         let head = core.rob[producer].wake_head;
@@ -1658,8 +1672,8 @@ mod tests {
         // more live entries than the configured ROB holds, or fewer than
         // none
         let (rob_base, next_seq) = (core.rob_base, core.next_seq);
-        core.next_seq = rob_base + cfg.rob_entries as u64 + 1;
-        invalid("rob longer than rob_entries", &core);
+        core.next_seq = rob_base + ROB_ENTRIES as u64 + 1;
+        invalid("rob longer than ROB_ENTRIES", &core);
         core.next_seq = next_seq;
         core.rob_base = next_seq + 1;
         invalid("rob of negative length", &core);
@@ -1676,7 +1690,7 @@ mod tests {
         core.branch_q.pop_back();
 
         assert_eq!(save(&core), bytes, "every mutation was undone");
-        load(&bytes, &p, &cfg).expect("the untouched snapshot still loads");
+        load(&bytes, wake_order_core(p.clone(), &cfg)).expect("the untouched snapshot still loads");
     }
 
     /// Steps a core and its memory for `cycles` cycles from `now`.
@@ -1712,7 +1726,7 @@ mod tests {
         b.halt();
         let p = b.finish();
         let cfg = SimConfig::baseline().with_prefetcher(PrefetcherKind::BFetch);
-        let ring = cfg.rob_entries.next_power_of_two() as u64;
+        let ring = ROB_RING as u64;
 
         let mut core = Core::new(0, p.clone(), &cfg);
         let mut mem = bfetch_mem::MemorySystem::new(cfg.hierarchy(1));
@@ -1720,7 +1734,7 @@ mod tests {
         step(&mut core, &mut mem, &mut now, 20_000);
         // on to a cycle that leaves the ROB full in the middle of a block
         let mid_block_and_full = |c: &Core| {
-            c.rob_len() == cfg.rob_entries && c.block_entry.written.count_ones() >= 3
+            c.rob_len() == ROB_ENTRIES && c.block_entry.written.count_ones() >= 3
         };
         while !mid_block_and_full(&core) {
             step(&mut core, &mut mem, &mut now, 1);
@@ -1728,7 +1742,7 @@ mod tests {
         }
         assert!(core.next_seq > 8 * ring, "only {} instructions", core.next_seq);
 
-        let mut resumed = load(&save(&core), &p, &cfg).expect("core restores");
+        let mut resumed = load(&save(&core), Core::new(0, p.clone(), &cfg)).expect("core restores");
         let mut mw = bfetch_snapshot::Encoder::new();
         mem.save_state(&mut mw);
         let mut resumed_mem = bfetch_mem::MemorySystem::new(cfg.hierarchy(1));

@@ -49,9 +49,8 @@ pub use bfetch_stats::{CpiComponent, CpiConfig, CpiStack, TimelineSample, TraceC
 pub use cmp::{RunResult, SeqMem};
 pub use session::{RunOutput, SimSession, TraceOutput};
 pub use config::{
-    ConfigError, FaultInjection, PrefetcherKind, SimConfig, MAX_BANKS, MAX_CACHE_BYTES,
-    MAX_DEGREE, MAX_LATENCY, MAX_MHT_SLOTS, MAX_MSHR_ENTRIES, MAX_ROB_ENTRIES, MAX_RUN_LENGTH,
-    MAX_TABLE_ENTRIES, MAX_WIDTH,
+    ConfigError, FaultInjection, PrefetcherKind, SimConfig, MAX_BANKS, MAX_LATENCY, MAX_MHT_SLOTS,
+    MAX_MSHR_ENTRIES, MAX_ROW_BYTES, MAX_RUN_LENGTH, MAX_TABLE_ENTRIES, MAX_WIDTH,
 };
 pub use error::{CoreDiag, DiagSnapshot, RobHeadDiag, SimError};
 pub use core::{Core, CoreCounters};

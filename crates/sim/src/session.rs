@@ -368,7 +368,7 @@ mod tests {
         let three = [kernel(), kernel(), kernel()];
         match s.run(&three) {
             Err(SimError::Config(ConfigError::L3 { cores: 3, bytes, .. })) => {
-                assert_eq!(bytes, 3 * cfg().l3_bytes_per_core)
+                assert_eq!(bytes, 3 * crate::config::L3_BYTES_PER_CORE)
             }
             other => panic!("expected the L3 error, got {:?}", other.map(|_| ())),
         }

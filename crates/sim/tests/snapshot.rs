@@ -412,10 +412,9 @@ fn every_sampled_bit_flip_is_a_typed_error_or_detected() {
 }
 
 /// Overwrites the 8-byte word `offset` bytes into the checkpoint's config
-/// section (id 2; `SimConfig` saves its fields in declaration order, a
-/// `usize` as a little-endian `u64`, an enum as a one-byte tag) and
-/// restamps the whole-file CRC, so nothing but per-field validation stands
-/// between the crafted value and the constructors.
+/// section (id 2, `SimConfig::wire_bytes`) and restamps the whole-file CRC,
+/// so nothing but per-field validation stands between the crafted value
+/// and the constructors.
 fn patch_config_word(bytes: &mut [u8], offset: usize, expect: u64, value: u64) {
     let word = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
     // frame: magic, u32 version, u32 section count, then (u32 id, u64 len, payload)*
@@ -431,21 +430,28 @@ fn patch_config_word(bytes: &mut [u8], offset: usize, expect: u64, value: u64) {
     bytes[body..].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// A well-formed file whose configuration no constructor could honour:
-/// `rob_entries` (the fourth knob) far beyond the ring the wake-up links
-/// can address. `read_checkpoint` must refuse it at `validate()`, before
-/// `Core::new` asserts on it or tries to allocate it.
-#[test]
-fn crafted_oversized_rob_is_a_typed_error_not_a_panic() {
-    let dir = tmpdir("big-rob");
+/// Where one leaf's word starts in the config section: the first byte at
+/// which `cfg()`'s wire bytes and those of a copy `edit` changed differ
+/// (`edit` must change the leaf's low byte).
+fn leaf_offset(edit: fn(&mut SimConfig)) -> usize {
+    let mut edited = cfg();
+    edit(&mut edited);
+    let (a, b) = (cfg().wire_bytes(), edited.wire_bytes());
+    assert_eq!(a.len(), b.len(), "the edit resized the section");
+    a.iter().zip(&b).position(|(x, y)| x != y).expect("the edit moved no byte")
+}
+
+/// Writes `bytes` with one config leaf crafted to `value` and resumes it:
+/// the resume must be a typed `SimError::Config` naming `knob`.
+fn resume_crafted(name: &str, edit: fn(&mut SimConfig), expect: u64, value: u64, knob: &str) {
+    let dir = tmpdir(name);
     let mut bytes = checkpoint_bytes(&dir);
-    patch_config_word(&mut bytes, 3 * 8, cfg().rob_entries as u64, 1 << 40);
+    patch_config_word(&mut bytes, leaf_offset(edit), expect, value);
     let path = dir.join("crafted.snap");
     std::fs::write(&path, &bytes).unwrap();
     match SimSession::resume(&path) {
-        Err(SimError::Config(e)) => assert!(e.to_string().contains("rob_entries"), "{e}"),
-        Err(e) => panic!("wrong error kind {e}"),
-        Ok(_) => panic!("a 2^40-entry ROB resumed successfully"),
+        Err(SimError::Config(e)) => assert!(e.to_string().contains(knob), "{e}"),
+        other => panic!("{knob} = {value}: expected a config error, got {:?}", other.map(|_| ())),
     }
     // the restamp is what makes this a validation test: the same edit
     // without it dies at the checksum instead
@@ -456,10 +462,18 @@ fn crafted_oversized_rob_is_a_typed_error_not_a_panic() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A well-formed file whose configuration no constructor could honour: a
+/// pipeline 2⁴⁰ wide, whose port rings could neither count a cycle's
+/// reservations nor be allocated. `read_checkpoint` must refuse it at
+/// `validate()`, before `Core::new` asserts on it or tries to allocate it.
+#[test]
+fn crafted_oversized_width_is_a_typed_error_not_a_panic() {
+    resume_crafted("big-width", |c| c.width += 1, cfg().width as u64, 1 << 40, "width");
+}
+
 /// The nested prefetcher configs are validated too: a three-entry BrTC
-/// (`bfetch.brtc_entries` follows the nine leading words and the one-byte
-/// prefetcher tag) used to pass `validate()` and panic in
-/// `BranchTraceCache::new`, whether it came from the caller or a file.
+/// used to pass `validate()` and panic in `BranchTraceCache::new`, whether
+/// it came from the caller or a file.
 #[test]
 fn non_power_of_two_brtc_is_a_typed_error_from_run_and_resume() {
     let mut c = cfg();
@@ -469,68 +483,34 @@ fn non_power_of_two_brtc_is_a_typed_error_from_run_and_resume() {
         Err(SimError::Config(e)) => assert!(e.to_string().contains("brtc_entries"), "{e}"),
         other => panic!("expected a config error, got {:?}", other.map(|_| ())),
     }
-
-    let dir = tmpdir("bad-brtc");
-    let mut bytes = checkpoint_bytes(&dir);
-    patch_config_word(&mut bytes, 9 * 8 + 1, cfg().bfetch.brtc_entries as u64, 3);
-    let path = dir.join("crafted.snap");
-    std::fs::write(&path, &bytes).unwrap();
-    match SimSession::resume(&path) {
-        Err(SimError::Config(e)) => assert!(e.to_string().contains("brtc_entries"), "{e}"),
-        other => panic!("expected a config error, got {:?}", other.map(|_| ())),
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+    let brtc = cfg().bfetch.brtc_entries as u64;
+    resume_crafted("bad-brtc", |c| c.bfetch.brtc_entries += 1, brtc, 3, "brtc_entries");
 }
 
-/// Cycle-count knobs are bounded too: an ARF sampling delay of `u64::MAX`
-/// (`bfetch.arf_sampling_delay`: after the nine leading words, the tag,
-/// four `usize` knobs, the `u8` threshold and four more words) used to
-/// overflow `now + delay` at the first register write.
+/// Cycle-count knobs are bounded too: a DRAM latency of `u64::MAX` would
+/// overflow the first request's completion stamp.
 #[test]
-fn crafted_arf_sampling_delay_is_a_typed_error_from_resume() {
-    let dir = tmpdir("big-arf-delay");
-    let mut bytes = checkpoint_bytes(&dir);
-    let offset = 9 * 8 + 1 + 4 * 8 + 1 + 4 * 8;
-    patch_config_word(&mut bytes, offset, cfg().bfetch.arf_sampling_delay, u64::MAX);
-    let path = dir.join("crafted.snap");
-    std::fs::write(&path, &bytes).unwrap();
-    match SimSession::resume(&path) {
-        Err(SimError::Config(e)) => {
-            assert!(e.to_string().contains("arf_sampling_delay"), "{e}")
-        }
-        other => panic!("expected a config error, got {:?}", other.map(|_| ())),
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+fn crafted_dram_latency_is_a_typed_error_from_resume() {
+    let latency = cfg().dram.latency;
+    resume_crafted("big-dram-latency", |c| c.dram.latency += 1, latency, u64::MAX, "dram.latency");
 }
 
-/// Cache capacities are bounded too: a 2⁵⁰-byte L1D (`l1d.size_bytes`:
-/// after the nine leading words, the tag, B-Fetch's 81 bytes, SMS's four
-/// words, stride's two and L1I's three) has a power-of-two set count, so
-/// the geometry rules alone let `SetAssocCache::new` try to allocate 2⁴⁴
-/// lines.
+/// Table sizes are bounded too: a 2⁵⁰-entry MHT is a power of two, so the
+/// geometry rules alone let `MemoryHistoryTable::new` try to allocate it.
 #[test]
-fn crafted_oversized_cache_is_a_typed_error_from_resume() {
-    let dir = tmpdir("big-l1d");
-    let mut bytes = checkpoint_bytes(&dir);
-    let offset = 9 * 8 + 1 + 81 + (4 + 2 + 3) * 8;
-    patch_config_word(&mut bytes, offset, cfg().l1d.size_bytes, 1 << 50);
-    let path = dir.join("crafted.snap");
-    std::fs::write(&path, &bytes).unwrap();
-    match SimSession::resume(&path) {
-        Err(SimError::Config(e)) => assert!(e.to_string().contains("l1d.size_bytes"), "{e}"),
-        other => panic!("expected a config error, got {:?}", other.map(|_| ())),
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+fn crafted_oversized_table_is_a_typed_error_from_resume() {
+    let mht = cfg().bfetch.mht_entries as u64;
+    resume_crafted("big-mht", |c| c.bfetch.mht_entries += 1, mht, 1 << 50, "bfetch.mht_entries");
 }
 
 #[test]
 fn invalid_config_is_rejected_before_running() {
     let p = kernel("bad-cfg", 1024);
     let mut c = cfg();
-    c.rob_entries = 0;
+    c.width = 0;
     let err = SimSession::new(c).instructions(100).run_one(&p).unwrap_err();
     match err {
-        SimError::Config(e) => assert!(e.to_string().contains("rob_entries"), "{e}"),
+        SimError::Config(e) => assert!(e.to_string().contains("width"), "{e}"),
         other => panic!("expected config error, got {other}"),
     }
 }

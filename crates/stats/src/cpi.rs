@@ -8,7 +8,7 @@
 //! either committed or charged to a single component, the stack satisfies
 //!
 //! ```text
-//! committed_slots + Σ lost[c]  ==  commit_width × cycles
+//! committed_slots + Σ lost[c]  ==  width × cycles
 //! ```
 //!
 //! by construction ([`CpiStack::holds_invariant`]), so the per-component
@@ -416,38 +416,6 @@ impl TimelineSample {
         }
     }
 
-    /// Serialises the sample as one line of JSON with a fixed key order
-    /// (schema documented in DESIGN.md "Cycle accounting & timeline").
-    pub fn to_json_line(&self) -> String {
-        use std::fmt::Write;
-        let mut out = format!(
-            "{{\"event\":\"timeline_sample\",\"core\":{},\"index\":{},\"cycle\":{},\
-             \"instructions\":{},\"interval_cycles\":{},\"interval_instructions\":{},\
-             \"ipc\":{:.4},\"mpki\":{:.3},\"mispredicts\":{},\"l1d_misses\":{},\
-             \"pf_accuracy\":{:.4},\"pf_coverage\":{:.4},\"lost\":{{",
-            self.core,
-            self.index,
-            self.cycle,
-            self.instructions,
-            self.interval_cycles,
-            self.interval_instructions,
-            self.ipc(),
-            self.mpki(),
-            self.interval_mispredicts,
-            self.interval_l1d_misses,
-            self.pf_accuracy(),
-            self.pf_coverage(),
-        );
-        for (i, c) in CpiComponent::ALL.into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{}", c.as_str(), self.lost[c as usize]);
-        }
-        out.push_str("}}");
-        out
-    }
-
     /// The CSV column names matching [`TimelineSample::csv_row`].
     pub fn csv_header() -> String {
         let mut out = String::from(
@@ -592,13 +560,8 @@ mod tests {
     }
 
     #[test]
-    fn sample_export_shapes_are_stable() {
+    fn sample_csv_shape_is_stable() {
         let s = sample();
-        let line = s.to_json_line();
-        assert!(line.starts_with("{\"event\":\"timeline_sample\",\"core\":0,\"index\":2,"));
-        assert!(line.contains("\"ipc\":2.0000"));
-        assert!(line.contains("\"lost\":{\"base\":0,"));
-        assert!(line.ends_with("\"mem_dram\":300,\"mem_dram_covered\":0}}"));
         let header = TimelineSample::csv_header();
         let row = s.csv_row();
         assert_eq!(

@@ -159,50 +159,6 @@ pub struct TraceEvent {
     pub kind: TraceKind,
 }
 
-impl TraceEvent {
-    /// Serialises the event as one line of JSON, matching the schema in
-    /// `DESIGN.md` ("Observability"). Keys appear in a fixed order
-    /// (`event`, `cycle`, `core`, then payload fields) so the output is
-    /// stable across runs.
-    pub fn to_json_line(&self) -> String {
-        let head = format!(
-            "{{\"event\":\"{}\",\"cycle\":{},\"core\":{}",
-            self.kind.name(),
-            self.cycle,
-            self.core
-        );
-        let tail = match self.kind {
-            TraceKind::BranchPredicted { pc, taken, confidence } => {
-                format!(",\"pc\":{pc},\"taken\":{taken},\"confidence\":{confidence:.4}")
-            }
-            TraceKind::BranchResolved { pc, taken, mispredicted } => {
-                format!(",\"pc\":{pc},\"taken\":{taken},\"mispredicted\":{mispredicted}")
-            }
-            TraceKind::PrefetchIssued { line, pc_hash }
-            | TraceKind::PrefetchFilled { line, pc_hash }
-            | TraceKind::PrefetchEvictedUnused { line, pc_hash } => {
-                format!(",\"line\":{line},\"pc_hash\":{pc_hash}")
-            }
-            TraceKind::PrefetchDropped { line, pc_hash, reason } => {
-                format!(
-                    ",\"line\":{line},\"pc_hash\":{pc_hash},\"reason\":\"{}\"",
-                    reason.as_str()
-                )
-            }
-            TraceKind::PrefetchMshrMerged { line, pc_hash, remaining_cycles } => {
-                format!(",\"line\":{line},\"pc_hash\":{pc_hash},\"remaining_cycles\":{remaining_cycles}")
-            }
-            TraceKind::PrefetchFirstUse { line, pc_hash, lead_cycles } => {
-                format!(",\"line\":{line},\"pc_hash\":{pc_hash},\"lead_cycles\":{lead_cycles}")
-            }
-            TraceKind::DemandMiss { line, level } => {
-                format!(",\"line\":{line},\"level\":\"{}\"", level.as_str())
-            }
-        };
-        format!("{head}{tail}}}")
-    }
-}
-
 /// Trace options carried by the simulator configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceConfig {
@@ -753,50 +709,6 @@ mod tests {
             });
         }
         assert_eq!(sink.lifecycle(0).dropped, [2, 1, 0, 1]);
-    }
-
-    #[test]
-    fn json_lines_have_stable_shape() {
-        let e = TraceEvent {
-            cycle: 120,
-            core: 2,
-            kind: TraceKind::PrefetchFirstUse {
-                line: 0x1040,
-                pc_hash: 513,
-                lead_cycles: 18,
-            },
-        };
-        assert_eq!(
-            e.to_json_line(),
-            "{\"event\":\"prefetch_first_use\",\"cycle\":120,\"core\":2,\
-             \"line\":4160,\"pc_hash\":513,\"lead_cycles\":18}"
-        );
-        let e = TraceEvent {
-            cycle: 7,
-            core: 0,
-            kind: TraceKind::BranchPredicted {
-                pc: 64,
-                taken: true,
-                confidence: 0.875,
-            },
-        };
-        assert_eq!(
-            e.to_json_line(),
-            "{\"event\":\"branch_predicted\",\"cycle\":7,\"core\":0,\
-             \"pc\":64,\"taken\":true,\"confidence\":0.8750}"
-        );
-        let e = TraceEvent {
-            cycle: 9,
-            core: 1,
-            kind: TraceKind::DemandMiss {
-                line: 128,
-                level: ServiceLevel::Dram,
-            },
-        };
-        assert_eq!(
-            e.to_json_line(),
-            "{\"event\":\"demand_miss\",\"cycle\":9,\"core\":1,\"line\":128,\"level\":\"dram\"}"
-        );
     }
 
     #[test]

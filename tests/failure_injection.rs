@@ -60,8 +60,7 @@ fn single_entry_tables_still_function() {
     let mut c = base();
     c.bfetch.brtc_entries = 1;
     c.bfetch.mht_entries = 1;
-    c.bfetch.queue_entries = 1;
-    c.bfetch.dbr_entries = 1;
+    c.bfetch.filter_entries = 1;
     let r = run_single(&p, &c, INSTS);
     assert!(r.ipc() > 0.05);
 }
@@ -71,16 +70,18 @@ fn one_mshr_serializes_but_completes() {
     let p = kernel_by_name("lbm").unwrap().build_small();
     let mut c = base();
     c.l1d_mshrs = 1;
-    c.prefetch_buffers = 1;
     let r = run_single(&p, &c, INSTS);
     assert!(r.ipc() > 0.005, "serialized system still makes progress");
 }
 
+/// The queue is Table I's fixed 100 entries; unfiltered walks that only
+/// the depth cap stops offer it more candidates than it holds.
 #[test]
 fn tiny_prefetch_queue_overflows_gracefully() {
-    let p = kernel_by_name("leslie3d").unwrap().build_small();
+    let p = kernel_by_name("soplex").unwrap().build_small();
     let mut c = base();
-    c.bfetch.queue_entries = 2;
+    c.bfetch.confidence_threshold = 0.0;
+    c.bfetch.enable_filter = false;
     let r = run_single(&p, &c, INSTS);
     let e = r.engine.expect("engine active");
     assert!(e.queue_overflow > 0, "pressure must be visible in stats");
