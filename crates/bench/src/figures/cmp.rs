@@ -6,6 +6,7 @@
 //! any other point.
 
 use super::{group_cpi, GROUPS};
+use crate::harness::jsonio::Json;
 use crate::{mix_summary, Ctx, GridPoint, Report, Row, SweepOutcome, SweepSpec};
 use bfetch_sim::{CpiConfig, PrefetcherKind, RunResult, SimConfig};
 use bfetch_workloads::{kernels, select_mixes, Kernel, Mix, NUM_MIXES};
@@ -210,7 +211,7 @@ pub fn fig16_cmp(ctx: &Ctx) {
     let cpi = Report::new("", "core", cpi_headers, cpi_rows)
         .note("L2/L3/dram fold in their prefetch-covered halves (DESIGN.md §10)\n");
     if ctx.opts.json {
-        println!("{{\"ws\":{},\"cpi\":{}}}", ws.to_json(), cpi.to_json());
+        println!("{}", Json::obj([("ws", ws.json()), ("cpi", cpi.json())]));
     } else {
         print!("{}{}", ws.to_text(), cpi.to_text());
     }

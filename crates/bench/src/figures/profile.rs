@@ -4,8 +4,9 @@
 //!
 //! Runs the ext_mix8 workload (the first eight registry kernels on an
 //! 8-core CMP, B-Fetch config) with profiling enabled, and prints each
-//! phase's count, total, mean, p50/p99 and share of the end-to-end
-//! `sim.run` wall time. A machine-readable copy goes to `--out` (default
+//! phase's count, total, mean and share of the end-to-end `sim.run` wall
+//! time ([`report_text`]). The same report as JSON ([`report_json`], with
+//! the run's budget and coverage added) goes to `--out` (default
 //! `target/PROF_phase_report.json`).
 //!
 //! Coverage is the self-check that the instrumentation accounts for the
@@ -16,10 +17,9 @@
 //! This is a *timing* figure: its stdout reports wall clock and is exempt
 //! from the byte-identity contract (see `tests/stdout_contract.rs`).
 
-use super::table;
 use crate::harness::jsonio::Json;
+use crate::profiling::{fmt_ns, report_json, report_text};
 use crate::{exit_err, Ctx};
-use bfetch_prof::PHASE_NAMES;
 use bfetch_sim::{PrefetcherKind, SimSession};
 use bfetch_workloads::{kernels, Scale};
 use std::path::{Path, PathBuf};
@@ -62,62 +62,23 @@ pub fn ext_profile(ctx: &Ctx) {
         .sum();
     let coverage = covered as f64 / run_ns as f64 * 100.0;
 
-    let mut t = table(["phase", "count", "total", "mean", "p50", "p99", "% of run"]);
-    for name in PHASE_NAMES {
-        let Some(p) = report.phase(name) else {
-            continue;
-        };
-        if p.count == 0 {
-            continue;
-        }
-        t.row(vec![
-            p.name.to_string(),
-            p.count.to_string(),
-            bfetch_prof::fmt_ns(p.total_ns),
-            bfetch_prof::fmt_ns(p.mean_ns()),
-            bfetch_prof::fmt_ns(p.p50_ns),
-            bfetch_prof::fmt_ns(p.p99_ns),
-            format!("{:.1}", p.total_ns as f64 / run_ns as f64 * 100.0),
-        ]);
-    }
-    print!("{t}");
+    print!("{}", report_text(&report));
     println!(
         "coverage: {coverage:.1}% of sim.run ({} of {}) via drain+sim.step+bookkeep",
-        bfetch_prof::fmt_ns(covered),
-        bfetch_prof::fmt_ns(run_ns),
+        fmt_ns(covered),
+        fmt_ns(run_ns),
     );
 
-    let phases_json: Vec<(String, Json)> = report
-        .phases
-        .iter()
-        .filter(|p| p.count > 0)
-        .map(|p| {
-            (
-                p.name.to_string(),
-                Json::Obj(vec![
-                    ("count".into(), Json::u64_of(p.count)),
-                    ("total_ns".into(), Json::u64_of(p.total_ns)),
-                    ("mean_ns".into(), Json::u64_of(p.mean_ns())),
-                    ("p50_ns".into(), Json::u64_of(p.p50_ns)),
-                    ("p99_ns".into(), Json::u64_of(p.p99_ns)),
-                    (
-                        "pct_of_run".into(),
-                        Json::f64_of((p.total_ns as f64 / run_ns as f64 * 1000.0).round() / 10.0),
-                    ),
-                ]),
-            )
-        })
-        .collect();
-
-    let doc = Json::Obj(vec![
-        ("schema".into(), Json::u64_of(2)),
-        ("quick".into(), Json::Bool(opts.quick)),
-        ("instructions".into(), Json::u64_of(opts.instructions)),
-        ("warmup".into(), Json::u64_of(opts.warmup)),
-        ("wall_ns".into(), Json::u64_of(run_ns)),
-        ("coverage_pct".into(), Json::f64_of((coverage * 10.0).round() / 10.0)),
-        ("phases".into(), Json::Obj(phases_json)),
-    ]);
+    let doc = report_json(
+        &report,
+        [
+            ("quick", Json::Bool(opts.quick)),
+            ("instructions", Json::u64_of(opts.instructions)),
+            ("warmup", Json::u64_of(opts.warmup)),
+            ("wall_ns", Json::u64_of(run_ns)),
+            ("coverage_pct", Json::f64_of((coverage * 10.0).round() / 10.0)),
+        ],
+    );
     if let Some(parent) = out_path.parent() {
         let _ = std::fs::create_dir_all(parent);
     }

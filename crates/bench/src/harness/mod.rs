@@ -617,14 +617,6 @@ impl Harness {
         self
     }
 
-    /// Periodic snapshot-sidecar cadence in cycles (0 = write only when
-    /// stopped). Sidecars need the cache — with the cache disabled this
-    /// is inert.
-    pub fn with_checkpoint_every(mut self, cycles: u64) -> Self {
-        self.ckpt_every = cycles;
-        self
-    }
-
     /// Runs every point of `spec` and returns outcomes in spec order.
     pub fn run(&self, spec: &SweepSpec) -> SweepOutcome {
         let t0 = Instant::now();

@@ -62,7 +62,7 @@ impl Report {
     }
 
     /// The `--json` rendering ([`rows_to_json`]).
-    pub fn to_json(&self) -> String {
+    pub fn json(&self) -> Json {
         rows_to_json(&self.headers, &self.rows)
     }
 
@@ -84,7 +84,7 @@ impl Report {
     /// the text rendering otherwise.
     pub fn emit(&self, json: bool) {
         if json {
-            println!("{}", self.to_json());
+            println!("{}", self.json());
         } else {
             print!("{}", self.to_text());
         }
@@ -93,8 +93,8 @@ impl Report {
 
 /// Renders figure rows as machine-readable JSON for `--json` mode:
 /// `{"headers": [...], "rows": [{"name": ..., "values": [...]}, ...]}`.
-pub fn rows_to_json<H: AsRef<str>, S: AsRef<str>>(headers: &[H], rows: &[(S, Vec<f64>)]) -> String {
-    let doc = Json::Obj(vec![
+pub fn rows_to_json<H: AsRef<str>, S: AsRef<str>>(headers: &[H], rows: &[(S, Vec<f64>)]) -> Json {
+    Json::Obj(vec![
         (
             "headers".into(),
             Json::Arr(headers.iter().map(|h| Json::Str(h.as_ref().to_string())).collect()),
@@ -115,8 +115,7 @@ pub fn rows_to_json<H: AsRef<str>, S: AsRef<str>>(headers: &[H], rows: &[(S, Vec
                     .collect(),
             ),
         ),
-    ]);
-    doc.to_string()
+    ])
 }
 
 #[cfg(test)]
@@ -151,7 +150,7 @@ mod tests {
 
     #[test]
     fn json_carries_headers_and_full_precision_rows() {
-        let doc = Json::parse(&report().to_json()).expect("valid json");
+        let doc = report().json();
         let Some(Json::Arr(headers)) = doc.get("headers") else { panic!("no headers") };
         assert_eq!(headers.len(), 2);
         let Some(Json::Arr(rows)) = doc.get("rows") else { panic!("no rows") };

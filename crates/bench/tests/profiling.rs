@@ -1,13 +1,14 @@
 //! Profiler observability tests: capture must be a pure observer (golden
 //! registry counters identical whether the profiler is enabled or not), and the exported artifacts must be well-formed —
-//! the Chrome trace parses as trace-event JSON and the report JSON
-//! round-trips through the self-contained parser.
+//! the Chrome trace parses as trace-event JSON and the report JSON that
+//! `--profile` writes round-trips through the self-contained parser.
 //!
 //! The profiler is process-global state, so the capturing tests serialize
 //! on a mutex.
 
 use bfetch_bench::harness::jsonio::Json;
 use bfetch_bench::harness::{Harness, SweepSpec};
+use bfetch_bench::profiling::report_json;
 use bfetch_sim::{PrefetcherKind, SimConfig, SimSession};
 use bfetch_workloads::{kernel_by_name, kernels, Scale};
 use std::path::PathBuf;
@@ -132,15 +133,18 @@ fn chrome_trace_is_well_formed() {
     );
 }
 
-/// The aggregate report round-trips through the JSON parser and stays
-/// internally consistent (sub-phases nest inside the stepping phase).
+/// The aggregate report, rendered by the one phase-report writer,
+/// round-trips through the JSON parser and stays internally consistent
+/// (sub-phases nest inside the stepping phase).
 #[test]
 fn report_json_round_trips() {
     let _g = lock();
     bfetch_prof::enable();
     let _ = registry_render(PrefetcherKind::BFetch);
     let report = bfetch_prof::drain().expect("capture enabled").report();
-    let doc = Json::parse(&report.to_json()).expect("report JSON parses");
+    let text = report_json(&report, []).to_string();
+    let doc = Json::parse(&text).expect("report JSON parses");
+    assert_eq!(doc.get("schema").and_then(Json::as_u64), Some(3));
     let Some(Json::Arr(phases)) = doc.get("phases") else {
         panic!("no phases array");
     };

@@ -1,7 +1,6 @@
 //! Instruction definitions and static classification helpers.
 
 use crate::reg::Reg;
-use bfetch_snapshot::{Decoder, Encoder, Snap, SnapshotError};
 use std::fmt;
 
 /// A single instruction.
@@ -191,155 +190,27 @@ impl Inst {
     }
 }
 
-impl Snap for Inst {
-    fn save(&self, w: &mut Encoder) {
-        match *self {
-            Inst::Nop => w.put_u8(0),
-            Inst::Halt => w.put_u8(1),
-            Inst::Add { rd, ra, rb } => {
-                w.put_u8(2);
-                (rd, ra, rb).save(w);
-            }
-            Inst::Sub { rd, ra, rb } => {
-                w.put_u8(3);
-                (rd, ra, rb).save(w);
-            }
-            Inst::Mul { rd, ra, rb } => {
-                w.put_u8(4);
-                (rd, ra, rb).save(w);
-            }
-            Inst::Xor { rd, ra, rb } => {
-                w.put_u8(5);
-                (rd, ra, rb).save(w);
-            }
-            Inst::And { rd, ra, rb } => {
-                w.put_u8(6);
-                (rd, ra, rb).save(w);
-            }
-            Inst::Or { rd, ra, rb } => {
-                w.put_u8(7);
-                (rd, ra, rb).save(w);
-            }
-            Inst::AddI { rd, rs, imm } => {
-                w.put_u8(8);
-                (rd, rs, imm).save(w);
-            }
-            Inst::SllI { rd, rs, sh } => {
-                w.put_u8(9);
-                (rd, rs, sh).save(w);
-            }
-            Inst::SrlI { rd, rs, sh } => {
-                w.put_u8(10);
-                (rd, rs, sh).save(w);
-            }
-            Inst::LoadImm { rd, imm } => {
-                w.put_u8(11);
-                (rd, imm).save(w);
-            }
-            Inst::Load { rd, base, offset } => {
-                w.put_u8(12);
-                (rd, base, offset).save(w);
-            }
-            Inst::Store { rs, base, offset } => {
-                w.put_u8(13);
-                (rs, base, offset).save(w);
-            }
-            Inst::Beq { ra, rb, target } => {
-                w.put_u8(14);
-                (ra, rb, target).save(w);
-            }
-            Inst::Bne { ra, rb, target } => {
-                w.put_u8(15);
-                (ra, rb, target).save(w);
-            }
-            Inst::Blt { ra, rb, target } => {
-                w.put_u8(16);
-                (ra, rb, target).save(w);
-            }
-            Inst::Bge { ra, rb, target } => {
-                w.put_u8(17);
-                (ra, rb, target).save(w);
-            }
-            Inst::Jmp { target } => {
-                w.put_u8(18);
-                target.save(w);
-            }
-        }
-    }
-
-    fn load(r: &mut Decoder<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.take_u8()? {
-            0 => Inst::Nop,
-            1 => Inst::Halt,
-            2 => {
-                let (rd, ra, rb) = Snap::load(r)?;
-                Inst::Add { rd, ra, rb }
-            }
-            3 => {
-                let (rd, ra, rb) = Snap::load(r)?;
-                Inst::Sub { rd, ra, rb }
-            }
-            4 => {
-                let (rd, ra, rb) = Snap::load(r)?;
-                Inst::Mul { rd, ra, rb }
-            }
-            5 => {
-                let (rd, ra, rb) = Snap::load(r)?;
-                Inst::Xor { rd, ra, rb }
-            }
-            6 => {
-                let (rd, ra, rb) = Snap::load(r)?;
-                Inst::And { rd, ra, rb }
-            }
-            7 => {
-                let (rd, ra, rb) = Snap::load(r)?;
-                Inst::Or { rd, ra, rb }
-            }
-            8 => {
-                let (rd, rs, imm) = Snap::load(r)?;
-                Inst::AddI { rd, rs, imm }
-            }
-            9 => {
-                let (rd, rs, sh) = Snap::load(r)?;
-                Inst::SllI { rd, rs, sh }
-            }
-            10 => {
-                let (rd, rs, sh) = Snap::load(r)?;
-                Inst::SrlI { rd, rs, sh }
-            }
-            11 => {
-                let (rd, imm) = Snap::load(r)?;
-                Inst::LoadImm { rd, imm }
-            }
-            12 => {
-                let (rd, base, offset) = Snap::load(r)?;
-                Inst::Load { rd, base, offset }
-            }
-            13 => {
-                let (rs, base, offset) = Snap::load(r)?;
-                Inst::Store { rs, base, offset }
-            }
-            14 => {
-                let (ra, rb, target) = Snap::load(r)?;
-                Inst::Beq { ra, rb, target }
-            }
-            15 => {
-                let (ra, rb, target) = Snap::load(r)?;
-                Inst::Bne { ra, rb, target }
-            }
-            16 => {
-                let (ra, rb, target) = Snap::load(r)?;
-                Inst::Blt { ra, rb, target }
-            }
-            17 => {
-                let (ra, rb, target) = Snap::load(r)?;
-                Inst::Bge { ra, rb, target }
-            }
-            18 => Inst::Jmp { target: Snap::load(r)? },
-            _ => return Err(SnapshotError::Invalid { what: "unknown Inst discriminant" }),
-        })
-    }
-}
+bfetch_snapshot::impl_snap_enum!(Inst {
+    Inst::Nop = 0,
+    Inst::Halt = 1,
+    Inst::Add { rd, ra, rb } = 2,
+    Inst::Sub { rd, ra, rb } = 3,
+    Inst::Mul { rd, ra, rb } = 4,
+    Inst::Xor { rd, ra, rb } = 5,
+    Inst::And { rd, ra, rb } = 6,
+    Inst::Or { rd, ra, rb } = 7,
+    Inst::AddI { rd, rs, imm } = 8,
+    Inst::SllI { rd, rs, sh } = 9,
+    Inst::SrlI { rd, rs, sh } = 10,
+    Inst::LoadImm { rd, imm } = 11,
+    Inst::Load { rd, base, offset } = 12,
+    Inst::Store { rs, base, offset } = 13,
+    Inst::Beq { ra, rb, target } = 14,
+    Inst::Bne { ra, rb, target } = 15,
+    Inst::Blt { ra, rb, target } = 16,
+    Inst::Bge { ra, rb, target } = 17,
+    Inst::Jmp { target } = 18,
+});
 
 impl fmt::Display for Inst {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -95,11 +95,6 @@ impl ArchState {
         &self.mem
     }
 
-    /// Mutable access to the data memory (e.g. for fault injection in tests).
-    pub fn mem_mut(&mut self) -> &mut SparseMemory {
-        &mut self.mem
-    }
-
     /// Resets control state (PC, halt flag) without clearing registers or
     /// memory — used to loop a workload for long timing runs.
     pub fn restart(&mut self) {

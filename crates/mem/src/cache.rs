@@ -61,18 +61,6 @@ pub struct CacheStats {
     pub prefetch_evicted_unused: u64,
 }
 
-impl CacheStats {
-    /// Demand miss ratio in `[0, 1]`; 0 when no accesses.
-    pub fn miss_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
-}
-
 /// An invalid way: `rank` holds either an LRU age (0 = MRU) or this
 /// sentinel. Associativities are ≤ 16, far below the sentinel.
 const INVALID: u8 = u8::MAX;

@@ -98,13 +98,6 @@ pub struct AccessOutcome {
     pub queued_until: u64,
 }
 
-impl AccessOutcome {
-    /// Whether the access was an L1 hit.
-    pub fn l1_hit(&self) -> bool {
-        self.level == HitLevel::L1
-    }
-}
-
 /// Usefulness feedback for a previously issued prefetch, consumed by the
 /// B-Fetch per-load filter (Section IV-B3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

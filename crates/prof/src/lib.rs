@@ -18,7 +18,7 @@
 //! Two kinds of measurement coexist:
 //!
 //! * **Aggregate-only spans** ([`span`]) add a duration into a per-thread,
-//!   per-phase accumulator (count / total / min / max / log2 histogram).
+//!   per-phase accumulator (count and total).
 //!   These are cheap enough for per-cycle phases that fire hundreds of
 //!   millions of times.
 //! * **Traced spans** ([`span_traced`], [`span_labeled`]) additionally
@@ -29,13 +29,14 @@
 //! Per-thread data lives in TLS with no locking on the record path; it is
 //! flushed into a global registry when the thread exits (harness workers
 //! are scoped threads that exit before results are read) or when [`drain`] runs on the owning thread. [`drain`] returns a
-//! [`Profile`] that renders either a Chrome trace-event JSON string
-//! (loadable in `chrome://tracing` / Perfetto) or an aggregate [`Report`]
-//! with percentiles and per-thread breakdowns.
+//! [`Profile`] that renders a Chrome trace-event JSON string (loadable in
+//! `chrome://tracing` / Perfetto) or aggregates into a [`Report`] of
+//! per-phase and per-thread counts and totals. Rendering a `Report` is the
+//! caller's business.
 
 #![forbid(unsafe_code)]
 
-use std::fmt::{self, Write as _};
+use std::fmt::Write as _;
 
 /// Index into the fixed phase table ([`PHASE_NAMES`]).
 pub type PhaseId = usize;
@@ -84,85 +85,31 @@ pub const PHASE_NAMES: &[&str] = &[
 
 const N_PHASES: usize = PHASE_NAMES.len();
 
-/// Histogram bucket count: bucket `b >= 1` covers `[2^(b-1), 2^b)` ns,
-/// bucket 0 is exactly 0 ns. 40 buckets reach ~550 s.
-const N_BUCKETS: usize = 40;
-
-#[inline]
-fn bucket_of(ns: u64) -> usize {
-    (64 - ns.leading_zeros() as usize).min(N_BUCKETS - 1)
-}
-
-/// Geometric representative of a bucket (midpoint of its range).
-fn bucket_rep(b: usize) -> u64 {
-    if b == 0 {
-        0
-    } else {
-        (3u64 << (b - 1)) / 2
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Data model
 // ---------------------------------------------------------------------------
 
-/// Count/total/min/max plus a log2 histogram of durations in nanoseconds.
+/// Count and total of durations in nanoseconds.
 #[derive(Clone)]
 struct PhaseAcc {
     count: u64,
     total_ns: u64,
-    min_ns: u64,
-    max_ns: u64,
-    hist: [u64; N_BUCKETS],
 }
 
 impl PhaseAcc {
     const fn new() -> Self {
-        PhaseAcc { count: 0, total_ns: 0, min_ns: u64::MAX, max_ns: 0, hist: [0; N_BUCKETS] }
+        PhaseAcc { count: 0, total_ns: 0 }
     }
 
     #[inline]
     fn add(&mut self, ns: u64) {
         self.count += 1;
         self.total_ns += ns;
-        if ns < self.min_ns {
-            self.min_ns = ns;
-        }
-        if ns > self.max_ns {
-            self.max_ns = ns;
-        }
-        self.hist[bucket_of(ns)] += 1;
     }
 
     fn merge(&mut self, other: &PhaseAcc) {
         self.count += other.count;
         self.total_ns += other.total_ns;
-        self.min_ns = self.min_ns.min(other.min_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
-        for (a, b) in self.hist.iter_mut().zip(other.hist.iter()) {
-            *a += *b;
-        }
-    }
-
-    /// Approximate percentile from the log2 histogram (bucket midpoints,
-    /// so the answer is exact to within a factor of ~1.5; min/max are
-    /// exact bounds and the result is clamped into them).
-    fn percentile(&self, p: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        if p >= 100.0 {
-            return self.max_ns;
-        }
-        let rank = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (b, &n) in self.hist.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return bucket_rep(b).clamp(self.min_ns, self.max_ns);
-            }
-        }
-        self.max_ns
     }
 }
 
@@ -312,32 +259,11 @@ pub struct PhaseStats {
     pub count: u64,
     /// Sum of span durations, ns.
     pub total_ns: u64,
-    /// Shortest span, ns.
-    pub min_ns: u64,
-    /// Longest span, ns.
-    pub max_ns: u64,
-    /// Approximate median (log2-bucket midpoint, clamped to min/max), ns.
-    pub p50_ns: u64,
-    /// Approximate 99th percentile, ns.
-    pub p99_ns: u64,
-    /// Log2 histogram, trimmed at the last nonzero bucket; bucket `b >= 1`
-    /// counts spans in `[2^(b-1), 2^b)` ns, bucket 0 counts 0-ns spans.
-    pub hist_log2: Vec<u64>,
 }
 
 impl PhaseStats {
     fn from_acc(phase: PhaseId, acc: &PhaseAcc) -> Self {
-        let last = acc.hist.iter().rposition(|&n| n > 0).map_or(0, |i| i + 1);
-        PhaseStats {
-            name: PHASE_NAMES[phase],
-            count: acc.count,
-            total_ns: acc.total_ns,
-            min_ns: if acc.count == 0 { 0 } else { acc.min_ns },
-            max_ns: acc.max_ns,
-            p50_ns: acc.percentile(50.0),
-            p99_ns: acc.percentile(99.0),
-            hist_log2: acc.hist[..last].to_vec(),
-        }
+        PhaseStats { name: PHASE_NAMES[phase], count: acc.count, total_ns: acc.total_ns }
     }
 
     /// Mean span duration, ns.
@@ -385,88 +311,6 @@ impl Report {
     /// Per-thread breakdown by thread name.
     pub fn thread(&self, name: &str) -> Option<&ThreadStats> {
         self.threads.iter().find(|t| t.name == name)
-    }
-
-    /// Machine-readable JSON rendering (self-contained, no deps).
-    pub fn to_json(&self) -> String {
-        fn phase_json(o: &mut String, p: &PhaseStats) {
-            let _ = write!(
-                o,
-                "{{\"name\":\"{}\",\"count\":{},\"total_ns\":{},\"min_ns\":{},\
-                 \"max_ns\":{},\"mean_ns\":{},\"p50_ns\":{},\"p99_ns\":{},\"hist_log2\":[",
-                p.name, p.count, p.total_ns, p.min_ns, p.max_ns, p.mean_ns(), p.p50_ns, p.p99_ns
-            );
-            for (i, n) in p.hist_log2.iter().enumerate() {
-                if i > 0 {
-                    o.push(',');
-                }
-                let _ = write!(o, "{n}");
-            }
-            o.push_str("]}");
-        }
-        let mut o = String::with_capacity(2048);
-        o.push_str("{\"schema\":2,\"phases\":[");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            phase_json(&mut o, p);
-        }
-        o.push_str("],\"threads\":[");
-        for (i, t) in self.threads.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            let _ = write!(o, "{{\"tid\":{},\"name\":\"", t.tid);
-            json_escape(&t.name, &mut o);
-            o.push_str("\",\"phases\":[");
-            for (j, p) in t.phases.iter().enumerate() {
-                if j > 0 {
-                    o.push(',');
-                }
-                phase_json(&mut o, p);
-            }
-            o.push_str("]}");
-        }
-        o.push_str("]}\n");
-        o
-    }
-}
-
-/// Human-readable duration: picks ns/µs/ms/s.
-pub fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.3}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.2}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.2}us", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
-    }
-}
-
-impl fmt::Display for Report {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{:<20} {:>12} {:>12} {:>10} {:>10} {:>10} {:>10}",
-            "phase", "count", "total", "mean", "p50", "p99", "max"
-        )?;
-        for p in &self.phases {
-            writeln!(
-                f,
-                "{:<20} {:>12} {:>12} {:>10} {:>10} {:>10} {:>10}",
-                p.name,
-                p.count,
-                fmt_ns(p.total_ns),
-                fmt_ns(p.mean_ns()),
-                fmt_ns(p.p50_ns),
-                fmt_ns(p.p99_ns),
-                fmt_ns(p.max_ns)
-            )?;
-        }
-        Ok(())
     }
 }
 
@@ -712,45 +556,8 @@ pub use api::{
 // ---------------------------------------------------------------------------
 
 #[cfg(test)]
-mod hist_tests {
+mod report_tests {
     use super::*;
-
-    #[test]
-    fn buckets_partition_the_line() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(4), 3);
-        assert_eq!(bucket_of(u64::MAX), N_BUCKETS - 1);
-        for b in 1..10usize {
-            let lo = 1u64 << (b - 1);
-            let hi = (1u64 << b) - 1;
-            assert_eq!(bucket_of(lo), b);
-            assert_eq!(bucket_of(hi), b);
-            let rep = bucket_rep(b);
-            assert!(rep >= lo && rep <= hi, "rep {rep} outside [{lo},{hi}]");
-        }
-    }
-
-    #[test]
-    fn percentiles_are_log2_approximate() {
-        let mut acc = PhaseAcc::new();
-        for v in 1..=1000u64 {
-            acc.add(v);
-        }
-        assert_eq!(acc.count, 1000);
-        assert_eq!(acc.total_ns, 500_500);
-        assert_eq!(acc.min_ns, 1);
-        assert_eq!(acc.max_ns, 1000);
-        let p50 = acc.percentile(50.0);
-        // True median is 500; log2 buckets guarantee a factor-of-2 answer.
-        assert!((250..=1000).contains(&p50), "p50 = {p50}");
-        let p99 = acc.percentile(99.0);
-        assert!((495..=1000).contains(&p99), "p99 = {p99}");
-        assert!(p99 >= p50);
-        assert_eq!(acc.percentile(100.0), 1000);
-    }
 
     #[test]
     fn merge_accumulates() {
@@ -763,17 +570,15 @@ mod hist_tests {
         a.merge(&b);
         assert_eq!(a.count, 4);
         assert_eq!(a.total_ns, 1035);
-        assert_eq!(a.min_ns, 5);
-        assert_eq!(a.max_ns, 1000);
     }
 
     #[test]
     fn empty_report_renders() {
         let p = Profile { threads: Vec::new() };
         let r = p.report();
-        assert!(r.phases.is_empty());
-        assert!(r.to_json().contains("\"phases\":[]"));
-        assert!(format!("{r}").contains("phase"));
+        assert!(r.phases.is_empty() && r.threads.is_empty());
+        assert_eq!(r.phase_total_ns("sim.run"), 0);
+        assert!(p.chrome_trace().contains("\"process_name\""));
     }
 
     #[test]
@@ -870,9 +675,9 @@ mod capture_tests {
         let w0 = rep.thread("worker0").unwrap();
         assert!(w0.phase("harness.point").is_some());
         assert_eq!(rep.phase("harness.point").map(|p| p.count), Some(2));
-        // Report JSON includes both threads.
-        let j = rep.to_json();
-        assert!(j.contains("\"worker0\"") && j.contains("\"worker1\""));
+        let w1 = rep.thread("worker1").and_then(|t| t.phase("harness.point")).unwrap();
+        assert_eq!(w1.count, 1);
+        assert!(w0.phase("harness.point").unwrap().total_ns <= rep.phase_total_ns("harness.point"));
     }
 
     #[test]

@@ -73,25 +73,6 @@ impl RunResult {
         }
     }
 
-    /// L1I demand misses per kilo-instruction.
-    pub fn l1i_mpki(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            self.mem.l1i_misses as f64 * 1000.0 / self.instructions as f64
-        }
-    }
-
-    /// L1D demand miss rate in `[0, 1]` (misses over loads + stores).
-    pub fn l1d_miss_rate(&self) -> f64 {
-        let accesses = self.mem.l1d_accesses();
-        if accesses == 0 {
-            0.0
-        } else {
-            self.mem.l1d_misses as f64 / accesses as f64
-        }
-    }
-
     /// Flattens every counter of this result into a [`StatsRegistry`] with
     /// hierarchical names (`core.*`, `l1d.*`, `prefetch.*`, `bfetch.*`), so
     /// tooling can enumerate and diff runs without knowing the struct

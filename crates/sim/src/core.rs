@@ -389,11 +389,6 @@ impl Core {
         &self.counters
     }
 
-    /// Branch predictor `(lookups, mispredicts)`.
-    pub fn bp_stats(&self) -> (u64, u64) {
-        self.bp.stats()
-    }
-
     /// The B-Fetch engine, when configured.
     pub fn engine(&self) -> Option<&BFetchEngine> {
         self.engine.as_ref()

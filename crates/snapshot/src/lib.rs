@@ -700,24 +700,36 @@ macro_rules! impl_snap_struct {
     };
 }
 
-/// Implements [`Snap`] for a fieldless (C-like) enum as a `u8` tag, with a
-/// typed error on unknown discriminants.
+/// Implements [`Snap`] for an enum as a `u8` tag, then each listed field
+/// of the variant in list order; loading reads them back into a struct
+/// literal in the same order. An unknown tag is a typed error.
 ///
 /// ```
 /// #[derive(PartialEq, Debug)]
-/// enum Mode { A, B }
-/// bfetch_snapshot::impl_snap_enum!(Mode { Mode::A = 0, Mode::B = 1 });
+/// enum Op { Nop, Add { rd: u8, imm: i64 } }
+/// bfetch_snapshot::impl_snap_enum!(Op { Op::Nop = 0, Op::Add { rd, imm } = 1 });
+///
+/// let mut w = bfetch_snapshot::Encoder::new();
+/// bfetch_snapshot::Snap::save(&Op::Add { rd: 3, imm: -1 }, &mut w);
+/// assert_eq!(w.into_bytes(), [1, 3, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff]);
 /// ```
 #[macro_export]
 macro_rules! impl_snap_enum {
-    ($ty:ty { $($variant:path = $tag:expr),+ $(,)? }) => {
+    // Variants are `$($seg)::+` rather than a `path` fragment: an opaque
+    // `path` cannot head a struct literal or a struct pattern.
+    ($ty:ty { $($($seg:ident)::+ $({ $($field:ident),+ $(,)? })? = $tag:expr),+ $(,)? }) => {
         impl $crate::Snap for $ty {
             fn save(&self, w: &mut $crate::Encoder) {
-                w.put_u8(match self { $( $variant => $tag, )+ });
+                match self {
+                    $( $($seg)::+ $({ $($field),+ })? => {
+                        w.put_u8($tag);
+                        $($( $crate::Snap::save($field, w); )+)?
+                    } )+
+                }
             }
             fn load(r: &mut $crate::Decoder<'_>) -> Result<Self, $crate::SnapshotError> {
                 match r.take_u8()? {
-                    $( $tag => Ok($variant), )+
+                    $( $tag => Ok($($seg)::+ $({ $($field: $crate::Snap::load(r)?),+ })?), )+
                     _ => Err($crate::SnapshotError::Invalid {
                         what: concat!("unknown ", stringify!($ty), " discriminant"),
                     }),
@@ -1220,12 +1232,13 @@ mod tests {
         enum M {
             X,
             Y,
-            Z,
+            Z { a: u64, b: Option<u16> },
         }
-        impl_snap_enum!(M { M::X = 0, M::Y = 1, M::Z = 2 });
+        impl_snap_enum!(M { M::X = 0, M::Y = 1, M::Z { a, b } = 2 });
 
         roundtrip(P { a: 1, b: Some(2), c: vec![true, false] });
         roundtrip(M::Y);
+        roundtrip(M::Z { a: 7, b: Some(3) });
 
         // unknown discriminant is a typed error
         let mut r = Decoder::new(&[9]);

@@ -477,97 +477,17 @@ bfetch_snapshot::impl_snap_enum!(ServiceLevel {
     ServiceLevel::Dram = 3,
 });
 
-impl bfetch_snapshot::Snap for TraceKind {
-    fn save(&self, w: &mut bfetch_snapshot::Encoder) {
-        match *self {
-            TraceKind::BranchPredicted { pc, taken, confidence } => {
-                w.put_u8(0);
-                (pc, taken, confidence).save(w);
-            }
-            TraceKind::BranchResolved { pc, taken, mispredicted } => {
-                w.put_u8(1);
-                (pc, taken, mispredicted).save(w);
-            }
-            TraceKind::PrefetchIssued { line, pc_hash } => {
-                w.put_u8(2);
-                (line, pc_hash).save(w);
-            }
-            TraceKind::PrefetchDropped { line, pc_hash, reason } => {
-                w.put_u8(3);
-                (line, pc_hash, reason).save(w);
-            }
-            TraceKind::PrefetchMshrMerged { line, pc_hash, remaining_cycles } => {
-                w.put_u8(4);
-                (line, pc_hash, remaining_cycles).save(w);
-            }
-            TraceKind::PrefetchFilled { line, pc_hash } => {
-                w.put_u8(5);
-                (line, pc_hash).save(w);
-            }
-            TraceKind::PrefetchFirstUse { line, pc_hash, lead_cycles } => {
-                w.put_u8(6);
-                (line, pc_hash, lead_cycles).save(w);
-            }
-            TraceKind::PrefetchEvictedUnused { line, pc_hash } => {
-                w.put_u8(7);
-                (line, pc_hash).save(w);
-            }
-            TraceKind::DemandMiss { line, level } => {
-                w.put_u8(8);
-                (line, level).save(w);
-            }
-        }
-    }
-
-    fn load(
-        r: &mut bfetch_snapshot::Decoder<'_>,
-    ) -> Result<Self, bfetch_snapshot::SnapshotError> {
-        use bfetch_snapshot::Snap;
-        Ok(match r.take_u8()? {
-            0 => {
-                let (pc, taken, confidence) = Snap::load(r)?;
-                TraceKind::BranchPredicted { pc, taken, confidence }
-            }
-            1 => {
-                let (pc, taken, mispredicted) = Snap::load(r)?;
-                TraceKind::BranchResolved { pc, taken, mispredicted }
-            }
-            2 => {
-                let (line, pc_hash) = Snap::load(r)?;
-                TraceKind::PrefetchIssued { line, pc_hash }
-            }
-            3 => {
-                let (line, pc_hash, reason) = Snap::load(r)?;
-                TraceKind::PrefetchDropped { line, pc_hash, reason }
-            }
-            4 => {
-                let (line, pc_hash, remaining_cycles) = Snap::load(r)?;
-                TraceKind::PrefetchMshrMerged { line, pc_hash, remaining_cycles }
-            }
-            5 => {
-                let (line, pc_hash) = Snap::load(r)?;
-                TraceKind::PrefetchFilled { line, pc_hash }
-            }
-            6 => {
-                let (line, pc_hash, lead_cycles) = Snap::load(r)?;
-                TraceKind::PrefetchFirstUse { line, pc_hash, lead_cycles }
-            }
-            7 => {
-                let (line, pc_hash) = Snap::load(r)?;
-                TraceKind::PrefetchEvictedUnused { line, pc_hash }
-            }
-            8 => {
-                let (line, level) = Snap::load(r)?;
-                TraceKind::DemandMiss { line, level }
-            }
-            _ => {
-                return Err(bfetch_snapshot::SnapshotError::Invalid {
-                    what: "unknown TraceKind discriminant",
-                })
-            }
-        })
-    }
-}
+bfetch_snapshot::impl_snap_enum!(TraceKind {
+    TraceKind::BranchPredicted { pc, taken, confidence } = 0,
+    TraceKind::BranchResolved { pc, taken, mispredicted } = 1,
+    TraceKind::PrefetchIssued { line, pc_hash } = 2,
+    TraceKind::PrefetchDropped { line, pc_hash, reason } = 3,
+    TraceKind::PrefetchMshrMerged { line, pc_hash, remaining_cycles } = 4,
+    TraceKind::PrefetchFilled { line, pc_hash } = 5,
+    TraceKind::PrefetchFirstUse { line, pc_hash, lead_cycles } = 6,
+    TraceKind::PrefetchEvictedUnused { line, pc_hash } = 7,
+    TraceKind::DemandMiss { line, level } = 8,
+});
 
 bfetch_snapshot::impl_snap_struct!(TraceEvent { cycle, core, kind });
 bfetch_snapshot::impl_snap_struct!(LifecycleCounts {

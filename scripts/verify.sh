@@ -96,6 +96,11 @@ echo "==> measured phase breakdown: coverage gate (ext_profile --quick)"
 # noise headroom over the ~97% the loop measures.
 $BFETCH ext_profile --quick --min-coverage 90 \
   --out target/PROF_phase_report.json >/dev/null
+# One writer renders both phase reports; a schema that differs between
+# them means they have drifted apart.
+for f in target/prof/report.json target/PROF_phase_report.json; do
+  grep -q '"schema":3' "$f" || { echo "$f: not phase-report schema 3" >&2; exit 1; }
+done
 
 echo "==> committed results drift: every results/*.txt vs the figure that prints it"
 # Full-budget sweeps (seconds each, the 8-core mixes a minute or two, the
