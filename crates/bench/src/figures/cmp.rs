@@ -1,17 +1,16 @@
 //! Chip-multiprocessor figures: the FOA-selected mixes of Figures 9/10
-//! and the 8-core extension, the 2/4/8-core CPI deep dive, and the
-//! 16/32/64-core scale-out. Every chip run is a [`GridPoint::mix`] in one
-//! harness sweep next to the solo runs that weight it, so chips run in
-//! parallel under `-j`, are cached, checkpointed and fault-isolated like
-//! any other point.
+//! and the 8-core extension, and the 2/4/8-core CPI deep dive. Every chip
+//! run is a [`GridPoint::mix`] in one harness sweep next to the solo runs
+//! that weight it, so chips run in parallel under `-j`, are cached,
+//! checkpointed and fault-isolated like any other point.
 
 use super::{group_cpi, GROUPS};
 use crate::harness::jsonio::Json;
 use crate::{mix_summary, Ctx, GridPoint, Report, Row, SweepOutcome, SweepSpec};
 use bfetch_sim::{CpiConfig, PrefetcherKind, RunResult, SimConfig};
-use bfetch_workloads::{kernels, select_mixes, Kernel, Mix, NUM_MIXES};
+use bfetch_workloads::{select_mixes, Kernel, Mix, NUM_MIXES};
 
-/// No prefetching vs B-Fetch: the two configurations the chip studies run.
+/// No prefetching vs B-Fetch: the two configurations the CPI deep dive runs.
 const PREFETCHERS: [PrefetcherKind; 2] = [PrefetcherKind::None, PrefetcherKind::BFetch];
 
 /// A labelled chip: the kernels on its cores, in core order.
@@ -32,15 +31,14 @@ fn distinct_members(mixes: &[Mix]) -> Vec<&'static Kernel> {
 /// One sweep for a multiprogrammed study: every kernel in `solo` alone
 /// under each of `solo_kinds` (labelled `solo/{kernel}/{prefetcher}`),
 /// then every chip under each of `kinds` (labelled
-/// `{chip}/{prefetcher}`), its configuration passed through `chip_cfg`
-/// with the core count.
+/// `{chip}/{prefetcher}`), its configuration passed through `chip_cfg`.
 fn cmp_sweep(
     ctx: &Ctx,
     solo: &[&'static Kernel],
     solo_kinds: &[PrefetcherKind],
     chips: &[Chip],
     kinds: &[PrefetcherKind],
-    chip_cfg: impl Fn(usize, SimConfig) -> SimConfig,
+    chip_cfg: impl Fn(SimConfig) -> SimConfig,
 ) -> SweepOutcome {
     let opts = &ctx.opts;
     let mut spec = SweepSpec::new();
@@ -55,7 +53,7 @@ fn cmp_sweep(
             spec.push(GridPoint::mix(
                 format!("{label}/{}", p.name()),
                 members.clone(),
-                chip_cfg(members.len(), opts.config(*p)),
+                chip_cfg(opts.config(*p)),
                 opts.instructions,
                 opts.scale,
             ));
@@ -108,7 +106,7 @@ fn mix_figure(ctx: &Ctx, arity: usize, count: usize, title: &str, note: &str) {
     let mixes = select_mixes(arity, count);
     let chips: Vec<Chip> =
         mixes.iter().map(|m| (format!("mix/{}", m.name), m.members.clone())).collect();
-    let out = cmp_sweep(ctx, &distinct_members(&mixes), &[base], &chips, &all_kinds, |_, c| c);
+    let out = cmp_sweep(ctx, &distinct_members(&mixes), &[base], &chips, &all_kinds, |c| c);
 
     let mut rows: Vec<Row> = mixes
         .iter()
@@ -149,26 +147,6 @@ pub fn ext_mix8(ctx: &Ctx) {
     );
 }
 
-/// The chips of a study that compares [`PREFETCHERS`], each core weighted
-/// by its solo run under the same prefetcher: the sweep, and per chip the
-/// `(no-prefetch, B-Fetch)` weighted speedups.
-fn chip_study(
-    ctx: &Ctx,
-    solo: &[&'static Kernel],
-    chips: &[Chip],
-    chip_cfg: impl Fn(usize, SimConfig) -> SimConfig,
-) -> (SweepOutcome, Vec<(f64, f64)>) {
-    let out = cmp_sweep(ctx, solo, &PREFETCHERS, chips, &PREFETCHERS, chip_cfg);
-    let ws = chips
-        .iter()
-        .map(|chip| {
-            let [base, bfetch] = PREFETCHERS.map(|p| weighted_speedup(&out, chip, p, p));
-            (base, bfetch)
-        })
-        .collect();
-    (out, ws)
-}
-
 /// CMP deep dive: the highest-contention mix at 2, 4 and 8 cores —
 /// normalized weighted speedup plus a per-core CPI stack for every run,
 /// so the figure shows *where* each co-runner's cycles went, not just the
@@ -178,13 +156,17 @@ pub fn fig16_cmp(ctx: &Ctx) {
     let mixes: Vec<Mix> = [2, 4, 8].map(|n| select_mixes(n, 1)[0].clone()).to_vec();
     let chips: Vec<Chip> =
         mixes.iter().map(|m| (format!("{}c", m.members.len()), m.members.clone())).collect();
-    let (out, ws) =
-        chip_study(ctx, &distinct_members(&mixes), &chips, |_, cfg| cfg.with_cpi(CpiConfig::on()));
+    let solo = distinct_members(&mixes);
+    let out = cmp_sweep(ctx, &solo, &PREFETCHERS, &chips, &PREFETCHERS, |cfg| {
+        cfg.with_cpi(CpiConfig::on())
+    });
 
+    // each core weighted by its solo run under the same prefetcher
     let ws_rows: Vec<Row> = mixes
         .iter()
-        .zip(ws)
-        .map(|(mix, (base, bfetch))| {
+        .zip(&chips)
+        .map(|(mix, chip)| {
+            let [base, bfetch] = PREFETCHERS.map(|p| weighted_speedup(&out, chip, p, p));
             (format!("{}c {}", mix.members.len(), mix.name), vec![base, bfetch / base])
         })
         .collect();
@@ -215,67 +197,4 @@ pub fn fig16_cmp(ctx: &Ctx) {
     } else {
         print!("{}{}", ws.to_text(), cpi.to_text());
     }
-}
-
-/// Scale-out: 16/32/64-core CMPs with a banked shared L3, the full kernel
-/// registry tiled round-robin across the cores. Reports per-core IPC,
-/// normalized weighted speedup and prefetch quality at each size — does
-/// B-Fetch's accuracy advantage survive the contention of a large chip?
-///
-/// The L3 keeps the baseline 2 MB/core capacity but is interleaved across
-/// `cores/4` line-granularity banks (DESIGN.md §12 documents the mapping);
-/// bank count only changes replacement locality, not capacity.
-pub fn fig17_scale(ctx: &Ctx) {
-    let registry: Vec<&'static Kernel> = kernels().iter().collect();
-    let chips: Vec<Chip> = [16usize, 32, 64]
-        .map(|cores| {
-            (format!("{cores}c"), (0..cores).map(|i| registry[i % registry.len()]).collect())
-        })
-        .to_vec();
-    // L3 banked cores/4 ways (power-of-two core counts keep every bank's
-    // set count a power of two); one DDR controller per 8 cores: the
-    // baseline's single 12.8 GB/s channel would serialize a 64-core chip
-    // into a bandwidth study
-    let (out, ws) = chip_study(ctx, &registry, &chips, |cores, cfg| {
-        let mut cfg = cfg.with_l3_banks(cores / 4);
-        cfg.dram.channels = cores / 8;
-        cfg
-    });
-
-    let rows: Vec<Row> = chips
-        .iter()
-        .zip(ws)
-        .map(|(chip, (ws_base, ws_bf))| {
-            let cores = chip.1.len();
-            let [base, bf] = PREFETCHERS.map(|p| chip_results(&out, chip, p));
-            let ipc_per_core =
-                |rs: &[RunResult]| rs.iter().map(|r| r.ipc()).sum::<f64>() / rs.len() as f64;
-            let useful: u64 = bf.iter().map(|r| r.mem.prefetch_useful).sum();
-            let useless: u64 = bf.iter().map(|r| r.mem.prefetch_useless).sum();
-            (
-                format!("{cores}c/{}-bank L3/{}ch", cores / 4, cores / 8),
-                vec![
-                    ipc_per_core(base),
-                    ipc_per_core(bf),
-                    ws_bf / ws_base,
-                    useful as f64,
-                    useless as f64,
-                ],
-            )
-        })
-        .collect();
-
-    let title = format!(
-        "== Scale-out figure: 16/32/64-core CMP, banked L3{} ==",
-        if ctx.opts.quick { ", --quick" } else { "" },
-    );
-    let headers = ["IPC/core (none)", "IPC/core (bfetch)", "bfetch WS", "pf useful", "pf useless"];
-    Report::new(title, "chip", headers, rows)
-        .cell(|i, v| if i >= 3 { format!("{v:.0}") } else { format!("{v:.3}") })
-        .note(
-            "(bfetch WS is weighted speedup normalized to no prefetching;\n \
-             L3 stays 2 MB/core across cores/4 line banks; DRAM scales one\n \
-             12.8 GB/s channel per 8 cores)\n",
-        )
-        .emit(ctx.opts.json);
 }

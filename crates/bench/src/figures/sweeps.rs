@@ -4,7 +4,6 @@
 
 use super::kernel_sweep;
 use crate::{Ctx, Report, Row};
-use bfetch_mem::DramConfig;
 use bfetch_sim::{PrefetcherKind, SimConfig};
 use bfetch_stats::{geomean, mean};
 
@@ -99,19 +98,18 @@ pub fn fig13_bpsize(ctx: &Ctx) {
 /// streams gain effective bandwidth from open rows, which compresses
 /// prefetcher speedups; scattered patterns are unaffected.
 pub fn ext_dram(ctx: &Ctx) {
-    let models = [
-        ("flat 200-cycle", DramConfig::baseline()),
-        ("8-bank row buffer", DramConfig::with_row_model()),
-    ];
+    let models = [("flat 200-cycle", false), ("8-bank row buffer", true)];
     let prefetchers = [
         ("base", PrefetcherKind::None),
         ("bfetch", PrefetcherKind::BFetch),
         ("sms", PrefetcherKind::Sms),
     ];
     let mut cfgs: Vec<(String, SimConfig)> = Vec::new();
-    for (mi, (_, dram)) in models.iter().enumerate() {
+    for (mi, &(_, row_model)) in models.iter().enumerate() {
         for (pname, kind) in prefetchers {
-            cfgs.push((format!("{mi}/{pname}"), ctx.opts.config(kind).with_dram(*dram)));
+            let mut cfg = ctx.opts.config(kind);
+            cfg.dram.row_model = row_model;
+            cfgs.push((format!("{mi}/{pname}"), cfg));
         }
     }
     let (kernels, out) = kernel_sweep(ctx, &cfgs);

@@ -56,9 +56,7 @@ pub fn simulate(ctx: &Ctx) {
         cfg = cfg.with_width(width);
     }
     cfg = cfg.with_writebacks(ctx.own("--writebacks").is_some());
-    if ctx.own("--row-dram").is_some() {
-        cfg = cfg.with_dram(bfetch_mem::DramConfig::with_row_model());
-    }
+    cfg.dram.row_model = ctx.own("--row-dram").is_some();
     if let Some(t) = ctx.parsed("--confidence") {
         cfg.bfetch = cfg.bfetch.with_confidence_threshold(t);
     }

@@ -949,16 +949,7 @@ mod tests {
             enable_patt: false,
             arf_at_retire: true,
         };
-        c.l3_banks = 2;
-        c.dram = DramConfig {
-            latency: 250,
-            line_interval: 8,
-            channels: 2,
-            row_model: true,
-            banks_per_channel: 4,
-            row_bytes: 4096,
-            row_hit_latency: 100,
-        };
+        c.dram = DramConfig { row_model: true };
         (c.l1d_mshrs, c.model_writebacks, c.warmup_insts) = (8, true, 7_000);
         c.trace = TraceConfig { enabled: true, capacity: 1000 };
         c.cpi = CpiConfig { enabled: true, timeline_interval: 5000 };
@@ -974,8 +965,8 @@ mod tests {
     fn config_wire_bytes_and_cache_key_are_pinned() {
         use bfetch_snapshot::crc32;
         let pins = [
-            (SimConfig::baseline(), 186, 0x2267_6b4b, 0x3b69_d978),
-            (every_knob_moved(), 186, 0x7040_671f, 0x4002_081c),
+            (SimConfig::baseline(), 130, 0xd15f_fcd7, 0x4222_b4ea),
+            (every_knob_moved(), 130, 0x35ce_0825, 0xf70f_d92d),
         ];
         for (c, len, wire, key) in pins {
             assert_eq!(c.validate(), Ok(()));

@@ -148,8 +148,6 @@ pub fn parse_bytes(s: &str) -> Option<u64> {
 /// The flag reference for `fig`: its own and optional flags first, then
 /// the flags every figure takes (defaults filled in from its budget).
 pub fn usage(fig: &Figure) -> String {
-    let names: Vec<&str> = kernels().iter().map(|k| k.name).collect();
-    let prog_names: Vec<&str> = programs().iter().map(|k| k.name).collect();
     let mut own = String::new();
     for f in fig.flags {
         let spec = f.value.map_or(f.name.to_string(), |v| format!("{} {v}", f.name));
@@ -160,6 +158,14 @@ pub fn usage(fig: &Figure) -> String {
             "  {:<24} reduced budget: {} instructions, {} warmup (CI smoke run)\n",
             "--quick", q.instructions, q.warmup
         ));
+    }
+    // each registry is listed only where its selection flag is accepted
+    let mut lists = String::new();
+    for (list, registry) in [("kernels", kernels()), ("programs", programs())] {
+        if fig.flag(&format!("--{list}")).is_some() {
+            let names: Vec<&str> = registry.iter().map(|k| k.name).collect();
+            lists.push_str(&format!("\n{list}: {}", names.join(", ")));
+        }
     }
     format!(
         "bfetch {} -- {}\n\
@@ -180,15 +186,11 @@ pub fn usage(fig: &Figure) -> String {
          \x20                          interrupted sweeps resume on the next invocation)\n\
          \x20 --profile DIR            profile the host process: Chrome trace + phase report\n\
          \x20                          written into DIR (sidecar files; stdout unchanged)\n\
-         \x20 --help, -h               this message\n\
-         kernels: {}\n\
-         programs: {}",
+         \x20 --help, -h               this message{lists}",
         fig.name,
         fig.about,
         fig.full.instructions,
         fig.full.warmup,
-        names.join(", "),
-        prog_names.join(", ")
     )
 }
 

@@ -178,7 +178,7 @@ macro_rules! entry {
     };
 }
 
-static FIGURES: [Figure; 24] = [
+static FIGURES: [Figure; 23] = [
     entry!(analysis::tab1_storage, "Table I: storage overhead (KB) of B-Fetch vs SMS components")
         .flags(&[]),
     entry!(
@@ -211,12 +211,6 @@ static FIGURES: [Figure; 24] = [
         "top-contention mix at 2/4/8 cores: weighted speedup + per-core CPI stacks"
     )
     .budget(Budget::CMP8, Some(Budget::new(20_000, 10_000)))
-    .flags(&[]),
-    entry!(
-        cmp::fig17_scale,
-        "scale-out: 16/32/64-core CMP, banked L3 + scaled DRAM channels, registry tiled"
-    )
-    .budget(Budget::new(40_000, 20_000), Some(Budget::new(6_000, 3_000)))
     .flags(&[]),
     entry!(
         realprog::fig_realprog,

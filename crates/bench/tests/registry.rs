@@ -18,11 +18,9 @@ use std::process::{Command, Output};
 const UTILITIES: [&str; 6] =
     ["asmcheck", "ext_cpistack", "ext_lifecycle", "ext_profile", "probe", "simulate"];
 
-/// The multi-core entries are most of the suite's run time, and the
-/// 64-core one most of that: each group gets a test (and with it a
-/// thread) of its own.
+/// The multi-core entries are most of the suite's run time: they get a
+/// test (and with it a thread) of their own.
 const MIXES: [&str; 4] = ["fig09_mix2", "fig10_mix4", "ext_mix8", "fig16_cmp"];
-const SCALE_OUT: &str = "fig17_scale";
 
 fn bfetch(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_bfetch")).args(args).output().expect("spawn bfetch")
@@ -32,7 +30,7 @@ fn bfetch(args: &[&str]) -> Output {
 fn registry_names_are_the_committed_results_plus_the_utilities() {
     let names: BTreeSet<String> = figures().iter().map(|f| f.name.to_string()).collect();
     assert_eq!(names.len(), figures().len(), "duplicate registry name");
-    assert_eq!(names.len(), 24, "the 18 committed results and the 6 utilities");
+    assert_eq!(names.len(), 23, "the 17 committed results and the 6 utilities");
 
     let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     let mut expected: BTreeSet<String> = UTILITIES.iter().map(|u| u.to_string()).collect();
@@ -87,6 +85,12 @@ fn help_names_the_figures_own_flags_on_stdout() {
         assert!(stdout.contains(flag), "{flag} missing from:\n{stdout}");
     }
     assert!(!stdout.contains("--kernels"), "ext_profile does not sweep kernels:\n{stdout}");
+    // a registry list is printed only where its flag is accepted
+    for (fig, list) in [("simulate", "programs:"), ("fig_realprog", "kernels:")] {
+        let out = bfetch(&[fig, "--help"]);
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(!stdout.contains(list), "{fig} --help lists {list}\n{stdout}");
+    }
 }
 
 /// Runs `f` at a tiny budget three ways and holds it to the contract.
@@ -129,17 +133,12 @@ fn check(pick: impl Fn(&str) -> bool) {
 
 #[test]
 fn every_single_core_figure_runs_and_ignores_the_thread_count() {
-    check(|name| !MIXES.contains(&name) && name != SCALE_OUT);
+    check(|name| !MIXES.contains(&name));
 }
 
 #[test]
 fn every_mix_figure_runs_and_ignores_the_thread_count() {
     check(|name| MIXES.contains(&name));
-}
-
-#[test]
-fn the_scale_out_figure_runs_and_ignores_the_thread_count() {
-    check(|name| name == SCALE_OUT);
 }
 
 #[test]

@@ -1,57 +1,34 @@
 //! Bandwidth-limited DRAM model, with an optional bank/row-buffer mode.
 
-/// DRAM timing parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Fixed access latency in core cycles (Table II: 200). In row-buffer mode
+/// this is the row-*miss* (activate + precharge) latency.
+pub const LATENCY: u64 = 200;
+/// Minimum cycles between successive 64 B line transfers on the channel.
+/// Section V-A limits the controller to 12.8 GB/s; at the nominal 3.2 GHz
+/// core clock that is one line per 16 cycles.
+pub const LINE_INTERVAL: u64 = 16;
+/// Banks of the row-buffer mode.
+pub const ROW_BANKS: usize = 8;
+/// Row-buffer size in bytes (row-buffer mode).
+pub const ROW_BYTES: u64 = 8 * 1024;
+/// Access latency on a row-buffer hit (row-buffer mode).
+pub const ROW_HIT_LATENCY: u64 = 110;
+
+/// DRAM timing parameters: the one a figure varies. The rest are this
+/// module's constants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DramConfig {
-    /// Fixed access latency in core cycles (Table II: 200). In row-buffer
-    /// mode this is the row-*miss* (activate + precharge) latency.
-    pub latency: u64,
-    /// Minimum cycles between successive 64 B line transfers on one
-    /// channel. Section V-A limits the controller to 12.8 GB/s; at the
-    /// nominal 3.2 GHz core clock that is one line per 16 cycles.
-    pub line_interval: u64,
-    /// Independent channels (the baseline models a single x64 DDR3
-    /// controller).
-    pub channels: usize,
     /// Enable the bank/row-buffer model. Off by default: the paper's
     /// Table II gives only a flat 200-cycle latency, and the flat model is
     /// what every recorded experiment uses; the row model is available for
     /// substrate studies (see the `ext_dram` bench binary).
     pub row_model: bool,
-    /// Banks per channel (row-buffer mode).
-    pub banks_per_channel: usize,
-    /// Row-buffer size in bytes (row-buffer mode).
-    pub row_bytes: u64,
-    /// Access latency on a row-buffer hit (row-buffer mode).
-    pub row_hit_latency: u64,
 }
 
 impl DramConfig {
     /// Table II / Section V-A baseline (flat 200-cycle latency).
     pub fn baseline() -> Self {
-        Self {
-            latency: 200,
-            line_interval: 16,
-            channels: 1,
-            row_model: false,
-            banks_per_channel: 8,
-            row_bytes: 8 * 1024,
-            row_hit_latency: 110,
-        }
-    }
-
-    /// The baseline with the bank/row-buffer model enabled.
-    pub fn with_row_model() -> Self {
-        Self {
-            row_model: true,
-            ..Self::baseline()
-        }
-    }
-}
-
-impl Default for DramConfig {
-    fn default() -> Self {
-        Self::baseline()
+        Self::default()
     }
 }
 
@@ -61,10 +38,10 @@ struct Bank {
     busy_until: u64,
 }
 
-/// A DRAM controller with per-channel occupancy: each line transfer seizes
-/// its channel for [`DramConfig::line_interval`] cycles, so requests queue
-/// when bandwidth saturates — the contention effect the multiprogrammed
-/// experiments (Figures 9-11) depend on.
+/// A single-channel DRAM controller: each line transfer seizes the
+/// channel for [`LINE_INTERVAL`] cycles, so requests queue when bandwidth
+/// saturates — the contention effect the multiprogrammed experiments
+/// (Figures 9-11) depend on.
 ///
 /// # Example
 ///
@@ -77,13 +54,13 @@ struct Bank {
 ///
 /// With [`DramConfig::row_model`] enabled, requests additionally resolve
 /// against per-bank open rows: consecutive accesses to the same DRAM row
-/// complete at [`DramConfig::row_hit_latency`], giving spatially local
-/// streams higher effective bandwidth, as on real DDR parts.
+/// complete at [`ROW_HIT_LATENCY`], giving spatially local streams higher
+/// effective bandwidth, as on real DDR parts.
 #[derive(Debug, Clone)]
 pub struct Dram {
     cfg: DramConfig,
-    next_free: Vec<u64>,
-    banks: Vec<Bank>,
+    next_free: u64,
+    banks: [Bank; ROW_BANKS],
     requests: u64,
     row_hits: u64,
     busy_cycles: u64,
@@ -92,19 +69,10 @@ pub struct Dram {
 
 impl Dram {
     /// Builds the controller.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channels`, `line_interval`, `banks_per_channel` or
-    /// `row_bytes` is zero.
     pub fn new(cfg: DramConfig) -> Self {
-        assert!(cfg.channels > 0, "need at least one channel");
-        assert!(cfg.line_interval > 0, "line interval must be nonzero");
-        assert!(cfg.banks_per_channel > 0, "need at least one bank");
-        assert!(cfg.row_bytes > 0, "rows must be nonempty");
         Self {
-            next_free: vec![0; cfg.channels],
-            banks: vec![Bank::default(); cfg.channels * cfg.banks_per_channel],
+            next_free: 0,
+            banks: [Bank::default(); ROW_BANKS],
             requests: 0,
             row_hits: 0,
             busy_cycles: 0,
@@ -113,39 +81,31 @@ impl Dram {
         }
     }
 
-    /// The controller's configuration.
-    pub fn config(&self) -> &DramConfig {
-        &self.cfg
-    }
-
     /// Schedules a line fetch for `line_addr` arriving at `now`; returns the
     /// completion cycle (queueing + access latency).
     pub fn request(&mut self, line_addr: u64, now: u64) -> u64 {
-        let ch = (line_addr / crate::LINE_BYTES) as usize % self.cfg.channels;
-        let start = now.max(self.next_free[ch]);
-        self.next_free[ch] = start + self.cfg.line_interval;
+        let start = now.max(self.next_free);
+        self.next_free = start + LINE_INTERVAL;
         self.requests += 1;
-        self.busy_cycles += self.cfg.line_interval;
+        self.busy_cycles += LINE_INTERVAL;
         self.queue_cycles += start - now;
 
         if !self.cfg.row_model {
-            return start + self.cfg.latency;
+            return start + LATENCY;
         }
 
-        let bank_idx = ch * self.cfg.banks_per_channel
-            + ((line_addr / self.cfg.row_bytes) as usize % self.cfg.banks_per_channel);
-        let row = line_addr / (self.cfg.row_bytes * self.cfg.banks_per_channel as u64);
-        let bank = &mut self.banks[bank_idx];
+        let bank = &mut self.banks[(line_addr / ROW_BYTES) as usize % ROW_BANKS];
+        let row = line_addr / (ROW_BYTES * ROW_BANKS as u64);
         let begin = start.max(bank.busy_until);
         let (latency, occupancy) = if bank.open_row == Some(row) {
             self.row_hits += 1;
             // a row hit only occupies the bank for its data burst
-            (self.cfg.row_hit_latency, self.cfg.line_interval)
+            (ROW_HIT_LATENCY, LINE_INTERVAL)
         } else {
             bank.open_row = Some(row);
             // a row miss holds the bank for the precharge+activate window
             // (tRC-order), which is what makes bank conflicts expensive
-            (self.cfg.latency, self.cfg.line_interval * 6)
+            (LATENCY, LINE_INTERVAL * 6)
         };
         bank.busy_until = begin + occupancy;
         begin + latency
@@ -172,7 +132,7 @@ impl Dram {
         if elapsed == 0 {
             0.0
         } else {
-            self.busy_cycles as f64 / (elapsed * self.cfg.channels as u64) as f64
+            self.busy_cycles as f64 / elapsed as f64
         }
     }
 }
@@ -184,7 +144,7 @@ bfetch_snapshot::impl_snap_struct!(Bank {
 
 bfetch_snapshot::snap_state!(Dram {
     cfg: skip,
-    next_free: slice("dram channels"),
+    next_free: val,
     banks: slice("dram banks"),
     requests: val,
     row_hits: val,
@@ -225,19 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn multiple_channels_interleave() {
-        let mut d = Dram::new(DramConfig {
-            channels: 2,
-            ..DramConfig::baseline()
-        });
-        // consecutive lines map to alternating channels
-        let a = d.request(0x0, 0);
-        let b = d.request(0x40, 0);
-        assert_eq!(a, 200);
-        assert_eq!(b, 200, "second line rides the other channel");
-    }
-
-    #[test]
     fn utilization_tracks_busy_time() {
         let mut d = Dram::new(DramConfig::baseline());
         d.request(0, 0);
@@ -247,7 +194,7 @@ mod tests {
 
     #[test]
     fn row_hits_are_faster_than_row_misses() {
-        let mut d = Dram::new(DramConfig::with_row_model());
+        let mut d = Dram::new(DramConfig { row_model: true });
         let miss = d.request(0x0, 0);
         let hit = d.request(0x40, 1000); // same 8 KB row, later
         assert_eq!(miss, 200);
@@ -257,24 +204,21 @@ mod tests {
 
     #[test]
     fn row_conflict_reopens() {
-        let cfg = DramConfig::with_row_model();
-        let mut d = Dram::new(cfg);
+        let mut d = Dram::new(DramConfig { row_model: true });
         d.request(0x0, 0);
         // same bank, different row: banks repeat every banks*row_bytes
-        let conflict = cfg.row_bytes * cfg.banks_per_channel as u64;
-        let t = d.request(conflict, 5000);
-        assert_eq!(t - 5000, cfg.latency, "row conflict pays full latency");
+        let t = d.request(ROW_BYTES * ROW_BANKS as u64, 5000);
+        assert_eq!(t - 5000, LATENCY, "row conflict pays full latency");
     }
 
     #[test]
     fn different_banks_overlap() {
-        let cfg = DramConfig::with_row_model();
-        let mut d = Dram::new(cfg);
+        let mut d = Dram::new(DramConfig { row_model: true });
         let a = d.request(0x0, 0);
-        let b = d.request(cfg.row_bytes, 0); // next bank
-                                             // both pay full latency but only the channel interval separates them
+        let b = d.request(ROW_BYTES, 0); // next bank
+        // both pay full latency but only the channel interval separates them
         assert_eq!(a, 200);
-        assert!(b <= 200 + cfg.line_interval);
+        assert!(b <= 200 + LINE_INTERVAL);
     }
 
     #[test]
@@ -283,14 +227,5 @@ mod tests {
         d.request(0x0, 0);
         d.request(0x40, 500);
         assert_eq!(d.row_hits(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "channel")]
-    fn rejects_zero_channels() {
-        Dram::new(DramConfig {
-            channels: 0,
-            ..DramConfig::baseline()
-        });
     }
 }

@@ -1,10 +1,10 @@
 //! The multi-level CMP memory hierarchy.
 //!
-//! Per-core L1I/L1D/L2 backed by a shared (optionally banked) L3 and a
-//! bandwidth-limited DRAM channel (Table II). Fills are installed when they
-//! *complete*, not when they are requested, so prefetch timeliness is
-//! modelled: a late prefetch only shaves the remaining fill latency off the
-//! demand access that merges with it in the MSHRs.
+//! Per-core L1I/L1D/L2 backed by a shared L3 and a bandwidth-limited DRAM
+//! channel (Table II). Fills are installed when they *complete*, not when
+//! they are requested, so prefetch timeliness is modelled: a late prefetch
+//! only shaves the remaining fill latency off the demand access that merges
+//! with it in the MSHRs.
 //!
 //! # Structure
 //!
@@ -15,7 +15,7 @@
 //! * [`CoreMem`] — one core's L1I/L1D/L2, demand and prefetch MSHRs,
 //!   statistics, usefulness feedback, and the pending fills that touch only
 //!   private levels (L2/L3 hits).
-//! * [`SharedMem`] — the banked L3, the DRAM channel, and the pending fills
+//! * [`SharedMem`] — the L3, the DRAM channel, and the pending fills
 //!   that install into the L3 (DRAM-serviced misses). A [`CoreMem`]
 //!   reaches it on an L2 miss through the `&mut SharedMem` its caller
 //!   passes in.
@@ -204,11 +204,6 @@ pub struct HierarchyConfig {
     pub l2: CacheConfig,
     /// Shared LLC (*total* capacity, already multiplied by core count).
     pub l3: CacheConfig,
-    /// Number of address-interleaved L3 banks (NUCA-style). Total L3
-    /// capacity is divided evenly across banks; consecutive cache lines
-    /// map to consecutive banks. `1` (the default) is a monolithic LLC and
-    /// is bit-for-bit identical to the pre-banking model.
-    pub l3_banks: usize,
     /// DRAM controller parameters.
     pub dram: DramConfig,
     /// L1D demand MSHR entries per core.
@@ -236,7 +231,6 @@ impl HierarchyConfig {
             l1d: CacheConfig::new(64 * 1024, 8, 2),
             l2: CacheConfig::new(256 * 1024, 8, 10),
             l3: CacheConfig::new(2 * 1024 * 1024 * cores as u64, 16, 20),
-            l3_banks: 1,
             dram: DramConfig::baseline(),
             l1d_mshrs: 4,
             prefetch_buffers: 32,
@@ -312,13 +306,12 @@ impl FillPool {
     }
 }
 
-/// The chip-shared memory levels: banked L3, DRAM channel, and the queue
-/// of fills that install into the L3.
+/// The chip-shared memory levels: L3, DRAM channel, and the queue of fills
+/// that install into the L3.
 #[derive(Debug)]
 pub struct SharedMem {
     cfg: HierarchyConfig,
-    banks: usize,
-    l3: Vec<SetAssocCache>,
+    l3: SetAssocCache,
     dram: Dram,
     fills: FillPool,
     fill_seq: u64,
@@ -326,63 +319,13 @@ pub struct SharedMem {
 
 impl SharedMem {
     fn new(cfg: HierarchyConfig) -> Self {
-        let banks = cfg.l3_banks;
-        assert!(banks > 0, "need at least one L3 bank");
-        assert!(
-            cfg.l3.size_bytes.is_multiple_of(banks as u64),
-            "L3 capacity must divide evenly across banks"
-        );
-        let bank_cfg = CacheConfig::new(cfg.l3.size_bytes / banks as u64, cfg.l3.ways, cfg.l3.latency);
         Self {
-            banks,
-            l3: (0..banks).map(|_| SetAssocCache::new(bank_cfg)).collect(),
+            l3: SetAssocCache::new(cfg.l3),
             dram: Dram::new(cfg.dram),
             fills: FillPool::default(),
             fill_seq: 0,
             cfg,
         }
-    }
-
-    /// Maps a physical address to `(bank, in-bank address)`. Lines
-    /// interleave across banks at 64 B granularity; the in-bank address
-    /// compacts the line index so every bank uses its full set range. With
-    /// one bank this is the identity.
-    #[inline]
-    fn l3_slot(&self, phys: u64) -> (usize, u64) {
-        let li = phys >> 6;
-        let bank = (li % self.banks as u64) as usize;
-        (bank, ((li / self.banks as u64) << 6) | (phys & 63))
-    }
-
-    /// Inverse of [`Self::l3_slot`] for victim addresses handed back by a
-    /// bank (always line-aligned).
-    #[inline]
-    fn l3_unslot(&self, bank: usize, in_bank: u64) -> u64 {
-        (((in_bank >> 6) * self.banks as u64) + bank as u64) << 6
-    }
-
-    fn l3_probe(&mut self, phys: u64) -> bool {
-        let (b, a) = self.l3_slot(phys);
-        self.l3[b].probe(a)
-    }
-
-    fn l3_access(&mut self, phys: u64) -> Option<LineMeta> {
-        let (b, a) = self.l3_slot(phys);
-        self.l3[b].access(a)
-    }
-
-    fn l3_mark_dirty(&mut self, phys: u64) {
-        let (b, a) = self.l3_slot(phys);
-        self.l3[b].mark_dirty(a);
-    }
-
-    /// Inserts into the owning bank; the victim (if any) is reported with
-    /// its original physical address.
-    fn l3_insert(&mut self, phys: u64, meta: LineMeta) -> Option<(u64, LineMeta)> {
-        let (b, a) = self.l3_slot(phys);
-        self.l3[b]
-            .insert(a, meta)
-            .map(|(va, vm)| (self.l3_unslot(b, va), vm))
     }
 
     /// Handles a (possibly dirty) L3 victim: dirty lines are written back
@@ -406,11 +349,6 @@ impl SharedMem {
         &self.dram
     }
 
-    /// The L3 banks (for occupancy/statistics inspection).
-    pub fn l3(&self) -> &[SetAssocCache] {
-        &self.l3
-    }
-
     /// Walks L3 → DRAM for a line that missed a core's L2; the L3 lookup
     /// starts at `start`. Returns `(complete_at, level, fill_l3)`;
     /// `fill_l3` is set when the line came from DRAM and must install into
@@ -424,12 +362,12 @@ impl SharedMem {
     ) -> (u64, HitLevel, bool) {
         let t_l3 = start + self.cfg.l3.latency;
         let l3_hit = if demand {
-            self.l3_access(phys).is_some()
+            self.l3.access(phys).is_some()
         } else {
-            let hit = self.l3_probe(phys);
+            let hit = self.l3.probe(phys);
             if hit {
                 // refresh LRU without polluting demand stats
-                self.l3_insert(phys, LineMeta::default());
+                self.l3.insert(phys, LineMeta::default());
             }
             hit
         };
@@ -931,15 +869,15 @@ impl CoreMem {
         if !vmeta.dirty {
             return;
         }
-        if shared.l3_probe(vaddr) {
-            shared.l3_mark_dirty(vaddr);
+        if shared.l3.probe(vaddr) {
+            shared.l3.mark_dirty(vaddr);
         } else {
             let dirty = LineMeta {
                 dirty: true,
                 used: true,
                 ..LineMeta::default()
             };
-            let v3 = shared.l3_insert(vaddr, dirty);
+            let v3 = shared.l3.insert(vaddr, dirty);
             shared.dirty_l3_victim(&mut self.stats, v3, now);
         }
     }
@@ -1008,7 +946,7 @@ impl Default for ChipGuard {
 pub fn drain_chip(cores: &mut [CoreMem], shared: &mut SharedMem, now: u64, guard: &mut ChipGuard) {
     if guard.earliest_fill <= now {
         while let Some(fill) = shared.fills.pop_due(now) {
-            let v3 = shared.l3_insert(fill.phys, LineMeta::default());
+            let v3 = shared.l3.insert(fill.phys, LineMeta::default());
             let owner = &mut cores[fill.core];
             shared.dirty_l3_victim(&mut owner.stats, v3, fill.complete_at);
             // hand the private portion back to the owner; its issue stamp
@@ -1068,8 +1006,7 @@ impl MemorySystem {
     ///
     /// # Panics
     ///
-    /// Panics on invalid cache geometry, a zero core count, or L3 capacity
-    /// not dividing evenly across banks.
+    /// Panics on invalid cache geometry or a zero core count.
     pub fn new(cfg: HierarchyConfig) -> Self {
         assert!(cfg.cores > 0, "need at least one core");
         Self {
@@ -1112,11 +1049,6 @@ impl MemorySystem {
     /// Live prefetch-MSHR entries for `core` (watchdog diagnostics).
     pub fn pf_mshr_live(&self, core: usize) -> usize {
         self.cores[core].pf_mshr_live()
-    }
-
-    /// The shared L3 banks (for occupancy/statistics inspection).
-    pub fn l3(&self) -> &[SetAssocCache] {
-        self.shared.l3()
     }
 
     /// Splits the system into its per-core and shared halves for the
@@ -1293,8 +1225,7 @@ impl bfetch_snapshot::SnapState for FillPool {
 
 bfetch_snapshot::snap_state!(SharedMem {
     cfg: skip,
-    banks: skip,
-    l3: each,
+    l3: state,
     dram: state,
     fills: state,
     fill_seq: val,
@@ -1657,72 +1588,6 @@ mod tests {
         assert_eq!(MemStats::default().prefetch_accuracy(), 0.0);
     }
 
-    // ---- banked L3 ----
-
-    fn banked(cores: usize, banks: usize) -> MemorySystem {
-        let mut cfg = HierarchyConfig::baseline(cores);
-        cfg.l3_banks = banks;
-        MemorySystem::new(cfg)
-    }
-
-    #[test]
-    fn bank_mapping_is_a_bijection() {
-        let m = banked(1, 4);
-        for li in 0..64u64 {
-            let phys = li * 64 + 17; // offset bits survive the mapping
-            let (b, a) = m.shared.l3_slot(phys);
-            assert_eq!(b as u64, li % 4);
-            assert_eq!(a & 63, 17);
-            assert_eq!(m.shared.l3_unslot(b, line_of(a)), line_of(phys));
-        }
-    }
-
-    #[test]
-    fn banked_l3_preserves_timing_for_single_core_stream() {
-        // bank interleaving changes placement, not latency: a miss/hit
-        // sequence with no capacity pressure times identically at 1 vs 4
-        // banks
-        let mut mono = banked(1, 1);
-        let mut quad = banked(1, 4);
-        for m in [&mut mono, &mut quad] {
-            let a = m.access(0, AccessKind::Load, 0x10_0000, 0);
-            assert_eq!(a.complete_at, 232);
-        }
-        // blow the line out of both L1 and L2 so the next touch lands in L3
-        for m in [&mut mono, &mut quad] {
-            let mut now = 233;
-            for i in 1..=64u64 {
-                let out = m.access(0, AccessKind::Load, 0x10_0000 + i * 8 * 1024, now);
-                now = out.complete_at + 1;
-            }
-            let out = m.access(0, AccessKind::Load, 0x10_0000, 100_000);
-            assert_eq!(out.level, HitLevel::L3, "line survives in its bank");
-        }
-    }
-
-    #[test]
-    fn banked_l3_spreads_lines_across_banks() {
-        let mut m = banked(1, 4);
-        let mut now = 0;
-        // 16 consecutive lines: 4 per bank
-        for i in 0..16u64 {
-            let out = m.access(0, AccessKind::Load, 0x10_0000 + i * 64, now);
-            now = out.complete_at + 1;
-        }
-        m.drain(now + 1000);
-        for bank in m.l3() {
-            assert_eq!(bank.valid_lines(), 4, "even interleave across banks");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "divide evenly")]
-    fn banked_l3_rejects_uneven_split() {
-        let mut cfg = HierarchyConfig::baseline(1);
-        cfg.l3_banks = 3; // 2 MB does not divide by 3
-        MemorySystem::new(cfg);
-    }
-
     /// Warm a chip, snapshot it with fills still in flight, restore into a
     /// fresh chip, and drive both through the same tail of traffic: every
     /// outcome and final statistic must match, and the restored chip must
@@ -1732,7 +1597,6 @@ mod tests {
         use bfetch_snapshot::{Decoder, Encoder, SnapState};
 
         let mut cfg = HierarchyConfig::baseline(2);
-        cfg.l3_banks = 2;
         cfg.model_writebacks = true;
         let mut a = MemorySystem::new(cfg);
 

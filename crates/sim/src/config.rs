@@ -93,7 +93,7 @@ impl FaultInjection {
 pub enum ConfigError {
     /// A structural knob that must be at least one was zero.
     Zero {
-        /// The knob's field path (e.g. `"width"`, `"dram.channels"`).
+        /// The knob's field path (e.g. `"width"`, `"bfetch.mht_slots"`).
         knob: &'static str,
     },
     /// A knob above what its container can index, what a constructor
@@ -110,13 +110,6 @@ pub enum ConfigError {
     BpredScale {
         /// The rejected scale factor.
         scale: f64,
-    },
-    /// The shared L3 cannot be split into equal banks.
-    Cache {
-        /// Which cache (`"l3"`).
-        cache: &'static str,
-        /// What is wrong with it.
-        problem: &'static str,
     },
     /// A prefetcher table's geometry cannot be built.
     Table {
@@ -137,7 +130,7 @@ pub enum ConfigError {
     /// A run was given no programs: it has one core per program.
     NoCores,
     /// The shared L3 this many cores get cannot be built: `bytes` is
-    /// [`L3_BYTES_PER_CORE`] `× cores`, split evenly across `banks` banks.
+    /// [`L3_BYTES_PER_CORE`] `× cores`.
     L3 {
         /// The run's core count.
         cores: usize,
@@ -145,9 +138,7 @@ pub enum ConfigError {
         bytes: u64,
         /// Its associativity.
         ways: usize,
-        /// Its bank count.
-        banks: usize,
-        /// What is wrong with each bank's geometry.
+        /// What is wrong with its geometry.
         problem: &'static str,
     },
 }
@@ -164,18 +155,15 @@ impl std::fmt::Display for ConfigError {
                 "config: bpred_scale {scale} is not a supported tournament \
                  scale (0.5, 1, 2, 4 or 8)"
             ),
-            ConfigError::Cache { cache, problem } => {
-                write!(f, "config: {cache} geometry invalid: {problem}")
-            }
             ConfigError::Table { knob, problem } => write!(f, "config: {knob} {problem}"),
             ConfigError::Range { knob, lo, hi } => {
                 write!(f, "config: {knob} must be a number in [{lo}, {hi}]")
             }
             ConfigError::NoCores => write!(f, "config: a run needs a program per core, and has none"),
-            ConfigError::L3 { cores, bytes, ways, banks, problem } => write!(
+            ConfigError::L3 { cores, bytes, ways, problem } => write!(
                 f,
                 "config: l3 geometry invalid for {cores} cores \
-                 ({bytes} bytes, {ways} ways, l3_banks = {banks}): {problem}"
+                 ({bytes} bytes, {ways} ways): {problem}"
             ),
         }
     }
@@ -201,36 +189,10 @@ pub const MAX_TABLE_ENTRIES: usize = 1 << 20;
 /// one `u32` bit per slot.
 pub const MAX_MHT_SLOTS: usize = u32::BITS as usize;
 
-/// Largest cycle count a DRAM knob adds to a cycle stamp (the two
-/// latencies and the line interval): 5 000× Table II's DRAM latency, and
-/// small enough that no stamp a run can reach overflows when a few of them
-/// are added to it.
-pub const MAX_LATENCY: u64 = 1 << 20;
-
-/// Largest DRAM row in bytes.
-pub const MAX_ROW_BYTES: u64 = 1 << 28;
-
-/// Most L3 banks, DRAM channels or DRAM banks per channel: each is an
-/// array built whole at construction (`fig17_scale` uses 16 and 8).
-pub const MAX_BANKS: usize = 1 << 10;
-
 /// Largest instruction or cycle count a knob names (warmup, the timeline
 /// interval, the watchdog, the cycle budget, fault triggers): far beyond
 /// any run, and small enough that a cycle stamp plus one cannot overflow.
 pub const MAX_RUN_LENGTH: u64 = 1 << 40;
-
-/// Why one L3 bank of `bytes` cannot be built the way `SetAssocCache::new`
-/// would build it, instead of its panic.
-fn l3_bank_problem(bytes: u64) -> Option<&'static str> {
-    let sets = (bytes / bfetch_mem::LINE_BYTES) as usize / L3_WAYS;
-    if sets == 0 {
-        Some("too small for one set")
-    } else if !sets.is_power_of_two() {
-        Some("set count must be a power of two")
-    } else {
-        None
-    }
-}
 
 /// Full system configuration: every knob a figure or flag varies, plus the
 /// observer and failure-model seams. [`SimConfig::baseline`] reproduces
@@ -249,10 +211,6 @@ pub struct SimConfig {
     pub prefetcher: PrefetcherKind,
     /// B-Fetch engine geometry and thresholds.
     pub bfetch: BFetchConfig,
-    /// Address-interleaved L3 banks (NUCA-style; 1 = monolithic LLC,
-    /// bit-identical to the unbanked model). Large-core-count scale-out
-    /// configs raise this so LLC capacity pressure stays realistic.
-    pub l3_banks: usize,
     /// DRAM parameters.
     pub dram: DramConfig,
     /// L1D demand MSHR entries.
@@ -297,7 +255,6 @@ impl SimConfig {
             bpred_scale: 1.0,
             prefetcher: PrefetcherKind::None,
             bfetch: BFetchConfig::baseline(),
-            l3_banks: 1,
             dram: DramConfig::baseline(),
             l1d_mshrs: 4,
             model_writebacks: false,
@@ -340,18 +297,6 @@ impl SimConfig {
         self
     }
 
-    /// Baseline with different DRAM parameters (the ext_dram sweep).
-    pub fn with_dram(mut self, dram: DramConfig) -> Self {
-        self.dram = dram;
-        self
-    }
-
-    /// Baseline with an address-interleaved (banked) L3.
-    pub fn with_l3_banks(mut self, banks: usize) -> Self {
-        self.l3_banks = banks;
-        self
-    }
-
     /// Baseline with dirty-line writeback modelling toggled.
     pub fn with_writebacks(mut self, on: bool) -> Self {
         self.model_writebacks = on;
@@ -390,7 +335,8 @@ impl SimConfig {
 
     /// Checks what [`SimConfig::validate`] cannot, because the core count
     /// is the run's: that there is a core ([`ConfigError::NoCores`]), and
-    /// that each bank of the L3 this many cores share can be built
+    /// that the L3 this many cores share can be built the way
+    /// `SetAssocCache::new` would build it, instead of its panic
     /// ([`ConfigError::L3`]; three baseline cores make a 6 MB L3 of 6 144
     /// sets, not a power of two). Every run and resume checks it before
     /// building the hierarchy.
@@ -399,15 +345,12 @@ impl SimConfig {
             return Err(ConfigError::NoCores);
         }
         let bytes = L3_BYTES_PER_CORE.saturating_mul(cores as u64);
-        let Some(per_bank) = bytes.checked_div(self.l3_banks as u64) else {
-            return Err(ConfigError::Zero { knob: "l3_banks" });
-        };
-        match l3_bank_problem(per_bank) {
-            Some(problem) => {
-                Err(ConfigError::L3 { cores, bytes, ways: L3_WAYS, banks: self.l3_banks, problem })
-            }
-            None => Ok(()),
+        let sets = (bytes / bfetch_mem::LINE_BYTES) as usize / L3_WAYS;
+        if sets.is_power_of_two() {
+            return Ok(());
         }
+        let problem = "set count must be a power of two";
+        Err(ConfigError::L3 { cores, bytes, ways: L3_WAYS, problem })
     }
 
     /// The configuration's wire bytes: its [`Snap`](bfetch_snapshot::Snap)
@@ -426,7 +369,6 @@ impl SimConfig {
             l1d: L1D,
             l2: L2,
             l3: CacheConfig::new(L3_BYTES_PER_CORE * cores as u64, L3_WAYS, L3_LATENCY),
-            l3_banks: self.l3_banks,
             dram: self.dram,
             l1d_mshrs: self.l1d_mshrs,
             prefetch_buffers: PREFETCH_BUFFERS,
@@ -468,7 +410,7 @@ pub fn check_bounded(knob: &'static str, v: u64, min: u64, max: u64) -> Result<(
 /// | `any` | every value of the type | — |
 /// | `geometry` | whatever the `check` block accepts with the leaf's siblings | — |
 ///
-/// A knob is named by its path, `"dram.channels"` for a nested leaf.
+/// A knob is named by its path, `"dram.row_model"` for a nested leaf.
 ///
 /// ```
 /// #[derive(Clone)]
@@ -588,16 +530,7 @@ config_fields!(SimConfig {
         enable_patt: any,
         arf_at_retire: any,
     },
-    l3_banks: count(MAX_BANKS),
-    dram: DramConfig {
-        latency: upto(MAX_LATENCY),
-        line_interval: count(MAX_LATENCY),
-        channels: count(MAX_BANKS),
-        row_model: any,
-        banks_per_channel: count(MAX_BANKS),
-        row_bytes: count(MAX_ROW_BYTES),
-        row_hit_latency: upto(MAX_LATENCY),
-    },
+    dram: DramConfig { row_model: any },
     l1d_mshrs: count(MAX_MSHR_ENTRIES),
     model_writebacks: any,
     warmup_insts: upto(MAX_RUN_LENGTH),
@@ -616,14 +549,6 @@ config_fields!(SimConfig {
     }
     if bfetch_bpred::TournamentConfig::try_scaled(c.bpred_scale).is_none() {
         return Err(ConfigError::BpredScale { scale: c.bpred_scale });
-    }
-    // The shared L3 is sized per core and split across banks; the core
-    // count is the caller's (`check_cores`).
-    if !L3_BYTES_PER_CORE.is_multiple_of(c.l3_banks as u64) {
-        return Err(ConfigError::Cache {
-            cache: "l3",
-            problem: "capacity must divide evenly across banks",
-        });
     }
     Ok(())
 });
@@ -649,7 +574,8 @@ mod tests {
         assert_eq!((h.l2.size_bytes, h.l2.latency), (256 * 1024, 10));
         assert_eq!((h.l3.size_bytes, h.l3.latency), (2 * 1024 * 1024, 20));
         assert_eq!(h.prefetch_buffers, PREFETCH_BUFFERS);
-        assert_eq!(c.dram.latency, 200);
+        assert!(!c.dram.row_model, "Table II's flat 200-cycle DRAM");
+        assert_eq!(bfetch_mem::dram::LATENCY, 200);
         assert_eq!(c.bfetch.confidence_threshold, 0.75);
         assert_eq!(c.bfetch.filter_threshold, 3);
         assert_eq!(c.prefetcher, PrefetcherKind::None);
@@ -663,8 +589,7 @@ mod tests {
     }
 
     /// A power-of-two core count keeps the baseline L3's set count a power
-    /// of two; any other count is the L3 geometry error, and so is a bank
-    /// split that leaves a bank's set count odd.
+    /// of two; any other count is the L3 geometry error.
     #[test]
     fn core_counts_the_l3_cannot_be_built_for_are_typed_errors() {
         let c = SimConfig::baseline();
@@ -679,19 +604,12 @@ mod tests {
                     cores,
                     bytes: cores as u64 * L3_BYTES_PER_CORE,
                     ways: L3_WAYS,
-                    banks: 1,
                     problem: "set count must be a power of two",
                 }
             );
             assert!(err.to_string().contains(&format!("l3 geometry invalid for {cores} cores")), "{err}");
         }
         assert_eq!(c.check_cores(0), Err(ConfigError::NoCores));
-        let banked = c.clone().with_l3_banks(4);
-        assert_eq!(banked.validate(), Ok(()));
-        assert!(matches!(banked.check_cores(3), Err(ConfigError::L3 { banks: 4, .. })));
-        let uneven = c.clone().with_l3_banks(3);
-        let problem = "capacity must divide evenly across banks";
-        assert_eq!(uneven.validate(), Err(ConfigError::Cache { cache: "l3", problem }));
     }
 
     #[test]
@@ -797,28 +715,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_l3_banks_is_rejected() {
-        let c = SimConfig::baseline().with_l3_banks(0);
-        assert_eq!(c.validate(), Err(ConfigError::Zero { knob: "l3_banks" }));
-    }
-
-    #[test]
     fn zero_mshrs_is_rejected() {
         let mut c = SimConfig::baseline();
         c.l1d_mshrs = 0;
         assert_eq!(c.validate(), Err(ConfigError::Zero { knob: "l1d_mshrs" }));
-    }
-
-    #[test]
-    fn zero_dram_channels_is_rejected() {
-        let mut c = SimConfig::baseline();
-        c.dram.channels = 0;
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::Zero {
-                knob: "dram.channels"
-            })
-        );
     }
 
     /// Why `validate` refuses the baseline after `set` edits it.
@@ -866,15 +766,6 @@ mod tests {
         );
     }
 
-    /// Every knob the model adds to a cycle stamp, one line each.
-    #[test]
-    fn cycle_count_knobs_are_bounded() {
-        let max = MAX_LATENCY as usize;
-        assert_bounded("dram.latency", max, |c, v| c.dram.latency = v as u64);
-        assert_bounded("dram.line_interval", max, |c, v| c.dram.line_interval = v as u64);
-        assert_bounded("dram.row_hit_latency", max, |c, v| c.dram.row_hit_latency = v as u64);
-    }
-
     /// The smallest B-Fetch geometry `validate` accepts builds.
     #[test]
     fn the_smallest_accepted_geometry_constructs() {
@@ -895,12 +786,6 @@ mod tests {
         assert!(s.contains("l1d_mshrs") && s.contains('7'), "{s}");
         let s = ConfigError::BpredScale { scale: 3.0 }.to_string();
         assert!(s.contains("3"), "{s}");
-        let s = ConfigError::Cache {
-            cache: "l3",
-            problem: "capacity must divide evenly across banks",
-        }
-        .to_string();
-        assert!(s.contains("l3") && s.contains("evenly"), "{s}");
         let s = ConfigError::Table {
             knob: "bfetch.brtc_entries",
             problem: "must be a power of two",
@@ -915,8 +800,8 @@ mod tests {
         let mut c = SimConfig::baseline()
             .with_prefetcher(PrefetcherKind::Sms)
             .with_bpred_scale(2.0)
-            .with_l3_banks(4)
             .with_writebacks(true);
+        c.dram.row_model = true;
         c.cpi.enabled = true;
         c.trace.enabled = true;
         let mut w = Encoder::new();
@@ -954,15 +839,6 @@ mod tests {
         // `TraceSink::new` reserves the whole ring up front
         assert_bounded("trace.capacity", MAX_TABLE_ENTRIES, |c, v| c.trace.capacity = v);
         assert_eq!(rejection(|c| c.trace.capacity = 0), ConfigError::Zero { knob: "trace.capacity" });
-    }
-
-    #[test]
-    fn banks_and_rows_are_bounded_before_any_allocation() {
-        assert_bounded("l3_banks", MAX_BANKS, |c, v| c.l3_banks = v);
-        let max = MAX_ROW_BYTES as usize;
-        assert_bounded("dram.row_bytes", max, |c, v| c.dram.row_bytes = v as u64);
-        assert_bounded("dram.channels", MAX_BANKS, |c, v| c.dram.channels = v);
-        assert_bounded("dram.banks_per_channel", MAX_BANKS, |c, v| c.dram.banks_per_channel = v);
     }
 
     #[test]
@@ -1041,7 +917,7 @@ mod tests {
         let probes = SimConfig::leaf_probes(&base);
         let mut knobs: Vec<&str> = probes.iter().map(|(k, _)| *k).collect();
         knobs.dedup();
-        assert_eq!(knobs.len(), 32, "one entry per leaf: {knobs:?}");
+        assert_eq!(knobs.len(), 25, "one entry per leaf: {knobs:?}");
         for (knob, mut c) in probes {
             if knob != "prefetcher" {
                 c.prefetcher = PrefetcherKind::BFetch;

@@ -487,12 +487,12 @@ fn non_power_of_two_brtc_is_a_typed_error_from_run_and_resume() {
     resume_crafted("bad-brtc", |c| c.bfetch.brtc_entries += 1, brtc, 3, "brtc_entries");
 }
 
-/// Cycle-count knobs are bounded too: a DRAM latency of `u64::MAX` would
-/// overflow the first request's completion stamp.
+/// Cycle-count knobs are bounded too: a cycle budget of `u64::MAX` is past
+/// what a cycle stamp plus one can reach without overflowing.
 #[test]
-fn crafted_dram_latency_is_a_typed_error_from_resume() {
-    let latency = cfg().dram.latency;
-    resume_crafted("big-dram-latency", |c| c.dram.latency += 1, latency, u64::MAX, "dram.latency");
+fn crafted_cycle_budget_is_a_typed_error_from_resume() {
+    let budget = cfg().max_cycles;
+    resume_crafted("big-max-cycles", |c| c.max_cycles += 1, budget, u64::MAX, "max_cycles");
 }
 
 /// Table sizes are bounded too: a 2⁵⁰-entry MHT is a power of two, so the

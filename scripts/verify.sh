@@ -103,13 +103,16 @@ for f in target/prof/report.json target/PROF_phase_report.json; do
 done
 
 echo "==> committed results drift: every results/*.txt vs the figure that prints it"
-# Full-budget sweeps (seconds each, the 8-core mixes a minute or two, the
-# 64-core scale-out a few minutes): the committed text must be what this
-# build prints, byte for byte. Each file is named after its registry entry.
+# Full-budget sweeps (seconds each, the 8-core mixes a minute or two): the
+# committed text must be what this build prints, byte for byte. Each file
+# is named after its registry entry; each entry's wall seconds are logged
+# so the stage's cost can be read per figure.
 for f in results/*.txt; do
   b=$(basename "$f" .txt)
+  t0=$(date +%s)
   $BFETCH "$b" --no-cache 2>/dev/null | cmp - "$f" || {
     echo "$f is stale: regenerate with $BFETCH $b --no-cache > $f"; exit 1; }
+  echo "drift: $b $(( $(date +%s) - t0 )) s"
 done
 
 echo "==> assembler gate: every bundled .s program assembles (asmcheck)"

@@ -193,19 +193,3 @@ mod typed_failures {
         assert_eq!(r.cycles, again.cycles, "repeated runs agree");
     }
 }
-
-#[test]
-fn dram_single_line_interval_queueing() {
-    let p = kernel_by_name("libquantum").unwrap().build_small();
-    let mut slow = base();
-    slow.dram.line_interval = 128; // 1.6 GB/s channel
-    let fast = base();
-    let rs = run_single(&p, &slow, INSTS);
-    let rf = run_single(&p, &fast, INSTS);
-    assert!(
-        rs.ipc() < rf.ipc(),
-        "an 8x slower channel must hurt: {} vs {}",
-        rs.ipc(),
-        rf.ipc()
-    );
-}
