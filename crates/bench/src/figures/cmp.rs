@@ -1,8 +1,8 @@
 //! Chip-multiprocessor figures: the FOA-selected mixes of Figures 9/10
 //! and the 8-core extension, and the 2/4/8-core CPI deep dive. Every chip
 //! run is a [`GridPoint::mix`] in one harness sweep next to the solo runs
-//! that weight it, so chips run in parallel under `-j`, are cached,
-//! checkpointed and fault-isolated like any other point.
+//! that weight it, so chips run in parallel under `-j`, are cached and
+//! fault-isolated like any other point.
 
 use super::{group_cpi, GROUPS};
 use crate::harness::jsonio::Json;

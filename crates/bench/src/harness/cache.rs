@@ -34,7 +34,6 @@
 
 use bfetch_prng::mix64;
 use bfetch_sim::{decode_results, write_results, RunResult, SnapshotError};
-use std::collections::HashSet;
 use std::io::{ErrorKind, Read as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,17 +76,6 @@ fn stem(key: &str) -> String {
 /// The cache filename (without directory) for a canonical key.
 pub fn file_name(key: &str) -> String {
     format!("{}.res", stem(key))
-}
-
-/// The snapshot-sidecar filename for a canonical key: the same
-/// content-addressed stem with a `.snap` extension. The sidecar is the
-/// state file of the checkpoint an interrupted or killed simulation of
-/// this exact grid point resumes from; the checkpoint's program file sits
-/// beside it as `<stem>.prog` ([`bfetch_sim::program_path`]). The pair
-/// lives in the cache directory and joins the same tmp/quarantine/GC
-/// discipline as the result entries.
-pub fn snap_name(key: &str) -> String {
-    format!("{}.snap", stem(key))
 }
 
 /// Removes `path`: `Ok(false)` when it was already gone — a concurrent
@@ -160,13 +148,11 @@ pub struct GcReport {
     pub removed_tmp: u64,
     /// Quarantined `*.bad` entries removed.
     pub removed_bad: u64,
-    /// Snapshot sidecars (`*.snap`, each with its `*.prog`) removed —
-    /// resume state no sweep came back for.
-    pub removed_snap: u64,
     /// Undecodable or stale-schema entries removed (e.g. stranded files
-    /// from before a schema bump, or pre-frame `*.json` entries), entries
-    /// whose key does not hash to their name (named by an earlier name
-    /// hash), and program files (`*.prog`) with no `*.snap` to name them.
+    /// from before a schema bump), entries whose key does not hash to
+    /// their name (named by an earlier name hash), and files of retired
+    /// formats: pre-frame `*.json` entries and the `*.snap`/`*.prog`
+    /// checkpoint pairs harness points once left.
     pub removed_stale: u64,
     /// Valid entries LRU-evicted to fit the byte cap.
     pub evicted: u64,
@@ -183,15 +169,13 @@ impl std::fmt::Display for GcReport {
         write!(
             f,
             "cache-gc: kept {} entries ({} bytes), evicted {} (LRU), \
-             removed {} tmp + {} quarantined + {} stale (entries, orphan .prog) \
-             + {} snapshots (.snap + .prog) ({} bytes freed)",
+             removed {} tmp + {} quarantined + {} stale ({} bytes freed)",
             self.kept,
             self.bytes_after,
             self.evicted,
             self.removed_tmp,
             self.removed_bad,
             self.removed_stale,
-            self.removed_snap,
             self.bytes_before - self.bytes_after
         )
     }
@@ -272,18 +256,17 @@ impl ResultCache {
 
     /// `key`'s place in this cache, its name hashed once.
     pub(crate) fn entry<'a>(&'a self, key: &'a str) -> Entry<'a> {
-        Entry { cache: self, key, stem: stem(key) }
+        Entry { cache: self, key, path: self.dir.join(file_name(key)) }
     }
 
     /// Maintenance sweep under the directory lock: removes stranded
-    /// `*.tmp.*` files, quarantined `*.bad` entries, snapshot sidecars
-    /// with their program files, and stale files — any entry that does not
-    /// decode under the current [`bfetch_sim::SCHEMA_VERSION`] or whose
-    /// stored key does not hash to its file name (an entry named by an
-    /// earlier name hash, or copied under another name), every pre-frame
-    /// `*.json` entry, and every `*.prog` no `*.snap` names; then
-    /// LRU-evicts valid entries, oldest recency first, until the cache fits
-    /// `max_bytes`.
+    /// `*.tmp.*` files, quarantined `*.bad` entries, and stale files — any
+    /// entry that does not decode under the current
+    /// [`bfetch_sim::SCHEMA_VERSION`] or whose stored key does not hash to
+    /// its file name (an entry named by an earlier name hash, or copied
+    /// under another name), and every `*.json`, `*.snap` or `*.prog` file
+    /// an earlier version wrote; then LRU-evicts valid entries, oldest
+    /// recency first, until the cache fits `max_bytes`.
     ///
     /// Recency is the entry's mtime, which [`ResultCache::load`]
     /// refreshes on every hit — a deliberate stand-in for atime, which is
@@ -299,15 +282,14 @@ impl ResultCache {
         self.sweep(&listing, max_bytes)
     }
 
-    /// [`ResultCache::gc`] over a directory listing. Loads and sidecar
-    /// removals take no lock, so a listed file may be gone by the time the
-    /// sweep reaches it (and without `d_type`, the `.snap` branch removes a
-    /// listed `.prog`): such a file is skipped and counted nowhere.
+    /// [`ResultCache::gc`] over a directory listing. Loads take no lock, so
+    /// a listed file may be gone by the time the sweep reaches it (a
+    /// concurrent load quarantined it): such a file is skipped and counted
+    /// nowhere.
     fn sweep(&self, listing: &[String], max_bytes: u64) -> std::io::Result<GcReport> {
         let mut report = GcReport::default();
         // (recency, name-tiebreak, path, size) of valid entries
         let mut live: Vec<(SystemTime, &str, PathBuf, u64)> = Vec::new();
-        let names: HashSet<&str> = listing.iter().map(String::as_str).collect();
         for name in listing {
             let path = self.dir.join(name);
             let meta = match std::fs::symlink_metadata(&path) {
@@ -322,19 +304,7 @@ impl ResultCache {
                 report.removed_tmp += u64::from(remove_present(&path)?);
             } else if name.ends_with(".bad") {
                 report.removed_bad += u64::from(remove_present(&path)?);
-            } else if name.ends_with(".snap") {
-                // resume state whose sweep never came back for it; GC is
-                // the explicit maintenance pass, so reclaim it with the
-                // program file it names
-                report.removed_snap += u64::from(remove_present(&path)?);
-                let _ = std::fs::remove_file(bfetch_sim::program_path(&path));
-            } else if let Some(stem) = name.strip_suffix(".prog") {
-                // a program file goes with its sidecar (above); one with no
-                // sidecar is what a crash between the two renames leaves
-                if !names.contains(format!("{stem}.snap").as_str()) {
-                    report.removed_stale += u64::from(remove_present(&path)?);
-                }
-            } else if name.ends_with(".res") || name.ends_with(".json") {
+            } else if [".res", ".json", ".snap", ".prog"].iter().any(|ext| name.ends_with(ext)) {
                 let valid = name.strip_suffix(".res").is_some_and(|named| {
                     std::fs::read(&path)
                         .is_ok_and(|b| decode_results(&b).is_ok_and(|(key, _)| stem(&key) == named))
@@ -366,34 +336,22 @@ impl ResultCache {
     }
 }
 
-/// One key's place in a [`ResultCache`]: the key, and the stem its files
-/// are named by — the result entry `<stem>.res` and the snapshot sidecar
-/// `<stem>.snap` with its program file `<stem>.prog`. The harness derives
-/// one per grid point, so a point hashes its key once however many rungs
-/// of the recovery ladder it climbs.
+/// One key's place in a [`ResultCache`]: the key, and the path of its
+/// entry `<stem>.res`. The harness derives one per grid point, so a point
+/// hashes its key once however often it loads and stores.
 pub(crate) struct Entry<'a> {
     cache: &'a ResultCache,
     key: &'a str,
-    stem: String,
+    path: PathBuf,
 }
 
 impl Entry<'_> {
-    /// The cache directory the entry's files live in.
-    pub(crate) fn dir(&self) -> &Path {
-        &self.cache.dir
-    }
-
-    /// The entry's file with extension `ext`.
-    fn path(&self, ext: &str) -> PathBuf {
-        self.cache.dir.join(format!("{}.{ext}", self.stem))
-    }
-
     /// [`ResultCache::load`]: one `open`, one read, one decode, and on a
     /// hit the mtime refresh through the same descriptor.
     pub(crate) fn load(&self) -> std::io::Result<Option<Vec<RunResult>>> {
         let c = self.cache;
-        let path = self.path("res");
-        let mut file = match std::fs::File::open(&path) {
+        let path = &self.path;
+        let mut file = match std::fs::File::open(path) {
             Ok(f) => f,
             Err(e) if e.kind() == ErrorKind::NotFound => {
                 c.misses.fetch_add(1, Ordering::Relaxed);
@@ -417,7 +375,7 @@ impl Entry<'_> {
             Err(_) => {
                 let mut bad = path.clone().into_os_string();
                 bad.push(".bad");
-                let _ = std::fs::rename(&path, &bad);
+                let _ = std::fs::rename(path, &bad);
                 c.quarantined.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -428,49 +386,7 @@ impl Entry<'_> {
     /// [`ResultCache::store`].
     pub(crate) fn store(&self, results: &[RunResult]) -> std::io::Result<()> {
         let _lock = DirLock::acquire(&self.cache.dir)?;
-        write_results(&self.path("res"), self.key, results).map_err(std::io::Error::other)
-    }
-
-    /// The snapshot sidecar's file name ([`snap_name`]).
-    pub(crate) fn snap_name(&self) -> String {
-        format!("{}.snap", self.stem)
-    }
-
-    /// Absolute path of the snapshot sidecar — the state file an
-    /// interrupted or killed simulation of this grid point left (or will
-    /// leave) to resume from.
-    pub(crate) fn snap_path(&self) -> PathBuf {
-        self.path("snap")
-    }
-
-    /// The sidecar's pair: its state file, then its program file — the
-    /// order to delete them in, so a crash between the two leaves an
-    /// orphan program file (GC's to sweep), never a state file naming a
-    /// missing one.
-    fn sidecar(&self) -> [PathBuf; 2] {
-        let snap = self.snap_path();
-        [snap.clone(), bfetch_sim::program_path(&snap)]
-    }
-
-    /// Quarantines a corrupt snapshot sidecar to `<stem>.snap.bad`, and its
-    /// program file to `<stem>.prog.bad` — the same discipline as torn
-    /// cache entries: never resumed again, kept for post-mortem until the
-    /// next GC sweep. Counted once in [`ResultCache::quarantined`].
-    pub(crate) fn quarantine_snap(&self) {
-        for path in self.sidecar() {
-            let mut bad = path.clone().into_os_string();
-            bad.push(".bad");
-            let _ = std::fs::rename(&path, &bad);
-        }
-        self.cache.quarantined.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Removes the snapshot sidecar and its program file (best effort) —
-    /// called once the point completes and the resume state is obsolete.
-    pub(crate) fn remove_snap(&self) {
-        for path in self.sidecar() {
-            let _ = std::fs::remove_file(path);
-        }
+        write_results(&self.path, self.key, results).map_err(std::io::Error::other)
     }
 }
 
@@ -480,6 +396,7 @@ mod tests {
     use bfetch_core::EngineStats;
     use bfetch_mem::MemStats;
     use bfetch_sim::CpiStack;
+    use std::collections::HashSet;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -694,65 +611,21 @@ mod tests {
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
+    /// A cache directory an earlier version wrote may hold a checkpoint
+    /// pair a harness point left: GC sweeps both files as stale, and they
+    /// are never resumed.
     #[test]
-    fn snap_sidecars_follow_the_quarantine_and_gc_discipline() {
-        let cache = ResultCache::new(tmp_dir("snap")).unwrap();
-        // the sidecar and its program file share the entry's
-        // content-addressed stem
-        assert_eq!(
-            snap_name("k").strip_suffix(".snap"),
-            file_name("k").strip_suffix(".res"),
-        );
-        let entry = cache.entry("k");
-        let snap = entry.snap_path();
-        let prog = cache.dir().join(format!("{}.prog", stem("k")));
-        assert_eq!(bfetch_sim::program_path(&snap), prog);
-        std::fs::write(&snap, "torn checkpoint bytes").unwrap();
-        std::fs::write(&prog, "its programs").unwrap();
-        // quarantine renames the pair to .snap.bad and .prog.bad and
-        // counts one quarantine
-        entry.quarantine_snap();
-        assert!(!snap.exists() && !prog.exists());
-        let bad = cache.dir().join(format!("{}.bad", snap_name("k")));
-        let prog_bad = cache.dir().join(format!("{}.prog.bad", stem("k")));
-        assert!(bad.exists() && prog_bad.exists());
-        assert_eq!(cache.quarantined(), 1);
-        // a fresh pair, a stranded atomic-write temp, and the quarantined
-        // pair: GC sweeps them all under distinct counters
-        std::fs::write(&snap, "resumable state").unwrap();
-        std::fs::write(&prog, "its programs").unwrap();
-        let tmp = cache.dir().join(format!("{}.tmp.4242", snap_name("k")));
-        std::fs::write(&tmp, "half a checkpoint").unwrap();
-        let report = cache.gc(u64::MAX).unwrap();
-        assert_eq!(report.removed_snap, 1);
-        assert_eq!(report.removed_bad, 2);
-        assert_eq!(report.removed_tmp, 1);
-        assert_eq!(report.removed_stale, 0, "a program file its sidecar names is not stale");
-        for f in [&snap, &prog, &bad, &prog_bad, &tmp] {
-            assert!(!f.exists(), "{} survived GC", f.display());
-        }
-        // completion removes the pair; a no-op on an already-clean slot
-        std::fs::write(&snap, "resumable state").unwrap();
-        std::fs::write(&prog, "its programs").unwrap();
-        entry.remove_snap();
-        assert!(!snap.exists() && !prog.exists());
-        entry.remove_snap();
-        let _ = std::fs::remove_dir_all(cache.dir());
-    }
-
-    /// A program file whose sidecar is gone (a crash between the two
-    /// renames, or a sidecar deleted by hand) is stale: GC sweeps and
-    /// counts it, and leaves a paired one to the sidecar's fate.
-    #[test]
-    fn gc_sweeps_an_orphan_program_file_as_stale() {
-        let cache = ResultCache::new(tmp_dir("orphan-prog")).unwrap();
+    fn gc_sweeps_a_left_over_checkpoint_pair_as_stale() {
+        let cache = ResultCache::new(tmp_dir("old-pair")).unwrap();
         cache.store("done", &[result("mcf", 1)]).unwrap();
-        let orphan = cache.dir().join(format!("{}.prog", stem("crashed")));
-        std::fs::write(&orphan, "programs nobody names").unwrap();
+        let pair = ["snap", "prog"].map(|ext| cache.dir().join(format!("{}.{ext}", stem("k"))));
+        for f in &pair {
+            std::fs::write(f, "a checkpoint file").unwrap();
+        }
         let report = cache.gc(u64::MAX).unwrap();
-        assert_eq!((report.removed_stale, report.removed_snap, report.kept), (1, 0, 1));
-        assert!(!orphan.exists());
-        assert!(report.to_string().contains("1 stale (entries, orphan .prog)"), "{report}");
+        assert_eq!((report.removed_stale, report.removed_bad, report.kept), (2, 0, 1));
+        assert!(pair.iter().all(|f| !f.exists()));
+        assert!(report.to_string().contains("0 quarantined + 2 stale"), "{report}");
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -861,32 +734,25 @@ mod tests {
     }
 
     /// Files listed but gone before the sweep reaches them (a concurrent
-    /// load's quarantine, a concurrent sweep, or the `.prog` this sweep's
-    /// own `.snap` branch removed) are skipped, counted nowhere, and fail
-    /// nothing; the files that are there are counted exactly.
+    /// load's quarantine, or a concurrent sweep) are skipped, counted
+    /// nowhere, and fail nothing; the files that are there are counted
+    /// exactly.
     #[test]
     fn gc_counts_nothing_for_files_gone_after_the_listing() {
         let cache = ResultCache::new(tmp_dir("gc-vanished")).unwrap();
         cache.store("live", &[result("mcf", 1)]).unwrap();
         let size = std::fs::metadata(cache.dir().join(file_name("live"))).unwrap().len();
-        let s = stem("pair");
-        std::fs::write(cache.dir().join(format!("{s}.snap")), "resumable state").unwrap();
-        std::fs::write(cache.dir().join(format!("{s}.prog")), "its programs").unwrap();
         let ghost = stem("ghost");
         let listing: Vec<String> = [
             file_name("live"),
-            format!("{s}.snap"),
-            format!("{s}.prog"),
             format!("{ghost}.res.tmp.7"),
             format!("{ghost}.res.bad"),
             format!("{ghost}.snap"),
-            format!("{ghost}.prog"),
             format!("{ghost}.res"),
         ]
         .into();
         let report = cache.sweep(&listing, 0).unwrap();
         let want = GcReport {
-            removed_snap: 1,
             evicted: 1,
             bytes_before: size,
             ..GcReport::default()
@@ -975,7 +841,6 @@ mod tests {
         let r = GcReport {
             removed_tmp: 1,
             removed_bad: 2,
-            removed_snap: 6,
             removed_stale: 3,
             evicted: 4,
             kept: 5,
@@ -986,8 +851,7 @@ mod tests {
         for needle in [
             "1 tmp",
             "2 quarantined",
-            "3 stale (entries, orphan .prog)",
-            "6 snapshots (.snap + .prog)",
+            "3 stale",
             "evicted 4",
             "5 entries",
             "400 bytes freed",

@@ -30,21 +30,16 @@
 //! deterministic `FAILED <label>: <reason>` report to stderr and exits
 //! non-zero.
 //!
-//! ## Interrupt and resume
+//! ## Interrupt
 //!
 //! SIGINT (installed by [`Harness::from_opts`], see [`crate::interrupt`])
-//! stops the sweep gracefully: in-flight points checkpoint their machine
-//! state to snapshot sidecars (`<hash>.snap` next to the cache entries,
-//! with the point's programs written once beside it as `<hash>.prog`),
-//! pending points are skipped, the stderr report still runs, and the
-//! process exits with `[harness] interrupted` and status 130. Re-running
-//! the same command resumes every sidecar from its checkpoint —
-//! `--checkpoint-every N` additionally writes sidecars periodically so
-//! even a SIGKILL or a panic loses at most N cycles of work. A corrupt
-//! sidecar is quarantined with its program file (`.snap.bad`,
-//! `.prog.bad`) and the point recomputes; a completed point deletes both.
-//! DESIGN.md §15 documents the snapshot format and the determinism
-//! argument.
+//! drains the sweep: no new point starts, every point already simulating
+//! runs to completion and is cached as usual, the stderr report still
+//! runs, and the process exits with `[harness] interrupted` and status
+//! 130. Re-running the same command serves the finished points from the
+//! cache and simulates the skipped ones. A point is never checkpointed:
+//! the longest one takes seconds, and its only file is its `.res` entry
+//! (DESIGN.md §15.4).
 
 pub mod cache;
 pub mod executor;
@@ -241,12 +236,9 @@ pub enum FailureKind {
     /// The result cache could not be read — a transient environment
     /// problem, retried up to [`CACHE_IO_ATTEMPTS`] times.
     CacheIo(String),
-    /// The sweep was interrupted (SIGINT): an in-flight point
-    /// checkpointed its state to its snapshot sidecar (when the cache is
-    /// enabled) and the next invocation resumes it; a pending point was
-    /// skipped before starting. Never retried in this process —
-    /// [`SweepOutcome::or_fail`] exits with
-    /// [`crate::interrupt::EXIT_CODE`].
+    /// The sweep was interrupted (SIGINT) before this point started, so
+    /// it was skipped (`attempts` 0); the next invocation simulates it.
+    /// [`SweepOutcome::or_fail`] exits with [`crate::interrupt::EXIT_CODE`].
     Interrupted,
 }
 
@@ -446,8 +438,8 @@ impl SweepOutcome {
             self.outcomes.len(),
         );
         if self.failures.iter().any(|f| f.kind == FailureKind::Interrupted) {
-            // a graceful Ctrl-C, not a defect: in-flight points left
-            // snapshot sidecars, so re-running the same command resumes
+            // a graceful Ctrl-C, not a defect: the points that ran are
+            // cached, so re-running the same command simulates the rest
             eprintln!("[harness] interrupted");
             std::process::exit(crate::interrupt::EXIT_CODE);
         }
@@ -513,18 +505,11 @@ pub struct Harness {
     /// Also emit a machine-readable `[harness] stats {...}` line on stderr
     /// after each sweep (set from `--json`; stats never go to stdout).
     json_stats: bool,
-    /// Cooperative stop flag handed to every simulation: when it goes
-    /// true mid-run, the point checkpoints to its snapshot sidecar and
-    /// fails with [`FailureKind::Interrupted`]. [`Harness::from_opts`]
-    /// wires it to the SIGINT handler.
-    stop: Option<Arc<AtomicBool>>,
-    /// Periodic sidecar cadence in cycles (0 = write only when stopped).
-    ckpt_every: u64,
-    /// Skip pending points once [`crate::interrupt::interrupted`] —
-    /// set by [`Harness::from_opts`] alongside the signal handler, never
-    /// by the test builders (a test's pre-armed stop flag must still let
-    /// every point *start* so it can write its sidecar).
-    graceful: bool,
+    /// Once true, no new point starts: each is skipped as
+    /// [`FailureKind::Interrupted`], while points already simulating run
+    /// to completion. [`Harness::from_opts`] wires it to the SIGINT
+    /// handler.
+    stop: Arc<AtomicBool>,
     /// Evictions recorded by the last [`Harness::run_cache_gc`] sweep,
     /// surfaced in the next sweep's stats.
     gc_evicted: std::sync::atomic::AtomicU64,
@@ -538,19 +523,17 @@ impl Harness {
             cache: ResultCache::new(ResultCache::default_dir()).ok(),
             quiet: std::env::var_os("BFETCH_HARNESS_QUIET").is_some(),
             json_stats: false,
-            stop: None,
-            ckpt_every: 0,
-            graceful: false,
+            stop: Arc::default(),
             gc_evicted: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
     /// A harness configured from the shared command-line options
-    /// (`--threads`, `--no-cache`, `--cache-dir`, `--checkpoint-every`;
-    /// `--cache-gc` runs the maintenance sweep before the harness is
-    /// returned). Also installs the graceful-SIGINT handler: Ctrl-C
-    /// checkpoints in-flight points and exits with
-    /// [`crate::interrupt::EXIT_CODE`] after the stderr report.
+    /// (`--threads`, `--no-cache`, `--cache-dir`; `--cache-gc` runs the
+    /// maintenance sweep before the harness is returned). Also installs
+    /// the graceful-SIGINT handler: Ctrl-C lets in-flight points finish,
+    /// skips the rest and exits with [`crate::interrupt::EXIT_CODE`] after
+    /// the stderr report.
     pub fn from_opts(opts: &Opts) -> Self {
         let mut h = Self::new(opts.threads);
         if opts.no_cache {
@@ -559,16 +542,12 @@ impl Harness {
             h.cache = ResultCache::new(dir).ok();
         }
         h.json_stats = opts.json;
-        h.ckpt_every = opts.checkpoint_every;
-        let stop = crate::interrupt::install();
+        h.stop = crate::interrupt::install();
         if std::env::var_os("BFETCH_HARNESS_INTERRUPT").is_some() {
             // deterministic test hook: behave as if Ctrl-C arrived before
-            // the sweep — every point stops (and checkpoints) at its
-            // first poll boundary
-            stop.store(true, Ordering::SeqCst);
+            // the sweep, so every point is skipped
+            h.stop.store(true, Ordering::SeqCst);
         }
-        h.stop = Some(stop);
-        h.graceful = true;
         if opts.cache_gc {
             h.run_cache_gc(opts.cache_cap);
         }
@@ -609,11 +588,11 @@ impl Harness {
         self
     }
 
-    /// Arms a cooperative stop flag handed to every simulation (tests;
+    /// Uses `stop` as the flag that stops new points from starting (tests;
     /// the binaries get theirs from the SIGINT handler via
     /// [`Harness::from_opts`]).
     pub fn with_stop_flag(mut self, stop: Arc<AtomicBool>) -> Self {
-        self.stop = Some(stop);
+        self.stop = stop;
         self
     }
 
@@ -675,10 +654,9 @@ impl Harness {
     /// the point immediately (deterministic — a retry would fail the
     /// same way).
     fn run_point(&self, index: usize, point: &GridPoint) -> Result<PointOutcome, PointError> {
-        // A point not yet started when SIGINT arrived is skipped outright;
-        // points already simulating are stopped through the shared flag so
-        // they can checkpoint first.
-        if self.graceful && crate::interrupt::interrupted() {
+        // A point not yet started when SIGINT arrived is skipped; points
+        // already simulating never look at the flag and finish.
+        if self.stop.load(Ordering::SeqCst) {
             return Err(PointError {
                 index,
                 label: point.label.clone(),
@@ -718,8 +696,9 @@ impl Harness {
         }
     }
 
-    /// One attempt at a point: the recovery ladder through its cache
-    /// `entry` (`None` with the cache disabled).
+    /// One attempt at a point: a load from its cache `entry` (`None` with
+    /// the cache disabled), and on a miss a simulation whose results are
+    /// stored there.
     fn attempt_point(
         &self,
         point: &GridPoint,
@@ -734,75 +713,22 @@ impl Harness {
             Some(Ok(Some(results))) => return Ok((results, true)),
             _ => {}
         }
-        // A cache miss with a snapshot sidecar on disk means an earlier
-        // invocation was interrupted or killed mid-point: resume it. A
-        // sidecar that fails to parse, or whose program file is missing or
-        // not the one it names, is quarantined with that file (`.snap.bad`,
-        // `.prog.bad`) and the point recomputes from scratch.
-        if let Some(e) = entry {
-            let snap = e.snap_path();
-            if snap.exists() {
-                match self.resume_point(&snap) {
-                    Ok(results) => {
-                        let _ = e.store(&results);
-                        e.remove_snap();
-                        return Ok((results, false));
-                    }
-                    Err(FailureKind::Sim(SimError::Snapshot(_))) => e.quarantine_snap(),
-                    Err(other) => return Err(other),
-                }
-            }
-        }
-        let results = catch_unwind(AssertUnwindSafe(|| self.simulate(point, entry)))
+        let simulate = || {
+            let programs: Vec<_> = point.members.iter().map(|k| k.build(point.scale)).collect();
+            SimSession::new(point.config.clone())
+                .instructions(point.instructions)
+                .run(&programs)
+        };
+        let results = catch_unwind(AssertUnwindSafe(simulate))
             .map_err(|p| FailureKind::Panic(executor::panic_message(p.as_ref())))?
-            .map_err(|e| match e {
-                SimError::Interrupted { .. } => FailureKind::Interrupted,
-                e => FailureKind::Sim(e),
-            })?;
+            .map_err(FailureKind::Sim)?
+            .results;
         if let Some(e) = entry {
             // a failed store only costs a future re-simulation
             let _store_span = bfetch_prof::span_traced(bfetch_prof::HARNESS_CACHE_STORE);
             let _ = e.store(&results);
-            // a periodic sidecar may linger even on success
-            e.remove_snap();
         }
         Ok((results, false))
-    }
-
-    /// Runs `point`'s simulation with checkpointing and the stop flag
-    /// armed: the sidecar lands in the cache directory under the point's
-    /// content-addressed stem, written every `ckpt_every` cycles and on
-    /// interrupt.
-    fn simulate(&self, point: &GridPoint, entry: Option<&Entry>) -> Result<Vec<RunResult>, SimError> {
-        let programs: Vec<_> = point.members.iter().map(|k| k.build(point.scale)).collect();
-        let mut session = SimSession::new(point.config.clone()).instructions(point.instructions);
-        if let Some(e) = entry {
-            session = session
-                .checkpoint_every(self.ckpt_every, e.dir())
-                .checkpoint_name(e.snap_name());
-        }
-        if let Some(stop) = &self.stop {
-            session = session.stop_flag(stop.clone());
-        }
-        session.run(&programs).map(|out| out.results)
-    }
-
-    /// Resumes a point from its snapshot sidecar (the full machine state
-    /// and configuration are inside the file, the programs in the program
-    /// file it names). Re-interruption rewrites the sidecar at the new
-    /// cycle, so progress is monotone across invocations.
-    fn resume_point(&self, snap: &std::path::Path) -> Result<Vec<RunResult>, FailureKind> {
-        let run = || match &self.stop {
-            Some(stop) => SimSession::resume_with_stop(snap, stop.clone()),
-            None => SimSession::resume(snap),
-        };
-        catch_unwind(AssertUnwindSafe(run))
-            .map_err(|p| FailureKind::Panic(executor::panic_message(p.as_ref())))?
-            .map(|out| out.results)
-            .map_err(|e| match e {
-                SimError::Interrupted { .. } => FailureKind::Interrupted,
-                e => FailureKind::Sim(e),
-            })
     }
 
     /// Observability: per-point wall clock and the sweep totals, on

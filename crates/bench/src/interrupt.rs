@@ -2,12 +2,10 @@
 //!
 //! The first Ctrl-C must not tear a sweep down mid-write. Instead:
 //!
-//! * in-flight simulations are stopped cooperatively through a shared
-//!   flag — each one checkpoints its machine state to its snapshot
-//!   sidecar (when the cache is enabled) and returns
-//!   `SimError::Interrupted`, so the next invocation resumes it;
-//! * grid points not yet started are skipped (see
-//!   [`interrupted`]);
+//! * grid points not yet started are skipped — the harness checks the
+//!   flag [`install`] returns before starting each one;
+//! * points already simulating run to completion and are cached as
+//!   usual, so no finished work is lost;
 //! * the stderr report (per-point lines + cache-stats footer) still
 //!   runs, `[harness] interrupted` is printed, and the process exits
 //!   with [`EXIT_CODE`] — stdout stays untouched, preserving the
@@ -17,15 +15,14 @@
 //!
 //! Registration goes through the C `signal(2)` entry point directly (no
 //! crate dependency), and the handler body is async-signal-safe: a
-//! `signal` re-registration plus two atomic stores. The stop-flag cell
-//! is populated *before* the handler is registered, so the handler never
+//! `signal` re-registration plus one atomic store. The flag's cell is
+//! populated *before* the handler is registered, so the handler never
 //! observes it empty.
 //!
-//! Test hook: setting `BFETCH_HARNESS_INTERRUPT` in the environment
-//! pre-arms the stop flag in [`crate::Harness::from_opts`] without
-//! raising a signal — every point then runs just long enough to write
-//! its first checkpoint, which is how `scripts/verify.sh` exercises the
-//! interrupt/resume path deterministically.
+//! Test hook: setting `BFETCH_HARNESS_INTERRUPT` in the environment sets
+//! the flag in [`crate::Harness::from_opts`] without raising a signal, as
+//! if Ctrl-C arrived before the sweep — every point is skipped, which is
+//! how `scripts/verify.sh` exercises the interrupt path deterministically.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -38,7 +35,6 @@ const SIGINT: i32 = 2;
 #[cfg(unix)]
 const SIG_DFL: usize = 0;
 
-static SIGNALLED: AtomicBool = AtomicBool::new(false);
 static STOP: OnceLock<Arc<AtomicBool>> = OnceLock::new();
 
 #[cfg(unix)]
@@ -52,17 +48,16 @@ extern "C" fn on_sigint(_sig: i32) {
     unsafe {
         signal(SIGINT, SIG_DFL);
     }
-    SIGNALLED.store(true, Ordering::SeqCst);
     if let Some(stop) = STOP.get() {
         stop.store(true, Ordering::SeqCst);
     }
 }
 
-/// Installs the SIGINT handler (idempotent) and returns the stop flag
-/// the harness hands to every simulation. On non-Unix targets only the
-/// flag is returned; no handler is registered.
+/// Installs the SIGINT handler (idempotent) and returns the flag it sets,
+/// which stops the harness from starting new points. On non-Unix targets
+/// only the flag is returned; no handler is registered.
 pub fn install() -> Arc<AtomicBool> {
-    let stop = STOP.get_or_init(|| Arc::new(AtomicBool::new(false))).clone();
+    let stop = STOP.get_or_init(Arc::default).clone();
     #[cfg(unix)]
     {
         static INSTALLED: AtomicBool = AtomicBool::new(false);
@@ -75,13 +70,6 @@ pub fn install() -> Arc<AtomicBool> {
     stop
 }
 
-/// Whether SIGINT has been received. Pending (not yet started) grid
-/// points check this and skip; in-flight ones are stopped through the
-/// shared flag instead so they can checkpoint first.
-pub fn interrupted() -> bool {
-    SIGNALLED.load(Ordering::SeqCst)
-}
-
 #[cfg(all(test, unix))]
 mod tests {
     use super::*;
@@ -91,13 +79,12 @@ mod tests {
     }
 
     #[test]
-    fn sigint_sets_both_flags() {
+    fn sigint_sets_the_stop_flag() {
         let stop = install();
         // raise() delivers synchronously on the calling thread; after the
         // handler runs, the disposition is back to SIG_DFL (second Ctrl-C
         // kills), so this test must raise exactly once.
         unsafe { raise(SIGINT) };
-        assert!(interrupted());
         assert!(stop.load(Ordering::SeqCst));
     }
 }

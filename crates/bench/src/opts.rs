@@ -39,11 +39,6 @@ pub struct Opts {
     /// Byte cap enforced by `--cache-gc` (default 512 MiB; `--cache-cap`
     /// accepts a plain byte count or a K/M/G suffix).
     pub cache_cap: u64,
-    /// Periodic snapshot-sidecar cadence in cycles for harness-run grid
-    /// points (0, the default, writes a sidecar only when interrupted).
-    /// Sidecars live next to the cache entries, so this needs the cache;
-    /// see DESIGN.md §15.
-    pub checkpoint_every: u64,
     /// Restrict kernel sweeps to this subset (`--kernels a,b,c`).
     pub kernels: Option<Vec<String>>,
     /// Restrict real-program sweeps to this subset (`--programs a,b,c`;
@@ -123,7 +118,6 @@ impl Default for Opts {
             cache_dir: None,
             cache_gc: false,
             cache_cap: 512 * 1024 * 1024,
-            checkpoint_every: 0,
             kernels: None,
             programs: None,
             trace: None,
@@ -181,9 +175,6 @@ pub fn usage(fig: &Figure) -> String {
          \x20 --cache-gc               sweep the cache first: drop stranded/stale/corrupt\n\
          \x20                          entries, then LRU-evict down to --cache-cap\n\
          \x20 --cache-cap BYTES        byte cap for --cache-gc (default 512M; K/M/G ok)\n\
-         \x20 --checkpoint-every N     write a resumable snapshot sidecar into the cache\n\
-         \x20                          dir every N cycles (0 = only on Ctrl-C; killed or\n\
-         \x20                          interrupted sweeps resume on the next invocation)\n\
          \x20 --profile DIR            profile the host process: Chrome trace + phase report\n\
          \x20                          written into DIR (sidecar files; stdout unchanged)\n\
          \x20 --help, -h               this message{lists}",
@@ -282,10 +273,6 @@ impl Opts {
                 "--cache-cap" => {
                     o.cache_cap = convert("--cache-cap", value("--cache-cap")?, parse_bytes)?
                 }
-                "--checkpoint-every" => {
-                    o.checkpoint_every =
-                        number("--checkpoint-every", value("--checkpoint-every")?)?
-                }
                 "--trace" if declared => o.trace = Some(PathBuf::from(value("--trace")?)),
                 "--timeline" if declared => {
                     o.timeline = Some(PathBuf::from(value("--timeline")?))
@@ -379,7 +366,6 @@ mod tests {
         assert_eq!(o.scale, Scale::Full);
         assert!(o.threads >= 1);
         assert!(!o.json && !o.no_cache && !o.quick);
-        assert_eq!(o.checkpoint_every, 0);
         assert!(o.kernels.is_none());
         assert!(o.programs.is_none());
         assert!(o.trace.is_none());
@@ -403,8 +389,6 @@ mod tests {
             "--no-cache",
             "--cache-dir",
             "/tmp/c",
-            "--checkpoint-every",
-            "4096",
             "--trace",
             "/tmp/t.jsonl",
             "--timeline",
@@ -420,7 +404,6 @@ mod tests {
         assert_eq!(o.kernels.as_deref(), Some(&["mcf".to_string(), "astar".to_string()][..]));
         assert!(o.json && o.no_cache);
         assert_eq!(o.cache_dir.as_deref(), Some(std::path::Path::new("/tmp/c")));
-        assert_eq!(o.checkpoint_every, 4096);
         assert_eq!(o.trace.as_deref(), Some(std::path::Path::new("/tmp/t.jsonl")));
         assert_eq!(o.timeline.as_deref(), Some(std::path::Path::new("/tmp/tl.csv")));
         assert_eq!(o.profile.as_deref(), Some(std::path::Path::new("/tmp/prof")));
@@ -531,22 +514,6 @@ mod tests {
         assert!(matches!(
             parse(&["--cache-cap"]),
             Err(OptsError::MissingValue("--cache-cap"))
-        ));
-    }
-
-    #[test]
-    fn checkpoint_every_parses_and_rejects_garbage() {
-        assert_eq!(
-            parse(&["--checkpoint-every", "2000"]).unwrap().checkpoint_every,
-            2000
-        );
-        assert!(matches!(
-            parse(&["--checkpoint-every", "soon"]),
-            Err(OptsError::BadValue("--checkpoint-every", _))
-        ));
-        assert!(matches!(
-            parse(&["--checkpoint-every"]),
-            Err(OptsError::MissingValue("--checkpoint-every"))
         ));
     }
 

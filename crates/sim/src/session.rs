@@ -97,7 +97,6 @@ pub struct SimSession {
     insts: u64,
     ckpt_every: u64,
     ckpt_dir: Option<PathBuf>,
-    ckpt_name: String,
     stop: Option<Arc<AtomicBool>>,
 }
 
@@ -110,7 +109,6 @@ impl SimSession {
             insts: 0,
             ckpt_every: 0,
             ckpt_dir: None,
-            ckpt_name: "checkpoint.snap".to_string(),
             stop: None,
         }
     }
@@ -147,10 +145,10 @@ impl SimSession {
 
     /// Arms periodic checkpointing: every `cycles` simulated cycles
     /// (rounded up to the loop's 1024-cycle poll grid) the full machine
-    /// state is written atomically to a state file in `dir` (created if
-    /// missing; file name set by [`SimSession::checkpoint_name`]). The
-    /// first checkpoint also writes the programs, once, to the program
-    /// file beside it ([`program_path`](crate::program_path)).
+    /// state is written atomically to the state file `checkpoint.snap` in
+    /// `dir` (created if missing). The first checkpoint also writes the
+    /// programs, once, to the program file beside it, `checkpoint.prog`
+    /// ([`program_path`](crate::program_path)).
     ///
     /// A run resumed from any of these checkpoints with
     /// [`SimSession::resume`] produces byte-identical results to the
@@ -159,15 +157,6 @@ impl SimSession {
     pub fn checkpoint_every(mut self, cycles: u64, dir: impl Into<PathBuf>) -> Self {
         self.ckpt_every = cycles;
         self.ckpt_dir = Some(dir.into());
-        self
-    }
-
-    /// Overrides the state file's name inside the
-    /// [`SimSession::checkpoint_every`] directory (default
-    /// `checkpoint.snap`; the program file takes the same name with the
-    /// extension `prog`), so concurrent runs can share a directory.
-    pub fn checkpoint_name(mut self, name: impl Into<String>) -> Self {
-        self.ckpt_name = name.into();
         self
     }
 
@@ -209,7 +198,7 @@ impl SimSession {
         self.cfg.check_cores(programs.len())?;
         let ctrl = RunCtrl {
             every: self.ckpt_every,
-            path: self.ckpt_dir.as_ref().map(|d| d.join(&self.ckpt_name)),
+            path: self.ckpt_dir.as_ref().map(|d| d.join("checkpoint.snap")),
             program_file: None,
             stop: self.stop.clone(),
             resume: None,

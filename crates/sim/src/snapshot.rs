@@ -168,14 +168,7 @@ pub fn decode_results(bytes: &[u8]) -> Result<(String, Vec<RunResult>), Snapshot
 /// naming a missing one.
 pub(crate) fn write_programs(state: &Path, programs: &[Program]) -> Result<ProgramFile, SnapshotError> {
     let path = program_path(state);
-    let name = match path.file_name().and_then(OsStr::to_str) {
-        Some(name) if path != state => name.to_string(),
-        _ => {
-            return Err(SnapshotError::Invalid {
-                what: "checkpoint name leaves no room for its program file",
-            })
-        }
-    };
+    let name = path.file_name().map_or_else(String::new, |n| n.to_string_lossy().into_owned());
     let mut count = Encoder::new();
     programs.len().save(&mut count);
     let mut len = count.len() as u64;

@@ -70,16 +70,6 @@ const NOT_NAMED: SnapshotError =
 fn the_program_file_is_named_after_the_state_file() {
     assert_eq!(bfetch_sim::program_path(Path::new("d/checkpoint.snap")), Path::new("d/checkpoint.prog"));
     assert_eq!(bfetch_sim::program_path(Path::new("0af3.snap")), Path::new("0af3.prog"));
-    // a state file named like its own program file has no room for one
-    let dir = tmpdir("clash");
-    let err = session()
-        .checkpoint_every(0, &dir)
-        .checkpoint_name("clash.prog")
-        .stop_flag(Arc::new(AtomicBool::new(true)))
-        .run_one(&kernel("clash", 1024))
-        .unwrap_err();
-    assert!(matches!(err, SimError::Snapshot(SnapshotError::Invalid { .. })), "{err}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The program file goes through a symlink planted at its tmp name: the

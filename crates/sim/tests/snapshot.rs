@@ -8,7 +8,9 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use bfetch_isa::{ArchState, Program, ProgramBuilder, Reg};
-use bfetch_sim::{PrefetcherKind, RunOutput, SimConfig, SimError, SimSession, SnapshotError};
+use bfetch_sim::{
+    PrefetcherKind, RunOutput, SimConfig, SimError, SimSession, SnapshotError, SCHEMA_VERSION,
+};
 
 fn kernel(name: &str, words: u64) -> Program {
     let mut b = ProgramBuilder::new(name);
@@ -406,6 +408,23 @@ fn every_sampled_bit_flip_is_a_typed_error_or_detected() {
             Err(SimError::Snapshot(_)) => {}
             Err(e) => panic!("bit flip at {off}: wrong error kind {e}"),
             Ok(_) => panic!("bit flip at {off} resumed successfully"),
+        }
+    }
+    // A checkpoint from an earlier schema is a well-formed frame the
+    // checksum passes: the version check names it.
+    for got in 1..SCHEMA_VERSION {
+        let mut old = bytes.clone();
+        old[8..12].copy_from_slice(&got.to_le_bytes());
+        let body = old.len() - 4;
+        let crc = bfetch_snapshot::crc32(&old[..body]);
+        old[body..].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &old).unwrap();
+        match SimSession::resume(&path) {
+            Err(SimError::Snapshot(e)) => {
+                assert_eq!(e, SnapshotError::BadVersion { got, want: SCHEMA_VERSION })
+            }
+            Err(e) => panic!("version {got}: wrong error kind {e}"),
+            Ok(_) => panic!("version {got} resumed successfully"),
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
