@@ -19,7 +19,8 @@ use bfetch_bpred::{CompositeConfidence, ConfidenceConfig, TournamentConfig, Tour
 use bfetch_core::{BFetchConfig, BFetchEngine, DecodedBranch};
 use bfetch_isa::ArchState;
 use bfetch_mem::{
-    drain_chip, CacheConfig, ChipGuard, HitLevel, MemorySystem, MshrFile, SetAssocCache,
+    drain_chip, CacheConfig, ChipGuard, HitLevel, LineMeta, MemorySystem, MshrFile,
+    SetAssocCache, WayMeta,
 };
 use bfetch_sim::{Core, PrefetcherKind, SeqMem, SimConfig, SimSession};
 use bfetch_workloads::{kernel_by_name, kernels, Scale};
@@ -50,6 +51,34 @@ fn bench_n<R>(name: &str, iters: u64, mut f: impl FnMut() -> R) {
         t.elapsed().as_nanos() as f64 / iters as f64
     });
     println!("{name:<28} {per_op:>10.1} ns/op");
+}
+
+/// Cache probe+fill over a footprint 4x the capacity, so roughly every
+/// fourth access misses and exercises rank promotion + victim choice; then
+/// hits on `ways` resident lines, the steady-state hit path (find +
+/// promote).
+fn cache_loops<M: WayMeta>(prefix: &str, cfg: CacheConfig) {
+    let mut cache = SetAssocCache::<M>::new(cfg);
+    let span = 4 * cfg.size_bytes;
+    let mut i = 0u64;
+    bench(&format!("{prefix}cache_probe_fill"), || {
+        i = i.wrapping_add(64);
+        let addr = i % span;
+        if cache.access(addr).is_none() {
+            cache.insert(addr, M::default());
+        }
+        addr
+    });
+
+    let mut hot = SetAssocCache::<M>::new(cfg);
+    for w in 0..cfg.ways as u64 {
+        hot.insert(w * 64, M::default());
+    }
+    let mut i = 0u64;
+    bench(&format!("{prefix}cache_hit_promote"), || {
+        i = i.wrapping_add(1);
+        hot.access((i % cfg.ways as u64) * 64).is_some()
+    });
 }
 
 /// The lookahead walk, per walked block: the paper's Listing 1 loop (one
@@ -145,29 +174,10 @@ fn main() {
         pf.len()
     });
 
-    // Cache probe+fill over a footprint 4x the capacity, so roughly every
-    // fourth access misses and exercises rank promotion + victim choice.
-    let mut cache = SetAssocCache::new(CacheConfig::new(64 * 1024, 8, 2));
-    let mut i = 0u64;
-    bench("cache_probe_fill", || {
-        i = i.wrapping_add(64);
-        let addr = i % (256 * 1024);
-        if cache.access(addr).is_none() {
-            cache.insert(addr, Default::default());
-        }
-        addr
-    });
-
-    // Hit-only probes: the steady-state L1 path (find + promote).
-    let mut hot = SetAssocCache::new(CacheConfig::new(64 * 1024, 8, 2));
-    for w in 0..8u64 {
-        hot.insert(w * 64, Default::default());
-    }
-    let mut i = 0u64;
-    bench("cache_hit_promote", || {
-        i = i.wrapping_add(1);
-        hot.access((i % 8) * 64).is_some()
-    });
+    // The L1D (64 KB, 8-way, `LineMeta` per way) and the L3 (2 MB, 16-way,
+    // a dirty bit per way), each through the same two loops.
+    cache_loops::<LineMeta>("", CacheConfig::new(64 * 1024, 8, 2));
+    cache_loops::<bool>("l3_", CacheConfig::new(2 * 1024 * 1024, 16, 20));
 
     engine_walk();
 

@@ -497,18 +497,18 @@ mod tests {
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
-    /// An entry from before the last bump (a version-9 frame with a valid
+    /// An entry from before the last bump (a version-10 frame with a valid
     /// CRC) is a miss, never a misread; GC reclaims it as stale and the
     /// slot recomputes.
     #[test]
     fn schema_bump_invalidates() {
-        assert_eq!(bfetch_sim::SCHEMA_VERSION, 10);
+        assert_eq!(bfetch_sim::SCHEMA_VERSION, 11);
         let cache = ResultCache::new(tmp_dir("schema")).unwrap();
         cache.store("k", &[result("mcf", 1)]).unwrap();
         let path = cache.dir().join(file_name("k"));
         // frame: 8-byte magic, u32 version, …, u32 CRC-32 of the rest
         let mut frame = std::fs::read(&path).unwrap();
-        frame[8..12].copy_from_slice(&9u32.to_le_bytes());
+        frame[8..12].copy_from_slice(&10u32.to_le_bytes());
         let body = frame.len() - 4;
         let crc = bfetch_snapshot::crc32(&frame[..body]);
         frame[body..].copy_from_slice(&crc.to_le_bytes());
@@ -562,7 +562,7 @@ mod tests {
             ("abcdefg", "1ae34bc70b71c3ebc6df437d0eed9b19"),
             ("abcdefgh", "96c0f7c1e8a6a2db26a2849f1b28e726"),
             ("abcdefghi", "0ed9d766031fcff3ea467927b8c309ec"),
-            (fig08.as_str(), "cffbc3d310f5298c309eb507df793c9b"),
+            (fig08.as_str(), "7c0a9d7fd59d4c1d63ac7d0d3b8bd7d7"),
         ] {
             assert_eq!(stem(key), want, "{} bytes", key.len());
         }

@@ -891,8 +891,8 @@ mod tests {
     fn config_wire_bytes_and_cache_key_are_pinned() {
         use bfetch_snapshot::crc32;
         let pins = [
-            (SimConfig::baseline(), 130, 0xd15f_fcd7, 0x4222_b4ea),
-            (every_knob_moved(), 130, 0x35ce_0825, 0xf70f_d92d),
+            (SimConfig::baseline(), 130, 0xd15f_fcd7, 0x804e_6038),
+            (every_knob_moved(), 130, 0x35ce_0825, 0x3563_0dff),
         ];
         for (c, len, wire, key) in pins {
             assert_eq!(c.validate(), Ok(()));

@@ -1,4 +1,4 @@
-//! Golden-determinism fixtures: two kernels are simulated at a pinned
+//! Golden-determinism fixtures: a few kernels are simulated at a pinned
 //! scale/instruction budget and every counter of `RunResult::registry()`
 //! must match the committed snapshot exactly. This pins cycle-level
 //! behaviour of the hot-path data structures (MSHR probe table, packed-rank
@@ -105,6 +105,57 @@ fn registry_counters_match_committed_fixtures() {
     assert!(
         failures.is_empty(),
         "golden fixtures diverged (intentional model changes need BFETCH_BLESS=1 + fixture review):\n{}",
+        failures.join("\n")
+    );
+}
+
+/// Dirty-line writebacks, which every other fixture and results file
+/// leaves off: lbm's stencil stores at `Scale::Small` under B-Fetch, alone
+/// and on a 2-core chip beside a second copy. 300 k instructions is past
+/// the point where dirty lines start falling out of the shared L3, so the
+/// L1D → L2 → L3 → DRAM writeback cascade runs, and a change that moves a
+/// dirty bit shows up here. The 2-core fixture renders each core's
+/// registry under a `# core N` line.
+const WB_SCENARIOS: [(usize, &str); 2] = [(1, "lbm_bfetch_wb"), (2, "lbm_bfetch_wb_2core")];
+const WB_INSTRUCTIONS: u64 = 300_000;
+
+#[test]
+fn writeback_registry_counters_match_committed_fixtures() {
+    let bless = std::env::var_os("BFETCH_BLESS").is_some();
+    let lbm = kernel_by_name("lbm").expect("kernel registered").build(Scale::Small);
+    let cfg = SimConfig::baseline()
+        .with_prefetcher(PrefetcherKind::BFetch)
+        .with_warmup(WARMUP)
+        .with_writebacks(true);
+    let mut failures = Vec::new();
+    for (cores, stem) in WB_SCENARIOS {
+        let run = SimSession::new(cfg.clone())
+            .instructions(WB_INSTRUCTIONS)
+            .run(&vec![lbm.clone(); cores])
+            .unwrap_or_else(|e| panic!("{e}"));
+        let mut got = String::new();
+        for (i, r) in run.results.iter().enumerate() {
+            let reg = r.registry();
+            assert!(reg.get("mem.writebacks") > 0, "{stem} core {i}: no writebacks");
+            if cores > 1 {
+                got.push_str(&format!("# core {i}\n"));
+            }
+            got.push_str(&render(&reg));
+        }
+        let path = fixture_path(stem);
+        if bless {
+            std::fs::write(&path, &got).expect("write fixture");
+            continue;
+        }
+        let want = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("missing fixture {} ({e}); run with BFETCH_BLESS=1 to create it", path.display()));
+        if got != want {
+            failures.push(format!("{stem}:\n{}", diff_lines(&want, &got).join("\n")));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "writeback fixtures diverged (intentional model changes need BFETCH_BLESS=1 + fixture review):\n{}",
         failures.join("\n")
     );
 }

@@ -91,7 +91,8 @@ fn a_periodic_mcf_state_file_is_small_and_holds_no_program() {
         .run_one(&mcf)
         .unwrap();
     let state = std::fs::read(dir.join("checkpoint.snap")).expect("a periodic checkpoint");
-    assert!(state.len() <= 1_100_000, "state file is {} bytes", state.len());
+    // 515 268 bytes at schema 11, plus about 10 %
+    assert!(state.len() <= 567_000, "state file is {} bytes", state.len());
     let ids = bfetch_snapshot::FrameReader::parse(&state).unwrap().section_ids();
     assert!(!ids.contains(&3), "state file has a programs section: {ids:?}");
 

@@ -1,4 +1,4 @@
-//! Set-associative cache with prefetch metadata.
+//! Set-associative cache, generic over what each way stores.
 
 use crate::{line_of, LINE_BYTES};
 
@@ -29,11 +29,11 @@ impl CacheConfig {
     }
 }
 
-/// Per-line metadata carried for the per-load filter (Section IV-B3): a
-/// prefetched bit, a used bit, and a 10-bit hash of the load PC that
-/// triggered the prefetch — plus a dirty bit for writeback accounting and
-/// the fill cycle, which lets the trace layer report how much lead time a
-/// prefetch bought at first use.
+/// The L1D's per-way payload, carried for the per-load filter (Section
+/// IV-B3): a prefetched bit, a used bit, and a 10-bit hash of the load PC
+/// that triggered the prefetch — plus a dirty bit for writeback accounting
+/// and the fill cycle, which lets the trace layer report how much lead
+/// time a prefetch bought at first use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LineMeta {
     /// The line was installed by a prefetch.
@@ -48,17 +48,54 @@ pub struct LineMeta {
     pub fill_at: u64,
 }
 
-/// Hit/miss counters for one cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Demand hits.
-    pub hits: u64,
-    /// Demand misses.
-    pub misses: u64,
-    /// Lines installed by prefetches.
-    pub prefetch_fills: u64,
-    /// Prefetched lines evicted without ever being demanded.
-    pub prefetch_evicted_unused: u64,
+/// What a cache level stores per way beside its tag and LRU rank, and how
+/// a demand hit or a store changes it. Each level stores only what it
+/// reads: the L1D a [`LineMeta`] (the per-load filter's feedback), the L2
+/// and L3 a `bool` dirty bit, the L1I nothing (`()`).
+pub trait WayMeta: Copy + Default + bfetch_snapshot::Snap {
+    /// The line holds store data not yet written back.
+    fn dirty(&self) -> bool;
+    /// Records a store into the line.
+    fn mark_dirty(&mut self);
+    /// Records a demand hit on the line.
+    fn on_hit(&mut self) {}
+}
+
+impl WayMeta for LineMeta {
+    #[inline]
+    fn dirty(&self) -> bool {
+        self.dirty
+    }
+    #[inline]
+    fn mark_dirty(&mut self) {
+        self.dirty = true;
+    }
+    #[inline]
+    fn on_hit(&mut self) {
+        self.used = true;
+    }
+}
+
+/// A dirty bit and nothing else.
+impl WayMeta for bool {
+    #[inline]
+    fn dirty(&self) -> bool {
+        *self
+    }
+    #[inline]
+    fn mark_dirty(&mut self) {
+        *self = true;
+    }
+}
+
+/// No state: a level that is never written (the L1I).
+impl WayMeta for () {
+    #[inline]
+    fn dirty(&self) -> bool {
+        false
+    }
+    #[inline]
+    fn mark_dirty(&mut self) {}
 }
 
 /// An invalid way: `rank` holds either an LRU age (0 = MRU) or this
@@ -71,16 +108,18 @@ const _: () = assert!(INVALID == crate::probe::INVALID_RANK);
 /// A set-associative, LRU-replacement cache over 64 B lines.
 ///
 /// Timing lives in the [`hierarchy`](crate::hierarchy); this type tracks
-/// presence, replacement and prefetch metadata only.
+/// presence, replacement and a per-way payload `M` only: a [`LineMeta`]
+/// by default (the L1D), a `bool` dirty bit for the L2 and L3, `()` for
+/// the L1I (see [`WayMeta`]).
 ///
 /// Storage is split into parallel set-major arrays: the probe loop walks
 /// only the packed tag and rank words (at 16 ways that is two cache lines
-/// of tags and 16 bytes of ranks), while the larger [`LineMeta`] payload
-/// is touched on hits alone. Replacement state is an exact-LRU age per
-/// way — `rank == 0` is MRU, `rank == valid_ways - 1` is the victim —
-/// updated in place instead of scanning 64-bit timestamps. The valid
-/// ranks of a set always form a permutation of `0..valid_ways`, which
-/// makes victim choice a rank comparison with no tie to break.
+/// of tags and 16 bytes of ranks), while the payload is touched on hits
+/// alone. Replacement state is an exact-LRU age per way — `rank == 0` is
+/// MRU, `rank == valid_ways - 1` is the victim — updated in place instead
+/// of scanning 64-bit timestamps. The valid ranks of a set always form a
+/// permutation of `0..valid_ways`, which makes victim choice a rank
+/// comparison with no tie to break.
 ///
 /// # Example
 ///
@@ -92,20 +131,19 @@ const _: () = assert!(INVALID == crate::probe::INVALID_RANK);
 /// assert!(l1.access(0x1000).is_some()); // hit
 /// ```
 #[derive(Debug, Clone)]
-pub struct SetAssocCache {
+pub struct SetAssocCache<M = LineMeta> {
     cfg: CacheConfig,
     sets: usize,
     tags: Vec<u64>, // sets * ways, set-major; meaningful iff rank != INVALID
     ranks: Vec<u8>, // LRU age per way, or INVALID
-    metas: Vec<LineMeta>,
-    stats: CacheStats,
+    metas: Vec<M>,
 }
 
 /// The result of inserting a line: the evicted victim's line address and
-/// metadata, if a valid line was displaced.
-pub type Evicted = Option<(u64, LineMeta)>;
+/// payload, if a valid line was displaced.
+pub type Evicted<M = LineMeta> = Option<(u64, M)>;
 
-impl SetAssocCache {
+impl<M: WayMeta> SetAssocCache<M> {
     /// Builds the cache.
     ///
     /// # Panics
@@ -124,19 +162,13 @@ impl SetAssocCache {
             sets,
             tags: vec![0; n],
             ranks: vec![INVALID; n],
-            metas: vec![LineMeta::default(); n],
-            stats: CacheStats::default(),
+            metas: vec![M::default(); n],
         }
     }
 
     /// The cache's configuration.
     pub fn config(&self) -> &CacheConfig {
         &self.cfg
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
     }
 
     #[inline]
@@ -165,39 +197,49 @@ impl SetAssocCache {
         self.ranks[i] = 0;
     }
 
-    /// Demand lookup. On hit, refreshes LRU, marks the line used, and
-    /// returns the line's metadata *as it was before* this access (so the
-    /// caller can detect the first use of a prefetched line).
-    pub fn access(&mut self, addr: u64) -> Option<LineMeta> {
+    /// Demand lookup. On hit, refreshes LRU, records the hit in the
+    /// payload ([`WayMeta::on_hit`]: an L1D line is marked used), and
+    /// returns the payload *as it was before* this access (so the caller
+    /// can detect the first use of a prefetched line).
+    pub fn access(&mut self, addr: u64) -> Option<M> {
         let line = line_of(addr);
         let base = self.set_base(line);
-        if let Some(i) = self.find(base, line) {
-            let before = self.metas[i];
-            self.promote(base, i);
-            self.metas[i].used = true;
-            self.stats.hits += 1;
-            return Some(before);
-        }
-        self.stats.misses += 1;
-        None
+        let i = self.find(base, line)?;
+        let before = self.metas[i];
+        self.promote(base, i);
+        self.metas[i].on_hit();
+        Some(before)
     }
 
-    /// Presence probe without LRU, metadata or statistics side effects.
+    /// Presence probe without LRU or payload side effects.
     pub fn probe(&self, addr: u64) -> bool {
         let line = line_of(addr);
         self.find(self.set_base(line), line).is_some()
     }
 
+    /// Makes `addr`'s line MRU if present, leaving its payload alone.
+    /// Returns whether it was present: one tag scan where a
+    /// [`probe`](Self::probe) and a refreshing [`insert`](Self::insert)
+    /// would take two.
+    pub fn touch(&mut self, addr: u64) -> bool {
+        let line = line_of(addr);
+        let base = self.set_base(line);
+        match self.find(base, line) {
+            Some(i) => {
+                self.promote(base, i);
+                true
+            }
+            None => false,
+        }
+    }
+
     /// Installs `addr`'s line with `meta`, evicting the LRU victim if the
     /// set is full. Returns the victim, if any.
-    pub fn insert(&mut self, addr: u64, meta: LineMeta) -> Evicted {
+    pub fn insert(&mut self, addr: u64, meta: M) -> Evicted<M> {
         let line = line_of(addr);
-        if meta.prefetched {
-            self.stats.prefetch_fills += 1;
-        }
         let base = self.set_base(line);
         let ways = self.cfg.ways;
-        // already present: refresh recency only (metadata is kept)
+        // already present: refresh recency only (the payload is kept)
         if let Some(i) = self.find(base, line) {
             self.promote(base, i);
             return None;
@@ -219,25 +261,28 @@ impl SetAssocCache {
             .max_by_key(|&i| self.ranks[i])
             .expect("nonempty set");
         let victim = (self.tags[victim_idx], self.metas[victim_idx]);
-        if victim.1.prefetched && !victim.1.used {
-            self.stats.prefetch_evicted_unused += 1;
-        }
         self.promote(base, victim_idx);
         self.tags[victim_idx] = line;
         self.metas[victim_idx] = meta;
         Some(victim)
     }
 
-    /// Marks `addr`'s line dirty if present (store hit).
-    pub fn mark_dirty(&mut self, addr: u64) {
+    /// Marks `addr`'s line dirty if present (a store hit or a writeback
+    /// into this level), without touching LRU. Returns whether it was
+    /// present.
+    pub fn mark_dirty(&mut self, addr: u64) -> bool {
         let line = line_of(addr);
-        if let Some(i) = self.find(self.set_base(line), line) {
-            self.metas[i].dirty = true;
+        match self.find(self.set_base(line), line) {
+            Some(i) => {
+                self.metas[i].mark_dirty();
+                true
+            }
+            None => false,
         }
     }
 
-    /// Invalidates `addr`'s line if present, returning its metadata.
-    pub fn invalidate(&mut self, addr: u64) -> Option<LineMeta> {
+    /// Invalidates `addr`'s line if present, returning its payload.
+    pub fn invalidate(&mut self, addr: u64) -> Option<M> {
         let line = line_of(addr);
         let base = self.set_base(line);
         let i = self.find(base, line)?;
@@ -267,20 +312,12 @@ bfetch_snapshot::impl_snap_struct!(LineMeta {
     fill_at
 });
 
-bfetch_snapshot::impl_snap_struct!(CacheStats {
-    hits,
-    misses,
-    prefetch_fills,
-    prefetch_evicted_unused
-});
-
-bfetch_snapshot::snap_state!(SetAssocCache {
+bfetch_snapshot::snap_state!(impl<M: WayMeta> SetAssocCache<M> {
     cfg: skip,
     sets: skip,
     tags: slice("cache tags"),
     ranks: slice("cache ranks"),
     metas: slice("cache metas"),
-    stats: val,
 } check |c| {
     // every valid rank must stay below the associativity, or the LRU
     // permutation invariant is broken before the first access
@@ -304,11 +341,15 @@ mod tests {
     #[test]
     fn miss_then_hit_after_insert() {
         let mut c = small();
-        assert!(c.access(0x1000).is_none());
+        assert_eq!(c.access(0x1000), None);
         c.insert(0x1000, LineMeta::default());
-        assert!(c.access(0x1000).is_some());
-        assert_eq!(c.stats().hits, 1);
-        assert_eq!(c.stats().misses, 1);
+        // a hit returns the payload as it was, then marks the line used
+        assert_eq!(c.access(0x1000), Some(LineMeta::default()));
+        let used = LineMeta {
+            used: true,
+            ..LineMeta::default()
+        };
+        assert_eq!(c.access(0x1000), Some(used));
     }
 
     #[test]
@@ -369,8 +410,8 @@ mod tests {
         let victim = c.insert(0x200, LineMeta::default());
         let (vaddr, vmeta) = victim.expect("someone was evicted");
         assert_eq!(vaddr, 0x0);
-        assert!(vmeta.prefetched && !vmeta.used);
-        assert_eq!(c.stats().prefetch_evicted_unused, 1);
+        assert!(vmeta.prefetched && !vmeta.used, "evicted untouched");
+        assert_eq!(vmeta.pc_hash, 1);
     }
 
     #[test]
@@ -388,8 +429,9 @@ mod tests {
         );
         c.access(0x0); // use it
         c.insert(0x100, LineMeta::default());
-        c.insert(0x200, LineMeta::default());
-        assert_eq!(c.stats().prefetch_evicted_unused, 0);
+        let (vaddr, vmeta) = c.insert(0x200, LineMeta::default()).expect("evicts");
+        assert_eq!(vaddr, 0x0);
+        assert!(vmeta.prefetched && vmeta.used, "evicted after use");
     }
 
     #[test]
@@ -439,10 +481,51 @@ mod tests {
     #[test]
     fn probe_has_no_side_effects() {
         let mut c = small();
-        c.insert(0x0, LineMeta::default());
-        let s = *c.stats();
+        let prefetched = LineMeta {
+            prefetched: true,
+            pc_hash: 3,
+            ..LineMeta::default()
+        };
+        c.insert(0x0, prefetched);
+        c.insert(0x100, LineMeta::default()); // 0x0 is now LRU
+        let before = (c.tags.clone(), c.ranks.clone(), c.metas.clone());
         assert!(c.probe(0x0));
-        assert_eq!(*c.stats(), s);
+        assert!(!c.probe(0x200));
+        assert_eq!((c.tags.clone(), c.ranks.clone(), c.metas.clone()), before);
+    }
+
+    #[test]
+    fn touch_promotes_and_keeps_the_payload() {
+        let mut c: SetAssocCache<bool> = SetAssocCache::new(CacheConfig::new(512, 2, 1));
+        c.insert(0x0, true);
+        c.insert(0x100, false);
+        assert!(c.touch(0x0)); // 0x100 is now LRU
+        assert!(!c.touch(0x200), "absent line");
+        assert_eq!(c.insert(0x200, false), Some((0x100, false)));
+        assert_eq!(c.insert(0x300, false), Some((0x0, true)), "dirty bit kept");
+    }
+
+    #[test]
+    fn mark_dirty_reports_presence_without_promoting() {
+        let mut c: SetAssocCache<bool> = SetAssocCache::new(CacheConfig::new(512, 2, 1));
+        assert!(!c.mark_dirty(0x0), "absent line");
+        assert_eq!(c.valid_lines(), 0);
+        c.insert(0x0, false);
+        c.insert(0x100, false);
+        assert!(c.mark_dirty(0x0));
+        // 0x0 stayed LRU, and leaves dirty
+        assert_eq!(c.insert(0x200, false), Some((0x0, true)));
+    }
+
+    #[test]
+    fn a_payload_free_cache_tracks_presence_and_lru() {
+        let mut c: SetAssocCache<()> = SetAssocCache::new(CacheConfig::new(512, 2, 1));
+        c.insert(0x0, ());
+        c.insert(0x100, ());
+        assert_eq!(c.access(0x0), Some(()));
+        assert_eq!(c.insert(0x200, ()), Some((0x100, ())));
+        assert!(c.mark_dirty(0x0));
+        assert!(c.metas.iter().all(|m| !m.dirty()), "nothing to make dirty");
     }
 
     #[test]
@@ -474,14 +557,14 @@ mod tests {
     #[test]
     fn table_ii_geometries_valid() {
         // 64KB 8-way, 256KB 8-way, 2MB 16-way
-        SetAssocCache::new(CacheConfig::new(64 * 1024, 8, 2));
-        SetAssocCache::new(CacheConfig::new(256 * 1024, 8, 10));
-        SetAssocCache::new(CacheConfig::new(2 * 1024 * 1024, 16, 20));
+        SetAssocCache::<LineMeta>::new(CacheConfig::new(64 * 1024, 8, 2));
+        SetAssocCache::<bool>::new(CacheConfig::new(256 * 1024, 8, 10));
+        SetAssocCache::<bool>::new(CacheConfig::new(2 * 1024 * 1024, 16, 20));
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn rejects_non_power_of_two_sets() {
-        SetAssocCache::new(CacheConfig::new(192, 1, 1));
+        SetAssocCache::<()>::new(CacheConfig::new(192, 1, 1));
     }
 }

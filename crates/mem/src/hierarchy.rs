@@ -47,6 +47,22 @@ use bfetch_stats::trace::{DropReason, ServiceLevel, TraceKind, Tracer};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+/// Each level's per-way payload (see [`WayMeta`](crate::WayMeta)). The
+/// L1D keeps the per-load filter's feedback fields, the L2 and L3 only a
+/// dirty bit for writeback modelling, and the L1I, which is never
+/// written, nothing.
+type L1iWay = ();
+type L1dWay = LineMeta;
+type L2Way = bool;
+type L3Way = bool;
+
+const _: () = {
+    use std::mem::size_of;
+    assert!(size_of::<L1dWay>() == 16);
+    assert!(size_of::<L2Way>() == 1 && size_of::<L3Way>() == 1);
+    assert!(size_of::<L1iWay>() == 0);
+};
+
 /// Per-core physical address stride: workloads on different cores occupy
 /// disjoint physical ranges, standing in for per-process address spaces.
 pub const CORE_ADDR_STRIDE: u64 = 1 << 40;
@@ -311,7 +327,7 @@ impl FillPool {
 #[derive(Debug)]
 pub struct SharedMem {
     cfg: HierarchyConfig,
-    l3: SetAssocCache,
+    l3: SetAssocCache<L3Way>,
     dram: Dram,
     fills: FillPool,
     fill_seq: u64,
@@ -330,17 +346,10 @@ impl SharedMem {
 
     /// Handles a (possibly dirty) L3 victim: dirty lines are written back
     /// to DRAM, consuming channel bandwidth.
-    fn dirty_l3_victim(
-        &mut self,
-        stats: &mut MemStats,
-        victim: Option<(u64, LineMeta)>,
-        now: u64,
-    ) {
-        if let Some((vaddr, vmeta)) = victim {
-            if vmeta.dirty {
-                stats.writebacks += 1;
-                self.dram.request(line_of(vaddr), now);
-            }
+    fn dirty_l3_victim(&mut self, stats: &mut MemStats, victim: Option<(u64, bool)>, now: u64) {
+        if let Some((vaddr, true)) = victim {
+            stats.writebacks += 1;
+            self.dram.request(line_of(vaddr), now);
         }
     }
 
@@ -361,17 +370,7 @@ impl SharedMem {
         stats: &mut MemStats,
     ) -> (u64, HitLevel, bool) {
         let t_l3 = start + self.cfg.l3.latency;
-        let l3_hit = if demand {
-            self.l3.access(phys).is_some()
-        } else {
-            let hit = self.l3.probe(phys);
-            if hit {
-                // refresh LRU without polluting demand stats
-                self.l3.insert(phys, LineMeta::default());
-            }
-            hit
-        };
-        if l3_hit {
+        if self.l3.touch(phys) {
             if demand {
                 stats.l3_hits += 1;
             }
@@ -412,9 +411,9 @@ impl SharedMem {
 pub struct CoreMem {
     id: usize,
     cfg: HierarchyConfig,
-    l1i: SetAssocCache,
-    l1d: SetAssocCache,
-    l2: SetAssocCache,
+    l1i: SetAssocCache<L1iWay>,
+    l1d: SetAssocCache<L1dWay>,
+    l2: SetAssocCache<L2Way>,
     mshr: MshrFile,
     pf_mshr: MshrFile,
     fills: FillPool,
@@ -516,17 +515,7 @@ impl CoreMem {
         demand: bool,
     ) -> (u64, HitLevel, bool, bool) {
         let t_l2 = start + self.cfg.l2.latency;
-        let l2_hit = if demand {
-            self.l2.access(phys).is_some()
-        } else {
-            let hit = self.l2.probe(phys);
-            if hit {
-                // refresh LRU without polluting demand stats
-                self.l2.insert(phys, LineMeta::default());
-            }
-            hit
-        };
-        if l2_hit {
+        if self.l2.touch(phys) {
             if demand {
                 self.stats.l2_hits += 1;
             }
@@ -554,36 +543,40 @@ impl CoreMem {
             AccessKind::Store => self.stats.stores += 1,
         }
 
-        let l1 = if is_inst { &mut self.l1i } else { &mut self.l1d };
         let l1_latency = if is_inst {
             self.cfg.l1i.latency
         } else {
             self.cfg.l1d.latency
         };
-        if let Some(before) = l1.access(phys) {
+        let l1_hit = if is_inst {
+            self.l1i.access(phys).is_some()
+        } else if let Some(before) = self.l1d.access(phys) {
             if kind == AccessKind::Store && self.cfg.model_writebacks {
-                l1.mark_dirty(phys);
+                self.l1d.mark_dirty(phys);
             }
-            if !is_inst {
-                self.stats.l1d_hits += 1;
-                if before.prefetched && !before.used {
-                    self.stats.prefetch_useful += 1;
-                    self.tracer.emit_for(
-                        self.id as u32,
-                        now,
-                        TraceKind::PrefetchFirstUse {
-                            line,
-                            pc_hash: before.pc_hash,
-                            lead_cycles: now.saturating_sub(before.fill_at),
-                        },
-                    );
-                    self.feedback.push(PrefetchFeedback {
-                        core: self.id,
+            self.stats.l1d_hits += 1;
+            if before.prefetched && !before.used {
+                self.stats.prefetch_useful += 1;
+                self.tracer.emit_for(
+                    self.id as u32,
+                    now,
+                    TraceKind::PrefetchFirstUse {
+                        line,
                         pc_hash: before.pc_hash,
-                        useful: true,
-                    });
-                }
+                        lead_cycles: now.saturating_sub(before.fill_at),
+                    },
+                );
+                self.feedback.push(PrefetchFeedback {
+                    core: self.id,
+                    pc_hash: before.pc_hash,
+                    useful: true,
+                });
             }
+            true
+        } else {
+            false
+        };
+        if l1_hit {
             return AccessOutcome {
                 complete_at: now + l1_latency,
                 level: HitLevel::L1,
@@ -798,11 +791,11 @@ impl CoreMem {
             // a routed shared fill's L3 portion was already installed by
             // the chip drain; only the private levels remain
             if fill.fill_l2 {
-                let v2 = self.l2.insert(fill.phys, LineMeta::default());
+                let v2 = self.l2.insert(fill.phys, false);
                 self.dirty_l2_victim(shared, v2, fill.complete_at);
             }
-            let evicted = if fill.is_inst {
-                self.l1i.insert(fill.phys, LineMeta::default())
+            if fill.is_inst {
+                self.l1i.insert(fill.phys, ());
             } else {
                 if fill.meta.prefetched {
                     self.tracer.emit_for(
@@ -814,27 +807,26 @@ impl CoreMem {
                         },
                     );
                 }
-                self.l1d.insert(fill.phys, fill.meta)
-            };
-            if let Some((vaddr, vmeta)) = evicted {
-                if vmeta.prefetched && !vmeta.used {
-                    self.stats.prefetch_useless += 1;
-                    self.tracer.emit_for(
-                        self.id as u32,
-                        fill.complete_at,
-                        TraceKind::PrefetchEvictedUnused {
-                            line: vaddr,
+                if let Some((vaddr, vmeta)) = self.l1d.insert(fill.phys, fill.meta) {
+                    if vmeta.prefetched && !vmeta.used {
+                        self.stats.prefetch_useless += 1;
+                        self.tracer.emit_for(
+                            self.id as u32,
+                            fill.complete_at,
+                            TraceKind::PrefetchEvictedUnused {
+                                line: vaddr,
+                                pc_hash: vmeta.pc_hash,
+                            },
+                        );
+                        self.feedback.push(PrefetchFeedback {
+                            core: self.id,
                             pc_hash: vmeta.pc_hash,
-                        },
-                    );
-                    self.feedback.push(PrefetchFeedback {
-                        core: self.id,
-                        pc_hash: vmeta.pc_hash,
-                        useful: false,
-                    });
-                }
-                if self.cfg.model_writebacks && vmeta.dirty && !fill.is_inst {
-                    self.writeback(shared, vaddr, fill.complete_at);
+                            useful: false,
+                        });
+                    }
+                    if self.cfg.model_writebacks && vmeta.dirty {
+                        self.writeback(shared, vaddr, fill.complete_at);
+                    }
                 }
             }
             self.mshr.expire(now.min(fill.complete_at));
@@ -845,39 +837,17 @@ impl CoreMem {
     /// Pushes a dirty line evicted from the L1D down one level; dirty lines
     /// falling out of the LLC consume DRAM channel bandwidth.
     fn writeback(&mut self, shared: &mut SharedMem, line_addr: u64, now: u64) {
-        let dirty = LineMeta {
-            dirty: true,
-            used: true,
-            ..LineMeta::default()
-        };
-        if self.l2.probe(line_addr) {
-            self.l2.mark_dirty(line_addr);
-        } else {
-            let v2 = self.l2.insert(line_addr, dirty);
+        if !self.l2.mark_dirty(line_addr) {
+            let v2 = self.l2.insert(line_addr, true);
             self.dirty_l2_victim(shared, v2, now);
         }
     }
 
     /// Handles a (possibly dirty) L2 victim: dirty lines move to the L3.
-    fn dirty_l2_victim(
-        &mut self,
-        shared: &mut SharedMem,
-        victim: Option<(u64, LineMeta)>,
-        now: u64,
-    ) {
-        let Some((vaddr, vmeta)) = victim else { return };
-        if !vmeta.dirty {
-            return;
-        }
-        if shared.l3.probe(vaddr) {
-            shared.l3.mark_dirty(vaddr);
-        } else {
-            let dirty = LineMeta {
-                dirty: true,
-                used: true,
-                ..LineMeta::default()
-            };
-            let v3 = shared.l3.insert(vaddr, dirty);
+    fn dirty_l2_victim(&mut self, shared: &mut SharedMem, victim: Option<(u64, bool)>, now: u64) {
+        let Some((vaddr, true)) = victim else { return };
+        if !shared.l3.mark_dirty(vaddr) {
+            let v3 = shared.l3.insert(vaddr, true);
             shared.dirty_l3_victim(&mut self.stats, v3, now);
         }
     }
@@ -946,7 +916,7 @@ impl Default for ChipGuard {
 pub fn drain_chip(cores: &mut [CoreMem], shared: &mut SharedMem, now: u64, guard: &mut ChipGuard) {
     if guard.earliest_fill <= now {
         while let Some(fill) = shared.fills.pop_due(now) {
-            let v3 = shared.l3.insert(fill.phys, LineMeta::default());
+            let v3 = shared.l3.insert(fill.phys, false);
             let owner = &mut cores[fill.core];
             shared.dirty_l3_victim(&mut owner.stats, v3, fill.complete_at);
             // hand the private portion back to the owner; its issue stamp

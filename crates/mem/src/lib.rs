@@ -1,7 +1,7 @@
 //! # bfetch-mem
 //!
 //! The memory-system substrate for the B-Fetch reproduction: set-associative
-//! caches with per-line prefetch metadata, MSHRs, a bandwidth-limited DRAM
+//! caches generic over what each way stores, MSHRs, a bandwidth-limited DRAM
 //! channel, and the multi-level per-core + shared-LLC hierarchy of Table II:
 //!
 //! * L1I & L1D: 64 KB, 8-way, 2-cycle latency
@@ -12,7 +12,8 @@
 //!
 //! Prefetches install into the L1D with a *prefetched* bit, a 10-bit hash of
 //! the originating load PC and a *used* bit — exactly the metadata Section
-//! IV-B3 adds to support the per-load filter. The hierarchy reports
+//! IV-B3 adds to support the per-load filter. Only the L1D stores them; the
+//! L2 and L3 keep a dirty bit per line, the L1I nothing. The hierarchy reports
 //! usefulness feedback events ([`PrefetchFeedback`]) when a demand access
 //! first touches a prefetched line (useful) or when an untouched prefetched
 //! line is evicted (useless); these drive both Figure 11 and the per-load
@@ -40,7 +41,7 @@ pub mod hierarchy;
 pub mod mshr;
 pub mod probe;
 
-pub use cache::{CacheConfig, CacheStats, LineMeta, SetAssocCache};
+pub use cache::{CacheConfig, LineMeta, SetAssocCache, WayMeta};
 pub use dram::{Dram, DramConfig};
 pub use hierarchy::{
     drain_chip, AccessKind, AccessOutcome, ChipGuard, CoreMem, HierarchyConfig,

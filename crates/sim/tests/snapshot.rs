@@ -264,6 +264,55 @@ fn a_run_that_rewrites_its_image_resumes_at_every_poll_point() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Bumps one word per line over `bytes` of fresh memory, pass after pass;
+/// the load paces the stream at the rate the demand misses return. Once
+/// it has covered the L1D, L2 and L3 every new line pushes a dirty one
+/// out of the L3, so with writebacks modelled the caches hold dirty lines
+/// at any later checkpoint and the tail's writebacks depend on them.
+fn dirty_stream(bytes: u64) -> Program {
+    let mut b = ProgramBuilder::new("ckpt-dirty");
+    b.li(Reg::R1, FRESH as i64);
+    b.li(Reg::R2, (FRESH + bytes) as i64);
+    let top = b.label();
+    b.bind(top);
+    b.load(Reg::R4, Reg::R1, 0);
+    b.addi(Reg::R4, Reg::R4, 1);
+    b.store(Reg::R4, Reg::R1, 0);
+    b.addi(Reg::R1, Reg::R1, 64);
+    b.blt(Reg::R1, Reg::R2, top);
+    b.halt();
+    b.finish()
+}
+
+/// The dirty bits are all the L2 and L3 keep per line, and the
+/// checkpoint carries them: the last periodic checkpoint of a
+/// writeback-heavy run lands after the first L3 writeback, and resuming
+/// it reproduces the fresh run, writeback count included.
+#[test]
+fn a_writeback_run_resumes_from_its_checkpoint_to_the_fresh_result() {
+    let p = dirty_stream(5 << 19); // 2.5 MB: past the L1D + L2 + L3's 2.3 MB
+    let c = SimConfig::baseline()
+        .with_writebacks(true)
+        .with_warmup(1_000);
+    let fresh = SimSession::new(c.clone())
+        .instructions(240_000)
+        .run_one(&p)
+        .unwrap();
+    // the first writeback leaves the L3 near cycle 1.9 M of 2.8 M
+    assert!(fresh.results[0].mem.writebacks > 0);
+
+    let dir = tmpdir("writebacks");
+    let periodic = SimSession::new(c)
+        .instructions(240_000)
+        .checkpoint_every(1 << 20, &dir) // the last at cycle 2 097 152
+        .run_one(&p)
+        .unwrap();
+    assert_same_output(&fresh, &periodic);
+    let resumed = SimSession::resume(dir.join("checkpoint.snap")).unwrap();
+    assert_same_output(&fresh, &resumed);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Where [`rewriter`]'s memory delta starts in a single-core checkpoint:
 /// the cores section (id 4) opens with the core's `ArchState` — 32
 /// registers, the pc and the halted byte — and then its delta: a page

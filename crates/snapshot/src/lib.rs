@@ -61,7 +61,7 @@ pub const MAGIC: [u8; 8] = *b"BFSNAP01";
 /// Bump this whenever any `Snap`/`SnapState` impl changes its byte layout
 /// or the cache key's derivation changes; readers reject every version
 /// other than their own — see DESIGN.md §15 for the compatibility policy.
-pub const SCHEMA_VERSION: u32 = 10;
+pub const SCHEMA_VERSION: u32 = 11;
 
 /// Typed error for every way a snapshot can fail to load.
 ///
@@ -552,6 +552,14 @@ impl Snap for bool {
     }
 }
 
+/// Nothing on the wire: the payload of a cache level that stores none.
+impl Snap for () {
+    fn save(&self, _: &mut Encoder) {}
+    fn load(_: &mut Decoder<'_>) -> Result<Self, SnapshotError> {
+        Ok(())
+    }
+}
+
 impl Snap for String {
     fn save(&self, w: &mut Encoder) {
         w.put_len_bytes(self.as_bytes());
@@ -778,6 +786,9 @@ macro_rules! impl_snap_enum {
 /// assert_eq!((b.tags, b.hits, b.index), (vec![7, 0], 3, vec![0]));
 /// ```
 ///
+/// A generic struct is declared once for every instantiation by opening
+/// the list with its parameters, `snap_state!(impl<M: Bound> Table<M> { … })`.
+///
 /// The fields are matched as `Self { … }` without `..`, so a field nobody
 /// classified does not compile:
 ///
@@ -787,10 +798,10 @@ macro_rules! impl_snap_enum {
 /// ```
 #[macro_export]
 macro_rules! snap_state {
-    ($ty:ty {
+    (impl<$($g:ident : $bound:path),*> $ty:ty {
         $($(#[$attr:meta])* $field:ident : $class:ident $(($($arg:tt)*))?),+ $(,)?
     } $(check |$s:ident| $check:block)?) => {
-        impl $crate::SnapState for $ty {
+        impl<$($g: $bound),*> $crate::SnapState for $ty {
             fn save_state(&self, w: &mut $crate::Encoder) {
                 let Self { $($(#[$attr])* $field: _),+ } = self;
                 $($(#[$attr])* { $crate::snap_state!(@save $class $(($($arg)*))?, self, $field, w); })+
@@ -808,6 +819,9 @@ macro_rules! snap_state {
                 Ok(())
             }
         }
+    };
+    ($ty:ty { $($body:tt)* } $($check:tt)*) => {
+        $crate::snap_state!(impl<> $ty { $($body)* } $($check)*);
     };
     (@save val, $this:ident, $f:ident, $w:ident) => { $crate::Snap::save(&$this.$f, $w) };
     (@load val, $this:ident, $f:ident, $r:ident) => { $this.$f = $crate::Snap::load($r)? };

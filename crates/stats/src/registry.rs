@@ -1,7 +1,7 @@
 //! A simulator-wide registry of named hierarchical counters.
 //!
 //! Every component of the reproduction keeps its own flat stat struct
-//! (`CacheStats`, `MemStats`, `EngineStats`, ...). The registry unifies
+//! (`MemStats`, `EngineStats`, ...). The registry unifies
 //! them behind dot-separated hierarchical names — `l1d.misses`,
 //! `bfetch.stops.confidence`, `prefetch.useful` — so harness code and
 //! external tooling can enumerate, diff and export every counter without
