@@ -1,6 +1,7 @@
 //! Hot-path microbenchmarks for the structures the per-cycle loop leans
 //! on: MSHR probes and allocation, cache probe+fill, the B-Fetch lookahead
-//! walk, building mcf and the functional state a core starts from, a warm
+//! walk, building the kernels and the functional state a core starts from,
+//! generating a page of mcf's image on first touch, a warm
 //! result-cache hit, a profiler span while the profiler is off, and a full
 //! `Core::cycle` against the real memory hierarchy. These
 //! are the operations the flat-table/packed-rank rewrite targets, so
@@ -181,13 +182,35 @@ fn main() {
 
     engine_walk();
 
-    // Building a program and the functional state every core starts from:
-    // mcf's 12 MB image is generated straight into its pages once, and a
-    // new state shares those pages instead of copying them.
+    // Building programs and the functional state every core starts from:
+    // a build records how to generate each image, not its words; a new
+    // state reserves room for the image's pages and generates none; the
+    // first touch of a page generates it (mcf: positioning the generator,
+    // then 512 words), which first_touch_page times over all 3072 pages of
+    // mcf's arcs.
     let mcf = kernel_by_name("mcf").expect("kernel registered");
     bench_n("kernel_build_mcf", 10, || mcf.build(Scale::Full).len());
+    bench_n("kernel_build_full", 10, || {
+        kernels()
+            .iter()
+            .map(|k| k.build(Scale::Full).len())
+            .sum::<usize>()
+    });
     let image = mcf.build(Scale::Full);
     bench_n("arch_state_new_mcf", 1_000, || ArchState::new(&image).pc());
+    let (arcs, arc_pages) = {
+        let (base, words) = &image.data()[0];
+        (*base, words.len() as u64 / 512)
+    };
+    let per_page = median_of_3(|| {
+        let mut s = ArchState::new(&image);
+        let t = Instant::now();
+        for page in 0..arc_pages {
+            black_box(s.mem_mut().load_touch(arcs + page * 4096));
+        }
+        t.elapsed().as_nanos() as f64 / arc_pages as f64
+    });
+    println!("{:<28} {per_page:>10.1} ns/op", "first_touch_page");
 
     // A warm harness hit, what each point of a cached figure pays: name the
     // entry, open, read, decode, refresh its mtime. The key is a real Fig 8

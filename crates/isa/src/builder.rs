@@ -1,9 +1,10 @@
 //! Label-based program assembler.
 
 use crate::inst::Inst;
-use crate::mem::Image;
+use crate::mem::{copying, Image};
 use crate::program::Program;
 use crate::reg::Reg;
+use std::panic::RefUnwindSafe;
 
 /// An opaque forward-referenceable code label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,16 +75,33 @@ impl ProgramBuilder {
         self.insts.len() - 1
     }
 
-    /// Registers an initial data segment of 8-byte `words` at `base`.
+    /// Registers an initial data segment of 8-byte `words` at `base`. The
+    /// program keeps a copy of the words.
     pub fn init_words(&mut self, base: u64, words: &[u64]) {
         self.init_words_iter(base, words.iter().copied());
     }
 
-    /// [`ProgramBuilder::init_words`] from an iterator: the words go
-    /// straight into the program's data image, a page at a time, so a
-    /// generated image needs no buffer of its own.
+    /// [`ProgramBuilder::init_words`] from an iterator, collected into the
+    /// program's copy. A large generated image belongs in
+    /// [`ProgramBuilder::init_words_fill`] instead, which holds no words.
     pub fn init_words_iter(&mut self, base: u64, words: impl IntoIterator<Item = u64>) {
-        self.image.push(base, words);
+        let words: Vec<u64> = words.into_iter().collect();
+        self.image.push(base, words.len(), copying(words));
+    }
+
+    /// Registers an initial data segment of `len` words at `base` that
+    /// `fill` generates on demand: `fill(first, out)` writes the segment's
+    /// words `first..first + out.len()` into `out`. It is called for each
+    /// page a run first touches, for [`Program::data`] and for a
+    /// checkpoint's copy of the program, so it must give the same words
+    /// for the same positions however the segment is split.
+    pub fn init_words_fill(
+        &mut self,
+        base: u64,
+        len: usize,
+        fill: impl Fn(usize, &mut [u64]) + Send + Sync + RefUnwindSafe + 'static,
+    ) {
+        self.image.push(base, len, Box::new(fill));
     }
 
     // ---- convenience emitters -------------------------------------------

@@ -1,9 +1,12 @@
-//! Sparse, word-granularity data memory, copy-on-write against a program's
-//! initial image.
+//! Sparse, word-granularity data memory over a program's initial image,
+//! which it generates a page at a time where a load or store first
+//! touches it.
 
 use bfetch_snapshot::{Decoder, Encoder, Snap, SnapState, SnapshotError, Source};
 use std::collections::HashMap;
+use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::panic::RefUnwindSafe;
 use std::sync::Arc;
 
 /// Words per page (4 KiB pages of 8-byte words).
@@ -46,54 +49,37 @@ fn split(addr: u64) -> (u64, usize) {
     (addr >> PAGE_SHIFT, ((addr & OFFSET_MASK) >> 3) as usize)
 }
 
-/// The pages `n` consecutive words from `base` fall on, as `(page, first
-/// word, end word)`.
-fn page_runs(base: u64, n: usize) -> impl Iterator<Item = (u64, usize, usize)> {
-    let (mut addr, mut left) = (base & !7, n);
-    std::iter::from_fn(move || {
-        (left > 0).then(|| {
-            let (page, lo) = split(addr);
-            let hi = (lo + left).min(PAGE_WORDS);
-            left -= hi - lo;
-            addr = addr.wrapping_add(8 * (hi - lo) as u64);
-            (page, lo, hi)
-        })
-    })
-}
-
-/// One resident page of a [`SparseMemory`].
-#[derive(Debug, Clone)]
-enum Frame {
-    /// Still the program image's page, shared by every state built from it.
-    Shared(Arc<Page>),
-    /// Written or created since construction: this memory's own page. A
-    /// `Box`, so a store to it pays no atomic reference-count check.
-    Owned(Box<Page>),
-}
-
-impl Frame {
-    #[inline]
-    fn words(&self) -> &Page {
-        match self {
-            Frame::Shared(p) => p,
-            Frame::Owned(p) => p,
-        }
-    }
+/// Where a resident page of a [`SparseMemory`] lives.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Index of the page's words in the memory's `frames`.
+    at: u32,
+    /// Stored to since the page became resident: the page differs from
+    /// the image, so a checkpoint carries it.
+    written: bool,
 }
 
 /// A sparse 64-bit address space storing 8-byte words, allocated lazily in
 /// 4 KiB pages.
 ///
-/// Accesses are aligned down to an 8-byte boundary; uninitialized memory
-/// reads as zero. This models data values only — timing is the concern of
-/// the cache hierarchy in `bfetch-mem`.
+/// Accesses are aligned down to an 8-byte boundary; memory outside the
+/// image reads as zero. This models data values only — timing is the
+/// concern of the cache hierarchy in `bfetch-mem`.
 ///
 /// A memory built for a [`Program`](crate::Program) (by
-/// [`ArchState::new`](crate::ArchState::new)) starts out sharing the
-/// program's image pages. The first store to one copies that page, and the
-/// memory owns the copy from then on; the image and every other state
-/// built from it are unaffected. A checkpoint saves only the owned pages
-/// (its [`SnapState`] impl).
+/// [`ArchState::new`](crate::ArchState::new)) holds a handle on the
+/// program's image and no pages. The first [`SparseMemory::load_touch`]
+/// or [`SparseMemory::store`] on a page the image covers generates that
+/// page from the image; a page outside it becomes resident, zeroed, on its
+/// first store. The image itself is never written, so every state built
+/// from the program starts from the same words. A checkpoint saves only
+/// the written pages (its [`SnapState`] impl).
+///
+/// Resident pages sit side by side in one growable array, which starts
+/// with room for every page of the image: the room is reserved, not
+/// written, so the host commits a page's memory only when it is
+/// generated, and a first touch of an image page never calls the
+/// allocator.
 ///
 /// # Example
 ///
@@ -107,7 +93,9 @@ impl Frame {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SparseMemory {
-    pages: PageMap<Frame>,
+    pages: PageMap<Slot>,
+    frames: Vec<Page>,
+    image: Arc<Image>,
 }
 
 impl SparseMemory {
@@ -116,42 +104,88 @@ impl SparseMemory {
         Self::default()
     }
 
-    /// Reads the 8-byte word containing `addr`.
+    /// A memory over `image`, with no page resident yet and room for all
+    /// of the image's.
+    pub(crate) fn over(image: Arc<Image>) -> Self {
+        let n = image.page_count();
+        Self {
+            pages: PageMap::with_capacity_and_hasher(n, Default::default()),
+            frames: Vec::with_capacity(n),
+            image,
+        }
+    }
+
+    /// Reads the 8-byte word containing `addr`. A read-only view: a word
+    /// on a page not yet resident is read from the image, and no page
+    /// becomes resident.
     #[inline]
     pub fn load(&self, addr: u64) -> u64 {
         let (page, word) = split(addr);
-        self.pages.get(&page).map_or(0, |f| f.words()[word])
+        match self.pages.get(&page) {
+            Some(s) => self.frames[s.at as usize][word],
+            None => self.image.word(addr),
+        }
+    }
+
+    /// [`SparseMemory::load`] as the executing program's loads do it: a
+    /// page of the image becomes resident on its first touch, so later
+    /// loads from it cost one lookup. A word outside the image reads zero
+    /// and allocates nothing.
+    #[inline]
+    pub fn load_touch(&mut self, addr: u64) -> u64 {
+        let (page, word) = split(addr);
+        match self.pages.get(&page) {
+            Some(s) => self.frames[s.at as usize][word],
+            None => self.page_in(page).map_or(0, |at| self.frames[at][word]),
+        }
+    }
+
+    /// Makes `page` resident from the image, if the image covers it;
+    /// returns its index in `frames`.
+    #[cold]
+    #[inline(never)]
+    fn page_in(&mut self, page: u64) -> Option<usize> {
+        let covered = self.image.runs(page).next().is_some();
+        covered.then(|| self.insert(page, false))
     }
 
     /// Writes the 8-byte word containing `addr`.
     #[inline]
     pub fn store(&mut self, addr: u64, value: u64) {
         let (page, word) = split(addr);
-        let frame = self
-            .pages
-            .entry(page)
-            .or_insert_with(|| Frame::Owned(Box::new([0; PAGE_WORDS])));
-        if let Frame::Shared(image) = frame {
-            *frame = Frame::Owned(Box::new(**image));
-        }
-        let Frame::Owned(p) = frame else {
-            unreachable!("a shared page was copied above")
+        let at = match self.pages.get_mut(&page) {
+            Some(s) => {
+                s.written = true;
+                s.at as usize
+            }
+            None => self.insert(page, true),
         };
-        p[word] = value;
+        self.frames[at][word] = value;
     }
 
-    /// Number of resident pages, shared or owned.
+    /// Makes `page` resident as the image holds it and returns its index
+    /// in `frames`.
+    fn insert(&mut self, page: u64, written: bool) -> usize {
+        let at = self.frames.len();
+        self.frames.push([0; PAGE_WORDS]);
+        self.image.fill_page(page, &mut self.frames[at]);
+        let at32 = u32::try_from(at).expect("fewer than 2^32 resident pages");
+        self.pages.insert(page, Slot { at: at32, written });
+        at
+    }
+
+    /// Number of resident pages, written or not.
     pub fn resident_pages(&self) -> usize {
         self.pages.len()
     }
 
-    /// The pages this memory owns — every page written or created since it
-    /// was built — in increasing page-number order.
-    pub fn owned_pages(&self) -> Vec<u64> {
+    /// The pages stored to since this memory was built, in increasing
+    /// page-number order: what it holds beyond its image.
+    pub fn written_pages(&self) -> Vec<u64> {
         let mut keys: Vec<u64> = self
             .pages
             .iter()
-            .filter(|(_, f)| matches!(f, Frame::Owned(_)))
+            .filter(|(_, s)| s.written)
             .map(|(&k, _)| k)
             .collect();
         keys.sort_unstable();
@@ -160,22 +194,22 @@ impl SparseMemory {
 }
 
 /// Saved as a delta against the image the memory was built from: the
-/// count of [`SparseMemory::owned_pages`], then each page number and its
+/// count of [`SparseMemory::written_pages`], then each page number and its
 /// 512 words, in increasing page order. Load it into a memory freshly
-/// built from the same image; each saved page replaces the shared one.
+/// built from the same image.
 impl SnapState for SparseMemory {
     fn save_state(&self, w: &mut Encoder) {
-        let keys = self.owned_pages();
+        let keys = self.written_pages();
         w.put_usize(keys.len());
         for k in keys {
             w.put_u64(k);
-            self.pages[&k].words().save(w);
+            self.frames[self.pages[&k].at as usize].save(w);
         }
     }
 
     fn load_state(&mut self, r: &mut Decoder<'_>) -> Result<(), SnapshotError> {
         debug_assert!(
-            self.pages.values().all(|f| matches!(f, Frame::Shared(_))),
+            self.pages.values().all(|s| !s.written),
             "a delta loads onto a memory fresh from its image"
         );
         let n = r.take_len()?;
@@ -188,79 +222,160 @@ impl SnapState for SparseMemory {
                 });
             }
             prev = Some(k);
-            self.pages.insert(k, Frame::Owned(Snap::load(r)?));
+            let at = self.insert(k, true);
+            self.frames[at] = Snap::load(r)?;
         }
         Ok(())
     }
 }
 
-/// A program's initial data: the extent of each segment, in the order they
-/// were given, over one set of pages that every state built from the
-/// program shares.
-#[derive(Debug, Default)]
+/// Writes the words `first..first + out.len()` of a segment into `out`.
+/// Shared by every thread that runs the program, and by the harness's
+/// `catch_unwind`.
+pub(crate) type Fill = dyn Fn(usize, &mut [u64]) + Send + Sync + RefUnwindSafe;
+
+/// A [`Fill`] over words held in memory.
+pub(crate) fn copying(words: Vec<u64>) -> Box<Fill> {
+    let words: Box<[u64]> = words.into();
+    Box::new(move |first, out: &mut [u64]| {
+        out.copy_from_slice(&words[first..first + out.len()]);
+    })
+}
+
+/// One data segment: `len` words from `base` (aligned down), produced on
+/// demand by `fill`.
+struct Segment {
+    base: u64,
+    len: usize,
+    fill: Box<Fill>,
+}
+
+impl Segment {
+    /// First and one-past-last byte, widened so a segment that ends at the
+    /// top of the address space has an end.
+    fn extent(&self) -> (u128, u128) {
+        let lo = u128::from(self.base & !7);
+        (lo, lo + 8 * self.len as u128)
+    }
+}
+
+/// A program's initial data: segments in the order they were given, each
+/// a word count and the fill that produces its words.
+#[derive(Default)]
 pub(crate) struct Image {
-    /// `(base address, word count)` per segment.
-    segments: Vec<(u64, usize)>,
-    pages: PageMap<Arc<Page>>,
+    segments: Vec<Segment>,
+    /// Indices of the non-empty segments, in address order.
+    by_addr: Vec<usize>,
+}
+
+impl fmt::Debug for Image {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let extents: Vec<(u64, usize)> = self.segments().collect();
+        f.debug_struct("Image")
+            .field("segments", &extents)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Image {
-    /// Appends a segment: `words` land consecutively from `base` (aligned
-    /// down), written straight into the pages, one page at a time.
-    pub(crate) fn push(&mut self, base: u64, words: impl IntoIterator<Item = u64>) {
-        let mut addr = base & !7;
-        let n = self.fill(&mut addr, words);
-        self.segments.push((base, n));
-    }
-
-    /// Writes `words` consecutively from `*addr` and moves `*addr` past
-    /// them; returns how many there were.
-    fn fill(&mut self, addr: &mut u64, words: impl IntoIterator<Item = u64>) -> usize {
-        let mut words = words.into_iter().peekable();
-        let mut n = 0;
-        while words.peek().is_some() {
-            let (page, lo) = split(*addr);
-            let page = self
-                .pages
-                .entry(page)
-                .or_insert_with(|| Arc::new([0; PAGE_WORDS]));
-            let page = Arc::get_mut(page).expect("an image is not shared while it is built");
-            let before = n;
-            for (slot, w) in page[lo..].iter_mut().zip(&mut words) {
-                *slot = w;
-                n += 1;
-            }
-            *addr = addr.wrapping_add(8 * (n - before) as u64);
+    /// Appends a segment of `len` words at `base` (aligned down), which
+    /// `fill` produces.
+    pub(crate) fn push(&mut self, base: u64, len: usize, fill: Box<Fill>) {
+        let seg = Segment { base, len, fill };
+        if len > 0 {
+            let at = self
+                .by_addr
+                .partition_point(|&i| self.segments[i].extent() < seg.extent());
+            self.by_addr.insert(at, self.segments.len());
         }
-        n
+        self.segments.push(seg);
     }
 
     /// `(base address, word count)` of every segment, in the order pushed.
-    pub(crate) fn segments(&self) -> &[(u64, usize)] {
-        &self.segments
+    pub(crate) fn segments(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
+        self.segments.iter().map(|s| (s.base, s.len))
     }
 
-    /// The `n` words of the segment at `base`, read back from the pages.
-    pub(crate) fn words(&self, base: u64, n: usize) -> impl Iterator<Item = u64> + '_ {
-        page_runs(base, n).flat_map(move |(page, lo, hi)| self.pages[&page][lo..hi].iter().copied())
+    /// Every segment's base and words, each produced in one fill, in the
+    /// order pushed.
+    pub(crate) fn data(&self) -> Vec<(u64, Vec<u64>)> {
+        self.segments
+            .iter()
+            .map(|s| {
+                let mut words = vec![0; s.len];
+                (s.fill)(0, &mut words);
+                (s.base, words)
+            })
+            .collect()
     }
 
-    /// A memory that shares every page of this image.
-    pub(crate) fn state(&self) -> SparseMemory {
-        SparseMemory {
-            pages: self
-                .pages
-                .iter()
-                .map(|(&k, p)| (k, Frame::Shared(Arc::clone(p))))
-                .collect(),
+    /// The runs of segment words that fall on `page`, in address order, as
+    /// `(segment, its first word there, page slot of that word, count)`.
+    /// Assumes no two segments overlap, which a [`Program`](crate::Program)
+    /// checks before any memory is built over its image.
+    fn runs(&self, page: u64) -> impl Iterator<Item = (&Segment, usize, usize, usize)> {
+        let start = u128::from(page) << PAGE_SHIFT;
+        let end = start + (1 << PAGE_SHIFT);
+        let from = self
+            .by_addr
+            .partition_point(|&i| self.segments[i].extent().1 <= start);
+        self.by_addr[from..]
+            .iter()
+            .map(|&i| &self.segments[i])
+            .take_while(move |s| s.extent().0 < end)
+            .map(move |s| {
+                let lo = s.extent().0;
+                let (first, slot) = if lo >= start {
+                    (0, ((lo - start) / 8) as usize)
+                } else {
+                    (((start - lo) / 8) as usize, 0)
+                };
+                (s, first, slot, (s.len - first).min(PAGE_WORDS - slot))
+            })
+    }
+
+    /// Writes the segment words on `page` into `out`, a zeroed page.
+    fn fill_page(&self, page: u64, out: &mut Page) {
+        for (s, first, slot, n) in self.runs(page) {
+            (s.fill)(first, &mut out[slot..slot + n]);
         }
+    }
+
+    /// How many pages the segments' words fall on.
+    fn page_count(&self) -> usize {
+        let mut last = None; // the previous segment's last page
+        let mut n = 0;
+        for s in self.by_addr.iter().map(|&i| &self.segments[i]) {
+            let (lo, hi) = s.extent();
+            let (first, end) = (
+                (lo >> PAGE_SHIFT) as u64,
+                (((hi - 1) >> PAGE_SHIFT) + 1) as u64,
+            );
+            n += end - first - u64::from(last == Some(first));
+            last = Some(end - 1);
+        }
+        n as usize
+    }
+
+    /// The image's word at `addr`, zero outside every segment.
+    fn word(&self, addr: u64) -> u64 {
+        let (page, word) = split(addr);
+        let mut out = [0];
+        if let Some((s, first, slot, _)) = self
+            .runs(page)
+            .find(|&(_, _, slot, n)| (slot..slot + n).contains(&word))
+        {
+            (s.fill)(first + word - slot, &mut out);
+        }
+        out[0]
     }
 
     /// Why these segments cannot be one image, if they cannot: two share a
     /// word, or one runs past the top of the address space.
     pub(crate) fn conflict(&self) -> Option<String> {
-        first_conflict(&self.segments).map(|(i, j)| {
-            let (a, b) = (self.segments[i].0, self.segments[j].0);
+        let extents: Vec<(u64, usize)> = self.segments().collect();
+        first_conflict(&extents).map(|(i, j)| {
+            let (a, b) = (extents[i].0, extents[j].0);
             if i == j {
                 format!("data segment at {a:#x} runs past the end of the address space")
             } else {
@@ -271,22 +386,25 @@ impl Image {
 }
 
 /// The segment encoding of `Vec<(u64, Vec<u64>)>` — count, then each
-/// segment's base, word count and words — written from the pages and read
-/// back into them, a page of words at a time either way.
+/// segment's base, word count and words — written from the fills and read
+/// back into copying fills, a page of words at a time either way.
 impl Image {
     /// Appends the encoding to `w` and hands `w`'s bytes to `sink` (then
-    /// clears it) after every run of words within one page.
+    /// clears it) after every page of words.
     pub(crate) fn save_to<E>(
         &self,
         w: &mut Encoder,
         sink: &mut impl FnMut(&[u8]) -> Result<(), E>,
     ) -> Result<(), E> {
+        let mut buf = [0; PAGE_WORDS];
         w.put_usize(self.segments.len());
-        for &(base, n) in &self.segments {
-            w.put_u64(base);
-            w.put_usize(n);
-            for (page, lo, hi) in page_runs(base, n) {
-                for &x in &self.pages[&page][lo..hi] {
+        for s in &self.segments {
+            w.put_u64(s.base);
+            w.put_usize(s.len);
+            for first in (0..s.len).step_by(PAGE_WORDS) {
+                let out = &mut buf[..PAGE_WORDS.min(s.len - first)];
+                (s.fill)(first, out);
+                for &x in &*out {
                     w.put_u64(x);
                 }
                 sink(w.as_bytes())?;
@@ -304,18 +422,17 @@ impl Image {
         for _ in 0..s.take_count(16)? {
             let base = s.decode(8, |r| r.take_u64())?;
             let n = s.take_count(8)?;
-            let (mut addr, mut left) = (base & !7, n);
-            while left > 0 {
-                let k = left.min(PAGE_WORDS);
+            let mut words = Vec::with_capacity(n);
+            while words.len() < n {
+                let k = (n - words.len()).min(PAGE_WORDS);
                 s.decode(8 * k, |r| {
-                    let words = r.take_bytes(8 * k)?.chunks_exact(8);
+                    let bytes = r.take_bytes(8 * k)?.chunks_exact(8);
                     let word = |c: &[u8]| u64::from_le_bytes(c.try_into().expect("eight bytes"));
-                    image.fill(&mut addr, words.map(word));
+                    words.extend(bytes.map(word));
                     Ok(())
                 })?;
-                left -= k;
             }
-            image.segments.push((base, n));
+            image.push(base, n, copying(words));
         }
         Ok(image)
     }
@@ -392,48 +509,90 @@ mod tests {
         assert_eq!(m.resident_pages(), 2);
     }
 
-    /// An image with a segment spanning three pages, starting mid-page.
-    fn image() -> Image {
+    /// An image with a segment of words `0..600` spanning three pages,
+    /// starting mid-page.
+    fn image() -> Arc<Image> {
         let mut img = Image::default();
-        img.push(0x1ff0, 0..600);
-        img
+        img.push(0x1ff0, 600, copying((0..600).collect()));
+        Arc::new(img)
     }
 
     #[test]
-    fn image_segments_read_back_across_pages() {
+    fn pages_become_resident_where_loads_and_stores_touch() {
         let img = image();
-        assert_eq!(img.segments(), &[(0x1ff0, 600)]);
-        assert!(img.words(0x1ff0, 600).eq(0..600));
-        let m = img.state();
-        assert_eq!(m.resident_pages(), 3);
+        assert_eq!(img.segments().collect::<Vec<_>>(), [(0x1ff0, 600)]);
+        assert_eq!(img.data(), [(0x1ff0, (0..600).collect())]);
+        let mut m = SparseMemory::over(Arc::clone(&img));
         assert_eq!(
             (m.load(0x1ff0), m.load(0x2000), m.load(0x1ff0 + 599 * 8)),
             (0, 2, 599)
         );
-        assert!(m.owned_pages().is_empty());
+        assert_eq!(m.resident_pages(), 0, "a read-only load pages nothing in");
+        assert_eq!(m.load_touch(0x2008), 3);
+        assert_eq!(m.load_touch(0x1_0000), 0, "outside the image");
+        assert_eq!(m.resident_pages(), 1);
+        m.store(0x9000, 5); // a page the image never had
+        assert_eq!((m.resident_pages(), m.written_pages()), (2, vec![0x9]));
     }
 
     #[test]
-    fn a_store_copies_one_page_and_leaves_the_image_alone() {
+    fn a_store_is_private_to_its_memory() {
         let img = image();
-        let (mut a, b) = (img.state(), img.state());
+        let (mut a, b) = (
+            SparseMemory::over(Arc::clone(&img)),
+            SparseMemory::over(Arc::clone(&img)),
+        );
         a.store(0x2008, 77);
-        a.store(0x9000, 5); // a page the image never had
-        assert_eq!(a.owned_pages(), vec![0x2, 0x9]);
+        assert_eq!(a.written_pages(), vec![0x2]);
         assert_eq!(
-            (a.load(0x2008), a.load(0x2010)),
-            (77, 4),
-            "rest of the page copied"
+            (a.load(0x2008), a.load(0x2010), a.load(0x1ff8)),
+            (77, 4, 1),
+            "rest of the page generated"
         );
         assert_eq!(b.load(0x2008), 3);
-        assert_eq!(img.state().load(0x2008), 3);
-        assert!(img.words(0x1ff0, 600).eq(0..600));
+        assert_eq!(img.data(), [(0x1ff0, (0..600).collect())]);
+    }
+
+    #[test]
+    fn two_segments_and_a_gap_share_one_page() {
+        let mut img = Image::default();
+        img.push(0x3010, 2, copying(vec![7, 8]));
+        img.push(0x2ff8, 2, copying(vec![5, 6]));
+        img.push(0x3100, 0, copying(vec![]));
+        let mut m = SparseMemory::over(Arc::new(img));
+        assert_eq!(m.load_touch(0x3018), 8);
+        let page: Vec<u64> = (0x3000..0x3020).step_by(8).map(|a| m.load(a)).collect();
+        assert_eq!(page, [6, 0, 7, 8]);
+        assert_eq!(m.load_touch(0x2ff8), 5);
+        assert_eq!(m.resident_pages(), 2);
+    }
+
+    #[test]
+    fn a_memory_reserves_one_frame_per_image_page() {
+        let mut img = Image::default();
+        img.push(0x1ff8, 2, copying(vec![1, 2])); // pages 1 and 2
+        img.push(0x2010, 1, copying(vec![3])); // page 2 again
+        img.push(0x5000, 512, copying(vec![4; 512])); // page 5, exactly
+        img.push(0x9000, 0, copying(vec![])); // no page
+        assert_eq!(img.page_count(), 3);
+        assert_eq!(Image::default().page_count(), 0);
+        let mut m = SparseMemory::over(Arc::new(img));
+        assert_eq!(m.frames.capacity(), 3);
+        for addr in [0x1ff8, 0x2000, 0x2010, 0x5ff8] {
+            m.load_touch(addr);
+        }
+        m.store(0x2018, 7);
+        assert_eq!((m.resident_pages(), m.frames.capacity()), (3, 3));
+        assert_eq!((m.load(0x2010), m.load(0x2018)), (3, 7));
+        m.store(0x7000, 1); // past the room reserved: the frames grow
+        assert_eq!(m.resident_pages(), 4);
     }
 
     #[test]
     fn delta_round_trips_onto_a_fresh_state() {
         let img = image();
-        let mut a = img.state();
+        let mut a = SparseMemory::over(Arc::clone(&img));
+        a.load_touch(0x1ff0); // resident, never written: not saved
         a.store(0x2ff8, 9);
         a.store(0x40_0000, 1);
         let mut w = Encoder::new();
@@ -442,14 +601,14 @@ mod tests {
         assert_eq!(
             bytes.len(),
             8 + 2 * (8 + 8 * PAGE_WORDS),
-            "owned pages only"
+            "written pages only"
         );
 
-        let mut b = img.state();
+        let mut b = SparseMemory::over(img);
         let mut r = Decoder::new(&bytes);
         b.load_state(&mut r).unwrap();
         r.finish().unwrap();
-        assert_eq!(b.owned_pages(), a.owned_pages());
+        assert_eq!(b.written_pages(), a.written_pages());
         for addr in (0x1000..0x4000).step_by(8).chain([0x40_0000]) {
             assert_eq!(a.load(addr), b.load(addr), "{addr:#x}");
         }
@@ -466,7 +625,7 @@ mod tests {
             }
             let bytes = w.into_bytes();
             assert_eq!(
-                image().state().load_state(&mut Decoder::new(&bytes)),
+                SparseMemory::over(image()).load_state(&mut Decoder::new(&bytes)),
                 Err(SnapshotError::Invalid {
                     what: "memory pages not strictly sorted"
                 }),

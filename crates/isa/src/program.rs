@@ -1,7 +1,7 @@
 //! Programs: instruction sequences plus initial data images.
 
 use crate::inst::{Inst, OpClass};
-use crate::mem::{Image, SparseMemory};
+use crate::mem::{copying, Image, SparseMemory};
 use bfetch_snapshot::{Decoder, Encoder, Snap, SnapshotError, Source};
 use std::convert::Infallible;
 use std::sync::Arc;
@@ -106,9 +106,11 @@ impl StaticInst {
 /// The instruction stream and data image are immutable once built and are
 /// shared behind `Arc`, so `Clone` is O(1) and the many per-core copies a
 /// CMP run makes (one per [`Core`](../bfetch_sim) plus the caller's) all
-/// alias one allocation. The data image is kept once, as pages: every
-/// [`ArchState`](crate::ArchState) built from the program shares them and
-/// copies only a page it stores to (see [`SparseMemory`]).
+/// alias one allocation. The data image is kept as segments, each a word
+/// count and a fill that produces any run of its words: a generated
+/// segment holds no words at all, and each
+/// [`ArchState`](crate::ArchState) built from the program generates only
+/// the pages it touches (see [`SparseMemory`]).
 #[derive(Debug, Clone, Default)]
 pub struct Program {
     name: Arc<str>,
@@ -144,12 +146,12 @@ impl Program {
     pub fn new(name: impl Into<String>, insts: Vec<Inst>, data: Vec<(u64, Vec<u64>)>) -> Self {
         let mut image = Image::default();
         for (base, words) in data {
-            image.push(base, words);
+            image.push(base, words.len(), copying(words));
         }
         Self::from_image(name.into(), insts, image)
     }
 
-    /// [`Program::new`] over an image already laid out in pages.
+    /// [`Program::new`] over an image already built.
     pub(crate) fn from_image(name: String, insts: Vec<Inst>, image: Image) -> Self {
         if let Some((_, detail)) = defect(&insts, &image) {
             panic!("{detail}");
@@ -227,19 +229,15 @@ impl Program {
     }
 
     /// Initial data segments `(base address, words)`, in the order they
-    /// were given, each rebuilt from the image: a copy, for inspection and
-    /// round-trip checks.
+    /// were given, each produced whole from its fill: a copy, for
+    /// inspection and round-trip checks.
     pub fn data(&self) -> Vec<(u64, Vec<u64>)> {
-        self.image
-            .segments()
-            .iter()
-            .map(|&(base, n)| (base, self.image.words(base, n).collect()))
-            .collect()
+        self.image.data()
     }
 
-    /// A data memory holding the initial image, sharing its pages.
+    /// A data memory over the initial image, with no page resident yet.
     pub(crate) fn initial_memory(&self) -> SparseMemory {
-        self.image.state()
+        SparseMemory::over(Arc::clone(&self.image))
     }
 
     /// Count of static conditional branches (useful for predictor sizing
@@ -251,9 +249,9 @@ impl Program {
 
 /// A program's encoding is the bytes of `(String, Vec<Inst>, Vec<(u64,
 /// Vec<u64>)>)` for the name, instructions and [`Program::data`], written
-/// from the pages in place. It is produced and consumed a page of the data
-/// image at a time, so a checkpoint streams a program of any size to and
-/// from its file without a whole copy.
+/// from the segments' fills. It is produced a page of data words at a
+/// time, so a checkpoint streams a generated image of any size to its
+/// file without a whole copy; a decoded program holds its words.
 impl Program {
     /// Hands the encoding to `sink` in pieces of at most a page of data
     /// words (the first also carries the name and instructions).

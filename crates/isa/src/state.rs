@@ -40,8 +40,8 @@ pub struct ArchState {
 
 impl ArchState {
     /// Creates a fresh state for `program`, with the PC at the entry point
-    /// and a memory that shares the program's data image: no word is
-    /// copied until a store lands on its page.
+    /// and a memory over the program's data image: no page is generated
+    /// until a load or store touches it.
     pub fn new(program: &Program) -> Self {
         Self {
             regs: [0; NUM_REGS],
@@ -93,6 +93,11 @@ impl ArchState {
     /// The data memory.
     pub fn mem(&self) -> &SparseMemory {
         &self.mem
+    }
+
+    /// The data memory, to load from as the program does or to store to.
+    pub fn mem_mut(&mut self) -> &mut SparseMemory {
+        &mut self.mem
     }
 
     /// Resets control state (PC, halt flag) without clearing registers or
@@ -149,7 +154,7 @@ impl ArchState {
             Inst::Load { rd, base, offset } => {
                 let a = self.effective_address(base, offset);
                 ea = Some(a);
-                let v = self.mem.load(a);
+                let v = self.mem.load_touch(a);
                 self.set_reg(rd, v);
             }
             Inst::Store { rs, base, offset } => {
@@ -360,8 +365,8 @@ mod tests {
         assert_eq!((b.mem().load(0x10_0000), b.mem().load(0x10_1000)), (1, 513));
         assert_eq!(ArchState::new(&p).mem().load(0x10_0000), 1);
         assert_eq!(p.data(), vec![(0x10_0000, (1..=1024).collect())]);
-        assert_eq!(a.mem().owned_pages(), vec![0x100, 0x101]);
-        assert!(b.mem().owned_pages().is_empty());
+        assert_eq!(a.mem().written_pages(), vec![0x100, 0x101]);
+        assert!(b.mem().written_pages().is_empty());
     }
 
     #[test]
@@ -381,7 +386,7 @@ mod tests {
             (b.pc(), b.retired(), b.regs()),
             (a.pc(), a.retired(), a.regs())
         );
-        assert_eq!(b.mem().owned_pages(), vec![0x100, 0x101]);
+        assert_eq!(b.mem().written_pages(), vec![0x100, 0x101]);
         a.run(&p, 100);
         b.run(&p, 100);
         for addr in (0x10_0000..0x10_3000).step_by(8) {

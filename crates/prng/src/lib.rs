@@ -95,6 +95,25 @@ impl Pcg32 {
         xorshifted.rotate_right(rot)
     }
 
+    /// Moves the generator `delta` draws ahead, as `delta` calls of
+    /// [`Pcg32::next_u32`] would, in O(log `delta`) steps (Brown's LCG
+    /// jump-ahead). A [`Pcg32::next_u64`] is two draws.
+    pub fn advance(&mut self, mut delta: u64) {
+        // (mult, plus) of the affine map one step applies, squared per bit
+        let (mut mult, mut plus) = (PCG_MULT, self.inc);
+        let (mut acc_mult, mut acc_plus) = (1u64, 0u64);
+        while delta > 0 {
+            if delta & 1 == 1 {
+                acc_mult = acc_mult.wrapping_mul(mult);
+                acc_plus = acc_plus.wrapping_mul(mult).wrapping_add(plus);
+            }
+            plus = mult.wrapping_add(1).wrapping_mul(plus);
+            mult = mult.wrapping_mul(mult);
+            delta >>= 1;
+        }
+        self.state = acc_mult.wrapping_mul(self.state).wrapping_add(acc_plus);
+    }
+
     /// The next 64-bit value (two 32-bit draws, high word first).
     pub fn next_u64(&mut self) -> u64 {
         let hi = self.next_u32() as u64;
@@ -201,6 +220,42 @@ mod tests {
         let zs: Vec<u64> = (0..16).map(|_| c.next_u64()).collect();
         assert_eq!(xs, ys);
         assert_ne!(xs, zs);
+    }
+
+    #[test]
+    fn advance_matches_stepping_every_draw() {
+        let start = Pcg32::with_stream(0x5eed, 3);
+        let mut stepped = start.clone();
+        for n in 0..=10_000u64 {
+            let mut jumped = start.clone();
+            jumped.advance(n);
+            assert_eq!(jumped.state, stepped.state, "advance({n})");
+            stepped.next_u32();
+        }
+    }
+
+    #[test]
+    fn advances_compose() {
+        let mut seeds = SplitMix64::new(11);
+        for _ in 0..64 {
+            let start = Pcg32::new(seeds.next_u64());
+            let (a, b) = (seeds.next_u64() >> 24, seeds.next_u64() >> 24); // < 2^40
+            let (mut split, mut whole) = (start.clone(), start);
+            split.advance(a);
+            split.advance(b);
+            whole.advance(a + b);
+            assert_eq!(
+                split.next_u64(),
+                whole.next_u64(),
+                "advance({a}) + advance({b})"
+            );
+        }
+        let mut g = Pcg32::new(1);
+        let mut h = g.clone();
+        g.advance(1 << 40);
+        h.advance(1 << 39);
+        h.advance(1 << 39);
+        assert_eq!(g.state, h.state);
     }
 
     #[test]

@@ -241,12 +241,12 @@ fn pages(base: u64, n: u64) -> impl Iterator<Item = u64> {
 #[test]
 fn a_run_that_rewrites_its_image_resumes_at_every_poll_point() {
     let p = rewriter();
-    // one pass owns exactly the rewritten half and the created pages
+    // one pass writes exactly the rewritten half and the created pages
     let mut arch = ArchState::new(&p);
     arch.run(&p, u64::MAX);
     assert!(arch.halted());
     let want: Vec<u64> = pages(IMAGE, 4).chain(pages(FRESH, 4)).collect();
-    assert_eq!(arch.mem().owned_pages(), want);
+    assert_eq!(arch.mem().written_pages(), want);
 
     let uninterrupted = SimSession::new(cfg())
         .instructions(3_000)
@@ -342,7 +342,7 @@ fn a_checkpoint_carries_only_the_pages_the_run_owns() {
     let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
 
     // the saved pages are exactly those a functional replay to the saved
-    // instruction count owns (the core restarts a halted program)
+    // instruction count writes (the core restarts a halted program)
     let at = delta_at(&bytes);
     let n = word(at) as usize;
     let keys: Vec<u64> = (0..n).map(|i| word(at + 8 + i * (8 + 4096))).collect();
@@ -355,7 +355,112 @@ fn a_checkpoint_carries_only_the_pages_the_run_owns() {
         arch.step(&p);
     }
     assert!(n >= 2, "the first poll comes after both first stores");
-    assert_eq!(keys, arch.mem().owned_pages());
+    assert_eq!(keys, arch.mem().written_pages());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// [`rewriter`] over a generated image: the 8 pages at `IMAGE` hold a
+/// hash of each word's index and are made only where a load or store
+/// first touches them. Each pass loads a word of every line of all 8,
+/// bumps it, stores it back in the first 4 only, and branches on its
+/// parity, so a resume that lost a written page, or generated one wrong,
+/// would take other branches than the fresh run.
+fn generated_rewriter() -> Program {
+    let mut b = ProgramBuilder::new("ckpt-generated");
+    b.init_words_fill(IMAGE, (8 * PAGE / 8) as usize, |first, out| {
+        for (i, w) in (first as u64..).zip(out) {
+            *w = i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 7;
+        }
+    });
+    b.li(Reg::R1, IMAGE as i64);
+    b.li(Reg::R2, (IMAGE + 8 * PAGE) as i64);
+    b.li(Reg::R3, (IMAGE + 4 * PAGE) as i64);
+    b.li(Reg::R7, 1);
+    let top = b.label();
+    let read_only = b.label();
+    let even = b.label();
+    b.bind(top);
+    b.load(Reg::R4, Reg::R1, 0);
+    b.addi(Reg::R4, Reg::R4, 1);
+    b.bge(Reg::R1, Reg::R3, read_only);
+    b.store(Reg::R4, Reg::R1, 0);
+    b.bind(read_only);
+    b.and(Reg::R5, Reg::R4, Reg::R7);
+    b.beq(Reg::R5, Reg::R0, even);
+    b.addi(Reg::R6, Reg::R6, 1);
+    b.bind(even);
+    b.addi(Reg::R1, Reg::R1, 64);
+    b.blt(Reg::R1, Reg::R2, top);
+    b.halt();
+    b.finish()
+}
+
+#[test]
+fn a_run_over_a_generated_image_resumes_at_every_poll_point() {
+    let p = generated_rewriter();
+    // one pass generates all 8 pages and writes the first 4
+    let mut arch = ArchState::new(&p);
+    arch.run(&p, u64::MAX);
+    assert!(arch.halted());
+    assert_eq!(arch.mem().resident_pages(), 8);
+    let half: Vec<u64> = pages(IMAGE, 4).collect();
+    assert_eq!(arch.mem().written_pages(), half);
+
+    let uninterrupted = SimSession::new(cfg())
+        .instructions(6_000)
+        .run_one(&p)
+        .unwrap();
+    let dir = tmpdir("generated");
+    let ckpt = dir.join("checkpoint.snap");
+    let session = SimSession::new(cfg())
+        .instructions(6_000)
+        .checkpoint_every(0, &dir);
+    let (resumed, interrupts) =
+        run_with_constant_interrupts(session, std::slice::from_ref(&p), &ckpt);
+    assert!(interrupts >= 3, "run too short ({interrupts} interrupts)");
+    assert_same_output(&uninterrupted, &resumed);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The last periodic checkpoint of a run past its first pass carries the
+/// 4 written pages and none of the 4 it only read, and resumes to the
+/// fresh result.
+#[test]
+fn a_checkpoint_over_a_generated_image_carries_only_its_written_pages() {
+    let p = generated_rewriter();
+    let fresh = SimSession::new(cfg())
+        .instructions(12_000)
+        .run_one(&p)
+        .unwrap();
+    let dir = tmpdir("generated-delta");
+    let periodic = SimSession::new(cfg())
+        .instructions(12_000)
+        .checkpoint_every(1 << 13, &dir)
+        .run_one(&p)
+        .unwrap();
+    assert_same_output(&fresh, &periodic);
+
+    let bytes = std::fs::read(dir.join("checkpoint.snap")).unwrap();
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let at = delta_at(&bytes);
+    let n = word(at) as usize;
+    let keys: Vec<u64> = (0..n).map(|i| word(at + 8 + i * (8 + 4096))).collect();
+    assert_eq!(keys, pages(IMAGE, 4).collect::<Vec<_>>());
+    // a functional replay to the saved instruction count has read all 8
+    let retired = word(at + 8 + n * (8 + 4096));
+    let mut arch = ArchState::new(&p);
+    while arch.retired() < retired {
+        if arch.halted() {
+            arch.restart();
+        }
+        arch.step(&p);
+    }
+    let read = arch.mem().resident_pages();
+    assert_eq!(read, 8, "checkpoint taken after the first pass");
+    assert_eq!(keys, arch.mem().written_pages());
+
+    let resumed = SimSession::resume(dir.join("checkpoint.snap")).unwrap();
+    assert_same_output(&fresh, &resumed);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -8,6 +8,7 @@
 
 use bfetch_isa::{Program, ProgramBuilder, Reg};
 use bfetch_prng::Pcg32;
+use std::panic::RefUnwindSafe;
 
 /// Workload footprint scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,8 +58,23 @@ fn sz(scale: Scale, full_bytes: u64) -> u64 {
     }
 }
 
-fn rng(seed: u64) -> Pcg32 {
-    Pcg32::new(seed)
+/// A data segment of `bytes / 8` words at `base`, where word `i` is
+/// `word(v)` of the `i`-th `next_u64` of the generator seeded `seed`.
+/// Generated where it is read: a run of words positions a copy of the
+/// generator with one jump.
+fn random_words(
+    b: &mut ProgramBuilder,
+    base: u64,
+    bytes: u64,
+    seed: u64,
+    word: impl Fn(u64) -> u64 + Send + Sync + RefUnwindSafe + 'static,
+) {
+    let r = Pcg32::new(seed);
+    b.init_words_fill(base, (bytes / 8) as usize, move |first, out| {
+        let mut g = r.clone();
+        g.advance(2 * first as u64);
+        out.fill_with(|| word(g.next_u64()));
+    });
 }
 
 /// Emits a dependent ALU chain of `n` operations on (r28, r29) seeded from
@@ -335,18 +351,26 @@ fn mcf(scale: Scale) -> Program {
     let nodes = arcs + arcs_bytes;
     let n_arcs = arcs_bytes / arc_stride;
 
-    // arc records: word 0 = node offset (random), word 1 = weight
-    let mut r = rng(0x6d6366);
+    // arc records: word 0 = node offset (random), word 1 = weight, each
+    // one `next_u64` (two draws) of one stream, arc after arc
+    let r = Pcg32::new(0x6d6366);
     let arc_words = arc_stride / 8;
     let mut b = ProgramBuilder::new("mcf");
-    b.init_words_iter(
-        arcs,
-        (0..arcs_bytes / 8).map(|w| match (w / arc_words < n_arcs, w % arc_words) {
-            (true, 0) => nodes + (r.next_u64() % (nodes_bytes / 64)) * 64,
-            (true, 1) => r.next_u64(),
-            _ => 0,
-        }),
-    );
+    b.init_words_fill(arcs, (arcs_bytes / 8) as usize, move |first, out| {
+        let first = first as u64;
+        // draws made before word `first`
+        let (arc, k) = (first / arc_words, first % arc_words);
+        let drawn = 4 * arc.min(n_arcs) + if arc < n_arcs { 2 * k.min(2) } else { 0 };
+        let mut g = r.clone();
+        g.advance(drawn);
+        for (w, slot) in (first..).zip(out) {
+            *slot = match (w / arc_words < n_arcs, w % arc_words) {
+                (true, 0) => nodes + (g.next_u64() % (nodes_bytes / 64)) * 64,
+                (true, 1) => g.next_u64(),
+                _ => 0,
+            };
+        }
+    });
     b.li(Reg::R1, arcs as i64);
     b.li(Reg::R2, (arcs + arcs_bytes) as i64);
     let top = b.label();
@@ -372,9 +396,8 @@ fn mcf(scale: Scale) -> Program {
 fn astar(scale: Scale) -> Program {
     let bytes = sz(scale, 8 * 1024 * 1024);
     let cells = 0x100_0000u64;
-    let mut r = rng(0x617374);
     let mut b = ProgramBuilder::new("astar");
-    b.init_words_iter(cells, (0..bytes / 8).map(|_| r.next_u64()));
+    random_words(&mut b, cells, bytes, 0x617374, |v| v);
     b.li(Reg::R1, cells as i64);
     b.li(Reg::R2, (cells + bytes) as i64);
     b.li(Reg::R5, 31);
@@ -411,12 +434,10 @@ fn soplex(scale: Scale) -> Program {
     let idx = 0x100_0000u64;
     let val = idx + nnz_bytes;
     let dense = val + nnz_bytes;
-    let mut r = rng(0x73706c78);
     let mut b = ProgramBuilder::new("soplex");
-    b.init_words_iter(
-        idx,
-        (0..nnz_bytes / 8).map(|_| dense + (r.next_u64() % (vec_bytes / 8)) * 8),
-    );
+    random_words(&mut b, idx, nnz_bytes, 0x73706c78, move |v| {
+        dense + (v % (vec_bytes / 8)) * 8
+    });
     b.li(Reg::R1, idx as i64);
     b.li(Reg::R2, val as i64);
     b.li(Reg::R3, (idx + nnz_bytes) as i64);
@@ -441,13 +462,11 @@ fn sphinx(scale: Scale) -> Program {
     let table_bytes = sz(scale, 8 * 1024 * 1024);
     let list = 0x100_0000u64;
     let table = list + list_bytes;
-    let mut r = rng(0x737068);
     let entries = table_bytes / 512;
     let mut b = ProgramBuilder::new("sphinx");
-    b.init_words_iter(
-        list,
-        (0..list_bytes / 8).map(|_| table + (r.next_u64() % entries) * 512),
-    );
+    random_words(&mut b, list, list_bytes, 0x737068, move |v| {
+        table + (v % entries) * 512
+    });
     b.li(Reg::R1, list as i64);
     b.li(Reg::R2, (list + list_bytes) as i64);
     let top = b.label();
@@ -476,9 +495,8 @@ fn sphinx(scale: Scale) -> Program {
 fn bzip2(_scale: Scale) -> Program {
     let bytes = 48 * 1024u64;
     let buf = 0x100_0000u64;
-    let mut r = rng(0x627a);
     let mut b = ProgramBuilder::new("bzip2");
-    b.init_words_iter(buf, (0..bytes / 8).map(|_| r.next_u64()));
+    random_words(&mut b, buf, bytes, 0x627a, |v| v);
     b.li(Reg::R1, buf as i64);
     b.li(Reg::R2, (buf + bytes) as i64);
     b.li(Reg::R5, 1);
