@@ -20,8 +20,8 @@ use bfetch_bpred::{CompositeConfidence, ConfidenceConfig, TournamentConfig, Tour
 use bfetch_core::{BFetchConfig, BFetchEngine, DecodedBranch};
 use bfetch_isa::ArchState;
 use bfetch_mem::{
-    drain_chip, CacheConfig, ChipGuard, HitLevel, LineMeta, MemorySystem, MshrFile,
-    SetAssocCache, WayMeta,
+    drain_chip, CacheConfig, ChipGuard, HitLevel, LineMeta, MemorySystem, MshrFile, SetAssocCache,
+    WayMeta,
 };
 use bfetch_sim::{Core, PrefetcherKind, SeqMem, SimConfig, SimSession};
 use bfetch_workloads::{kernel_by_name, kernels, Scale};
@@ -216,7 +216,9 @@ fn main() {
     // entry, open, read, decode, refresh its mtime. The key is a real Fig 8
     // point's (mcf under B-Fetch at the figure's budget); the stored results
     // come from a short run of the same point, so the entry has its shape.
-    let fig08 = SimConfig::baseline().with_prefetcher(PrefetcherKind::BFetch).with_warmup(150_000);
+    let fig08 = SimConfig::baseline()
+        .with_prefetcher(PrefetcherKind::BFetch)
+        .with_warmup(150_000);
     let key = GridPoint::single("mcf/bfetch", mcf, fig08.clone(), 300_000, Scale::Full).cache_key();
     let results = SimSession::new(fig08.with_warmup(5_000))
         .instructions(20_000)
@@ -227,7 +229,11 @@ fn main() {
     let cache = ResultCache::new(&dir).expect("temporary cache directory");
     cache.store(&key, &results).expect("entry stored");
     bench_n("cache_load_hit", 10_000, || {
-        cache.load(&key).expect("entry readable").expect("a hit").len()
+        cache
+            .load(&key)
+            .expect("entry readable")
+            .expect("a hit")
+            .len()
     });
     let _ = std::fs::remove_dir_all(&dir);
 

@@ -50,7 +50,10 @@ pub fn fig03_deltas(ctx: &Ctx) {
             )
         };
         let doc = Json::Obj(vec![
-            ("horizons".into(), Json::Arr(HORIZONS.iter().map(|&h| Json::u64_of(h)).collect())),
+            (
+                "horizons".into(),
+                Json::Arr(HORIZONS.iter().map(|&h| Json::u64_of(h)).collect()),
+            ),
             ("reg".into(), series(&mut reg)),
             ("ea".into(), series(&mut ea)),
         ]);
@@ -58,12 +61,19 @@ pub fn fig03_deltas(ctx: &Ctx) {
         return;
     }
 
-    for (title, cdfs) in [("(a) register content", &mut reg), ("(b) effective address", &mut ea)] {
+    for (title, cdfs) in [
+        ("(a) register content", &mut reg),
+        ("(b) effective address", &mut ea),
+    ] {
         println!("== Figure 3{title}: cumulative distribution of variation (64B blocks) ==");
-        println!("delta   {}", HORIZONS.map(|h| format!("{h:>2}BB ")).join("   "));
+        println!(
+            "delta   {}",
+            HORIZONS.map(|h| format!("{h:>2}BB ")).join("   ")
+        );
         for x in 0..=32u64 {
-            let vals: Vec<String> =
-                (0..3).map(|i| format!("{:.3}", cdfs[i].fraction_at_or_below(x))).collect();
+            let vals: Vec<String> = (0..3)
+                .map(|i| format!("{:.3}", cdfs[i].fraction_at_or_below(x)))
+                .collect();
             println!("{x:>5}   {}", vals.join("   "));
         }
         println!();
@@ -131,10 +141,23 @@ pub fn tab1_storage(ctx: &Ctx) {
                 ("kb".into(), Json::f64_of(kb)),
             ])
         };
-        let mut rows: Vec<Json> =
-            report.rows.iter().map(|r| row("bfetch", r.component, r.entries, r.kb)).collect();
-        rows.push(row("sms", "AGT + PHT", sms.config().pht_entries, sms.storage_kb()));
-        rows.push(row("stride", "Reference prediction table", 256, stride.storage_kb()));
+        let mut rows: Vec<Json> = report
+            .rows
+            .iter()
+            .map(|r| row("bfetch", r.component, r.entries, r.kb))
+            .collect();
+        rows.push(row(
+            "sms",
+            "AGT + PHT",
+            sms.config().pht_entries,
+            sms.storage_kb(),
+        ));
+        rows.push(row(
+            "stride",
+            "Reference prediction table",
+            256,
+            stride.storage_kb(),
+        ));
         let doc = Json::Obj(vec![
             ("bfetch_total_kb".into(), Json::f64_of(report.total_kb())),
             ("rows".into(), Json::Arr(rows)),
@@ -148,7 +171,11 @@ pub fn tab1_storage(ctx: &Ctx) {
         t.row(vec![
             "B-Fetch".into(),
             row.component.into(),
-            if row.entries == 0 { "-".into() } else { row.entries.to_string() },
+            if row.entries == 0 {
+                "-".into()
+            } else {
+                row.entries.to_string()
+            },
             format!("{:.2}", row.kb),
         ]);
     }

@@ -45,7 +45,13 @@ fn cmp_sweep(
     for &k in solo {
         for p in solo_kinds {
             let label = format!("solo/{}/{}", k.name, p.name());
-            spec.push(GridPoint::single(label, k, opts.config(*p), opts.instructions, opts.scale));
+            spec.push(GridPoint::single(
+                label,
+                k,
+                opts.config(*p),
+                opts.instructions,
+                opts.scale,
+            ));
         }
     }
     for (label, members) in chips {
@@ -79,7 +85,11 @@ fn weighted_speedup(
         .iter()
         .zip(&chip.1)
         .map(|(r, k)| {
-            (r.ipc(), out.require(&format!("solo/{}/{}", k.name, solo_kind.name())).ipc())
+            (
+                r.ipc(),
+                out.require(&format!("solo/{}/{}", k.name, solo_kind.name()))
+                    .ipc(),
+            )
         })
         .collect();
     bfetch_stats::weighted_speedup(&pairs)
@@ -100,13 +110,26 @@ fn weighted_speedup(
 /// solo-weight runs (shared across mixes and columns) plus every
 /// (mix × config) CMP run.
 fn mix_figure(ctx: &Ctx, arity: usize, count: usize, title: &str, note: &str) {
-    let all_kinds =
-        [PrefetcherKind::None, PrefetcherKind::Stride, PrefetcherKind::Sms, PrefetcherKind::BFetch];
+    let all_kinds = [
+        PrefetcherKind::None,
+        PrefetcherKind::Stride,
+        PrefetcherKind::Sms,
+        PrefetcherKind::BFetch,
+    ];
     let (&base, kinds) = all_kinds.split_first().expect("the baseline comes first");
     let mixes = select_mixes(arity, count);
-    let chips: Vec<Chip> =
-        mixes.iter().map(|m| (format!("mix/{}", m.name), m.members.clone())).collect();
-    let out = cmp_sweep(ctx, &distinct_members(&mixes), &[base], &chips, &all_kinds, |c| c);
+    let chips: Vec<Chip> = mixes
+        .iter()
+        .map(|m| (format!("mix/{}", m.name), m.members.clone()))
+        .collect();
+    let out = cmp_sweep(
+        ctx,
+        &distinct_members(&mixes),
+        &[base],
+        &chips,
+        &all_kinds,
+        |c| c,
+    );
 
     let mut rows: Vec<Row> = mixes
         .iter()
@@ -114,11 +137,16 @@ fn mix_figure(ctx: &Ctx, arity: usize, count: usize, title: &str, note: &str) {
         .map(|(m, chip)| {
             let ws = |kind| weighted_speedup(&out, chip, kind, base);
             let base_ws = ws(base);
-            (m.name.clone(), kinds.iter().map(|&kind| ws(kind) / base_ws).collect())
+            (
+                m.name.clone(),
+                kinds.iter().map(|&kind| ws(kind) / base_ws).collect(),
+            )
         })
         .collect();
     rows.push(mix_summary(&rows));
-    Report::new(title, "mix", kinds.iter().map(|k| k.name()), rows).note(note).emit(ctx.opts.json);
+    Report::new(title, "mix", kinds.iter().map(|k| k.name()), rows)
+        .note(note)
+        .emit(ctx.opts.json);
 }
 
 /// Figure 9: the 29 highest-contention 2-application mixes.
@@ -154,8 +182,10 @@ pub fn ext_mix8(ctx: &Ctx) {
 /// accounting of DESIGN.md §10).
 pub fn fig16_cmp(ctx: &Ctx) {
     let mixes: Vec<Mix> = [2, 4, 8].map(|n| select_mixes(n, 1)[0].clone()).to_vec();
-    let chips: Vec<Chip> =
-        mixes.iter().map(|m| (format!("{}c", m.members.len()), m.members.clone())).collect();
+    let chips: Vec<Chip> = mixes
+        .iter()
+        .map(|m| (format!("{}c", m.members.len()), m.members.clone()))
+        .collect();
     let solo = distinct_members(&mixes);
     let out = cmp_sweep(ctx, &solo, &PREFETCHERS, &chips, &PREFETCHERS, |cfg| {
         cfg.with_cpi(CpiConfig::on())
@@ -167,7 +197,10 @@ pub fn fig16_cmp(ctx: &Ctx) {
         .zip(&chips)
         .map(|(mix, chip)| {
             let [base, bfetch] = PREFETCHERS.map(|p| weighted_speedup(&out, chip, p, p));
-            (format!("{}c {}", mix.members.len(), mix.name), vec![base, bfetch / base])
+            (
+                format!("{}c {}", mix.members.len(), mix.name),
+                vec![base, bfetch / base],
+            )
         })
         .collect();
     let mut cpi_rows: Vec<Row> = Vec::new();

@@ -30,7 +30,11 @@ struct Point {
 
 /// The prefetch-covered total: its own summary column next to the groups.
 fn covered_cpi(stack: &CpiStack) -> f64 {
-    CpiComponent::ALL.iter().filter(|c| c.is_covered()).map(|&c| stack.component_cpi(c)).sum()
+    CpiComponent::ALL
+        .iter()
+        .filter(|c| c.is_covered())
+        .map(|&c| stack.component_cpi(c))
+        .sum()
 }
 
 /// The `ext_cpistack` registry entry.
@@ -41,8 +45,10 @@ pub fn ext_cpistack(ctx: &Ctx) {
     // CPI runs carry a timeline, so they never go through the result
     // cache; the work-stealing executor keeps the grid parallel while the
     // output stays in (kernel, prefetcher) order.
-    let grid: Vec<(&'static Kernel, PrefetcherKind)> =
-        kernels.iter().flat_map(|&k| CPI_PREFETCHERS.iter().map(move |&p| (k, p))).collect();
+    let grid: Vec<(&'static Kernel, PrefetcherKind)> = kernels
+        .iter()
+        .flat_map(|&k| CPI_PREFETCHERS.iter().map(move |&p| (k, p)))
+        .collect();
     let points: Vec<Point> = run_indexed(&grid, opts.threads, |_, &(k, p)| {
         let program = k.build(opts.scale);
         let run = SimSession::new(opts.config(p))
@@ -65,7 +71,12 @@ pub fn ext_cpistack(ctx: &Ctx) {
                 r.instructions
             ));
         }
-        Point { kernel: k.name, prefetcher: p.name(), stack, timeline: run.timeline }
+        Point {
+            kernel: k.name,
+            prefetcher: p.name(),
+            stack,
+            timeline: run.timeline,
+        }
     });
 
     if let Some(path) = &opts.timeline {
@@ -95,7 +106,10 @@ pub fn ext_cpistack(ctx: &Ctx) {
     // -- stacked breakdown table -------------------------------------------
     let group_names = GROUPS.iter().map(|(name, _)| *name);
     let mut t = table(
-        ["benchmark", "pf", "CPI", "commit"].into_iter().chain(group_names).chain(["pf-cov"]),
+        ["benchmark", "pf", "CPI", "commit"]
+            .into_iter()
+            .chain(group_names)
+            .chain(["pf-cov"]),
     );
     for pt in &points {
         t.row(
@@ -107,7 +121,9 @@ pub fn ext_cpistack(ctx: &Ctx) {
             ]
             .into_iter()
             .chain(
-                GROUPS.iter().map(|(_, members)| format!("{:.3}", group_cpi(&pt.stack, members))),
+                GROUPS
+                    .iter()
+                    .map(|(_, members)| format!("{:.3}", group_cpi(&pt.stack, members))),
             )
             .chain(std::iter::once(format!("{:.3}", covered_cpi(&pt.stack))))
             .collect(),
@@ -141,7 +157,10 @@ pub fn ext_cpistack(ctx: &Ctx) {
             let (biggest, d_big) = GROUPS
                 .iter()
                 .map(|(name, members)| {
-                    (*name, group_cpi(&pt.stack, members) - group_cpi(&base.stack, members))
+                    (
+                        *name,
+                        group_cpi(&pt.stack, members) - group_cpi(&base.stack, members),
+                    )
                 })
                 .min_by(|a, b| a.1.total_cmp(&b.1))
                 .expect("GROUPS is nonempty");

@@ -40,7 +40,10 @@ pub fn ext_lifecycle(ctx: &Ctx) {
             .run_one(&program)
             .unwrap_or_else(|e| exit_err(e));
         let trace = out.trace.expect("tracing was toggled on");
-        TracedRun { events: trace.events, lifecycle: trace.lifecycle }
+        TracedRun {
+            events: trace.events,
+            lifecycle: trace.lifecycle,
+        }
     });
 
     if let Some(path) = &opts.trace {
@@ -76,14 +79,19 @@ pub fn ext_lifecycle(ctx: &Ctx) {
     if opts.trace.is_none() {
         note.push_str("(re-run with --trace PATH to export the raw event stream as JSONL)\n");
     }
-    Report::new("== Extension: B-Fetch prefetch lifecycle (traced) ==", "benchmark", headers, rows)
-        .cell(|i, v| match i {
-            0..=4 => format!("{v:.0}"),
-            9 => format!("{v:.1}"),
-            _ => format!("{v:.3}"),
-        })
-        .note(note)
-        .emit(opts.json);
+    Report::new(
+        "== Extension: B-Fetch prefetch lifecycle (traced) ==",
+        "benchmark",
+        headers,
+        rows,
+    )
+    .cell(|i, v| match i {
+        0..=4 => format!("{v:.0}"),
+        9 => format!("{v:.1}"),
+        _ => format!("{v:.3}"),
+    })
+    .note(note)
+    .emit(opts.json);
 }
 
 fn row_of(lc: &LifecycleCounts) -> Vec<f64> {
@@ -110,7 +118,11 @@ fn export_jsonl(
     runs: &[TracedRun],
 ) -> std::io::Result<()> {
     for (k, run) in kernels.iter().zip(runs) {
-        writeln!(out, "{}", jsonio::run_begin(k.name, "bfetch", "events", run.events.len()))?;
+        writeln!(
+            out,
+            "{}",
+            jsonio::run_begin(k.name, "bfetch", "events", run.events.len())
+        )?;
         for e in &run.events {
             writeln!(out, "{}", jsonio::trace_event_to_json(e))?;
         }

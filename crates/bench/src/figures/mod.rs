@@ -27,8 +27,11 @@ use bfetch_workloads::Kernel;
 use std::io::{BufWriter, Write};
 
 /// None vs. stride vs. B-Fetch: what the CPI-stack studies compare.
-const CPI_PREFETCHERS: [PrefetcherKind; 3] =
-    [PrefetcherKind::None, PrefetcherKind::Stride, PrefetcherKind::BFetch];
+const CPI_PREFETCHERS: [PrefetcherKind; 3] = [
+    PrefetcherKind::None,
+    PrefetcherKind::Stride,
+    PrefetcherKind::BFetch,
+];
 
 /// Display groups for CPI stacks: the three memory levels fold their
 /// prefetch-covered halves in.
@@ -41,7 +44,10 @@ const GROUPS: [(&str, &[CpiComponent]); 9] = [
     ("mshr", &[CpiComponent::MshrFull]),
     ("L2", &[CpiComponent::MemL2, CpiComponent::MemL2Covered]),
     ("L3", &[CpiComponent::MemL3, CpiComponent::MemL3Covered]),
-    ("dram", &[CpiComponent::MemDram, CpiComponent::MemDramCovered]),
+    (
+        "dram",
+        &[CpiComponent::MemDram, CpiComponent::MemDramCovered],
+    ),
 ];
 
 fn group_cpi(stack: &CpiStack, members: &[CpiComponent]) -> f64 {
@@ -67,10 +73,12 @@ fn write_sidecar(
     path: &std::path::Path,
     body: impl FnOnce(&mut BufWriter<std::fs::File>) -> std::io::Result<()>,
 ) {
-    let written = std::fs::File::create(path).map(BufWriter::new).and_then(|mut out| {
-        body(&mut out)?;
-        out.flush()
-    });
+    let written = std::fs::File::create(path)
+        .map(BufWriter::new)
+        .and_then(|mut out| {
+            body(&mut out)?;
+            out.flush()
+        });
     if let Err(e) = written {
         exit_err(format_args!("writing {}: {e}", path.display()));
     }

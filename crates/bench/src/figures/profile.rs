@@ -76,7 +76,10 @@ pub fn ext_profile(ctx: &Ctx) {
             ("instructions", Json::u64_of(opts.instructions)),
             ("warmup", Json::u64_of(opts.warmup)),
             ("wall_ns", Json::u64_of(run_ns)),
-            ("coverage_pct", Json::f64_of((coverage * 10.0).round() / 10.0)),
+            (
+                "coverage_pct",
+                Json::f64_of((coverage * 10.0).round() / 10.0),
+            ),
         ],
     );
     if let Some(parent) = out_path.parent() {

@@ -138,7 +138,9 @@ pub fn fig_realprog(ctx: &Ctx) {
                 family,
                 cycles: [runs[0].cycles, runs[1].cycles, runs[2].cycles],
                 stacks: std::array::from_fn(|i| {
-                    runs[i].cpi.expect("CPI accounting was requested for every point")
+                    runs[i]
+                        .cpi
+                        .expect("CPI accounting was requested for every point")
                 }),
             }
         })
@@ -178,7 +180,9 @@ pub fn fig_realprog(ctx: &Ctx) {
         CPI_PREFETCHERS.len(),
         if opts.quick { ", --quick" } else { "" }
     );
-    let mut t = table(["workload", "family", "CPI", "stride", "bfetch", "dram d", "mshr d"]);
+    let mut t = table([
+        "workload", "family", "CPI", "stride", "bfetch", "dram d", "mshr d",
+    ]);
     for r in &rows {
         t.row(vec![
             r.name.to_string(),
@@ -199,8 +203,15 @@ pub fn fig_realprog(ctx: &Ctx) {
     println!();
     println!("cross-validation (real program vs. the synthetic kernel modeling it):");
     let row_of = |name: &str| rows.iter().find(|r| r.name == name).expect("swept above");
-    let mut t =
-        table(["program", "analog", "ranking", "analog ranking", "dram", "mshr", "verdict"]);
+    let mut t = table([
+        "program",
+        "analog",
+        "ranking",
+        "analog ranking",
+        "dram",
+        "mshr",
+        "verdict",
+    ]);
     let mut agree = 0usize;
     for &(p, k) in &pairs {
         let (rp, rk) = (row_of(p.name), row_of(k.name));
@@ -220,8 +231,16 @@ pub fn fig_realprog(ctx: &Ctx) {
             k.name.to_string(),
             rp.ranking(),
             rk.ranking(),
-            format!("{}/{}", direction(rp.delta(DRAM)), direction(rk.delta(DRAM))),
-            format!("{}/{}", direction(rp.delta(MSHR)), direction(rk.delta(MSHR))),
+            format!(
+                "{}/{}",
+                direction(rp.delta(DRAM)),
+                direction(rk.delta(DRAM))
+            ),
+            format!(
+                "{}/{}",
+                direction(rp.delta(MSHR)),
+                direction(rk.delta(MSHR))
+            ),
             verdict.to_string(),
         ]);
     }

@@ -16,7 +16,9 @@ fn emit<H: Into<String>>(
     note: &str,
 ) {
     rows.extend(summary_rows(&rows));
-    Report::new(title, "benchmark", headers, rows).note(note).emit(ctx.opts.json);
+    Report::new(title, "benchmark", headers, rows)
+        .note(note)
+        .emit(ctx.opts.json);
 }
 
 /// Per-kernel speedups of the labelled configurations against the
@@ -42,13 +44,21 @@ fn speedup_rows(ctx: &Ctx, columns: &[(String, SimConfig)]) -> Vec<Row> {
 /// The speedup figure with one column per labelled configuration.
 fn speedup_figure(ctx: &Ctx, title: &str, columns: &[(String, SimConfig)], note: &str) {
     let rows = speedup_rows(ctx, columns);
-    emit(ctx, title, columns.iter().map(|(n, _)| n.as_str()), rows, note);
+    emit(
+        ctx,
+        title,
+        columns.iter().map(|(n, _)| n.as_str()),
+        rows,
+        note,
+    );
 }
 
 /// One column per prefetcher in `kinds`.
 fn prefetcher_speedups(ctx: &Ctx, title: &str, kinds: &[PrefetcherKind]) {
-    let columns: Vec<_> =
-        kinds.iter().map(|&kind| (kind.name().to_string(), ctx.opts.config(kind))).collect();
+    let columns: Vec<_> = kinds
+        .iter()
+        .map(|&kind| (kind.name().to_string(), ctx.opts.config(kind)))
+        .collect();
     speedup_figure(ctx, title, &columns, "");
 }
 
@@ -57,7 +67,10 @@ fn bfetch_variants(ctx: &Ctx, title: &str, variants: &[(String, BFetchConfig)], 
     let columns: Vec<_> = variants
         .iter()
         .map(|(name, bfetch)| {
-            (name.clone(), ctx.opts.config(PrefetcherKind::BFetch).with_bfetch(*bfetch))
+            (
+                name.clone(),
+                ctx.opts.config(PrefetcherKind::BFetch).with_bfetch(*bfetch),
+            )
         })
         .collect();
     speedup_figure(ctx, title, &columns, note);
@@ -68,7 +81,11 @@ pub fn fig01_perfect(ctx: &Ctx) {
     prefetcher_speedups(
         ctx,
         "== Figure 1: Stride / SMS / Perfect prefetcher speedups ==",
-        &[PrefetcherKind::Stride, PrefetcherKind::Sms, PrefetcherKind::Perfect],
+        &[
+            PrefetcherKind::Stride,
+            PrefetcherKind::Sms,
+            PrefetcherKind::Perfect,
+        ],
     );
 }
 
@@ -77,15 +94,23 @@ pub fn fig08_single(ctx: &Ctx) {
     prefetcher_speedups(
         ctx,
         "== Figure 8: single-threaded speedups (vs no-prefetch baseline) ==",
-        &[PrefetcherKind::Stride, PrefetcherKind::Sms, PrefetcherKind::BFetch],
+        &[
+            PrefetcherKind::Stride,
+            PrefetcherKind::Sms,
+            PrefetcherKind::BFetch,
+        ],
     );
 }
 
 /// Figure 12: sensitivity of B-Fetch to the branch path-confidence
 /// threshold (0.45 / 0.75 / 0.90).
 pub fn fig12_confidence(ctx: &Ctx) {
-    let thresholds = [0.45, 0.75, 0.90]
-        .map(|t| (format!("conf={t:.2}"), BFetchConfig::baseline().with_confidence_threshold(t)));
+    let thresholds = [0.45, 0.75, 0.90].map(|t| {
+        (
+            format!("conf={t:.2}"),
+            BFetchConfig::baseline().with_confidence_threshold(t),
+        )
+    });
     bfetch_variants(
         ctx,
         "== Figure 12: branch confidence threshold sensitivity (B-Fetch speedup) ==",
@@ -151,8 +176,11 @@ pub fn fig14_width(ctx: &Ctx) {
     let cfgs: Vec<(String, SimConfig)> = widths
         .iter()
         .flat_map(|&w| {
-            [("base", PrefetcherKind::None), ("bfetch", PrefetcherKind::BFetch)]
-                .map(|(name, kind)| (format!("{name}/{w}"), ctx.opts.config(kind).with_width(w)))
+            [
+                ("base", PrefetcherKind::None),
+                ("bfetch", PrefetcherKind::BFetch),
+            ]
+            .map(|(name, kind)| (format!("{name}/{w}"), ctx.opts.config(kind).with_width(w)))
         })
         .collect();
     let (kernels, out) = kernel_sweep(ctx, &cfgs);
@@ -160,7 +188,10 @@ pub fn fig14_width(ctx: &Ctx) {
         .iter()
         .map(|k| {
             let ipc = |cfg: &str, w: usize| out.require(&format!("{}/{cfg}/{w}", k.name)).ipc();
-            let vals = widths.iter().map(|&w| ipc("bfetch", w) / ipc("base", w)).collect();
+            let vals = widths
+                .iter()
+                .map(|&w| ipc("bfetch", w) / ipc("base", w))
+                .collect();
             (k.name.to_string(), vals)
         })
         .collect();
@@ -191,7 +222,10 @@ mod tests {
             ..Opts::default()
         };
         let ctx = Ctx::new(opts, Vec::new());
-        let perfect = ("perfect".to_string(), ctx.opts.config(PrefetcherKind::Perfect));
+        let perfect = (
+            "perfect".to_string(),
+            ctx.opts.config(PrefetcherKind::Perfect),
+        );
         let rows = speedup_rows(&ctx, &[perfect]);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].0, "libquantum");

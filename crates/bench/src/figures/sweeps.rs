@@ -18,18 +18,30 @@ pub fn fig11_accuracy(ctx: &Ctx) {
     for k in &kernels {
         let sms = out.require(&format!("{}/sms", k.name)).mem;
         let bf = out.require(&format!("{}/bfetch", k.name)).mem;
-        let row =
-            [sms.prefetch_useful, sms.prefetch_useless, bf.prefetch_useful, bf.prefetch_useless];
+        let row = [
+            sms.prefetch_useful,
+            sms.prefetch_useless,
+            bf.prefetch_useful,
+            bf.prefetch_useless,
+        ];
         for (tot, v) in totals.iter_mut().zip(row.iter()) {
             *tot += v;
         }
         rows.push((k.name.to_string(), row.iter().map(|&v| v as f64).collect()));
     }
-    rows.push(("TOTAL".to_string(), totals.iter().map(|&v| v as f64).collect()));
+    rows.push((
+        "TOTAL".to_string(),
+        totals.iter().map(|&v| v as f64).collect(),
+    ));
 
     let sms_acc = totals[0] as f64 / (totals[0] + totals[1]).max(1) as f64;
     let bf_acc = totals[2] as f64 / (totals[2] + totals[3]).max(1) as f64;
-    let headers = ["sms useful", "sms useless", "bfetch useful", "bfetch useless"];
+    let headers = [
+        "sms useful",
+        "sms useless",
+        "bfetch useful",
+        "bfetch useless",
+    ];
     Report::new(
         "== Figure 11: useful and useless prefetches issued ==",
         "benchmark",
@@ -55,8 +67,14 @@ pub fn fig13_bpsize(ctx: &Ctx) {
     // one sweep: the 1x no-prefetch reference plus (scale × {base,bfetch})
     let mut cfgs = vec![("ref".to_string(), ctx.opts.config(PrefetcherKind::None))];
     for s in scales {
-        for (name, kind) in [("base", PrefetcherKind::None), ("bfetch", PrefetcherKind::BFetch)] {
-            cfgs.push((format!("{name}/{s}"), ctx.opts.config(kind).with_bpred_scale(s)));
+        for (name, kind) in [
+            ("base", PrefetcherKind::None),
+            ("bfetch", PrefetcherKind::BFetch),
+        ] {
+            cfgs.push((
+                format!("{name}/{s}"),
+                ctx.opts.config(kind).with_bpred_scale(s),
+            ));
         }
     }
     let (kernels, out) = kernel_sweep(ctx, &cfgs);
@@ -73,7 +91,10 @@ pub fn fig13_bpsize(ctx: &Ctx) {
                 bf_ratio.push(f.ipc() / ref_ipc);
                 rates.push(b.branch_mispredict_rate());
             }
-            (format!("{s}x"), vec![geomean(&base_ratio), geomean(&bf_ratio), mean(&rates)])
+            (
+                format!("{s}x"),
+                vec![geomean(&base_ratio), geomean(&bf_ratio), mean(&rates)],
+            )
         })
         .collect();
 
@@ -84,7 +105,13 @@ pub fn fig13_bpsize(ctx: &Ctx) {
         headers,
         rows,
     )
-    .cell(|i, v| if i == 2 { format!("{:.2}%", 100.0 * v) } else { format!("{v:.4}") })
+    .cell(|i, v| {
+        if i == 2 {
+            format!("{:.2}%", 100.0 * v)
+        } else {
+            format!("{v:.4}")
+        }
+    })
     .note(
         "\npaper reference: baseline 0.994/1.000/1.005/1.008, B-Fetch\n\
              1.225/1.232/1.237/1.241, miss rate 2.95%->2.53% — B-Fetch gains\n\
@@ -125,10 +152,18 @@ pub fn ext_dram(ctx: &Ctx) {
             bf.push(out.require(&format!("{}/{mi}/bfetch", k.name)).ipc() / b);
             sms.push(out.require(&format!("{}/{mi}/sms", k.name)).ipc() / b);
         }
-        rows.push((label.to_string(), vec![geomean(&base_ipc), geomean(&bf), geomean(&sms)]));
+        rows.push((
+            label.to_string(),
+            vec![geomean(&base_ipc), geomean(&bf), geomean(&sms)],
+        ));
     }
 
     let headers = ["baseline IPC (geomean)", "bfetch speedup", "sms speedup"];
-    Report::new("== Extension: DRAM model sensitivity ==", "dram model", headers, rows)
-        .emit(ctx.opts.json);
+    Report::new(
+        "== Extension: DRAM model sensitivity ==",
+        "dram model",
+        headers,
+        rows,
+    )
+    .emit(ctx.opts.json);
 }

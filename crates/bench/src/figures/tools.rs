@@ -28,7 +28,11 @@ pub fn simulate(ctx: &Ctx) {
             println!(
                 "{:12} {}",
                 k.name,
-                if k.prefetch_sensitive { "prefetch-sensitive" } else { "cache-resident" }
+                if k.prefetch_sensitive {
+                    "prefetch-sensitive"
+                } else {
+                    "cache-resident"
+                }
             );
         }
         return;
@@ -65,7 +69,10 @@ pub fn simulate(ctx: &Ctx) {
     }
 
     // a mix runs its members in the order given (Opts::parse validated them)
-    let names = opts.kernels.clone().unwrap_or_else(|| vec!["libquantum".to_string()]);
+    let names = opts
+        .kernels
+        .clone()
+        .unwrap_or_else(|| vec!["libquantum".to_string()]);
     let members: Vec<&'static Kernel> = names
         .iter()
         .map(|n| kernel_by_name(n).expect("--kernels names are validated when parsed"))
@@ -77,7 +84,13 @@ pub fn simulate(ctx: &Ctx) {
 
     let insts = opts.instructions;
     let mut spec = SweepSpec::new();
-    spec.push(GridPoint::mix("run", members.clone(), cfg.clone(), insts, opts.scale));
+    spec.push(GridPoint::mix(
+        "run",
+        members.clone(),
+        cfg.clone(),
+        insts,
+        opts.scale,
+    ));
     let out = ctx.harness().run(&spec).or_fail();
     if opts.json {
         println!("{}", out.to_json());
@@ -105,7 +118,11 @@ pub fn simulate(ctx: &Ctx) {
             r.mem.prefetch_useless.to_string(),
         ]);
     }
-    println!("prefetcher={} cores={} insts={insts}", cfg.prefetcher.name(), members.len());
+    println!(
+        "prefetcher={} cores={} insts={insts}",
+        cfg.prefetcher.name(),
+        members.len()
+    );
     print!("{t}");
     if let Some(e) = &results[0].engine {
         println!(

@@ -70,7 +70,11 @@ fn stem(key: &str) -> String {
         absorb(u64::from_le_bytes(last));
     }
     let len = bytes.len() as u64;
-    format!("{:016x}{:016x}", mix64(a ^ len), mix64(b ^ len.rotate_left(32)))
+    format!(
+        "{:016x}{:016x}",
+        mix64(a ^ len),
+        mix64(b ^ len.rotate_left(32))
+    )
 }
 
 /// The cache filename (without directory) for a canonical key.
@@ -256,7 +260,11 @@ impl ResultCache {
 
     /// `key`'s place in this cache, its name hashed once.
     pub(crate) fn entry<'a>(&'a self, key: &'a str) -> Entry<'a> {
-        Entry { cache: self, key, path: self.dir.join(file_name(key)) }
+        Entry {
+            cache: self,
+            key,
+            path: self.dir.join(file_name(key)),
+        }
     }
 
     /// Maintenance sweep under the directory lock: removes stranded
@@ -304,7 +312,10 @@ impl ResultCache {
                 report.removed_tmp += u64::from(remove_present(&path)?);
             } else if name.ends_with(".bad") {
                 report.removed_bad += u64::from(remove_present(&path)?);
-            } else if [".res", ".json", ".snap", ".prog"].iter().any(|ext| name.ends_with(ext)) {
+            } else if [".res", ".json", ".snap", ".prog"]
+                .iter()
+                .any(|ext| name.ends_with(ext))
+            {
                 let valid = name.strip_suffix(".res").is_some_and(|named| {
                     std::fs::read(&path)
                         .is_ok_and(|b| decode_results(&b).is_ok_and(|(key, _)| stem(&key) == named))
@@ -399,10 +410,8 @@ mod tests {
     use std::collections::HashSet;
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "bfetch-cache-test-{tag}-{}",
-            std::process::id()
-        ));
+        let d =
+            std::env::temp_dir().join(format!("bfetch-cache-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         d
     }
@@ -552,7 +561,9 @@ mod tests {
         use crate::harness::GridPoint;
         use bfetch_sim::{PrefetcherKind, SimConfig};
         use bfetch_workloads::{kernel_by_name, Scale};
-        let cfg = SimConfig::baseline().with_prefetcher(PrefetcherKind::BFetch).with_warmup(150_000);
+        let cfg = SimConfig::baseline()
+            .with_prefetcher(PrefetcherKind::BFetch)
+            .with_warmup(150_000);
         let mcf = kernel_by_name("mcf").unwrap();
         let fig08 = GridPoint::single("mcf/bfetch", mcf, cfg, 300_000, Scale::Full).cache_key();
         assert_eq!(fig08.len(), 304);
@@ -572,7 +583,9 @@ mod tests {
     /// bytes, which pad the last word the same way, get distinct stems.
     #[test]
     fn stem_tells_zero_padded_tails_apart() {
-        let stems: HashSet<String> = (0..=17).map(|n| stem(&format!("k{}", "\0".repeat(n)))).collect();
+        let stems: HashSet<String> = (0..=17)
+            .map(|n| stem(&format!("k{}", "\0".repeat(n))))
+            .collect();
         assert_eq!(stems.len(), 18);
     }
 
@@ -581,9 +594,7 @@ mod tests {
         // simulate a crash between write and rename: the tmp file exists,
         // the live name does not
         let cache = ResultCache::new(tmp_dir("torn")).unwrap();
-        let tmp = cache
-            .dir()
-            .join(format!("{}.tmp.99999", file_name("k")));
+        let tmp = cache.dir().join(format!("{}.tmp.99999", file_name("k")));
         std::fs::write(&tmp, "half-written garbag").unwrap();
         assert!(cache.load("k").unwrap().is_none(), "tmp must not be served");
         let report = cache.gc(u64::MAX).unwrap();
@@ -623,9 +634,15 @@ mod tests {
             std::fs::write(f, "a checkpoint file").unwrap();
         }
         let report = cache.gc(u64::MAX).unwrap();
-        assert_eq!((report.removed_stale, report.removed_bad, report.kept), (2, 0, 1));
+        assert_eq!(
+            (report.removed_stale, report.removed_bad, report.kept),
+            (2, 0, 1)
+        );
         assert!(pair.iter().all(|f| !f.exists()));
-        assert!(report.to_string().contains("0 quarantined + 2 stale"), "{report}");
+        assert!(
+            report.to_string().contains("0 quarantined + 2 stale"),
+            "{report}"
+        );
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -722,11 +739,15 @@ mod tests {
         // on a thread, so a regression fails this test instead of hanging it
         std::thread::spawn(move || {
             let cache = ResultCache::new(dir).unwrap();
-            let stored = cache.store("k", &[result("mcf", 1)]).map_err(|e| e.to_string());
+            let stored = cache
+                .store("k", &[result("mcf", 1)])
+                .map_err(|e| e.to_string());
             let swept = cache.gc(u64::MAX).map_err(|e| e.to_string());
             let _ = tx.send((stored, swept));
         });
-        let (stored, swept) = rx.recv_timeout(Duration::from_secs(30)).expect("lock steal spins");
+        let (stored, swept) = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("lock steal spins");
         for err in [stored.unwrap_err(), swept.unwrap_err()] {
             assert!(err.contains(&lock.display().to_string()), "{err}");
         }
@@ -741,7 +762,9 @@ mod tests {
     fn gc_counts_nothing_for_files_gone_after_the_listing() {
         let cache = ResultCache::new(tmp_dir("gc-vanished")).unwrap();
         cache.store("live", &[result("mcf", 1)]).unwrap();
-        let size = std::fs::metadata(cache.dir().join(file_name("live"))).unwrap().len();
+        let size = std::fs::metadata(cache.dir().join(file_name("live")))
+            .unwrap()
+            .len();
         let ghost = stem("ghost");
         let listing: Vec<String> = [
             file_name("live"),
@@ -769,7 +792,11 @@ mod tests {
         let before = cache.quarantined();
         let got = cache.load(key).unwrap();
         assert!(got.is_none(), "{what} was served: {got:?}");
-        assert_eq!(cache.quarantined(), before + 1, "{what} was not quarantined");
+        assert_eq!(
+            cache.quarantined(),
+            before + 1,
+            "{what} was not quarantined"
+        );
         assert!(!path.exists(), "{what} left under the live name");
     }
 
@@ -807,7 +834,9 @@ mod tests {
         let entry = entry_bytes("unknown-pf-entry", &[crafted]);
         assert_eq!(
             decode_results(&entry),
-            Err(SnapshotError::Invalid { what: "unknown prefetcher name" })
+            Err(SnapshotError::Invalid {
+                what: "unknown prefetcher name"
+            })
         );
         assert_quarantined_miss(&cache, "k", &entry, "unknown name");
         let _ = std::fs::remove_dir_all(cache.dir());
@@ -819,14 +848,23 @@ mod tests {
     fn frame_codec_round_trips_extremes_and_absent_parts() {
         let full = RunResult {
             prefetcher: "bfetch",
-            engine: Some(EngineStats { lookaheads: 7, ..EngineStats::default() }),
+            engine: Some(EngineStats {
+                lookaheads: 7,
+                ..EngineStats::default()
+            }),
             instructions: u64::MAX,
-            cpi: Some(CpiStack { cycles: 100, ..CpiStack::new(4) }),
+            cpi: Some(CpiStack {
+                cycles: 100,
+                ..CpiStack::new(4)
+            }),
             ..result("mcf", 123_456)
         };
         let inputs = [
             full.clone(),
-            RunResult { engine: None, ..full.clone() },
+            RunResult {
+                engine: None,
+                ..full.clone()
+            },
             RunResult { cpi: None, ..full },
         ];
         for r in inputs {

@@ -40,7 +40,12 @@ impl Json {
 
     /// An object with `fields` in order.
     pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
-        Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
     }
 
     pub fn as_u64(&self) -> Option<u64> {
@@ -254,8 +259,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Option<String> {
                     b'f' => out.push(0x0c),
                     b'u' => {
                         let hex = b.get(*pos + 1..*pos + 5)?;
-                        let code =
-                            u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
+                        let code = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
                         let c = char::from_u32(code)?;
                         let mut buf = [0u8; 4];
                         out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
@@ -341,7 +345,12 @@ pub fn result_to_json(r: &RunResult) -> Json {
         ("mispredicts".into(), Json::u64_of(r.mispredicts)),
         (
             "branch_fetch_hist".into(),
-            Json::Arr(r.branch_fetch_hist.iter().map(|&v| Json::u64_of(v)).collect()),
+            Json::Arr(
+                r.branch_fetch_hist
+                    .iter()
+                    .map(|&v| Json::u64_of(v))
+                    .collect(),
+            ),
         ),
         (
             "engine".into(),
@@ -381,12 +390,20 @@ pub fn trace_event_to_json(e: &TraceEvent) -> Json {
         ("core", u(e.core.into())),
     ];
     match e.kind {
-        TraceKind::BranchPredicted { pc, taken, confidence } => fields.extend([
+        TraceKind::BranchPredicted {
+            pc,
+            taken,
+            confidence,
+        } => fields.extend([
             ("pc", u(pc)),
             ("taken", Json::Bool(taken)),
             ("confidence", Json::fixed(confidence, 4)),
         ]),
-        TraceKind::BranchResolved { pc, taken, mispredicted } => fields.extend([
+        TraceKind::BranchResolved {
+            pc,
+            taken,
+            mispredicted,
+        } => fields.extend([
             ("pc", u(pc)),
             ("taken", Json::Bool(taken)),
             ("mispredicted", Json::Bool(mispredicted)),
@@ -396,24 +413,37 @@ pub fn trace_event_to_json(e: &TraceEvent) -> Json {
         | TraceKind::PrefetchEvictedUnused { line, pc_hash } => {
             fields.extend([("line", u(line)), ("pc_hash", u(pc_hash.into()))])
         }
-        TraceKind::PrefetchDropped { line, pc_hash, reason } => fields.extend([
+        TraceKind::PrefetchDropped {
+            line,
+            pc_hash,
+            reason,
+        } => fields.extend([
             ("line", u(line)),
             ("pc_hash", u(pc_hash.into())),
             ("reason", Json::Str(reason.as_str().into())),
         ]),
-        TraceKind::PrefetchMshrMerged { line, pc_hash, remaining_cycles } => fields.extend([
+        TraceKind::PrefetchMshrMerged {
+            line,
+            pc_hash,
+            remaining_cycles,
+        } => fields.extend([
             ("line", u(line)),
             ("pc_hash", u(pc_hash.into())),
             ("remaining_cycles", u(remaining_cycles)),
         ]),
-        TraceKind::PrefetchFirstUse { line, pc_hash, lead_cycles } => fields.extend([
+        TraceKind::PrefetchFirstUse {
+            line,
+            pc_hash,
+            lead_cycles,
+        } => fields.extend([
             ("line", u(line)),
             ("pc_hash", u(pc_hash.into())),
             ("lead_cycles", u(lead_cycles)),
         ]),
-        TraceKind::DemandMiss { line, level } => {
-            fields.extend([("line", u(line)), ("level", Json::Str(level.as_str().into()))])
-        }
+        TraceKind::DemandMiss { line, level } => fields.extend([
+            ("line", u(line)),
+            ("level", Json::Str(level.as_str().into())),
+        ]),
     }
     Json::obj(fields)
 }
@@ -422,7 +452,9 @@ pub fn trace_event_to_json(e: &TraceEvent) -> Json {
 /// DESIGN.md ("Cycle accounting & timeline").
 pub fn timeline_sample_to_json(s: &TimelineSample) -> Json {
     let u = Json::u64_of;
-    let lost = CpiComponent::ALL.into_iter().map(|c| (c.as_str(), u(s.lost[c as usize])));
+    let lost = CpiComponent::ALL
+        .into_iter()
+        .map(|c| (c.as_str(), u(s.lost[c as usize])));
     Json::obj([
         ("event", Json::Str("timeline_sample".into())),
         ("core", u(s.core.into())),
@@ -447,8 +479,8 @@ mod tests {
 
     #[test]
     fn parser_handles_whitespace_and_escapes() {
-        let j = Json::parse(" { \"a\\n\" : [ 1 , -2.5e1 , \"x\\u0041\" , null , true ] } ")
-            .unwrap();
+        let j =
+            Json::parse(" { \"a\\n\" : [ 1 , -2.5e1 , \"x\\u0041\" , null , true ] } ").unwrap();
         let arr = j.get("a\n").unwrap();
         match arr {
             Json::Arr(items) => {
@@ -474,19 +506,38 @@ mod tests {
         use bfetch_stats::trace::ServiceLevel;
         let line =
             |cycle, core, kind| trace_event_to_json(&TraceEvent { cycle, core, kind }).to_string();
-        let first_use = TraceKind::PrefetchFirstUse { line: 0x1040, pc_hash: 513, lead_cycles: 18 };
+        let first_use = TraceKind::PrefetchFirstUse {
+            line: 0x1040,
+            pc_hash: 513,
+            lead_cycles: 18,
+        };
         assert_eq!(
             line(120, 2, first_use),
             "{\"event\":\"prefetch_first_use\",\"cycle\":120,\"core\":2,\
              \"line\":4160,\"pc_hash\":513,\"lead_cycles\":18}"
         );
         assert_eq!(
-            line(7, 0, TraceKind::BranchPredicted { pc: 64, taken: true, confidence: 0.875 }),
+            line(
+                7,
+                0,
+                TraceKind::BranchPredicted {
+                    pc: 64,
+                    taken: true,
+                    confidence: 0.875
+                }
+            ),
             "{\"event\":\"branch_predicted\",\"cycle\":7,\"core\":0,\
              \"pc\":64,\"taken\":true,\"confidence\":0.8750}"
         );
         assert_eq!(
-            line(9, 1, TraceKind::DemandMiss { line: 128, level: ServiceLevel::Dram }),
+            line(
+                9,
+                1,
+                TraceKind::DemandMiss {
+                    line: 128,
+                    level: ServiceLevel::Dram
+                }
+            ),
             "{\"event\":\"demand_miss\",\"cycle\":9,\"core\":1,\"line\":128,\"level\":\"dram\"}"
         );
     }

@@ -409,13 +409,15 @@ impl SweepOutcome {
     /// with status 1 if the point is absent or failed (the binaries'
     /// lookup path — a missing label is unrecoverable for a figure).
     pub fn require(&self, label: &str) -> &RunResult {
-        self.try_result(label).unwrap_or_else(|e| crate::exit_err(e))
+        self.try_result(label)
+            .unwrap_or_else(|e| crate::exit_err(e))
     }
 
     /// All results for `label`; prints the error and exits with status 1
     /// if the point is absent or failed.
     pub fn require_all(&self, label: &str) -> &[RunResult] {
-        self.try_results(label).unwrap_or_else(|e| crate::exit_err(e))
+        self.try_results(label)
+            .unwrap_or_else(|e| crate::exit_err(e))
     }
 
     /// The binaries' gate: on the no-failure path returns `self`
@@ -437,7 +439,11 @@ impl SweepOutcome {
             self.stats.points,
             self.outcomes.len(),
         );
-        if self.failures.iter().any(|f| f.kind == FailureKind::Interrupted) {
+        if self
+            .failures
+            .iter()
+            .any(|f| f.kind == FailureKind::Interrupted)
+        {
             // a graceful Ctrl-C, not a defect: the points that ran are
             // cached, so re-running the same command simulates the rest
             eprintln!("[harness] interrupted");
@@ -468,7 +474,10 @@ impl SweepOutcome {
             })
             .collect();
         let mut top = vec![
-            ("schema".into(), Json::u64_of(bfetch_sim::SCHEMA_VERSION as u64)),
+            (
+                "schema".into(),
+                Json::u64_of(bfetch_sim::SCHEMA_VERSION as u64),
+            ),
             (
                 "stats".into(),
                 Json::Obj(vec![(
@@ -624,7 +633,11 @@ impl Harness {
         let cache_retries = outcomes
             .iter()
             .map(|o| u64::from(o.attempts.saturating_sub(1)))
-            .chain(failures.iter().map(|f| u64::from(f.attempts.saturating_sub(1))))
+            .chain(
+                failures
+                    .iter()
+                    .map(|f| u64::from(f.attempts.saturating_sub(1))),
+            )
             .sum();
         let stats = SweepStats {
             points: spec.points.len(),
@@ -842,9 +855,18 @@ mod tests {
             GridPoint::single(label, k, quick_cfg(kind), insts, Scale::Small)
         };
         let a = mk("one", PrefetcherKind::None, 1000);
-        assert_eq!(a.cache_key(), mk("two", PrefetcherKind::None, 1000).cache_key());
-        assert_ne!(a.cache_key(), mk("one", PrefetcherKind::Sms, 1000).cache_key());
-        assert_ne!(a.cache_key(), mk("one", PrefetcherKind::None, 1001).cache_key());
+        assert_eq!(
+            a.cache_key(),
+            mk("two", PrefetcherKind::None, 1000).cache_key()
+        );
+        assert_ne!(
+            a.cache_key(),
+            mk("one", PrefetcherKind::Sms, 1000).cache_key()
+        );
+        assert_ne!(
+            a.cache_key(),
+            mk("one", PrefetcherKind::None, 1001).cache_key()
+        );
         let mut wider = a.clone();
         wider.config = wider.config.with_width(8);
         assert_ne!(a.cache_key(), wider.cache_key());
@@ -877,10 +899,19 @@ mod tests {
         };
         c.dram = DramConfig { row_model: true };
         (c.l1d_mshrs, c.model_writebacks, c.warmup_insts) = (8, true, 7_000);
-        c.trace = TraceConfig { enabled: true, capacity: 1000 };
-        c.cpi = CpiConfig { enabled: true, timeline_interval: 5000 };
+        c.trace = TraceConfig {
+            enabled: true,
+            capacity: 1000,
+        };
+        c.cpi = CpiConfig {
+            enabled: true,
+            timeline_interval: 5000,
+        };
         (c.watchdog_cycles, c.max_cycles) = (123_456, 9_999_999);
-        c.fault = FaultInjection { panic_at_insts: 11, freeze_at_insts: 22 };
+        c.fault = FaultInjection {
+            panic_at_insts: 11,
+            freeze_at_insts: 22,
+        };
         c
     }
 
@@ -899,7 +930,11 @@ mod tests {
             let bytes = c.wire_bytes();
             let k = kernel_by_name("mcf").unwrap();
             let point = GridPoint::single("pin", k, c, 10_000, Scale::Small);
-            let got = (bytes.len(), crc32(&bytes), crc32(point.cache_key().as_bytes()));
+            let got = (
+                bytes.len(),
+                crc32(&bytes),
+                crc32(point.cache_key().as_bytes()),
+            );
             assert_eq!(got, (len, wire, key), "wire bytes or cache key moved");
         }
     }
@@ -926,14 +961,20 @@ mod tests {
         let h = Harness::new(1).without_cache().quiet();
         let out = h.run(&tiny_spec());
         let doc = Json::parse(&out.to_json()).expect("valid json");
-        assert_eq!(doc.get("stats").unwrap().get("points").unwrap().as_u64(), Some(2));
+        assert_eq!(
+            doc.get("stats").unwrap().get("points").unwrap().as_u64(),
+            Some(2)
+        );
         // no failures → no failures key (byte-identical no-failure path)
         assert!(doc.get("failures").is_none());
         match doc.get("points").unwrap() {
             Json::Arr(points) => {
                 assert_eq!(points.len(), 2);
                 let first = &points[0];
-                assert_eq!(first.get("label").unwrap().as_str(), Some("libquantum/base"));
+                assert_eq!(
+                    first.get("label").unwrap().as_str(),
+                    Some("libquantum/base")
+                );
                 match first.get("results").unwrap() {
                     Json::Arr(rs) => {
                         let insts = rs[0].get("instructions").and_then(Json::as_u64);

@@ -64,7 +64,11 @@ fn geomean_row(label: &str, ncols: usize, rows: &[&Row]) -> Row {
 /// subset.
 pub fn summary_rows(rows: &[Row]) -> Vec<Row> {
     let ncols = rows.first().map_or(0, |(_, r)| r.len());
-    let sensitive = |name: &str| kernels().iter().any(|k| k.prefetch_sensitive && k.name == name);
+    let sensitive = |name: &str| {
+        kernels()
+            .iter()
+            .any(|k| k.prefetch_sensitive && k.name == name)
+    };
     let all: Vec<&Row> = rows.iter().collect();
     let subset: Vec<&Row> = rows.iter().filter(|(name, _)| sensitive(name)).collect();
     vec![
@@ -87,7 +91,12 @@ mod tests {
     fn summary_rows_compute_geomeans() {
         let rows: Vec<Row> = kernels()
             .iter()
-            .map(|k| (k.name.to_string(), vec![if k.prefetch_sensitive { 2.0 } else { 1.0 }]))
+            .map(|k| {
+                (
+                    k.name.to_string(),
+                    vec![if k.prefetch_sensitive { 2.0 } else { 1.0 }],
+                )
+            })
             .collect();
         let s = summary_rows(&rows);
         assert_eq!(s.len(), 2);

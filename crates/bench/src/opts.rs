@@ -144,7 +144,9 @@ pub fn parse_bytes(s: &str) -> Option<u64> {
 pub fn usage(fig: &Figure) -> String {
     let mut own = String::new();
     for f in fig.flags {
-        let spec = f.value.map_or(f.name.to_string(), |v| format!("{} {v}", f.name));
+        let spec = f
+            .value
+            .map_or(f.name.to_string(), |v| format!("{} {v}", f.name));
         own.push_str(&format!("  {spec:<24} {}\n", f.help));
     }
     if let Some(q) = fig.quick {
@@ -178,10 +180,7 @@ pub fn usage(fig: &Figure) -> String {
          \x20 --profile DIR            profile the host process: Chrome trace + phase report\n\
          \x20                          written into DIR (sidecar files; stdout unchanged)\n\
          \x20 --help, -h               this message{lists}",
-        fig.name,
-        fig.about,
-        fig.full.instructions,
-        fig.full.warmup,
+        fig.name, fig.about, fig.full.instructions, fig.full.warmup,
     )
 }
 
@@ -218,7 +217,11 @@ fn name_list(
 fn select(registry: &'static [Kernel], subset: &Option<Vec<String>>) -> Vec<&'static Kernel> {
     registry
         .iter()
-        .filter(|k| subset.as_ref().is_none_or(|names| names.iter().any(|n| n == k.name)))
+        .filter(|k| {
+            subset
+                .as_ref()
+                .is_none_or(|names| names.iter().any(|n| n == k.name))
+        })
         .collect()
 }
 
@@ -258,13 +261,19 @@ impl Opts {
                 }
                 "--kernels" if declared => {
                     let known = |n: &str| kernel_by_name(n).is_some();
-                    o.kernels =
-                        Some(name_list(&value("--kernels")?, known, OptsError::UnknownKernel)?);
+                    o.kernels = Some(name_list(
+                        &value("--kernels")?,
+                        known,
+                        OptsError::UnknownKernel,
+                    )?);
                 }
                 "--programs" if declared => {
                     let known = |n: &str| program_by_name(n).is_some();
-                    o.programs =
-                        Some(name_list(&value("--programs")?, known, OptsError::UnknownProgram)?);
+                    o.programs = Some(name_list(
+                        &value("--programs")?,
+                        known,
+                        OptsError::UnknownProgram,
+                    )?);
                 }
                 "--json" => o.json = true,
                 "--no-cache" => o.no_cache = true,
@@ -274,13 +283,14 @@ impl Opts {
                     o.cache_cap = convert("--cache-cap", value("--cache-cap")?, parse_bytes)?
                 }
                 "--trace" if declared => o.trace = Some(PathBuf::from(value("--trace")?)),
-                "--timeline" if declared => {
-                    o.timeline = Some(PathBuf::from(value("--timeline")?))
-                }
+                "--timeline" if declared => o.timeline = Some(PathBuf::from(value("--timeline")?)),
                 "--profile" => o.profile = Some(PathBuf::from(value("--profile")?)),
                 "--help" | "-h" => return Err(OptsError::HelpRequested),
                 "--quick" | "--kernels" | "--programs" | "--trace" | "--timeline" => {
-                    return Err(OptsError::NotImplemented { flag: a, figure: fig.name })
+                    return Err(OptsError::NotImplemented {
+                        flag: a,
+                        figure: fig.name,
+                    })
                 }
                 other => {
                     // the figure's own: a declared flag by name, or a bare
@@ -354,7 +364,10 @@ mod tests {
     }
 
     fn parse_for(name: &str, args: &[&str]) -> Result<Opts, OptsError> {
-        let fig = figures().iter().find(|f| f.name == name).expect("registered");
+        let fig = figures()
+            .iter()
+            .find(|f| f.name == name)
+            .expect("registered");
         Opts::parse(fig, args.iter().map(|s| s.to_string())).map(|(o, _)| o)
     }
 
@@ -401,12 +414,24 @@ mod tests {
         assert_eq!(o.warmup, 100);
         assert_eq!(o.scale, Scale::Small);
         assert_eq!(o.threads, 4);
-        assert_eq!(o.kernels.as_deref(), Some(&["mcf".to_string(), "astar".to_string()][..]));
+        assert_eq!(
+            o.kernels.as_deref(),
+            Some(&["mcf".to_string(), "astar".to_string()][..])
+        );
         assert!(o.json && o.no_cache);
         assert_eq!(o.cache_dir.as_deref(), Some(std::path::Path::new("/tmp/c")));
-        assert_eq!(o.trace.as_deref(), Some(std::path::Path::new("/tmp/t.jsonl")));
-        assert_eq!(o.timeline.as_deref(), Some(std::path::Path::new("/tmp/tl.csv")));
-        assert_eq!(o.profile.as_deref(), Some(std::path::Path::new("/tmp/prof")));
+        assert_eq!(
+            o.trace.as_deref(),
+            Some(std::path::Path::new("/tmp/t.jsonl"))
+        );
+        assert_eq!(
+            o.timeline.as_deref(),
+            Some(std::path::Path::new("/tmp/tl.csv"))
+        );
+        assert_eq!(
+            o.profile.as_deref(),
+            Some(std::path::Path::new("/tmp/prof"))
+        );
     }
 
     #[test]
@@ -459,7 +484,10 @@ mod tests {
     #[test]
     fn a_flag_the_figure_does_not_implement_is_an_error() {
         let not_implemented = |figure: &'static str, flag: &str| {
-            Err(OptsError::NotImplemented { flag: flag.into(), figure })
+            Err(OptsError::NotImplemented {
+                flag: flag.into(),
+                figure,
+            })
         };
         assert_eq!(
             parse_for("fig08_single", &["--trace", "x"]),
@@ -477,11 +505,21 @@ mod tests {
             parse_for("ext_cpistack", &["--programs", "sieve"]),
             not_implemented("ext_cpistack", "--programs")
         );
-        assert!(parse_for("ext_lifecycle", &["--trace", "x"]).unwrap().trace.is_some());
-        assert!(parse_for("ext_cpistack", &["--timeline", "x", "--quick"]).unwrap().quick);
+        assert!(parse_for("ext_lifecycle", &["--trace", "x"])
+            .unwrap()
+            .trace
+            .is_some());
+        assert!(
+            parse_for("ext_cpistack", &["--timeline", "x", "--quick"])
+                .unwrap()
+                .quick
+        );
         // simulate shares the parser: -j works there like everywhere else
         assert_eq!(parse_for("simulate", &["-j", "2"]).unwrap().threads, 2);
-        let msg = OptsError::NotImplemented { flag: "--trace".into(), figure: "fig08_single" };
+        let msg = OptsError::NotImplemented {
+            flag: "--trace".into(),
+            figure: "fig08_single",
+        };
         assert_eq!(msg.to_string(), "fig08_single does not implement --trace");
     }
 
@@ -490,8 +528,14 @@ mod tests {
         let fig = figures().iter().find(|f| f.name == "fig16_cmp").unwrap();
         let text = usage(fig);
         assert!(text.starts_with("bfetch fig16_cmp -- "), "{text}");
-        assert!(text.contains("--quick") && text.contains("20000 instructions"), "{text}");
-        assert!(text.contains("(default 120000)") && text.contains("common flags:"), "{text}");
+        assert!(
+            text.contains("--quick") && text.contains("20000 instructions"),
+            "{text}"
+        );
+        assert!(
+            text.contains("(default 120000)") && text.contains("common flags:"),
+            "{text}"
+        );
         assert!(!text.contains("--trace"), "{text}");
     }
 

@@ -58,7 +58,10 @@ pub fn report_json<'a>(report: &Report, run: impl IntoIterator<Item = (&'a str, 
     Json::obj(
         std::iter::once(("schema", Json::u64_of(REPORT_SCHEMA)))
             .chain(run)
-            .chain([("phases", phases(&report.phases)), ("threads", Json::Arr(threads))]),
+            .chain([
+                ("phases", phases(&report.phases)),
+                ("threads", Json::Arr(threads)),
+            ]),
     )
 }
 
@@ -157,13 +160,23 @@ mod tests {
     }
 
     fn phase(name: &'static str, count: u64, total_ns: u64) -> PhaseStats {
-        PhaseStats { name, count, total_ns }
+        PhaseStats {
+            name,
+            count,
+            total_ns,
+        }
     }
 
     #[test]
     fn empty_report_renders() {
-        let r = Report { phases: Vec::new(), threads: Vec::new() };
-        assert_eq!(report_json(&r, []).to_string(), r#"{"schema":3,"phases":[],"threads":[]}"#);
+        let r = Report {
+            phases: Vec::new(),
+            threads: Vec::new(),
+        };
+        assert_eq!(
+            report_json(&r, []).to_string(),
+            r#"{"schema":3,"phases":[],"threads":[]}"#
+        );
         assert!(report_text(&r).starts_with("phase"));
     }
 
@@ -174,7 +187,10 @@ mod tests {
             threads: Vec::new(),
         };
         let doc = report_json(&r, [("coverage_pct", Json::f64_of(25.0))]).to_string();
-        assert!(doc.starts_with(r#"{"schema":3,"coverage_pct":25,"phases":[{"name":"sim.run""#), "{doc}");
+        assert!(
+            doc.starts_with(r#"{"schema":3,"coverage_pct":25,"phases":[{"name":"sim.run""#),
+            "{doc}"
+        );
         assert!(doc.contains(r#"{"name":"sim.step","count":3,"total_ns":1000,"mean_ns":333}"#));
         let text = report_text(&r);
         let step = text.lines().find(|l| l.starts_with("sim.step")).unwrap();

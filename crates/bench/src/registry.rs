@@ -31,7 +31,10 @@ impl Budget {
     pub const CMP8: Budget = Budget::new(120_000, 60_000);
 
     pub const fn new(instructions: u64, warmup: u64) -> Self {
-        Self { instructions, warmup }
+        Self {
+            instructions,
+            warmup,
+        }
     }
 }
 
@@ -55,16 +58,25 @@ impl Flag {
 }
 
 /// `--kernels a,b,c`, parsed into [`Opts::kernels`].
-pub const KERNELS: Flag =
-    Flag::new("--kernels", Some("a,b,c"), "restrict kernel sweeps to a subset");
+pub const KERNELS: Flag = Flag::new(
+    "--kernels",
+    Some("a,b,c"),
+    "restrict kernel sweeps to a subset",
+);
 /// `--programs a,b,c`, parsed into [`Opts::programs`].
-pub const PROGRAMS: Flag =
-    Flag::new("--programs", Some("a,b,c"), "restrict real-program sweeps to a subset");
+pub const PROGRAMS: Flag = Flag::new(
+    "--programs",
+    Some("a,b,c"),
+    "restrict real-program sweeps to a subset",
+);
 /// `--trace PATH`, parsed into [`Opts::trace`].
 pub const TRACE: Flag = Flag::new("--trace", Some("PATH"), "write a JSONL lifecycle trace");
 /// `--timeline PATH`, parsed into [`Opts::timeline`].
-pub const TIMELINE: Flag =
-    Flag::new("--timeline", Some("PATH"), "write an interval timeline, JSONL or .csv");
+pub const TIMELINE: Flag = Flag::new(
+    "--timeline",
+    Some("PATH"),
+    "write an interval timeline, JSONL or .csv",
+);
 
 /// One runnable entry of the registry.
 pub struct Figure {
@@ -85,7 +97,14 @@ pub struct Figure {
 impl Figure {
     /// A kernel sweep at the common budget: the shape most entries have.
     const fn new(name: &'static str, about: &'static str, run: fn(&Ctx)) -> Self {
-        Self { name, about, full: Budget::COMMON, quick: None, flags: &[KERNELS], run }
+        Self {
+            name,
+            about,
+            full: Budget::COMMON,
+            quick: None,
+            flags: &[KERNELS],
+            run,
+        }
     }
 
     const fn budget(mut self, full: Budget, quick: Option<Budget>) -> Self {
@@ -117,7 +136,11 @@ pub struct Ctx {
 
 impl Ctx {
     pub fn new(opts: Opts, own: OwnFlags) -> Self {
-        Self { opts, own, harness: OnceLock::new() }
+        Self {
+            opts,
+            own,
+            harness: OnceLock::new(),
+        }
     }
 
     /// The harness configured from the options ([`Harness::from_opts`]).
@@ -128,7 +151,10 @@ impl Ctx {
     /// Every value given for the figure's own flag (or operand) `name`,
     /// in command-line order; a switch yields an empty string.
     pub fn all<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> {
-        self.own.iter().filter(move |(n, _)| *n == name).map(|(_, v)| v.as_str())
+        self.own
+            .iter()
+            .filter(move |(n, _)| *n == name)
+            .map(|(_, v)| v.as_str())
     }
 
     /// The last value given for the figure's own flag `name`.
@@ -140,7 +166,8 @@ impl Ctx {
     /// (message on stderr, exit 2).
     pub fn parsed<T: std::str::FromStr>(&self, name: &'static str) -> Option<T> {
         self.own(name).map(|v| {
-            v.parse().unwrap_or_else(|_| usage_error(OptsError::BadValue(name, v.to_string())))
+            v.parse()
+                .unwrap_or_else(|_| usage_error(OptsError::BadValue(name, v.to_string())))
         })
     }
 }
@@ -154,18 +181,42 @@ pub fn usage_error(e: impl std::fmt::Display) -> ! {
 }
 
 const PROFILE_FLAGS: &[Flag] = &[
-    Flag::new("--out", Some("PATH"), "phase-report JSON (default target/PROF_phase_report.json)"),
-    Flag::new("--min-coverage", Some("PCT"), "fail if the run covers less than PCT of sim.run"),
-    Flag::new("--check-trace", Some("FILE"), "validate a Chrome trace-event JSON file and exit"),
+    Flag::new(
+        "--out",
+        Some("PATH"),
+        "phase-report JSON (default target/PROF_phase_report.json)",
+    ),
+    Flag::new(
+        "--min-coverage",
+        Some("PCT"),
+        "fail if the run covers less than PCT of sim.run",
+    ),
+    Flag::new(
+        "--check-trace",
+        Some("FILE"),
+        "validate a Chrome trace-event JSON file and exit",
+    ),
 ];
 
 const SIMULATE_FLAGS: &[Flag] = &[
     KERNELS,
-    Flag::new("--prefetcher", Some("KIND"), "none|stride|sms|bfetch|perfect (default none)"),
+    Flag::new(
+        "--prefetcher",
+        Some("KIND"),
+        "none|stride|sms|bfetch|perfect (default none)",
+    ),
     Flag::new("--width", Some("N"), "pipeline width (default 4)"),
     Flag::new("--writebacks", None, "model dirty-line writebacks"),
-    Flag::new("--row-dram", None, "bank/row-buffer DRAM instead of flat latency"),
-    Flag::new("--confidence", Some("T"), "B-Fetch path-confidence threshold"),
+    Flag::new(
+        "--row-dram",
+        None,
+        "bank/row-buffer DRAM instead of flat latency",
+    ),
+    Flag::new(
+        "--confidence",
+        Some("T"),
+        "B-Fetch path-confidence threshold",
+    ),
     Flag::new("--list", None, "list the kernel registry and exit"),
     Flag::new("--dump", Some("KERNEL"), "disassemble a kernel and exit"),
 ];
@@ -179,8 +230,11 @@ macro_rules! entry {
 }
 
 static FIGURES: [Figure; 23] = [
-    entry!(analysis::tab1_storage, "Table I: storage overhead (KB) of B-Fetch vs SMS components")
-        .flags(&[]),
+    entry!(
+        analysis::tab1_storage,
+        "Table I: storage overhead (KB) of B-Fetch vs SMS components"
+    )
+    .flags(&[]),
     entry!(
         speedup::fig01_perfect,
         "Figure 1: Stride / SMS / Perfect speedups over no prefetching, 18 kernels + geomeans"
@@ -189,13 +243,28 @@ static FIGURES: [Figure; 23] = [
         analysis::fig03_deltas,
         "Figure 3a/3b: CDF of register-content vs effective-address variation over 1/3/12 BBs"
     ),
-    entry!(analysis::fig07_branches, "Figure 7: breakdown of branches fetched per cycle"),
-    entry!(speedup::fig08_single, "Figure 8: single-threaded speedup, Stride vs SMS vs B-Fetch"),
-    entry!(cmp::fig09_mix2, "Figure 9: normalized weighted speedup, 29 FOA-selected 2-app mixes")
-        .flags(&[]),
-    entry!(cmp::fig10_mix4, "Figure 10: normalized weighted speedup, 29 FOA-selected 4-app mixes")
-        .flags(&[]),
-    entry!(sweeps::fig11_accuracy, "Figure 11: useful vs useless prefetches, SMS vs B-Fetch"),
+    entry!(
+        analysis::fig07_branches,
+        "Figure 7: breakdown of branches fetched per cycle"
+    ),
+    entry!(
+        speedup::fig08_single,
+        "Figure 8: single-threaded speedup, Stride vs SMS vs B-Fetch"
+    ),
+    entry!(
+        cmp::fig09_mix2,
+        "Figure 9: normalized weighted speedup, 29 FOA-selected 2-app mixes"
+    )
+    .flags(&[]),
+    entry!(
+        cmp::fig10_mix4,
+        "Figure 10: normalized weighted speedup, 29 FOA-selected 4-app mixes"
+    )
+    .flags(&[]),
+    entry!(
+        sweeps::fig11_accuracy,
+        "Figure 11: useful vs useless prefetches, SMS vs B-Fetch"
+    ),
     entry!(
         speedup::fig12_confidence,
         "Figure 12: path-confidence threshold sensitivity (0.45/0.75/0.90)"
@@ -204,8 +273,14 @@ static FIGURES: [Figure; 23] = [
         sweeps::fig13_bpsize,
         "Figure 13: branch predictor size sensitivity (0.5x/1x/2x/4x) + miss rate"
     ),
-    entry!(speedup::fig14_width, "Figure 14: pipeline width sensitivity (2/4/8-wide)"),
-    entry!(speedup::fig15_storage, "Figure 15: B-Fetch storage sensitivity (BrTC/MHT entries)"),
+    entry!(
+        speedup::fig14_width,
+        "Figure 14: pipeline width sensitivity (2/4/8-wide)"
+    ),
+    entry!(
+        speedup::fig15_storage,
+        "Figure 15: B-Fetch storage sensitivity (BrTC/MHT entries)"
+    ),
     entry!(
         cmp::fig16_cmp,
         "top-contention mix at 2/4/8 cores: weighted speedup + per-core CPI stacks"
@@ -216,7 +291,10 @@ static FIGURES: [Figure; 23] = [
         realprog::fig_realprog,
         "real programs vs the synthetic kernels modeling them (none/stride/bfetch)"
     )
-    .budget(Budget::new(1_200_000, 300_000), Some(Budget::new(30_000, 15_000)))
+    .budget(
+        Budget::new(1_200_000, 300_000),
+        Some(Budget::new(30_000, 15_000)),
+    )
     .flags(&[PROGRAMS]),
     entry!(
         speedup::ext_ablation,
@@ -225,7 +303,10 @@ static FIGURES: [Figure; 23] = [
     entry!(cmp::ext_mix8, "Section V-B2: 8-core CMP, top-10 FOA mixes")
         .budget(Budget::CMP8, None)
         .flags(&[]),
-    entry!(sweeps::ext_dram, "substrate study: flat-latency vs bank/row-buffer DRAM"),
+    entry!(
+        sweeps::ext_dram,
+        "substrate study: flat-latency vs bank/row-buffer DRAM"
+    ),
     entry!(
         direct::ext_lifecycle,
         "traced B-Fetch prefetch lifecycle: accuracy / coverage / timeliness / pollution / lead"
@@ -254,8 +335,15 @@ static FIGURES: [Figure; 23] = [
         "diagnostic: per-kernel prefetcher internals (always --small; default libquantum)"
     )
     .budget(Budget::new(60_000, 20_000), None),
-    entry!(tools::asmcheck, "assemble .s files and report their shape; exit 1 if any fails")
-        .flags(&[Flag::new("FILE.s", None, "assembly source to check (repeatable)")]),
+    entry!(
+        tools::asmcheck,
+        "assemble .s files and report their shape; exit 1 if any fails"
+    )
+    .flags(&[Flag::new(
+        "FILE.s",
+        None,
+        "assembly source to check (repeatable)",
+    )]),
 ];
 
 /// Every runnable entry, in listing order: the paper's artifacts, the
@@ -266,7 +354,10 @@ pub fn figures() -> &'static [Figure] {
 
 /// `bfetch list`: one `name  about` line per entry.
 fn listing() -> String {
-    figures().iter().map(|f| format!("{:<16}  {}\n", f.name, f.about)).collect()
+    figures()
+        .iter()
+        .map(|f| format!("{:<16}  {}\n", f.name, f.about))
+        .collect()
 }
 
 /// The `bfetch` command line: `bfetch list`, or `bfetch <name> [flags]`.
@@ -334,7 +425,10 @@ mod tests {
     fn operands_are_collected_only_where_declared() {
         let asmcheck = figures().iter().find(|f| f.name == "asmcheck").unwrap();
         let (_, own) = Opts::parse(asmcheck, ["a.s", "b.s"].map(String::from)).unwrap();
-        assert_eq!(own, [("FILE.s", "a.s".to_string()), ("FILE.s", "b.s".to_string())]);
+        assert_eq!(
+            own,
+            [("FILE.s", "a.s".to_string()), ("FILE.s", "b.s".to_string())]
+        );
         let fig08 = figures().iter().find(|f| f.name == "fig08_single").unwrap();
         assert_eq!(
             Opts::parse(fig08, ["a.s".to_string()]).unwrap_err(),

@@ -76,7 +76,11 @@ impl Report {
                     .collect(),
             );
         }
-        let title = if self.title.is_empty() { String::new() } else { format!("{}\n", self.title) };
+        let title = if self.title.is_empty() {
+            String::new()
+        } else {
+            format!("{}\n", self.title)
+        };
         format!("{title}{t}{}", self.note)
     }
 
@@ -97,7 +101,12 @@ pub fn rows_to_json<H: AsRef<str>, S: AsRef<str>>(headers: &[H], rows: &[(S, Vec
     Json::Obj(vec![
         (
             "headers".into(),
-            Json::Arr(headers.iter().map(|h| Json::Str(h.as_ref().to_string())).collect()),
+            Json::Arr(
+                headers
+                    .iter()
+                    .map(|h| Json::Str(h.as_ref().to_string()))
+                    .collect(),
+            ),
         ),
         (
             "rows".into(),
@@ -123,14 +132,23 @@ mod tests {
     use super::*;
 
     fn report() -> Report {
-        let rows = vec![("a".to_string(), vec![1.0, 0.25]), ("bb".to_string(), vec![2.5, 0.5])];
+        let rows = vec![
+            ("a".to_string(), vec![1.0, 0.25]),
+            ("bb".to_string(), vec![2.5, 0.5]),
+        ];
         Report::new("== T ==", "key", ["x", "pct"], rows)
     }
 
     #[test]
     fn text_is_title_table_note_with_per_column_cells() {
         let text = report()
-            .cell(|i, v| if i == 1 { format!("{:.0}%", 100.0 * v) } else { fixed3(i, v) })
+            .cell(|i, v| {
+                if i == 1 {
+                    format!("{:.0}%", 100.0 * v)
+                } else {
+                    fixed3(i, v)
+                }
+            })
             .note("\nnote\n")
             .to_text();
         let lines: Vec<&str> = text.lines().map(str::trim_end).collect();
@@ -151,11 +169,17 @@ mod tests {
     #[test]
     fn json_carries_headers_and_full_precision_rows() {
         let doc = report().json();
-        let Some(Json::Arr(headers)) = doc.get("headers") else { panic!("no headers") };
+        let Some(Json::Arr(headers)) = doc.get("headers") else {
+            panic!("no headers")
+        };
         assert_eq!(headers.len(), 2);
-        let Some(Json::Arr(rows)) = doc.get("rows") else { panic!("no rows") };
+        let Some(Json::Arr(rows)) = doc.get("rows") else {
+            panic!("no rows")
+        };
         assert_eq!(rows[1].get("name").and_then(Json::as_str), Some("bb"));
-        let Some(Json::Arr(vals)) = rows[0].get("values") else { panic!("no values") };
+        let Some(Json::Arr(vals)) = rows[0].get("values") else {
+            panic!("no values")
+        };
         assert_eq!(vals[1].as_f64(), Some(0.25));
     }
 }

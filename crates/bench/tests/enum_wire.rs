@@ -43,23 +43,139 @@ fn every_inst_variant_encodes_to_its_pinned_bytes() {
     check(&[
         (Inst::Nop, "00"),
         (Inst::Halt, "01"),
-        (Inst::Add { rd: a, ra: b, rb: c }, "0201021f"),
-        (Inst::Sub { rd: a, ra: b, rb: c }, "0301021f"),
-        (Inst::Mul { rd: a, ra: b, rb: c }, "0401021f"),
-        (Inst::Xor { rd: a, ra: b, rb: c }, "0501021f"),
-        (Inst::And { rd: a, ra: b, rb: c }, "0601021f"),
-        (Inst::Or { rd: a, ra: b, rb: c }, "0701021f"),
-        (Inst::AddI { rd: a, rs: b, imm: -5 }, "080102fbffffffffffffff"),
-        (Inst::SllI { rd: a, rs: b, sh: 7 }, "09010207"),
-        (Inst::SrlI { rd: a, rs: b, sh: 63 }, "0a01023f"),
-        (Inst::LoadImm { rd: c, imm: 0x0123_4567_89ab_cdef }, "0b1fefcdab8967452301"),
-        (Inst::Load { rd: a, base: b, offset: -8 }, "0c0102f8ffffffffffffff"),
-        (Inst::Store { rs: a, base: b, offset: 24 }, "0d01021800000000000000"),
-        (Inst::Beq { ra: a, rb: b, target: 0x1234 }, "0e01023412000000000000"),
-        (Inst::Bne { ra: a, rb: b, target: 1 }, "0f01020100000000000000"),
-        (Inst::Blt { ra: b, rb: a, target: 2 }, "1002010200000000000000"),
-        (Inst::Bge { ra: c, rb: a, target: 3 }, "111f010300000000000000"),
-        (Inst::Jmp { target: 0xdead_beef }, "12efbeadde00000000"),
+        (
+            Inst::Add {
+                rd: a,
+                ra: b,
+                rb: c,
+            },
+            "0201021f",
+        ),
+        (
+            Inst::Sub {
+                rd: a,
+                ra: b,
+                rb: c,
+            },
+            "0301021f",
+        ),
+        (
+            Inst::Mul {
+                rd: a,
+                ra: b,
+                rb: c,
+            },
+            "0401021f",
+        ),
+        (
+            Inst::Xor {
+                rd: a,
+                ra: b,
+                rb: c,
+            },
+            "0501021f",
+        ),
+        (
+            Inst::And {
+                rd: a,
+                ra: b,
+                rb: c,
+            },
+            "0601021f",
+        ),
+        (
+            Inst::Or {
+                rd: a,
+                ra: b,
+                rb: c,
+            },
+            "0701021f",
+        ),
+        (
+            Inst::AddI {
+                rd: a,
+                rs: b,
+                imm: -5,
+            },
+            "080102fbffffffffffffff",
+        ),
+        (
+            Inst::SllI {
+                rd: a,
+                rs: b,
+                sh: 7,
+            },
+            "09010207",
+        ),
+        (
+            Inst::SrlI {
+                rd: a,
+                rs: b,
+                sh: 63,
+            },
+            "0a01023f",
+        ),
+        (
+            Inst::LoadImm {
+                rd: c,
+                imm: 0x0123_4567_89ab_cdef,
+            },
+            "0b1fefcdab8967452301",
+        ),
+        (
+            Inst::Load {
+                rd: a,
+                base: b,
+                offset: -8,
+            },
+            "0c0102f8ffffffffffffff",
+        ),
+        (
+            Inst::Store {
+                rs: a,
+                base: b,
+                offset: 24,
+            },
+            "0d01021800000000000000",
+        ),
+        (
+            Inst::Beq {
+                ra: a,
+                rb: b,
+                target: 0x1234,
+            },
+            "0e01023412000000000000",
+        ),
+        (
+            Inst::Bne {
+                ra: a,
+                rb: b,
+                target: 1,
+            },
+            "0f01020100000000000000",
+        ),
+        (
+            Inst::Blt {
+                ra: b,
+                rb: a,
+                target: 2,
+            },
+            "1002010200000000000000",
+        ),
+        (
+            Inst::Bge {
+                ra: c,
+                rb: a,
+                target: 3,
+            },
+            "111f010300000000000000",
+        ),
+        (
+            Inst::Jmp {
+                target: 0xdead_beef,
+            },
+            "12efbeadde00000000",
+        ),
     ]);
     assert_eq!(unknown_tag::<Inst>(19), "unknown Inst discriminant");
 }
@@ -68,41 +184,76 @@ fn every_inst_variant_encodes_to_its_pinned_bytes() {
 fn every_trace_kind_variant_encodes_to_its_pinned_bytes() {
     check(&[
         (
-            TraceKind::BranchPredicted { pc: 0x40_1000, taken: true, confidence: 0.75 },
+            TraceKind::BranchPredicted {
+                pc: 0x40_1000,
+                taken: true,
+                confidence: 0.75,
+            },
             "00001040000000000001000000000000e83f",
         ),
         (
-            TraceKind::BranchResolved { pc: 0x40_1004, taken: false, mispredicted: true },
+            TraceKind::BranchResolved {
+                pc: 0x40_1004,
+                taken: false,
+                mispredicted: true,
+            },
             "0104104000000000000001",
         ),
         (
-            TraceKind::PrefetchIssued { line: 0x8000_0040, pc_hash: 0x3ff },
+            TraceKind::PrefetchIssued {
+                line: 0x8000_0040,
+                pc_hash: 0x3ff,
+            },
             "024000008000000000ff03",
         ),
         (
-            TraceKind::PrefetchDropped { line: 0x8000_0080, pc_hash: 1, reason: DropReason::MshrFull },
+            TraceKind::PrefetchDropped {
+                line: 0x8000_0080,
+                pc_hash: 1,
+                reason: DropReason::MshrFull,
+            },
             "038000008000000000010002",
         ),
         (
-            TraceKind::PrefetchMshrMerged { line: 0x8000_00c0, pc_hash: 2, remaining_cycles: 17 },
+            TraceKind::PrefetchMshrMerged {
+                line: 0x8000_00c0,
+                pc_hash: 2,
+                remaining_cycles: 17,
+            },
             "04c00000800000000002001100000000000000",
         ),
         (
-            TraceKind::PrefetchFilled { line: 0x8000_0100, pc_hash: 3 },
+            TraceKind::PrefetchFilled {
+                line: 0x8000_0100,
+                pc_hash: 3,
+            },
             "0500010080000000000300",
         ),
         (
-            TraceKind::PrefetchFirstUse { line: 0x8000_0140, pc_hash: 4, lead_cycles: 300 },
+            TraceKind::PrefetchFirstUse {
+                line: 0x8000_0140,
+                pc_hash: 4,
+                lead_cycles: 300,
+            },
             "06400100800000000004002c01000000000000",
         ),
         (
-            TraceKind::PrefetchEvictedUnused { line: 0x8000_0180, pc_hash: 5 },
+            TraceKind::PrefetchEvictedUnused {
+                line: 0x8000_0180,
+                pc_hash: 5,
+            },
             "0780010080000000000500",
         ),
         (
-            TraceKind::DemandMiss { line: 0x8000_01c0, level: ServiceLevel::L3 },
+            TraceKind::DemandMiss {
+                line: 0x8000_01c0,
+                level: ServiceLevel::L3,
+            },
             "08c00100800000000002",
         ),
     ]);
-    assert_eq!(unknown_tag::<TraceKind>(9), "unknown TraceKind discriminant");
+    assert_eq!(
+        unknown_tag::<TraceKind>(9),
+        "unknown TraceKind discriminant"
+    );
 }

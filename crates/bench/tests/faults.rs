@@ -65,7 +65,10 @@ fn tmp_dir(tag: &str) -> PathBuf {
 #[test]
 fn panicking_point_is_isolated_and_neighbours_survive() {
     for threads in [1, 4] {
-        let out = Harness::new(threads).without_cache().quiet().run(&mixed_spec());
+        let out = Harness::new(threads)
+            .without_cache()
+            .quiet()
+            .run(&mixed_spec());
         let labels: Vec<&str> = out.outcomes.iter().map(|o| o.label.as_str()).collect();
         assert_eq!(labels, ["ok/first", "ok/middle", "ok/last"]);
         for o in &out.outcomes {
@@ -86,7 +89,11 @@ fn panicking_point_is_isolated_and_neighbours_survive() {
         }
         assert_eq!(out.failures[1].label, "bad/livelocks");
         match &out.failures[1].kind {
-            FailureKind::Sim(SimError::Watchdog { idle_cycles, snapshot, .. }) => {
+            FailureKind::Sim(SimError::Watchdog {
+                idle_cycles,
+                snapshot,
+                ..
+            }) => {
                 assert_eq!(*idle_cycles, 1_500);
                 assert_eq!(snapshot.cores.len(), 1);
                 assert!(snapshot.cores[0].committed >= 1_000);
@@ -116,7 +123,10 @@ fn failure_reports_are_deterministic() {
     // the JSON rendering (which includes failures) is byte-identical too
     assert_eq!(a.to_json(), b.to_json());
     let doc = bfetch_bench::harness::jsonio::Json::parse(&a.to_json()).unwrap();
-    match doc.get("failures").expect("failures key present when failing") {
+    match doc
+        .get("failures")
+        .expect("failures key present when failing")
+    {
         bfetch_bench::harness::jsonio::Json::Arr(fs) => {
             assert_eq!(fs.len(), 2);
             assert_eq!(fs[0].get("class").unwrap().as_str(), Some("panic"));
@@ -137,7 +147,10 @@ fn failed_points_are_never_cached() {
     let second = h.run(&mixed_spec());
     assert_eq!(second.stats.cache_hits, 3);
     assert_eq!(second.stats.sims_run, 0);
-    assert_eq!(second.stats.failed, 2, "failures must not be served from cache");
+    assert_eq!(
+        second.stats.failed, 2,
+        "failures must not be served from cache"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -206,10 +219,27 @@ fn or_fail_exits_nonzero_with_deterministic_report() {
             .collect()
     };
     let lines = failed_lines(&first.stderr);
-    assert_eq!(lines.len(), 2, "stderr: {}", String::from_utf8_lossy(&first.stderr));
-    assert!(lines[0].starts_with("FAILED bad/panics: panic: injected fault"), "{}", lines[0]);
-    assert!(lines[1].starts_with("FAILED bad/livelocks: watchdog:"), "{}", lines[1]);
+    assert_eq!(
+        lines.len(),
+        2,
+        "stderr: {}",
+        String::from_utf8_lossy(&first.stderr)
+    );
+    assert!(
+        lines[0].starts_with("FAILED bad/panics: panic: injected fault"),
+        "{}",
+        lines[0]
+    );
+    assert!(
+        lines[1].starts_with("FAILED bad/livelocks: watchdog:"),
+        "{}",
+        lines[1]
+    );
     let second = run_child();
     assert_eq!(second.status.code(), Some(1));
-    assert_eq!(lines, failed_lines(&second.stderr), "report must be deterministic");
+    assert_eq!(
+        lines,
+        failed_lines(&second.stderr),
+        "report must be deterministic"
+    );
 }

@@ -13,8 +13,8 @@
 //!
 //! then review the fixture diff like any other behavioural change.
 
-use bfetch_sim::{PrefetcherKind, RunOutput, SimConfig, SimSession};
 use bfetch_isa::Program;
+use bfetch_sim::{PrefetcherKind, RunOutput, SimConfig, SimSession};
 
 fn run_single(p: &Program, cfg: &SimConfig, insts: u64) -> bfetch_sim::RunResult {
     SimSession::new(cfg.clone())
@@ -95,8 +95,12 @@ fn registry_counters_match_committed_fixtures() {
             std::fs::write(&path, &got).expect("write fixture");
             continue;
         }
-        let want = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing fixture {} ({e}); run with BFETCH_BLESS=1 to create it", path.display()));
+        let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!(
+                "missing fixture {} ({e}); run with BFETCH_BLESS=1 to create it",
+                path.display()
+            )
+        });
         if got != want {
             let diff: Vec<String> = diff_lines(&want, &got);
             failures.push(format!("{stem}:\n{}", diff.join("\n")));
@@ -122,7 +126,9 @@ const WB_INSTRUCTIONS: u64 = 300_000;
 #[test]
 fn writeback_registry_counters_match_committed_fixtures() {
     let bless = std::env::var_os("BFETCH_BLESS").is_some();
-    let lbm = kernel_by_name("lbm").expect("kernel registered").build(Scale::Small);
+    let lbm = kernel_by_name("lbm")
+        .expect("kernel registered")
+        .build(Scale::Small);
     let cfg = SimConfig::baseline()
         .with_prefetcher(PrefetcherKind::BFetch)
         .with_warmup(WARMUP)
@@ -136,7 +142,10 @@ fn writeback_registry_counters_match_committed_fixtures() {
         let mut got = String::new();
         for (i, r) in run.results.iter().enumerate() {
             let reg = r.registry();
-            assert!(reg.get("mem.writebacks") > 0, "{stem} core {i}: no writebacks");
+            assert!(
+                reg.get("mem.writebacks") > 0,
+                "{stem} core {i}: no writebacks"
+            );
             if cores > 1 {
                 got.push_str(&format!("# core {i}\n"));
             }
@@ -147,8 +156,12 @@ fn writeback_registry_counters_match_committed_fixtures() {
             std::fs::write(&path, &got).expect("write fixture");
             continue;
         }
-        let want = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing fixture {} ({e}); run with BFETCH_BLESS=1 to create it", path.display()));
+        let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!(
+                "missing fixture {} ({e}); run with BFETCH_BLESS=1 to create it",
+                path.display()
+            )
+        });
         if got != want {
             failures.push(format!("{stem}:\n{}", diff_lines(&want, &got).join("\n")));
         }
@@ -182,8 +195,12 @@ fn cpi_registry_counters_match_committed_fixtures() {
             std::fs::write(&path, &got).expect("write fixture");
             continue;
         }
-        let want = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing fixture {} ({e}); run with BFETCH_BLESS=1 to create it", path.display()));
+        let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!(
+                "missing fixture {} ({e}); run with BFETCH_BLESS=1 to create it",
+                path.display()
+            )
+        });
         if got != want {
             let diff: Vec<String> = diff_lines(&want, &got);
             failures.push(format!("{stem}:\n{}", diff.join("\n")));
@@ -213,8 +230,14 @@ fn cpi_run_matches_plain_fixture_and_holds_invariant() {
         let r = &run.results[0];
 
         let stack = r.cpi.expect("CPI run carries a stack");
-        assert!(stack.holds_invariant(), "slot invariant violated for {stem}");
-        assert_eq!(stack.cycles, r.cycles, "stack window != run window ({stem})");
+        assert!(
+            stack.holds_invariant(),
+            "slot invariant violated for {stem}"
+        );
+        assert_eq!(
+            stack.cycles, r.cycles,
+            "stack window != run window ({stem})"
+        );
         assert_eq!(
             stack.committed_slots, r.instructions,
             "committed slots != instructions ({stem})"

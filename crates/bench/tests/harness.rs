@@ -29,10 +29,7 @@ fn sweep() -> SweepSpec {
 }
 
 fn tmp_cache(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "bfetch-harness-it-{tag}-{}",
-        std::process::id()
-    ));
+    let d = std::env::temp_dir().join(format!("bfetch-harness-it-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     d
 }
@@ -63,7 +60,10 @@ fn second_invocation_is_served_entirely_from_cache() {
 
     // a fresh harness on the same directory: zero simulations
     let second = Harness::new(4).with_cache_dir(&dir).quiet().run(&spec);
-    assert_eq!(second.stats.sims_run, 0, "warm cache must serve every point");
+    assert_eq!(
+        second.stats.sims_run, 0,
+        "warm cache must serve every point"
+    );
     assert_eq!(second.stats.cache_hits, spec.len());
     for (a, b) in first.outcomes.iter().zip(second.outcomes.iter()) {
         assert_eq!(a.results, b.results, "cached results differ at {}", a.label);

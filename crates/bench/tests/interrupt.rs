@@ -37,8 +37,14 @@ fn count_ext(dir: &Path, ext: &str) -> usize {
 fn a_stopped_sweep_finishes_its_points_in_flight_and_skips_the_rest() {
     let dir = tmp_cache("drain");
     let kernels = ["libquantum", "mcf", "astar"].map(|k| kernel_by_name(k).unwrap());
-    let cfgs = [PrefetcherKind::None, PrefetcherKind::BFetch]
-        .map(|kind| (kind.name(), SimConfig::baseline().with_prefetcher(kind).with_warmup(5_000)));
+    let cfgs = [PrefetcherKind::None, PrefetcherKind::BFetch].map(|kind| {
+        (
+            kind.name(),
+            SimConfig::baseline()
+                .with_prefetcher(kind)
+                .with_warmup(5_000),
+        )
+    });
     let mut spec = SweepSpec::new();
     spec.push_grid(&kernels, &cfgs, 20_000, Scale::Full);
 
@@ -54,20 +60,37 @@ fn a_stopped_sweep_finishes_its_points_in_flight_and_skips_the_rest() {
                 std::thread::sleep(Duration::from_millis(1));
             }
         });
-        let out = Harness::new(1).with_cache_dir(&dir).quiet().with_stop_flag(stop.clone()).run(&spec);
+        let out = Harness::new(1)
+            .with_cache_dir(&dir)
+            .quiet()
+            .with_stop_flag(stop.clone())
+            .run(&spec);
         done.store(true, Ordering::SeqCst);
         out
     });
 
     for o in &out.outcomes {
         let point = spec.points.iter().find(|p| p.label == o.label).unwrap();
-        assert!(dir.join(cache::file_name(&point.cache_key())).exists(), "{} not cached", o.label);
+        assert!(
+            dir.join(cache::file_name(&point.cache_key())).exists(),
+            "{} not cached",
+            o.label
+        );
     }
     for f in &out.failures {
-        assert_eq!((&f.kind, f.attempts), (&FailureKind::Interrupted, 0), "at {}", f.label);
+        assert_eq!(
+            (&f.kind, f.attempts),
+            (&FailureKind::Interrupted, 0),
+            "at {}",
+            f.label
+        );
     }
     for ext in ["snap", "prog", "bad"] {
-        assert_eq!(count_ext(&dir, ext), 0, "a .{ext} file in the cache directory");
+        assert_eq!(
+            count_ext(&dir, ext),
+            0,
+            "a .{ext} file in the cache directory"
+        );
     }
 
     let rerun = Harness::new(1).with_cache_dir(&dir).quiet().run(&spec);
@@ -84,7 +107,9 @@ fn a_stopped_sweep_finishes_its_points_in_flight_and_skips_the_rest() {
 fn a_periodic_mcf_state_file_is_small_and_holds_no_program() {
     let dir = tmp_cache("mcf-size");
     let mcf = kernel_by_name("mcf").unwrap().build(Scale::Full);
-    let cfg = SimConfig::baseline().with_prefetcher(PrefetcherKind::BFetch).with_warmup(20_000);
+    let cfg = SimConfig::baseline()
+        .with_prefetcher(PrefetcherKind::BFetch)
+        .with_warmup(20_000);
     SimSession::new(cfg)
         .instructions(10_000)
         .checkpoint_every(65_536, &dir)
@@ -92,14 +117,27 @@ fn a_periodic_mcf_state_file_is_small_and_holds_no_program() {
         .unwrap();
     let state = std::fs::read(dir.join("checkpoint.snap")).expect("a periodic checkpoint");
     // 515 268 bytes at schema 11, plus about 10 %
-    assert!(state.len() <= 567_000, "state file is {} bytes", state.len());
-    let ids = bfetch_snapshot::FrameReader::parse(&state).unwrap().section_ids();
-    assert!(!ids.contains(&3), "state file has a programs section: {ids:?}");
+    assert!(
+        state.len() <= 567_000,
+        "state file is {} bytes",
+        state.len()
+    );
+    let ids = bfetch_snapshot::FrameReader::parse(&state)
+        .unwrap()
+        .section_ids();
+    assert!(
+        !ids.contains(&3),
+        "state file has a programs section: {ids:?}"
+    );
 
     // the program file holds mcf's encoding, whose head (name,
     // instructions, the first page of the image) the state file lacks
     let prog = std::fs::read(dir.join("checkpoint.prog")).unwrap();
-    assert!(prog.len() > 12_000_000, "program file is {} bytes", prog.len());
+    assert!(
+        prog.len() > 12_000_000,
+        "program file is {} bytes",
+        prog.len()
+    );
     let mut head = Vec::new();
     mcf.save_to(|b| {
         if head.is_empty() {
@@ -109,8 +147,14 @@ fn a_periodic_mcf_state_file_is_small_and_holds_no_program() {
     })
     .unwrap();
     assert!(head.len() > 4096);
-    assert!(prog.windows(head.len()).any(|w| w == head), "the program file holds the program");
-    assert!(!state.windows(head.len()).any(|w| w == head), "the state file holds program bytes");
+    assert!(
+        prog.windows(head.len()).any(|w| w == head),
+        "the program file holds the program"
+    );
+    assert!(
+        !state.windows(head.len()).any(|w| w == head),
+        "the state file holds program bytes"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -125,25 +169,45 @@ fn signalled_figure_reruns_to_the_same_stdout(signal: &str) {
 
     let bin = env!("CARGO_BIN_EXE_bfetch");
     let dir = tmp_cache(signal);
-    let common = ["fig08_single", "--small", "--kernels", "mcf", "-n", "120000", "--warmup", "20000", "-j", "1"];
+    let common = [
+        "fig08_single",
+        "--small",
+        "--kernels",
+        "mcf",
+        "-n",
+        "120000",
+        "--warmup",
+        "20000",
+        "-j",
+        "1",
+    ];
     let cached = || {
         let mut c = Command::new(bin);
         c.args(common).arg("--cache-dir").arg(&dir);
         c
     };
 
-    let mut child = cached().stdout(Stdio::piped()).stderr(Stdio::null()).spawn().expect("spawn fig08_single");
+    let mut child = cached()
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn fig08_single");
     let deadline = Instant::now() + Duration::from_secs(120);
     while count_ext(&dir, "res") == 0 && child.try_wait().expect("try_wait").is_none() {
         assert!(Instant::now() < deadline, "no entry appeared");
         std::thread::sleep(Duration::from_millis(5));
     }
     let pid = child.id().to_string();
-    let _ = Command::new("kill").args([&format!("-{signal}"), pid.as_str()]).status();
+    let _ = Command::new("kill")
+        .args([&format!("-{signal}"), pid.as_str()])
+        .status();
     let signalled = child.wait_with_output().expect("wait");
     if signal == "INT" {
         match signalled.status.code() {
-            Some(130) => assert!(signalled.stdout.is_empty(), "an interrupted run printed results"),
+            Some(130) => assert!(
+                signalled.stdout.is_empty(),
+                "an interrupted run printed results"
+            ),
             Some(0) => {}
             other => panic!("SIGINT exit status {other:?}"),
         }
@@ -151,12 +215,21 @@ fn signalled_figure_reruns_to_the_same_stdout(signal: &str) {
 
     let rerun = cached().output().expect("rerun fig08_single");
     assert!(rerun.status.success(), "rerun failed: {rerun:?}");
-    let fresh = Command::new(bin).args(common).arg("--no-cache").output().expect("fresh fig08_single");
+    let fresh = Command::new(bin)
+        .args(common)
+        .arg("--no-cache")
+        .output()
+        .expect("fresh fig08_single");
     assert!(fresh.status.success());
-    assert_eq!(rerun.stdout, fresh.stdout, "the rerun must print what an uninterrupted run prints");
+    assert_eq!(
+        rerun.stdout, fresh.stdout,
+        "the rerun must print what an uninterrupted run prints"
+    );
     let stderr = String::from_utf8_lossy(&rerun.stderr);
     assert!(
-        stderr.lines().any(|l| l.starts_with("[harness]") && l.ends_with("cached")),
+        stderr
+            .lines()
+            .any(|l| l.starts_with("[harness]") && l.ends_with("cached")),
         "the rerun served nothing from the cache:\n{stderr}"
     );
     assert_eq!((count_ext(&dir, "snap"), count_ext(&dir, "prog")), (0, 0));

@@ -13,9 +13,7 @@ fn required_payload(event: &str) -> Option<&'static [&'static str]> {
     Some(match event {
         "branch_predicted" => &["pc", "taken", "confidence"],
         "branch_resolved" => &["pc", "taken", "mispredicted"],
-        "prefetch_issued" | "prefetch_filled" | "prefetch_evicted_unused" => {
-            &["line", "pc_hash"]
-        }
+        "prefetch_issued" | "prefetch_filled" | "prefetch_evicted_unused" => &["line", "pc_hash"],
         "prefetch_dropped" => &["line", "pc_hash", "reason"],
         "prefetch_mshr_merged" => &["line", "pc_hash", "remaining_cycles"],
         "prefetch_first_use" => &["line", "pc_hash", "lead_cycles"],
@@ -31,7 +29,10 @@ fn assert_line_matches_schema(line: &str) {
         .and_then(Json::as_str)
         .unwrap_or_else(|| panic!("line without event name: {line}"));
     if event == "run_begin" {
-        assert!(j.get("kernel").is_some(), "run_begin without kernel: {line}");
+        assert!(
+            j.get("kernel").is_some(),
+            "run_begin without kernel: {line}"
+        );
         assert!(
             j.get("prefetcher").is_some(),
             "run_begin without prefetcher: {line}"
@@ -76,10 +77,8 @@ fn in_process_event_stream_serialises_to_schema_valid_json() {
 
 #[test]
 fn ext_lifecycle_trace_export_validates_line_by_line() {
-    let trace = std::env::temp_dir().join(format!(
-        "bfetch-lifecycle-it-{}.jsonl",
-        std::process::id()
-    ));
+    let trace =
+        std::env::temp_dir().join(format!("bfetch-lifecycle-it-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&trace);
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_bfetch"))
         .args([
@@ -97,7 +96,11 @@ fn ext_lifecycle_trace_export_validates_line_by_line() {
         .arg(&trace)
         .output()
         .expect("ext_lifecycle runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // stdout is the usual --json report, independent of the trace export
     let stdout = String::from_utf8(out.stdout).unwrap();

@@ -26,7 +26,9 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 
 fn registry_render(kind: PrefetcherKind) -> String {
     let k = kernel_by_name("mcf").expect("kernel registered");
-    let cfg = SimConfig::baseline().with_prefetcher(kind).with_warmup(WARMUP);
+    let cfg = SimConfig::baseline()
+        .with_prefetcher(kind)
+        .with_warmup(WARMUP);
     let reg = SimSession::new(cfg)
         .instructions(INSTRUCTIONS)
         .run_one(&k.build(Scale::Small))
@@ -118,8 +120,14 @@ fn chrome_trace_is_well_formed() {
                 assert!(ev.get("args").is_some(), "metadata event without args");
             }
             "X" => {
-                assert!(ev.get("ts").and_then(Json::as_f64).is_some(), "X without ts");
-                assert!(ev.get("dur").and_then(Json::as_f64).is_some(), "X without dur");
+                assert!(
+                    ev.get("ts").and_then(Json::as_f64).is_some(),
+                    "X without ts"
+                );
+                assert!(
+                    ev.get("dur").and_then(Json::as_f64).is_some(),
+                    "X without dur"
+                );
                 names.insert(ev.get("name").and_then(Json::as_str).unwrap().to_string());
                 complete += 1;
             }

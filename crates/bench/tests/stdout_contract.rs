@@ -18,7 +18,10 @@ use std::process::Command;
 const BASE: &[&str] = &["-n", "2000", "--warmup", "500", "--small"];
 
 fn unique_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("bfetch-stdout-contract-{tag}-{}", std::process::id()))
+    std::env::temp_dir().join(format!(
+        "bfetch-stdout-contract-{tag}-{}",
+        std::process::id()
+    ))
 }
 
 /// `bfetch fig08_single` with the base args.
@@ -31,10 +34,7 @@ fn fig08() -> Command {
 /// Runs fig08_single with `extra` appended to the base args, returning
 /// stdout. Panics (with stderr attached) if the binary fails.
 fn fig08_stdout(extra: &[&str]) -> String {
-    let out = fig08()
-        .args(extra)
-        .output()
-        .expect("spawn fig08_single");
+    let out = fig08().args(extra).output().expect("spawn fig08_single");
     assert!(
         out.status.success(),
         "fig08_single {extra:?} failed:\n{}",
@@ -54,7 +54,10 @@ fn stdout_is_byte_identical_across_threading_profiling_and_cache_state() {
     assert!(!baseline.is_empty(), "fig08_single printed nothing");
 
     let variants: Vec<(&str, Vec<String>)> = vec![
-        ("host threads", vec!["--no-cache".into(), "-j".into(), "2".into()]),
+        (
+            "host threads",
+            vec!["--no-cache".into(), "-j".into(), "2".into()],
+        ),
         (
             "profiled",
             vec![
@@ -67,11 +70,21 @@ fn stdout_is_byte_identical_across_threading_profiling_and_cache_state() {
         ),
         (
             "cold cache",
-            vec!["--cache-dir".into(), cache_dir.display().to_string(), "-j".into(), "1".into()],
+            vec![
+                "--cache-dir".into(),
+                cache_dir.display().to_string(),
+                "-j".into(),
+                "1".into(),
+            ],
         ),
         (
             "warm cache",
-            vec!["--cache-dir".into(), cache_dir.display().to_string(), "-j".into(), "2".into()],
+            vec![
+                "--cache-dir".into(),
+                cache_dir.display().to_string(),
+                "-j".into(),
+                "2".into(),
+            ],
         ),
     ];
     for (what, args) in &variants {
@@ -130,7 +143,10 @@ fn removed_sim_threads_flag_is_rejected_with_usage() {
     let trace_arg = trace.display().to_string();
     for (args, complaint) in [
         (["--sim-threads", "4"], "unknown flag --sim-threads"),
-        (["--trace", trace_arg.as_str()], "fig08_single does not implement --trace"),
+        (
+            ["--trace", trace_arg.as_str()],
+            "fig08_single does not implement --trace",
+        ),
     ] {
         let out = fig08()
             .arg("--no-cache")
@@ -138,18 +154,31 @@ fn removed_sim_threads_flag_is_rejected_with_usage() {
             .output()
             .expect("spawn fig08_single");
         assert_eq!(out.status.code(), Some(2), "{args:?}");
-        assert!(out.stdout.is_empty(), "a rejected command line printed to stdout");
+        assert!(
+            out.stdout.is_empty(),
+            "a rejected command line printed to stdout"
+        );
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(complaint), "{stderr}");
-        assert!(stderr.contains("common flags:"), "usage missing from stderr:\n{stderr}");
+        assert!(
+            stderr.contains("common flags:"),
+            "usage missing from stderr:\n{stderr}"
+        );
     }
-    assert!(!trace.exists(), "a rejected --trace still wrote {trace_arg}");
+    assert!(
+        !trace.exists(),
+        "a rejected --trace still wrote {trace_arg}"
+    );
 
     // `simulate --predictor` went with the perceptron (even the value that
     // used to be the default is an undeclared flag now) and `--forwarding`
     // with the store-to-load forwarding model
     for (args, flag, usage_line) in [
-        (&["--predictor", "tournament"][..], "--predictor", "predictor KIND"),
+        (
+            &["--predictor", "tournament"][..],
+            "--predictor",
+            "predictor KIND",
+        ),
         (&["--forwarding"][..], "--forwarding", "  --forwarding"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_bfetch"))
@@ -158,10 +187,16 @@ fn removed_sim_threads_flag_is_rejected_with_usage() {
             .output()
             .expect("spawn simulate");
         assert_eq!(out.status.code(), Some(2), "{flag}");
-        assert!(out.stdout.is_empty(), "a rejected command line printed to stdout");
+        assert!(
+            out.stdout.is_empty(),
+            "a rejected command line printed to stdout"
+        );
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
-        assert!(!stderr.contains(usage_line), "usage still offers it:\n{stderr}");
+        assert!(
+            !stderr.contains(usage_line),
+            "usage still offers it:\n{stderr}"
+        );
     }
 }
 
@@ -183,7 +218,10 @@ fn simulate_rejects_a_configuration_its_flags_make_invalid() {
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(&format!("config: {knob}")), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("config: {knob}")),
+            "{args:?}: {stderr}"
+        );
     }
 }
 
@@ -193,13 +231,26 @@ fn simulate_rejects_a_configuration_its_flags_make_invalid() {
 /// cannot drift apart.
 #[test]
 fn simulate_runs_every_listed_prefetcher_and_rejects_removed_ones() {
-    let fig = bfetch_bench::registry::figures().iter().find(|f| f.name == "simulate");
-    let help = fig.and_then(|f| f.flag("--prefetcher")).expect("simulate --prefetcher").help;
+    let fig = bfetch_bench::registry::figures()
+        .iter()
+        .find(|f| f.name == "simulate");
+    let help = fig
+        .and_then(|f| f.flag("--prefetcher"))
+        .expect("simulate --prefetcher")
+        .help;
     let listed: Vec<&str> = help.split(' ').next().unwrap().split('|').collect();
     assert_eq!(listed, ["none", "stride", "sms", "bfetch", "perfect"]);
     let simulate = |kind: &str| {
         Command::new(env!("CARGO_BIN_EXE_bfetch"))
-            .args(["simulate", "-n", "60", "--warmup", "20", "--small", "--no-cache"])
+            .args([
+                "simulate",
+                "-n",
+                "60",
+                "--warmup",
+                "20",
+                "--small",
+                "--no-cache",
+            ])
             .args(["--prefetcher", kind])
             .output()
             .expect("spawn simulate")

@@ -365,8 +365,9 @@ impl Assembler {
             }
             ".word" => {
                 if args.is_empty() {
-                    return Err(self
-                        .err(col, AsmErrorKind::BadOperand(".word takes value(s)".into())));
+                    return Err(
+                        self.err(col, AsmErrorKind::BadOperand(".word takes value(s)".into()))
+                    );
                 }
                 let mut words = Vec::new();
                 for piece in split_operands(args) {
@@ -404,9 +405,7 @@ impl Assembler {
                 }
                 self.append_words(col, &vec![value as u64; count as usize])?;
             }
-            other => {
-                return Err(self.err(col, AsmErrorKind::UnknownDirective(other.to_string())))
-            }
+            other => return Err(self.err(col, AsmErrorKind::UnknownDirective(other.to_string()))),
         }
         Ok(())
     }
@@ -535,9 +534,7 @@ impl Assembler {
                 let label = self.branch_label(raw, ops[0])?;
                 self.b.jmp(label);
             }
-            _ => {
-                return Err(self.err(col, AsmErrorKind::UnknownMnemonic(mnemonic.to_string())))
-            }
+            _ => return Err(self.err(col, AsmErrorKind::UnknownMnemonic(mnemonic.to_string()))),
         }
         self.emitted += 1;
         Ok(())
@@ -1000,10 +997,28 @@ mod tests {
     #[test]
     fn expressions_evaluate_with_precedence() {
         let p = assemble("li r1, 1 + 2*3\nli r2, (1+2)*3\nli r3, 1 << 4 + 1\nhalt\n").unwrap();
-        assert_eq!(p.inst(0), Inst::LoadImm { rd: Reg::R1, imm: 7 });
-        assert_eq!(p.inst(1), Inst::LoadImm { rd: Reg::R2, imm: 9 });
+        assert_eq!(
+            p.inst(0),
+            Inst::LoadImm {
+                rd: Reg::R1,
+                imm: 7
+            }
+        );
+        assert_eq!(
+            p.inst(1),
+            Inst::LoadImm {
+                rd: Reg::R2,
+                imm: 9
+            }
+        );
         // shift binds loosest: 1 << (4+1)
-        assert_eq!(p.inst(2), Inst::LoadImm { rd: Reg::R3, imm: 32 });
+        assert_eq!(
+            p.inst(2),
+            Inst::LoadImm {
+                rd: Reg::R3,
+                imm: 32
+            }
+        );
     }
 
     #[test]
@@ -1030,7 +1045,13 @@ mod tests {
     #[test]
     fn predefined_symbols_beat_defaults_but_not_equ() {
         let p = assemble_with(".default N 1\nli r1, N\nhalt\n", &[("N", 7)]).unwrap();
-        assert_eq!(p.inst(0), Inst::LoadImm { rd: Reg::R1, imm: 7 });
+        assert_eq!(
+            p.inst(0),
+            Inst::LoadImm {
+                rd: Reg::R1,
+                imm: 7
+            }
+        );
         let e = assemble_with(".equ N 1\nhalt\n", &[("N", 7)]).unwrap_err();
         assert_eq!(e.kind, AsmErrorKind::DuplicateSymbol("N".into()));
     }

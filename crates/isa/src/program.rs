@@ -268,8 +268,9 @@ impl Program {
     pub fn read_from(s: &mut impl Source) -> Result<Self, SnapshotError> {
         let n = s.take_count(1)?;
         let name = s.decode(n, |r| {
-            String::from_utf8(r.take_bytes(n)?.to_vec())
-                .map_err(|_| SnapshotError::Invalid { what: "string is not UTF-8" })
+            String::from_utf8(r.take_bytes(n)?.to_vec()).map_err(|_| SnapshotError::Invalid {
+                what: "string is not UTF-8",
+            })
         })?;
         let insts = (0..s.take_count(1)?)
             .map(|_| s.decode(0, Inst::load))

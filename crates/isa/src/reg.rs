@@ -118,8 +118,9 @@ impl bfetch_snapshot::Snap for Reg {
         w.put_u8(*self as u8);
     }
     fn load(r: &mut bfetch_snapshot::Decoder<'_>) -> Result<Self, bfetch_snapshot::SnapshotError> {
-        Reg::from_index(r.take_u8()? as usize)
-            .ok_or(bfetch_snapshot::SnapshotError::Invalid { what: "register index out of range" })
+        Reg::from_index(r.take_u8()? as usize).ok_or(bfetch_snapshot::SnapshotError::Invalid {
+            what: "register index out of range",
+        })
     }
 }
 

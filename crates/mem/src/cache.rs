@@ -534,7 +534,9 @@ mod tests {
         let mut c = SetAssocCache::new(CacheConfig::new(256, 4, 1)); // 1 set x 4 ways
         let mut x = 0x9e3779b9u64;
         for _ in 0..10_000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let line = (x >> 33) % 16 * 64;
             match x % 3 {
                 0 => {

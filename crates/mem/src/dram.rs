@@ -216,7 +216,7 @@ mod tests {
         let mut d = Dram::new(DramConfig { row_model: true });
         let a = d.request(0x0, 0);
         let b = d.request(ROW_BYTES, 0); // next bank
-        // both pay full latency but only the channel interval separates them
+                                         // both pay full latency but only the channel interval separates them
         assert_eq!(a, 200);
         assert!(b <= 200 + LINE_INTERVAL);
     }

@@ -754,7 +754,8 @@ impl CoreMem {
         };
         let (done, level, fill_l2, fill_l3) =
             self.lower_levels(shared, phys, start_at + self.cfg.l1d.latency, false);
-        self.pf_mshr.fill_scheduled(line, done, true, pc_hash & 0x3ff, level);
+        self.pf_mshr
+            .fill_scheduled(line, done, true, pc_hash & 0x3ff, level);
         self.tracer.emit_for(
             self.id as u32,
             now,

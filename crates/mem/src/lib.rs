@@ -44,8 +44,8 @@ pub mod probe;
 pub use cache::{CacheConfig, LineMeta, SetAssocCache, WayMeta};
 pub use dram::{Dram, DramConfig};
 pub use hierarchy::{
-    drain_chip, AccessKind, AccessOutcome, ChipGuard, CoreMem, HierarchyConfig,
-    HitLevel, MemStats, MemoryInterface, MemorySystem, PrefetchFeedback, SharedMem,
+    drain_chip, AccessKind, AccessOutcome, ChipGuard, CoreMem, HierarchyConfig, HitLevel, MemStats,
+    MemoryInterface, MemorySystem, PrefetchFeedback, SharedMem,
 };
 pub use mshr::{MshrFile, MshrOutcome};
 

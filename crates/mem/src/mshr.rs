@@ -232,11 +232,10 @@ impl MshrFile {
     /// The outstanding entry for `line`, if any:
     /// `(complete_at, is_prefetch, pc_hash, level)`.
     pub fn lookup(&self, line: u64) -> Option<(u64, bool, u16, HitLevel)> {
-        self.find(line)
-            .map(|i| {
-                let s = self.slots[i];
-                (s.complete_at, s.is_prefetch, s.pc_hash, s.level)
-            })
+        self.find(line).map(|i| {
+            let s = self.slots[i];
+            (s.complete_at, s.is_prefetch, s.pc_hash, s.level)
+        })
     }
 
     /// Lower bound on the earliest outstanding `complete_at` (`u64::MAX`

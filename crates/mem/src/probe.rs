@@ -123,11 +123,7 @@ mod tests {
                 &[0, 1, INVALID_RANK, 2, 3, 4, 5, 6, 7],
                 0x40,
             ),
-            (
-                &[7, 7, 7, 7, 7, 7, 7, 7],
-                &[INVALID_RANK; 8],
-                7,
-            ),
+            (&[7, 7, 7, 7, 7, 7, 7, 7], &[INVALID_RANK; 8], 7),
         ];
         for &(tags, ranks, key) in cases {
             let want = find_way_scalar(tags, ranks, key);
@@ -137,7 +133,9 @@ mod tests {
 
     #[test]
     fn line_scan_matches_scalar() {
-        let lines: &[u64] = &[NO_LINE, 0x40, NO_LINE, 0x80, 0x40, NO_LINE, 0xc0, 0x100, 0x40];
+        let lines: &[u64] = &[
+            NO_LINE, 0x40, NO_LINE, 0x80, 0x40, NO_LINE, 0xc0, 0x100, 0x40,
+        ];
         for key in [0x40u64, 0x80, 0xc0, 0x140, NO_LINE] {
             let want = find_line_scalar(lines, key);
             assert_eq!(find_line(lines, key), want);
@@ -149,7 +147,9 @@ mod tests {
     fn probe_agrees_with_scalar_randomized() {
         let mut x = 0x243f_6a88_85a3_08d3u64;
         let mut next = move || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             x >> 11
         };
         for n in 0..=24usize {

@@ -2,9 +2,7 @@
 //! in-tree deterministic PRNG (`bfetch-prng`). Set `BFETCH_PROP_CASES` for
 //! more cases.
 
-use bfetch_mem::probe::{
-    find_line, find_line_scalar, find_way, find_way_scalar, INVALID_RANK,
-};
+use bfetch_mem::probe::{find_line, find_line_scalar, find_way, find_way_scalar, INVALID_RANK};
 use bfetch_mem::{
     AccessKind, CacheConfig, HierarchyConfig, HitLevel, LineMeta, MemorySystem, MshrFile,
     SetAssocCache,

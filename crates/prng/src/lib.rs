@@ -300,7 +300,10 @@ mod tests {
         let mut sorted = xs.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..64).collect::<Vec<u32>>());
-        assert_ne!(xs, sorted, "64 elements virtually never shuffle to identity");
+        assert_ne!(
+            xs, sorted,
+            "64 elements virtually never shuffle to identity"
+        );
     }
 
     #[test]

@@ -98,7 +98,10 @@ struct PhaseAcc {
 
 impl PhaseAcc {
     const fn new() -> Self {
-        PhaseAcc { count: 0, total_ns: 0 }
+        PhaseAcc {
+            count: 0,
+            total_ns: 0,
+        }
     }
 
     #[inline]
@@ -234,7 +237,11 @@ impl Profile {
                 merged[p].merge(acc);
                 tphases.push(PhaseStats::from_acc(p, acc));
             }
-            threads.push(ThreadStats { tid: t.tid, name: t.display_name(), phases: tphases });
+            threads.push(ThreadStats {
+                tid: t.tid,
+                name: t.display_name(),
+                phases: tphases,
+            });
         }
         let phases = merged
             .iter()
@@ -263,7 +270,11 @@ pub struct PhaseStats {
 
 impl PhaseStats {
     fn from_acc(phase: PhaseId, acc: &PhaseAcc) -> Self {
-        PhaseStats { name: PHASE_NAMES[phase], count: acc.count, total_ns: acc.total_ns }
+        PhaseStats {
+            name: PHASE_NAMES[phase],
+            count: acc.count,
+            total_ns: acc.total_ns,
+        }
     }
 
     /// Mean span duration, ns.
@@ -333,8 +344,11 @@ mod imp {
         pub threads: Vec<ThreadData>,
     }
 
-    static STATE: Mutex<GlobalState> =
-        Mutex::new(GlobalState { epoch: None, next_tid: 0, threads: Vec::new() });
+    static STATE: Mutex<GlobalState> = Mutex::new(GlobalState {
+        epoch: None,
+        next_tid: 0,
+        threads: Vec::new(),
+    });
 
     pub(super) fn lock_state() -> MutexGuard<'static, GlobalState> {
         STATE.lock().unwrap_or_else(|e| e.into_inner())
@@ -478,14 +492,21 @@ mod api {
     fn record(phase: PhaseId, start: Instant, traced: bool, label: Option<Box<str>>) {
         let dur_ns = start.elapsed().as_nanos() as u64;
         let ts_ns = if traced {
-            imp::epoch().and_then(|e| start.checked_duration_since(e)).map(|t| t.as_nanos() as u64)
+            imp::epoch()
+                .and_then(|e| start.checked_duration_since(e))
+                .map(|t| t.as_nanos() as u64)
         } else {
             None
         };
         let _ = imp::with_local(|td| {
             td.phases[phase].add(dur_ns);
             if let Some(ts_ns) = ts_ns {
-                td.events.push(Event { phase, label, ts_ns, dur_ns });
+                td.events.push(Event {
+                    phase,
+                    label,
+                    ts_ns,
+                    dur_ns,
+                });
             }
         });
     }
@@ -529,20 +550,31 @@ mod api {
     /// Aggregate-only span: cheap enough for per-cycle phases.
     #[inline(always)]
     pub fn span(phase: PhaseId) -> Span {
-        Span { phase, start: enabled().then(Instant::now) }
+        Span {
+            phase,
+            start: enabled().then(Instant::now),
+        }
     }
 
     /// Span that also emits a Chrome trace event (coarse work items only).
     #[inline]
     pub fn span_traced(phase: PhaseId) -> TracedSpan {
-        TracedSpan { phase, start: enabled().then(Instant::now), label: None }
+        TracedSpan {
+            phase,
+            start: enabled().then(Instant::now),
+            label: None,
+        }
     }
 
     /// Traced span with a custom event name (e.g. a grid-point label).
     #[inline]
     pub fn span_labeled(phase: PhaseId, label: &str) -> TracedSpan {
         let start = enabled().then(Instant::now);
-        TracedSpan { phase, start, label: start.map(|_| label.into()) }
+        TracedSpan {
+            phase,
+            start,
+            label: start.map(|_| label.into()),
+        }
     }
 }
 
@@ -574,7 +606,9 @@ mod report_tests {
 
     #[test]
     fn empty_report_renders() {
-        let p = Profile { threads: Vec::new() };
+        let p = Profile {
+            threads: Vec::new(),
+        };
         let r = p.report();
         assert!(r.phases.is_empty() && r.threads.is_empty());
         assert_eq!(r.phase_total_ns("sim.run"), 0);
@@ -675,7 +709,10 @@ mod capture_tests {
         let w0 = rep.thread("worker0").unwrap();
         assert!(w0.phase("harness.point").is_some());
         assert_eq!(rep.phase("harness.point").map(|p| p.count), Some(2));
-        let w1 = rep.thread("worker1").and_then(|t| t.phase("harness.point")).unwrap();
+        let w1 = rep
+            .thread("worker1")
+            .and_then(|t| t.phase("harness.point"))
+            .unwrap();
         assert_eq!(w1.count, 1);
         assert!(w0.phase("harness.point").unwrap().total_ns <= rep.phase_total_ns("harness.point"));
     }

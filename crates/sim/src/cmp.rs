@@ -11,8 +11,8 @@ use crate::snapshot::{self, ProgramFile};
 use bfetch_core::EngineStats;
 use bfetch_isa::Program;
 use bfetch_mem::{
-    drain_chip, AccessKind, AccessOutcome, ChipGuard, CoreMem, MemStats,
-    MemoryInterface, MemorySystem, SharedMem,
+    drain_chip, AccessKind, AccessOutcome, ChipGuard, CoreMem, MemStats, MemoryInterface,
+    MemorySystem, SharedMem,
 };
 use bfetch_stats::cpi::{CpiStack, TimelineSample};
 use bfetch_stats::trace::{TraceSink, Tracer};
@@ -259,7 +259,11 @@ fn check_faults(cfg: &SimConfig, cores: &[Core], frozen: &mut bool) {
             }
         }
     }
-    if f.freeze_at_insts > 0 && cores.iter().any(|c| c.counters().committed >= f.freeze_at_insts) {
+    if f.freeze_at_insts > 0
+        && cores
+            .iter()
+            .any(|c| c.counters().committed >= f.freeze_at_insts)
+    {
         *frozen = true;
     }
 }
@@ -267,11 +271,7 @@ fn check_faults(cfg: &SimConfig, cores: &[Core], frozen: &mut bool) {
 fn snapshot_cores(cores: &[Core], mems: &[CoreMem], now: u64) -> DiagSnapshot {
     DiagSnapshot {
         cycle: now,
-        cores: cores
-            .iter()
-            .zip(mems)
-            .map(|(c, m)| c.diag(m))
-            .collect(),
+        cores: cores.iter().zip(mems).map(|(c, m)| c.diag(m)).collect(),
     }
 }
 
@@ -353,7 +353,10 @@ pub(crate) fn run_ctrl(
         cfg.max_cycles
     } else {
         // `insts` is the caller's, not a validated knob: saturate
-        cfg.warmup_insts.saturating_add(insts).saturating_mul(600).saturating_add(4_000_000)
+        cfg.warmup_insts
+            .saturating_add(insts)
+            .saturating_mul(600)
+            .saturating_add(4_000_000)
     };
     // Forward-progress watchdog: one compare per cycle against a deadline;
     // the (more expensive) committed-total sum is recomputed only when the
@@ -392,7 +395,9 @@ pub(crate) fn run_ctrl(
             if let (true, Some(path)) = (stop_hit || due, ctrl.path.as_ref()) {
                 let file = match ctrl.program_file {
                     Some(ref file) => file,
-                    None => ctrl.program_file.insert(snapshot::write_programs(path, programs)?),
+                    None => ctrl
+                        .program_file
+                        .insert(snapshot::write_programs(path, programs)?),
                 };
                 snapshot::write_checkpoint(path, cfg, file, insts, ctrl.every, &st)?;
                 last_ckpt = st.now;
@@ -431,7 +436,13 @@ pub(crate) fn run_ctrl(
                 if *w > st.now {
                     c.skip_idle(st.now, st.now + 1);
                 } else {
-                    c.cycle(st.now, &mut SeqMem { mem: m, shared: &mut st.shared });
+                    c.cycle(
+                        st.now,
+                        &mut SeqMem {
+                            mem: m,
+                            shared: &mut st.shared,
+                        },
+                    );
                     st.guard.note(m.take_sched_min());
                     *w = c.wake_at(st.now + 1);
                 }
@@ -843,10 +854,7 @@ mod tests {
         assert_eq!(reg.get("core.cycles"), r.cycles);
         assert_eq!(reg.get("l1d.misses"), r.mem.l1d_misses);
         assert_eq!(reg.get("prefetch.issued"), r.mem.prefetch_issued);
-        assert_eq!(
-            reg.get("core.branch_fetch_hist.1"),
-            r.branch_fetch_hist[1]
-        );
+        assert_eq!(reg.get("core.branch_fetch_hist.1"), r.branch_fetch_hist[1]);
         assert!(reg.contains("bfetch.lookaheads"));
         // Snapshot/delta over a registry built from the same result is zero.
         let snap = reg.snapshot();
@@ -864,7 +872,10 @@ mod tests {
         let stack = accounted.cpi.take().expect("accounting was forced on");
         assert_eq!(plain, accounted, "accounting must only observe");
         assert!(stack.cycles > 0);
-        assert!(!cpi.timeline.is_empty(), "sampler must fire within 10k insts");
+        assert!(
+            !cpi.timeline.is_empty(),
+            "sampler must fire within 10k insts"
+        );
     }
 
     #[test]
@@ -981,13 +992,7 @@ mod tests {
         cfg.fault.freeze_at_insts = 4_000;
         let err = try_run_single(&p, &cfg, 10_000).expect_err("frozen run must abort");
         assert!(
-            matches!(
-                err,
-                crate::SimError::CycleBudget {
-                    limit: 30_000,
-                    ..
-                }
-            ),
+            matches!(err, crate::SimError::CycleBudget { limit: 30_000, .. }),
             "expected budget error, got {err}"
         );
     }
@@ -1014,10 +1019,7 @@ mod tests {
             try_run_single(&p, &cfg, 10_000)
         }))
         .expect_err("injection must panic");
-        let msg = caught
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
+        let msg = caught.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("injected fault"), "panic message: {msg}");
     }
 

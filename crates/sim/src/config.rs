@@ -49,7 +49,13 @@ impl PrefetcherKind {
     }
 
     /// Every variant, in snapshot tag order.
-    const ALL: [Self; 5] = [Self::None, Self::Stride, Self::Sms, Self::BFetch, Self::Perfect];
+    const ALL: [Self; 5] = [
+        Self::None,
+        Self::Stride,
+        Self::Sms,
+        Self::BFetch,
+        Self::Perfect,
+    ];
 
     /// The `&'static str` [`name`](Self::name) returns for `name`, or
     /// `None` when no kind is called that.
@@ -159,8 +165,15 @@ impl std::fmt::Display for ConfigError {
             ConfigError::Range { knob, lo, hi } => {
                 write!(f, "config: {knob} must be a number in [{lo}, {hi}]")
             }
-            ConfigError::NoCores => write!(f, "config: a run needs a program per core, and has none"),
-            ConfigError::L3 { cores, bytes, ways, problem } => write!(
+            ConfigError::NoCores => {
+                write!(f, "config: a run needs a program per core, and has none")
+            }
+            ConfigError::L3 {
+                cores,
+                bytes,
+                ways,
+                problem,
+            } => write!(
                 f,
                 "config: l3 geometry invalid for {cores} cores \
                  ({bytes} bytes, {ways} ways): {problem}"
@@ -350,7 +363,12 @@ impl SimConfig {
             return Ok(());
         }
         let problem = "set count must be a power of two";
-        Err(ConfigError::L3 { cores, bytes, ways: L3_WAYS, problem })
+        Err(ConfigError::L3 {
+            cores,
+            bytes,
+            ways: L3_WAYS,
+            problem,
+        })
     }
 
     /// The configuration's wire bytes: its [`Snap`](bfetch_snapshot::Snap)
@@ -390,7 +408,10 @@ pub fn check_bounded(knob: &'static str, v: u64, min: u64, max: u64) -> Result<(
         return Err(ConfigError::Zero { knob });
     }
     if v > max {
-        return Err(ConfigError::TooLarge { knob, max: max as usize });
+        return Err(ConfigError::TooLarge {
+            knob,
+            max: max as usize,
+        });
     }
     Ok(())
 }
@@ -607,7 +628,11 @@ mod tests {
                     problem: "set count must be a power of two",
                 }
             );
-            assert!(err.to_string().contains(&format!("l3 geometry invalid for {cores} cores")), "{err}");
+            assert!(
+                err.to_string()
+                    .contains(&format!("l3 geometry invalid for {cores} cores")),
+                "{err}"
+            );
         }
         assert_eq!(c.check_cores(0), Err(ConfigError::NoCores));
     }
@@ -725,7 +750,8 @@ mod tests {
     fn rejection(set: fn(&mut SimConfig)) -> ConfigError {
         let mut c = SimConfig::baseline();
         set(&mut c);
-        c.validate().expect_err("validate must refuse this geometry")
+        c.validate()
+            .expect_err("validate must refuse this geometry")
     }
 
     /// Each geometry a B-Fetch table constructor asserts on
@@ -736,20 +762,39 @@ mod tests {
         let table = |knob, problem| ConfigError::Table { knob, problem };
         let zero = |knob| ConfigError::Zero { knob };
         let pow2 = "must be a power of two";
-        assert_eq!(rejection(|c| c.bfetch.brtc_entries = 3), table("bfetch.brtc_entries", pow2));
-        assert_eq!(rejection(|c| c.bfetch.brtc_entries = 0), table("bfetch.brtc_entries", pow2));
-        assert_eq!(rejection(|c| c.bfetch.mht_entries = 96), table("bfetch.mht_entries", pow2));
-        assert_eq!(rejection(|c| c.bfetch.mht_slots = 0), zero("bfetch.mht_slots"));
-        assert_eq!(rejection(|c| c.bfetch.filter_entries = 2047), table("bfetch.filter_entries", pow2));
+        assert_eq!(
+            rejection(|c| c.bfetch.brtc_entries = 3),
+            table("bfetch.brtc_entries", pow2)
+        );
+        assert_eq!(
+            rejection(|c| c.bfetch.brtc_entries = 0),
+            table("bfetch.brtc_entries", pow2)
+        );
+        assert_eq!(
+            rejection(|c| c.bfetch.mht_entries = 96),
+            table("bfetch.mht_entries", pow2)
+        );
+        assert_eq!(
+            rejection(|c| c.bfetch.mht_slots = 0),
+            zero("bfetch.mht_slots")
+        );
+        assert_eq!(
+            rejection(|c| c.bfetch.filter_entries = 2047),
+            table("bfetch.filter_entries", pow2)
+        );
     }
 
     #[test]
     fn oversized_prefetcher_tables_are_rejected() {
-        assert_bounded("bfetch.brtc_entries", MAX_TABLE_ENTRIES, |c, v| c.bfetch.brtc_entries = v);
+        assert_bounded("bfetch.brtc_entries", MAX_TABLE_ENTRIES, |c, v| {
+            c.bfetch.brtc_entries = v
+        });
         assert_bounded("bfetch.filter_entries", MAX_TABLE_ENTRIES, |c, v| {
             c.bfetch.filter_entries = v
         });
-        assert_bounded("bfetch.mht_slots", MAX_MHT_SLOTS, |c, v| c.bfetch.mht_slots = v);
+        assert_bounded("bfetch.mht_slots", MAX_MHT_SLOTS, |c, v| {
+            c.bfetch.mht_slots = v
+        });
         // the MHT's slot array is the product of two knobs
         assert_bounded("bfetch.mht_entries", MAX_TABLE_ENTRIES, |c, v| {
             c.bfetch.mht_slots = 1;
@@ -782,7 +827,11 @@ mod tests {
     fn config_errors_render_the_knob() {
         let s = ConfigError::Zero { knob: "width" }.to_string();
         assert!(s.contains("width"), "{s}");
-        let s = ConfigError::TooLarge { knob: "l1d_mshrs", max: 7 }.to_string();
+        let s = ConfigError::TooLarge {
+            knob: "l1d_mshrs",
+            max: 7,
+        }
+        .to_string();
         assert!(s.contains("l1d_mshrs") && s.contains('7'), "{s}");
         let s = ConfigError::BpredScale { scale: 3.0 }.to_string();
         assert!(s.contains("3"), "{s}");
@@ -791,7 +840,10 @@ mod tests {
             problem: "must be a power of two",
         }
         .to_string();
-        assert!(s.contains("bfetch.brtc_entries") && s.contains("power of two"), "{s}");
+        assert!(
+            s.contains("bfetch.brtc_entries") && s.contains("power of two"),
+            "{s}"
+        );
     }
 
     #[test]
@@ -818,8 +870,15 @@ mod tests {
     fn an_unknown_prefetcher_tag_loads_as_invalid() {
         use bfetch_snapshot::{Decoder, Snap as _, SnapshotError};
         let encode = |kind| SimConfig::baseline().with_prefetcher(kind).wire_bytes();
-        let (first, last) = (encode(PrefetcherKind::ALL[0]), encode(PrefetcherKind::ALL[4]));
-        let at = first.iter().zip(&last).position(|(a, b)| a != b).expect("the tag differs");
+        let (first, last) = (
+            encode(PrefetcherKind::ALL[0]),
+            encode(PrefetcherKind::ALL[4]),
+        );
+        let at = first
+            .iter()
+            .zip(&last)
+            .position(|(a, b)| a != b)
+            .expect("the tag differs");
         assert_eq!(last[at], 4, "the last variant's tag");
         let mut bad = last;
         bad[at] = PrefetcherKind::ALL.len() as u8;
@@ -833,24 +892,44 @@ mod tests {
         assert_bounded("warmup_insts", max, |c, v| c.warmup_insts = v as u64);
         assert_bounded("watchdog_cycles", max, |c, v| c.watchdog_cycles = v as u64);
         assert_bounded("max_cycles", max, |c, v| c.max_cycles = v as u64);
-        assert_bounded("cpi.timeline_interval", max, |c, v| c.cpi.timeline_interval = v as u64);
-        assert_bounded("fault.panic_at_insts", max, |c, v| c.fault.panic_at_insts = v as u64);
-        assert_bounded("fault.freeze_at_insts", max, |c, v| c.fault.freeze_at_insts = v as u64);
+        assert_bounded("cpi.timeline_interval", max, |c, v| {
+            c.cpi.timeline_interval = v as u64
+        });
+        assert_bounded("fault.panic_at_insts", max, |c, v| {
+            c.fault.panic_at_insts = v as u64
+        });
+        assert_bounded("fault.freeze_at_insts", max, |c, v| {
+            c.fault.freeze_at_insts = v as u64
+        });
         // `TraceSink::new` reserves the whole ring up front
-        assert_bounded("trace.capacity", MAX_TABLE_ENTRIES, |c, v| c.trace.capacity = v);
-        assert_eq!(rejection(|c| c.trace.capacity = 0), ConfigError::Zero { knob: "trace.capacity" });
+        assert_bounded("trace.capacity", MAX_TABLE_ENTRIES, |c, v| {
+            c.trace.capacity = v
+        });
+        assert_eq!(
+            rejection(|c| c.trace.capacity = 0),
+            ConfigError::Zero {
+                knob: "trace.capacity"
+            }
+        );
     }
 
     #[test]
     fn a_nan_or_out_of_range_confidence_threshold_is_rejected() {
-        let range = ConfigError::Range { knob: "bfetch.confidence_threshold", lo: 0.0, hi: 2.0 };
+        let range = ConfigError::Range {
+            knob: "bfetch.confidence_threshold",
+            lo: 0.0,
+            hi: 2.0,
+        };
         for t in [f64::NAN, -0.5, 2.5, f64::INFINITY] {
             let mut c = SimConfig::baseline();
             c.bfetch.confidence_threshold = t;
             assert_eq!(c.validate(), Err(range.clone()), "{t}");
         }
         let s = range.to_string();
-        assert!(s.contains("bfetch.confidence_threshold") && s.contains("[0, 2]"), "{s}");
+        assert!(
+            s.contains("bfetch.confidence_threshold") && s.contains("[0, 2]"),
+            "{s}"
+        );
     }
 
     /// The values the leaf walk sets a knob to: 0, one past its domain's
@@ -926,11 +1005,15 @@ mod tests {
                 continue;
             }
             let run = std::panic::catch_unwind(|| {
-                crate::SimSession::new(c.clone()).instructions(2_000).run_one(&program)
+                crate::SimSession::new(c.clone())
+                    .instructions(2_000)
+                    .run_one(&program)
             });
             match run {
                 Err(_) => panic!("{knob}: an accepted value panicked\n{c:?}"),
-                Ok(Err(crate::SimError::Config(e))) => panic!("{knob}: validate passed, run said {e}"),
+                Ok(Err(crate::SimError::Config(e))) => {
+                    panic!("{knob}: validate passed, run said {e}")
+                }
                 Ok(_) => {}
             }
         }

@@ -213,7 +213,10 @@ struct CoreParams {
 
 impl CoreParams {
     fn of(cfg: &SimConfig) -> Self {
-        Self { width: cfg.width, arf_at_retire: cfg.bfetch.arf_at_retire }
+        Self {
+            width: cfg.width,
+            arf_at_retire: cfg.bfetch.arf_at_retire,
+        }
     }
 }
 
@@ -325,13 +328,18 @@ impl Core {
         ) = match cfg.prefetcher {
             PrefetcherKind::None => (None, None, false),
             PrefetcherKind::BFetch => (Some(BFetchEngine::new(cfg.bfetch)), None, false),
-            PrefetcherKind::Stride => {
-                (None, Some(Box::new(Stride::new(StrideConfig::baseline()))), false)
-            }
+            PrefetcherKind::Stride => (
+                None,
+                Some(Box::new(Stride::new(StrideConfig::baseline()))),
+                false,
+            ),
             PrefetcherKind::Sms => (None, Some(Box::new(Sms::new(SmsConfig::baseline()))), false),
             PrefetcherKind::Perfect => (None, None, true),
         };
-        assert!(program.len() <= u32::MAX as usize, "instruction indices are 32-bit");
+        assert!(
+            program.len() <= u32::MAX as usize,
+            "instruction indices are 32-bit"
+        );
         Self {
             id,
             arch,
@@ -631,7 +639,13 @@ impl Core {
     /// the interval sampler. Only called while accounting is enabled; with
     /// `cpi == None` the cycle loop pays a single branch, keeping disabled
     /// runs on the pre-accounting hot path.
-    fn account_cycle<M: MemoryInterface>(&mut self, now: u64, committed: usize, rob_was_full: bool, mem: &M) {
+    fn account_cycle<M: MemoryInterface>(
+        &mut self,
+        now: u64,
+        committed: usize,
+        rob_was_full: bool,
+        mem: &M,
+    ) {
         let cause = if committed < self.params.width {
             self.classify_stall(now, rob_was_full)
         } else {
@@ -829,7 +843,12 @@ impl Core {
                 } else {
                     let out = mem.access(self.id, AccessKind::Load, ea, now);
                     self.observe_access(pc, ea, out.level == HitLevel::L1, true);
-                    (out.complete_at, out.service, out.pf_covered, out.queued_until)
+                    (
+                        out.complete_at,
+                        out.service,
+                        out.pf_covered,
+                        out.queued_until,
+                    )
                 };
                 let e = &mut self.rob[slot];
                 e.scheduled = true;
@@ -1185,7 +1204,8 @@ impl Core {
     /// wake-up link forever or underflow a dependence count.
     fn validate_rob(&self) -> Result<(), SnapshotError> {
         let invalid = |what| Err(SnapshotError::Invalid { what });
-        let entries = || (self.rob_base..self.next_seq).map(|seq| (seq, &self.rob[self.slot_of(seq)]));
+        let entries =
+            || (self.rob_base..self.next_seq).map(|seq| (seq, &self.rob[self.slot_of(seq)]));
         if entries().any(|(_, e)| e.inst as usize >= self.program.len()) {
             return invalid("rob instruction index past the program");
         }
@@ -1273,10 +1293,14 @@ impl Core {
         pending.save(w);
     }
 
-    fn load_pending_mem(&mut self, r: &mut bfetch_snapshot::Decoder<'_>) -> Result<(), SnapshotError> {
+    fn load_pending_mem(
+        &mut self,
+        r: &mut bfetch_snapshot::Decoder<'_>,
+    ) -> Result<(), SnapshotError> {
         use bfetch_snapshot::Snap as _;
         self.pending_mem.clear();
-        self.pending_mem.extend(Vec::<(u64, u64)>::load(r)?.into_iter().map(Reverse));
+        self.pending_mem
+            .extend(Vec::<(u64, u64)>::load(r)?.into_iter().map(Reverse));
         Ok(())
     }
 }
@@ -1389,7 +1413,10 @@ mod tests {
         };
         let predictable = quick(&SimConfig::baseline(), &build("pred", 0), 20_000);
         let random = quick(&SimConfig::baseline(), &build("rand", 1), 20_000);
-        assert!(random.branch_mispredict_rate() > 0.2, "mask 1 is a coin flip");
+        assert!(
+            random.branch_mispredict_rate() > 0.2,
+            "mask 1 is a coin flip"
+        );
         assert!(predictable.branch_mispredict_rate() < 0.02);
         assert!(
             random.ipc() < predictable.ipc() * 0.9,
@@ -1624,12 +1651,11 @@ mod tests {
         assert_eq!(save(&back), bytes, "re-encoding is canonical");
         assert_eq!(back.rob, core.rob);
 
-        let invalid = |what: &str, core: &Core| {
-            match load(&save(core), wake_order_core(p.clone(), &cfg)) {
+        let invalid =
+            |what: &str, core: &Core| match load(&save(core), wake_order_core(p.clone(), &cfg)) {
                 Err(SnapshotError::Invalid { .. }) => {}
                 other => panic!("{what}: expected Invalid, got {:?}", other.map(|_| ())),
-            }
-        };
+            };
 
         let head = core.rob[producer].wake_head;
         let (first, link) = ((head >> 2) as usize, (head & 3) as usize);
@@ -1637,7 +1663,11 @@ mod tests {
 
         // a link naming a slot past the ring, a retired slot, or a third
         // link of an entry
-        for bad in [(core.rob.len() as u32) << 2, (core.rob.len() as u32 - 1) << 2, head | 2] {
+        for bad in [
+            (core.rob.len() as u32) << 2,
+            (core.rob.len() as u32 - 1) << 2,
+            head | 2,
+        ] {
             core.rob[producer].wake_head = bad;
             invalid("wake-up link out of range", &core);
         }
@@ -1728,14 +1758,17 @@ mod tests {
         let mut now = 0;
         step(&mut core, &mut mem, &mut now, 20_000);
         // on to a cycle that leaves the ROB full in the middle of a block
-        let mid_block_and_full = |c: &Core| {
-            c.rob_len() == ROB_ENTRIES && c.block_entry.written.count_ones() >= 3
-        };
+        let mid_block_and_full =
+            |c: &Core| c.rob_len() == ROB_ENTRIES && c.block_entry.written.count_ones() >= 3;
         while !mid_block_and_full(&core) {
             step(&mut core, &mut mem, &mut now, 1);
             assert!(now < 40_000, "the ROB never filled mid-block");
         }
-        assert!(core.next_seq > 8 * ring, "only {} instructions", core.next_seq);
+        assert!(
+            core.next_seq > 8 * ring,
+            "only {} instructions",
+            core.next_seq
+        );
 
         let mut resumed = load(&save(&core), Core::new(0, p.clone(), &cfg)).expect("core restores");
         let mut mw = bfetch_snapshot::Encoder::new();

@@ -47,11 +47,11 @@ pub use analysis::{delta_cdfs, DeltaCdfs};
 pub use bfetch_snapshot::{SnapshotError, SCHEMA_VERSION};
 pub use bfetch_stats::{CpiComponent, CpiConfig, CpiStack, TimelineSample, TraceConfig};
 pub use cmp::{RunResult, SeqMem};
-pub use session::{RunOutput, SimSession, TraceOutput};
 pub use config::{
     ConfigError, FaultInjection, PrefetcherKind, SimConfig, MAX_MHT_SLOTS, MAX_MSHR_ENTRIES,
     MAX_RUN_LENGTH, MAX_TABLE_ENTRIES, MAX_WIDTH,
 };
-pub use error::{CoreDiag, DiagSnapshot, RobHeadDiag, SimError};
 pub use core::{Core, CoreCounters};
+pub use error::{CoreDiag, DiagSnapshot, RobHeadDiag, SimError};
+pub use session::{RunOutput, SimSession, TraceOutput};
 pub use snapshot::{decode_results, program_path, write_results};

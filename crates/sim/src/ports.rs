@@ -23,7 +23,10 @@ impl PortRing {
     /// counters, or if `horizon` is not a power of two.
     pub fn new(width: usize, horizon: u64) -> Self {
         assert!(width > 0, "width must be nonzero");
-        assert!(width <= u8::MAX as usize, "width must fit the u8 slot counters");
+        assert!(
+            width <= u8::MAX as usize,
+            "width must fit the u8 slot counters"
+        );
         assert!(horizon.is_power_of_two(), "horizon must be a power of two");
         Self {
             counts: vec![0; horizon as usize],

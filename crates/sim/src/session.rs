@@ -78,7 +78,12 @@ impl RunOutput {
     ///
     /// Panics if the run had more than one core.
     pub fn into_single(mut self) -> RunResult {
-        assert_eq!(self.results.len(), 1, "run had {} cores", self.results.len());
+        assert_eq!(
+            self.results.len(),
+            1,
+            "run had {} cores",
+            self.results.len()
+        );
         self.results.pop().expect("one result")
     }
 }
@@ -356,7 +361,9 @@ mod tests {
         let s = SimSession::new(cfg()).instructions(2_000);
         let three = [kernel(), kernel(), kernel()];
         match s.run(&three) {
-            Err(SimError::Config(ConfigError::L3 { cores: 3, bytes, .. })) => {
+            Err(SimError::Config(ConfigError::L3 {
+                cores: 3, bytes, ..
+            })) => {
                 assert_eq!(bytes, 3 * crate::config::L3_BYTES_PER_CORE)
             }
             other => panic!("expected the L3 error, got {:?}", other.map(|_| ())),

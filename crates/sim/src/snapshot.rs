@@ -151,8 +151,9 @@ pub fn decode_results(bytes: &[u8]) -> Result<(String, Vec<RunResult>), Snapshot
     let mut results = Vec::new();
     for _ in 0..n {
         let name = String::load(&mut r)?;
-        let prefetcher = PrefetcherKind::static_name(&name)
-            .ok_or(SnapshotError::Invalid { what: "unknown prefetcher name" })?;
+        let prefetcher = PrefetcherKind::static_name(&name).ok_or(SnapshotError::Invalid {
+            what: "unknown prefetcher name",
+        })?;
         results.push(load_result(&mut r, prefetcher)?);
     }
     r.finish()?;
@@ -166,9 +167,14 @@ pub fn decode_results(bytes: &[u8]) -> Result<(String, Vec<RunResult>), Snapshot
 /// file is renamed into place before any state file that names it, so a
 /// crash in between strands an unnamed program file, never a state file
 /// naming a missing one.
-pub(crate) fn write_programs(state: &Path, programs: &[Program]) -> Result<ProgramFile, SnapshotError> {
+pub(crate) fn write_programs(
+    state: &Path,
+    programs: &[Program],
+) -> Result<ProgramFile, SnapshotError> {
     let path = program_path(state);
-    let name = path.file_name().map_or_else(String::new, |n| n.to_string_lossy().into_owned());
+    let name = path
+        .file_name()
+        .map_or_else(String::new, |n| n.to_string_lossy().into_owned());
     let mut count = Encoder::new();
     programs.len().save(&mut count);
     let mut len = count.len() as u64;
@@ -181,7 +187,9 @@ pub(crate) fn write_programs(state: &Path, programs: &[Program]) -> Result<Progr
     let stamp = bfetch_snapshot::write_frame(&path, 1, |f| {
         f.begin(SEC_PROGRAMS, len)?;
         f.write(count.as_bytes())?;
-        programs.iter().try_for_each(|p| p.save_to(|bytes| f.write(bytes)))
+        programs
+            .iter()
+            .try_for_each(|p| p.save_to(|bytes| f.write(bytes)))
     })?;
     Ok(ProgramFile { name, stamp })
 }
@@ -192,11 +200,21 @@ pub(crate) fn write_programs(state: &Path, programs: &[Program]) -> Result<Progr
 /// program from it is returned.
 fn read_programs(state: &Path, file: &ProgramFile) -> Result<Vec<Program>, SnapshotError> {
     if Path::new(&file.name).file_name() != Some(OsStr::new(&file.name)) {
-        return Err(SnapshotError::Invalid { what: "program file name is not a bare file name" });
+        return Err(SnapshotError::Invalid {
+            what: "program file name is not a bare file name",
+        });
     }
-    let io = |op| move |e: std::io::Error| SnapshotError::Io { op, detail: e.to_string() };
-    let other = SnapshotError::Invalid { what: "program file is not the one the checkpoint names" };
-    let f = std::fs::File::open(state.with_file_name(&file.name)).map_err(io("open program file"))?;
+    let io = |op| {
+        move |e: std::io::Error| SnapshotError::Io {
+            op,
+            detail: e.to_string(),
+        }
+    };
+    let other = SnapshotError::Invalid {
+        what: "program file is not the one the checkpoint names",
+    };
+    let f =
+        std::fs::File::open(state.with_file_name(&file.name)).map_err(io("open program file"))?;
     if f.metadata().map_err(io("stat program file"))?.len() != file.stamp.len {
         return Err(other);
     }
@@ -296,7 +314,10 @@ pub(crate) fn read_checkpoint(path: &Path) -> Result<ResumeState, SimError> {
     let n = usize::load(&mut meta)?;
     meta.finish()?;
     if insts == 0 || n == 0 {
-        return Err(SnapshotError::Invalid { what: "empty run in checkpoint meta" }.into());
+        return Err(SnapshotError::Invalid {
+            what: "empty run in checkpoint meta",
+        }
+        .into());
     }
 
     let mut config = frame.section(SEC_CONFIG)?;
@@ -310,7 +331,10 @@ pub(crate) fn read_checkpoint(path: &Path) -> Result<ResumeState, SimError> {
     record.finish()?;
     let programs = read_programs(path, &program_file)?;
     if programs.len() != n {
-        return Err(SnapshotError::Invalid { what: "program count mismatch" }.into());
+        return Err(SnapshotError::Invalid {
+            what: "program count mismatch",
+        }
+        .into());
     }
 
     let mut cs = frame.section(SEC_CORES)?;
@@ -341,23 +365,37 @@ pub(crate) fn read_checkpoint(path: &Path) -> Result<ResumeState, SimError> {
     let snaps = Option::<Vec<Snapshot>>::load(&mut lp)?;
     if let Some(s) = &snaps {
         if s.len() != n {
-            return Err(SnapshotError::Invalid { what: "window baseline count mismatch" }.into());
+            return Err(SnapshotError::Invalid {
+                what: "window baseline count mismatch",
+            }
+            .into());
         }
     }
     let n_finished = usize::load(&mut lp)?;
     if n_finished != n {
-        return Err(SnapshotError::Invalid { what: "result slot count mismatch" }.into());
+        return Err(SnapshotError::Invalid {
+            what: "result slot count mismatch",
+        }
+        .into());
     }
     let mut finished = Vec::with_capacity(n);
     for _ in 0..n {
         finished.push(match lp.take_u8()? {
             0 => None,
             1 => Some(load_result(&mut lp, cfg.prefetcher.name())?),
-            _ => return Err(SnapshotError::Invalid { what: "result presence flag" }.into()),
+            _ => {
+                return Err(SnapshotError::Invalid {
+                    what: "result presence flag",
+                }
+                .into())
+            }
         });
     }
     if snaps.is_none() && finished.iter().any(Option::is_some) {
-        return Err(SnapshotError::Invalid { what: "results banked before measurement" }.into());
+        return Err(SnapshotError::Invalid {
+            what: "results banked before measurement",
+        }
+        .into());
     }
     let trace_sink = Option::<TraceSink>::load(&mut lp)?;
     lp.finish()?;

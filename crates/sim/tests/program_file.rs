@@ -63,13 +63,20 @@ fn resume_err(state: &Path) -> SnapshotError {
     }
 }
 
-const NOT_NAMED: SnapshotError =
-    SnapshotError::Invalid { what: "program file is not the one the checkpoint names" };
+const NOT_NAMED: SnapshotError = SnapshotError::Invalid {
+    what: "program file is not the one the checkpoint names",
+};
 
 #[test]
 fn the_program_file_is_named_after_the_state_file() {
-    assert_eq!(bfetch_sim::program_path(Path::new("d/checkpoint.snap")), Path::new("d/checkpoint.prog"));
-    assert_eq!(bfetch_sim::program_path(Path::new("0af3.snap")), Path::new("0af3.prog"));
+    assert_eq!(
+        bfetch_sim::program_path(Path::new("d/checkpoint.snap")),
+        Path::new("d/checkpoint.prog")
+    );
+    assert_eq!(
+        bfetch_sim::program_path(Path::new("0af3.snap")),
+        Path::new("0af3.prog")
+    );
 }
 
 /// The program file goes through a symlink planted at its tmp name: the
@@ -96,12 +103,18 @@ fn a_run_with_many_periodic_checkpoints_writes_its_program_file_once() {
     let cycle = u64::load(&mut frame.section(6).unwrap()).unwrap();
     assert!(cycle >= 3 * 1024, "only reached cycle {cycle}");
     let meta = std::fs::symlink_metadata(&prog).unwrap();
-    assert!(meta.file_type().is_symlink(), "the program file was rewritten");
+    assert!(
+        meta.file_type().is_symlink(),
+        "the program file was rewritten"
+    );
 
     // a resume reuses the program file that verifies: still the link
     let resumed = SimSession::resume(dir.join("checkpoint.snap")).unwrap();
     assert_eq!(resumed.results, fresh.results);
-    assert!(std::fs::symlink_metadata(&prog).unwrap().file_type().is_symlink());
+    assert!(std::fs::symlink_metadata(&prog)
+        .unwrap()
+        .file_type()
+        .is_symlink());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -110,7 +123,13 @@ fn a_missing_program_file_is_an_io_error() {
     let dir = tmpdir("missing");
     let state = interrupted(&dir, &kernel("missing", 1024));
     std::fs::remove_file(dir.join("checkpoint.prog")).unwrap();
-    assert!(matches!(resume_err(&state), SnapshotError::Io { op: "open program file", .. }));
+    assert!(matches!(
+        resume_err(&state),
+        SnapshotError::Io {
+            op: "open program file",
+            ..
+        }
+    ));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -137,7 +156,10 @@ fn a_flipped_byte_in_the_program_file_is_a_typed_error() {
     let state = interrupted(&dir, &p);
     let prog = dir.join("checkpoint.prog");
     let bytes = std::fs::read(&prog).unwrap();
-    let offsets: Vec<usize> = (0..64).chain((64..bytes.len()).step_by(251)).chain([bytes.len() - 1]).collect();
+    let offsets: Vec<usize> = (0..64)
+        .chain((64..bytes.len()).step_by(251))
+        .chain([bytes.len() - 1])
+        .collect();
     for at in offsets {
         let mut bad = bytes.clone();
         bad[at] ^= 1 << (at % 8);
@@ -148,7 +170,10 @@ fn a_flipped_byte_in_the_program_file_is_a_typed_error() {
     let mut bad = bytes.clone();
     bad[bytes.len() / 2] ^= 0x10;
     std::fs::write(&prog, &bad).unwrap();
-    assert!(matches!(resume_err(&state), SnapshotError::BadChecksum { .. }));
+    assert!(matches!(
+        resume_err(&state),
+        SnapshotError::BadChecksum { .. }
+    ));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -198,6 +223,12 @@ fn a_schema_6_single_file_checkpoint_is_bad_version() {
     old[n - 4..].copy_from_slice(&crc.to_le_bytes());
     let single = dir.join("single.snap");
     std::fs::write(&single, &old).unwrap();
-    assert_eq!(resume_err(&single), SnapshotError::BadVersion { got: 6, want: SCHEMA_VERSION });
+    assert_eq!(
+        resume_err(&single),
+        SnapshotError::BadVersion {
+            got: 6,
+            want: SCHEMA_VERSION
+        }
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -37,10 +37,7 @@ fn cfg() -> SimConfig {
 }
 
 fn tmpdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "bfetch-snap-test-{tag}-{}",
-        std::process::id()
-    ));
+    let d = std::env::temp_dir().join(format!("bfetch-snap-test-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).unwrap();
     d
@@ -102,14 +99,20 @@ fn kill_and_resume_at_every_poll_point_is_byte_identical_single_core() {
         .checkpoint_every(0, &dir);
     let (resumed, interrupts) =
         run_with_constant_interrupts(session, std::slice::from_ref(&p), &ckpt);
-    assert!(interrupts >= 3, "run too short to exercise resume ({interrupts} interrupts)");
+    assert!(
+        interrupts >= 3,
+        "run too short to exercise resume ({interrupts} interrupts)"
+    );
     assert_same_output(&uninterrupted, &resumed);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn kill_and_resume_at_every_poll_point_is_byte_identical_multi_core() {
-    let programs = [kernel("ckpt-cmp-a", 16 * 1024), kernel("ckpt-cmp-b", 12 * 1024)];
+    let programs = [
+        kernel("ckpt-cmp-a", 16 * 1024),
+        kernel("ckpt-cmp-b", 12 * 1024),
+    ];
     let uninterrupted = SimSession::new(cfg())
         .instructions(3_000)
         .run(&programs)
@@ -575,7 +578,13 @@ fn every_sampled_bit_flip_is_a_typed_error_or_detected() {
         std::fs::write(&path, &old).unwrap();
         match SimSession::resume(&path) {
             Err(SimError::Snapshot(e)) => {
-                assert_eq!(e, SnapshotError::BadVersion { got, want: SCHEMA_VERSION })
+                assert_eq!(
+                    e,
+                    SnapshotError::BadVersion {
+                        got,
+                        want: SCHEMA_VERSION
+                    }
+                )
             }
             Err(e) => panic!("version {got}: wrong error kind {e}"),
             Ok(_) => panic!("version {got} resumed successfully"),
@@ -596,7 +605,11 @@ fn patch_config_word(bytes: &mut [u8], offset: usize, expect: u64, value: u64) {
         at += 12 + word(bytes, at + 4) as usize;
     }
     let field = at + 12 + offset;
-    assert_eq!(word(bytes, field), expect, "config layout moved: fix the index");
+    assert_eq!(
+        word(bytes, field),
+        expect,
+        "config layout moved: fix the index"
+    );
     bytes[field..field + 8].copy_from_slice(&value.to_le_bytes());
     let body = bytes.len() - 4;
     let crc = bfetch_snapshot::crc32(&bytes[..body]);
@@ -611,7 +624,10 @@ fn leaf_offset(edit: fn(&mut SimConfig)) -> usize {
     edit(&mut edited);
     let (a, b) = (cfg().wire_bytes(), edited.wire_bytes());
     assert_eq!(a.len(), b.len(), "the edit resized the section");
-    a.iter().zip(&b).position(|(x, y)| x != y).expect("the edit moved no byte")
+    a.iter()
+        .zip(&b)
+        .position(|(x, y)| x != y)
+        .expect("the edit moved no byte")
 }
 
 /// Writes `bytes` with one config leaf crafted to `value` and resumes it:
@@ -624,14 +640,20 @@ fn resume_crafted(name: &str, edit: fn(&mut SimConfig), expect: u64, value: u64,
     std::fs::write(&path, &bytes).unwrap();
     match SimSession::resume(&path) {
         Err(SimError::Config(e)) => assert!(e.to_string().contains(knob), "{e}"),
-        other => panic!("{knob} = {value}: expected a config error, got {:?}", other.map(|_| ())),
+        other => panic!(
+            "{knob} = {value}: expected a config error, got {:?}",
+            other.map(|_| ())
+        ),
     }
     // the restamp is what makes this a validation test: the same edit
     // without it dies at the checksum instead
     let last = bytes.len() - 1;
     bytes[last] ^= 1;
     std::fs::write(&path, &bytes).unwrap();
-    assert!(matches!(SimSession::resume(&path), Err(SimError::Snapshot(_))));
+    assert!(matches!(
+        SimSession::resume(&path),
+        Err(SimError::Snapshot(_))
+    ));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -641,7 +663,13 @@ fn resume_crafted(name: &str, edit: fn(&mut SimConfig), expect: u64, value: u64,
 /// `validate()`, before `Core::new` asserts on it or tries to allocate it.
 #[test]
 fn crafted_oversized_width_is_a_typed_error_not_a_panic() {
-    resume_crafted("big-width", |c| c.width += 1, cfg().width as u64, 1 << 40, "width");
+    resume_crafted(
+        "big-width",
+        |c| c.width += 1,
+        cfg().width as u64,
+        1 << 40,
+        "width",
+    );
 }
 
 /// The nested prefetcher configs are validated too: a three-entry BrTC
@@ -657,7 +685,13 @@ fn non_power_of_two_brtc_is_a_typed_error_from_run_and_resume() {
         other => panic!("expected a config error, got {:?}", other.map(|_| ())),
     }
     let brtc = cfg().bfetch.brtc_entries as u64;
-    resume_crafted("bad-brtc", |c| c.bfetch.brtc_entries += 1, brtc, 3, "brtc_entries");
+    resume_crafted(
+        "bad-brtc",
+        |c| c.bfetch.brtc_entries += 1,
+        brtc,
+        3,
+        "brtc_entries",
+    );
 }
 
 /// Cycle-count knobs are bounded too: a cycle budget of `u64::MAX` is past
@@ -665,7 +699,13 @@ fn non_power_of_two_brtc_is_a_typed_error_from_run_and_resume() {
 #[test]
 fn crafted_cycle_budget_is_a_typed_error_from_resume() {
     let budget = cfg().max_cycles;
-    resume_crafted("big-max-cycles", |c| c.max_cycles += 1, budget, u64::MAX, "max_cycles");
+    resume_crafted(
+        "big-max-cycles",
+        |c| c.max_cycles += 1,
+        budget,
+        u64::MAX,
+        "max_cycles",
+    );
 }
 
 /// Table sizes are bounded too: a 2⁵⁰-entry MHT is a power of two, so the
@@ -673,7 +713,13 @@ fn crafted_cycle_budget_is_a_typed_error_from_resume() {
 #[test]
 fn crafted_oversized_table_is_a_typed_error_from_resume() {
     let mht = cfg().bfetch.mht_entries as u64;
-    resume_crafted("big-mht", |c| c.bfetch.mht_entries += 1, mht, 1 << 50, "bfetch.mht_entries");
+    resume_crafted(
+        "big-mht",
+        |c| c.bfetch.mht_entries += 1,
+        mht,
+        1 << 50,
+        "bfetch.mht_entries",
+    );
 }
 
 #[test]
@@ -681,7 +727,10 @@ fn invalid_config_is_rejected_before_running() {
     let p = kernel("bad-cfg", 1024);
     let mut c = cfg();
     c.width = 0;
-    let err = SimSession::new(c).instructions(100).run_one(&p).unwrap_err();
+    let err = SimSession::new(c)
+        .instructions(100)
+        .run_one(&p)
+        .unwrap_err();
     match err {
         SimError::Config(e) => assert!(e.to_string().contains("width"), "{e}"),
         other => panic!("expected config error, got {other}"),

@@ -96,10 +96,16 @@ impl fmt::Display for SnapshotError {
             }
             SnapshotError::BadMagic => write!(f, "not a snapshot file (bad magic)"),
             SnapshotError::BadVersion { got, want } => {
-                write!(f, "unsupported snapshot schema version {got} (expected {want})")
+                write!(
+                    f,
+                    "unsupported snapshot schema version {got} (expected {want})"
+                )
             }
             SnapshotError::BadChecksum { got, want } => {
-                write!(f, "snapshot checksum mismatch: file says {got:#010x}, computed {want:#010x}")
+                write!(
+                    f,
+                    "snapshot checksum mismatch: file says {got:#010x}, computed {want:#010x}"
+                )
             }
             SnapshotError::Invalid { what } => write!(f, "invalid snapshot field: {what}"),
             SnapshotError::MissingSection { id } => write!(f, "snapshot is missing section {id}"),
@@ -115,7 +121,10 @@ impl std::error::Error for SnapshotError {}
 
 impl SnapshotError {
     fn io(op: &'static str, e: std::io::Error) -> Self {
-        SnapshotError::Io { op, detail: e.to_string() }
+        SnapshotError::Io {
+            op,
+            detail: e.to_string(),
+        }
     }
 }
 
@@ -132,7 +141,11 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
             k += 1;
         }
         t[0][i] = c;
@@ -320,7 +333,10 @@ impl<'a> Decoder<'a> {
     /// Takes `n` raw bytes.
     pub fn take_bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         if self.remaining() < n {
-            return Err(SnapshotError::Truncated { at: self.pos, need: n });
+            return Err(SnapshotError::Truncated {
+                at: self.pos,
+                need: n,
+            });
         }
         let out = &self.buf[self.pos..self.pos + n];
         self.pos += n;
@@ -349,7 +365,9 @@ impl<'a> Decoder<'a> {
 
     /// Takes a `usize` stored as `u64`, rejecting values that do not fit.
     pub fn take_usize(&mut self) -> Result<usize, SnapshotError> {
-        usize::try_from(self.take_u64()?).map_err(|_| SnapshotError::Invalid { what: "usize overflows platform word" })
+        usize::try_from(self.take_u64()?).map_err(|_| SnapshotError::Invalid {
+            what: "usize overflows platform word",
+        })
     }
 
     /// Takes a container length stored as `u64`.
@@ -360,7 +378,9 @@ impl<'a> Decoder<'a> {
     pub fn take_len(&mut self) -> Result<usize, SnapshotError> {
         let n = self.take_usize()?;
         if n > self.remaining() {
-            return Err(SnapshotError::Invalid { what: "container length exceeds remaining input" });
+            return Err(SnapshotError::Invalid {
+                what: "container length exceeds remaining input",
+            });
         }
         Ok(n)
     }
@@ -402,7 +422,9 @@ pub trait Source {
         let n = self.decode(8, |r| r.take_usize())?;
         match (n as u64).checked_mul(item_bytes) {
             Some(bytes) if bytes <= self.left() => Ok(n),
-            _ => Err(SnapshotError::Invalid { what: "container length exceeds remaining input" }),
+            _ => Err(SnapshotError::Invalid {
+                what: "container length exceeds remaining input",
+            }),
         }
     }
 }
@@ -469,7 +491,9 @@ impl<S: SnapState> SnapState for Option<S> {
         match (r.take_u8()?, self) {
             (1, Some(s)) => s.load_state(r),
             (0, None) => Ok(()),
-            _ => Err(SnapshotError::Invalid { what: "optional component presence mismatch" }),
+            _ => Err(SnapshotError::Invalid {
+                what: "optional component presence mismatch",
+            }),
         }
     }
 }
@@ -547,7 +571,9 @@ impl Snap for bool {
         match r.take_u8()? {
             0 => Ok(false),
             1 => Ok(true),
-            _ => Err(SnapshotError::Invalid { what: "bool byte not 0 or 1" }),
+            _ => Err(SnapshotError::Invalid {
+                what: "bool byte not 0 or 1",
+            }),
         }
     }
 }
@@ -566,8 +592,9 @@ impl Snap for String {
     }
     fn load(r: &mut Decoder<'_>) -> Result<Self, SnapshotError> {
         let bytes = r.take_len_bytes()?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| SnapshotError::Invalid { what: "string is not UTF-8" })
+        String::from_utf8(bytes.to_vec()).map_err(|_| SnapshotError::Invalid {
+            what: "string is not UTF-8",
+        })
     }
 }
 
@@ -585,7 +612,9 @@ impl<T: Snap> Snap for Option<T> {
         match r.take_u8()? {
             0 => Ok(None),
             1 => Ok(Some(T::load(r)?)),
-            _ => Err(SnapshotError::Invalid { what: "Option tag not 0 or 1" }),
+            _ => Err(SnapshotError::Invalid {
+                what: "Option tag not 0 or 1",
+            }),
         }
     }
 }
@@ -668,7 +697,11 @@ snap_tuple!(A: 0, B: 1, C: 2, D: 3);
 
 /// Loads exactly `expect` elements into an existing slice; a stored length
 /// that disagrees with the live geometry is a typed error.
-pub fn load_slice_exact<T: Snap>(dst: &mut [T], r: &mut Decoder<'_>, what: &'static str) -> Result<(), SnapshotError> {
+pub fn load_slice_exact<T: Snap>(
+    dst: &mut [T],
+    r: &mut Decoder<'_>,
+    what: &'static str,
+) -> Result<(), SnapshotError> {
     let n = r.take_len()?;
     if n != dst.len() {
         return Err(SnapshotError::Invalid { what });
@@ -686,7 +719,6 @@ pub fn save_slice<T: Snap>(xs: &[T], w: &mut Encoder) {
         x.save(w);
     }
 }
-
 
 /// Implements [`Snap`] for a struct by encoding the listed fields in order.
 ///
@@ -882,7 +914,13 @@ pub struct FrameWriter<W: Write> {
 impl<W: Write> FrameWriter<W> {
     /// Starts a frame of `sections` sections.
     pub fn new(out: W, sections: u32) -> Result<Self, SnapshotError> {
-        let mut f = Self { out, crc: Crc32::new(), len: 0, sections, open: 0 };
+        let mut f = Self {
+            out,
+            crc: Crc32::new(),
+            len: 0,
+            sections,
+            open: 0,
+        };
         f.put(&MAGIC)?;
         f.put(&SCHEMA_VERSION.to_le_bytes())?;
         f.put(&sections.to_le_bytes())?;
@@ -892,7 +930,9 @@ impl<W: Write> FrameWriter<W> {
     fn put(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         self.crc.update(bytes);
         self.len += bytes.len() as u64;
-        self.out.write_all(bytes).map_err(|e| SnapshotError::io("write", e))
+        self.out
+            .write_all(bytes)
+            .map_err(|e| SnapshotError::io("write", e))
     }
 
     /// Opens the next section; its `len` payload bytes follow through
@@ -903,7 +943,10 @@ impl<W: Write> FrameWriter<W> {
     /// Panics if the open section is short or every declared section has
     /// begun.
     pub fn begin(&mut self, id: u32, len: u64) -> Result<(), SnapshotError> {
-        assert!(self.open == 0 && self.sections > 0, "section {id} begun out of turn");
+        assert!(
+            self.open == 0 && self.sections > 0,
+            "section {id} begun out of turn"
+        );
         self.sections -= 1;
         self.open = len;
         self.put(&id.to_le_bytes())?;
@@ -916,7 +959,10 @@ impl<W: Write> FrameWriter<W> {
     ///
     /// Panics if `bytes` runs past the section's declared length.
     pub fn write(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        assert!(bytes.len() as u64 <= self.open, "section overruns its declared length");
+        assert!(
+            bytes.len() as u64 <= self.open,
+            "section overruns its declared length"
+        );
         self.open -= bytes.len() as u64;
         self.put(bytes)
     }
@@ -933,10 +979,21 @@ impl<W: Write> FrameWriter<W> {
     ///
     /// Panics if a declared section is missing or short.
     pub fn finish(mut self) -> Result<(W, FrameStamp), SnapshotError> {
-        assert!(self.open == 0 && self.sections == 0, "frame ended before its sections");
+        assert!(
+            self.open == 0 && self.sections == 0,
+            "frame ended before its sections"
+        );
         let crc = self.crc.value();
-        self.out.write_all(&crc.to_le_bytes()).map_err(|e| SnapshotError::io("write", e))?;
-        Ok((self.out, FrameStamp { len: self.len + 4, crc }))
+        self.out
+            .write_all(&crc.to_le_bytes())
+            .map_err(|e| SnapshotError::io("write", e))?;
+        Ok((
+            self.out,
+            FrameStamp {
+                len: self.len + 4,
+                crc,
+            },
+        ))
     }
 }
 
@@ -951,7 +1008,10 @@ pub fn write_frame(
     body: impl FnOnce(&mut FrameWriter<BufWriter<File>>) -> Result<(), SnapshotError>,
 ) -> Result<FrameStamp, SnapshotError> {
     let (Some(dir), Some(name)) = (path.parent(), path.file_name()) else {
-        return Err(SnapshotError::Io { op: "write", detail: "path has no parent/file name".into() });
+        return Err(SnapshotError::Io {
+            op: "write",
+            detail: "path has no parent/file name".into(),
+        });
     };
     let mut tmp = name.to_os_string();
     tmp.push(format!(".tmp.{}", std::process::id()));
@@ -965,7 +1025,8 @@ pub fn write_frame(
             let mut f = FrameWriter::new(BufWriter::new(file), sections)?;
             body(&mut f)?;
             let (out, stamp) = f.finish()?;
-            out.into_inner().map_err(|e| SnapshotError::io("write tmp", e.into_error()))?;
+            out.into_inner()
+                .map_err(|e| SnapshotError::io("write tmp", e.into_error()))?;
             Ok(stamp)
         })
         .and_then(|stamp| {
@@ -1007,16 +1068,28 @@ pub struct FrameStream<R: Read> {
 impl<R: Read> FrameStream<R> {
     /// Reads and checks the frame's magic and schema version.
     pub fn open(src: R) -> Result<Self, SnapshotError> {
-        let mut s = Self { src, crc: Crc32::new(), at: 0, sections: 0, buf: Vec::new(), pos: 0, unread: 0 };
+        let mut s = Self {
+            src,
+            crc: Crc32::new(),
+            at: 0,
+            sections: 0,
+            buf: Vec::new(),
+            pos: 0,
+            unread: 0,
+        };
         let mut head = [0u8; MAGIC.len() + 8];
         s.read_crc(&mut head)?;
         if head[..MAGIC.len()] != MAGIC {
             return Err(SnapshotError::BadMagic);
         }
-        let word = |at: usize| u32::from_le_bytes([head[at], head[at + 1], head[at + 2], head[at + 3]]);
+        let word =
+            |at: usize| u32::from_le_bytes([head[at], head[at + 1], head[at + 2], head[at + 3]]);
         let version = word(MAGIC.len());
         if version != SCHEMA_VERSION {
-            return Err(SnapshotError::BadVersion { got: version, want: SCHEMA_VERSION });
+            return Err(SnapshotError::BadVersion {
+                got: version,
+                want: SCHEMA_VERSION,
+            });
         }
         s.sections = word(MAGIC.len() + 4);
         Ok(s)
@@ -1024,7 +1097,10 @@ impl<R: Read> FrameStream<R> {
 
     fn read_raw(&mut self, out: &mut [u8]) -> Result<(), SnapshotError> {
         self.src.read_exact(out).map_err(|e| match e.kind() {
-            std::io::ErrorKind::UnexpectedEof => SnapshotError::Truncated { at: self.at as usize, need: out.len() },
+            std::io::ErrorKind::UnexpectedEof => SnapshotError::Truncated {
+                at: self.at as usize,
+                need: out.len(),
+            },
             _ => SnapshotError::io("read", e),
         })?;
         self.at += out.len() as u64;
@@ -1042,7 +1118,9 @@ impl<R: Read> FrameStream<R> {
     fn section_done(&self) -> Result<(), SnapshotError> {
         match self.left() {
             0 => Ok(()),
-            left => Err(SnapshotError::TrailingBytes { left: left as usize }),
+            left => Err(SnapshotError::TrailingBytes {
+                left: left as usize,
+            }),
         }
     }
 
@@ -1072,7 +1150,9 @@ impl<R: Read> FrameStream<R> {
     pub fn finish(mut self) -> Result<FrameStamp, SnapshotError> {
         self.section_done()?;
         if self.sections > 0 {
-            return Err(SnapshotError::Invalid { what: "frame has sections nobody read" });
+            return Err(SnapshotError::Invalid {
+                what: "frame has sections nobody read",
+            });
         }
         let want = self.crc.value();
         let mut tail = [0u8; 4];
@@ -1081,7 +1161,10 @@ impl<R: Read> FrameStream<R> {
         if got != want {
             return Err(SnapshotError::BadChecksum { got, want });
         }
-        Ok(FrameStamp { len: self.at, crc: got })
+        Ok(FrameStamp {
+            len: self.at,
+            crc: got,
+        })
     }
 }
 
@@ -1099,7 +1182,8 @@ impl<R: Read> Source for FrameStream<R> {
         let have = self.buf.len() - self.pos;
         let want = need.max(MIN_WINDOW);
         if have < want && self.unread > 0 {
-            let fill = (want.max(STREAM_WINDOW) - have).min(self.unread.try_into().unwrap_or(usize::MAX));
+            let fill =
+                (want.max(STREAM_WINDOW) - have).min(self.unread.try_into().unwrap_or(usize::MAX));
             let mut buf = std::mem::take(&mut self.buf);
             buf.drain(..self.pos);
             buf.resize(have + fill, 0);
@@ -1109,7 +1193,10 @@ impl<R: Read> Source for FrameStream<R> {
             self.unread -= fill as u64;
         }
         if need > self.buf.len() - self.pos {
-            return Err(SnapshotError::Truncated { at: self.at as usize, need });
+            return Err(SnapshotError::Truncated {
+                at: self.at as usize,
+                need,
+            });
         }
         let mut d = Decoder::new(&self.buf[self.pos..]);
         let out = f(&mut d)?;
@@ -1130,7 +1217,10 @@ impl<'a> FrameReader<'a> {
     pub fn parse(bytes: &'a [u8]) -> Result<Self, SnapshotError> {
         let min = MAGIC.len() + 4 + 4 + 4; // magic + version + count + crc
         if bytes.len() < min {
-            return Err(SnapshotError::Truncated { at: bytes.len(), need: min });
+            return Err(SnapshotError::Truncated {
+                at: bytes.len(),
+                need: min,
+            });
         }
         if bytes[..MAGIC.len()] != MAGIC {
             return Err(SnapshotError::BadMagic);
@@ -1139,13 +1229,19 @@ impl<'a> FrameReader<'a> {
         let stored_crc = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().unwrap());
         let want = crc32(body);
         if stored_crc != want {
-            return Err(SnapshotError::BadChecksum { got: stored_crc, want });
+            return Err(SnapshotError::BadChecksum {
+                got: stored_crc,
+                want,
+            });
         }
         let mut r = Decoder::new(body);
         r.take_bytes(MAGIC.len())?;
         let version = r.take_u32()?;
         if version != SCHEMA_VERSION {
-            return Err(SnapshotError::BadVersion { got: version, want: SCHEMA_VERSION });
+            return Err(SnapshotError::BadVersion {
+                got: version,
+                want: SCHEMA_VERSION,
+            });
         }
         let count = r.take_u32()?;
         let mut sections = Vec::with_capacity(count.min(64) as usize);
@@ -1250,18 +1346,28 @@ mod tests {
         }
         impl_snap_enum!(M { M::X = 0, M::Y = 1, M::Z { a, b } = 2 });
 
-        roundtrip(P { a: 1, b: Some(2), c: vec![true, false] });
+        roundtrip(P {
+            a: 1,
+            b: Some(2),
+            c: vec![true, false],
+        });
         roundtrip(M::Y);
         roundtrip(M::Z { a: 7, b: Some(3) });
 
         // unknown discriminant is a typed error
         let mut r = Decoder::new(&[9]);
-        assert!(matches!(M::load(&mut r), Err(SnapshotError::Invalid { .. })));
+        assert!(matches!(
+            M::load(&mut r),
+            Err(SnapshotError::Invalid { .. })
+        ));
     }
 
     #[test]
     fn bad_bool_and_option_tags_are_typed_errors() {
-        assert!(matches!(bool::load(&mut Decoder::new(&[2])), Err(SnapshotError::Invalid { .. })));
+        assert!(matches!(
+            bool::load(&mut Decoder::new(&[2])),
+            Err(SnapshotError::Invalid { .. })
+        ));
         assert!(matches!(
             Option::<u8>::load(&mut Decoder::new(&[7])),
             Err(SnapshotError::Invalid { .. })
@@ -1274,7 +1380,10 @@ mod tests {
         w.put_u64(u64::MAX); // claims ~1.8e19 elements
         let bytes = w.into_bytes();
         let mut r = Decoder::new(&bytes);
-        assert!(matches!(Vec::<u64>::load(&mut r), Err(SnapshotError::Invalid { .. })));
+        assert!(matches!(
+            Vec::<u64>::load(&mut r),
+            Err(SnapshotError::Invalid { .. })
+        ));
     }
 
     #[test]
@@ -1298,7 +1407,10 @@ mod tests {
         ways: usize,
         hits: u64,
     }
-    snap_state!(Unit { ways: skip, hits: val });
+    snap_state!(Unit {
+        ways: skip,
+        hits: val
+    });
 
     #[derive(Debug, PartialEq)]
     struct Chip {
@@ -1374,12 +1486,20 @@ mod tests {
 
         let load = |mut into: Chip| {
             let mut r = Decoder::new(&bytes);
-            into.load_state(&mut r).and_then(|()| r.finish()).map(|()| into)
+            into.load_state(&mut r)
+                .and_then(|()| r.finish())
+                .map(|()| into)
         };
         // fields load in place, `with` through its function, derived state
         // is rebuilt by the check, configuration stays the target's
         let b = load(fresh(9, 3, Some(unit(0)))).unwrap();
-        assert_eq!(b, Chip { heap: vec![10, 20, 30], ..a });
+        assert_eq!(
+            b,
+            Chip {
+                heap: vec![10, 20, 30],
+                ..a
+            }
+        );
 
         // a slice of another length is the listed typed error
         assert_eq!(
@@ -1387,11 +1507,16 @@ mod tests {
             Err(SnapshotError::Invalid { what: "chip tags" })
         );
         // an optional component must be present on both sides
-        assert!(matches!(load(fresh(9, 3, None)), Err(SnapshotError::Invalid { .. })));
+        assert!(matches!(
+            load(fresh(9, 3, None)),
+            Err(SnapshotError::Invalid { .. })
+        ));
         // the check's error is load_state's error
         assert_eq!(
             load(fresh(0, 3, Some(unit(0)))),
-            Err(SnapshotError::Invalid { what: "chip hits over the limit" })
+            Err(SnapshotError::Invalid {
+                what: "chip hits over the limit"
+            })
         );
     }
 
@@ -1453,7 +1578,10 @@ mod tests {
             f.write(piece).unwrap();
         }
         let (bytes, stamp) = f.finish().unwrap();
-        assert_eq!((stamp.len, stamp.crc), (bytes.len() as u64, crc32(&bytes[..bytes.len() - 4])));
+        assert_eq!(
+            (stamp.len, stamp.crc),
+            (bytes.len() as u64, crc32(&bytes[..bytes.len() - 4]))
+        );
         bytes
     }
 
@@ -1467,7 +1595,9 @@ mod tests {
         let a = s.decode(0, <(u64, String)>::load)?;
         s.section(2)?;
         let n = s.take_count(4)?;
-        let b = (0..n).map(|_| s.decode(4, |r| r.take_u32())).collect::<Result<_, _>>()?;
+        let b = (0..n)
+            .map(|_| s.decode(4, |r| r.take_u32()))
+            .collect::<Result<_, _>>()?;
         Ok((a, b, s.finish()?))
     }
 
@@ -1477,15 +1607,27 @@ mod tests {
         let f = FrameReader::parse(&bytes).unwrap();
         assert_eq!(f.section_ids(), vec![1, 2]);
         let mut s1 = f.section(1).unwrap();
-        assert_eq!(<(u64, String)>::load(&mut s1).unwrap(), (42, "hello".into()));
+        assert_eq!(
+            <(u64, String)>::load(&mut s1).unwrap(),
+            (42, "hello".into())
+        );
         s1.finish().unwrap();
         let mut s2 = f.section(2).unwrap();
         assert_eq!(Vec::<u32>::load(&mut s2).unwrap(), vec![1, 2, 3]);
-        assert!(matches!(f.section(9), Err(SnapshotError::MissingSection { id: 9 })));
+        assert!(matches!(
+            f.section(9),
+            Err(SnapshotError::MissingSection { id: 9 })
+        ));
 
         let (a, b, stamp) = stream_sample(&bytes).unwrap();
         assert_eq!((a, b), ((42, "hello".into()), vec![1, 2, 3]));
-        assert_eq!(stamp, FrameStamp { len: bytes.len() as u64, crc: crc32(&bytes[..bytes.len() - 4]) });
+        assert_eq!(
+            stamp,
+            FrameStamp {
+                len: bytes.len() as u64,
+                crc: crc32(&bytes[..bytes.len() - 4])
+            }
+        );
     }
 
     #[test]
@@ -1496,11 +1638,17 @@ mod tests {
         let mut s = FrameStream::open(&bytes[..]).unwrap();
         s.section(1).unwrap();
         s.decode(8, |r| r.take_u64()).unwrap();
-        assert!(matches!(s.section(2), Err(SnapshotError::TrailingBytes { .. })));
+        assert!(matches!(
+            s.section(2),
+            Err(SnapshotError::TrailingBytes { .. })
+        ));
         // a need past the section's end is a truncation, whatever follows
         let mut s = FrameStream::open(&bytes[..]).unwrap();
         s.section(1).unwrap();
-        assert!(matches!(s.decode(1 << 20, |_| Ok(())), Err(SnapshotError::Truncated { .. })));
+        assert!(matches!(
+            s.decode(1 << 20, |_| Ok(())),
+            Err(SnapshotError::Truncated { .. })
+        ));
     }
 
     /// A section several windows long streams through a window that
@@ -1527,7 +1675,11 @@ mod tests {
                 Ok(())
             })
             .unwrap();
-            assert!(s.buf.len() <= STREAM_WINDOW, "window grew to {}", s.buf.len());
+            assert!(
+                s.buf.len() <= STREAM_WINDOW,
+                "window grew to {}",
+                s.buf.len()
+            );
         }
         s.finish().unwrap();
         assert_eq!(back, words);
@@ -1545,7 +1697,10 @@ mod tests {
                 ),
                 "truncation to {n} bytes gave {err:?}"
             );
-            assert!(stream_sample(&bytes[..n]).is_err(), "stream read a {n}-byte truncation");
+            assert!(
+                stream_sample(&bytes[..n]).is_err(),
+                "stream read a {n}-byte truncation"
+            );
         }
     }
 
@@ -1578,11 +1733,17 @@ mod tests {
         bytes[n - 4..].copy_from_slice(&crc.to_le_bytes());
         assert_eq!(
             FrameReader::parse(&bytes).unwrap_err(),
-            SnapshotError::BadVersion { got: 99, want: SCHEMA_VERSION }
+            SnapshotError::BadVersion {
+                got: 99,
+                want: SCHEMA_VERSION
+            }
         );
         assert_eq!(
             FrameStream::open(&bytes[..]).unwrap_err(),
-            SnapshotError::BadVersion { got: 99, want: SCHEMA_VERSION }
+            SnapshotError::BadVersion {
+                got: 99,
+                want: SCHEMA_VERSION
+            }
         );
     }
 
@@ -1590,8 +1751,14 @@ mod tests {
     fn bad_magic_is_reported() {
         let mut bytes = sample_frame();
         bytes[0] = b'X';
-        assert_eq!(FrameReader::parse(&bytes).unwrap_err(), SnapshotError::BadMagic);
-        assert_eq!(FrameStream::open(&bytes[..]).unwrap_err(), SnapshotError::BadMagic);
+        assert_eq!(
+            FrameReader::parse(&bytes).unwrap_err(),
+            SnapshotError::BadMagic
+        );
+        assert_eq!(
+            FrameStream::open(&bytes[..]).unwrap_err(),
+            SnapshotError::BadMagic
+        );
     }
 
     fn leftover_tmps(dir: &Path) -> usize {
@@ -1621,7 +1788,9 @@ mod tests {
         assert_eq!(leftover_tmps(&dir), 0);
 
         // a failing body leaves the old file in place and no tmp file
-        let err = write_frame(&path, 1, |_| Err(SnapshotError::Invalid { what: "give up" }));
+        let err = write_frame(&path, 1, |_| {
+            Err(SnapshotError::Invalid { what: "give up" })
+        });
         assert_eq!(err, Err(SnapshotError::Invalid { what: "give up" }));
         assert_eq!(read_file(&path).unwrap(), bytes);
         assert_eq!(leftover_tmps(&dir), 0);

@@ -358,7 +358,12 @@ pub struct TimelineSample {
     pub lost: [u64; CpiComponent::COUNT],
 }
 
-bfetch_snapshot::impl_snap_struct!(CpiStack { width, cycles, committed_slots, lost });
+bfetch_snapshot::impl_snap_struct!(CpiStack {
+    width,
+    cycles,
+    committed_slots,
+    lost
+});
 bfetch_snapshot::impl_snap_struct!(TimelineSample {
     core,
     index,
@@ -407,7 +412,8 @@ impl TimelineSample {
     /// `useful / (useful + uncovered demand misses)`, where uncovered
     /// demand misses are L1D misses minus late-prefetch merges.
     pub fn pf_coverage(&self) -> f64 {
-        let uncovered = self.interval_l1d_misses - self.interval_pf_late.min(self.interval_l1d_misses);
+        let uncovered =
+            self.interval_l1d_misses - self.interval_pf_late.min(self.interval_l1d_misses);
         let den = self.interval_pf_useful + uncovered;
         if den == 0 {
             0.0

@@ -241,8 +241,10 @@ mod tests {
         let names: Vec<&str> = r.with_prefix("h.").map(|(k, _)| k).collect();
         assert_eq!(
             names,
-            ["h.0", "h.1", "h.10", "h.11", "h.2", "h.3", "h.4", "h.5", "h.6", "h.7", "h.8",
-             "h.9"]
+            [
+                "h.0", "h.1", "h.10", "h.11", "h.2", "h.3", "h.4", "h.5", "h.6", "h.7", "h.8",
+                "h.9"
+            ]
         );
     }
 

@@ -107,24 +107,44 @@ impl ServiceLevel {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceKind {
     /// A conditional branch entered fetch with a direction prediction.
-    BranchPredicted { pc: u64, taken: bool, confidence: f64 },
+    BranchPredicted {
+        pc: u64,
+        taken: bool,
+        confidence: f64,
+    },
     /// A branch committed; `mispredicted` compares predicted vs actual
     /// direction.
-    BranchResolved { pc: u64, taken: bool, mispredicted: bool },
+    BranchResolved {
+        pc: u64,
+        taken: bool,
+        mispredicted: bool,
+    },
     /// A B-Fetch candidate left the engine queue and entered the memory
     /// system.
     PrefetchIssued { line: u64, pc_hash: u16 },
     /// A candidate was discarded before issue.
-    PrefetchDropped { line: u64, pc_hash: u16, reason: DropReason },
+    PrefetchDropped {
+        line: u64,
+        pc_hash: u16,
+        reason: DropReason,
+    },
     /// A demand access found its line already in flight under a prefetch
     /// MSHR — a *late* (but still useful) prefetch. `remaining_cycles` is
     /// how long the demand still had to wait for the fill.
-    PrefetchMshrMerged { line: u64, pc_hash: u16, remaining_cycles: u64 },
+    PrefetchMshrMerged {
+        line: u64,
+        pc_hash: u16,
+        remaining_cycles: u64,
+    },
     /// A prefetched line was installed in the L1.
     PrefetchFilled { line: u64, pc_hash: u16 },
     /// First demand hit on a prefetched line. `lead_cycles` is the gap
     /// between fill and this use — the lead time the prefetch bought.
-    PrefetchFirstUse { line: u64, pc_hash: u16, lead_cycles: u64 },
+    PrefetchFirstUse {
+        line: u64,
+        pc_hash: u16,
+        lead_cycles: u64,
+    },
     /// A prefetched line was evicted without ever being demanded.
     PrefetchEvictedUnused { line: u64, pc_hash: u16 },
     /// A data-side demand miss not covered by any prefetch.
@@ -503,7 +523,12 @@ bfetch_snapshot::impl_snap_struct!(LifecycleCounts {
     branches_resolved,
     mispredicts,
 });
-bfetch_snapshot::impl_snap_struct!(TraceSink { ring, capacity, overwritten, per_core });
+bfetch_snapshot::impl_snap_struct!(TraceSink {
+    ring,
+    capacity,
+    overwritten,
+    per_core
+});
 
 impl Tracer {
     /// A copy of the backing sink for checkpointing (`None` when disabled).
@@ -562,13 +587,22 @@ mod tests {
 
     #[test]
     fn per_core_tallies_are_separate_and_total_sums() {
-        let cfg = TraceConfig { enabled: true, capacity: 16 };
+        let cfg = TraceConfig {
+            enabled: true,
+            capacity: 16,
+        };
         let t = Tracer::enabled(&cfg);
         let c0 = t.for_core(0);
         let c1 = t.for_core(1);
         c0.emit(1, issued(0x40));
         c1.emit(2, issued(0x80));
-        c1.emit(3, TraceKind::PrefetchFilled { line: 0x80, pc_hash: 1 });
+        c1.emit(
+            3,
+            TraceKind::PrefetchFilled {
+                line: 0x80,
+                pc_hash: 1,
+            },
+        );
         drop((c0, c1));
         let sink = t.finish().unwrap();
         assert_eq!(sink.cores(), 2);
@@ -636,7 +670,10 @@ mod tests {
         // two per-core handles feed one 4-entry ring past capacity: the
         // ring keeps only the newest four events, but both cores' lifecycle
         // tallies (which accumulate outside the ring) stay exact
-        let cfg = TraceConfig { enabled: true, capacity: 4 };
+        let cfg = TraceConfig {
+            enabled: true,
+            capacity: 4,
+        };
         let t = Tracer::enabled(&cfg);
         let c0 = t.for_core(0);
         let c1 = t.for_core(1);
@@ -649,7 +686,11 @@ mod tests {
         assert_eq!(sink.total_recorded(), 10);
         assert_eq!(sink.overwritten(), 6);
         let cycles: Vec<u64> = sink.events().map(|e| e.cycle).collect();
-        assert_eq!(cycles, [6, 7, 8, 9], "ring keeps the newest events in order");
+        assert_eq!(
+            cycles,
+            [6, 7, 8, 9],
+            "ring keeps the newest events in order"
+        );
         assert_eq!(sink.lifecycle(0).issued, 5, "tallies survive wraparound");
         assert_eq!(sink.lifecycle(1).issued, 5);
         assert_eq!(sink.lifecycle_total().issued, 10);
@@ -658,8 +699,16 @@ mod tests {
     #[test]
     fn zero_capacity_ring_clamps_to_one() {
         let mut sink = TraceSink::new(0);
-        sink.record(TraceEvent { cycle: 1, core: 0, kind: issued(0x40) });
-        sink.record(TraceEvent { cycle: 2, core: 0, kind: issued(0x80) });
+        sink.record(TraceEvent {
+            cycle: 1,
+            core: 0,
+            kind: issued(0x40),
+        });
+        sink.record(TraceEvent {
+            cycle: 2,
+            core: 0,
+            kind: issued(0x80),
+        });
         assert_eq!(sink.events().count(), 1);
         assert_eq!(sink.total_recorded(), 2);
         assert_eq!(sink.overwritten(), 1);

@@ -83,9 +83,7 @@ mod tests {
 
     #[test]
     fn fault_kernel_is_not_in_the_registry() {
-        assert!(crate::kernels()
-            .iter()
-            .all(|k| k.name != FAULT_KERNEL.name));
+        assert!(crate::kernels().iter().all(|k| k.name != FAULT_KERNEL.name));
     }
 
     #[test]

@@ -163,7 +163,11 @@ mod tests {
     fn run_to_halt(p: &Program, budget: u64) -> ArchState {
         let mut s = ArchState::new(p);
         s.run(p, budget);
-        assert!(s.halted(), "{} did not halt within {budget} steps", p.name());
+        assert!(
+            s.halted(),
+            "{} did not halt within {budget} steps",
+            p.name()
+        );
         s
     }
 
@@ -237,10 +241,8 @@ mod tests {
             let mut sum = 0u64;
             for dy in [-1i64, 0, 1] {
                 for dx in [-1i64, 0, 1] {
-                    sum = sum.wrapping_add(src(
-                        y.wrapping_add(dy as u64),
-                        x.wrapping_add(dx as u64),
-                    ));
+                    sum =
+                        sum.wrapping_add(src(y.wrapping_add(dy as u64), x.wrapping_add(dx as u64)));
                 }
             }
             let got = s.mem().load(0x300_0000 + (y * w + x) * 8);

@@ -13,8 +13,8 @@ fn every_synthetic_kernel_round_trips_through_text() {
     for k in kernels() {
         for p in [k.build_small(), k.build_full()] {
             let text = disassemble(&p);
-            let again = assemble(&text)
-                .unwrap_or_else(|e| panic!("{} disassembly rejected: {e}", k.name));
+            let again =
+                assemble(&text).unwrap_or_else(|e| panic!("{} disassembly rejected: {e}", k.name));
             assert_eq!(p.name(), again.name(), "{}", k.name);
             assert_eq!(p.insts(), again.insts(), "{}", k.name);
             assert_eq!(p.data(), again.data(), "{}", k.name);

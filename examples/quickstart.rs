@@ -28,7 +28,10 @@ fn main() {
     println!("baseline IPC  : {:.3}", baseline.ipc());
     println!("B-Fetch IPC   : {:.3}", bfetch.ipc());
     println!("speedup       : {:.2}x", bfetch.ipc() / baseline.ipc());
-    println!("bp miss rate  : {:.2}%", 100.0 * bfetch.branch_mispredict_rate());
+    println!(
+        "bp miss rate  : {:.2}%",
+        100.0 * bfetch.branch_mispredict_rate()
+    );
     println!(
         "prefetches    : {} issued, {} useful, {} useless, {} late",
         bfetch.mem.prefetch_issued,

@@ -128,8 +128,8 @@ mod typed_failures {
 
     use bfetch::isa::Program;
     use bfetch::sim::{FaultInjection, RunResult, SimConfig, SimError, SimSession};
-    use bfetch::workloads::FAULT_KERNEL;
     use bfetch::workloads::kernel_by_name;
+    use bfetch::workloads::FAULT_KERNEL;
 
     fn try_run_single(p: &Program, cfg: &SimConfig, insts: u64) -> Result<RunResult, SimError> {
         SimSession::new(cfg.clone())

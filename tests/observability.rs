@@ -84,8 +84,16 @@ fn trace_metrics_match_hand_derived_values_on_stride_kernel() {
 
     // A streaming loop with a predictable branch is B-Fetch's best case:
     // the metrics should show a genuinely effective prefetcher.
-    assert!(m.accuracy > 0.9, "stride accuracy {:.3} too low", m.accuracy);
-    assert!(m.coverage > 0.5, "stride coverage {:.3} too low", m.coverage);
+    assert!(
+        m.accuracy > 0.9,
+        "stride accuracy {:.3} too low",
+        m.accuracy
+    );
+    assert!(
+        m.coverage > 0.5,
+        "stride coverage {:.3} too low",
+        m.coverage
+    );
     assert!(lc.useful() > 100, "too few useful prefetches: {lc:?}");
 }
 
