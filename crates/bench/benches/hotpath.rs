@@ -1,7 +1,8 @@
 //! Hot-path microbenchmarks for the structures the per-cycle loop leans
 //! on: MSHR probes and allocation, cache probe+fill, the B-Fetch lookahead
 //! walk, building the kernels and the functional state a core starts from,
-//! generating a page of mcf's image on first touch, a warm
+//! generating a line of mcf's image on first touch and loading a resident
+//! one, a warm
 //! result-cache hit, a profiler span while the profiler is off, and a full
 //! `Core::cycle` against the real memory hierarchy. These
 //! are the operations the flat-table/packed-rank rewrite targets, so
@@ -184,10 +185,13 @@ fn main() {
 
     // Building programs and the functional state every core starts from:
     // a build records how to generate each image, not its words; a new
-    // state reserves room for the image's pages and generates none; the
-    // first touch of a page generates it (mcf: positioning the generator,
-    // then 512 words), which first_touch_page times over all 3072 pages of
-    // mcf's arcs.
+    // state reserves room for the image's lines and generates none; the
+    // first touch of a line generates its page into the memory's scratch
+    // page (mcf: positioning the generator, then 512 words) and keeps the
+    // line, which first_touch_line times once on each of the 3072 pages of
+    // mcf's arcs. load_touch_hit loads a resident line, a different one
+    // each time, over all those pages: what a program's load costs once
+    // its line is resident.
     let mcf = kernel_by_name("mcf").expect("kernel registered");
     bench_n("kernel_build_mcf", 10, || mcf.build(Scale::Full).len());
     bench_n("kernel_build_full", 10, || {
@@ -210,7 +214,19 @@ fn main() {
         }
         t.elapsed().as_nanos() as f64 / arc_pages as f64
     });
-    println!("{:<28} {per_page:>10.1} ns/op", "first_touch_page");
+    println!("{:<28} {per_page:>10.1} ns/op", "first_touch_line");
+    let mut s = ArchState::new(&image);
+    let lines: Vec<u64> = (0..arc_pages)
+        .map(|page| arcs + page * 4096 + 64 * (page % 64))
+        .collect();
+    for &addr in &lines {
+        s.mem_mut().load_touch(addr);
+    }
+    let mut next = 0;
+    bench("load_touch_hit", || {
+        next = (next + 1) % lines.len();
+        s.mem_mut().load_touch(lines[next])
+    });
 
     // A warm harness hit, what each point of a cached figure pays: name the
     // entry, open, read, decode, refresh its mtime. The key is a real Fig 8

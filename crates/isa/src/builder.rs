@@ -91,10 +91,10 @@ impl ProgramBuilder {
 
     /// Registers an initial data segment of `len` words at `base` that
     /// `fill` generates on demand: `fill(first, out)` writes the segment's
-    /// words `first..first + out.len()` into `out`. It is called for each
-    /// page a run first touches, for [`Program::data`] and for a
-    /// checkpoint's copy of the program, so it must give the same words
-    /// for the same positions however the segment is split.
+    /// words `first..first + out.len()` into `out`. It is called for the
+    /// page of each line a run first touches, for [`Program::data`] and
+    /// for a checkpoint's copy of the program, so it must give the same
+    /// words for the same positions however the segment is split.
     pub fn init_words_fill(
         &mut self,
         base: u64,

@@ -1,5 +1,5 @@
 //! Sparse, word-granularity data memory over a program's initial image,
-//! which it generates a page at a time where a load or store first
+//! which it generates a 64-byte line at a time where a load or store first
 //! touches it.
 
 use bfetch_snapshot::{Decoder, Encoder, Snap, SnapState, SnapshotError, Source};
@@ -12,9 +12,17 @@ use std::sync::Arc;
 /// Words per page (4 KiB pages of 8-byte words).
 const PAGE_WORDS: usize = 512;
 const PAGE_SHIFT: u64 = 12;
-const OFFSET_MASK: u64 = (1 << PAGE_SHIFT) - 1;
+/// Words per line (64-byte lines), and lines per page.
+const LINE_WORDS: usize = 8;
+const LINE_SHIFT: u64 = 6;
+const PAGE_LINES: usize = PAGE_WORDS / LINE_WORDS;
+/// A page table's entry for a line that is not resident.
+const ABSENT: u32 = u32::MAX;
 
 type Page = [u64; PAGE_WORDS];
+type Line = [u64; LINE_WORDS];
+/// Where each line of a page sits in a memory's `lines`, or [`ABSENT`].
+type Table = [u32; PAGE_LINES];
 type PageMap<V> = HashMap<u64, V, BuildHasherDefault<PageHasher>>;
 
 /// Hashes a page number with one multiply and a fold, where the default
@@ -43,24 +51,26 @@ impl Hasher for PageHasher {
     }
 }
 
-/// `(page number, word index within the page)` of `addr`'s word.
+/// `(page number, line within the page, word within the line)` of
+/// `addr`'s word.
 #[inline]
-fn split(addr: u64) -> (u64, usize) {
-    (addr >> PAGE_SHIFT, ((addr & OFFSET_MASK) >> 3) as usize)
+fn split(addr: u64) -> (u64, usize, usize) {
+    let line = (addr >> LINE_SHIFT) as usize % PAGE_LINES;
+    (addr >> PAGE_SHIFT, line, (addr >> 3) as usize % LINE_WORDS)
 }
 
-/// Where a resident page of a [`SparseMemory`] lives.
+/// A page of a [`SparseMemory`] with at least one resident line.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    /// Index of the page's words in the memory's `frames`.
-    at: u32,
-    /// Stored to since the page became resident: the page differs from
-    /// the image, so a checkpoint carries it.
+    /// Index of the page's [`Table`] in the memory's `tables`.
+    table: u32,
+    /// Stored to since its first line became resident: the page differs
+    /// from the image, so a checkpoint carries it.
     written: bool,
 }
 
-/// A sparse 64-bit address space storing 8-byte words, allocated lazily in
-/// 4 KiB pages.
+/// A sparse 64-bit address space storing 8-byte words, held in the
+/// 64-byte lines a run has touched.
 ///
 /// Accesses are aligned down to an 8-byte boundary; memory outside the
 /// image reads as zero. This models data values only — timing is the
@@ -68,17 +78,18 @@ struct Slot {
 ///
 /// A memory built for a [`Program`](crate::Program) (by
 /// [`ArchState::new`](crate::ArchState::new)) holds a handle on the
-/// program's image and no pages. The first [`SparseMemory::load_touch`]
-/// or [`SparseMemory::store`] on a page the image covers generates that
-/// page from the image; a page outside it becomes resident, zeroed, on its
-/// first store. The image itself is never written, so every state built
-/// from the program starts from the same words. A checkpoint saves only
-/// the written pages (its [`SnapState`] impl).
+/// program's image and no lines. The first [`SparseMemory::load_touch`]
+/// or [`SparseMemory::store`] on a line that holds a word of the image
+/// generates that line from the image; any other line becomes resident,
+/// zeroed, on its first store. The image itself is never written, so every
+/// state built from the program starts from the same words. A checkpoint
+/// saves only the written pages, whole (its [`SnapState`] impl).
 ///
-/// Resident pages sit side by side in one growable array, which starts
-/// with room for every page of the image: the room is reserved, not
-/// written, so the host commits a page's memory only when it is
-/// generated, and a first touch of an image page never calls the
+/// Resident lines sit side by side in one growable array, and each page
+/// with a resident line has a table of where its 64 lines sit. Both
+/// arrays start with room for every line and page of the image: the room
+/// is reserved, not written, so the host commits memory only for the
+/// lines generated, and a first touch of an image line never calls the
 /// allocator.
 ///
 /// # Example
@@ -94,8 +105,14 @@ struct Slot {
 #[derive(Debug, Clone, Default)]
 pub struct SparseMemory {
     pages: PageMap<Slot>,
-    frames: Vec<Page>,
+    tables: Vec<Table>,
+    lines: Vec<Line>,
     image: Arc<Image>,
+    /// The words of image page `scratch_page`, generated whole so that
+    /// the lines a run touches on one page cost one fill between them,
+    /// not one each. Empty in a memory without an image.
+    scratch: Vec<u64>,
+    scratch_page: Option<u64>,
 }
 
 impl SparseMemory {
@@ -104,77 +121,125 @@ impl SparseMemory {
         Self::default()
     }
 
-    /// A memory over `image`, with no page resident yet and room for all
-    /// of the image's.
+    /// A memory over `image`, with no line resident yet and room for all
+    /// of the image's lines and pages.
     pub(crate) fn over(image: Arc<Image>) -> Self {
-        let n = image.page_count();
+        let pages = image.block_count(PAGE_SHIFT);
         Self {
-            pages: PageMap::with_capacity_and_hasher(n, Default::default()),
-            frames: Vec::with_capacity(n),
+            pages: PageMap::with_capacity_and_hasher(pages, Default::default()),
+            tables: Vec::with_capacity(pages),
+            lines: Vec::with_capacity(image.block_count(LINE_SHIFT)),
+            scratch: vec![0; PAGE_WORDS],
+            scratch_page: None,
             image,
         }
     }
 
+    /// Index in `lines` of the line holding `addr`, if it is resident.
+    #[inline]
+    fn find(&self, addr: u64) -> Option<usize> {
+        let (page, line, _) = split(addr);
+        let at = self.tables[self.pages.get(&page)?.table as usize][line];
+        (at != ABSENT).then_some(at as usize)
+    }
+
     /// Reads the 8-byte word containing `addr`. A read-only view: a word
-    /// on a page not yet resident is read from the image, and no page
+    /// on a line not yet resident is read from the image, and no line
     /// becomes resident.
     #[inline]
     pub fn load(&self, addr: u64) -> u64 {
-        let (page, word) = split(addr);
-        match self.pages.get(&page) {
-            Some(s) => self.frames[s.at as usize][word],
+        match self.find(addr) {
+            Some(at) => self.lines[at][split(addr).2],
             None => self.image.word(addr),
         }
     }
 
     /// [`SparseMemory::load`] as the executing program's loads do it: a
-    /// page of the image becomes resident on its first touch, so later
-    /// loads from it cost one lookup. A word outside the image reads zero
-    /// and allocates nothing.
+    /// line of the image becomes resident on its first touch, so later
+    /// loads from it cost one lookup. A line that holds no word of the
+    /// image reads zero and allocates nothing.
     #[inline]
     pub fn load_touch(&mut self, addr: u64) -> u64 {
-        let (page, word) = split(addr);
-        match self.pages.get(&page) {
-            Some(s) => self.frames[s.at as usize][word],
-            None => self.page_in(page).map_or(0, |at| self.frames[at][word]),
+        let word = split(addr).2;
+        match self.find(addr) {
+            Some(at) => self.lines[at][word],
+            None => self.touch(addr).map_or(0, |at| self.lines[at][word]),
         }
     }
 
-    /// Makes `page` resident from the image, if the image covers it;
-    /// returns its index in `frames`.
+    /// Makes `addr`'s line resident from the image, if it holds a word of
+    /// the image; returns its index in `lines`.
     #[cold]
     #[inline(never)]
-    fn page_in(&mut self, page: u64) -> Option<usize> {
-        let covered = self.image.runs(page).next().is_some();
-        covered.then(|| self.insert(page, false))
+    fn touch(&mut self, addr: u64) -> Option<usize> {
+        let words = self.generate(addr)?;
+        Some(self.insert(addr, words, false))
     }
 
     /// Writes the 8-byte word containing `addr`.
     #[inline]
     pub fn store(&mut self, addr: u64, value: u64) {
-        let (page, word) = split(addr);
+        let (page, line, word) = split(addr);
         let at = match self.pages.get_mut(&page) {
-            Some(s) => {
+            Some(s) if self.tables[s.table as usize][line] != ABSENT => {
                 s.written = true;
-                s.at as usize
+                self.tables[s.table as usize][line] as usize
             }
-            None => self.insert(page, true),
+            _ => {
+                let words = self.generate(addr).unwrap_or_default();
+                self.insert(addr, words, true)
+            }
         };
-        self.frames[at][word] = value;
+        self.lines[at][word] = value;
     }
 
-    /// Makes `page` resident as the image holds it and returns its index
-    /// in `frames`.
-    fn insert(&mut self, page: u64, written: bool) -> usize {
-        let at = self.frames.len();
-        self.frames.push([0; PAGE_WORDS]);
-        self.image.fill_page(page, &mut self.frames[at]);
-        let at32 = u32::try_from(at).expect("fewer than 2^32 resident pages");
-        self.pages.insert(page, Slot { at: at32, written });
+    /// The image's words on `addr`'s line, if the line holds any. Fills
+    /// the scratch page first when it holds another page.
+    fn generate(&mut self, addr: u64) -> Option<Line> {
+        if !self.image.holds_line(addr >> LINE_SHIFT) {
+            return None;
+        }
+        let (page, line, _) = split(addr);
+        if self.scratch_page != Some(page) {
+            self.scratch.fill(0);
+            self.image.fill_page(page, &mut self.scratch);
+            self.scratch_page = Some(page);
+        }
+        let first = line * LINE_WORDS;
+        Some(
+            self.scratch[first..first + LINE_WORDS]
+                .try_into()
+                .expect("one line"),
+        )
+    }
+
+    /// Makes `addr`'s line resident holding `words`, with a table for its
+    /// page if it has none; marks the page written if `written`. Returns
+    /// the line's index in `lines`.
+    fn insert(&mut self, addr: u64, words: Line, written: bool) -> usize {
+        let (page, line, _) = split(addr);
+        let next = self.tables.len();
+        let slot = self.pages.entry(page).or_insert_with(|| Slot {
+            table: u32::try_from(next).expect("fewer than 2^32 resident pages"),
+            written: false,
+        });
+        slot.written |= written;
+        let t = slot.table as usize;
+        if t == next {
+            self.tables.push([ABSENT; PAGE_LINES]);
+        }
+        let at = self.lines.len();
+        self.lines.push(words);
+        self.tables[t][line] = u32::try_from(at).expect("fewer than 2^32 resident lines");
         at
     }
 
-    /// Number of resident pages, written or not.
+    /// Number of resident lines, written or not.
+    pub fn resident_lines(&self) -> usize {
+        self.lines.len()
+    }
+
+    /// Number of pages with a resident line.
     pub fn resident_pages(&self) -> usize {
         self.pages.len()
     }
@@ -191,19 +256,34 @@ impl SparseMemory {
         keys.sort_unstable();
         keys
     }
+
+    /// Writes resident `page`'s words into `out`: its resident lines, and
+    /// the image's words for the rest.
+    fn page_words(&self, page: u64, out: &mut Page) {
+        out.fill(0);
+        self.image.fill_page(page, out);
+        let table = &self.tables[self.pages[&page].table as usize];
+        for (words, &at) in out.chunks_exact_mut(LINE_WORDS).zip(table) {
+            if at != ABSENT {
+                words.copy_from_slice(&self.lines[at as usize]);
+            }
+        }
+    }
 }
 
 /// Saved as a delta against the image the memory was built from: the
 /// count of [`SparseMemory::written_pages`], then each page number and its
 /// 512 words, in increasing page order. Load it into a memory freshly
-/// built from the same image.
+/// built from the same image; every line of a loaded page is resident.
 impl SnapState for SparseMemory {
     fn save_state(&self, w: &mut Encoder) {
         let keys = self.written_pages();
         w.put_usize(keys.len());
+        let mut words = [0; PAGE_WORDS];
         for k in keys {
             w.put_u64(k);
-            self.frames[self.pages[&k].at as usize].save(w);
+            self.page_words(k, &mut words);
+            words.save(w);
         }
     }
 
@@ -222,8 +302,11 @@ impl SnapState for SparseMemory {
                 });
             }
             prev = Some(k);
-            let at = self.insert(k, true);
-            self.frames[at] = Snap::load(r)?;
+            let words: Page = Snap::load(r)?;
+            for (i, line) in words.chunks_exact(LINE_WORDS).enumerate() {
+                let addr = (k << PAGE_SHIFT) + (i << LINE_SHIFT) as u64;
+                self.insert(addr, line.try_into().expect("one line"), true);
+            }
         }
         Ok(())
     }
@@ -309,13 +392,11 @@ impl Image {
             .collect()
     }
 
-    /// The runs of segment words that fall on `page`, in address order, as
-    /// `(segment, its first word there, page slot of that word, count)`.
-    /// Assumes no two segments overlap, which a [`Program`](crate::Program)
-    /// checks before any memory is built over its image.
-    fn runs(&self, page: u64) -> impl Iterator<Item = (&Segment, usize, usize, usize)> {
-        let start = u128::from(page) << PAGE_SHIFT;
-        let end = start + (1 << PAGE_SHIFT);
+    /// The segments with a word in the bytes `start..end`, in address
+    /// order. Assumes no two segments overlap, which a
+    /// [`Program`](crate::Program) checks before any memory is built over
+    /// its image.
+    fn segments_in(&self, start: u128, end: u128) -> impl Iterator<Item = &Segment> {
         let from = self
             .by_addr
             .partition_point(|&i| self.segments[i].extent().1 <= start);
@@ -323,6 +404,13 @@ impl Image {
             .iter()
             .map(|&i| &self.segments[i])
             .take_while(move |s| s.extent().0 < end)
+    }
+
+    /// The runs of segment words that fall on `page`, in address order, as
+    /// `(segment, its first word there, page slot of that word, count)`.
+    fn runs(&self, page: u64) -> impl Iterator<Item = (&Segment, usize, usize, usize)> {
+        let start = u128::from(page) << PAGE_SHIFT;
+        self.segments_in(start, start + (1 << PAGE_SHIFT))
             .map(move |s| {
                 let lo = s.extent().0;
                 let (first, slot) = if lo >= start {
@@ -334,23 +422,30 @@ impl Image {
             })
     }
 
+    /// Whether a segment has a word on line number `line` (the address
+    /// shifted right by `LINE_SHIFT`).
+    fn holds_line(&self, line: u64) -> bool {
+        let start = u128::from(line) << LINE_SHIFT;
+        self.segments_in(start, start + (1 << LINE_SHIFT))
+            .next()
+            .is_some()
+    }
+
     /// Writes the segment words on `page` into `out`, a zeroed page.
-    fn fill_page(&self, page: u64, out: &mut Page) {
+    fn fill_page(&self, page: u64, out: &mut [u64]) {
         for (s, first, slot, n) in self.runs(page) {
             (s.fill)(first, &mut out[slot..slot + n]);
         }
     }
 
-    /// How many pages the segments' words fall on.
-    fn page_count(&self) -> usize {
-        let mut last = None; // the previous segment's last page
+    /// How many aligned blocks of `1 << shift` bytes (lines or pages) the
+    /// segments' words fall on.
+    fn block_count(&self, shift: u64) -> usize {
+        let mut last = None; // the previous segment's last block
         let mut n = 0;
         for s in self.by_addr.iter().map(|&i| &self.segments[i]) {
             let (lo, hi) = s.extent();
-            let (first, end) = (
-                (lo >> PAGE_SHIFT) as u64,
-                (((hi - 1) >> PAGE_SHIFT) + 1) as u64,
-            );
+            let (first, end) = ((lo >> shift) as u64, (((hi - 1) >> shift) + 1) as u64);
             n += end - first - u64::from(last == Some(first));
             last = Some(end - 1);
         }
@@ -359,7 +454,7 @@ impl Image {
 
     /// The image's word at `addr`, zero outside every segment.
     fn word(&self, addr: u64) -> u64 {
-        let (page, word) = split(addr);
+        let (page, word) = (addr >> PAGE_SHIFT, (addr >> 3) as usize % PAGE_WORDS);
         let mut out = [0];
         if let Some((s, first, slot, _)) = self
             .runs(page)
@@ -506,7 +601,7 @@ mod tests {
         m.store(0x1000, 22);
         assert_eq!(m.load(0xff8), 11);
         assert_eq!(m.load(0x1000), 22);
-        assert_eq!(m.resident_pages(), 2);
+        assert_eq!((m.resident_pages(), m.resident_lines()), (2, 2));
     }
 
     /// An image with a segment of words `0..600` spanning three pages,
@@ -518,7 +613,7 @@ mod tests {
     }
 
     #[test]
-    fn pages_become_resident_where_loads_and_stores_touch() {
+    fn lines_become_resident_where_loads_and_stores_touch() {
         let img = image();
         assert_eq!(img.segments().collect::<Vec<_>>(), [(0x1ff0, 600)]);
         assert_eq!(img.data(), [(0x1ff0, (0..600).collect())]);
@@ -527,12 +622,18 @@ mod tests {
             (m.load(0x1ff0), m.load(0x2000), m.load(0x1ff0 + 599 * 8)),
             (0, 2, 599)
         );
-        assert_eq!(m.resident_pages(), 0, "a read-only load pages nothing in");
+        assert_eq!(
+            m.resident_lines(),
+            0,
+            "a read-only load makes nothing resident"
+        );
         assert_eq!(m.load_touch(0x2008), 3);
+        assert_eq!(m.load_touch(0x2038), 9, "same line");
+        assert_eq!(m.load_touch(0x2040), 10);
         assert_eq!(m.load_touch(0x1_0000), 0, "outside the image");
-        assert_eq!(m.resident_pages(), 1);
+        assert_eq!((m.resident_pages(), m.resident_lines()), (1, 2));
         m.store(0x9000, 5); // a page the image never had
-        assert_eq!((m.resident_pages(), m.written_pages()), (2, vec![0x9]));
+        assert_eq!((m.resident_lines(), m.written_pages()), (3, vec![0x9]));
     }
 
     #[test]
@@ -547,8 +648,9 @@ mod tests {
         assert_eq!(
             (a.load(0x2008), a.load(0x2010), a.load(0x1ff8)),
             (77, 4, 1),
-            "rest of the page generated"
+            "rest of the line generated, the rest of the image read through"
         );
+        assert_eq!(a.resident_lines(), 1);
         assert_eq!(b.load(0x2008), 3);
         assert_eq!(img.data(), [(0x1ff0, (0..600).collect())]);
     }
@@ -559,40 +661,76 @@ mod tests {
         img.push(0x3010, 2, copying(vec![7, 8]));
         img.push(0x2ff8, 2, copying(vec![5, 6]));
         img.push(0x3100, 0, copying(vec![]));
+        img.push(0x3080, 1, copying(vec![9]));
         let mut m = SparseMemory::over(Arc::new(img));
         assert_eq!(m.load_touch(0x3018), 8);
-        let page: Vec<u64> = (0x3000..0x3020).step_by(8).map(|a| m.load(a)).collect();
-        assert_eq!(page, [6, 0, 7, 8]);
+        let line: Vec<u64> = (0x3000..0x3020).step_by(8).map(|a| m.load(a)).collect();
+        assert_eq!(line, [6, 0, 7, 8]);
+        assert_eq!(m.load_touch(0x3040), 0, "a gap line between segments");
+        assert_eq!(m.load_touch(0x3080), 9);
         assert_eq!(m.load_touch(0x2ff8), 5);
-        assert_eq!(m.resident_pages(), 2);
+        assert_eq!((m.resident_pages(), m.resident_lines()), (2, 3));
+        m.store(0x3048, 4); // the gap line, zeroed
+        assert_eq!((m.load(0x3040), m.load(0x3048)), (0, 4));
+        assert_eq!(m.resident_lines(), 4);
     }
 
     #[test]
-    fn a_memory_reserves_one_frame_per_image_page() {
+    fn a_memory_reserves_one_table_per_image_page_and_one_line_per_image_line() {
         let mut img = Image::default();
-        img.push(0x1ff8, 2, copying(vec![1, 2])); // pages 1 and 2
-        img.push(0x2010, 1, copying(vec![3])); // page 2 again
-        img.push(0x5000, 512, copying(vec![4; 512])); // page 5, exactly
-        img.push(0x9000, 0, copying(vec![])); // no page
-        assert_eq!(img.page_count(), 3);
-        assert_eq!(Image::default().page_count(), 0);
+        img.push(0x1ff8, 2, copying(vec![1, 2])); // pages 1 and 2, two lines
+        img.push(0x2010, 1, copying(vec![3])); // page 2 and its line again
+        img.push(0x5000, 512, copying(vec![4; 512])); // page 5, 64 lines
+        img.push(0x9000, 0, copying(vec![])); // nothing
+        assert_eq!(img.block_count(PAGE_SHIFT), 3);
+        assert_eq!(img.block_count(LINE_SHIFT), 66);
+        assert_eq!(Image::default().block_count(LINE_SHIFT), 0);
         let mut m = SparseMemory::over(Arc::new(img));
-        assert_eq!(m.frames.capacity(), 3);
-        for addr in [0x1ff8, 0x2000, 0x2010, 0x5ff8] {
+        assert_eq!((m.tables.capacity(), m.lines.capacity()), (3, 66));
+        for addr in (0x5000..0x6000).step_by(64).chain([0x1ff8, 0x2000, 0x2010]) {
             m.load_touch(addr);
         }
         m.store(0x2018, 7);
-        assert_eq!((m.resident_pages(), m.frames.capacity()), (3, 3));
+        assert_eq!((m.resident_pages(), m.resident_lines()), (3, 66));
+        assert_eq!((m.tables.capacity(), m.lines.capacity()), (3, 66));
         assert_eq!((m.load(0x2010), m.load(0x2018)), (3, 7));
-        m.store(0x7000, 1); // past the room reserved: the frames grow
-        assert_eq!(m.resident_pages(), 4);
+        m.store(0x7000, 1); // past the room reserved: the arrays grow
+        assert_eq!((m.resident_pages(), m.resident_lines()), (4, 67));
     }
 
+    #[test]
+    fn one_page_fill_serves_every_line_touched_on_it() {
+        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let counted = Arc::clone(&calls);
+        let mut img = Image::default();
+        img.push(
+            0x4000,
+            1024,
+            Box::new(move |first, out: &mut [u64]| {
+                counted.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                out.iter_mut().zip(first as u64..).for_each(|(w, i)| *w = i);
+            }),
+        );
+        let mut m = SparseMemory::over(Arc::new(img));
+        let fills = || calls.load(std::sync::atomic::Ordering::Relaxed);
+        for addr in [0x4000, 0x4ff8, 0x4100] {
+            m.load_touch(addr);
+        }
+        assert_eq!(fills(), 1);
+        m.store(0x5008, 0); // the next page
+        assert_eq!((m.load(0x5010), fills()), (514, 2));
+        m.load_touch(0x4200); // back: the scratch page holds the other one
+        assert_eq!((m.load(0x4200), fills()), (64, 3));
+    }
+
+    /// A written page, as a checkpoint carries it: written, generated-only
+    /// and untouched lines all read as the memory holds them.
     #[test]
     fn delta_round_trips_onto_a_fresh_state() {
         let img = image();
         let mut a = SparseMemory::over(Arc::clone(&img));
         a.load_touch(0x1ff0); // resident, never written: not saved
+        a.load_touch(0x2100); // generated only, on a written page
         a.store(0x2ff8, 9);
         a.store(0x40_0000, 1);
         let mut w = Encoder::new();
@@ -609,6 +747,7 @@ mod tests {
         b.load_state(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(b.written_pages(), a.written_pages());
+        assert_eq!(b.resident_lines(), 2 * PAGE_LINES, "whole pages resident");
         for addr in (0x1000..0x4000).step_by(8).chain([0x40_0000]) {
             assert_eq!(a.load(addr), b.load(addr), "{addr:#x}");
         }

@@ -110,7 +110,7 @@ impl StaticInst {
 /// count and a fill that produces any run of its words: a generated
 /// segment holds no words at all, and each
 /// [`ArchState`](crate::ArchState) built from the program generates only
-/// the pages it touches (see [`SparseMemory`]).
+/// the 64-byte lines it touches (see [`SparseMemory`]).
 #[derive(Debug, Clone, Default)]
 pub struct Program {
     name: Arc<str>,
@@ -235,7 +235,7 @@ impl Program {
         self.image.data()
     }
 
-    /// A data memory over the initial image, with no page resident yet.
+    /// A data memory over the initial image, with no line resident yet.
     pub(crate) fn initial_memory(&self) -> SparseMemory {
         SparseMemory::over(Arc::clone(&self.image))
     }

@@ -40,8 +40,8 @@ pub struct ArchState {
 
 impl ArchState {
     /// Creates a fresh state for `program`, with the PC at the entry point
-    /// and a memory over the program's data image: no page is generated
-    /// until a load or store touches it.
+    /// and a memory over the program's data image: no line of it is
+    /// generated until a load or store touches it.
     pub fn new(program: &Program) -> Self {
         Self {
             regs: [0; NUM_REGS],

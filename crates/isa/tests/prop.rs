@@ -127,10 +127,11 @@ fn touching(segments: &[(u64, usize)], seed: u64, addr: u64) -> Program {
     b.finish()
 }
 
-/// Paging in: a page generated alone, by a load's first touch, holds the
-/// words a sequential fill of its segments gives. Every case lays out
-/// two to four segments that start mid-page, end on a partial page and
-/// share that page with the next segment, after a gap of up to its rest.
+/// Generation: a page generated alone, by a load's first touch, holds the
+/// words a sequential fill of its segments gives, and only the touched
+/// line becomes resident. Every case lays out two to four segments that
+/// start mid-page, end on a partial page and share that page with the
+/// next segment, after a gap of up to its rest.
 #[test]
 fn a_page_generated_alone_equals_the_sequential_fill() {
     for case in 0..cases(48) as u64 {
@@ -165,7 +166,8 @@ fn a_page_generated_alone_equals_the_sequential_fill() {
             let p = touching(&segments, case, addr);
             let mut s = ArchState::new(&p);
             s.run(&p, 3);
-            assert_eq!(s.mem().resident_pages(), 1);
+            let holds = want.keys().any(|a| a >> 6 == addr >> 6);
+            assert_eq!(s.mem().resident_lines(), usize::from(holds));
             assert_eq!(s.reg(Reg::R2), want.get(&addr).copied().unwrap_or(0));
             for a in (page << 12..(page + 1) << 12).step_by(8) {
                 let w = want.get(&a).copied().unwrap_or(0);
@@ -187,4 +189,86 @@ fn a_read_only_load_leaves_a_generated_page_alone() {
     }
     assert_eq!(s.mem().load(0x20_0008), 0);
     assert_eq!(s.mem().resident_pages(), 0);
+}
+
+/// A memory over a generated image reads as a flat map of words from the
+/// image's sequential fill, under any mix of read-only loads, touching
+/// loads and stores. Segments start mid-page, share pages and leave gap
+/// lines between them; addresses are unaligned, in the image, in its gaps
+/// or far outside it. The resident lines are exactly those stored to or
+/// touched while holding a segment word.
+#[test]
+fn a_memory_over_a_generated_image_reads_as_a_flat_word_map() {
+    use std::collections::{HashMap, HashSet};
+    for case in 0..cases(32) as u64 {
+        let mut r = Pcg32::new(0x15a_0008 ^ case);
+        let mut segments = Vec::new();
+        let mut at = 0x30_0000 + 8 * r.range(1, 512);
+        for _ in 0..r.range(2, 6) {
+            let len = r.range(1, 900);
+            segments.push((at, len as usize));
+            at += 8 * len;
+            // a gap of a few words, often a line or more
+            at += 8 * r.gen_range(40);
+        }
+        let (lo, hi) = (segments[0].0 & !0xfff, (at | 0xfff) + 1);
+        let mut b = ProgramBuilder::new("flat");
+        for (i, &(base, len)) in segments.iter().enumerate() {
+            generated(&mut b, base, len, case ^ (i as u64) << 32);
+        }
+        b.halt();
+        let p = b.finish();
+        let mut flat: HashMap<u64, u64> = HashMap::new();
+        for (base, words) in p.data() {
+            flat.extend(
+                words
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, w)| (base + 8 * i as u64, w)),
+            );
+        }
+        let image_lines: HashSet<u64> = flat.keys().map(|a| a >> 6).collect();
+        let mut resident = HashSet::new();
+        let mut s = ArchState::new(&p);
+        for op in 0..r.range(50, 400) {
+            let addr = match r.gen_range(8) {
+                0 => r.next_u64(),
+                1 => hi + r.gen_range(0x2000),
+                _ => lo + r.gen_range(hi - lo),
+            };
+            let want = flat.get(&(addr & !7)).copied().unwrap_or(0);
+            match r.gen_range(3) {
+                0 => assert_eq!(
+                    s.mem().load(addr),
+                    want,
+                    "case {case} op {op}: load {addr:#x}"
+                ),
+                1 => {
+                    let got = s.mem_mut().load_touch(addr);
+                    assert_eq!(got, want, "case {case} op {op}: load_touch {addr:#x}");
+                    if image_lines.contains(&(addr >> 6)) {
+                        resident.insert(addr >> 6);
+                    }
+                }
+                _ => {
+                    let v = r.next_u64();
+                    s.mem_mut().store(addr, v);
+                    flat.insert(addr & !7, v);
+                    resident.insert(addr >> 6);
+                }
+            }
+        }
+        assert_eq!(s.mem().resident_lines(), resident.len(), "case {case}");
+        for a in (lo..hi).step_by(8) {
+            let want = flat.get(&a).copied().unwrap_or(0);
+            assert_eq!(
+                s.mem().load(a),
+                want,
+                "case {case}: {a:#x} of {segments:x?}"
+            );
+        }
+        for (&a, &w) in &flat {
+            assert_eq!(s.mem().load(a), w, "case {case}: {a:#x}");
+        }
+    }
 }

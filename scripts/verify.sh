@@ -24,6 +24,9 @@ BFETCH=target/release/bfetch
 echo "==> tier-1: root package tests"
 cargo test -q
 
+echo "==> formatting (cargo fmt --check over every workspace crate)"
+cargo fmt --all -- --check
+
 echo "==> workspace tests"
 cargo test --workspace -q
 
@@ -37,10 +40,11 @@ cargo test --workspace --doc -q
 echo "==> timing bench compiles (criterion-benches feature); hot-path table recorded"
 cargo check -p bfetch-bench --benches --features criterion-benches -q
 # Seconds to run, and the only place the cost of a disabled profiler span
-# (span_disabled), of one stepped core cycle (core_cycle_*) and of building
-# mcf and a fresh state from it (kernel_build_mcf, arch_state_new_mcf) and of
-# one warm result-cache hit on a Fig 8 entry (cache_load_hit) is a
-# recorded number; CI uploads the table. Informational: host-speed regressions are
+# (span_disabled), of one stepped core cycle (core_cycle_*), of building
+# mcf and a fresh state from it (kernel_build_mcf, arch_state_new_mcf), of
+# a first and a resident load of an mcf line (first_touch_line,
+# load_touch_hit) and of one warm result-cache hit on a Fig 8 entry
+# (cache_load_hit) is a recorded number; CI uploads the table. Informational: host-speed regressions are
 # judged by `benchmark compare`, not here.
 cargo bench -q -p bfetch-bench --features criterion-benches --bench hotpath \
   | tee target/BENCH_hotpath.txt
@@ -48,6 +52,8 @@ grep -q '^span_disabled ' target/BENCH_hotpath.txt
 grep -q '^core_cycle_gamess_bfetch ' target/BENCH_hotpath.txt
 grep -q '^arch_state_new_mcf ' target/BENCH_hotpath.txt
 grep -q '^kernel_build_mcf ' target/BENCH_hotpath.txt
+grep -q '^first_touch_line ' target/BENCH_hotpath.txt
+grep -q '^load_touch_hit ' target/BENCH_hotpath.txt
 grep -q '^cache_load_hit ' target/BENCH_hotpath.txt
 
 echo "==> benchmark driver: unit + smoke tests against the crates' public surface"
