@@ -2,7 +2,7 @@
 //! on: MSHR probes and allocation, cache probe+fill, the B-Fetch lookahead
 //! walk, building the kernels and the functional state a core starts from,
 //! generating a line of mcf's image on first touch and loading a resident
-//! one, a warm
+//! one, reading mcf's program file back from a checkpoint, a warm
 //! result-cache hit, a profiler span while the profiler is off, and a full
 //! `Core::cycle` against the real memory hierarchy. These
 //! are the operations the flat-table/packed-rank rewrite targets, so
@@ -19,12 +19,13 @@
 use bfetch_bench::harness::{cache::ResultCache, GridPoint};
 use bfetch_bpred::{CompositeConfidence, ConfidenceConfig, TournamentConfig, TournamentPredictor};
 use bfetch_core::{BFetchConfig, BFetchEngine, DecodedBranch};
-use bfetch_isa::ArchState;
+use bfetch_isa::{ArchState, Program};
 use bfetch_mem::{
     drain_chip, CacheConfig, ChipGuard, HitLevel, LineMeta, MemorySystem, MshrFile, SetAssocCache,
     WayMeta,
 };
-use bfetch_sim::{Core, PrefetcherKind, SeqMem, SimConfig, SimSession};
+use bfetch_sim::{program_path, Core, PrefetcherKind, SeqMem, SimConfig, SimSession};
+use bfetch_snapshot::{FrameStream, Source};
 use bfetch_workloads::{kernel_by_name, kernels, Scale};
 use std::hint::black_box;
 use std::time::Instant;
@@ -227,6 +228,42 @@ fn main() {
         next = (next + 1) % lines.len();
         s.mem_mut().load_touch(lines[next])
     });
+
+    // What a resume pays before it restores any state: mcf's program file,
+    // written by a short checkpointed run, read back through the stream
+    // window and stored as its nonzero words. Reported per word of the
+    // image, with the heap bytes the read-back image holds.
+    let dir = std::env::temp_dir().join(format!("bfetch-hotpath-ckpt-{}", std::process::id()));
+    SimSession::new(SimConfig::baseline().with_warmup(1_000))
+        .instructions(4_000)
+        .checkpoint_every(1_024, &dir)
+        .run_one(&image)
+        .expect("mcf runs");
+    let prog = program_path(&dir.join("checkpoint.snap"));
+    let read_back = || {
+        let f = std::fs::File::open(&prog).expect("program file written");
+        let mut s = FrameStream::open(f).expect("a frame");
+        s.section(3).expect("the programs section"); // bfetch-sim's id for it
+        assert_eq!(s.take_count(1).expect("a count"), 1);
+        let p = Program::read_from(&mut s).expect("mcf reads back");
+        s.finish().expect("the file is whole");
+        p
+    };
+    let back = read_back();
+    let words: usize = back.data().iter().map(|(_, w)| w.len()).sum();
+    let per_word = median_of_3(|| {
+        let t = Instant::now();
+        for _ in 0..5 {
+            black_box(read_back());
+        }
+        t.elapsed().as_nanos() as f64 / (5 * words) as f64
+    });
+    println!(
+        "{:<28} {per_word:>10.2} ns/word  ({} bytes held for {words} words)",
+        "program_file_read",
+        back.stored_bytes()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 
     // A warm harness hit, what each point of a cached figure pays: name the
     // entry, open, read, decode, refresh its mtime. The key is a real Fig 8

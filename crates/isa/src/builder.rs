@@ -1,7 +1,7 @@
 //! Label-based program assembler.
 
 use crate::inst::Inst;
-use crate::mem::{copying, Image};
+use crate::mem::Image;
 use crate::program::Program;
 use crate::reg::Reg;
 use std::panic::RefUnwindSafe;
@@ -76,7 +76,8 @@ impl ProgramBuilder {
     }
 
     /// Registers an initial data segment of 8-byte `words` at `base`. The
-    /// program keeps a copy of the words.
+    /// program keeps a copy of the nonzero words
+    /// ([`StoredWords`](crate::mem::StoredWords)).
     pub fn init_words(&mut self, base: u64, words: &[u64]) {
         self.init_words_iter(base, words.iter().copied());
     }
@@ -84,9 +85,12 @@ impl ProgramBuilder {
     /// [`ProgramBuilder::init_words`] from an iterator, collected into the
     /// program's copy. A large generated image belongs in
     /// [`ProgramBuilder::init_words_fill`] instead, which holds no words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the segment has 2^32 or more nonzero words.
     pub fn init_words_iter(&mut self, base: u64, words: impl IntoIterator<Item = u64>) {
-        let words: Vec<u64> = words.into_iter().collect();
-        self.image.push(base, words.len(), copying(words));
+        self.image.push_stored(base, words.into_iter().collect());
     }
 
     /// Registers an initial data segment of `len` words at `base` that

@@ -312,17 +312,162 @@ impl SnapState for SparseMemory {
     }
 }
 
-/// Writes the words `first..first + out.len()` of a segment into `out`.
-/// Shared by every thread that runs the program, and by the harness's
-/// `catch_unwind`.
+/// Writes the words `first..first + out.len()` of a segment into `out`,
+/// whatever `out` held before: a generator given to
+/// [`ProgramBuilder::init_words_fill`](crate::ProgramBuilder::init_words_fill)
+/// or a [`StoredWords`]. Shared by every thread that runs the program, and
+/// by the harness's `catch_unwind`.
 pub(crate) type Fill = dyn Fn(usize, &mut [u64]) + Send + Sync + RefUnwindSafe;
 
-/// A [`Fill`] over words held in memory.
-pub(crate) fn copying(words: Vec<u64>) -> Box<Fill> {
-    let words: Box<[u64]> = words.into();
-    Box::new(move |first, out: &mut [u64]| {
-        out.copy_from_slice(&words[first..first + out.len()]);
-    })
+/// Words per block of a [`StoredWords`]: one mask word's bits.
+const BLOCK_WORDS: usize = 64;
+
+/// A data segment's words as a program holds them when it is given them
+/// (by [`Program::new`](crate::Program::new), an assembled `.data`
+/// directive or a program file read back): only the nonzero words, in
+/// order, with a bit per word that is set where the word is nonzero, and
+/// per 64-word block the count of nonzero words before it, so
+/// [`StoredWords::fill`] reaches any word with one popcount. A segment of
+/// pointers and small counts among zeros costs a fraction of its words:
+/// at 2 nonzero words in 24, about 11 %.
+///
+/// # Example
+///
+/// ```
+/// use bfetch_isa::mem::StoredWords;
+/// let s: StoredWords = [0, 7, 0, 0, 9].into_iter().collect();
+/// let mut out = [1; 3];
+/// s.fill(1, &mut out);
+/// assert_eq!((s.len(), out), (5, [7, 0, 0]));
+/// ```
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct StoredWords {
+    len: usize,
+    /// Bit `i % 64` of `mask[i / 64]` is set where word `i` is nonzero.
+    mask: Vec<u64>,
+    /// Per block, the count of nonzero words in the blocks before it.
+    before: Vec<u32>,
+    /// The nonzero words, in order.
+    words: Vec<u64>,
+}
+
+impl StoredWords {
+    /// An empty segment.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty segment with its mask and block counts reserved for `len`
+    /// words.
+    fn with_capacity(len: usize) -> Self {
+        let blocks = len.div_ceil(BLOCK_WORDS);
+        Self {
+            mask: Vec::with_capacity(blocks),
+            before: Vec::with_capacity(blocks),
+            ..Self::default()
+        }
+    }
+
+    /// Appends `words` to the segment. A segment holds fewer than 2^32
+    /// nonzero words: a block that would start past them is
+    /// [`SnapshotError::Invalid`], and the words before it stay appended.
+    pub fn try_extend(
+        &mut self,
+        words: impl IntoIterator<Item = u64>,
+    ) -> Result<(), SnapshotError> {
+        for w in words {
+            let bit = self.len % BLOCK_WORDS;
+            if bit == 0 {
+                let before =
+                    u32::try_from(self.words.len()).map_err(|_| SnapshotError::Invalid {
+                        what: "data segment holds 2^32 or more nonzero words",
+                    })?;
+                self.before.push(before);
+                self.mask.push(0);
+            }
+            if w != 0 {
+                *self.mask.last_mut().expect("a block per 64 words") |= 1 << bit;
+                self.words.push(w);
+            }
+            self.len += 1;
+        }
+        Ok(())
+    }
+
+    /// Number of words, zero or not.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the segment has no words.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Heap bytes the segment holds: its nonzero words, mask and block
+    /// counts.
+    pub fn held_bytes(&self) -> usize {
+        8 * (self.mask.capacity() + self.words.capacity()) + 4 * self.before.capacity()
+    }
+
+    /// Writes the words `first..first + out.len()` into `out`: zeros, then
+    /// each nonzero word in the window, found by its mask bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window runs past the segment's end.
+    pub fn fill(&self, first: usize, out: &mut [u64]) {
+        let end = first + out.len();
+        assert!(
+            end <= self.len,
+            "window {first}..{end} of {} words",
+            self.len
+        );
+        out.fill(0);
+        if out.is_empty() {
+            return;
+        }
+        let mut block = first / BLOCK_WORDS;
+        let skipped = (1u64 << (first % BLOCK_WORDS)) - 1;
+        let mut at =
+            self.before[block] as usize + (self.mask[block] & skipped).count_ones() as usize;
+        let mut bits = self.mask[block] & !skipped;
+        loop {
+            while bits != 0 {
+                let i = block * BLOCK_WORDS + bits.trailing_zeros() as usize;
+                if i >= end {
+                    return;
+                }
+                out[i - first] = self.words[at];
+                at += 1;
+                bits &= bits - 1;
+            }
+            block += 1;
+            if block * BLOCK_WORDS >= end {
+                return;
+            }
+            bits = self.mask[block];
+        }
+    }
+
+    /// Trims the arrays to what they hold.
+    fn shrink_to_fit(&mut self) {
+        self.mask.shrink_to_fit();
+        self.before.shrink_to_fit();
+        self.words.shrink_to_fit();
+    }
+}
+
+/// # Panics
+///
+/// Panics once the segment reaches 2^32 nonzero words.
+impl FromIterator<u64> for StoredWords {
+    fn from_iter<I: IntoIterator<Item = u64>>(words: I) -> Self {
+        let mut s = Self::new();
+        s.try_extend(words)
+            .expect("a segment holds fewer than 2^32 nonzero words");
+        s
+    }
 }
 
 /// One data segment: `len` words from `base` (aligned down), produced on
@@ -349,6 +494,8 @@ pub(crate) struct Image {
     segments: Vec<Segment>,
     /// Indices of the non-empty segments, in address order.
     by_addr: Vec<usize>,
+    /// Heap bytes the stored segments hold.
+    stored_bytes: usize,
 }
 
 impl fmt::Debug for Image {
@@ -372,6 +519,24 @@ impl Image {
             self.by_addr.insert(at, self.segments.len());
         }
         self.segments.push(seg);
+    }
+
+    /// Appends a segment of the words `words` holds at `base` (aligned
+    /// down).
+    pub(crate) fn push_stored(&mut self, base: u64, mut words: StoredWords) {
+        words.shrink_to_fit();
+        self.stored_bytes += words.held_bytes();
+        self.push(
+            base,
+            words.len(),
+            Box::new(move |first, out: &mut [u64]| words.fill(first, out)),
+        );
+    }
+
+    /// Heap bytes the stored segments hold; a generated segment holds
+    /// none.
+    pub(crate) fn stored_bytes(&self) -> usize {
+        self.stored_bytes
     }
 
     /// `(base address, word count)` of every segment, in the order pushed.
@@ -482,7 +647,7 @@ impl Image {
 
 /// The segment encoding of `Vec<(u64, Vec<u64>)>` — count, then each
 /// segment's base, word count and words — written from the fills and read
-/// back into copying fills, a page of words at a time either way.
+/// back into [`StoredWords`], a page of words at a time either way.
 impl Image {
     /// Appends the encoding to `w` and hands `w`'s bytes to `sink` (then
     /// clears it) after every page of words.
@@ -511,23 +676,23 @@ impl Image {
         Ok(())
     }
 
-    /// Reads what [`Image::save_to`] wrote.
+    /// Reads what [`Image::save_to`] wrote, storing each page of words as
+    /// it is decoded: a segment is never held as all its words.
     pub(crate) fn read(s: &mut impl Source) -> Result<Self, SnapshotError> {
         let mut image = Image::default();
         for _ in 0..s.take_count(16)? {
             let base = s.decode(8, |r| r.take_u64())?;
             let n = s.take_count(8)?;
-            let mut words = Vec::with_capacity(n);
+            let mut words = StoredWords::with_capacity(n);
             while words.len() < n {
                 let k = (n - words.len()).min(PAGE_WORDS);
                 s.decode(8 * k, |r| {
                     let bytes = r.take_bytes(8 * k)?.chunks_exact(8);
                     let word = |c: &[u8]| u64::from_le_bytes(c.try_into().expect("eight bytes"));
-                    words.extend(bytes.map(word));
-                    Ok(())
+                    words.try_extend(bytes.map(word))
                 })?;
             }
-            image.push(base, n, copying(words));
+            image.push_stored(base, words);
         }
         Ok(image)
     }
@@ -608,7 +773,7 @@ mod tests {
     /// starting mid-page.
     fn image() -> Arc<Image> {
         let mut img = Image::default();
-        img.push(0x1ff0, 600, copying((0..600).collect()));
+        img.push_stored(0x1ff0, (0..600).collect());
         Arc::new(img)
     }
 
@@ -658,10 +823,10 @@ mod tests {
     #[test]
     fn two_segments_and_a_gap_share_one_page() {
         let mut img = Image::default();
-        img.push(0x3010, 2, copying(vec![7, 8]));
-        img.push(0x2ff8, 2, copying(vec![5, 6]));
-        img.push(0x3100, 0, copying(vec![]));
-        img.push(0x3080, 1, copying(vec![9]));
+        img.push_stored(0x3010, [7, 8].into_iter().collect());
+        img.push_stored(0x2ff8, [5, 6].into_iter().collect());
+        img.push_stored(0x3100, StoredWords::new());
+        img.push_stored(0x3080, [9].into_iter().collect());
         let mut m = SparseMemory::over(Arc::new(img));
         assert_eq!(m.load_touch(0x3018), 8);
         let line: Vec<u64> = (0x3000..0x3020).step_by(8).map(|a| m.load(a)).collect();
@@ -678,10 +843,10 @@ mod tests {
     #[test]
     fn a_memory_reserves_one_table_per_image_page_and_one_line_per_image_line() {
         let mut img = Image::default();
-        img.push(0x1ff8, 2, copying(vec![1, 2])); // pages 1 and 2, two lines
-        img.push(0x2010, 1, copying(vec![3])); // page 2 and its line again
-        img.push(0x5000, 512, copying(vec![4; 512])); // page 5, 64 lines
-        img.push(0x9000, 0, copying(vec![])); // nothing
+        img.push_stored(0x1ff8, [1, 2].into_iter().collect()); // pages 1 and 2, two lines
+        img.push_stored(0x2010, [3].into_iter().collect()); // page 2 and its line again
+        img.push_stored(0x5000, [4; 512].into_iter().collect()); // page 5, 64 lines
+        img.push_stored(0x9000, StoredWords::new()); // nothing
         assert_eq!(img.block_count(PAGE_SHIFT), 3);
         assert_eq!(img.block_count(LINE_SHIFT), 66);
         assert_eq!(Image::default().block_count(LINE_SHIFT), 0);
@@ -721,6 +886,73 @@ mod tests {
         assert_eq!((m.load(0x5010), fills()), (514, 2));
         m.load_touch(0x4200); // back: the scratch page holds the other one
         assert_eq!((m.load(0x4200), fills()), (64, 3));
+    }
+
+    /// mcf's arcs carry 2 nonzero words in every 24: stored, they cost at
+    /// most 12 % of the plain words' bytes, where whole words cost 100 %.
+    #[test]
+    fn a_mostly_zero_segment_stores_a_fraction_of_its_words() {
+        let len = 24 * 4096;
+        let plain: Vec<u64> = (0..len as u64)
+            .map(|i| match i % 24 {
+                3 => 0x10_0000 + i,
+                17 => i / 24 + 1,
+                _ => 0,
+            })
+            .collect();
+        let mut img = Image::default();
+        img.push_stored(0x10_0000, plain.iter().copied().collect());
+        let held = img.stored_bytes();
+        assert!(
+            100 * held <= 12 * 8 * len,
+            "{held} bytes held for {len} words"
+        );
+        assert_eq!(img.data(), [(0x10_0000, plain)]);
+    }
+
+    /// An image written by `save_to` and read back: every segment comes
+    /// back equal, stored a page at a time, holding only its nonzero
+    /// words. Bases sit mid-page, one segment is empty, and zero runs span
+    /// whole 64-word blocks and pages.
+    #[test]
+    fn an_image_read_back_equals_the_image_written() {
+        let runs = |len: u64, zeros: u64| -> Vec<u64> {
+            (0..len)
+                .map(|i| if (i / 7) % zeros == 0 { i * 3 + 1 } else { 0 })
+                .collect()
+        };
+        let data = [
+            (0x1ff0, runs(1500, 200)),
+            (0x9008, vec![0; 1100]),
+            (0x2_0000, Vec::new()),
+            (0x3_0ff8, runs(700, 3)),
+            (
+                0x5_0018,
+                [vec![0; 600], vec![5], vec![0; 63], vec![u64::MAX]].concat(),
+            ),
+        ];
+        let mut img = Image::default();
+        for (base, words) in &data {
+            img.push_stored(*base, words.iter().copied().collect());
+        }
+        let mut w = Encoder::new();
+        let mut bytes = Vec::new();
+        img.save_to(&mut w, &mut |b: &[u8]| {
+            bytes.extend_from_slice(b);
+            Ok::<_, ()>(())
+        })
+        .unwrap();
+        let mut r = Decoder::new(&bytes);
+        let back = Image::read(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(back.data(), data);
+        assert_eq!(back.stored_bytes(), img.stored_bytes());
+        let nonzero = data.iter().flat_map(|d| &d.1).filter(|&&w| w != 0).count();
+        let blocks: usize = data.iter().map(|d| d.1.len().div_ceil(64)).sum();
+        assert_eq!(back.stored_bytes(), 8 * nonzero + 12 * blocks);
+        // a truncated file is a typed error, not a short segment
+        let cut = &bytes[..bytes.len() - 8];
+        assert!(Image::read(&mut Decoder::new(cut)).is_err());
     }
 
     /// A written page, as a checkpoint carries it: written, generated-only

@@ -1,7 +1,7 @@
 //! Programs: instruction sequences plus initial data images.
 
 use crate::inst::{Inst, OpClass};
-use crate::mem::{copying, Image, SparseMemory};
+use crate::mem::{Image, SparseMemory};
 use bfetch_snapshot::{Decoder, Encoder, Snap, SnapshotError, Source};
 use std::convert::Infallible;
 use std::sync::Arc;
@@ -141,12 +141,12 @@ impl Program {
     ///
     /// # Panics
     ///
-    /// Panics if any branch target is out of range, or if two data
-    /// segments share a word.
+    /// Panics if any branch target is out of range, if two data segments
+    /// share a word, or if a segment has 2^32 or more nonzero words.
     pub fn new(name: impl Into<String>, insts: Vec<Inst>, data: Vec<(u64, Vec<u64>)>) -> Self {
         let mut image = Image::default();
         for (base, words) in data {
-            image.push(base, words.len(), copying(words));
+            image.push_stored(base, words.into_iter().collect());
         }
         Self::from_image(name.into(), insts, image)
     }
@@ -235,6 +235,14 @@ impl Program {
         self.image.data()
     }
 
+    /// Heap bytes that hold the data segments given as words or read back
+    /// from a program file, each as its nonzero words, a bit per word and a
+    /// count per 64 words ([`StoredWords`](crate::mem::StoredWords)). A
+    /// segment a kernel generates holds none.
+    pub fn stored_bytes(&self) -> usize {
+        self.image.stored_bytes()
+    }
+
     /// A data memory over the initial image, with no line resident yet.
     pub(crate) fn initial_memory(&self) -> SparseMemory {
         SparseMemory::over(Arc::clone(&self.image))
@@ -251,7 +259,8 @@ impl Program {
 /// Vec<u64>)>)` for the name, instructions and [`Program::data`], written
 /// from the segments' fills. It is produced a page of data words at a
 /// time, so a checkpoint streams a generated image of any size to its
-/// file without a whole copy; a decoded program holds its words.
+/// file without a whole copy; a decoded program stores each page of words
+/// as it reads it, keeping only the nonzero ones.
 impl Program {
     /// Hands the encoding to `sink` in pieces of at most a page of data
     /// words (the first also carries the name and instructions).

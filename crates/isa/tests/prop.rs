@@ -2,6 +2,7 @@
 //! deterministic PRNG (see `bfetch-prng`; the external `proptest` stack is
 //! unavailable offline). Set `BFETCH_PROP_CASES` to run more cases.
 
+use bfetch_isa::mem::StoredWords;
 use bfetch_isa::{ArchState, Inst, Program, ProgramBuilder, Reg, SparseMemory};
 use bfetch_prng::{cases, Pcg32};
 
@@ -101,6 +102,56 @@ fn pc_round_trip() {
         let idx = r.gen_range(len as u64) as usize;
         let p = Program::new("rt", vec![Inst::Nop; len], vec![]);
         assert_eq!(p.addr_to_idx(p.pc_addr(idx)), idx);
+    }
+}
+
+/// Stored words read as the plain slice they were given: every window
+/// `(first, len)`, most of them crossing 64-word blocks, fills with the
+/// slice's words, over segments of 0 to 2 999 words (a multiple of 64 or
+/// not) whose words are zero with probability 0, 1/12, 1/2 or 1. A store
+/// built in uneven pieces, as a program file is read a page at a time,
+/// equals one built in one go.
+#[test]
+fn stored_words_fill_as_the_plain_slice() {
+    for case in 0..cases(64) as u64 {
+        let mut r = Pcg32::new(0x15a_0009 ^ case);
+        let len = match case % 3 {
+            0 => 64 * r.gen_range(47) as usize,
+            _ => r.gen_range(3000) as usize,
+        };
+        let zero = [0.0, 1.0 / 12.0, 0.5, 1.0][case as usize % 4];
+        let plain: Vec<u64> = (0..len)
+            .map(|_| {
+                let w = r.next_u64().max(1);
+                if r.gen_bool(zero) {
+                    0
+                } else {
+                    w
+                }
+            })
+            .collect();
+        let mut s = StoredWords::new();
+        let mut at = 0;
+        while at < len {
+            let k = (r.range(1, 700) as usize).min(len - at);
+            s.try_extend(plain[at..at + k].iter().copied()).unwrap();
+            at += k;
+        }
+        assert_eq!(s, plain.iter().copied().collect(), "case {case}");
+        assert_eq!((s.len(), s.is_empty()), (len, len == 0));
+        let windows = (0..40).map(|_| {
+            let first = r.gen_range(len as u64 + 1) as usize;
+            (first, r.gen_range((len - first) as u64 + 1) as usize)
+        });
+        for (first, n) in windows.chain([(0, len), (len, 0)]) {
+            let mut out = vec![u64::MAX; n];
+            s.fill(first, &mut out);
+            assert_eq!(
+                out,
+                plain[first..first + n],
+                "case {case}: window {first}+{n} of {len}"
+            );
+        }
     }
 }
 

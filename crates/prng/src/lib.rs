@@ -188,10 +188,13 @@ bfetch_snapshot::impl_snap_struct!(Pcg32 { state, inc });
 /// Defaults to `default`; the `BFETCH_PROP_CASES` environment variable
 /// overrides it (CI can crank it up, a quick local run can dial it down).
 pub fn cases(default: usize) -> usize {
-    std::env::var("BFETCH_PROP_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    cases_from(std::env::var("BFETCH_PROP_CASES").ok().as_deref(), default)
+}
+
+/// [`cases`] given the variable's value: `var` when it parses as a count,
+/// else `default`.
+pub fn cases_from(var: Option<&str>, default: usize) -> usize {
+    var.and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
 #[cfg(test)]
@@ -307,9 +310,13 @@ mod tests {
     }
 
     #[test]
-    fn cases_defaults_without_env() {
-        // (the env var is not set in the test environment)
-        assert_eq!(cases(32), 32);
+    fn cases_from_takes_a_count_else_the_default() {
+        assert_eq!(cases_from(None, 32), 32);
+        assert_eq!(cases_from(Some("128"), 32), 128);
+        assert_eq!(cases_from(Some("0"), 32), 0);
+        for junk in ["", "many", "-1", "12x"] {
+            assert_eq!(cases_from(Some(junk), 32), 32, "{junk:?}");
+        }
     }
 
     #[test]

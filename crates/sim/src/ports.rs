@@ -64,12 +64,20 @@ impl PortRing {
     }
 
     /// Clears all slots strictly before `cycle` (call as the clock
-    /// advances; `span` bounds how far back to sweep).
+    /// advances; `span` bounds how far back to sweep): the slots of cycles
+    /// `cycle - span..cycle`, at most two contiguous runs of the ring.
     pub fn release_before(&mut self, cycle: u64, span: u64) {
-        let lo = cycle.saturating_sub(span);
-        for t in lo..cycle {
-            let s = self.slot(t);
-            self.counts[s] = 0;
+        let n = span.min(cycle);
+        if n >= self.horizon {
+            self.counts.fill(0);
+            return;
+        }
+        let (lo, hi) = (self.slot(cycle - n), self.slot(cycle));
+        if lo <= hi {
+            self.counts[lo..hi].fill(0);
+        } else {
+            self.counts[lo..].fill(0);
+            self.counts[..hi].fill(0);
         }
     }
 }
@@ -118,6 +126,26 @@ mod tests {
         }
         p.release_before(8, 8);
         assert_eq!(p.reserve(8), 8);
+    }
+
+    /// The sweep clears exactly the slots a cycle-by-cycle clear does:
+    /// none, a run, a run that wraps the ring, or all of it.
+    #[test]
+    fn release_clears_what_a_cycle_by_cycle_sweep_clears() {
+        for cycle in 0..40 {
+            for span in 0..20 {
+                let mut p = PortRing::new(3, 16);
+                for (i, c) in p.counts.iter_mut().enumerate() {
+                    *c = 1 + i as u8 % 3;
+                }
+                let mut want = p.counts.clone();
+                for t in cycle - span.min(cycle)..cycle {
+                    want[(t % 16) as usize] = 0;
+                }
+                p.release_before(cycle, span);
+                assert_eq!(p.counts, want, "cycle {cycle}, span {span}");
+            }
+        }
     }
 
     #[test]
