@@ -1,11 +1,11 @@
 //! Content-addressed on-disk result cache.
 //!
 //! Every grid point is identified by a canonical key string covering the
-//! schema version, the workload members, the scale, the instruction
-//! budget, and the *entire* `SimConfig` (via its `Debug` rendering, which
-//! recursively includes every nested config struct — any field added to
-//! any config automatically changes the key). The key is hashed to a
-//! 128-bit filename stem. Each entry is one checksummed snapshot frame
+//! schema version, the [`MODEL_ID`] of the code that simulates it, the
+//! workload members, the scale, the instruction budget, and the *entire*
+//! `SimConfig` (via its wire bytes, which cover every leaf — any field
+//! added to any config automatically changes the key). The key is hashed
+//! to a 128-bit filename stem. Each entry is one checksummed snapshot frame
 //! ([`bfetch_sim::write_results`]) holding the full key string and the
 //! results; the key is compared on load, so a hash collision degrades to
 //! a miss, never to a wrong result. A warm hit is one `open`, one read,
@@ -26,9 +26,9 @@
 //!   renamed to `<name>.bad` on load and reported as a miss — recomputed,
 //!   never served, and kept for post-mortem until the next GC sweeps it.
 //! * **Bounded growth**: [`ResultCache::gc`] removes stranded temp files,
-//!   quarantined entries and stale entries (undecodable, another schema, or
-//!   holding a key that does not hash to the entry's name), then LRU-evicts
-//!   (oldest recency first) until the cache fits a byte cap. A load hit
+//!   quarantined entries and stale entries (undecodable, another schema or
+//!   model, or holding a key that does not hash to the entry's name), then
+//!   LRU-evicts (oldest recency first) until the cache fits a byte cap. A load hit
 //!   refreshes its entry's mtime, so recency tracking survives
 //!   `noatime`/`relatime` mounts.
 
@@ -37,11 +37,27 @@ use bfetch_sim::{decode_results, write_results, RunResult, SnapshotError};
 use std::io::{ErrorKind, Read as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, SystemTime};
 
 /// A lock older than this is assumed to belong to a dead process and is
 /// stolen.
 pub const LOCK_STALE_SECS: u64 = 10;
+
+/// The model this binary simulates: 16 hex digits of an FNV-1a hash over
+/// the sources of every crate whose code reaches a `RunResult`, the
+/// kernels' assembly included (`build.rs`, `model_id.rs`). A change to the
+/// timing model, to a prefetcher or to a kernel changes it, so an entry
+/// another build wrote is a miss instead of a stale result.
+pub const MODEL_ID: &str = env!("BFETCH_MODEL_ID");
+
+/// The prefix of every key this build writes: schema version and model.
+/// An entry whose stored key lacks it is stale. Built once, so a key
+/// costs no extra allocation for it.
+pub fn key_prefix() -> &'static str {
+    static PREFIX: OnceLock<String> = OnceLock::new();
+    PREFIX.get_or_init(|| format!("v{}|model={MODEL_ID}|", bfetch_sim::SCHEMA_VERSION))
+}
 
 /// The content-addressed filename stem for a canonical key: 128 bits as 32
 /// hex digits. Two lanes absorb the key eight bytes per step (the last word
@@ -153,7 +169,8 @@ pub struct GcReport {
     /// Quarantined `*.bad` entries removed.
     pub removed_bad: u64,
     /// Undecodable or stale-schema entries removed (e.g. stranded files
-    /// from before a schema bump), entries whose key does not hash to
+    /// from before a schema bump), entries another model wrote (their
+    /// key lacks [`key_prefix`]), entries whose key does not hash to
     /// their name (named by an earlier name hash), and files of retired
     /// formats: pre-frame `*.json` entries and the `*.snap`/`*.prog`
     /// checkpoint pairs harness points once left.
@@ -270,11 +287,13 @@ impl ResultCache {
     /// Maintenance sweep under the directory lock: removes stranded
     /// `*.tmp.*` files, quarantined `*.bad` entries, and stale files — any
     /// entry that does not decode under the current
-    /// [`bfetch_sim::SCHEMA_VERSION`] or whose stored key does not hash to
-    /// its file name (an entry named by an earlier name hash, or copied
-    /// under another name), and every `*.json`, `*.snap` or `*.prog` file
-    /// an earlier version wrote; then LRU-evicts valid entries, oldest
-    /// recency first, until the cache fits `max_bytes`.
+    /// [`bfetch_sim::SCHEMA_VERSION`], whose stored key does not start
+    /// with this build's [`key_prefix`] (another model wrote it), or whose
+    /// stored key does not hash to its file name (an entry named by an
+    /// earlier name hash, or copied under another name), and every
+    /// `*.json`, `*.snap` or `*.prog` file an earlier version wrote; then
+    /// LRU-evicts valid entries, oldest recency first, until the cache fits
+    /// `max_bytes`.
     ///
     /// Recency is the entry's mtime, which [`ResultCache::load`]
     /// refreshes on every hit — a deliberate stand-in for atime, which is
@@ -317,8 +336,11 @@ impl ResultCache {
                 .any(|ext| name.ends_with(ext))
             {
                 let valid = name.strip_suffix(".res").is_some_and(|named| {
-                    std::fs::read(&path)
-                        .is_ok_and(|b| decode_results(&b).is_ok_and(|(key, _)| stem(&key) == named))
+                    std::fs::read(&path).is_ok_and(|b| {
+                        decode_results(&b).is_ok_and(|(key, _)| {
+                            key.starts_with(key_prefix()) && stem(&key) == named
+                        })
+                    })
                 });
                 if !valid {
                     report.removed_stale += u64::from(remove_present(&path)?);
@@ -442,6 +464,12 @@ mod tests {
         bytes
     }
 
+    /// `name` under this build's [`key_prefix`]: a key whose entry GC
+    /// keeps.
+    fn model_key(name: &str) -> String {
+        format!("{}{name}", key_prefix())
+    }
+
     /// Backdates a file's mtime by `secs`, for LRU-order tests.
     fn backdate(path: &Path, secs: u64) {
         let f = std::fs::OpenOptions::new().write(true).open(path).unwrap();
@@ -472,10 +500,16 @@ mod tests {
         // simulate a filename collision: a file stored at key A's path but
         // holding key B's header must not satisfy a lookup for A
         let cache = ResultCache::new(tmp_dir("collide")).unwrap();
-        cache.store("real-key", &[result("mcf", 1)]).unwrap();
-        let colliding = cache.dir().join(file_name("other-key"));
-        std::fs::copy(cache.dir().join(file_name("real-key")), &colliding).unwrap();
-        assert!(cache.load("other-key").unwrap().is_none());
+        cache
+            .store(&model_key("real-key"), &[result("mcf", 1)])
+            .unwrap();
+        let colliding = cache.dir().join(file_name(&model_key("other-key")));
+        std::fs::copy(
+            cache.dir().join(file_name(&model_key("real-key"))),
+            &colliding,
+        )
+        .unwrap();
+        assert!(cache.load(&model_key("other-key")).unwrap().is_none());
         // a collision is not corruption: the file must not be quarantined
         assert!(colliding.exists());
         // but its key does not hash to its name, so GC sweeps it as stale
@@ -483,7 +517,7 @@ mod tests {
         let report = cache.gc(u64::MAX).unwrap();
         assert_eq!((report.removed_stale, report.kept), (1, 1));
         assert!(!colliding.exists());
-        assert!(cache.load("real-key").unwrap().is_some());
+        assert!(cache.load(&model_key("real-key")).unwrap().is_some());
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -506,30 +540,52 @@ mod tests {
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
-    /// An entry from before the last bump (a version-10 frame with a valid
+    /// An entry from before the last bump (a version-11 frame with a valid
     /// CRC) is a miss, never a misread; GC reclaims it as stale and the
     /// slot recomputes.
     #[test]
     fn schema_bump_invalidates() {
-        assert_eq!(bfetch_sim::SCHEMA_VERSION, 11);
+        assert_eq!(bfetch_sim::SCHEMA_VERSION, 12);
+        let k = &model_key("k");
         let cache = ResultCache::new(tmp_dir("schema")).unwrap();
-        cache.store("k", &[result("mcf", 1)]).unwrap();
-        let path = cache.dir().join(file_name("k"));
+        cache.store(k, &[result("mcf", 1)]).unwrap();
+        let path = cache.dir().join(file_name(k));
         // frame: 8-byte magic, u32 version, …, u32 CRC-32 of the rest
         let mut frame = std::fs::read(&path).unwrap();
-        frame[8..12].copy_from_slice(&10u32.to_le_bytes());
+        frame[8..12].copy_from_slice(&11u32.to_le_bytes());
         let body = frame.len() - 4;
         let crc = bfetch_snapshot::crc32(&frame[..body]);
         frame[body..].copy_from_slice(&crc.to_le_bytes());
         std::fs::write(&path, frame).unwrap();
-        assert!(cache.load("k").unwrap().is_none());
+        assert!(cache.load(k).unwrap().is_none());
         // wrong schema is a plain miss, not corruption
         assert!(path.exists());
         assert_eq!(cache.quarantined(), 0);
         assert_eq!(cache.gc(u64::MAX).unwrap().removed_stale, 1);
         assert!(!path.exists());
-        cache.store("k", &[result("mcf", 7)]).unwrap();
-        assert_eq!(cache.load("k").unwrap().unwrap()[0].cycles, 7);
+        cache.store(k, &[result("mcf", 7)]).unwrap();
+        assert_eq!(cache.load(k).unwrap().unwrap()[0].cycles, 7);
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// Keys that differ only in the model id name different entries, and
+    /// neither is served for the other; GC sweeps the other model's entry
+    /// as stale although its key hashes to its name.
+    #[test]
+    fn another_models_entry_is_a_miss_and_gc_sweeps_it() {
+        let cache = ResultCache::new(tmp_dir("model")).unwrap();
+        let ours = model_key("members=mcf");
+        let id = u64::from_str_radix(MODEL_ID, 16).expect("16 hex digits");
+        let theirs = ours.replacen(MODEL_ID, &format!("{:016x}", !id), 1);
+        assert_ne!(file_name(&ours), file_name(&theirs));
+        cache.store(&theirs, &[result("mcf", 1)]).unwrap();
+        assert!(cache.load(&ours).unwrap().is_none());
+        cache.store(&ours, &[result("mcf", 2)]).unwrap();
+        assert_eq!(cache.load(&ours).unwrap().unwrap()[0].cycles, 2);
+        let report = cache.gc(u64::MAX).unwrap();
+        assert_eq!((report.removed_stale, report.kept), (1, 1));
+        assert!(cache.load(&theirs).unwrap().is_none());
+        assert_eq!(cache.load(&ours).unwrap().unwrap()[0].cycles, 2);
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -555,7 +611,8 @@ mod tests {
     /// The name hash is part of the on-disk format: a change renames every
     /// entry. Pinned on the empty key, a partial word, one word either side
     /// of a whole word, and a real Fig 8 key (mcf under B-Fetch at the
-    /// figure's budget).
+    /// figure's budget) with its model id zeroed, since every edit to the
+    /// model's sources moves that.
     #[test]
     fn stem_golden_vectors() {
         use crate::harness::GridPoint;
@@ -565,15 +622,17 @@ mod tests {
             .with_prefetcher(PrefetcherKind::BFetch)
             .with_warmup(150_000);
         let mcf = kernel_by_name("mcf").unwrap();
-        let fig08 = GridPoint::single("mcf/bfetch", mcf, cfg, 300_000, Scale::Full).cache_key();
-        assert_eq!(fig08.len(), 304);
+        let fig08 = GridPoint::single("mcf/bfetch", mcf, cfg, 300_000, Scale::Full)
+            .cache_key()
+            .replacen(MODEL_ID, "0000000000000000", 1);
+        assert_eq!(fig08.len(), 327);
         for (key, want) in [
             ("", "6e789e6aa1b965f4c3817c016ba4ff30"),
             ("k", "60d053b6b69ec25c7cf6415c110c9722"),
             ("abcdefg", "1ae34bc70b71c3ebc6df437d0eed9b19"),
             ("abcdefgh", "96c0f7c1e8a6a2db26a2849f1b28e726"),
             ("abcdefghi", "0ed9d766031fcff3ea467927b8c309ec"),
-            (fig08.as_str(), "7c0a9d7fd59d4c1d63ac7d0d3b8bd7d7"),
+            (fig08.as_str(), "3e302a7c46eb7ceb7bf923d1e4cb9b42"),
         ] {
             assert_eq!(stem(key), want, "{} bytes", key.len());
         }
@@ -606,7 +665,9 @@ mod tests {
     #[test]
     fn gc_sweeps_stale_schema_and_quarantined_entries() {
         let cache = ResultCache::new(tmp_dir("gc-stale")).unwrap();
-        cache.store("good", &[result("mcf", 1)]).unwrap();
+        cache
+            .store(&model_key("good"), &[result("mcf", 1)])
+            .unwrap();
         // a leftover JSON entry from before entries were frames
         let legacy = cache.dir().join(format!("{}.json", stem("old")));
         std::fs::write(&legacy, "{\"schema\":5,\"key\":\"old\",\"results\":[]}").unwrap();
@@ -618,7 +679,7 @@ mod tests {
         assert_eq!(report.removed_bad, 1);
         assert_eq!(report.kept, 1);
         assert!(!legacy.exists() && !bad.exists());
-        assert!(cache.load("good").unwrap().is_some());
+        assert!(cache.load(&model_key("good")).unwrap().is_some());
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -628,7 +689,9 @@ mod tests {
     #[test]
     fn gc_sweeps_a_left_over_checkpoint_pair_as_stale() {
         let cache = ResultCache::new(tmp_dir("old-pair")).unwrap();
-        cache.store("done", &[result("mcf", 1)]).unwrap();
+        cache
+            .store(&model_key("done"), &[result("mcf", 1)])
+            .unwrap();
         let pair = ["snap", "prog"].map(|ext| cache.dir().join(format!("{}.{ext}", stem("k"))));
         for f in &pair {
             std::fs::write(f, "a checkpoint file").unwrap();
@@ -649,23 +712,24 @@ mod tests {
     #[test]
     fn gc_evicts_oldest_recency_first_and_spares_the_newest() {
         let cache = ResultCache::new(tmp_dir("gc-lru")).unwrap();
-        for (key, age) in [("a", 300u64), ("b", 200), ("c", 100)] {
+        let [a, b, c, fresh] = ["a", "b", "c", "fresh"].map(model_key);
+        for (key, age) in [(&a, 300u64), (&b, 200), (&c, 100)] {
             cache.store(key, &[result("mcf", 1)]).unwrap();
             backdate(&cache.dir().join(file_name(key)), age);
         }
         // the just-written entry: no backdating, newest recency
-        cache.store("fresh", &[result("mcf", 2)]).unwrap();
-        let entry_size = std::fs::metadata(cache.dir().join(file_name("a")))
+        cache.store(&fresh, &[result("mcf", 2)]).unwrap();
+        let entry_size = std::fs::metadata(cache.dir().join(file_name(&a)))
             .unwrap()
             .len();
         // cap to two entries: "a" and "b" (oldest) must go
         let report = cache.gc(2 * entry_size + entry_size / 2).unwrap();
         assert_eq!(report.evicted, 2);
-        assert!(cache.load("a").unwrap().is_none(), "oldest must be evicted");
-        assert!(cache.load("b").unwrap().is_none());
-        assert!(cache.load("c").unwrap().is_some());
+        assert!(cache.load(&a).unwrap().is_none(), "oldest must be evicted");
+        assert!(cache.load(&b).unwrap().is_none());
+        assert!(cache.load(&c).unwrap().is_some());
         assert!(
-            cache.load("fresh").unwrap().is_some(),
+            cache.load(&fresh).unwrap().is_some(),
             "the entry just written must never be evicted"
         );
         let _ = std::fs::remove_dir_all(cache.dir());
@@ -674,19 +738,20 @@ mod tests {
     #[test]
     fn load_hit_refreshes_recency() {
         let cache = ResultCache::new(tmp_dir("gc-touch")).unwrap();
-        cache.store("cold", &[result("mcf", 1)]).unwrap();
-        cache.store("hot", &[result("mcf", 2)]).unwrap();
-        backdate(&cache.dir().join(file_name("cold")), 500);
-        backdate(&cache.dir().join(file_name("hot")), 1_000);
-        // "hot" starts *older* than "cold", but a hit refreshes it
-        assert!(cache.load("hot").unwrap().is_some());
-        let entry_size = std::fs::metadata(cache.dir().join(file_name("hot")))
+        let [cold, hot] = ["cold", "hot"].map(model_key);
+        cache.store(&cold, &[result("mcf", 1)]).unwrap();
+        cache.store(&hot, &[result("mcf", 2)]).unwrap();
+        backdate(&cache.dir().join(file_name(&cold)), 500);
+        backdate(&cache.dir().join(file_name(&hot)), 1_000);
+        // &hot starts *older* than &cold, but a hit refreshes it
+        assert!(cache.load(&hot).unwrap().is_some());
+        let entry_size = std::fs::metadata(cache.dir().join(file_name(&hot)))
             .unwrap()
             .len();
         let report = cache.gc(entry_size + entry_size / 2).unwrap();
         assert_eq!(report.evicted, 1);
-        assert!(cache.load("cold").unwrap().is_none());
-        assert!(cache.load("hot").unwrap().is_some());
+        assert!(cache.load(&cold).unwrap().is_none());
+        assert!(cache.load(&hot).unwrap().is_some());
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -761,13 +826,14 @@ mod tests {
     #[test]
     fn gc_counts_nothing_for_files_gone_after_the_listing() {
         let cache = ResultCache::new(tmp_dir("gc-vanished")).unwrap();
-        cache.store("live", &[result("mcf", 1)]).unwrap();
-        let size = std::fs::metadata(cache.dir().join(file_name("live")))
+        let live = model_key("live");
+        cache.store(&live, &[result("mcf", 1)]).unwrap();
+        let size = std::fs::metadata(cache.dir().join(file_name(&live)))
             .unwrap()
             .len();
         let ghost = stem("ghost");
         let listing: Vec<String> = [
-            file_name("live"),
+            file_name(&live),
             format!("{ghost}.res.tmp.7"),
             format!("{ghost}.res.bad"),
             format!("{ghost}.snap"),

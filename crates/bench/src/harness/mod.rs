@@ -134,17 +134,18 @@ impl GridPoint {
         Self::single(label, fault.kernel(), config, instructions, Scale::Small)
     }
 
-    /// The canonical cache key: schema version, members, scale,
-    /// instruction budget, and the complete configuration as the hex of its
-    /// wire bytes ([`SimConfig::wire_bytes`], which `config_fields!` makes
-    /// cover every leaf). The label is deliberately excluded — two binaries
-    /// labelling the same simulation differently share one cache entry.
+    /// The canonical cache key: schema version and model
+    /// ([`cache::key_prefix`]), members, scale, instruction budget, and the
+    /// complete configuration as the hex of its wire bytes
+    /// ([`SimConfig::wire_bytes`], which `config_fields!` makes cover every
+    /// leaf). The label is deliberately excluded — two binaries labelling
+    /// the same simulation differently share one cache entry.
     pub fn cache_key(&self) -> String {
         const HEX: &[u8; 16] = b"0123456789abcdef";
         let members: Vec<&str> = self.members.iter().map(|k| k.name).collect();
         let mut key = format!(
-            "v{}|members={}|scale={:?}|insts={}|cfg=",
-            bfetch_sim::SCHEMA_VERSION,
+            "{}members={}|scale={:?}|insts={}|cfg=",
+            cache::key_prefix(),
             members.join("+"),
             self.scale,
             self.instructions,
@@ -348,6 +349,7 @@ impl SweepStats {
     /// stdout byte-identity contract covers only deterministic results.
     pub fn to_json(&self) -> String {
         Json::Obj(vec![
+            ("model".into(), Json::Str(cache::MODEL_ID.into())),
             ("points".into(), Json::u64_of(self.points as u64)),
             ("cache_hits".into(), Json::u64_of(self.cache_hits as u64)),
             ("sims_run".into(), Json::u64_of(self.sims_run as u64)),
@@ -456,7 +458,8 @@ impl SweepOutcome {
     ///
     /// Deliberately omits everything run-dependent — thread count, cache
     /// hits, wall clock — so the output is byte-identical whatever the
-    /// parallelism or cache state; those live in the stderr report. A
+    /// parallelism or cache state; those live in the stderr report. The
+    /// `schema` and `model` fields name the build that simulated it. A
     /// `failures` array is appended only when something failed, keeping
     /// the no-failure rendering byte-identical to earlier versions.
     pub fn to_json(&self) -> String {
@@ -478,6 +481,7 @@ impl SweepOutcome {
                 "schema".into(),
                 Json::u64_of(bfetch_sim::SCHEMA_VERSION as u64),
             ),
+            ("model".into(), Json::Str(cache::MODEL_ID.into())),
             (
                 "stats".into(),
                 Json::Obj(vec![(
@@ -916,14 +920,15 @@ mod tests {
     }
 
     /// The configuration's wire bytes (the checkpoint's config section)
-    /// and one cache key, as CRC-32s: a reordered or retyped leaf would
-    /// otherwise invalidate every cache entry and checkpoint silently.
+    /// and one cache key with its model id zeroed, as CRC-32s: a reordered
+    /// or retyped leaf would otherwise invalidate every cache entry and
+    /// checkpoint silently.
     #[test]
     fn config_wire_bytes_and_cache_key_are_pinned() {
         use bfetch_snapshot::crc32;
         let pins = [
-            (SimConfig::baseline(), 130, 0xd15f_fcd7, 0x804e_6038),
-            (every_knob_moved(), 130, 0x35ce_0825, 0x3563_0dff),
+            (SimConfig::baseline(), 130, 0xd15f_fcd7, 0x1717_b280),
+            (every_knob_moved(), 130, 0x35ce_0825, 0xa23a_df47),
         ];
         for (c, len, wire, key) in pins {
             assert_eq!(c.validate(), Ok(()));
@@ -933,7 +938,12 @@ mod tests {
             let got = (
                 bytes.len(),
                 crc32(&bytes),
-                crc32(point.cache_key().as_bytes()),
+                crc32(
+                    point
+                        .cache_key()
+                        .replacen(cache::MODEL_ID, "0000000000000000", 1)
+                        .as_bytes(),
+                ),
             );
             assert_eq!(got, (len, wire, key), "wire bytes or cache key moved");
         }
@@ -964,6 +974,16 @@ mod tests {
         assert_eq!(
             doc.get("stats").unwrap().get("points").unwrap().as_u64(),
             Some(2)
+        );
+        assert_eq!(doc.get("schema").and_then(Json::as_u64), Some(12));
+        assert_eq!(
+            doc.get("model").and_then(Json::as_str),
+            Some(cache::MODEL_ID)
+        );
+        let stats = Json::parse(&out.stats.to_json()).expect("valid json");
+        assert_eq!(
+            stats.get("model").and_then(Json::as_str),
+            Some(cache::MODEL_ID)
         );
         // no failures → no failures key (byte-identical no-failure path)
         assert!(doc.get("failures").is_none());

@@ -7,7 +7,7 @@ use crate::config::{BFetchConfig, StorageReport};
 use crate::filter::PerLoadFilter;
 use crate::mht::MemoryHistoryTable;
 use bfetch_bpred::{CompositeConfidence, PathConfidence, SpeculativeCursor, TournamentPredictor};
-use bfetch_mem::probe::{find_line, NO_LINE};
+use bfetch_mem::NO_LINE;
 use bfetch_mem::{line_of, LINE_BYTES};
 use bfetch_stats::trace::{DropReason, TraceKind, Tracer};
 use std::collections::VecDeque;
@@ -517,8 +517,8 @@ struct CandidateQueue {
     capacity: usize,
     entries: VecDeque<PrefetchCandidate>,
     // `line_of(entries[i].addr)`, mirrored in push/drain order: what "is
-    // this line already queued?" means, and the flat array the chunked
-    // `find_line` scan answers it from when `queue_set` cannot
+    // this line already queued?" means, and the flat array the plain
+    // line scan answers it from when `queue_set` cannot
     lines: VecDeque<u64>,
     // ring of the last 64 lines queued (`NO_LINE` until first written):
     // consecutive lookahead walks largely re-derive the same window, and
@@ -558,10 +558,8 @@ impl CandidateQueue {
         let line = line_of(addr);
         if self
             .recent_set
-            .contains(line, || find_line(&self.recent_lines, line).is_some())
-            || self
-                .queue_set
-                .contains(line, || deque_contains_line(&self.lines, line))
+            .contains(line, || self.recent_lines.contains(&line))
+            || self.queue_set.contains(line, || self.lines.contains(&line))
         {
             return;
         }
@@ -629,13 +627,6 @@ impl CandidateQueue {
         }
         Ok(())
     }
-}
-
-/// Chunked [`find_line`] over a deque's two contiguous halves.
-#[inline]
-fn deque_contains_line(dq: &VecDeque<u64>, line: u64) -> bool {
-    let (a, b) = dq.as_slices();
-    find_line(a, line).is_some() || find_line(b, line).is_some()
 }
 
 /// The 10-bit load-PC hash (same function the hierarchy tags lines with).

@@ -1,6 +1,6 @@
 //! Set-associative cache, generic over what each way stores.
 
-use crate::{line_of, LINE_BYTES};
+use crate::{line_of, LINE_BYTES, NO_LINE};
 
 /// Geometry and latency of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,9 +102,6 @@ impl WayMeta for () {
 /// sentinel. Associativities are ≤ 16, far below the sentinel.
 const INVALID: u8 = u8::MAX;
 
-// The lane-parallel probe re-declares the sentinel; they must never drift.
-const _: () = assert!(INVALID == crate::probe::INVALID_RANK);
-
 /// A set-associative, LRU-replacement cache over 64 B lines.
 ///
 /// Timing lives in the [`hierarchy`](crate::hierarchy); this type tracks
@@ -112,14 +109,17 @@ const _: () = assert!(INVALID == crate::probe::INVALID_RANK);
 /// by default (the L1D), a `bool` dirty bit for the L2 and L3, `()` for
 /// the L1I (see [`WayMeta`]).
 ///
-/// Storage is split into parallel set-major arrays: the probe loop walks
-/// only the packed tag and rank words (at 16 ways that is two cache lines
-/// of tags and 16 bytes of ranks), while the payload is touched on hits
-/// alone. Replacement state is an exact-LRU age per way — `rank == 0` is
-/// MRU, `rank == valid_ways - 1` is the victim — updated in place instead
-/// of scanning 64-bit timestamps. The valid ranks of a set always form a
-/// permutation of `0..valid_ways`, which makes victim choice a rank
-/// comparison with no tie to break.
+/// Storage is split into parallel set-major arrays. A way that holds no
+/// line holds [`NO_LINE`] in its tag (the convention of the MSHR file's
+/// key array), so a lookup is a plain first-match scan over the set's tag
+/// words alone — at 16 ways, two cache lines — and finding a free way is
+/// the same scan for `NO_LINE`. Ranks are read only to update recency and
+/// pick a victim, the payload only on hits. Replacement state is an
+/// exact-LRU age per way — `rank == 0` is MRU, `rank == valid_ways - 1`
+/// is the victim — updated in place instead of scanning 64-bit
+/// timestamps. The valid ranks of a set always form a permutation of
+/// `0..valid_ways`, which makes victim choice a rank comparison with no
+/// tie to break.
 ///
 /// # Example
 ///
@@ -134,7 +134,7 @@ const _: () = assert!(INVALID == crate::probe::INVALID_RANK);
 pub struct SetAssocCache<M = LineMeta> {
     cfg: CacheConfig,
     sets: usize,
-    tags: Vec<u64>, // sets * ways, set-major; meaningful iff rank != INVALID
+    tags: Vec<u64>, // sets * ways, set-major; NO_LINE iff rank == INVALID
     ranks: Vec<u8>, // LRU age per way, or INVALID
     metas: Vec<M>,
 }
@@ -160,7 +160,7 @@ impl<M: WayMeta> SetAssocCache<M> {
         Self {
             cfg,
             sets,
-            tags: vec![0; n],
+            tags: vec![NO_LINE; n],
             ranks: vec![INVALID; n],
             metas: vec![M::default(); n],
         }
@@ -176,11 +176,14 @@ impl<M: WayMeta> SetAssocCache<M> {
         (((line / LINE_BYTES) as usize) & (self.sets - 1)) * self.cfg.ways
     }
 
-    /// Index of `line`'s way within `base..base + ways`, if present.
+    /// Index of the first way within `base..base + ways` whose tag is
+    /// `line` — a free way when `line` is [`NO_LINE`].
     #[inline]
     fn find(&self, base: usize, line: u64) -> Option<usize> {
         let end = base + self.cfg.ways;
-        crate::probe::find_way(&self.tags[base..end], &self.ranks[base..end], line)
+        self.tags[base..end]
+            .iter()
+            .position(|&t| t == line)
             .map(|way| base + way)
     }
 
@@ -245,7 +248,7 @@ impl<M: WayMeta> SetAssocCache<M> {
             return None;
         }
         // free way (first invalid in way order)
-        if let Some(i) = (base..base + ways).find(|&i| self.ranks[i] == INVALID) {
+        if let Some(i) = self.find(base, NO_LINE) {
             for r in &mut self.ranks[base..base + ways] {
                 if *r != INVALID {
                     *r += 1;
@@ -295,6 +298,7 @@ impl<M: WayMeta> SetAssocCache<M> {
             }
         }
         self.ranks[i] = INVALID;
+        self.tags[i] = NO_LINE;
         Some(self.metas[i])
     }
 
@@ -325,6 +329,19 @@ bfetch_snapshot::snap_state!(impl<M: WayMeta> SetAssocCache<M> {
         return Err(bfetch_snapshot::SnapshotError::Invalid {
             what: "cache rank out of range",
         });
+    }
+    if c.tags.iter().zip(&c.ranks).any(|(&t, &rk)| rk != INVALID && t == NO_LINE) {
+        return Err(bfetch_snapshot::SnapshotError::Invalid {
+            what: "cache tag collides with sentinel",
+        });
+    }
+    // a tag saved under an INVALID rank means nothing (an earlier layout
+    // kept the line the way last held there): the lookup scan must read
+    // NO_LINE
+    for (t, &rk) in c.tags.iter_mut().zip(&c.ranks) {
+        if rk == INVALID {
+            *t = NO_LINE;
+        }
     }
     Ok(())
 });
@@ -528,32 +545,160 @@ mod tests {
         assert!(c.metas.iter().all(|m| !m.dirty()), "nothing to make dirty");
     }
 
-    #[test]
-    fn ranks_stay_a_permutation_under_churn() {
-        // deterministic pseudo-random workload over one 4-way set
-        let mut c = SetAssocCache::new(CacheConfig::new(256, 4, 1)); // 1 set x 4 ways
-        let mut x = 0x9e3779b9u64;
-        for _ in 0..10_000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let line = (x >> 33) % 16 * 64;
-            match x % 3 {
-                0 => {
-                    c.insert(line, LineMeta::default());
-                }
-                1 => {
-                    c.access(line);
-                }
-                _ => {
-                    c.invalidate(line);
-                }
-            }
-            let mut ranks: Vec<u8> = c.ranks.iter().copied().filter(|&r| r != INVALID).collect();
-            ranks.sort_unstable();
-            let want: Vec<u8> = (0..ranks.len() as u8).collect();
-            assert_eq!(ranks, want, "valid ranks must stay a permutation");
+    /// A plain per-set LRU list, MRU first, each line with its dirty bit:
+    /// the meaning of presence, recency and victim choice that the tag and
+    /// rank arrays encode.
+    struct LruModel {
+        ways: usize,
+        sets: Vec<Vec<(u64, bool)>>,
+    }
+
+    impl LruModel {
+        fn set(&mut self, line: u64) -> &mut Vec<(u64, bool)> {
+            let n = self.sets.len() as u64;
+            &mut self.sets[((line / LINE_BYTES) % n) as usize]
         }
+
+        fn pos(&mut self, line: u64) -> Option<usize> {
+            self.set(line).iter().position(|&(l, _)| l == line)
+        }
+
+        /// Moves `line` to MRU if present, returning its entry as it was.
+        fn promote(&mut self, line: u64) -> Option<(u64, bool)> {
+            let i = self.pos(line)?;
+            let e = self.set(line).remove(i);
+            self.set(line).insert(0, e);
+            Some(e)
+        }
+
+        fn insert(&mut self, line: u64, dirty: bool) -> Option<(u64, bool)> {
+            if self.promote(line).is_some() {
+                return None;
+            }
+            let ways = self.ways;
+            let set = self.set(line);
+            let victim = (set.len() == ways).then(|| set.pop().expect("full set"));
+            set.insert(0, (line, dirty));
+            victim
+        }
+    }
+
+    /// Seeded churn of every operation over a few small sets, against
+    /// [`LruModel`]. Lines come from a universe a little larger than the
+    /// cache and include line 0, and invalidations free ways whose lines
+    /// come back, so a stale tag in an invalid way — or a zeroed tag in a
+    /// never-filled one — would answer a lookup. After every step the
+    /// valid ways must hold exactly the model's lines at the model's LRU
+    /// ranks, and every invalid way must read as empty.
+    #[test]
+    fn matches_a_per_set_lru_list_under_churn() {
+        for case in 0..bfetch_prng::cases(32) as u64 {
+            let mut r = bfetch_prng::Pcg32::new(0xcac4_0001 ^ case);
+            let ways = r.range(1, 17) as usize;
+            let sets = 1usize << r.gen_range(3);
+            let cfg = CacheConfig::new((sets * ways) as u64 * LINE_BYTES, ways, 1);
+            let mut c: SetAssocCache<bool> = SetAssocCache::new(cfg);
+            let mut m = LruModel {
+                ways,
+                sets: vec![Vec::new(); sets],
+            };
+            let universe = (sets * ways + 3) as u64;
+            for step in 0..400 {
+                let line = r.gen_range(universe) * LINE_BYTES;
+                // any byte of the line addresses it
+                let addr = line + r.gen_range(LINE_BYTES);
+                match r.gen_range(6) {
+                    0 | 1 => {
+                        let dirty = r.gen_range(2) == 0;
+                        assert_eq!(c.insert(addr, dirty), m.insert(line, dirty), "step {step}");
+                    }
+                    2 => {
+                        let want = m.pos(line).map(|i| m.set(line).remove(i).1);
+                        assert_eq!(c.invalidate(addr), want, "step {step}");
+                    }
+                    3 => {
+                        let want = m.promote(line).map(|e| e.1);
+                        assert_eq!(c.access(addr), want, "step {step}");
+                    }
+                    4 => assert_eq!(c.touch(addr), m.promote(line).is_some()),
+                    _ => {
+                        let want = m.pos(line).map(|i| {
+                            m.set(line)[i].1 = true;
+                        });
+                        assert_eq!(c.mark_dirty(addr), want.is_some(), "step {step}");
+                    }
+                }
+                let probe = r.gen_range(universe) * LINE_BYTES;
+                assert_eq!(c.probe(probe), m.pos(probe).is_some(), "step {step}");
+                for (s, lines) in m.sets.iter().enumerate() {
+                    let base = s * ways;
+                    let mut got: Vec<(u8, u64, bool)> = (base..base + ways)
+                        .filter(|&i| c.ranks[i] != INVALID)
+                        .map(|i| (c.ranks[i], c.tags[i], c.metas[i]))
+                        .collect();
+                    got.sort_unstable();
+                    let want: Vec<(u8, u64, bool)> = (0..)
+                        .zip(lines)
+                        .map(|(rank, &(line, dirty))| (rank, line, dirty))
+                        .collect();
+                    assert_eq!(got, want, "set {s} after step {step}");
+                }
+                assert!(
+                    (0..sets * ways).all(|i| (c.ranks[i] == INVALID) == (c.tags[i] == NO_LINE)),
+                    "empty ways and NO_LINE tags coincide after step {step}"
+                );
+            }
+        }
+    }
+
+    fn save(c: &SetAssocCache) -> Vec<u8> {
+        use bfetch_snapshot::SnapState;
+        let mut w = bfetch_snapshot::Encoder::new();
+        c.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    fn load(bytes: &[u8]) -> Result<SetAssocCache, bfetch_snapshot::SnapshotError> {
+        use bfetch_snapshot::SnapState;
+        let mut c = small();
+        let mut r = bfetch_snapshot::Decoder::new(bytes);
+        c.load_state(&mut r)?;
+        r.finish()?;
+        Ok(c)
+    }
+
+    /// A saved invalid way may carry the tag of the line it last held —
+    /// an earlier layout kept it there, meaningful only through the rank.
+    /// Loading restores `NO_LINE`, so the stale line misses and the cache
+    /// re-saves the new layout; a *valid* way saved as `NO_LINE` is a
+    /// typed error.
+    #[test]
+    fn a_snapshot_with_stale_tags_in_invalid_ways_loads_empty_ways() {
+        let mut c = small();
+        for line in [0x0, 0x100, 0x40, 0x140] {
+            c.insert(line, LineMeta::default());
+        }
+        c.invalidate(0x0);
+        c.invalidate(0x140);
+        let fresh = save(&c);
+        // the earlier layout: stale tags under INVALID ranks
+        let mut stale = c.clone();
+        for (i, line) in [(0, 0x0), (3, 0x140)] {
+            assert_eq!((stale.ranks[i], stale.tags[i]), (INVALID, NO_LINE));
+            stale.tags[i] = line;
+        }
+        assert_ne!(save(&stale), fresh);
+        let loaded = load(&save(&stale)).expect("stale tags load");
+        assert!(!loaded.probe(0x0) && !loaded.probe(0x140));
+        assert!(loaded.probe(0x100) && loaded.probe(0x40));
+        assert_eq!(save(&loaded), fresh, "re-saves with NO_LINE");
+
+        let mut bad = c.clone();
+        bad.tags[1] = NO_LINE; // way 1 holds 0x100, valid
+        assert!(matches!(
+            load(&save(&bad)),
+            Err(bfetch_snapshot::SnapshotError::Invalid { .. })
+        ));
     }
 
     #[test]

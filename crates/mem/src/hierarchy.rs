@@ -748,12 +748,10 @@ impl CoreMem {
             );
             return None;
         }
-        let start_at = match self.pf_mshr.request(line, now) {
-            MshrOutcome::Allocated { start_at } => start_at,
-            MshrOutcome::Merged { .. } => unreachable!("contains() checked above"),
-        };
+        // the line is in no MSHR and a prefetch buffer is free, so the
+        // buffer is allocated now: `MshrFile::request` would only say so
         let (done, level, fill_l2, fill_l3) =
-            self.lower_levels(shared, phys, start_at + self.cfg.l1d.latency, false);
+            self.lower_levels(shared, phys, now + self.cfg.l1d.latency, false);
         self.pf_mshr
             .fill_scheduled(line, done, true, pc_hash & 0x3ff, level);
         self.tracer.emit_for(

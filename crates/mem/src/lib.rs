@@ -39,7 +39,6 @@ pub mod cache;
 pub mod dram;
 pub mod hierarchy;
 pub mod mshr;
-pub mod probe;
 
 pub use cache::{CacheConfig, LineMeta, SetAssocCache, WayMeta};
 pub use dram::{Dram, DramConfig};
@@ -53,6 +52,11 @@ pub use mshr::{MshrFile, MshrOutcome};
 /// delta analyses, which are expressed "at the granularity of a cache block
 /// (64B)").
 pub const LINE_BYTES: u64 = 64;
+
+/// The key an empty cache way or free MSHR slot holds. Line addresses are
+/// 64-byte aligned (low six bits zero), so no live line can ever equal it,
+/// and a lookup is a plain first-match scan over the keys alone.
+pub const NO_LINE: u64 = u64::MAX;
 
 /// Aligns an address down to its cache-line base.
 #[inline]
@@ -70,5 +74,6 @@ mod tests {
         assert_eq!(line_of(63), 0);
         assert_eq!(line_of(64), 64);
         assert_eq!(line_of(0x1234_5678), 0x1234_5640);
+        assert_ne!(line_of(NO_LINE), NO_LINE, "the sentinel is no line");
     }
 }

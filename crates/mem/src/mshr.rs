@@ -1,7 +1,7 @@
 //! Miss status holding registers.
 
 use crate::hierarchy::HitLevel;
-use crate::probe::{self, NO_LINE};
+use crate::NO_LINE;
 
 /// Result of consulting the MSHR file for a missing line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,11 +60,11 @@ const FREE: Slot = Slot {
 /// fill returns — modelling the structural stall a full MSHR file causes.
 ///
 /// The file is a fixed-capacity array sized at construction; MSHR files
-/// are small (4–32 entries), so probes are lane-parallel scans (see
-/// [`crate::probe`]) over a flat key array that stays within one or two
-/// cache lines and never allocates. Free slots hold [`NO_LINE`] in the key
-/// array — line addresses are 64 B aligned, so the sentinel can never
-/// collide with a live key and validity needs no second lane. Victim
+/// are small (4–32 entries), so a probe is a plain first-match scan over a
+/// flat key array that stays within one to four cache lines and never
+/// allocates. Free slots hold [`NO_LINE`] in the key array — line
+/// addresses are 64 B aligned, so the sentinel can never collide with a
+/// live key and validity needs no second array. Victim
 /// selection on an overfull insert is by `(complete_at, line)`, which is
 /// deterministic by construction — no iteration-order tie-break needed.
 ///
@@ -111,9 +111,11 @@ impl MshrFile {
         }
     }
 
+    /// The slot whose key is `line` — a free slot when `line` is
+    /// [`NO_LINE`].
     #[inline]
     fn find(&self, line: u64) -> Option<usize> {
-        probe::find_line(&self.lines, line)
+        self.lines.iter().position(|&l| l == line)
     }
 
     /// Drops entries whose fills have completed by `now`.
@@ -208,7 +210,7 @@ impl MshrFile {
         match self.find(line) {
             Some(i) => self.slots[i] = entry,
             None => {
-                let i = probe::find_line(&self.lines, NO_LINE).expect("eviction freed a slot");
+                let i = self.find(NO_LINE).expect("eviction freed a slot");
                 self.slots[i] = entry;
                 self.lines[i] = line;
                 self.live += 1;

@@ -61,7 +61,7 @@ pub const MAGIC: [u8; 8] = *b"BFSNAP01";
 /// Bump this whenever any `Snap`/`SnapState` impl changes its byte layout
 /// or the cache key's derivation changes; readers reject every version
 /// other than their own — see DESIGN.md §15 for the compatibility policy.
-pub const SCHEMA_VERSION: u32 = 11;
+pub const SCHEMA_VERSION: u32 = 12;
 
 /// Typed error for every way a snapshot can fail to load.
 ///

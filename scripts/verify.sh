@@ -51,8 +51,10 @@ cargo check -p bfetch-bench --benches --features criterion-benches -q
 # mcf and a fresh state from it (kernel_build_mcf, arch_state_new_mcf), of
 # a first and a resident load of an mcf line (first_touch_line,
 # load_touch_hit), of reading mcf's program file back
-# (program_file_read) and of one warm result-cache hit on a Fig 8 entry
-# (cache_load_hit) is a recorded number; CI uploads the table. Informational: host-speed regressions are
+# (program_file_read), of one warm result-cache hit on a Fig 8 entry
+# (cache_load_hit) and of the tag scan alone, a missing L1D line probed
+# and filled (cache_probe_fill) and a 4-entry MSHR lookup that misses
+# (mshr_lookup_miss), is a recorded number; CI uploads the table. Informational: host-speed regressions are
 # judged by `benchmark compare`, not here.
 cargo bench -q -p bfetch-bench --features criterion-benches --bench hotpath \
   | tee target/BENCH_hotpath.txt
@@ -64,6 +66,8 @@ grep -q '^first_touch_line ' target/BENCH_hotpath.txt
 grep -q '^load_touch_hit ' target/BENCH_hotpath.txt
 grep -q '^cache_load_hit ' target/BENCH_hotpath.txt
 grep -q '^program_file_read ' target/BENCH_hotpath.txt
+grep -q '^cache_probe_fill ' target/BENCH_hotpath.txt
+grep -q '^mshr_lookup_miss ' target/BENCH_hotpath.txt
 
 echo "==> benchmark driver: unit + smoke tests against the crates' public surface"
 # benchmark/ is its own package (own workspace table and lock file), so
